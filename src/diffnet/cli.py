@@ -1,14 +1,14 @@
 """Command-line front end.
 
 Commands: ``analyze`` (theorem engine verdict), ``certify`` (Monte Carlo
-PBH oracle beside the verdict), ``lump`` (assembled system matrices),
+controllability oracle beside the verdict), ``lump`` (assembled system matrices),
 ``example`` (ready-to-analyze mass-spring chain files), ``graph``
 (topology report).
 
 Exit codes: 0 structurally controllable (or success for non-verdict
 commands), 1 not structurally controllable, 2 inconclusive, 3
 certification disagrees with the verdict, 64 input error, 70 internal
-consistency failure, 74 output write failure.
+consistency failure or unexpected error, 74 output write failure.
 """
 
 from __future__ import annotations
@@ -207,7 +207,8 @@ def _cert_lines(cert, label: str) -> list[str]:
             lines.append(f"  trial stream {t.stream_id}: error: {t.error}")
         else:
             status = "controllable" if t.controllable else (
-                f"uncontrollable ({t.deficient_count} deficient eigenvalue checks)"
+                f"uncontrollable ({t.deficient_count} states outside the "
+                "controllable subspace)"
             )
             lines.append(f"  trial stream {t.stream_id}: {status}")
     return lines
@@ -499,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser(
-        "certify", help="Monte Carlo PBH certification beside the verdict"
+        "certify", help="Monte Carlo controllability certification beside the verdict"
     )
     p.add_argument("path", help="problem file (JSON)")
     p.add_argument(
@@ -511,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--ground-first-mass",
         action="store_true",
         help="add the wall coupling from options.wall to the state matrix "
-        "before each PBH test",
+        "before each controllability test",
     )
     _add_io_flags(p, with_tol=True)
     p.set_defaults(func=cmd_certify)
@@ -580,6 +581,12 @@ def main(argv=None) -> int:
         return EXIT_WRITE_ERROR
     except DiffnetError as exc:
         print(f"diffnet: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
+    except Exception as exc:
+        # exit 1 would read as NOT_CONTROLLABLE; anything unforeseen is internal
+        print(
+            f"diffnet: unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr
+        )
         return EXIT_INTERNAL_ERROR
 
 

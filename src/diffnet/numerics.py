@@ -1,9 +1,9 @@
 """Dense matrix utilities shared by every engine in the package.
 
 Kronecker products, commutation matrices, tolerance-based numerical rank,
-eigenvalues, sampled generic rank, and PBH controllability/observability
-tests. Everything operates on plain numpy arrays and treats them as
-immutable values.
+eigenvalues, sampled generic rank, the controllable dimension by orthogonal
+staircase, and PBH controllability/observability tests. Everything
+operates on plain numpy arrays and treats them as immutable values.
 """
 
 from __future__ import annotations
@@ -227,6 +227,49 @@ def pbh_eigen_checks(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> list[PbhCheck]
         r = numerical_rank(pencil, tol)
         checks.append(PbhCheck(complex(lam), r, r == n))
     return checks
+
+
+def controllable_dimension(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> int:
+    """Dimension of the controllable subspace of (A, B), by orthogonal staircase.
+
+    Each step takes an SVD of the current input block, keeps the rho singular
+    values above rank_rel_tol * max(||A||_2, ||B||_2), and rotates the states
+    not yet covered by its left singular vectors U, so that the next input
+    block is A[done+rho:, done:done+rho]. It stops when rho = 0 or every
+    state is covered (Paige 1981; Van Dooren). No eigenvalues are computed, and the
+    cutoff scales with (A, B), so the result is invariant under uniform
+    scaling.
+    """
+    am = np.array(a, dtype=float)
+    bm = np.asarray(b, dtype=float)
+    if bm.ndim == 1:
+        bm = bm[:, None]
+    if am.ndim != 2 or am.shape[0] != am.shape[1]:
+        raise ValueError(f"staircase needs a square state matrix, got shape {am.shape}")
+    n = am.shape[0]
+    if bm.ndim != 2 or bm.shape[0] != n:
+        raise ValueError(
+            f"input matrix must have {n} rows to match the state matrix, "
+            f"got shape {bm.shape}"
+        )
+    try:
+        scale = max((np.linalg.norm(m, 2) for m in (am, bm) if m.size), default=0.0)
+        cutoff = tol.rank_rel_tol * scale
+        done = 0
+        block = bm
+        while done < n:
+            u, sv, _ = np.linalg.svd(block)
+            rho = int(np.count_nonzero(sv > cutoff))
+            if rho == 0:
+                break
+            am[done:, done:] = u.T @ am[done:, done:] @ u
+            block = am[done + rho :, done : done + rho]
+            done += rho
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(
+            f"staircase SVD failed on a {n}-state pair: {exc}"
+        ) from exc
+    return done
 
 
 def pbh_controllable(a, b, tol: ToleranceConfig = DEFAULT_TOL):

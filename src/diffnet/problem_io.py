@@ -146,20 +146,6 @@ def _parse_driven(doc: dict, graph: NetworkGraph) -> DrivenSet:
     return driven
 
 
-def _match_edge(graph: NetworkGraph, u: int, v: int) -> Edge | None:
-    # a directed (u, v) is the specific match; an undirected pair never
-    # coexists with another edge on the same vertices, so order is free
-    directed_key = (DIRECTED, u, v)
-    undirected_key = (UNDIRECTED, min(u, v), max(u, v))
-    for edge in graph.edges:
-        if edge.key() == directed_key:
-            return edge
-    for edge in graph.edges:
-        if edge.key() == undirected_key:
-            return edge
-    return None
-
-
 def _parse_weights(doc: dict, graph: NetworkGraph, model: SubsystemModel):
     raw = doc.get("weights")
     if raw is None:
@@ -173,6 +159,7 @@ def _parse_weights(doc: dict, graph: NetworkGraph, model: SubsystemModel):
         raise _fail('weights "edges" must be a list')
 
     p, r = model.num_inputs, model.num_outputs
+    edges_by_key = {edge.key(): edge for edge in graph.edges}
     by_key: dict[tuple, np.ndarray] = {}
     for i, entry in enumerate(entries):
         e = _require_mapping(entry, f"weight #{i}")
@@ -183,7 +170,11 @@ def _parse_weights(doc: dict, graph: NetworkGraph, model: SubsystemModel):
             raise _fail(f'weight #{i} needs "u", "v" and "W"')
         u = _int_field(e["u"], f'weight #{i} "u"')
         v = _int_field(e["v"], f'weight #{i} "v"')
-        edge = _match_edge(graph, u, v)
+        # a directed (u, v) is the specific match; an undirected pair never
+        # coexists with another edge on the same vertices, so order is free
+        edge = edges_by_key.get((DIRECTED, u, v)) or edges_by_key.get(
+            (UNDIRECTED, min(u, v), max(u, v))
+        )
         if edge is None:
             raise _fail(f"weight #{i} references no edge between {u} and {v}")
         if edge.key() in by_key:

@@ -3,7 +3,9 @@
 The criteria implemented here decide, from the network topology and one
 copy of the node dynamics, whether some (equivalently, almost every) choice
 of edge weights makes the assembled network controllable. Every verdict can
-be cross-examined by a Monte Carlo PBH oracle on sampled weights.
+be cross-examined by a Monte Carlo oracle on sampled weights, which measures
+the controllable subspace of each assembled pair with an orthogonal
+staircase.
 """
 
 from __future__ import annotations
@@ -26,12 +28,11 @@ from .numerics import (
     DEFAULT_TOL,
     RandomSource,
     ToleranceConfig,
+    controllable_dimension,
     dedupe_eigenvalues,
     eigenvalues,
     generic_rank,
     kron,
-    pbh_controllable,
-    pbh_eigen_checks,
 )
 from .subsystem import (
     SubsystemModel,
@@ -70,7 +71,11 @@ class ConditionRecord:
 
 @dataclass(frozen=True)
 class TrialResult:
-    """One Monte Carlo draw: sampled weights, assembled, PBH-tested."""
+    """One Monte Carlo draw: sampled weights, assembled, staircase-tested.
+
+    ``deficient_count`` is the number of states outside the controllable
+    subspace of the assembled pair (0 exactly when the draw is controllable).
+    """
 
     stream_id: int
     controllable: bool | None
@@ -302,12 +307,13 @@ def certify_monte_carlo(
     a_shift: np.ndarray | None = None,
     analysis: AnalysisReport | None = None,
 ) -> CertificationReport:
-    """Monte Carlo PBH oracle over sampled weights.
+    """Monte Carlo controllability oracle over sampled weights.
 
     Each trial derives its own stream from the source, samples one generic
-    weight per edge, assembles the lumped pair, and runs the PBH test at
-    every eigenvalue. ``a_shift`` (added to the assembled state matrix
-    before testing) accommodates grounding-style modifications. Numeric
+    weight per edge, assembles the lumped pair, and measures its controllable
+    subspace with an orthogonal staircase; the states outside it are the
+    trial's ``deficient_count``. ``a_shift`` (added to the assembled state
+    matrix before testing) accommodates grounding-style modifications. Numeric
     failures are recorded per trial and never abort the run.
     """
     if trials < 1:
@@ -337,9 +343,10 @@ def certify_monte_carlo(
                         f"expected {a_sys.shape}"
                     )
                 a_sys = a_sys + shift
-            checks = pbh_eigen_checks(a_sys, lumped.b_sys, tol)
-            controllable = all(c.full for c in checks)
-            deficient = sum(1 for c in checks if not c.full)
+            deficient = a_sys.shape[0] - controllable_dimension(
+                a_sys, lumped.b_sys, tol
+            )
+            controllable = deficient == 0
             per.append(TrialResult(src.stream_id, controllable, deficient))
             any_ok = any_ok or controllable
         except NumericError as exc:
@@ -428,10 +435,11 @@ def laplacian_leader_controllability(
 ) -> bool:
     """Single-leader controllability of -L on a connected undirected graph.
 
-    Samples generic scalar weights, builds the weighted Laplacian, and PBH
-    tests the pair (-L, e_leader). On a connected undirected graph this
-    holds for almost every weight draw, so every trial is expected to pass;
-    returns True only if all do.
+    Samples generic scalar weights, builds the weighted Laplacian, and
+    measures the controllable subspace of the pair (-L, e_leader) with an
+    orthogonal staircase. On a connected undirected graph this holds for
+    almost every weight draw, so every trial is expected to pass; returns
+    True only if all do.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -448,12 +456,11 @@ def laplacian_leader_controllability(
             f"{sorted(set(range(1, graph.num_vertices + 1)) - set(reach))} "
             "are cut off from the leader"
         )
-    basis = np.eye(graph.num_vertices)
+    leader_input = np.eye(graph.num_vertices)[:, leader - 1]
     for t in range(trials):
         w = sample_weights(graph, (1, 1), rng.derive(t), weight_scale)
         lap = scalar_laplacians(graph, w)[0]
-        ok, _ = pbh_controllable(-lap, basis[:, leader - 1 : leader], tol)
-        if not ok:
+        if controllable_dimension(-lap, leader_input, tol) < graph.num_vertices:
             return False
     return True
 

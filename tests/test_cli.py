@@ -144,6 +144,16 @@ class TestExitCodes:
         assert code == 64
         assert "unknown top-level members" in err
 
+    def test_unexpected_exception_exits_seventy(self, problem_file, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("diffnet.cli.cmd_analyze", broken)
+        code, out, err = run(capsys, ["analyze", problem_file(chain_problem())])
+        assert code == 70
+        assert out == ""
+        assert "diffnet: unexpected error: RuntimeError: boom" in err
+
     def test_bad_usage_exits_sixtyfour(self, problem_file):
         with pytest.raises(SystemExit) as exc:
             main(["certify", "whatever.json", "--trials", "0"])
@@ -427,6 +437,29 @@ class TestExampleCommand:
         assert json.loads(out)["$schema"] == PROBLEM_SCHEMA
 
 
+class TestLongChainCertification:
+    """Generated chains long enough that a per-eigenvalue rank test fails."""
+
+    @pytest.mark.parametrize("grounded", [False, True], ids=["plain", "grounded"])
+    @pytest.mark.parametrize("num_masses", [20, 50, 100])
+    def test_certify_agrees_with_verdict(self, capsys, tmp_path, num_masses, grounded):
+        target = tmp_path / "chain.json"
+        code, _, _ = run(
+            capsys,
+            ["example", "--N", str(num_masses), "--seed", "1", "--out", str(target)],
+        )
+        assert code == 0
+        argv = ["certify", str(target)] + (["--ground-first-mass"] if grounded else [])
+        code, out, _ = run(capsys, argv)
+        doc = json.loads(out)
+        cert = doc["analysis"]["certification"]
+        assert cert["agree_with_verdict"] is True
+        assert all(t["deficient_count"] == 0 for t in cert["per_trial"])
+        if grounded:
+            assert doc["grounded_certification"]["agree_with_verdict"] is True
+        assert code == 0
+
+
 class TestGraphCommand:
     def test_text_report(self, problem_file, capsys):
         doc = chain_problem(n=3)
@@ -497,6 +530,26 @@ class TestProblemParsing:
 
         assert np.array_equal(problem.weights.row(Edge(1, 2, DIRECTED)), [1.0, 0.0])
         assert np.array_equal(problem.weights.row(Edge(2, 1, DIRECTED)), [0.0, 2.0])
+
+    def test_weights_match_undirected_reversed_and_directed_as_given(self):
+        doc = chain_problem(n=3)
+        doc["graph"]["edges"] = [
+            {"u": 1, "v": 2},
+            {"u": 2, "v": 3, "kind": "directed"},
+        ]
+        doc["weights"] = {
+            "edges": [
+                {"u": 2, "v": 1, "W": [[1.0, 2.0]]},
+                {"u": 2, "v": 3, "W": [[3.0, 4.0]]},
+            ]
+        }
+        problem = self.parse(doc)
+        from diffnet.topology import DIRECTED, Edge
+
+        assert np.array_equal(problem.weights.row(Edge(1, 2)), [1.0, 2.0])
+        assert np.array_equal(problem.weights.row(Edge(2, 3, DIRECTED)), [3.0, 4.0])
+        doc["weights"]["edges"][1].update(u=3, v=2)
+        self.expect_error(doc, "references no edge between 3 and 2")
 
     def test_matrix_weights_for_multi_input_models(self):
         doc = chain_problem(n=2)

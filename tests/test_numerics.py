@@ -13,6 +13,7 @@ from diffnet.numerics import (
     ToleranceConfig,
     commutation_matrix,
     commutation_permutation,
+    controllable_dimension,
     dedupe_eigenvalues,
     eigenvalues,
     generic_rank,
@@ -227,6 +228,71 @@ class TestPbh:
             a = gen.normal(size=(n, n))
             b = gen.normal(size=(n, 1))
             assert pbh_controllable(a, b)[0] == pbh_observable(a.T, b.T)[0]
+
+
+def planted_kalman_form(gen, n, nc, inputs=2):
+    """Random pair whose controllable subspace has dimension exactly nc.
+
+    Built in Kalman form (A[nc:, :nc] = 0, B[nc:] = 0) with a generic
+    controllable block, then hidden by a random orthogonal similarity.
+    """
+    a = gen.normal(size=(n, n))
+    a[nc:, :nc] = 0.0
+    b = np.zeros((n, inputs))
+    b[:nc] = gen.normal(size=(nc, inputs))
+    q, _ = np.linalg.qr(gen.normal(size=(n, n)))
+    return q @ a @ q.T, q @ b
+
+
+class TestControllableDimension:
+    @pytest.mark.parametrize("n, nc", [(30, 20), (60, 45), (100, 99)])
+    def test_planted_kalman_form(self, n, nc):
+        gen = RandomSource(n * 1000 + nc).generator()
+        a, b = planted_kalman_form(gen, n, nc)
+        assert controllable_dimension(a, b) == nc
+
+    def test_zero_input_and_vector_input(self):
+        a = np.array([[0.0, 1.0], [-2.0, -0.5]])
+        assert controllable_dimension(a, np.zeros((2, 1))) == 0
+        assert controllable_dimension(np.zeros((2, 2)), np.zeros((2, 1))) == 0
+        assert controllable_dimension(a, np.array([0.0, 1.0])) == 2
+        assert controllable_dimension(np.eye(2), np.array([1.0, 0.0])) == 1
+
+    @pytest.mark.parametrize("factor", [1e-6, 1e6])
+    def test_uniform_scaling_keeps_the_dimension(self, factor):
+        gen = RandomSource(5).generator()
+        a, b = planted_kalman_form(gen, 40, 25)
+        assert controllable_dimension(factor * a, factor * b) == 25
+        assert controllable_dimension(factor * a, b) == 25
+        assert controllable_dimension(a, factor * b) == 25
+
+    def test_agrees_with_pbh_on_small_pairs(self):
+        gen = RandomSource(77).generator()
+        seen = {True: 0, False: 0}
+        for trial in range(60):
+            n = int(gen.integers(1, 7))
+            if trial % 2 and n >= 2:
+                a, b = planted_kalman_form(gen, n, int(gen.integers(0, n)), inputs=1)
+            else:
+                a, b = gen.normal(size=(n, n)), gen.normal(size=(n, 1))
+            full = controllable_dimension(a, b) == n
+            assert full == pbh_controllable(a, b)[0], f"trial {trial}"
+            seen[full] += 1
+        assert seen[True] and seen[False]
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            controllable_dimension(np.eye(2), np.ones((3, 1)))
+        with pytest.raises(ValueError):
+            controllable_dimension(np.ones((2, 3)), np.ones((2, 1)))
+
+    def test_svd_failure_is_a_numeric_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NumericError, match="staircase"):
+            controllable_dimension(np.eye(2), np.ones((2, 1)))
 
 
 class TestGenericRank:

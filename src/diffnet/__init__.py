@@ -3,21 +3,18 @@
 Decides, from topology plus one copy of the node dynamics, whether some
 (equivalently, almost every) assignment of vector or matrix edge weights
 makes the assembled network controllable, and certifies each verdict with
-a randomized PBH oracle on sampled weights.
+an orthogonal controllability staircase on sampled weights.
 """
 
 from .assembly import (
     LumpedSystem,
     MassSpringChain,
     MatrixWeights,
-    VectorWeights,
-    assemble_lumped_mimo,
-    assemble_lumped_simo,
+    assemble_lumped,
     factorized_assembly_check,
     grounding_shift,
     mass_spring_chain,
     sample_weights,
-    wall_shift_matrix,
 )
 from .errors import (
     ConsistencyError,
@@ -76,14 +73,12 @@ __all__ = [
     "RandomSource",
     "SubsystemModel",
     "ToleranceConfig",
-    "VectorWeights",
     "Verdict",
     "analyze",
     "analyze_mimo",
     "analyze_scalar_constrained",
     "analyze_simo",
-    "assemble_lumped_mimo",
-    "assemble_lumped_simo",
+    "assemble_lumped",
     "aux_condition_check",
     "certify_monte_carlo",
     "factorized_assembly_check",
@@ -101,5 +96,4 @@ __all__ = [
     "sample_weights",
     "spanning_forest",
     "validate_model",
-    "wall_shift_matrix",
 ]

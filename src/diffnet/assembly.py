@@ -1,14 +1,16 @@
 """Weighted Laplacians and lumped network assembly.
 
-Each edge of the network carries either a 1 x r weight vector (single-input
-subsystems, one scalar weight per coupling channel) or a p x r weight matrix.
-The assembled network state matrix couples N copies of the node dynamics
-through the corresponding Laplacians; every assembler here computes the
-result along two independent routes and insists they agree.
+Each edge of the network carries a p x r weight block, where p and r are
+the node's input and output counts. The vector weights of single-input
+nodes are the p = 1 case: a 1 x r row, one scalar weight per coupling
+channel. The assembled network state matrix couples N copies of the node
+dynamics through the block Laplacian; the assembler computes it along two
+independent routes and insists they agree.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -18,63 +20,15 @@ from .errors import ConsistencyError
 from .numerics import RandomSource, kron, sample_away_from_zero
 from .subsystem import SubsystemModel, require_valid
 from .topology import (
-    DIRECTED,
     UNDIRECTED,
     DrivenSet,
     Edge,
-    IncidenceRealization,
     NetworkGraph,
     incidence_matrices,
 )
 
 #: The two assembly routes must agree to this relative tolerance.
 ASSEMBLY_CROSS_CHECK_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class VectorWeights:
-    """One weight vector of length ``channels`` per edge, keyed by Edge.key()."""
-
-    channels: int
-    rows: Mapping[tuple, np.ndarray]
-
-    def __post_init__(self) -> None:
-        if self.channels < 1:
-            raise ValueError(f"need at least one channel, got {self.channels}")
-        fixed = {}
-        for key, row in dict(self.rows).items():
-            arr = np.asarray(row, dtype=float).reshape(-1)
-            if arr.shape != (self.channels,):
-                raise ValueError(
-                    f"weight for edge {key} must have {self.channels} entries, "
-                    f"got shape {arr.shape}"
-                )
-            fixed[key] = arr
-        object.__setattr__(self, "rows", fixed)
-
-    @classmethod
-    def from_edge_arrays(
-        cls, graph: NetworkGraph, arrays, channels: int | None = None
-    ) -> "VectorWeights":
-        """Weights listed in the graph's edge order."""
-        arrays = [np.asarray(a, dtype=float).reshape(-1) for a in arrays]
-        if len(arrays) != graph.num_edges:
-            raise ValueError(
-                f"need {graph.num_edges} weight rows, got {len(arrays)}"
-            )
-        if channels is None:
-            channels = arrays[0].shape[0] if arrays else 1
-        return cls(channels, {e.key(): a for e, a in zip(graph.edges, arrays)})
-
-    def row(self, edge: Edge) -> np.ndarray:
-        return self.rows[edge.key()]
-
-    def to_matrix_weights(self) -> "MatrixWeights":
-        """Reinterpret each row as a 1 x r weight block."""
-        return MatrixWeights(
-            shape=(1, self.channels),
-            blocks={k: v[None, :] for k, v in self.rows.items()},
-        )
 
 
 @dataclass(frozen=True)
@@ -115,18 +69,10 @@ class MatrixWeights:
         return self.blocks[edge.key()]
 
 
-def _weight_map(weights) -> Mapping[tuple, np.ndarray]:
-    if isinstance(weights, VectorWeights):
-        return weights.rows
-    if isinstance(weights, MatrixWeights):
-        return weights.blocks
-    raise TypeError(f"unsupported weight container {type(weights).__name__}")
-
-
-def check_weights(graph: NetworkGraph, weights) -> None:
+def check_weights(graph: NetworkGraph, weights: MatrixWeights) -> None:
     """Reject weights that do not cover the edge set exactly."""
     expected = {e.key() for e in graph.edges}
-    got = set(_weight_map(weights))
+    got = set(weights.blocks)
     extra = got - expected
     if extra:
         raise ValueError(f"weights reference non-edges: {sorted(extra)}")
@@ -135,16 +81,17 @@ def check_weights(graph: NetworkGraph, weights) -> None:
         raise ValueError(f"weights missing for edges: {sorted(missing)}")
 
 
-def _block_laplacian(
-    graph: NetworkGraph, blocks: Mapping[tuple, np.ndarray], p: int, r: int
-) -> np.ndarray:
-    """Block Laplacian: off-diagonal block (i, j) = -W_ij, diagonal = row sum.
+def matrix_laplacian(graph: NetworkGraph, weights: MatrixWeights) -> np.ndarray:
+    """Block Laplacian of shape (N * p) x (N * r).
 
-    W_ij is the weight on the edge feeding vertex i from vertex j, so a
-    directed edge contributes to its head's block row only.
+    Off-diagonal block (i, j) is -W_ij and each diagonal block the sum of
+    its row's weights. W_ij is the weight on the edge feeding vertex i from
+    vertex j, so a directed edge contributes to its head's block row only.
+    With 1 x r blocks, column k::r is the scalar Laplacian of channel k.
     """
-    n_vertices = graph.num_vertices
-    lap = np.zeros((n_vertices * p, n_vertices * r))
+    check_weights(graph, weights)
+    p, r = weights.shape
+    lap = np.zeros((graph.num_vertices * p, graph.num_vertices * r))
 
     def rows(i):
         return slice(i * p, (i + 1) * p)
@@ -153,7 +100,7 @@ def _block_laplacian(
         return slice(j * r, (j + 1) * r)
 
     for e in graph.edges:
-        w = blocks[e.key()]
+        w = weights.block(e)
         u, v = e.u - 1, e.v - 1
         lap[rows(v), cols(u)] -= w
         lap[rows(v), cols(v)] += w
@@ -161,49 +108,6 @@ def _block_laplacian(
             lap[rows(u), cols(v)] -= w
             lap[rows(u), cols(u)] += w
     return lap
-
-
-def scalar_laplacians(graph: NetworkGraph, weights: VectorWeights):
-    """One N x N Laplacian per coupling channel."""
-    check_weights(graph, weights)
-    out = []
-    for k in range(weights.channels):
-        channel = {key: np.array([[row[k]]]) for key, row in weights.rows.items()}
-        out.append(_block_laplacian(graph, channel, 1, 1))
-    return tuple(out)
-
-
-def vector_laplacian(graph: NetworkGraph, weights: VectorWeights) -> np.ndarray:
-    """Channel-stacked Laplacian of shape N x (N * channels)."""
-    check_weights(graph, weights)
-    blocks = {key: row[None, :] for key, row in weights.rows.items()}
-    return _block_laplacian(graph, blocks, 1, weights.channels)
-
-
-def matrix_laplacian(graph: NetworkGraph, weights: MatrixWeights) -> np.ndarray:
-    """Matrix-weighted Laplacian of shape (N * p) x (N * r)."""
-    check_weights(graph, weights)
-    p, r = weights.shape
-    return _block_laplacian(graph, weights.blocks, p, r)
-
-
-@dataclass(frozen=True)
-class LaplacianSet:
-    """Per-channel Laplacians plus their stacked and block forms."""
-
-    per_channel: tuple[np.ndarray, ...]
-    stacked: np.ndarray
-    matrix_form: np.ndarray | None = None
-
-
-def build_laplacian_set(graph: NetworkGraph, weights) -> LaplacianSet:
-    if isinstance(weights, VectorWeights):
-        return LaplacianSet(
-            per_channel=scalar_laplacians(graph, weights),
-            stacked=vector_laplacian(graph, weights),
-        )
-    lap = matrix_laplacian(graph, weights)
-    return LaplacianSet(per_channel=(), stacked=lap, matrix_form=lap)
 
 
 @dataclass(frozen=True)
@@ -215,7 +119,7 @@ class LumpedSystem:
     model: SubsystemModel
     graph: NetworkGraph
     driven: DrivenSet
-    weights: VectorWeights | MatrixWeights
+    weights: MatrixWeights
 
 
 def _require_close(name: str, first: np.ndarray, second: np.ndarray, rtol: float):
@@ -228,51 +132,6 @@ def _require_close(name: str, first: np.ndarray, second: np.ndarray, rtol: float
         )
 
 
-def assemble_lumped_simo(
-    model: SubsystemModel,
-    graph: NetworkGraph,
-    weights: VectorWeights,
-    driven: DrivenSet,
-) -> LumpedSystem:
-    """Lumped pair for single-input nodes with vector edge weights.
-
-    State matrix computed both as I kron A minus the channel sum of
-    L_k kron (b c_k) and through the stacked Laplacian route
-    I kron A - (I kron b) L_g (I kron C); the two must agree to
-    ASSEMBLY_CROSS_CHECK_RTOL. Input matrix is Delta kron b.
-    """
-    require_valid(model)
-    if model.num_inputs != 1:
-        raise ValueError(
-            f"single-input assembly needs a one-column input matrix, got {model.num_inputs}"
-        )
-    if not isinstance(weights, VectorWeights):
-        raise TypeError("single-input assembly expects VectorWeights")
-    if weights.channels != model.num_outputs:
-        raise ValueError(
-            f"weights carry {weights.channels} channels but the model has "
-            f"{model.num_outputs} output rows"
-        )
-    check_weights(graph, weights)
-    driven.validate_for(graph)
-
-    n_vertices = graph.num_vertices
-    eye_n = np.eye(n_vertices)
-    a, b, c = model.a, model.b, model.c
-
-    laps = scalar_laplacians(graph, weights)
-    a_direct = kron(eye_n, a)
-    for k, lap in enumerate(laps):
-        a_direct = a_direct - kron(lap, b @ model.output_row(k))
-
-    l_g = vector_laplacian(graph, weights)
-    a_stacked = kron(eye_n, a) - kron(eye_n, b) @ l_g @ kron(eye_n, c)
-    _require_close("lumped state matrix", a_direct, a_stacked, ASSEMBLY_CROSS_CHECK_RTOL)
-
-    b_sys = kron(driven.delta(n_vertices), b)
-    return LumpedSystem(a_direct, b_sys, model, graph, driven, weights)
-
-
 def _edge_block_diag(graph: NetworkGraph, weights: MatrixWeights) -> np.ndarray:
     p, r = weights.shape
     m = graph.num_edges
@@ -282,29 +141,27 @@ def _edge_block_diag(graph: NetworkGraph, weights: MatrixWeights) -> np.ndarray:
     return out
 
 
-def assemble_lumped_mimo(
+def assemble_lumped(
     model: SubsystemModel,
     graph: NetworkGraph,
     weights: MatrixWeights,
     driven: DrivenSet,
 ) -> LumpedSystem:
-    """Lumped pair for multi-input nodes with matrix edge weights.
+    """Lumped pair of the network: N copies of (A, B, C) coupled by the weights.
 
     Direct route I kron A - (I kron B) L_m (I kron C) cross-checked against
     the edgewise form I kron A + (K kron B) diag(W_e) (K_I kron C) built on
     the incidence realization (for undirected graphs K = -K_I^T, recovering
-    the familiar incidence-quadratic form).
+    the familiar incidence-quadratic form); the two must agree to
+    ASSEMBLY_CROSS_CHECK_RTOL. Input matrix is Delta kron B.
     """
     require_valid(model)
-    if not isinstance(weights, MatrixWeights):
-        raise TypeError("matrix-weight assembly expects MatrixWeights")
     p, r = weights.shape
     if (p, r) != (model.num_inputs, model.num_outputs):
         raise ValueError(
             f"weight blocks have shape {(p, r)} but the model is "
             f"({model.num_inputs} inputs, {model.num_outputs} outputs)"
         )
-    check_weights(graph, weights)
     driven.validate_for(graph)
 
     n_vertices = graph.num_vertices
@@ -323,21 +180,6 @@ def assemble_lumped_mimo(
     return LumpedSystem(a_direct, b_sys, model, graph, driven, weights)
 
 
-def tq_decompose(weight) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact factorization W = T diag(W row-major) Q.
-
-    T = I_p kron ones(1, r) collapses each row's channel group; Q =
-    ones(p, 1) kron I_r aligns the channels. The middle factor carries the
-    entries of W in row-major order on its diagonal.
-    """
-    w = np.atleast_2d(np.asarray(weight, dtype=float))
-    p, r = w.shape
-    t = np.kron(np.eye(p), np.ones((1, r)))
-    q = np.kron(np.ones((p, 1)), np.eye(r))
-    lam = np.diag(w.reshape(-1))
-    return t, lam, q
-
-
 @dataclass(frozen=True)
 class FactorizationReport:
     """Deviation between direct assembly and the factorized parameter form."""
@@ -346,72 +188,43 @@ class FactorizationReport:
     relative_deviation: float
     tolerance: float
     ok: bool
-    edge_order: tuple[int, ...]
 
 
 def factorized_assembly_check(
     model: SubsystemModel,
     graph: NetworkGraph,
-    weights,
+    weights: MatrixWeights,
     driven: DrivenSet,
     rtol: float = ASSEMBLY_CROSS_CHECK_RTOL,
 ) -> FactorizationReport:
-    """Rebuild [A_sys, B_sys] from incidence factors and diagonal parameters.
+    """Rebuild A_sys from incidence factors and diagonal parameters.
 
-    Single-input route: A = I kron A + [K kron b]*r  diag(Lambda_k)
-    stacked K_I kron c_k. Matrix-weight route: A = I kron A + (I kron B)
-    (K kron T) diag(Lambda_e) (K_I kron Q) (I kron C), with each Lambda_e
-    the row-major diagonal of that edge's weight block. The input matrix is
-    untouched by the parameter factor, so it must match exactly.
+    A = I kron A + (I kron B) (K kron T) diag(Lambda_e) (K_I kron Q)
+    (I kron C), with T = I_p kron ones(1, r), Q = ones(p, 1) kron I_r and
+    each Lambda_e the row-major diagonal of that edge's weight block, so
+    T Lambda_e Q = W_e exactly.
     """
+    direct = assemble_lumped(model, graph, weights, driven)
     real = incidence_matrices(graph)
-    n_vertices = graph.num_vertices
-    eye_n = np.eye(n_vertices)
-    a, b, c = model.a, model.b, model.c
-
-    if isinstance(weights, VectorWeights):
-        direct = assemble_lumped_simo(model, graph, weights, driven)
-        r = weights.channels
-        m = graph.num_edges
-        ordered = [weights.row(e) for e in graph.edges]
-        left = np.hstack([kron(real.injection, b)] * r)
-        lam = np.zeros((r * m, r * m))
-        for k in range(r):
-            for idx in range(m):
-                lam[k * m + idx, k * m + idx] = ordered[idx][k]
-        right = np.vstack([kron(real.incidence, model.output_row(k)) for k in range(r)])
-        a_fact = kron(eye_n, a) + left @ lam @ right
-    elif isinstance(weights, MatrixWeights):
-        direct = assemble_lumped_mimo(model, graph, weights, driven)
-        p, r = weights.shape
-        m = graph.num_edges
-        t = np.kron(np.eye(p), np.ones((1, r)))
-        q = np.kron(np.ones((p, 1)), np.eye(r))
-        lam = np.zeros((m * p * r, m * p * r))
-        for idx, e in enumerate(graph.edges):
-            diag = weights.block(e).reshape(-1)
-            base = idx * p * r
-            lam[base : base + p * r, base : base + p * r] = np.diag(diag)
-        a_fact = (
-            kron(eye_n, a)
-            + kron(eye_n, b)
-            @ kron(real.injection, t)
-            @ lam
-            @ kron(real.incidence, q)
-            @ kron(eye_n, c)
-        )
-    else:
-        raise TypeError(f"unsupported weight container {type(weights).__name__}")
+    eye_n = np.eye(graph.num_vertices)
+    p, r = weights.shape
+    t = np.kron(np.eye(p), np.ones((1, r)))
+    q = np.kron(np.ones((p, 1)), np.eye(r))
+    lam = np.diag([x for e in graph.edges for x in weights.block(e).reshape(-1)])
+    a_fact = (
+        kron(eye_n, model.a)
+        + kron(eye_n, model.b)
+        @ kron(real.injection, t)
+        @ lam
+        @ kron(real.incidence, q)
+        @ kron(eye_n, model.c)
+    )
 
     scale = max(1.0, float(np.max(np.abs(direct.a_sys))))
     dev = float(np.max(np.abs(direct.a_sys - a_fact)))
     rel = dev / scale
     return FactorizationReport(
-        max_abs_deviation=dev,
-        relative_deviation=rel,
-        tolerance=rtol,
-        ok=rel <= rtol,
-        edge_order=real.edge_order,
+        max_abs_deviation=dev, relative_deviation=rel, tolerance=rtol, ok=rel <= rtol
     )
 
 
@@ -424,18 +237,13 @@ def sample_weights(
     """Independent generic weights, one draw per edge in edge order.
 
     Entries are uniform on [-scale, -0.1*scale] U [0.1*scale, scale]; a
-    fixed source yields identical weights. Returns VectorWeights when the
-    input dimension is 1, MatrixWeights otherwise.
+    fixed source yields identical weights.
     """
     p, r = shape
     if p < 1 or r < 1:
         raise ValueError(f"weight shape must be positive, got {shape}")
     gen = rng.generator()
     draws = [sample_away_from_zero(gen, (p, r), scale) for _ in graph.edges]
-    if p == 1:
-        return VectorWeights.from_edge_arrays(
-            graph, [d.reshape(-1) for d in draws], channels=r
-        )
     return MatrixWeights.from_edge_arrays(graph, draws, shape=(p, r))
 
 
@@ -444,7 +252,7 @@ class MassSpringChain:
     """Chain of identical masses coupled by springs and dampers.
 
     Each mass contributes states (position, velocity) with double-integrator
-    node dynamics; edge {i, i+1} carries the weight vector
+    node dynamics; edge {i, i+1} carries the 1 x 2 weight row
     [k_{i+1}/mass, mu_{i+1}/mass]. The first spring/damper pair couples mass
     1 to the wall and is exposed as the grounding coefficients rather than
     as an edge. External force enters each driven mass scaled by
@@ -454,7 +262,7 @@ class MassSpringChain:
 
     model: SubsystemModel
     graph: NetworkGraph
-    weights: VectorWeights
+    weights: MatrixWeights
     driven_template: DrivenSet
     mass: float
     input_gain: float
@@ -471,10 +279,14 @@ def mass_spring_chain(
     """Physical chain instance: N masses, springs k_1..k_N, dampers mu_1..mu_N."""
     if not isinstance(num_masses, int) or num_masses < 1:
         raise ValueError(f"need at least one mass, got {num_masses}")
-    if mass <= 0.0:
-        raise ValueError(f"mass must be positive, got {mass}")
+    if not 0.0 < mass < math.inf:
+        raise ValueError(f"mass must be positive and finite, got {mass}")
     springs = [float(k) for k in springs]
     dampers = [float(mu) for mu in dampers]
+    if not all(map(math.isfinite, springs + dampers)):
+        raise ValueError(
+            f"spring and damper constants must be finite, got {springs} and {dampers}"
+        )
     if len(springs) != num_masses or len(dampers) != num_masses:
         raise ValueError(
             f"need {num_masses} spring and damper constants, got "
@@ -491,10 +303,10 @@ def mass_spring_chain(
         tuple(Edge(i, i + 1, UNDIRECTED) for i in range(1, num_masses)),
     )
     rows = [
-        np.array([springs[i] / mass, dampers[i] / mass])
+        np.array([[springs[i] / mass, dampers[i] / mass]])
         for i in range(1, num_masses)
     ]
-    weights = VectorWeights.from_edge_arrays(graph, rows, channels=2)
+    weights = MatrixWeights.from_edge_arrays(graph, rows, shape=(1, 2))
     return MassSpringChain(
         model=model,
         graph=graph,
@@ -523,12 +335,3 @@ def grounding_shift(
     shift[1, 0] = -stiffness_over_mass
     shift[1, 1] = -damping_over_mass
     return shift
-
-
-def wall_shift_matrix(chain: MassSpringChain) -> np.ndarray:
-    """Grounding shift of the chain's first mass, sized for its lumped state."""
-    return grounding_shift(
-        chain.graph.num_vertices,
-        chain.wall_stiffness_over_mass,
-        chain.wall_damping_over_mass,
-    )

@@ -21,8 +21,7 @@ import numpy as np
 
 from . import __version__
 from .assembly import (
-    assemble_lumped_mimo,
-    assemble_lumped_simo,
+    assemble_lumped,
     grounding_shift,
     mass_spring_chain,
     sample_weights,
@@ -311,10 +310,7 @@ def cmd_lump(args) -> int:
         )
     else:
         weights = problem.weights
-    if model.num_inputs == 1:
-        lumped = assemble_lumped_simo(model, graph, weights, driven)
-    else:
-        lumped = assemble_lumped_mimo(model, graph, weights, driven)
+    lumped = assemble_lumped(model, graph, weights, driven)
     a_sys = lumped.a_sys
     grounded = bool(args.ground_first_mass)
     if grounded:

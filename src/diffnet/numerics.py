@@ -1,15 +1,16 @@
 """Dense matrix utilities shared by every engine in the package.
 
-Kronecker products, commutation matrices, tolerance-based numerical rank,
-eigenvalues, sampled generic rank, the controllable dimension by orthogonal
-staircase, and PBH controllability/observability tests. Everything
-operates on plain numpy arrays and treats them as immutable values.
+Kronecker products, tolerance-based numerical rank, eigenvalues, sampled
+generic rank, the controllable dimension by orthogonal staircase, and PBH
+controllability/observability tests. Everything operates on plain numpy
+arrays and treats them as immutable values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -45,9 +46,9 @@ class ToleranceConfig:
             raise ValueError(
                 f"rank_rel_tol must lie strictly in (0, 1), got {self.rank_rel_tol}"
             )
-        if self.eig_match_tol <= 0.0:
+        if not 0.0 < self.eig_match_tol < math.inf:
             raise ValueError(
-                f"eig_match_tol must be positive, got {self.eig_match_tol}"
+                f"eig_match_tol must be positive and finite, got {self.eig_match_tol}"
             )
 
 
@@ -91,45 +92,9 @@ def sample_away_from_zero(
     return magnitude * sign
 
 
-def ensure_finite_matrix(name: str, value) -> np.ndarray:
-    """Coerce to a 2-D float array, rejecting NaN/Inf and wrong rank."""
-    arr = np.array(value, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product: block (i, j) equals a[i, j] * b."""
     return np.kron(np.asarray(a), np.asarray(b))
-
-
-def commutation_permutation(m: int, p: int) -> np.ndarray:
-    """Column-index map of the (m, p) commutation matrix.
-
-    Row i*p + j of the materialized permutation carries its single 1 in
-    column j*m + i; applying it to a column-stacked m x p matrix yields the
-    column stacking of the transpose.
-    """
-    if m < 1 or p < 1:
-        raise ValueError(f"commutation matrix needs m, p >= 1, got ({m}, {p})")
-    rows = np.arange(m * p)
-    i, j = divmod(rows, p)
-    return j * m + i
-
-
-def commutation_matrix(m: int, p: int) -> np.ndarray:
-    """Permutation P(m, p) with P(m,p)^T (A kron B) P(n,r) = B kron A.
-
-    Holds for every A of shape (m, n) and B of shape (p, r). Stored as an
-    index map internally; this materializes the dense 0/1 matrix.
-    """
-    cols = commutation_permutation(m, p)
-    out = np.zeros((m * p, m * p))
-    out[np.arange(m * p), cols] = 1.0
-    return out
 
 
 def numerical_rank(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> int:

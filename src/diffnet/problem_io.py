@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import MatrixWeights, VectorWeights
+from .assembly import MatrixWeights
 from .errors import ProblemFileError
 from .subsystem import SubsystemModel, validate_model
 from .topology import DIRECTED, UNDIRECTED, DrivenSet, Edge, NetworkGraph
@@ -50,7 +51,7 @@ class Problem:
     model: SubsystemModel
     graph: NetworkGraph
     driven: DrivenSet
-    weights: VectorWeights | MatrixWeights | None
+    weights: MatrixWeights | None
     options: dict
 
 
@@ -67,7 +68,7 @@ def _require_mapping(value, where: str) -> dict:
 def _matrix(value, where: str) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise _fail(f"{where} is not a numeric array: {exc}") from None
     if arr.ndim not in (1, 2) or arr.size == 0:
         raise _fail(f"{where} must be a non-empty 1-D or 2-D numeric array")
@@ -80,6 +81,18 @@ def _int_field(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise _fail(f"{where} must be an integer, got {value!r}")
     return value
+
+
+def _finite_field(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _fail(f"{where} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise _fail(f"{where} must be finite, got {value!r}")
+    return number
 
 
 def _parse_subsystem(doc: dict) -> SubsystemModel:
@@ -193,8 +206,6 @@ def _parse_weights(doc: dict, graph: NetworkGraph, model: SubsystemModel):
             "weights must cover every edge; missing: "
             + ", ".join(f"({e.u}, {e.v})" for e in missing)
         )
-    if p == 1:
-        return VectorWeights(r, {k: b.reshape(-1) for k, b in by_key.items()})
     return MatrixWeights((p, r), by_key)
 
 
@@ -215,16 +226,15 @@ def _parse_options(doc: dict) -> dict:
         opts["trials"] = trials
     for key in ("rank_rel_tol", "eig_match_tol"):
         if key in opts:
-            val = opts[key]
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise _fail(f'options "{key}" must be a number, got {val!r}')
-            opts[key] = float(val)
+            opts[key] = _finite_field(opts[key], f'options "{key}"')
     if "wall" in opts:
         wall = _require_mapping(opts["wall"], 'options "wall"')
         needed = {"stiffness_over_mass", "damping_over_mass"}
         if set(wall) != needed:
             raise _fail(f'options "wall" must have exactly the members {sorted(needed)}')
-        opts["wall"] = {k: float(wall[k]) for k in needed}
+        opts["wall"] = {
+            k: _finite_field(wall[k], f'options "wall" "{k}"') for k in sorted(needed)
+        }
     return opts
 
 
@@ -392,23 +402,22 @@ def report_document(
     return doc
 
 
-def weights_to_json(graph: NetworkGraph, weights) -> dict:
-    rows = []
-    for edge in graph.edges:
-        if isinstance(weights, VectorWeights):
-            block = weights.row(edge)[None, :]
-        else:
-            block = weights.block(edge)
-        rows.append(
-            {"u": edge.u, "v": edge.v, "kind": edge.kind, "W": _jsonable(block)}
-        )
-    return {"edges": rows}
+def weights_to_json(graph: NetworkGraph, weights: MatrixWeights) -> dict:
+    return {
+        "edges": [
+            {"u": e.u, "v": e.v, "kind": e.kind, "W": _jsonable(weights.block(e))}
+            for e in graph.edges
+        ]
+    }
 
 
 def dump_json(doc: dict) -> str:
     """Canonical serialization: key-sorted, compact, newline-terminated.
 
     Byte-identical output for equal documents, so fixed-seed runs are
-    reproducible at the file level.
+    reproducible at the file level. NaN and infinities raise ValueError:
+    RFC 8259 JSON has no token for them.
     """
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return (
+        json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    )

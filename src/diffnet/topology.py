@@ -4,17 +4,14 @@ incidence factorizations, and auxiliary-digraph cycle checks."""
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 UNDIRECTED = "undirected"
 DIRECTED = "directed"
-
-ORIENT_LOW_HIGH = "low-high"
-ORIENT_AS_GIVEN = "as-given"
 
 
 @dataclass(frozen=True)
@@ -87,15 +84,6 @@ class NetworkGraph:
             if e.kind == UNDIRECTED:
                 out[v].append(u)
         return out
-
-    def incoming_influence_counts(self) -> list[int]:
-        """counts[i] = number of edges feeding vertex i+1."""
-        counts = [0] * self.num_vertices
-        for e in self.edges:
-            counts[e.v - 1] += 1
-            if e.kind == UNDIRECTED:
-                counts[e.u - 1] += 1
-        return counts
 
 
 @dataclass(frozen=True)
@@ -219,40 +207,25 @@ class IncidenceRealization:
     stays one-way. For undirected-only graphs, injection == -incidence.T.
     """
 
-    edge_order: tuple[int, ...]
     oriented: tuple[tuple[int, int, str], ...]
     incidence: np.ndarray
     injection: np.ndarray
-    policy: str
-
-    def laplacian(self, edge_weights) -> np.ndarray:
-        """-injection @ diag(edge_weights) @ incidence."""
-        w = np.asarray(edge_weights, dtype=float)
-        if w.shape != (len(self.edge_order),):
-            raise ValueError(
-                f"need one weight per edge ({len(self.edge_order)}), got shape {w.shape}"
-            )
-        return -self.injection @ (w[:, None] * self.incidence)
 
 
-def incidence_matrices(
-    graph: NetworkGraph, policy: str = ORIENT_LOW_HIGH
-) -> IncidenceRealization:
+def incidence_matrices(graph: NetworkGraph) -> IncidenceRealization:
     """Build the incidence/injection pair in the graph's edge order.
 
-    Undirected edges need an arbitrary recorded orientation; the default
-    policy runs each from its lower to its higher vertex id. Directed edges
-    keep their own orientation regardless of policy.
+    Undirected edges need an arbitrary recorded orientation; each runs from
+    its lower to its higher vertex id. Directed edges keep their own
+    orientation.
     """
-    if policy not in (ORIENT_LOW_HIGH, ORIENT_AS_GIVEN):
-        raise ValueError(f"unknown orientation policy {policy!r}")
     n = graph.num_vertices
     m = graph.num_edges
     incidence = np.zeros((m, n))
     injection = np.zeros((n, m))
     oriented: list[tuple[int, int, str]] = []
     for idx, e in enumerate(graph.edges):
-        if e.kind == DIRECTED or policy == ORIENT_AS_GIVEN:
+        if e.kind == DIRECTED:
             start, end = e.u, e.v
         else:
             start, end = min(e.u, e.v), max(e.u, e.v)
@@ -263,11 +236,7 @@ def incidence_matrices(
             injection[start - 1, idx] = -1.0
         oriented.append((start, end, e.kind))
     return IncidenceRealization(
-        edge_order=tuple(range(m)),
-        oriented=tuple(oriented),
-        incidence=incidence,
-        injection=injection,
-        policy=policy,
+        oriented=tuple(oriented), incidence=incidence, injection=injection
     )
 
 

@@ -17,11 +17,10 @@ from enum import Enum
 import numpy as np
 
 from .assembly import (
-    VectorWeights,
-    assemble_lumped_mimo,
-    assemble_lumped_simo,
+    MatrixWeights,
+    assemble_lumped,
+    matrix_laplacian,
     sample_weights,
-    scalar_laplacians,
 )
 from .errors import ConsistencyError, NumericError, PremiseError
 from .numerics import (
@@ -130,6 +129,41 @@ def _criterion_family(graph: NetworkGraph) -> tuple[str, tuple[str, ...]]:
     return "1", ()
 
 
+def _pbh_record(
+    name: str, check, model: SubsystemModel, tol: ToleranceConfig
+) -> ConditionRecord:
+    """Node-level PBH condition, witnessed by its deficient eigenvalues."""
+    ok, deficient = check(model, tol)
+    return ConditionRecord(name, ok, None if ok else _eig_witness(deficient))
+
+
+def _all_driven_report(
+    model: SubsystemModel,
+    tol: ToleranceConfig,
+    notes: tuple[str, ...] = (
+        "every vertex is driven: subsystem controllability decides",
+    ),
+) -> AnalysisReport:
+    """With every vertex driven, subsystem controllability alone decides."""
+    record = _pbh_record("subsystem_controllable", check_controllable, model, tol)
+    return AnalysisReport(
+        verdict=Verdict.CONTROLLABLE if record.holds else Verdict.NOT_CONTROLLABLE,
+        theorem_used="trivial-case",
+        conditions=(record,),
+        notes=notes,
+    )
+
+
+def _reachability_record(graph: NetworkGraph, driven: DrivenSet) -> ConditionRecord:
+    reach = input_reachable_set(graph, driven)
+    unreachable = sorted(set(range(1, graph.num_vertices + 1)) - set(reach))
+    return ConditionRecord(
+        "globally_input_reachable",
+        not unreachable,
+        {"unreachable_vertices": tuple(unreachable)} if unreachable else None,
+    )
+
+
 def analyze_simo(
     model: SubsystemModel,
     graph: NetworkGraph,
@@ -150,46 +184,18 @@ def analyze_simo(
             "use the matrix-weight analyzer for multi-input nodes"
         )
     driven.validate_for(graph)
-
     if len(driven) == graph.num_vertices:
-        ok, deficient = check_controllable(model, tol)
-        record = ConditionRecord(
-            "subsystem_controllable", ok, None if ok else _eig_witness(deficient)
-        )
-        return AnalysisReport(
-            verdict=Verdict.CONTROLLABLE if ok else Verdict.NOT_CONTROLLABLE,
-            theorem_used="trivial-case",
-            conditions=(record,),
-            notes=("every vertex is driven: subsystem controllability decides",),
-        )
+        return _all_driven_report(model, tol)
 
     theorem, notes = _criterion_family(graph)
-    ctrb_ok, ctrb_def = check_controllable(model, tol)
-    obsv_ok, obsv_def = check_observable(model, tol)
-    reach = input_reachable_set(graph, driven)
-    reach_ok = len(reach) == graph.num_vertices
-    unreachable = sorted(set(range(1, graph.num_vertices + 1)) - set(reach))
-
     conditions = (
-        ConditionRecord(
-            "subsystem_controllable",
-            ctrb_ok,
-            None if ctrb_ok else _eig_witness(ctrb_def),
-        ),
-        ConditionRecord(
-            "subsystem_observable",
-            obsv_ok,
-            None if obsv_ok else _eig_witness(obsv_def),
-        ),
-        ConditionRecord(
-            "globally_input_reachable",
-            reach_ok,
-            None if reach_ok else {"unreachable_vertices": tuple(unreachable)},
-        ),
+        _pbh_record("subsystem_controllable", check_controllable, model, tol),
+        _pbh_record("subsystem_observable", check_observable, model, tol),
+        _reachability_record(graph, driven),
     )
     verdict = (
         Verdict.CONTROLLABLE
-        if ctrb_ok and obsv_ok and reach_ok
+        if all(c.holds for c in conditions)
         else Verdict.NOT_CONTROLLABLE
     )
     return AnalysisReport(verdict, theorem, conditions, notes=notes)
@@ -233,24 +239,11 @@ def analyze_mimo(
             "model directed influences with single-input nodes instead"
         )
     driven.validate_for(graph)
-
     if len(driven) == graph.num_vertices:
-        ok, deficient = check_controllable(model, tol)
-        record = ConditionRecord(
-            "subsystem_controllable", ok, None if ok else _eig_witness(deficient)
-        )
-        return AnalysisReport(
-            verdict=Verdict.CONTROLLABLE if ok else Verdict.NOT_CONTROLLABLE,
-            theorem_used="trivial-case",
-            conditions=(record,),
-            notes=("every vertex is driven: subsystem controllability decides",),
-        )
+        return _all_driven_report(model, tol)
 
     modes = fixed_modes(model, rng, tol)
-    reach = input_reachable_set(graph, driven)
-    reach_ok = len(reach) == graph.num_vertices
-    unreachable = sorted(set(range(1, graph.num_vertices + 1)) - set(reach))
-
+    reach = _reachability_record(graph, driven)
     conditions = (
         ConditionRecord(
             "no_fixed_mode",
@@ -263,14 +256,10 @@ def analyze_mimo(
                 )
             },
         ),
-        ConditionRecord(
-            "globally_input_reachable",
-            reach_ok,
-            None if reach_ok else {"unreachable_vertices": tuple(unreachable)},
-        ),
+        reach,
     )
     notes: tuple[str, ...] = ()
-    if not reach_ok:
+    if not reach.holds:
         verdict = Verdict.NOT_CONTROLLABLE
     elif modes.empty:
         verdict = Verdict.CONTROLLABLE
@@ -330,10 +319,7 @@ def certify_monte_carlo(
         src = rng.derive(t)
         try:
             w = sample_weights(graph, (p, r), src, weight_scale)
-            if p == 1:
-                lumped = assemble_lumped_simo(model, graph, w, driven)
-            else:
-                lumped = assemble_lumped_mimo(model, graph, w, driven)
+            lumped = assemble_lumped(model, graph, w, driven)
             a_sys = lumped.a_sys
             if a_shift is not None:
                 shift = np.asarray(a_shift, dtype=float)
@@ -399,15 +385,8 @@ def analyze_scalar_constrained(
     note = "channels constrained to a single scalar weight per edge"
     if not np.any(reduced.c):
         if len(driven) == graph.num_vertices:
-            ok, deficient = check_controllable(model, tol)
-            record = ConditionRecord(
-                "subsystem_controllable", ok, None if ok else _eig_witness(deficient)
-            )
-            return AnalysisReport(
-                verdict=Verdict.CONTROLLABLE if ok else Verdict.NOT_CONTROLLABLE,
-                theorem_used="trivial-case",
-                conditions=(record,),
-                notes=(note, "every vertex is driven: coupling is irrelevant"),
+            return _all_driven_report(
+                model, tol, (note, "every vertex is driven: coupling is irrelevant")
             )
         theorem, extra = _criterion_family(graph)
         record = ConditionRecord(
@@ -449,17 +428,17 @@ def laplacian_leader_controllability(
         raise ValueError(
             f"leader {leader} outside the vertex range 1..{graph.num_vertices}"
         )
-    reach = input_reachable_set(graph, DrivenSet(frozenset({leader})))
-    if len(reach) != graph.num_vertices:
+    reach = _reachability_record(graph, DrivenSet(frozenset({leader})))
+    if not reach.holds:
         raise PremiseError(
             "graph is not connected: vertices "
-            f"{sorted(set(range(1, graph.num_vertices + 1)) - set(reach))} "
+            f"{list(reach.witness['unreachable_vertices'])} "
             "are cut off from the leader"
         )
     leader_input = np.eye(graph.num_vertices)[:, leader - 1]
     for t in range(trials):
         w = sample_weights(graph, (1, 1), rng.derive(t), weight_scale)
-        lap = scalar_laplacians(graph, w)[0]
+        lap = matrix_laplacian(graph, w)
         if controllable_dimension(-lap, leader_input, tol) < graph.num_vertices:
             return False
     return True
@@ -516,10 +495,10 @@ def aux_condition_check(
     dg_edge = aux_digraph(kron(ones_rr, kik), kron(ones_r1, kid))
     edge_ok, edge_wit = all_cycles_input_reachable(dg_edge)
 
-    unit = VectorWeights.from_edge_arrays(
-        graph, [np.ones(1) for _ in graph.edges], channels=1
+    unit = MatrixWeights.from_edge_arrays(
+        graph, [np.ones((1, 1)) for _ in graph.edges], shape=(1, 1)
     )
-    lap_pattern = scalar_laplacians(graph, unit)[0]
+    lap_pattern = matrix_laplacian(graph, unit)
     dg_vertex = aux_digraph(kron(ones_rr, lap_pattern), kron(ones_r1, delta))
     vertex_ok, vertex_wit = all_cycles_input_reachable(dg_vertex)
 
@@ -578,8 +557,8 @@ def rank_condition_check(
     distinct = dedupe_eigenvalues(eigenvalues(model.a), tol)
 
     def assemble(s: np.ndarray) -> np.ndarray:
-        w = VectorWeights.from_edge_arrays(graph, s.reshape(m, r), channels=r)
-        return assemble_lumped_simo(model, graph, w, driven).a_sys
+        w = MatrixWeights.from_edge_arrays(graph, s.reshape(m, 1, r), shape=(1, r))
+        return assemble_lumped(model, graph, w, driven).a_sys
 
     details: list[RankCheckDetail] = []
     all_ok = True

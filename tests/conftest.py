@@ -96,6 +96,16 @@ def random_driven(
     return DrivenSet(frozenset(int(v) for v in chosen))
 
 
+def incoming_influence_counts(graph: NetworkGraph) -> list[int]:
+    """counts[i] = number of edges feeding vertex i+1."""
+    counts = [0] * graph.num_vertices
+    for e in graph.edges:
+        counts[e.v - 1] += 1
+        if e.kind == UNDIRECTED:
+            counts[e.u - 1] += 1
+    return counts
+
+
 def ensure_incoming_influence(
     gen: np.random.Generator, graph: NetworkGraph, driven: DrivenSet
 ) -> NetworkGraph:
@@ -105,7 +115,7 @@ def ensure_incoming_influence(
     directed edge pointing at it, so a fresh directed edge toward it never
     conflicts with the pair policy.
     """
-    counts = graph.incoming_influence_counts()
+    counts = incoming_influence_counts(graph)
     edges = list(graph.edges)
     for v in range(1, graph.num_vertices + 1):
         if v in driven or counts[v - 1] > 0:
@@ -172,3 +182,28 @@ def unobservable_model(
 def verdict_bool(verdict: Verdict) -> bool:
     assert verdict in (Verdict.CONTROLLABLE, Verdict.NOT_CONTROLLABLE)
     return verdict is Verdict.CONTROLLABLE
+
+
+def commutation_permutation(m: int, p: int) -> np.ndarray:
+    """Column-index map of the (m, p) commutation matrix.
+
+    Row i*p + j of the materialized permutation carries its single 1 in
+    column j*m + i; applying it to a column-stacked m x p matrix yields the
+    column stacking of the transpose.
+    """
+    if m < 1 or p < 1:
+        raise ValueError(f"commutation matrix needs m, p >= 1, got ({m}, {p})")
+    rows = np.arange(m * p)
+    i, j = divmod(rows, p)
+    return j * m + i
+
+
+def commutation_matrix(m: int, p: int) -> np.ndarray:
+    """Permutation P(m, p) with P(m,p)^T (A kron B) P(n,r) = B kron A.
+
+    Holds for every A of shape (m, n) and B of shape (p, r).
+    """
+    cols = commutation_permutation(m, p)
+    out = np.zeros((m * p, m * p))
+    out[np.arange(m * p), cols] = 1.0
+    return out

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    commutation_matrix,
     ensure_incoming_influence,
     random_connected_graph,
     random_driven,
@@ -13,13 +14,13 @@ from conftest import (
     random_model,
 )
 from diffnet.assembly import (
-    VectorWeights,
+    MatrixWeights,
     factorized_assembly_check,
     mass_spring_chain,
+    matrix_laplacian,
     sample_weights,
-    scalar_laplacians,
 )
-from diffnet.numerics import RandomSource, commutation_matrix, kron
+from diffnet.numerics import RandomSource, kron
 from diffnet.subsystem import SubsystemModel, fixed_modes
 from diffnet.topology import (
     DrivenSet,
@@ -158,7 +159,8 @@ def test_criterion_04_factorized_assembly_matches_direct(acceptance):
         assert report.ok, f"instance {i}: deviation {report.relative_deviation:.2e}"
         worst_residual = max(worst_residual, report.relative_deviation)
         if i % 5 < 3 and graph.num_edges:
-            for lap in scalar_laplacians(graph, weights):
+            stacked = matrix_laplacian(graph, weights)
+            for lap in (stacked[:, k::r] for k in range(r)):
                 worst_row_sum = max(
                     worst_row_sum, float(np.max(np.abs(lap.sum(axis=1))))
                 )
@@ -216,17 +218,17 @@ def test_criterion_05_pattern_checks_agree_with_reachability(acceptance):
         # independent enumerator on the same pattern digraphs
         real = incidence_matrices(graph)
         delta = driven.delta(n_vertices)
-        unit = VectorWeights.from_edge_arrays(
-            graph, [np.ones(1) for _ in graph.edges], channels=1
+        unit = MatrixWeights.from_edge_arrays(
+            graph, [np.ones((1, 1)) for _ in graph.edges], shape=(1, 1)
         )
-        unit_laps = scalar_laplacians(graph, unit)
+        unit_lap = matrix_laplacian(graph, unit)
         digraphs = (
             aux_digraph(
                 kron(np.ones((r, r)), real.incidence @ real.injection),
                 kron(np.ones((r, 1)), real.incidence @ delta),
             ),
             aux_digraph(
-                kron(np.ones((r, r)), unit_laps[0]),
+                kron(np.ones((r, r)), unit_lap),
                 kron(np.ones((r, 1)), delta),
             ),
         )

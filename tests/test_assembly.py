@@ -5,22 +5,14 @@ import pytest
 
 from conftest import random_connected_graph, random_driven, random_model
 from diffnet.assembly import (
-    LaplacianSet,
     MatrixWeights,
-    VectorWeights,
-    assemble_lumped_mimo,
-    assemble_lumped_simo,
-    build_laplacian_set,
+    assemble_lumped,
     check_weights,
     factorized_assembly_check,
     grounding_shift,
     mass_spring_chain,
     matrix_laplacian,
     sample_weights,
-    scalar_laplacians,
-    tq_decompose,
-    vector_laplacian,
-    wall_shift_matrix,
 )
 from diffnet.errors import ModelValidationError
 from diffnet.numerics import RandomSource, kron
@@ -36,28 +28,42 @@ def double_integrator() -> SubsystemModel:
     return SubsystemModel([[0.0, 1.0], [0.0, 0.0]], [0.0, 1.0], np.eye(2))
 
 
+def rows(graph: NetworkGraph, values, channels: int | None = None) -> MatrixWeights:
+    """Single-input weights: one 1 x r row per edge, in edge order."""
+    values = [np.atleast_2d(np.asarray(v, dtype=float)) for v in values]
+    r = channels if channels is not None else values[0].shape[1]
+    return MatrixWeights.from_edge_arrays(graph, values, shape=(1, r))
+
+
+def channel_laplacians(graph: NetworkGraph, weights: MatrixWeights):
+    """Per-channel N x N Laplacians read off a 1 x r block Laplacian."""
+    lap = matrix_laplacian(graph, weights)
+    r = weights.shape[1]
+    return tuple(lap[:, k::r] for k in range(r))
+
+
 class TestWeightContainers:
     def test_vector_weights_key_lookup_ignores_orientation(self):
-        w = VectorWeights(2, {Edge(1, 2).key(): [3.0, 4.0]})
-        assert np.array_equal(w.row(Edge(2, 1)), [3.0, 4.0])
+        w = MatrixWeights((1, 2), {Edge(1, 2).key(): [3.0, 4.0]})
+        assert np.array_equal(w.block(Edge(2, 1)), [[3.0, 4.0]])
 
     def test_vector_weights_length_enforced(self):
         with pytest.raises(ValueError):
-            VectorWeights(2, {Edge(1, 2).key(): [1.0, 2.0, 3.0]})
+            MatrixWeights((1, 2), {Edge(1, 2).key(): [1.0, 2.0, 3.0]})
         with pytest.raises(ValueError):
-            VectorWeights(0, {})
+            MatrixWeights((1, 0), {})
 
     def test_from_edge_arrays_follows_edge_order(self):
         g = chain_graph(3)
-        w = VectorWeights.from_edge_arrays(g, [[1.0, 2.0], [3.0, 4.0]])
-        assert w.channels == 2
-        assert np.array_equal(w.row(Edge(2, 3)), [3.0, 4.0])
+        w = MatrixWeights.from_edge_arrays(g, [[1.0, 2.0], [3.0, 4.0]])
+        assert w.shape == (1, 2)
+        assert np.array_equal(w.block(Edge(2, 3)), [[3.0, 4.0]])
         with pytest.raises(ValueError):
-            VectorWeights.from_edge_arrays(g, [[1.0, 2.0]])
+            MatrixWeights.from_edge_arrays(g, [[1.0, 2.0]])
 
     def test_empty_edge_list_needs_explicit_channels(self):
-        w = VectorWeights.from_edge_arrays(NetworkGraph(1), [], channels=2)
-        assert w.channels == 2 and not w.rows
+        w = MatrixWeights.from_edge_arrays(NetworkGraph(1), [], shape=(1, 2))
+        assert w.shape == (1, 2) and not w.blocks
 
     def test_matrix_weights_shape_enforced(self):
         with pytest.raises(ValueError):
@@ -65,22 +71,15 @@ class TestWeightContainers:
         with pytest.raises(ValueError):
             MatrixWeights((0, 1), {})
 
-    def test_to_matrix_weights_reinterprets_rows(self):
-        g = chain_graph(2)
-        vec = VectorWeights.from_edge_arrays(g, [[5.0, 6.0]])
-        mat = vec.to_matrix_weights()
-        assert mat.shape == (1, 2)
-        assert np.array_equal(mat.block(Edge(1, 2)), [[5.0, 6.0]])
-
     def test_check_weights_exact_coverage(self):
         g = chain_graph(3)
-        ok = VectorWeights.from_edge_arrays(g, [[1.0], [2.0]])
+        ok = rows(g, [[1.0], [2.0]])
         check_weights(g, ok)
-        missing = VectorWeights(1, {Edge(1, 2).key(): [1.0]})
+        missing = MatrixWeights((1, 1), {Edge(1, 2).key(): [1.0]})
         with pytest.raises(ValueError, match="missing"):
             check_weights(g, missing)
-        extra = VectorWeights(
-            1,
+        extra = MatrixWeights(
+            (1, 1),
             {
                 Edge(1, 2).key(): [1.0],
                 Edge(2, 3).key(): [2.0],
@@ -94,15 +93,13 @@ class TestWeightContainers:
 class TestLaplacians:
     def test_single_edge_per_channel(self):
         g = chain_graph(2)
-        w = VectorWeights.from_edge_arrays(g, [[3.0, 5.0]])
-        l1, l2 = scalar_laplacians(g, w)
+        l1, l2 = channel_laplacians(g, rows(g, [[3.0, 5.0]]))
         assert np.array_equal(l1, [[3.0, -3.0], [-3.0, 3.0]])
         assert np.array_equal(l2, [[5.0, -5.0], [-5.0, 5.0]])
 
     def test_chain_hand_values(self):
         g = chain_graph(3)
-        w = VectorWeights.from_edge_arrays(g, [[1.0, 0.0], [2.0, 0.0]])
-        l1, l2 = scalar_laplacians(g, w)
+        l1, l2 = channel_laplacians(g, rows(g, [[1.0, 0.0], [2.0, 0.0]]))
         assert np.array_equal(
             l1, [[1.0, -1.0, 0.0], [-1.0, 3.0, -2.0], [0.0, -2.0, 2.0]]
         )
@@ -110,12 +107,12 @@ class TestLaplacians:
 
     def test_directed_edge_hits_head_row_only(self):
         g = NetworkGraph(2, (Edge(1, 2, DIRECTED),))
-        (lap,) = scalar_laplacians(g, VectorWeights.from_edge_arrays(g, [[4.0]]))
+        lap = matrix_laplacian(g, rows(g, [[4.0]]))
         assert np.array_equal(lap, [[0.0, 0.0], [-4.0, 4.0]])
 
     def test_no_edges_gives_zeros(self):
         g = NetworkGraph(3)
-        laps = scalar_laplacians(g, VectorWeights.from_edge_arrays(g, [], channels=2))
+        laps = channel_laplacians(g, rows(g, [], channels=2))
         assert len(laps) == 2
         assert not laps[0].any() and not laps[1].any()
 
@@ -124,13 +121,12 @@ class TestLaplacians:
         for _ in range(10):
             g = random_connected_graph(gen, int(gen.integers(2, 7)))
             r = int(gen.integers(1, 4))
-            w = VectorWeights.from_edge_arrays(
-                g, gen.normal(size=(g.num_edges, r)), channels=r
-            )
-            l_g = vector_laplacian(g, w)
+            values = gen.normal(size=(g.num_edges, r))
+            l_g = matrix_laplacian(g, rows(g, values[:, None, :], channels=r))
             assert l_g.shape == (g.num_vertices, g.num_vertices * r)
-            for k, lap in enumerate(scalar_laplacians(g, w)):
-                assert np.array_equal(l_g[:, k::r], lap)
+            for k in range(r):
+                single = rows(g, values[:, None, k : k + 1], channels=1)
+                assert np.array_equal(l_g[:, k::r], matrix_laplacian(g, single))
 
     def test_matrix_laplacian_blocks(self):
         g = chain_graph(2)
@@ -145,41 +141,30 @@ class TestLaplacians:
         zero = np.zeros((2, 2))
         assert np.array_equal(lap, np.block([[zero, zero], [-block, block]]))
 
-    def test_build_laplacian_set_dispatch(self):
-        g = chain_graph(2)
-        vec_set = build_laplacian_set(g, VectorWeights.from_edge_arrays(g, [[1.0, 2.0]]))
-        assert isinstance(vec_set, LaplacianSet)
-        assert len(vec_set.per_channel) == 2 and vec_set.matrix_form is None
-        mat_set = build_laplacian_set(
-            g, MatrixWeights.from_edge_arrays(g, [np.eye(2)])
-        )
-        assert mat_set.per_channel == ()
-        assert np.array_equal(mat_set.matrix_form, mat_set.stacked)
-
 
 class TestSingleInputAssembly:
     def test_single_vertex_is_the_node_itself(self):
         model = double_integrator()
         g = NetworkGraph(1)
-        w = VectorWeights.from_edge_arrays(g, [], channels=2)
-        sys = assemble_lumped_simo(model, g, w, DrivenSet(frozenset({1})))
+        w = rows(g, [], channels=2)
+        sys = assemble_lumped(model, g, w, DrivenSet(frozenset({1})))
         assert np.array_equal(sys.a_sys, model.a)
         assert np.array_equal(sys.b_sys, model.b)
 
     def test_zero_weights_and_nobody_driven(self):
         model = double_integrator()
         g = chain_graph(2)
-        w = VectorWeights.from_edge_arrays(g, [[0.0, 0.0]])
-        sys = assemble_lumped_simo(model, g, w, DrivenSet())
+        w = rows(g, [[0.0, 0.0]])
+        sys = assemble_lumped(model, g, w, DrivenSet())
         assert np.array_equal(sys.a_sys, kron(np.eye(2), model.a))
         assert not sys.b_sys.any()
 
     def test_two_mass_hand_matrix(self):
         k, d = 3.0, 0.5
-        sys = assemble_lumped_simo(
+        sys = assemble_lumped(
             double_integrator(),
             chain_graph(2),
-            VectorWeights.from_edge_arrays(chain_graph(2), [[k, d]]),
+            rows(chain_graph(2), [[k, d]]),
             DrivenSet(frozenset({1})),
         )
         expected = np.array(
@@ -199,8 +184,8 @@ class TestSingleInputAssembly:
     def test_input_blocks_follow_driven_set(self):
         model = double_integrator()
         g = chain_graph(3)
-        w = VectorWeights.from_edge_arrays(g, [[1.0, 1.0], [1.0, 1.0]])
-        sys = assemble_lumped_simo(model, g, w, DrivenSet(frozenset({2, 3})))
+        w = rows(g, [[1.0, 1.0], [1.0, 1.0]])
+        sys = assemble_lumped(model, g, w, DrivenSet(frozenset({2, 3})))
         assert not sys.b_sys[0:2].any()
         assert not sys.b_sys[:, 0].any()
         assert np.array_equal(sys.b_sys[2:4, 1], [0.0, 1.0])
@@ -209,29 +194,21 @@ class TestSingleInputAssembly:
     def test_rejects_multi_input_model(self):
         model = SubsystemModel(np.eye(2), np.eye(2), np.eye(2))
         g = chain_graph(2)
-        w = VectorWeights.from_edge_arrays(g, [[1.0, 1.0]])
-        with pytest.raises(ValueError, match="one-column"):
-            assemble_lumped_simo(model, g, w, DrivenSet())
+        w = rows(g, [[1.0, 1.0]])
+        with pytest.raises(ValueError, match="shape"):
+            assemble_lumped(model, g, w, DrivenSet())
 
     def test_rejects_wrong_container_and_channel_count(self):
         model = double_integrator()
         g = chain_graph(2)
-        with pytest.raises(TypeError):
-            assemble_lumped_simo(
-                model, g, MatrixWeights.from_edge_arrays(g, [np.ones((1, 2))]), DrivenSet()
-            )
-        with pytest.raises(ValueError, match="channels"):
-            assemble_lumped_simo(
-                model, g, VectorWeights.from_edge_arrays(g, [[1.0]]), DrivenSet()
-            )
+        with pytest.raises(ValueError, match="shape"):
+            assemble_lumped(model, g, rows(g, [[1.0]]), DrivenSet())
 
     def test_rejects_invalid_model(self):
         bad = SubsystemModel(np.eye(2), np.ones(2), [[0.0, 0.0]])
         g = chain_graph(2)
         with pytest.raises(ModelValidationError):
-            assemble_lumped_simo(
-                bad, g, VectorWeights.from_edge_arrays(g, [[1.0]]), DrivenSet()
-            )
+            assemble_lumped(bad, g, rows(g, [[1.0]]), DrivenSet())
 
 
 class TestMatrixWeightAssembly:
@@ -239,7 +216,7 @@ class TestMatrixWeightAssembly:
         model = SubsystemModel(np.zeros((2, 2)), np.eye(2), np.eye(2))
         g = chain_graph(2)
         block = np.array([[1.0, 2.0], [3.0, 4.0]])
-        sys = assemble_lumped_mimo(
+        sys = assemble_lumped(
             model,
             g,
             MatrixWeights.from_edge_arrays(g, [block]),
@@ -257,36 +234,24 @@ class TestMatrixWeightAssembly:
             model = random_model(gen, int(gen.integers(1, 4)), r)
             vec = sample_weights(g, (1, r), RandomSource(int(gen.integers(1 << 30))))
             driven = random_driven(gen, n)
-            simo = assemble_lumped_simo(model, g, vec, driven)
-            mimo = assemble_lumped_mimo(model, g, vec.to_matrix_weights(), driven)
-            assert np.allclose(simo.a_sys, mimo.a_sys, rtol=1e-10, atol=1e-10)
-            assert np.array_equal(simo.b_sys, mimo.b_sys)
+            lumped = assemble_lumped(model, g, vec, driven)
+            # single-input form: I kron A minus the channel sum of L_k kron (b c_k)
+            channel_sum = kron(np.eye(n), model.a)
+            for k, lap in enumerate(channel_laplacians(g, vec)):
+                channel_sum = channel_sum - kron(lap, model.b @ model.c[k : k + 1])
+            assert np.allclose(lumped.a_sys, channel_sum, rtol=1e-10, atol=1e-10)
+            assert np.array_equal(lumped.b_sys, kron(driven.delta(n), model.b))
 
     def test_rejects_shape_mismatch_with_model(self):
         model = SubsystemModel(np.eye(2), np.eye(2), np.eye(2))
         g = chain_graph(2)
         with pytest.raises(ValueError, match="shape"):
-            assemble_lumped_mimo(
+            assemble_lumped(
                 model, g, MatrixWeights.from_edge_arrays(g, [np.ones((1, 2))]), DrivenSet()
-            )
-        with pytest.raises(TypeError):
-            assemble_lumped_mimo(
-                model, g, VectorWeights.from_edge_arrays(g, [[1.0, 1.0]]), DrivenSet()
             )
 
 
 class TestFactorizedForm:
-    def test_tq_decompose_exact(self):
-        gen = np.random.default_rng(2)
-        for p, r in [(1, 1), (1, 3), (2, 2), (3, 2)]:
-            w = gen.normal(size=(p, r))
-            t, lam, q = tq_decompose(w)
-            assert t.shape == (p, p * r)
-            assert lam.shape == (p * r, p * r)
-            assert q.shape == (p * r, r)
-            assert np.array_equal(t @ lam @ q, w)
-            assert np.array_equal(np.diag(lam), w.reshape(-1))
-
     def test_residual_small_on_random_instances(self):
         gen = np.random.default_rng(77)
         for i in range(12):
@@ -313,15 +278,10 @@ class TestSampledWeights:
         second = sample_weights(g, (1, 2), RandomSource(7))
         other = sample_weights(g, (1, 2), RandomSource(8))
         for e in g.edges:
-            assert np.array_equal(first.row(e), second.row(e))
+            assert np.array_equal(first.block(e), second.block(e))
         assert any(
-            not np.array_equal(first.row(e), other.row(e)) for e in g.edges
+            not np.array_equal(first.block(e), other.block(e)) for e in g.edges
         )
-
-    def test_container_type_tracks_input_count(self):
-        g = chain_graph(3)
-        assert isinstance(sample_weights(g, (1, 2), RandomSource(0)), VectorWeights)
-        assert isinstance(sample_weights(g, (2, 2), RandomSource(0)), MatrixWeights)
 
     def test_entries_bounded_away_from_zero(self):
         g = chain_graph(5)
@@ -344,8 +304,8 @@ class TestMassSpringChain:
             Edge(2, 3).key(),
         ]
         # edge {i, i+1} carries [k_{i+1}/m, mu_{i+1}/m]; k_1, mu_1 belong to the wall
-        assert np.allclose(chain.weights.row(Edge(1, 2)), [1.0, 2.5])
-        assert np.allclose(chain.weights.row(Edge(2, 3)), [1.5, 3.0])
+        assert np.allclose(chain.weights.block(Edge(1, 2)), [[1.0, 2.5]])
+        assert np.allclose(chain.weights.block(Edge(2, 3)), [[1.5, 3.0]])
         assert chain.wall_stiffness_over_mass == 0.5
         assert chain.wall_damping_over_mass == 2.0
         assert chain.input_gain == 0.5
@@ -353,7 +313,7 @@ class TestMassSpringChain:
 
     def test_single_mass_chain_assembles(self):
         chain = mass_spring_chain(1, 1.0, springs=(2.0,), dampers=(0.5,))
-        sys = assemble_lumped_simo(
+        sys = assemble_lumped(
             chain.model, chain.graph, chain.weights, chain.driven_template
         )
         assert np.array_equal(sys.a_sys, chain.model.a)
@@ -361,10 +321,12 @@ class TestMassSpringChain:
     def test_grounded_two_mass_physics(self):
         m, k1, k2, mu1, mu2 = 2.0, 1.0, 3.0, 0.25, 0.5
         chain = mass_spring_chain(2, m, springs=(k1, k2), dampers=(mu1, mu2))
-        sys = assemble_lumped_simo(
+        sys = assemble_lumped(
             chain.model, chain.graph, chain.weights, chain.driven_template
         )
-        grounded = sys.a_sys + wall_shift_matrix(chain)
+        grounded = sys.a_sys + grounding_shift(
+            2, chain.wall_stiffness_over_mass, chain.wall_damping_over_mass
+        )
         expected = np.array(
             [
                 [0.0, 1.0, 0.0, 0.0],
@@ -382,6 +344,10 @@ class TestMassSpringChain:
             mass_spring_chain(2, 0.0, springs=(1.0, 1.0), dampers=(1.0, 1.0))
         with pytest.raises(ValueError):
             mass_spring_chain(2, 1.0, springs=(1.0,), dampers=(1.0, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            mass_spring_chain(2, float("inf"), springs=(1.0, 1.0), dampers=(1.0, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            mass_spring_chain(2, 1.0, springs=(1.0, float("nan")), dampers=(1.0, 1.0))
 
     def test_grounding_shift_values(self):
         shift = grounding_shift(2, 3.0, 0.5)

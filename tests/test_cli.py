@@ -351,6 +351,40 @@ class TestGroundedCertification:
         assert "grounded certification: 2/2" in out
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [None, float("nan"), "2.5"])
+    def test_bad_wall_member_exits_sixtyfour(self, problem_file, capsys, bad):
+        options = {"wall": {"stiffness_over_mass": bad, "damping_over_mass": 0.5}}
+        path = problem_file(chain_problem(options=options))
+        code, out, err = run(capsys, ["certify", path, "--ground-first-mass"])
+        assert code == 64
+        assert "stiffness_over_mass" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_eig_match_tol_exits_sixtyfour(self, problem_file, capsys, bad):
+        path = problem_file(chain_problem(options={"eig_match_tol": bad}))
+        code, out, err = run(capsys, ["analyze", path])
+        assert code == 64
+        assert "eig_match_tol" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--mass", "nan"],
+            ["--springs", "1", "inf", "1"],
+            ["--dampers", "1", "1", "nan"],
+        ],
+    )
+    def test_example_rejects_non_finite_constants(self, capsys, tmp_path, flags):
+        target = tmp_path / "chain.json"
+        code, _, err = run(capsys, ["example", "--N", "3", *flags, "--out", str(target)])
+        assert code == 64
+        assert "finite" in err
+        assert not target.exists()
+
+
 class TestSeedPrecedence:
     def test_env_seed_applies_when_nothing_else_given(
         self, problem_file, capsys, monkeypatch
@@ -511,7 +545,7 @@ class TestProblemParsing:
         problem = self.parse(chain_problem(n=2, weights=weights))
         from diffnet.topology import Edge
 
-        assert np.array_equal(problem.weights.row(Edge(1, 2)), [1.0, 2.0])
+        assert np.array_equal(problem.weights.block(Edge(1, 2)), [[1.0, 2.0]])
 
     def test_antiparallel_directed_edges_match_by_direction(self):
         doc = chain_problem(n=2)
@@ -528,8 +562,8 @@ class TestProblemParsing:
         problem = self.parse(doc)
         from diffnet.topology import DIRECTED, Edge
 
-        assert np.array_equal(problem.weights.row(Edge(1, 2, DIRECTED)), [1.0, 0.0])
-        assert np.array_equal(problem.weights.row(Edge(2, 1, DIRECTED)), [0.0, 2.0])
+        assert np.array_equal(problem.weights.block(Edge(1, 2, DIRECTED)), [[1.0, 0.0]])
+        assert np.array_equal(problem.weights.block(Edge(2, 1, DIRECTED)), [[0.0, 2.0]])
 
     def test_weights_match_undirected_reversed_and_directed_as_given(self):
         doc = chain_problem(n=3)
@@ -546,8 +580,8 @@ class TestProblemParsing:
         problem = self.parse(doc)
         from diffnet.topology import DIRECTED, Edge
 
-        assert np.array_equal(problem.weights.row(Edge(1, 2)), [1.0, 2.0])
-        assert np.array_equal(problem.weights.row(Edge(2, 3, DIRECTED)), [3.0, 4.0])
+        assert np.array_equal(problem.weights.block(Edge(1, 2)), [[1.0, 2.0]])
+        assert np.array_equal(problem.weights.block(Edge(2, 3, DIRECTED)), [[3.0, 4.0]])
         doc["weights"]["edges"][1].update(u=3, v=2)
         self.expect_error(doc, "references no edge between 3 and 2")
 
@@ -648,6 +682,9 @@ class TestProblemParsing:
             chain_problem(options={"rank_rel_tol": "tight"}), "number"
         )
         self.expect_error(
+            chain_problem(options={"rank_rel_tol": 10**400}), "finite"
+        )
+        self.expect_error(
             chain_problem(options={"wall": {"stiffness_over_mass": 1.0}}),
             "wall",
         )
@@ -674,6 +711,8 @@ class TestProblemParsing:
         doc = chain_problem()
         doc["subsystem"]["A"] = [[0.0, 1.0], [0.0, None]]
         self.expect_error(doc, "numeric|non-finite")
+        doc["subsystem"]["A"] = [[0.0, 1.0], [0.0, 10**400]]
+        self.expect_error(doc, "numeric|non-finite")
 
 
 class TestPackaging:
@@ -694,3 +733,8 @@ class TestPackaging:
         assert first == second
         assert first.endswith("\n")
         assert '"a":{"y":null,"z":[1,2]}' in first
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_dump_json_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            dump_json({"a": [1.0, bad]})

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import commutation_matrix, commutation_permutation
 from diffnet.errors import NumericError
 from diffnet.numerics import (
     DEFAULT_TOL,
     PbhCheck,
     RandomSource,
     ToleranceConfig,
-    commutation_matrix,
-    commutation_permutation,
     controllable_dimension,
     dedupe_eigenvalues,
     eigenvalues,
@@ -353,5 +352,8 @@ class TestToleranceConfig:
             ToleranceConfig(rank_rel_tol=1.5)
         with pytest.raises(ValueError):
             ToleranceConfig(eig_match_tol=0.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="eig_match_tol"):
+                ToleranceConfig(eig_match_tol=bad)
         cfg = ToleranceConfig()
         assert 0 < cfg.rank_rel_tol < 1 and cfg.eig_match_tol > 0

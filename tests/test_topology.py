@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import random_driven, random_graph
+from conftest import incoming_influence_counts, random_driven, random_graph
+from diffnet.assembly import MatrixWeights, matrix_laplacian
 from diffnet.topology import (
     DIRECTED,
-    ORIENT_AS_GIVEN,
     UNDIRECTED,
     DrivenSet,
     Edge,
@@ -66,7 +66,7 @@ class TestReachability:
     def test_influence_and_incoming_counts(self):
         g = NetworkGraph(3, (Edge(1, 2, DIRECTED), Edge(2, 3)))
         assert g.influence_neighbors() == [[1], [2], [1]]
-        assert g.incoming_influence_counts() == [0, 2, 1]
+        assert incoming_influence_counts(g) == [0, 2, 1]
 
     def test_undirected_chain(self):
         g = NetworkGraph(3, (Edge(1, 2), Edge(2, 3)))
@@ -137,6 +137,11 @@ class TestSpanningForest:
             assert spanning_forest(g, d).ok == is_globally_input_reachable(g, d)
 
 
+def incidence_laplacian(real, edge_weights) -> np.ndarray:
+    """-injection @ diag(edge_weights) @ incidence."""
+    return -real.injection @ (np.asarray(edge_weights)[:, None] * real.incidence)
+
+
 class TestIncidence:
     def test_chain_hand_values(self):
         g = NetworkGraph(3, (Edge(1, 2), Edge(2, 3)))
@@ -147,7 +152,7 @@ class TestIncidence:
         assert np.array_equal(
             real.injection, np.array([[-1.0, 0.0], [1.0, -1.0], [0.0, 1.0]])
         )
-        lap = real.laplacian([2.0, 3.0])
+        lap = incidence_laplacian(real, [2.0, 3.0])
         expected = np.array(
             [[2.0, -2.0, 0.0], [-2.0, 5.0, -3.0], [0.0, -3.0, 3.0]]
         )
@@ -156,12 +161,12 @@ class TestIncidence:
     def test_single_undirected_edge(self):
         real = incidence_matrices(NetworkGraph(2, (Edge(1, 2),)))
         assert np.allclose(
-            real.laplacian([4.0]), np.array([[4.0, -4.0], [-4.0, 4.0]])
+            incidence_laplacian(real, [4.0]), np.array([[4.0, -4.0], [-4.0, 4.0]])
         )
 
     def test_single_directed_edge_one_way(self):
         real = incidence_matrices(NetworkGraph(2, (Edge(1, 2, DIRECTED),)))
-        lap = real.laplacian([4.0])
+        lap = incidence_laplacian(real, [4.0])
         assert np.allclose(lap, np.array([[0.0, 0.0], [-4.0, 4.0]]))
 
     def test_each_incidence_row_sums_to_zero(self):
@@ -186,9 +191,10 @@ class TestIncidence:
             g = random_graph(gen, int(gen.integers(2, 9)), allow_directed=False)
             if g.num_edges == 0:
                 continue
-            real = incidence_matrices(g)
             w = gen.uniform(0.5, 2.0, size=g.num_edges)
-            lap = real.laplacian(w)
+            lap = matrix_laplacian(
+                g, MatrixWeights.from_edge_arrays(g, w[:, None, None], shape=(1, 1))
+            )
             assert np.allclose(lap, lap.T)
             assert np.max(np.abs(lap.sum(axis=1))) < 1e-12
             for idx, e in enumerate(g.edges):
@@ -196,20 +202,17 @@ class TestIncidence:
 
     def test_orientation_policy_recorded(self):
         g = NetworkGraph(3, (Edge(2, 1), Edge(2, 3, DIRECTED)))
-        low_high = incidence_matrices(g)
-        assert low_high.oriented[0] == (1, 2, UNDIRECTED)
-        as_given = incidence_matrices(g, ORIENT_AS_GIVEN)
-        assert as_given.oriented[0] == (2, 1, UNDIRECTED)
-        # directed edges keep their own direction under either policy
-        assert low_high.oriented[1] == as_given.oriented[1] == (2, 3, DIRECTED)
-        # both orientations produce the same Laplacian
-        w = [1.5, 2.5]
-        assert np.allclose(low_high.laplacian(w), as_given.laplacian(w))
+        real = incidence_matrices(g)
+        # undirected edges run from the lower to the higher vertex id
+        assert real.oriented[0] == (1, 2, UNDIRECTED)
+        # directed edges keep their own direction
+        assert real.oriented[1] == (2, 3, DIRECTED)
 
     def test_weight_count_mismatch_rejected(self):
-        real = incidence_matrices(NetworkGraph(2, (Edge(1, 2),)))
+        g = NetworkGraph(2, (Edge(1, 2),))
+        extra = {Edge(1, 2).key(): [[1.0]], Edge(2, 1, DIRECTED).key(): [[2.0]]}
         with pytest.raises(ValueError):
-            real.laplacian([1.0, 2.0])
+            matrix_laplacian(g, MatrixWeights((1, 1), extra))
 
 
 class TestAuxDigraph:

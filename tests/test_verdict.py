@@ -11,10 +11,10 @@ from conftest import (
     verdict_bool,
 )
 from diffnet.assembly import (
-    VectorWeights,
-    assemble_lumped_simo,
+    MatrixWeights,
+    assemble_lumped,
+    grounding_shift,
     mass_spring_chain,
-    wall_shift_matrix,
 )
 from diffnet.errors import PremiseError
 from diffnet.numerics import RandomSource
@@ -242,7 +242,9 @@ class TestCertification:
             chain.driven_template,
             trials=3,
             rng=RandomSource(5),
-            a_shift=wall_shift_matrix(chain),
+            a_shift=grounding_shift(
+                3, chain.wall_stiffness_over_mass, chain.wall_damping_over_mass
+            ),
         )
         assert cert.any_controllable and cert.agree_with_verdict
 
@@ -348,13 +350,13 @@ class TestScalarConstraint:
         model = double_integrator(c=[[1.0, 0.5], [0.2, 2.0]])
         g = chain_graph(3)
         scalars = [1.7, 0.6]
-        full = VectorWeights.from_edge_arrays(
-            g, [[s, s] for s in scalars], channels=2
+        full = MatrixWeights.from_edge_arrays(
+            g, [[[s, s]] for s in scalars], shape=(1, 2)
         )
         reduced = reduce_scalar_weight(model)
-        collapsed = VectorWeights.from_edge_arrays(g, [[s] for s in scalars], channels=1)
-        lhs = assemble_lumped_simo(model, g, full, first_driven())
-        rhs = assemble_lumped_simo(reduced, g, collapsed, first_driven())
+        collapsed = MatrixWeights.from_edge_arrays(g, [[[s]] for s in scalars], shape=(1, 1))
+        lhs = assemble_lumped(model, g, full, first_driven())
+        rhs = assemble_lumped(reduced, g, collapsed, first_driven())
         assert np.allclose(lhs.a_sys, rhs.a_sys)
 
     def test_scalar_controllable_implies_vector_controllable(self):

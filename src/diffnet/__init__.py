@@ -41,9 +41,7 @@ from .verdict import (
     CertificationReport,
     Verdict,
     analyze,
-    analyze_mimo,
     analyze_scalar_constrained,
-    analyze_simo,
     aux_condition_check,
     certify_monte_carlo,
     laplacian_leader_controllability,
@@ -75,9 +73,7 @@ __all__ = [
     "ToleranceConfig",
     "Verdict",
     "analyze",
-    "analyze_mimo",
     "analyze_scalar_constrained",
-    "analyze_simo",
     "assemble_lumped",
     "aux_condition_check",
     "certify_monte_carlo",

@@ -125,7 +125,7 @@ class LumpedSystem:
 def _require_close(name: str, first: np.ndarray, second: np.ndarray, rtol: float):
     scale = max(1.0, float(np.max(np.abs(first))) if first.size else 0.0)
     dev = float(np.max(np.abs(first - second))) if first.size else 0.0
-    if dev > rtol * scale:
+    if not dev <= rtol * scale:  # a NaN deviation must fail too
         raise ConsistencyError(
             f"{name}: redundant assembly routes disagree "
             f"(max deviation {dev:.3e}, allowed {rtol * scale:.3e})"
@@ -168,12 +168,19 @@ def assemble_lumped(
     eye_n = np.eye(n_vertices)
     a, b, c = model.a, model.b, model.c
 
-    l_m = matrix_laplacian(graph, weights)
-    a_direct = kron(eye_n, a) - kron(eye_n, b) @ l_m @ kron(eye_n, c)
+    # finite weights can still overflow; the result is checked just below
+    with np.errstate(over="ignore", invalid="ignore"):
+        l_m = matrix_laplacian(graph, weights)
+        a_direct = kron(eye_n, a) - kron(eye_n, b) @ l_m @ kron(eye_n, c)
 
-    real = incidence_matrices(graph)
-    blkdiag = _edge_block_diag(graph, weights)
-    a_edge = kron(eye_n, a) + kron(real.injection, b) @ blkdiag @ kron(real.incidence, c)
+        real = incidence_matrices(graph)
+        blkdiag = _edge_block_diag(graph, weights)
+        a_edge = kron(eye_n, a) + kron(real.injection, b) @ blkdiag @ kron(real.incidence, c)
+    if not np.all(np.isfinite(a_direct)):
+        raise ValueError(
+            "lumped state matrix overflows the float range: "
+            "the edge weights or subsystem entries are too large"
+        )
     _require_close("lumped state matrix", a_direct, a_edge, ASSEMBLY_CROSS_CHECK_RTOL)
 
     b_sys = kron(driven.delta(n_vertices), b)

@@ -51,7 +51,6 @@ from .problem_io import (
 from .topology import (
     UNDIRECTED,
     incidence_matrices,
-    input_reachable_set,
     spanning_forest,
 )
 from .verdict import (
@@ -390,9 +389,8 @@ def cmd_example(args) -> int:
 def cmd_graph(args) -> int:
     problem, digest = load_problem(args.path)
     graph, driven = problem.graph, problem.driven
-    reachable = sorted(input_reachable_set(graph, driven))
-    unreachable = sorted(set(range(1, graph.num_vertices + 1)) - set(reachable))
     forest = spanning_forest(graph, driven)
+    unreachable = sorted(forest.unreachable)
     real = incidence_matrices(graph)
     orientation = []
     for edge, (start, end, _kind) in zip(graph.edges, real.oriented):
@@ -420,7 +418,7 @@ def cmd_graph(args) -> int:
         ],
         "driven": sorted(driven.driven),
         "globally_input_reachable": not unreachable,
-        "reachable": reachable,
+        "reachable": sorted(forest.order),
         "unreachable": unreachable,
         "forest": {
             "roots": sorted(forest.roots),

@@ -11,8 +11,8 @@ A problem file is one JSON document:
     }
 
 Matrices are dense row-major nested lists. ``kind`` defaults to undirected.
-Reports serialize to JSON with complex numbers as {"re": ..., "im": ...}
-objects and round-trip back into the report dataclasses.
+Reports serialize to canonical JSON with complex numbers as
+{"re": ..., "im": ...} objects.
 """
 
 from __future__ import annotations
@@ -28,13 +28,7 @@ from .assembly import MatrixWeights
 from .errors import ProblemFileError
 from .subsystem import SubsystemModel, validate_model
 from .topology import DIRECTED, UNDIRECTED, DrivenSet, Edge, NetworkGraph
-from .verdict import (
-    AnalysisReport,
-    CertificationReport,
-    ConditionRecord,
-    TrialResult,
-    Verdict,
-)
+from .verdict import AnalysisReport, CertificationReport
 
 REPORT_SCHEMA = "diffnet-report/v1"
 LUMP_SCHEMA = "diffnet-lump/v1"
@@ -292,30 +286,6 @@ def _jsonable(value):
     return value
 
 
-def _complex_from_json(value) -> complex:
-    if isinstance(value, dict):
-        return complex(value["re"], value["im"])
-    return complex(value)
-
-
-# witness payload keys that carry complex eigenvalues
-_COMPLEX_WITNESS_KEYS = {"deficient_eigenvalues", "fixed_modes"}
-
-
-def _witness_from_json(value):
-    if value is None:
-        return None
-    out = {}
-    for key, payload in value.items():
-        if key in _COMPLEX_WITNESS_KEYS:
-            out[key] = tuple(_complex_from_json(v) for v in payload)
-        elif isinstance(payload, list):
-            out[key] = tuple(payload)
-        else:
-            out[key] = payload
-    return out
-
-
 def certification_to_json(cert: CertificationReport) -> dict:
     return {
         "trials": cert.trials,
@@ -334,24 +304,6 @@ def certification_to_json(cert: CertificationReport) -> dict:
     }
 
 
-def certification_from_json(doc: dict) -> CertificationReport:
-    return CertificationReport(
-        trials=doc["trials"],
-        per_trial=tuple(
-            TrialResult(
-                stream_id=t["stream_id"],
-                controllable=t["controllable"],
-                deficient_count=t["deficient_count"],
-                error=t.get("error"),
-            )
-            for t in doc["per_trial"]
-        ),
-        any_controllable=doc["any_controllable"],
-        compared_verdict=doc["compared_verdict"],
-        agree_with_verdict=doc["agree_with_verdict"],
-    )
-
-
 def analysis_to_json(report: AnalysisReport) -> dict:
     return {
         "verdict": report.verdict.value,
@@ -367,20 +319,6 @@ def analysis_to_json(report: AnalysisReport) -> dict:
             else certification_to_json(report.certification)
         ),
     }
-
-
-def analysis_from_json(doc: dict) -> AnalysisReport:
-    cert = doc.get("certification")
-    return AnalysisReport(
-        verdict=Verdict(doc["verdict"]),
-        theorem_used=doc["theorem_used"],
-        conditions=tuple(
-            ConditionRecord(c["name"], c["holds"], _witness_from_json(c["witness"]))
-            for c in doc["conditions"]
-        ),
-        certification=None if cert is None else certification_from_json(cert),
-        notes=tuple(doc["notes"]),
-    )
 
 
 def report_document(

@@ -60,10 +60,6 @@ class SubsystemModel:
     def num_outputs(self) -> int:
         return self.c.shape[0]
 
-    def output_row(self, k: int) -> np.ndarray:
-        """Coupling channel k as a 1 x n matrix."""
-        return self.c[k : k + 1, :]
-
 
 def validate_model(model: SubsystemModel) -> tuple[str, ...]:
     """Structural violations as values; empty means the model is usable."""

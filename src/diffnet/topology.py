@@ -119,33 +119,6 @@ class DrivenSet:
         return d
 
 
-def input_reachable_set(graph: NetworkGraph, driven: DrivenSet) -> frozenset[int]:
-    """Vertices reachable from the driven set along influence directions.
-
-    Undirected edges are traversable both ways; a directed edge only from
-    its tail to its head.
-    """
-    driven.validate_for(graph)
-    adj = graph.influence_neighbors()
-    seen = [False] * graph.num_vertices
-    queue: deque[int] = deque()
-    for vid in sorted(driven.driven):
-        if not seen[vid - 1]:
-            seen[vid - 1] = True
-            queue.append(vid - 1)
-    while queue:
-        i = queue.popleft()
-        for j in adj[i]:
-            if not seen[j]:
-                seen[j] = True
-                queue.append(j)
-    return frozenset(i + 1 for i in range(graph.num_vertices) if seen[i])
-
-
-def is_globally_input_reachable(graph: NetworkGraph, driven: DrivenSet) -> bool:
-    return len(input_reachable_set(graph, driven)) == graph.num_vertices
-
-
 @dataclass(frozen=True)
 class SpanningForest:
     """BFS forest rooted at the driven vertices.
@@ -195,6 +168,19 @@ def spanning_forest(graph: NetworkGraph, driven: DrivenSet) -> SpanningForest:
         order=tuple(order),
         unreachable=unreachable,
     )
+
+
+def input_reachable_set(graph: NetworkGraph, driven: DrivenSet) -> frozenset[int]:
+    """Vertices reachable from the driven set along influence directions.
+
+    Undirected edges are traversable both ways; a directed edge only from
+    its tail to its head.
+    """
+    return frozenset(spanning_forest(graph, driven).order)
+
+
+def is_globally_input_reachable(graph: NetworkGraph, driven: DrivenSet) -> bool:
+    return spanning_forest(graph, driven).ok
 
 
 @dataclass(frozen=True)

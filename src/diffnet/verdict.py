@@ -2,8 +2,11 @@
 
 The criteria implemented here decide, from the network topology and one
 copy of the node dynamics, whether some (equivalently, almost every) choice
-of edge weights makes the assembled network controllable. Every verdict can
-be cross-examined by a Monte Carlo oracle on sampled weights, which measures
+of edge weights makes the assembled network controllable. ``analyze`` is
+the one analyzer for single-input (vector-weight) and multi-input
+(matrix-weight) nodes; the scalar-weight, leader, auxiliary-digraph and
+rank-condition checks are side criteria. Every verdict can be
+cross-examined by a Monte Carlo oracle on sampled weights, which measures
 the controllable subspace of each assembled pair with an orthogonal
 staircase.
 """
@@ -46,8 +49,8 @@ from .topology import (
     all_cycles_input_reachable,
     aux_digraph,
     incidence_matrices,
-    input_reachable_set,
     is_globally_input_reachable,
+    spanning_forest,
 )
 
 DEFAULT_CERTIFY_TRIALS = 5
@@ -155,8 +158,7 @@ def _all_driven_report(
 
 
 def _reachability_record(graph: NetworkGraph, driven: DrivenSet) -> ConditionRecord:
-    reach = input_reachable_set(graph, driven)
-    unreachable = sorted(set(range(1, graph.num_vertices + 1)) - set(reach))
+    unreachable = sorted(spanning_forest(graph, driven).unreachable)
     return ConditionRecord(
         "globally_input_reachable",
         not unreachable,
@@ -164,76 +166,33 @@ def _reachability_record(graph: NetworkGraph, driven: DrivenSet) -> ConditionRec
     )
 
 
-def analyze_simo(
-    model: SubsystemModel,
-    graph: NetworkGraph,
-    driven: DrivenSet,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> AnalysisReport:
-    """Exact verdict for single-input nodes with vector edge weights.
-
-    With every vertex driven, subsystem controllability alone decides.
-    Otherwise the verdict is the conjunction of three conditions, each
-    necessary and together sufficient: (A, b) controllable, (A, C)
-    observable, and every vertex reachable from the driven set.
-    """
-    require_valid(model)
-    if model.num_inputs != 1:
-        raise ValueError(
-            "single-input analysis needs a one-column input matrix; "
-            "use the matrix-weight analyzer for multi-input nodes"
-        )
-    driven.validate_for(graph)
-    if len(driven) == graph.num_vertices:
-        return _all_driven_report(model, tol)
-
-    theorem, notes = _criterion_family(graph)
-    conditions = (
-        _pbh_record("subsystem_controllable", check_controllable, model, tol),
-        _pbh_record("subsystem_observable", check_observable, model, tol),
-        _reachability_record(graph, driven),
-    )
-    verdict = (
-        Verdict.CONTROLLABLE
-        if all(c.holds for c in conditions)
-        else Verdict.NOT_CONTROLLABLE
-    )
-    return AnalysisReport(verdict, theorem, conditions, notes=notes)
-
-
-def analyze_mimo(
+def analyze(
     model: SubsystemModel,
     graph: NetworkGraph,
     driven: DrivenSet,
     tol: ToleranceConfig = DEFAULT_TOL,
     rng: RandomSource = RandomSource(0),
-    weight_shape: tuple[int, int] | None = None,
 ) -> AnalysisReport:
-    """Verdict for multi-input nodes with matrix edge weights.
+    """Structural controllability verdict from the topology and one node.
 
-    When (A, B, C) has no fixed mode, global input-reachability is
-    equivalent to structural controllability. Reachability stays necessary
-    regardless, so an unreachable topology is decisive; fixed modes on a
-    reachable topology leave the criterion silent and the verdict is
-    INCONCLUSIVE. Single-input models are delegated to the exact
-    single-input criteria (their conditions are necessary and sufficient,
-    and the p = r = 1 case must agree with the single-input verdict).
+    With every vertex driven, subsystem controllability alone decides.
+    Otherwise global input-reachability is necessary for both node kinds.
+
+    Single-input nodes (vector edge weights): the verdict is the conjunction
+    of (A, b) controllable, (A, C) observable and reachability, each
+    necessary and together sufficient; directed influences switch the
+    criterion family from theorem 1 to theorem 2.
+
+    Multi-input nodes (matrix edge weights, undirected topologies only):
+    when (A, B, C) has no fixed mode, reachability is equivalent to
+    structural controllability (theorem 3). An unreachable topology is
+    decisive; fixed modes on a reachable topology leave the criterion
+    silent and the verdict is INCONCLUSIVE. ``rng`` drives the randomized
+    fixed-mode cross-check only.
     """
     require_valid(model)
-    shape = (model.num_inputs, model.num_outputs)
-    if weight_shape is not None and tuple(weight_shape) != shape:
-        raise ValueError(
-            f"declared weight shape {tuple(weight_shape)} does not match the "
-            f"model's (inputs, outputs) = {shape}"
-        )
-    if model.num_inputs == 1:
-        report = analyze_simo(model, graph, driven, tol)
-        return dataclasses.replace(
-            report,
-            notes=report.notes
-            + ("single-input model: exact single-input criteria applied",),
-        )
-    if graph.has_directed_edges():
+    single_input = model.num_inputs == 1
+    if not single_input and graph.has_directed_edges():
         raise ValueError(
             "matrix-weight analysis covers undirected topologies only; "
             "model directed influences with single-input nodes instead"
@@ -241,9 +200,23 @@ def analyze_mimo(
     driven.validate_for(graph)
     if len(driven) == graph.num_vertices:
         return _all_driven_report(model, tol)
+    reach = _reachability_record(graph, driven)
+
+    if single_input:
+        theorem, notes = _criterion_family(graph)
+        conditions = (
+            _pbh_record("subsystem_controllable", check_controllable, model, tol),
+            _pbh_record("subsystem_observable", check_observable, model, tol),
+            reach,
+        )
+        verdict = (
+            Verdict.CONTROLLABLE
+            if all(c.holds for c in conditions)
+            else Verdict.NOT_CONTROLLABLE
+        )
+        return AnalysisReport(verdict, theorem, conditions, notes=notes)
 
     modes = fixed_modes(model, rng, tol)
-    reach = _reachability_record(graph, driven)
     conditions = (
         ConditionRecord(
             "no_fixed_mode",
@@ -270,19 +243,6 @@ def analyze_mimo(
             "criterion is sufficient-only and makes no claim here",
         )
     return AnalysisReport(verdict, "3", conditions, notes=notes)
-
-
-def analyze(
-    model: SubsystemModel,
-    graph: NetworkGraph,
-    driven: DrivenSet,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    rng: RandomSource = RandomSource(0),
-) -> AnalysisReport:
-    """Dispatch on the model's input count."""
-    if model.num_inputs == 1:
-        return analyze_simo(model, graph, driven, tol)
-    return analyze_mimo(model, graph, driven, tol, rng)
 
 
 def certify_monte_carlo(
@@ -400,7 +360,12 @@ def analyze_scalar_constrained(
             conditions=(record,),
             notes=(note, "the channel sum cancels: no coupling survives") + extra,
         )
-    report = analyze_simo(reduced, graph, driven, tol)
+    if model.num_inputs != 1:
+        raise ValueError(
+            "the scalar-weight criteria need single-input nodes, got "
+            f"{model.num_inputs} inputs"
+        )
+    report = analyze(reduced, graph, driven, tol)
     return dataclasses.replace(report, notes=report.notes + (note,))
 
 

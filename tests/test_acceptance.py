@@ -32,9 +32,8 @@ from diffnet.topology import (
 )
 from diffnet.verdict import (
     Verdict,
-    analyze_mimo,
+    analyze,
     analyze_scalar_constrained,
-    analyze_simo,
     aux_condition_check,
     certify_monte_carlo,
     laplacian_leader_controllability,
@@ -63,7 +62,7 @@ def test_criterion_01_any_single_driver_controls_a_chain(acceptance):
         )
         for driver in range(1, n + 1):
             driven = DrivenSet(frozenset({driver}))
-            report = analyze_simo(chain.model, chain.graph, driven)
+            report = analyze(chain.model, chain.graph, driven)
             ok = ok and report.verdict is Verdict.CONTROLLABLE
             cert = certify_monte_carlo(
                 chain.model,
@@ -93,7 +92,7 @@ def test_criterion_02_broken_chain_reachability_witness(acceptance):
     gen = np.random.default_rng(7)
     chain = mass_spring_chain(5, 1.0, distinct_constants(gen, 5), distinct_constants(gen, 5))
     driven = DrivenSet(frozenset({1}))
-    report = analyze_simo(chain.model, graph, driven)
+    report = analyze(chain.model, graph, driven)
     ok = report.verdict is Verdict.NOT_CONTROLLABLE
     witness = report.condition("globally_input_reachable").witness
     ok = ok and witness == {"unreachable_vertices": (4, 5)}
@@ -120,7 +119,7 @@ def test_criterion_03_velocity_only_coupling_is_refused(acceptance):
     model = SubsystemModel([[0.0, 1.0], [0.0, 0.0]], [0.0, 1.0], [[0.0, 1.0]])
     graph = NetworkGraph(4, chain_edges(4))
     driven = DrivenSet(frozenset({1}))
-    report = analyze_simo(model, graph, driven)
+    report = analyze(model, graph, driven)
     ok = report.verdict is Verdict.NOT_CONTROLLABLE
     ok = ok and not report.condition("subsystem_observable").holds
 
@@ -255,7 +254,7 @@ def test_criterion_06_controllable_verdicts_pass_the_rank_condition(acceptance):
         graph = random_graph(gen, n_vertices, edge_prob=0.6)
         driven = random_driven(gen, n_vertices)
         model = random_model(gen, int(gen.integers(1, 4)), int(gen.integers(1, 3)))
-        report = analyze_simo(model, graph, driven)
+        report = analyze(model, graph, driven)
         if report.verdict is not Verdict.CONTROLLABLE:
             continue
         controllable_seen += 1
@@ -311,7 +310,7 @@ def test_criterion_08_scalar_constraint_implies_but_is_not_implied(acceptance):
         if scalar_report.verdict is not Verdict.CONTROLLABLE:
             continue
         scalar_controllable_seen += 1
-        vector_report = analyze_simo(model, graph, driven)
+        vector_report = analyze(model, graph, driven)
         implication_held = (
             implication_held and vector_report.verdict is Verdict.CONTROLLABLE
         )
@@ -321,7 +320,7 @@ def test_criterion_08_scalar_constraint_implies_but_is_not_implied(acceptance):
     )
     graph = NetworkGraph(3, chain_edges(3))
     driven = DrivenSet(frozenset({1}))
-    vector_ok = analyze_simo(cancel, graph, driven).verdict is Verdict.CONTROLLABLE
+    vector_ok = analyze(cancel, graph, driven).verdict is Verdict.CONTROLLABLE
     scalar_bad = (
         analyze_scalar_constrained(cancel, graph, driven).verdict
         is Verdict.NOT_CONTROLLABLE
@@ -358,7 +357,7 @@ def test_criterion_09_matrix_weight_verdicts_match_the_oracle(acceptance):
         n_vertices = int(gen.integers(2, 5))
         graph = random_connected_graph(gen, n_vertices)
         driven = random_driven(gen, n_vertices)
-        report = analyze_mimo(model, graph, driven, rng=RandomSource(91_000 + built))
+        report = analyze(model, graph, driven, rng=RandomSource(91_000 + built))
         cert = certify_monte_carlo(
             model,
             graph,

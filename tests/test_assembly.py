@@ -6,6 +6,7 @@ import pytest
 from conftest import random_connected_graph, random_driven, random_model
 from diffnet.assembly import (
     MatrixWeights,
+    _require_close,
     assemble_lumped,
     check_weights,
     factorized_assembly_check,
@@ -14,7 +15,7 @@ from diffnet.assembly import (
     matrix_laplacian,
     sample_weights,
 )
-from diffnet.errors import ModelValidationError
+from diffnet.errors import ConsistencyError, ModelValidationError
 from diffnet.numerics import RandomSource, kron
 from diffnet.subsystem import SubsystemModel
 from diffnet.topology import DIRECTED, DrivenSet, Edge, NetworkGraph
@@ -249,6 +250,16 @@ class TestMatrixWeightAssembly:
             assemble_lumped(
                 model, g, MatrixWeights.from_edge_arrays(g, [np.ones((1, 2))]), DrivenSet()
             )
+
+    def test_rejects_overflowing_weights(self):
+        g = chain_graph(3)
+        huge = rows(g, [[1e308, 1e308], [1e308, 1e308]])
+        with pytest.raises(ValueError, match="overflow"):
+            assemble_lumped(double_integrator(), g, huge, DrivenSet(frozenset({1})))
+
+    def test_cross_check_rejects_nan_deviation(self):
+        with pytest.raises(ConsistencyError, match="disagree"):
+            _require_close("x", np.array([[np.nan]]), np.array([[1.0]]), 1e-9)
 
 
 class TestFactorizedForm:

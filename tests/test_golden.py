@@ -10,6 +10,15 @@ The files under ``golden/`` are the canonical output of
 
 A mass-spring chain assembles with exact float arithmetic (one nonzero
 product per entry), so these bytes do not depend on the BLAS in use.
+
+Two hand-written problems pin the other analyzer paths:
+
+    diffnet analyze fixed_mode.json        (p = r = 2, a fixed mode at 2)
+    diffnet analyze directed_cutoff.json   (single input, vertex 4 cut off)
+    diffnet graph directed_cutoff.json
+
+The fixed-mode node has an upper-triangular A with integer diagonal, so the
+eigenvalue in its witness is exact whatever LAPACK computes it.
 """
 
 from pathlib import Path
@@ -40,4 +49,18 @@ def test_example_file_is_byte_identical(tmp_path):
 def test_report_is_byte_identical(tmp_path, golden, argv):
     out = tmp_path / golden
     assert main([argv[0], str(EXAMPLE), *argv[1:], "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "problem, golden, command, code",
+    [
+        ("fixed_mode.json", "fixed_mode_analyze.json", "analyze", 2),
+        ("directed_cutoff.json", "directed_cutoff_analyze.json", "analyze", 1),
+        ("directed_cutoff.json", "directed_cutoff_graph.json", "graph", 0),
+    ],
+)
+def test_analyzer_path_is_byte_identical(tmp_path, problem, golden, command, code):
+    out = tmp_path / golden
+    assert main([command, str(GOLDEN / problem), "--out", str(out)]) == code
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()

@@ -31,12 +31,7 @@ class TestModelCoercion:
     def test_one_dimensional_c_becomes_row(self):
         m = SubsystemModel(np.eye(3), np.ones(3), [1.0, 0.0, 2.0])
         assert m.c.shape == (1, 3)
-        assert np.array_equal(m.output_row(0), [[1.0, 0.0, 2.0]])
-
-    def test_output_row_keeps_matrix_shape(self):
-        m = double_integrator()
-        assert m.output_row(1).shape == (1, 2)
-        assert np.array_equal(m.output_row(1), [[0.0, 1.0]])
+        assert np.array_equal(m.c, [[1.0, 0.0, 2.0]])
 
 
 class TestValidation:

@@ -24,9 +24,7 @@ from diffnet.verdict import (
     AnalysisReport,
     Verdict,
     analyze,
-    analyze_mimo,
     analyze_scalar_constrained,
-    analyze_simo,
     aux_condition_check,
     certify_monte_carlo,
     laplacian_leader_controllability,
@@ -53,7 +51,7 @@ def first_driven() -> DrivenSet:
 
 class TestSingleInputAnalysis:
     def test_chain_is_structurally_controllable(self):
-        report = analyze_simo(double_integrator(), chain_graph(4), first_driven())
+        report = analyze(double_integrator(), chain_graph(4), first_driven())
         assert report.verdict is Verdict.CONTROLLABLE
         assert report.theorem_used == "1"
         assert all(rec.holds for rec in report.conditions)
@@ -65,7 +63,7 @@ class TestSingleInputAnalysis:
 
     def test_velocity_only_coupling_fails_observability(self):
         model = double_integrator(c=[[0.0, 1.0]])
-        report = analyze_simo(model, chain_graph(3), first_driven())
+        report = analyze(model, chain_graph(3), first_driven())
         assert report.verdict is Verdict.NOT_CONTROLLABLE
         rec = report.condition("subsystem_observable")
         assert not rec.holds
@@ -74,7 +72,7 @@ class TestSingleInputAnalysis:
 
     def test_reversed_directed_chain_unreachable(self):
         g = NetworkGraph(3, (Edge(2, 1, DIRECTED), Edge(3, 2, DIRECTED)))
-        report = analyze_simo(double_integrator(), g, first_driven())
+        report = analyze(double_integrator(), g, first_driven())
         assert report.verdict is Verdict.NOT_CONTROLLABLE
         assert report.theorem_used == "2"
         rec = report.condition("globally_input_reachable")
@@ -82,13 +80,13 @@ class TestSingleInputAnalysis:
         assert any("directed" in note for note in report.notes)
 
     def test_nobody_driven_is_never_controllable(self):
-        report = analyze_simo(double_integrator(), chain_graph(2), DrivenSet())
+        report = analyze(double_integrator(), chain_graph(2), DrivenSet())
         assert report.verdict is Verdict.NOT_CONTROLLABLE
         rec = report.condition("globally_input_reachable")
         assert rec.witness == {"unreachable_vertices": (1, 2)}
 
     def test_everyone_driven_reduces_to_the_node_test(self):
-        report = analyze_simo(
+        report = analyze(
             double_integrator(), chain_graph(3), DrivenSet(frozenset({1, 2, 3}))
         )
         assert report.verdict is Verdict.CONTROLLABLE
@@ -96,33 +94,19 @@ class TestSingleInputAnalysis:
         assert len(report.conditions) == 1
 
         broken = SubsystemModel(np.eye(2), [1.0, 0.0], np.eye(2))
-        report = analyze_simo(broken, chain_graph(2), DrivenSet(frozenset({1, 2})))
+        report = analyze(broken, chain_graph(2), DrivenSet(frozenset({1, 2})))
         assert report.verdict is Verdict.NOT_CONTROLLABLE
 
-    def test_rejects_multi_input_model(self):
-        model = SubsystemModel(np.eye(2), np.eye(2), np.eye(2))
-        with pytest.raises(ValueError):
-            analyze_simo(model, chain_graph(2), first_driven())
-
     def test_condition_lookup_raises_on_unknown_name(self):
-        report = analyze_simo(double_integrator(), chain_graph(2), first_driven())
+        report = analyze(double_integrator(), chain_graph(2), first_driven())
         with pytest.raises(KeyError):
             report.condition("no_such_condition")
 
 
 class TestMatrixWeightAnalysis:
-    def test_single_input_model_delegates_to_exact_criteria(self):
-        model = double_integrator()
-        g, d = chain_graph(3), first_driven()
-        report = analyze_mimo(model, g, d)
-        exact = analyze_simo(model, g, d)
-        assert report.verdict is exact.verdict
-        assert report.theorem_used == exact.theorem_used
-        assert any("single-input" in note for note in report.notes)
-
     def test_no_fixed_mode_and_reachable_is_controllable(self):
         model = SubsystemModel([[0.0, 1.0], [-1.0, 0.0]], np.eye(2), np.eye(2))
-        report = analyze_mimo(model, chain_graph(3), first_driven())
+        report = analyze(model, chain_graph(3), first_driven())
         assert report.verdict is Verdict.CONTROLLABLE
         assert report.theorem_used == "3"
         assert report.condition("no_fixed_mode").holds
@@ -130,7 +114,7 @@ class TestMatrixWeightAnalysis:
     def test_unreachable_topology_is_decisive(self):
         model = SubsystemModel([[0.0, 1.0], [-1.0, 0.0]], np.eye(2), np.eye(2))
         g = NetworkGraph(3, (Edge(1, 2),))
-        report = analyze_mimo(model, g, first_driven())
+        report = analyze(model, g, first_driven())
         assert report.verdict is Verdict.NOT_CONTROLLABLE
         assert report.condition("globally_input_reachable").witness == {
             "unreachable_vertices": (3,)
@@ -142,7 +126,7 @@ class TestMatrixWeightAnalysis:
         b = np.array([[1.0, 0.5], [0.0, 0.0]])
         c = np.array([[1.0, 0.0], [1.0, 0.0]])
         model = SubsystemModel(a, b, c)
-        report = analyze_mimo(model, chain_graph(2), first_driven())
+        report = analyze(model, chain_graph(2), first_driven())
         assert report.verdict is Verdict.INCONCLUSIVE
         rec = report.condition("no_fixed_mode")
         assert not rec.holds
@@ -151,7 +135,7 @@ class TestMatrixWeightAnalysis:
 
     def test_everyone_driven_reduces_to_the_node_test(self):
         model = SubsystemModel([[0.0, 1.0], [-1.0, 0.0]], np.eye(2), np.eye(2))
-        report = analyze_mimo(model, chain_graph(2), DrivenSet(frozenset({1, 2})))
+        report = analyze(model, chain_graph(2), DrivenSet(frozenset({1, 2})))
         assert report.verdict is Verdict.CONTROLLABLE
         assert report.theorem_used == "trivial-case"
 
@@ -159,12 +143,7 @@ class TestMatrixWeightAnalysis:
         model = SubsystemModel(np.eye(2), np.eye(2), np.eye(2))
         g = NetworkGraph(2, (Edge(1, 2, DIRECTED),))
         with pytest.raises(ValueError, match="single-input"):
-            analyze_mimo(model, g, first_driven())
-
-    def test_rejects_mismatched_weight_shape(self):
-        model = SubsystemModel(np.eye(2), np.eye(2), np.eye(2))
-        with pytest.raises(ValueError, match="shape"):
-            analyze_mimo(model, chain_graph(2), first_driven(), weight_shape=(1, 2))
+            analyze(model, g, first_driven())
 
     def test_dispatcher_picks_engine_by_input_count(self):
         simo = analyze(double_integrator(), chain_graph(2), first_driven())
@@ -177,7 +156,7 @@ class TestMatrixWeightAnalysis:
 class TestCertification:
     def test_controllable_chain_every_trial_passes(self):
         model, g, d = double_integrator(), chain_graph(3), first_driven()
-        analysis = analyze_simo(model, g, d)
+        analysis = analyze(model, g, d)
         cert = certify_monte_carlo(model, g, d, trials=5, rng=RandomSource(42))
         assert cert.trials == 5 and len(cert.per_trial) == 5
         assert all(t.controllable for t in cert.per_trial)
@@ -260,7 +239,7 @@ class TestCertification:
 
     def test_report_attachment(self):
         model, g, d = double_integrator(), chain_graph(2), first_driven()
-        report = analyze_simo(model, g, d)
+        report = analyze(model, g, d)
         cert = certify_monte_carlo(model, g, d, trials=2, analysis=report)
         assert report.certification is None
         merged = report.with_certification(cert)
@@ -280,7 +259,7 @@ class TestVerdictAgainstOracle:
             model = random_model(
                 gen, int(gen.integers(1, 4)), int(gen.integers(1, 3))
             )
-            report = analyze_simo(model, graph, driven)
+            report = analyze(model, graph, driven)
             cert = certify_monte_carlo(
                 model, graph, driven, trials=3, rng=RandomSource(1000 + i),
                 analysis=report,
@@ -303,7 +282,7 @@ class TestVerdictAgainstOracle:
             graph = random_graph(gen, n_vertices, edge_prob=0.7)
             driven = random_driven(gen, n_vertices)
             model = random_model(gen, int(gen.integers(1, 3)), int(gen.integers(1, 3)))
-            report = analyze_simo(model, graph, driven)
+            report = analyze(model, graph, driven)
             for seed in (1, 2, 3):
                 cert = certify_monte_carlo(
                     model, graph, driven, trials=2, rng=RandomSource(seed),
@@ -321,7 +300,7 @@ class TestScalarConstraint:
 
     def test_cancelling_channels_lose_controllability(self):
         model = double_integrator(c=[[1.0, 0.0], [-1.0, 0.0]])
-        vector_report = analyze_simo(model, chain_graph(3), first_driven())
+        vector_report = analyze(model, chain_graph(3), first_driven())
         assert vector_report.verdict is Verdict.CONTROLLABLE
 
         scalar_report = analyze_scalar_constrained(
@@ -345,6 +324,16 @@ class TestScalarConstraint:
         report = analyze_scalar_constrained(model, chain_graph(3), first_driven())
         assert report.verdict is Verdict.CONTROLLABLE
         assert any("scalar" in note for note in report.notes)
+
+    def test_multi_input_model(self):
+        a = [[0.0, 1.0], [-1.0, 0.0]]
+        model = SubsystemModel(a, np.eye(2), [[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="single-input"):
+            analyze_scalar_constrained(model, chain_graph(3), first_driven())
+        cancel = SubsystemModel(a, np.eye(2), [[1.0, 0.0], [-1.0, 0.0]])
+        report = analyze_scalar_constrained(cancel, chain_graph(3), first_driven())
+        assert report.verdict is Verdict.NOT_CONTROLLABLE
+        assert not report.condition("scalar_reduced_coupling_nonzero").holds
 
     def test_equal_channel_weights_realize_the_reduced_network(self):
         model = double_integrator(c=[[1.0, 0.5], [0.2, 2.0]])
@@ -371,7 +360,7 @@ class TestScalarConstraint:
             if scalar_report.verdict is not Verdict.CONTROLLABLE:
                 continue
             seen += 1
-            assert verdict_bool(analyze_simo(model, graph, driven).verdict)
+            assert verdict_bool(analyze(model, graph, driven).verdict)
         assert seen >= 5
 
 

@@ -112,14 +112,10 @@ def matrix_laplacian(graph: NetworkGraph, weights: MatrixWeights) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LumpedSystem:
-    """Assembled network pair with the inputs that produced it."""
+    """Assembled network pair (A_sys, B_sys)."""
 
     a_sys: np.ndarray
     b_sys: np.ndarray
-    model: SubsystemModel
-    graph: NetworkGraph
-    driven: DrivenSet
-    weights: MatrixWeights
 
 
 def _require_close(name: str, first: np.ndarray, second: np.ndarray, rtol: float):
@@ -184,7 +180,7 @@ def assemble_lumped(
     _require_close("lumped state matrix", a_direct, a_edge, ASSEMBLY_CROSS_CHECK_RTOL)
 
     b_sys = kron(driven.delta(n_vertices), b)
-    return LumpedSystem(a_direct, b_sys, model, graph, driven, weights)
+    return LumpedSystem(a_direct, b_sys)
 
 
 @dataclass(frozen=True)
@@ -236,21 +232,18 @@ def factorized_assembly_check(
 
 
 def sample_weights(
-    graph: NetworkGraph,
-    shape: tuple[int, int],
-    rng: RandomSource,
-    scale: float = 1.0,
-):
+    graph: NetworkGraph, shape: tuple[int, int], rng: RandomSource
+) -> MatrixWeights:
     """Independent generic weights, one draw per edge in edge order.
 
-    Entries are uniform on [-scale, -0.1*scale] U [0.1*scale, scale]; a
-    fixed source yields identical weights.
+    Entries are uniform on [-1, -0.1] U [0.1, 1]; a fixed source yields
+    identical weights.
     """
     p, r = shape
     if p < 1 or r < 1:
         raise ValueError(f"weight shape must be positive, got {shape}")
     gen = rng.generator()
-    draws = [sample_away_from_zero(gen, (p, r), scale) for _ in graph.edges]
+    draws = [sample_away_from_zero(gen, (p, r)) for _ in graph.edges]
     return MatrixWeights.from_edge_arrays(graph, draws, shape=(p, r))
 
 
@@ -271,7 +264,6 @@ class MassSpringChain:
     graph: NetworkGraph
     weights: MatrixWeights
     driven_template: DrivenSet
-    mass: float
     input_gain: float
     wall_stiffness_over_mass: float
     wall_damping_over_mass: float
@@ -319,7 +311,6 @@ def mass_spring_chain(
         graph=graph,
         weights=weights,
         driven_template=DrivenSet(frozenset({1})),
-        mass=mass,
         input_gain=1.0 / mass,
         wall_stiffness_over_mass=springs[0] / mass,
         wall_damping_over_mass=dampers[0] / mass,

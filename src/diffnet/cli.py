@@ -48,11 +48,7 @@ from .problem_io import (
     report_document,
     weights_to_json,
 )
-from .topology import (
-    UNDIRECTED,
-    incidence_matrices,
-    spanning_forest,
-)
+from .topology import UNDIRECTED, spanning_forest
 from .verdict import (
     DEFAULT_CERTIFY_TRIALS,
     AnalysisReport,
@@ -174,7 +170,7 @@ def _write_output(out_path: str | None, payload: str) -> None:
 
 
 def _emit(args, doc: dict, text: str) -> None:
-    if getattr(args, "format", "json") == "json":
+    if args.format == "json":
         payload = dump_json(doc)
     else:
         payload = text if text.endswith("\n") else text + "\n"
@@ -391,9 +387,9 @@ def cmd_graph(args) -> int:
     graph, driven = problem.graph, problem.driven
     forest = spanning_forest(graph, driven)
     unreachable = sorted(forest.unreachable)
-    real = incidence_matrices(graph)
     orientation = []
-    for edge, (start, end, _kind) in zip(graph.edges, real.oriented):
+    for edge in graph.edges:
+        start, end = edge.oriented()
         if edge.kind == UNDIRECTED:
             injection = f"injection +1 at {end}, -1 at {start}"
         else:
@@ -451,7 +447,7 @@ def cmd_graph(args) -> int:
     return 0
 
 
-def _add_io_flags(parser, with_seed=True, with_tol=False, with_format=True):
+def _add_io_flags(parser, with_seed=True, with_tol=False):
     parser.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
     if with_seed:
         parser.add_argument(
@@ -466,13 +462,12 @@ def _add_io_flags(parser, with_seed=True, with_tol=False, with_format=True):
             metavar="REL",
             help="relative rank tolerance for the SVD-based tests",
         )
-    if with_format:
-        parser.add_argument(
-            "--format",
-            choices=("json", "text"),
-            default="json",
-            help="report format (default: json)",
-        )
+    parser.add_argument(
+        "--format",
+        choices=("json", "text"),
+        default="json",
+        help="report format (default: json)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,16 +1,16 @@
 """Dense matrix utilities shared by every engine in the package.
 
-Kronecker products, tolerance-based numerical rank, eigenvalues, sampled
-generic rank, the controllable dimension by orthogonal staircase, and PBH
-controllability/observability tests. Everything operates on plain numpy
-arrays and treats them as immutable values.
+Kronecker products, tolerance-based numerical rank, eigenvalues and their
+greedy matching, the controllable dimension by orthogonal staircase, PBH
+controllability/observability tests, and the seeded random streams behind
+every sampled draw. Everything operates on plain numpy arrays and treats
+them as immutable values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -18,10 +18,9 @@ from .errors import NumericError
 
 DEFAULT_RANK_REL_TOL = 1e-9
 DEFAULT_EIG_MATCH_TOL = 1e-7
-DEFAULT_GENERIC_RANK_TRIALS = 3
 
-#: Sampled parameter draws avoid (-0.1, 0.1) so generic-rank probes and weight
-#: draws stay clear of zero without biasing sign or scale.
+#: Sampled weight magnitudes lie in [0.1, 1], so draws stay clear of zero
+#: without biasing sign.
 SAMPLE_GAP_FRACTION = 0.1
 
 _UINT64_MASK = 0xFFFFFFFFFFFFFFFF
@@ -81,13 +80,9 @@ class RandomSource:
         return RandomSource(self.seed, mixed)
 
 
-def sample_away_from_zero(
-    gen: np.random.Generator, shape, scale: float = 1.0
-) -> np.ndarray:
-    """Uniform draw on [-scale, -0.1*scale] U [0.1*scale, scale]."""
-    if scale <= 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    magnitude = gen.uniform(SAMPLE_GAP_FRACTION * scale, scale, size=shape)
+def sample_away_from_zero(gen: np.random.Generator, shape) -> np.ndarray:
+    """Uniform draw on [-1, -0.1] U [0.1, 1]."""
+    magnitude = gen.uniform(SAMPLE_GAP_FRACTION, 1.0, size=shape)
     sign = np.where(gen.random(size=shape) < 0.5, -1.0, 1.0)
     return magnitude * sign
 
@@ -140,22 +135,35 @@ def dedupe_eigenvalues(values, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray
     return np.array(reps, dtype=complex)
 
 
-def spectra_match(left, right, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Multiset equality of two spectra under greedy nearest matching."""
-    xs = list(np.atleast_1d(np.asarray(left, dtype=complex)))
-    ys = list(np.atleast_1d(np.asarray(right, dtype=complex)))
-    if len(xs) != len(ys):
-        return False
-    remaining = ys[:]
-    for lam in sorted(xs, key=lambda z: (z.real, z.imag)):
+def matched_eigenvalues(
+    candidates, pool, tol: ToleranceConfig = DEFAULT_TOL
+) -> list[complex]:
+    """Candidates, sorted, that find a partner in the pool.
+
+    Greedy nearest matching: each candidate in turn takes the nearest pool
+    value not yet taken, if it lies within eig_match_tol.
+    """
+    remaining = list(np.atleast_1d(np.asarray(pool, dtype=complex)))
+    matched: list[complex] = []
+    for lam in sorted(
+        np.atleast_1d(np.asarray(candidates, dtype=complex)),
+        key=lambda z: (z.real, z.imag),
+    ):
         if not remaining:
-            return False
+            break
         dists = [abs(lam - mu) for mu in remaining]
         j = int(np.argmin(dists))
-        if dists[j] > tol.eig_match_tol:
-            return False
-        remaining.pop(j)
-    return not remaining
+        if dists[j] <= tol.eig_match_tol:
+            remaining.pop(j)
+            matched.append(complex(lam))
+    return matched
+
+
+def spectra_match(left, right, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """Multiset equality of two spectra under greedy nearest matching."""
+    xs = np.atleast_1d(np.asarray(left, dtype=complex))
+    ys = np.atleast_1d(np.asarray(right, dtype=complex))
+    return len(xs) == len(ys) and len(matched_eigenvalues(xs, ys, tol)) == len(xs)
 
 
 @dataclass(frozen=True)
@@ -253,28 +261,3 @@ def pbh_observable(a, c, tol: ToleranceConfig = DEFAULT_TOL):
     if cm.ndim == 1:
         cm = cm[None, :]
     return pbh_controllable(am.T, cm.T, tol)
-
-
-def generic_rank(
-    matfn: Callable[[np.ndarray], np.ndarray],
-    num_params: int,
-    trials: int = DEFAULT_GENERIC_RANK_TRIALS,
-    rng: RandomSource = RandomSource(0),
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> int:
-    """Max numerical rank of matfn(s) over sampled parameter vectors.
-
-    Draws come sequentially from a single stream, so a run with more trials
-    extends the draw prefix of a run with fewer; the result is monotone in
-    the trial count for a fixed source.
-    """
-    if trials < 1:
-        raise ValueError(f"generic rank needs at least one trial, got {trials}")
-    if num_params < 0:
-        raise ValueError(f"parameter count cannot be negative, got {num_params}")
-    gen = rng.generator()
-    best = 0
-    for _ in range(trials):
-        s = sample_away_from_zero(gen, (num_params,))
-        best = max(best, numerical_rank(matfn(s), tol))
-    return best

@@ -179,8 +179,8 @@ def _parse_weights(doc: dict, graph: NetworkGraph, model: SubsystemModel):
         v = _int_field(e["v"], f'weight #{i} "v"')
         # a directed (u, v) is the specific match; an undirected pair never
         # coexists with another edge on the same vertices, so order is free
-        edge = edges_by_key.get((DIRECTED, u, v)) or edges_by_key.get(
-            (UNDIRECTED, min(u, v), max(u, v))
+        edge = edges_by_key.get(Edge(u, v, DIRECTED).key()) or edges_by_key.get(
+            Edge(u, v).key()
         )
         if edge is None:
             raise _fail(f"weight #{i} references no edge between {u} and {v}")
@@ -324,20 +324,17 @@ def analysis_to_json(report: AnalysisReport) -> dict:
 def report_document(
     report: AnalysisReport,
     tool_version: str,
-    input_digest: str | None = None,
-    options: dict | None = None,
+    input_digest: str,
+    options: dict,
 ) -> dict:
     """Full report file: analysis plus provenance for reproducibility."""
-    doc = {
+    return {
         "$schema": REPORT_SCHEMA,
         "tool": {"name": "diffnet", "version": tool_version},
+        "input": {"sha256": input_digest},
+        "options": _jsonable(options),
         "analysis": analysis_to_json(report),
     }
-    if input_digest is not None:
-        doc["input"] = {"sha256": input_digest}
-    if options:
-        doc["options"] = _jsonable(options)
-    return doc
 
 
 def weights_to_json(graph: NetworkGraph, weights: MatrixWeights) -> dict:

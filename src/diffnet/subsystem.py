@@ -13,6 +13,7 @@ from .numerics import (
     RandomSource,
     ToleranceConfig,
     eigenvalues,
+    matched_eigenvalues,
     numerical_rank,
     pbh_controllable,
     pbh_observable,
@@ -121,27 +122,6 @@ class FixedModeReport:
         return not self.fixed_modes
 
 
-def _persistent_spectrum(
-    candidates: list[complex], spectra: list[np.ndarray], tol: ToleranceConfig
-) -> list[complex]:
-    surviving = sorted(candidates, key=lambda z: (z.real, z.imag))
-    for spectrum in spectra:
-        pool = list(spectrum)
-        kept: list[complex] = []
-        for lam in surviving:
-            if not pool:
-                break
-            dists = [abs(lam - mu) for mu in pool]
-            j = int(np.argmin(dists))
-            if dists[j] <= tol.eig_match_tol:
-                pool.pop(j)
-                kept.append(lam)
-        surviving = kept
-        if not surviving:
-            break
-    return surviving
-
-
 def fixed_modes(
     model: SubsystemModel,
     rng: RandomSource = RandomSource(0),
@@ -173,19 +153,14 @@ def fixed_modes(
             deterministic.append(complex(lam))
 
     gen = rng.generator()
-    perturbed = []
+    randomized = list(spectrum)
     for _ in range(feedback_draws):
         f = gen.uniform(-1.0, 1.0, size=(model.num_inputs, model.num_outputs))
-        perturbed.append(eigenvalues(a + b @ f @ c))
-    randomized = _persistent_spectrum(list(spectrum), perturbed, tol)
+        perturbed = eigenvalues(a + b @ f @ c)
+        randomized = matched_eigenvalues(randomized, perturbed, tol)
 
-    agreement = spectra_match(
-        np.array(deterministic, dtype=complex),
-        np.array(randomized, dtype=complex),
-        tol,
-    )
     return FixedModeReport(
         fixed_modes=tuple(deterministic),
         randomized_modes=tuple(randomized),
-        method_agreement=agreement,
+        method_agreement=spectra_match(deterministic, randomized, tol),
     )

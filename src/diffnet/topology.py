@@ -28,9 +28,14 @@ class Edge:
 
     def key(self) -> tuple:
         """Canonical identity: unordered pair for undirected edges."""
+        return (self.kind, *self.oriented())
+
+    def oriented(self) -> tuple[int, int]:
+        """(start, end): undirected edges run from the lower to the higher
+        vertex id; directed edges keep their own direction."""
         if self.kind == DIRECTED:
-            return (DIRECTED, self.u, self.v)
-        return (UNDIRECTED, min(self.u, self.v), max(self.u, self.v))
+            return self.u, self.v
+        return min(self.u, self.v), max(self.u, self.v)
 
 
 @dataclass(frozen=True)
@@ -193,7 +198,6 @@ class IncidenceRealization:
     stays one-way. For undirected-only graphs, injection == -incidence.T.
     """
 
-    oriented: tuple[tuple[int, int, str], ...]
     incidence: np.ndarray
     injection: np.ndarray
 
@@ -201,29 +205,20 @@ class IncidenceRealization:
 def incidence_matrices(graph: NetworkGraph) -> IncidenceRealization:
     """Build the incidence/injection pair in the graph's edge order.
 
-    Undirected edges need an arbitrary recorded orientation; each runs from
-    its lower to its higher vertex id. Directed edges keep their own
-    orientation.
+    Each edge is oriented by ``Edge.oriented``.
     """
     n = graph.num_vertices
     m = graph.num_edges
     incidence = np.zeros((m, n))
     injection = np.zeros((n, m))
-    oriented: list[tuple[int, int, str]] = []
     for idx, e in enumerate(graph.edges):
-        if e.kind == DIRECTED:
-            start, end = e.u, e.v
-        else:
-            start, end = min(e.u, e.v), max(e.u, e.v)
+        start, end = e.oriented()
         incidence[idx, start - 1] = 1.0
         incidence[idx, end - 1] = -1.0
         injection[end - 1, idx] = 1.0
         if e.kind == UNDIRECTED:
             injection[start - 1, idx] = -1.0
-        oriented.append((start, end, e.kind))
-    return IncidenceRealization(
-        oriented=tuple(oriented), incidence=incidence, injection=injection
-    )
+    return IncidenceRealization(incidence=incidence, injection=injection)
 
 
 @dataclass(frozen=True)

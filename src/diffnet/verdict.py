@@ -8,7 +8,8 @@ the one analyzer for single-input (vector-weight) and multi-input
 rank-condition checks are side criteria. Every verdict can be
 cross-examined by a Monte Carlo oracle on sampled weights, which measures
 the controllable subspace of each assembled pair with an orthogonal
-staircase.
+staircase. Every randomized check draws its network one way: per trial,
+``sample_weights`` on a derived stream, then ``assemble_lumped``.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .numerics import (
     controllable_dimension,
     dedupe_eigenvalues,
     eigenvalues,
-    generic_rank,
     kron,
+    numerical_rank,
 )
 from .subsystem import (
     SubsystemModel,
@@ -252,7 +253,6 @@ def certify_monte_carlo(
     trials: int = DEFAULT_CERTIFY_TRIALS,
     rng: RandomSource = RandomSource(0),
     tol: ToleranceConfig = DEFAULT_TOL,
-    weight_scale: float = 1.0,
     a_shift: np.ndarray | None = None,
     analysis: AnalysisReport | None = None,
 ) -> CertificationReport:
@@ -278,7 +278,7 @@ def certify_monte_carlo(
     for t in range(trials):
         src = rng.derive(t)
         try:
-            w = sample_weights(graph, (p, r), src, weight_scale)
+            w = sample_weights(graph, (p, r), src)
             lumped = assemble_lumped(model, graph, w, driven)
             a_sys = lumped.a_sys
             if a_shift is not None:
@@ -338,9 +338,15 @@ def analyze_scalar_constrained(
     vector-weighted sense (the constraint picks particular weights), but
     not conversely. If the summed coupling row cancels to zero the
     constrained network has no coupling at all and cannot be controllable
-    unless every vertex is driven.
+    unless every vertex is driven. The summed row models single-input nodes
+    only; any multi-input model is refused with ValueError.
     """
     require_valid(model)
+    if model.num_inputs != 1:
+        raise ValueError(
+            "the scalar-weight criteria need single-input nodes, got "
+            f"{model.num_inputs} inputs"
+        )
     reduced = reduce_scalar_weight(model)
     note = "channels constrained to a single scalar weight per edge"
     if not np.any(reduced.c):
@@ -360,11 +366,6 @@ def analyze_scalar_constrained(
             conditions=(record,),
             notes=(note, "the channel sum cancels: no coupling survives") + extra,
         )
-    if model.num_inputs != 1:
-        raise ValueError(
-            "the scalar-weight criteria need single-input nodes, got "
-            f"{model.num_inputs} inputs"
-        )
     report = analyze(reduced, graph, driven, tol)
     return dataclasses.replace(report, notes=report.notes + (note,))
 
@@ -375,38 +376,35 @@ def laplacian_leader_controllability(
     trials: int = 3,
     rng: RandomSource = RandomSource(0),
     tol: ToleranceConfig = DEFAULT_TOL,
-    weight_scale: float = 1.0,
 ) -> bool:
     """Single-leader controllability of -L on a connected undirected graph.
 
-    Samples generic scalar weights, builds the weighted Laplacian, and
-    measures the controllable subspace of the pair (-L, e_leader) with an
-    orthogonal staircase. On a connected undirected graph this holds for
-    almost every weight draw, so every trial is expected to pass; returns
-    True only if all do.
+    Scalar integrator nodes (A = 0, B = C = 1) make the lumped pair
+    (-L, Delta) with Delta selecting the leader, so this is the Monte Carlo
+    certificate on that network: True only if every trial is controllable.
+    On a connected undirected graph that holds for almost every weight
+    draw. A trial that fails numerically raises NumericError.
     """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
     if graph.has_directed_edges():
         raise PremiseError("leader controllability is stated for undirected graphs")
     if not 1 <= leader <= graph.num_vertices:
         raise ValueError(
             f"leader {leader} outside the vertex range 1..{graph.num_vertices}"
         )
-    reach = _reachability_record(graph, DrivenSet(frozenset({leader})))
+    driven = DrivenSet(frozenset({leader}))
+    reach = _reachability_record(graph, driven)
     if not reach.holds:
         raise PremiseError(
             "graph is not connected: vertices "
             f"{list(reach.witness['unreachable_vertices'])} "
             "are cut off from the leader"
         )
-    leader_input = np.eye(graph.num_vertices)[:, leader - 1]
-    for t in range(trials):
-        w = sample_weights(graph, (1, 1), rng.derive(t), weight_scale)
-        lap = matrix_laplacian(graph, w)
-        if controllable_dimension(-lap, leader_input, tol) < graph.num_vertices:
-            return False
-    return True
+    integrator = SubsystemModel([[0.0]], [[1.0]], [[1.0]])
+    cert = certify_monte_carlo(integrator, graph, driven, trials, rng, tol)
+    for trial in cert.per_trial:
+        if trial.error is not None:
+            raise NumericError(trial.error)
+    return all(trial.controllable for trial in cert.per_trial)
 
 
 @dataclass(frozen=True)
@@ -504,35 +502,29 @@ def rank_condition_check(
 
     For a structurally controllable single-input network the sampled
     maximum rank must reach full row rank at every distinct eigenvalue of
-    A. Eigenvalues are deduplicated within the matching tolerance; each one
-    gets its own derived sample stream.
+    A. Eigenvalues are deduplicated within the matching tolerance. Trial t
+    samples weights from ``rng.derive(t)``, as the certificate does, and
+    tests every eigenvalue on that one assembled pair.
     """
     require_valid(model)
     if model.num_inputs != 1:
         raise ValueError("the rank condition is stated for single-input nodes")
+    if trials < 1:
+        raise ValueError(f"the rank condition needs at least one trial, got {trials}")
     driven.validate_for(graph)
 
-    n = model.order
-    n_vertices = graph.num_vertices
-    r = model.num_outputs
-    m = graph.num_edges
-    required = n_vertices * n
-    b_sys = kron(driven.delta(n_vertices), model.b)
+    required = graph.num_vertices * model.order
     eye_sys = np.eye(required)
     distinct = dedupe_eigenvalues(eigenvalues(model.a), tol)
-
-    def assemble(s: np.ndarray) -> np.ndarray:
-        w = MatrixWeights.from_edge_arrays(graph, s.reshape(m, 1, r), shape=(1, r))
-        return assemble_lumped(model, graph, w, driven).a_sys
-
-    details: list[RankCheckDetail] = []
-    all_ok = True
-    for i, lam in enumerate(distinct):
-        def matfn(s, lam=lam):
-            return np.hstack([lam * eye_sys - assemble(s), b_sys])
-
-        got = generic_rank(matfn, m * r, trials, rng.derive(i), tol)
-        ok = got == required
-        details.append(RankCheckDetail(complex(lam), got, required, ok))
-        all_ok = all_ok and ok
-    return all_ok, tuple(details)
+    best = [0] * len(distinct)
+    for t in range(trials):
+        w = sample_weights(graph, (1, model.num_outputs), rng.derive(t))
+        lumped = assemble_lumped(model, graph, w, driven)
+        for i, lam in enumerate(distinct):
+            pencil = np.hstack([lam * eye_sys - lumped.a_sys, lumped.b_sys])
+            best[i] = max(best[i], numerical_rank(pencil, tol))
+    details = tuple(
+        RankCheckDetail(complex(lam), got, required, got == required)
+        for lam, got in zip(distinct, best)
+    )
+    return all(d.ok for d in details), details

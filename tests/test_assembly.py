@@ -296,10 +296,10 @@ class TestSampledWeights:
 
     def test_entries_bounded_away_from_zero(self):
         g = chain_graph(5)
-        w = sample_weights(g, (2, 3), RandomSource(3), scale=2.0)
+        w = sample_weights(g, (2, 3), RandomSource(3))
         for e in g.edges:
             mags = np.abs(w.block(e))
-            assert np.all(mags >= 0.2 - 1e-12) and np.all(mags <= 2.0 + 1e-12)
+            assert np.all(mags >= 0.1 - 1e-12) and np.all(mags <= 1.0 + 1e-12)
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: exit codes, schemas, reproducibility."""
 
+import dataclasses
+import inspect
 import json
 import subprocess
 import sys
@@ -737,7 +739,9 @@ class TestPackaging:
 
     def test_public_names_resolve(self):
         import diffnet
+        import diffnet.numerics
         import diffnet.problem_io
+        import diffnet.topology
         import diffnet.verdict
 
         for name in diffnet.__all__:
@@ -746,6 +750,24 @@ class TestPackaging:
             assert not hasattr(module, "analyze_simo")
             assert not hasattr(module, "analyze_mimo")
         assert not hasattr(diffnet.problem_io, "analysis_from_json")
+        assert not hasattr(diffnet.numerics, "generic_rank")
+        assert not hasattr(diffnet.numerics, "DEFAULT_GENERIC_RANK_TRIALS")
+        assert not hasattr(diffnet.verdict, "generic_rank")
+        for fn in (
+            diffnet.certify_monte_carlo,
+            diffnet.laplacian_leader_controllability,
+            diffnet.sample_weights,
+            diffnet.numerics.sample_away_from_zero,
+        ):
+            params = inspect.signature(fn).parameters
+            assert "weight_scale" not in params and "scale" not in params, fn
+        fields = {f.name for f in dataclasses.fields(diffnet.topology.IncidenceRealization)}
+        assert "oriented" not in fields
+        assert [f.name for f in dataclasses.fields(diffnet.LumpedSystem)] == [
+            "a_sys",
+            "b_sys",
+        ]
+        assert "mass" not in {f.name for f in dataclasses.fields(diffnet.MassSpringChain)}
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_dump_json_rejects_non_finite(self, bad):

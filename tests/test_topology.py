@@ -201,12 +201,11 @@ class TestIncidence:
                 assert np.isclose(lap[e.u - 1, e.v - 1], -w[idx])
 
     def test_orientation_policy_recorded(self):
-        g = NetworkGraph(3, (Edge(2, 1), Edge(2, 3, DIRECTED)))
-        real = incidence_matrices(g)
         # undirected edges run from the lower to the higher vertex id
-        assert real.oriented[0] == (1, 2, UNDIRECTED)
+        assert Edge(2, 1).oriented() == (1, 2)
         # directed edges keep their own direction
-        assert real.oriented[1] == (2, 3, DIRECTED)
+        assert Edge(2, 3, DIRECTED).oriented() == (2, 3)
+        assert Edge(3, 2, DIRECTED).oriented() == (3, 2)
 
     def test_weight_count_mismatch_rejected(self):
         g = NetworkGraph(2, (Edge(1, 2),))

@@ -314,8 +314,8 @@ def cmd_lump(args) -> int:
         "$schema": LUMP_SCHEMA,
         "tool": {"name": "diffnet", "version": __version__},
         "input": {"sha256": digest},
-        "a_sys": a_sys.tolist(),
-        "b_sys": lumped.b_sys.tolist(),
+        "a_sys": a_sys,
+        "b_sys": lumped.b_sys,
         "weights": weights_to_json(graph, weights),
         "sampled": sampled,
         "seed": seed,

@@ -346,13 +346,44 @@ def weights_to_json(graph: NetworkGraph, weights: MatrixWeights) -> dict:
     }
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+_ZERO_TEXT = np.array(["0.0", "-0.0"], dtype=object)
+
+
+def _encode_matrix(arr: np.ndarray) -> str:
+    """JSON text of a non-empty 2-D float64 array, byte-identical to
+    encoding ``arr.tolist()``: zeros are written by sign bit, and only the
+    nonzero entries go through float repr."""
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("Out of range float values are not JSON compliant")
+    text = _ZERO_TEXT.take(np.signbit(arr).view(np.uint8))
+    nonzero = arr != 0
+    text[nonzero] = list(map(float.__repr__, arr[nonzero].tolist()))
+    # bracket each row at its ends so that one join over all entries suffices
+    text[:, 0] = ["[" + t for t in text[:, 0].tolist()]
+    text[:, -1] = [t + "]" for t in text[:, -1].tolist()]
+    return "[" + ",".join(text.ravel().tolist()) + "]"
+
+
+def _encode_value(value) -> str:
+    if isinstance(value, np.ndarray):
+        if value.ndim == 2 and value.dtype == np.float64 and value.size:
+            return _encode_matrix(value)
+        value = value.tolist()
+    return _ENCODER.encode(value)
+
+
 def dump_json(doc: dict) -> str:
     """Canonical serialization: key-sorted, compact, newline-terminated.
 
     Byte-identical output for equal documents, so fixed-seed runs are
     reproducible at the file level. NaN and infinities raise ValueError:
-    RFC 8259 JSON has no token for them.
+    RFC 8259 JSON has no token for them. A top-level ndarray value is
+    encoded in place, with the same bytes as its ``tolist()`` form; a 2-D
+    float one skips the generic encoder's per-element pass. Every other
+    value goes through the standard library encoder whole.
     """
-    return (
-        json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
-    )
+    if not all(isinstance(k, str) for k in doc):
+        return _ENCODER.encode(doc) + "\n"
+    members = (_ENCODER.encode(k) + ":" + _encode_value(doc[k]) for k in sorted(doc))
+    return "{" + ",".join(members) + "}\n"

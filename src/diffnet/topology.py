@@ -59,9 +59,10 @@ class NetworkGraph:
                     )
             if e.u == e.v:
                 raise ValueError(f"self-loop at vertex {e.u} is not allowed")
-            if e.key() in seen_keys:
+            key = e.key()
+            if key in seen_keys:
                 raise ValueError(f"duplicate edge between {e.u} and {e.v}")
-            pair = (min(e.u, e.v), max(e.u, e.v))
+            pair = (e.u, e.v) if e.u < e.v else (e.v, e.u)
             kinds = pair_kinds.setdefault(pair, set())
             # one weight per vertex pair: an undirected edge may not share its
             # pair with any other edge; opposite directed edges may coexist
@@ -71,7 +72,7 @@ class NetworkGraph:
                     "an undirected edge cannot share its pair with another edge"
                 )
             kinds.add(e.kind)
-            seen_keys.add(e.key())
+            seen_keys.add(key)
 
     @property
     def num_edges(self) -> int:

@@ -246,35 +246,22 @@ def analyze(
     return AnalysisReport(verdict, "3", conditions, notes=notes)
 
 
-def certify_monte_carlo(
+def _sampled_trials(
     model: SubsystemModel,
     graph: NetworkGraph,
     driven: DrivenSet,
-    trials: int = DEFAULT_CERTIFY_TRIALS,
-    rng: RandomSource = RandomSource(0),
-    tol: ToleranceConfig = DEFAULT_TOL,
+    trials: int,
+    rng: RandomSource,
+    tol: ToleranceConfig,
     a_shift: np.ndarray | None = None,
-    analysis: AnalysisReport | None = None,
-) -> CertificationReport:
-    """Monte Carlo controllability oracle over sampled weights.
-
-    Each trial derives its own stream from the source, samples one generic
-    weight per edge, assembles the lumped pair, and measures its controllable
-    subspace with an orthogonal staircase; the states outside it are the
-    trial's ``deficient_count``. ``a_shift`` (added to the assembled state
-    matrix before testing) accommodates grounding-style modifications. Numeric
-    failures are recorded per trial and never abort the run.
-    """
+) -> tuple[TrialResult, ...]:
+    """The trials of ``certify_monte_carlo``, without the verdict comparison."""
     if trials < 1:
         raise ValueError(f"certification needs at least one trial, got {trials}")
     require_valid(model)
     driven.validate_for(graph)
-    if analysis is None:
-        analysis = analyze(model, graph, driven, tol)
-
     p, r = model.num_inputs, model.num_outputs
     per: list[TrialResult] = []
-    any_ok = False
     for t in range(trials):
         src = rng.derive(t)
         try:
@@ -292,12 +279,36 @@ def certify_monte_carlo(
             deficient = a_sys.shape[0] - controllable_dimension(
                 a_sys, lumped.b_sys, tol
             )
-            controllable = deficient == 0
-            per.append(TrialResult(src.stream_id, controllable, deficient))
-            any_ok = any_ok or controllable
+            per.append(TrialResult(src.stream_id, deficient == 0, deficient))
         except NumericError as exc:
             per.append(TrialResult(src.stream_id, None, None, str(exc)))
+    return tuple(per)
 
+
+def certify_monte_carlo(
+    model: SubsystemModel,
+    graph: NetworkGraph,
+    driven: DrivenSet,
+    trials: int = DEFAULT_CERTIFY_TRIALS,
+    rng: RandomSource = RandomSource(0),
+    tol: ToleranceConfig = DEFAULT_TOL,
+    a_shift: np.ndarray | None = None,
+    analysis: AnalysisReport | None = None,
+) -> CertificationReport:
+    """Monte Carlo controllability oracle over sampled weights.
+
+    Each trial derives its own stream from the source, samples one generic
+    weight per edge, assembles the lumped pair, and measures its controllable
+    subspace with an orthogonal staircase; the states outside it are the
+    trial's ``deficient_count``. ``a_shift`` (added to the assembled state
+    matrix before testing) accommodates grounding-style modifications. Numeric
+    failures are recorded per trial and never abort the run. The trials are
+    compared with ``analysis``, computed by ``analyze`` when not given.
+    """
+    per = _sampled_trials(model, graph, driven, trials, rng, tol, a_shift)
+    if analysis is None:
+        analysis = analyze(model, graph, driven, tol)
+    any_ok = any(t.controllable for t in per)
     if analysis.verdict is Verdict.CONTROLLABLE:
         agree = any_ok
     elif analysis.verdict is Verdict.NOT_CONTROLLABLE:
@@ -306,7 +317,7 @@ def certify_monte_carlo(
         agree = True
     return CertificationReport(
         trials=trials,
-        per_trial=tuple(per),
+        per_trial=per,
         any_controllable=any_ok,
         compared_verdict=analysis.verdict.value,
         agree_with_verdict=agree,
@@ -380,8 +391,9 @@ def laplacian_leader_controllability(
     """Single-leader controllability of -L on a connected undirected graph.
 
     Scalar integrator nodes (A = 0, B = C = 1) make the lumped pair
-    (-L, Delta) with Delta selecting the leader, so this is the Monte Carlo
-    certificate on that network: True only if every trial is controllable.
+    (-L, Delta) with Delta selecting the leader, so this runs the Monte
+    Carlo certificate's trials on that network, with no verdict to compare:
+    True only if every trial is controllable.
     On a connected undirected graph that holds for almost every weight
     draw. A trial that fails numerically raises NumericError.
     """
@@ -400,11 +412,11 @@ def laplacian_leader_controllability(
             "are cut off from the leader"
         )
     integrator = SubsystemModel([[0.0]], [[1.0]], [[1.0]])
-    cert = certify_monte_carlo(integrator, graph, driven, trials, rng, tol)
-    for trial in cert.per_trial:
+    per = _sampled_trials(integrator, graph, driven, trials, rng, tol)
+    for trial in per:
         if trial.error is not None:
             raise NumericError(trial.error)
-    return all(trial.controllable for trial in cert.per_trial)
+    return all(trial.controllable for trial in per)
 
 
 @dataclass(frozen=True)

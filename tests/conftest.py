@@ -9,8 +9,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from diffnet.assembly import MatrixWeights
 from diffnet.subsystem import SubsystemModel, check_controllable, check_observable
-from diffnet.topology import DIRECTED, UNDIRECTED, DrivenSet, Edge, NetworkGraph
+from diffnet.topology import (
+    DIRECTED,
+    UNDIRECTED,
+    DrivenSet,
+    Edge,
+    NetworkGraph,
+    incidence_matrices,
+)
 from diffnet.verdict import Verdict
 
 ACCEPTANCE_LINES: list[str] = []
@@ -177,6 +185,25 @@ def unobservable_model(
     c = np.zeros((num_outputs, order))
     c[:, : order - 1] = gen.normal(size=(num_outputs, order - 1))
     return SubsystemModel(a, b, c)
+
+
+def dense_edgewise_state_matrix(
+    model: SubsystemModel, graph: NetworkGraph, weights: MatrixWeights
+) -> np.ndarray:
+    """Reference edgewise route: I kron A + (K kron B) diag(W_e) (K_I kron C).
+
+    Dense Kronecker products around the block diagonal of the edge weights,
+    on the incidence realization; O((nN)^3).
+    """
+    real = incidence_matrices(graph)
+    p, r = weights.shape
+    m = graph.num_edges
+    blkdiag = np.zeros((m * p, m * r))
+    for idx, e in enumerate(graph.edges):
+        blkdiag[idx * p : (idx + 1) * p, idx * r : (idx + 1) * r] = weights.block(e)
+    return np.kron(np.eye(graph.num_vertices), model.a) + np.kron(
+        real.injection, model.b
+    ) @ blkdiag @ np.kron(real.incidence, model.c)
 
 
 def verdict_bool(verdict: Verdict) -> bool:

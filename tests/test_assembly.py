@@ -1,9 +1,18 @@
 """Weighted Laplacians, lumped assembly routes, and the physical chain builder."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from conftest import random_connected_graph, random_driven, random_model
+import diffnet.assembly
+from conftest import (
+    dense_edgewise_state_matrix,
+    random_connected_graph,
+    random_driven,
+    random_graph,
+    random_model,
+)
 from diffnet.assembly import (
     MatrixWeights,
     _require_close,
@@ -18,7 +27,15 @@ from diffnet.assembly import (
 from diffnet.errors import ConsistencyError, ModelValidationError
 from diffnet.numerics import RandomSource, kron
 from diffnet.subsystem import SubsystemModel
-from diffnet.topology import DIRECTED, DrivenSet, Edge, NetworkGraph
+from diffnet.topology import (
+    DIRECTED,
+    UNDIRECTED,
+    DrivenSet,
+    Edge,
+    IncidenceRealization,
+    NetworkGraph,
+    incidence_matrices,
+)
 
 
 def chain_graph(n: int) -> NetworkGraph:
@@ -260,6 +277,58 @@ class TestMatrixWeightAssembly:
     def test_cross_check_rejects_nan_deviation(self):
         with pytest.raises(ConsistencyError, match="disagree"):
             _require_close("x", np.array([[np.nan]]), np.array([[1.0]]), 1e-9)
+
+
+class TestEdgewiseRoute:
+    def test_matches_dense_kronecker_reference(self, monkeypatch):
+        routes = []
+
+        def capture(name, first, second, rtol):
+            routes.append(second)
+            _require_close(name, first, second, rtol)
+
+        monkeypatch.setattr(diffnet.assembly, "_require_close", capture)
+        gen = np.random.default_rng(2024)
+        kinds, antiparallel = set(), 0
+        for (p, r), case in itertools.product(
+            itertools.product((1, 2, 3), repeat=2), range(6)
+        ):
+            if case == 0:
+                g = NetworkGraph(1)
+            elif case == 1:
+                g = NetworkGraph(int(gen.integers(2, 5)))
+            else:
+                g = random_graph(gen, int(gen.integers(2, 7)), edge_prob=0.7)
+            kinds.update(e.kind for e in g.edges)
+            directed = {(e.u, e.v) for e in g.edges if e.kind == DIRECTED}
+            antiparallel += sum((v, u) in directed for u, v in directed)
+            model = random_model(gen, int(gen.integers(1, 4)), r, num_inputs=p)
+            weights = sample_weights(g, (p, r), RandomSource(int(gen.integers(1 << 30))))
+            routes.clear()
+            assemble_lumped(model, g, weights, random_driven(gen, g.num_vertices))
+            (edge_route,) = routes
+            reference = dense_edgewise_state_matrix(model, g, weights)
+            scale = max(1.0, float(np.max(np.abs(reference))))
+            assert np.max(np.abs(edge_route - reference)) <= 1e-12 * scale
+        assert kinds == {UNDIRECTED, DIRECTED} and antiparallel > 0
+
+    def test_flipped_injection_sign_is_caught(self, monkeypatch):
+        def flipped(graph):
+            real = incidence_matrices(graph)
+            injection = real.injection.copy()
+            idx = next(k for k, e in enumerate(graph.edges) if e.kind == UNDIRECTED)
+            injection[:, idx] *= -1.0
+            return IncidenceRealization(real.incidence, injection)
+
+        monkeypatch.setattr(diffnet.assembly, "incidence_matrices", flipped)
+        g = NetworkGraph(3, (Edge(1, 2, DIRECTED), Edge(2, 3)))
+        with pytest.raises(ConsistencyError, match="disagree"):
+            assemble_lumped(
+                double_integrator(),
+                g,
+                rows(g, [[1.0, 0.5], [2.0, 0.3]]),
+                DrivenSet(frozenset({1})),
+            )
 
 
 class TestFactorizedForm:

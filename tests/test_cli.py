@@ -769,7 +769,49 @@ class TestPackaging:
         ]
         assert "mass" not in {f.name for f in dataclasses.fields(diffnet.MassSpringChain)}
 
+    def test_dump_json_encodes_arrays_as_their_lists(self):
+        gen = np.random.default_rng(6)
+        special = np.array(
+            [
+                [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310],
+                [1e300, -1e300, 1e-300, -1e-300, 0.1 + 0.2, 1 / 3],
+                [1.0, -3.0, 2.0**53, 1e16, 123456789.0, -0.5],
+            ]
+        )
+        scattered = gen.normal(size=(7, 9)) * 10.0 ** gen.integers(-30, 30, size=(7, 9))
+        scattered[gen.random((7, 9)) < 0.3] = 0.0
+        scattered[gen.random((7, 9)) < 0.3] = -0.0
+        arrays = [
+            special,
+            special.T,
+            scattered,
+            special[:1],
+            special[:, :1],
+            np.zeros((1, 1)),
+            np.full((1, 1), -0.0),
+            np.zeros((0, 3)),
+            np.zeros((3, 0)),
+            np.arange(6).reshape(2, 3),
+            np.array([1.5, -0.0, 0.1]),
+        ]
+
+        def document(matrix):
+            return {
+                "z": matrix,
+                "a": {"n": [1, {"k": 2.5}], "\u00e9": "x", "m": [[0.1, -0.0]]},
+                "b": None,
+                "\u00e9": matrix,
+            }
+
+        for arr in arrays:
+            expected = json.dumps(
+                document(arr.tolist()), sort_keys=True, separators=(",", ":")
+            )
+            assert dump_json(document(arr)) == expected + "\n", arr
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_dump_json_rejects_non_finite(self, bad):
         with pytest.raises(ValueError):
             dump_json({"a": [1.0, bad]})
+        with pytest.raises(ValueError):
+            dump_json({"a": None, "m": np.array([[1.0, 0.0], [-0.0, bad]])})

@@ -400,6 +400,18 @@ class TestLeaderControllability:
         with pytest.raises(ValueError):
             laplacian_leader_controllability(chain_graph(2), 1, trials=0)
 
+    def test_runs_no_verdict(self, monkeypatch):
+        calls = []
+        real_analyze = diffnet.verdict.analyze
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real_analyze(*args, **kwargs)
+
+        monkeypatch.setattr(diffnet.verdict, "analyze", counted)
+        assert laplacian_leader_controllability(chain_graph(4), 2)
+        assert calls == []
+
     def test_staircase_failure_raises_numeric_error(self, monkeypatch):
         svd = np.linalg.svd
 

@@ -366,10 +366,13 @@ def _encode_matrix(arr: np.ndarray) -> str:
 
 
 def _encode_value(value) -> str:
-    if isinstance(value, np.ndarray):
-        if value.ndim == 2 and value.dtype == np.float64 and value.size:
-            return _encode_matrix(value)
-        value = value.tolist()
+    if (
+        isinstance(value, np.ndarray)
+        and value.ndim == 2
+        and value.dtype == np.float64
+        and value.size
+    ):
+        return _encode_matrix(value)
     return _ENCODER.encode(value)
 
 
@@ -378,12 +381,10 @@ def dump_json(doc: dict) -> str:
 
     Byte-identical output for equal documents, so fixed-seed runs are
     reproducible at the file level. NaN and infinities raise ValueError:
-    RFC 8259 JSON has no token for them. A top-level ndarray value is
-    encoded in place, with the same bytes as its ``tolist()`` form; a 2-D
-    float one skips the generic encoder's per-element pass. Every other
-    value goes through the standard library encoder whole.
+    RFC 8259 JSON has no token for them. A top-level non-empty 2-D float64
+    ndarray value is encoded in place, with the same bytes as its
+    ``tolist()`` form but without the generic encoder's per-element pass.
+    Every other value goes through the standard library encoder whole.
     """
-    if not all(isinstance(k, str) for k in doc):
-        return _ENCODER.encode(doc) + "\n"
     members = (_ENCODER.encode(k) + ":" + _encode_value(doc[k]) for k in sorted(doc))
     return "{" + ",".join(members) + "}\n"

@@ -305,9 +305,9 @@ def certify_monte_carlo(
     failures are recorded per trial and never abort the run. The trials are
     compared with ``analysis``, computed by ``analyze`` when not given.
     """
-    per = _sampled_trials(model, graph, driven, trials, rng, tol, a_shift)
     if analysis is None:
         analysis = analyze(model, graph, driven, tol)
+    per = _sampled_trials(model, graph, driven, trials, rng, tol, a_shift)
     any_ok = any(t.controllable for t in per)
     if analysis.verdict is Verdict.CONTROLLABLE:
         agree = any_ok

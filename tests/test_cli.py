@@ -789,10 +789,6 @@ class TestPackaging:
             special[:, :1],
             np.zeros((1, 1)),
             np.full((1, 1), -0.0),
-            np.zeros((0, 3)),
-            np.zeros((3, 0)),
-            np.arange(6).reshape(2, 3),
-            np.array([1.5, -0.0, 0.1]),
         ]
 
         def document(matrix):

@@ -6,11 +6,17 @@ nodes are the p = 1 case: a 1 x r row, one scalar weight per coupling
 channel. The assembled network state matrix couples N copies of the node
 dynamics through the block Laplacian; the assembler computes it along two
 independent routes and insists they agree. The direct route,
-I kron A - (I kron B) L_m (I kron C), is the emitted matrix. The edgewise
-route, I kron A + sum_e (K[:, e] K_I[e, :]) kron (B W_e C), reads the
-incidence realization and places one n x n block per edge at the at most
-four block positions its incidence entries select, at O(M n^3 + (nN)^2)
-cost for M edges instead of the O((nN)^3) of dense Kronecker products.
+I kron A - (I kron B) L_m (I kron C), is the emitted matrix. L_m has the
+sparsity of the graph: N diagonal blocks and one off-diagonal block per
+edge and direction, at most N + 2M blocks for M edges. The route starts
+from A on the diagonal blocks and subtracts (B L_ij) C at those blocks
+only, in two BLAS products over all of them side by side, at
+O((N + M) n r (n + p) + (nN)^2) cost for nodes of order n; the dense
+Kronecker products cost O((nN)^3). Every other block is exactly 0.0. The
+edgewise route, I kron A + sum_e (K[:, e] K_I[e, :]) kron (B W_e C), reads
+the incidence realization and places one n x n block per edge at the at
+most four block positions its incidence entries select, at
+O(M n^3 + (nN)^2) cost.
 """
 
 from __future__ import annotations
@@ -86,6 +92,22 @@ def check_weights(graph: NetworkGraph, weights: MatrixWeights) -> None:
         raise ValueError(f"weights missing for edges: {sorted(missing)}")
 
 
+def _laplacian_terms(graph: NetworkGraph):
+    """Block position, sign and edge index of every term of the block
+    Laplacian, in edge order: an edge feeding v from u adds -W at (v, u)
+    and +W at (v, v), and an undirected one also -W at (u, v) and +W at
+    (u, u). Positions are 0-based vertex indices."""
+    u = np.array([e.u - 1 for e in graph.edges], dtype=np.intp)
+    v = np.array([e.v - 1 for e in graph.edges], dtype=np.intp)
+    both = np.array([e.kind == UNDIRECTED for e in graph.edges], dtype=bool)
+    keep = np.column_stack([np.ones_like(both), np.ones_like(both), both, both])
+    row = np.column_stack([v, v, u, u])[keep]
+    col = np.column_stack([u, v, v, u])[keep]
+    sign = np.broadcast_to([-1.0, 1.0, -1.0, 1.0], keep.shape)[keep]
+    edge = np.broadcast_to(np.arange(graph.num_edges)[:, None], keep.shape)[keep]
+    return row, col, sign, edge
+
+
 def matrix_laplacian(graph: NetworkGraph, weights: MatrixWeights) -> np.ndarray:
     """Block Laplacian of shape (N * p) x (N * r).
 
@@ -93,26 +115,17 @@ def matrix_laplacian(graph: NetworkGraph, weights: MatrixWeights) -> np.ndarray:
     its row's weights. W_ij is the weight on the edge feeding vertex i from
     vertex j, so a directed edge contributes to its head's block row only.
     With 1 x r blocks, column k::r is the scalar Laplacian of channel k.
+    The terms are added in edge order, one indexed scatter for all edges.
     """
     check_weights(graph, weights)
     p, r = weights.shape
-    lap = np.zeros((graph.num_vertices * p, graph.num_vertices * r))
-
-    def rows(i):
-        return slice(i * p, (i + 1) * p)
-
-    def cols(j):
-        return slice(j * r, (j + 1) * r)
-
-    for e in graph.edges:
-        w = weights.block(e)
-        u, v = e.u - 1, e.v - 1
-        lap[rows(v), cols(u)] -= w
-        lap[rows(v), cols(v)] += w
-        if e.kind == UNDIRECTED:
-            lap[rows(u), cols(v)] -= w
-            lap[rows(u), cols(u)] += w
-    return lap
+    n_vertices = graph.num_vertices
+    lap = np.zeros((n_vertices, p, n_vertices, r))
+    if graph.num_edges:
+        w = np.stack([weights.block(e) for e in graph.edges])
+        row, col, sign, edge = _laplacian_terms(graph)
+        np.add.at(lap, (row, slice(None), col), sign[:, None, None] * w[edge])
+    return lap.reshape(n_vertices * p, n_vertices * r)
 
 
 @dataclass(frozen=True)
@@ -167,6 +180,44 @@ def _edgewise_state_matrix(
     return out.reshape(n_vertices * n, n_vertices * n)
 
 
+def _gemm(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left @ right through BLAS gemm, the kernel of the dense Kronecker
+    form. numpy sends a product with a single row or column to gemv, which
+    rounds otherwise, so such a factor runs doubled and the copy is dropped.
+    """
+    rows, cols = left.shape[0], right.shape[1]
+    if rows == 1:
+        left = np.vstack([left, left])
+    if cols == 1:
+        right = np.hstack([right, right])
+    return (left @ right)[:rows, :cols]
+
+
+def _direct_state_matrix(
+    model: SubsystemModel, graph: NetworkGraph, weights: MatrixWeights
+) -> np.ndarray:
+    """I kron A - (I kron B) L_m (I kron C), formed at the nonzero blocks of
+    L_m only: every diagonal block, and per edge the off-diagonal blocks
+    that carry -W. Every other block stays exactly 0.0.
+    """
+    n_vertices, n = graph.num_vertices, model.order
+    p, r = weights.shape
+    row, col, sign, _ = _laplacian_terms(graph)
+    diag = np.arange(n_vertices)
+    i = np.concatenate([diag, row[sign < 0]])
+    j = np.concatenate([diag, col[sign < 0]])
+    l_m = matrix_laplacian(graph, weights).reshape(n_vertices, p, n_vertices, r)
+    out = np.zeros((n_vertices, n, n_vertices, n))
+    out[diag, :, diag, :] = model.a
+    # (B L_ij) C for every nonzero block L_ij: two products over all
+    # blocks side by side, associated as in the dense form
+    blocks = l_m[i, :, j, :].transpose(1, 0, 2).reshape(p, -1)
+    coupled = _gemm(model.b, blocks).reshape(n, -1, r)
+    stacked = coupled.transpose(1, 0, 2).reshape(-1, r)
+    out[i, :, j, :] -= _gemm(stacked, model.c).reshape(-1, n, n)
+    return out.reshape(n_vertices * n, n_vertices * n)
+
+
 def assemble_lumped(
     model: SubsystemModel,
     graph: NetworkGraph,
@@ -175,14 +226,20 @@ def assemble_lumped(
 ) -> LumpedSystem:
     """Lumped pair of the network: N copies of (A, B, C) coupled by the weights.
 
-    Direct route I kron A - (I kron B) L_m (I kron C) cross-checked against
-    the edgewise form I kron A + sum_e (K[:, e] K_I[e, :]) kron (B W_e C)
-    built on the incidence realization (for undirected graphs K = -K_I^T,
-    recovering the familiar incidence-quadratic form); the two must agree
-    to ASSEMBLY_CROSS_CHECK_RTOL. The edgewise route costs O(M n^3 + (nN)^2)
-    for M edges and N vertices of order n, where the dense Kronecker form
-    (K kron B) diag(W_e) (K_I kron C) costs O((nN)^3). Input matrix is
-    Delta kron B.
+    Direct route I kron A - (I kron B) L_m (I kron C), formed block by
+    block: A on the diagonal blocks, minus (B L_ij) C at each nonzero block
+    L_ij of the Laplacian, the products associated as in the dense form.
+    It costs O((N + M) n r (n + p) + (nN)^2) for M edges and N vertices of
+    order n, where the dense Kronecker form costs O((nN)^3). Structural
+    zeros come out as 0.0: the dense form writes -0.0 wherever a zero of a
+    Kronecker factor meets a negative entry of A or B. The route is
+    cross-checked against the edgewise form
+    I kron A + sum_e (K[:, e] K_I[e, :]) kron (B W_e C) built on the
+    incidence realization (for undirected graphs K = -K_I^T, recovering the
+    familiar incidence-quadratic form); the two must agree to
+    ASSEMBLY_CROSS_CHECK_RTOL. The edgewise route costs O(M n^3 + (nN)^2).
+    Input matrix is Delta kron B, written as B at the driven diagonal
+    blocks.
     """
     require_valid(model)
     p, r = weights.shape
@@ -193,14 +250,9 @@ def assemble_lumped(
         )
     driven.validate_for(graph)
 
-    n_vertices = graph.num_vertices
-    eye_n = np.eye(n_vertices)
-    a, b, c = model.a, model.b, model.c
-
     # finite weights can still overflow; the result is checked just below
     with np.errstate(over="ignore", invalid="ignore"):
-        l_m = matrix_laplacian(graph, weights)
-        a_direct = kron(eye_n, a) - kron(eye_n, b) @ l_m @ kron(eye_n, c)
+        a_direct = _direct_state_matrix(model, graph, weights)
         a_edge = _edgewise_state_matrix(model, graph, weights)
     if not np.all(np.isfinite(a_direct)):
         raise ValueError(
@@ -209,8 +261,11 @@ def assemble_lumped(
         )
     _require_close("lumped state matrix", a_direct, a_edge, ASSEMBLY_CROSS_CHECK_RTOL)
 
-    b_sys = kron(driven.delta(n_vertices), b)
-    return LumpedSystem(a_direct, b_sys)
+    n_vertices, n = graph.num_vertices, model.order
+    b_sys = np.zeros((n_vertices, n, n_vertices, p))
+    driven_idx = np.array(sorted(driven.driven), dtype=np.intp) - 1
+    b_sys[driven_idx, :, driven_idx, :] = model.b
+    return LumpedSystem(a_direct, b_sys.reshape(n_vertices * n, n_vertices * p))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ consistency failure or unexpected error, 74 output write failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -164,9 +165,15 @@ def _write_output(out_path: str | None, payload: str) -> None:
         sys.stdout.write(payload)
         return
     tmp = f"{out_path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(payload)
-    os.replace(tmp, out_path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+        os.replace(tmp, out_path)
+    except OSError:
+        # a failed write or rename leaves no partial report behind
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _emit(args, doc: dict, text: str) -> None:

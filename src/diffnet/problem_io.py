@@ -340,29 +340,66 @@ def report_document(
 def weights_to_json(graph: NetworkGraph, weights: MatrixWeights) -> dict:
     return {
         "edges": [
-            {"u": e.u, "v": e.v, "kind": e.kind, "W": _jsonable(weights.block(e))}
+            {"u": e.u, "v": e.v, "kind": e.kind, "W": weights.block(e).tolist()}
             for e in graph.edges
         ]
     }
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
-_ZERO_TEXT = np.array(["0.0", "-0.0"], dtype=object)
+
+
+def _prefixes(template: str, lengths: np.ndarray) -> np.ndarray:
+    """``template[:n]`` for each n in ``lengths``, one string object per
+    distinct n."""
+    distinct, index = np.unique(lengths, return_inverse=True)
+    return np.array([template[:n] for n in distinct.tolist()], dtype=object)[index]
 
 
 def _encode_matrix(arr: np.ndarray) -> str:
     """JSON text of a non-empty 2-D float64 array, byte-identical to
-    encoding ``arr.tolist()``: zeros are written by sign bit, and only the
-    nonzero entries go through float repr."""
+    encoding ``arr.tolist()``.
+
+    Only the entries other than 0.0, -0.0 included, go through float repr,
+    once per distinct value. The rest of the text is references to strings
+    shared across the matrix: a row of 0.0 entries, or one run of them per
+    length, so that no string is made per gap between two entries.
+    """
     if not np.all(np.isfinite(arr)):
         raise ValueError("Out of range float values are not JSON compliant")
-    text = _ZERO_TEXT.take(np.signbit(arr).view(np.uint8))
-    nonzero = arr != 0
-    text[nonzero] = list(map(float.__repr__, arr[nonzero].tolist()))
-    # bracket each row at its ends so that one join over all entries suffices
-    text[:, 0] = ["[" + t for t in text[:, 0].tolist()]
-    text[:, -1] = [t + "]" for t in text[:, -1].tolist()]
-    return "[" + ",".join(text.ravel().tolist()) + "]"
+    n_rows, n_cols = arr.shape
+    bits = arr.ravel().view(np.uint64)
+    flat = np.flatnonzero(bits)  # every entry but 0.0, in row-major order
+    distinct, which = np.unique(bits[flat], return_inverse=True)
+    texts = list(map(float.__repr__, distinct.view(np.float64).tolist()))
+    row, col = divmod(flat, n_cols)
+    first = np.ones(flat.size, dtype=bool)
+    first[1:] = row[1:] != row[:-1]
+    last = np.ones(flat.size, dtype=bool)
+    last[:-1] = first[1:]
+    # a row holding such entries is "[", then per entry the run of "0.0,"
+    # since the row start, or "," and the run since the previous entry,
+    # and the entry itself, then the run of ",0.0" to the row end and "]"
+    leads = np.empty(flat.size, dtype=object)
+    leads[first] = _prefixes("[" + "0.0," * n_cols, 4 * col[first] + 1)
+    leads[~first] = _prefixes("," + "0.0," * n_cols, 4 * np.diff(col)[~first[1:]] - 3)
+    ends = _prefixes(",0.0" * n_cols, 4 * (n_cols - 1 - col[last]))
+    # each row takes a slot for the separator before it, then one for a
+    # row of 0.0 entries, or two per entry and two for its end
+    per_row = np.bincount(row, minlength=n_rows)
+    slots = 1 + np.where(per_row, 2 * per_row + 2, 1)
+    offset = np.cumsum(slots) - slots
+    parts = np.empty(slots.sum() + 1, dtype=object)
+    parts[offset] = ","
+    parts[0], parts[-1] = "[", "]"
+    parts[offset[per_row == 0] + 1] = "[" + "0.0," * (n_cols - 1) + "0.0]"
+    rank = np.arange(flat.size) - (np.cumsum(per_row) - per_row)[row]  # place in its row
+    slot = offset[row] + 1 + 2 * rank
+    parts[slot] = leads
+    parts[slot + 1] = np.array(texts, dtype=object)[which]
+    parts[slot[last] + 2] = ends
+    parts[slot[last] + 3] = "]"
+    return "".join(parts.tolist())
 
 
 def _encode_value(value) -> str:
@@ -383,8 +420,12 @@ def dump_json(doc: dict) -> str:
     reproducible at the file level. NaN and infinities raise ValueError:
     RFC 8259 JSON has no token for them. A top-level non-empty 2-D float64
     ndarray value is encoded in place, with the same bytes as its
-    ``tolist()`` form but without the generic encoder's per-element pass.
-    Every other value goes through the standard library encoder whole.
+    ``tolist()`` form but without the generic encoder's per-element pass:
+    only the entries other than 0.0 are formatted, each distinct value
+    once, and the runs of 0.0 between them are shared strings. For a
+    block-sparse lumped matrix those entries are the few percent in the
+    blocks the graph fills. Every other value goes through the standard
+    library encoder whole.
     """
     members = (_ENCODER.encode(k) + ":" + _encode_value(doc[k]) for k in sorted(doc))
     return "{" + ",".join(members) + "}\n"

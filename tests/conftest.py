@@ -206,6 +206,42 @@ def dense_edgewise_state_matrix(
     ) @ blkdiag @ np.kron(real.incidence, model.c)
 
 
+def loop_matrix_laplacian(graph: NetworkGraph, weights: MatrixWeights) -> np.ndarray:
+    """Reference block Laplacian, built one edge at a time in edge order."""
+    p, r = weights.shape
+    lap = np.zeros((graph.num_vertices * p, graph.num_vertices * r))
+
+    def rows(i):
+        return slice(i * p, (i + 1) * p)
+
+    def cols(j):
+        return slice(j * r, (j + 1) * r)
+
+    for e in graph.edges:
+        w = weights.block(e)
+        u, v = e.u - 1, e.v - 1
+        lap[rows(v), cols(u)] -= w
+        lap[rows(v), cols(v)] += w
+        if e.kind == UNDIRECTED:
+            lap[rows(u), cols(v)] -= w
+            lap[rows(u), cols(u)] += w
+    return lap
+
+
+def dense_direct_state_matrix(
+    model: SubsystemModel, graph: NetworkGraph, weights: MatrixWeights
+) -> np.ndarray:
+    """Reference direct route: I kron A - (I kron B) L_m (I kron C).
+
+    Dense Kronecker products around the loop-built block Laplacian; the
+    structural zeros of the Kronecker factors make -0.0 wherever a zero
+    meets a negative entry.
+    """
+    eye = np.eye(graph.num_vertices)
+    lap = loop_matrix_laplacian(graph, weights)
+    return np.kron(eye, model.a) - np.kron(eye, model.b) @ lap @ np.kron(eye, model.c)
+
+
 def verdict_bool(verdict: Verdict) -> bool:
     assert verdict in (Verdict.CONTROLLABLE, Verdict.NOT_CONTROLLABLE)
     return verdict is Verdict.CONTROLLABLE

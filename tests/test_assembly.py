@@ -7,7 +7,9 @@ import pytest
 
 import diffnet.assembly
 from conftest import (
+    dense_direct_state_matrix,
     dense_edgewise_state_matrix,
+    loop_matrix_laplacian,
     random_connected_graph,
     random_driven,
     random_graph,
@@ -277,6 +279,116 @@ class TestMatrixWeightAssembly:
     def test_cross_check_rejects_nan_deviation(self):
         with pytest.raises(ConsistencyError, match="disagree"):
             _require_close("x", np.array([[np.nan]]), np.array([[1.0]]), 1e-9)
+
+
+def mixed_graphs(gen):
+    """One vertex alone, an edgeless graph and random mixed graphs."""
+    yield NetworkGraph(1)
+    yield NetworkGraph(int(gen.integers(2, 5)))
+    for _ in range(3):
+        yield random_graph(gen, int(gen.integers(6, 9)), edge_prob=0.7)
+
+
+def quarters(gen, shape) -> np.ndarray:
+    """Entries in {-2, -1.75, ..., 2}: every sum of products of a few of
+    them is exact in floating point, whatever order BLAS sums in."""
+    return gen.integers(-8, 9, size=shape) / 4.0
+
+
+def max_degree(graph: NetworkGraph) -> int:
+    degree = np.zeros(graph.num_vertices + 1, dtype=int)
+    for e in graph.edges:
+        degree[[e.u, e.v]] += 1
+    return int(degree.max())
+
+
+class TestDirectRoute:
+    def check_pair(self, lumped, model, graph, driven):
+        """Structural zeros are 0.0: no -0.0 outside the diagonal blocks of
+        A_sys or anywhere in B_sys, which is Delta kron B."""
+        a_sys, b_sys = lumped.a_sys, lumped.b_sys
+        n, nv = model.order, graph.num_vertices
+        off_diagonal = ~np.kron(np.eye(nv, dtype=bool), np.ones((n, n), dtype=bool))
+        assert not np.any(np.signbit(a_sys) & (a_sys == 0) & off_diagonal)
+        assert np.array_equal(b_sys, kron(driven.delta(nv), model.b))
+        assert not np.any(np.signbit(b_sys) & (b_sys == 0))
+
+    def test_matches_dense_kronecker_reference_bit_for_bit(self):
+        gen = np.random.default_rng(77)
+        kinds, antiparallel, degree = set(), 0, 0
+        for (p, r), g in itertools.product(
+            itertools.product((1, 2, 3), repeat=2), list(mixed_graphs(gen))
+        ):
+            kinds.update(e.kind for e in g.edges)
+            directed = {(e.u, e.v) for e in g.edges if e.kind == DIRECTED}
+            antiparallel += sum((v, u) in directed for u, v in directed)
+            degree = max(degree, max_degree(g))
+            n = int(gen.integers(1, 4))
+            c = quarters(gen, (r, n))
+            c[~c.any(axis=1), 0] = 1.0  # no zero output row
+            model = SubsystemModel(quarters(gen, (n, n)), quarters(gen, (n, p)), c)
+            blocks = quarters(gen, (g.num_edges, p, r))
+            weights = MatrixWeights.from_edge_arrays(g, list(blocks), shape=(p, r))
+            driven = random_driven(gen, g.num_vertices)
+            lumped = assemble_lumped(model, g, weights, driven)
+            reference = dense_direct_state_matrix(model, g, weights)
+            # equal floats that are nonzero have equal bits
+            assert np.array_equal(lumped.a_sys, reference)
+            self.check_pair(lumped, model, g, driven)
+        assert kinds == {UNDIRECTED, DIRECTED} and antiparallel > 0 and degree >= 5
+
+    def test_matches_dense_reference_within_rounding(self):
+        """On general floats the two routes may sum an entry's few products
+        in another order; each stays within the classic bound of
+        2 (p + r + 1) eps on the sum of the terms' magnitudes."""
+        gen = np.random.default_rng(78)
+        for (p, r), g in itertools.product(
+            itertools.product((1, 2, 3), repeat=2), list(mixed_graphs(gen))
+        ):
+            model = random_model(gen, int(gen.integers(1, 4)), r, num_inputs=p)
+            weights = sample_weights(g, (p, r), RandomSource(int(gen.integers(1 << 30))))
+            driven = random_driven(gen, g.num_vertices)
+            lumped = assemble_lumped(model, g, weights, driven)
+            reference = dense_direct_state_matrix(model, g, weights)
+            eye = np.eye(g.num_vertices)
+            lap = np.abs(loop_matrix_laplacian(g, weights))
+            magnitude = np.kron(eye, np.abs(model.a)) + (
+                np.kron(eye, np.abs(model.b)) @ lap @ np.kron(eye, np.abs(model.c))
+            )
+            bound = 2 * (p + r + 1) * np.finfo(float).eps * magnitude
+            assert np.all(np.abs(lumped.a_sys - reference) <= bound)
+            self.check_pair(lumped, model, g, driven)
+
+    def test_laplacian_matches_edge_loop_bit_for_bit(self):
+        gen = np.random.default_rng(78)
+        for (p, r), g in itertools.product(
+            itertools.product((1, 2, 3), repeat=2), list(mixed_graphs(gen))
+        ):
+            blocks = gen.normal(size=(g.num_edges, p, r))
+            blocks[gen.random(blocks.shape) < 0.2] = 0.0
+            blocks[gen.random(blocks.shape) < 0.2] = -0.0
+            weights = MatrixWeights.from_edge_arrays(g, list(blocks), shape=(p, r))
+            got = matrix_laplacian(g, weights)
+            reference = loop_matrix_laplacian(g, weights)
+            assert got.shape == reference.shape
+            assert np.array_equal(got.view(np.uint64), reference.view(np.uint64))
+
+    def test_flipped_laplacian_block_is_caught(self, monkeypatch):
+        def flipped(graph, weights):
+            lap = matrix_laplacian(graph, weights)
+            p, r = weights.shape
+            lap[p : 2 * p, 0:r] *= -1.0  # block (2, 1): edge 1 -> 2
+            return lap
+
+        monkeypatch.setattr(diffnet.assembly, "matrix_laplacian", flipped)
+        g = NetworkGraph(3, (Edge(1, 2, DIRECTED), Edge(2, 3)))
+        with pytest.raises(ConsistencyError, match="disagree"):
+            assemble_lumped(
+                double_integrator(),
+                g,
+                rows(g, [[1.0, 0.5], [2.0, 0.3]]),
+                DrivenSet(frozenset({1})),
+            )
 
 
 class TestEdgewiseRoute:

@@ -185,6 +185,16 @@ class TestExitCodes:
         assert code == 74
         assert "write failed" in err
 
+    def test_failed_rename_leaves_no_temporary_file(self, problem_file, capsys, tmp_path):
+        target = tmp_path / "existing-directory"
+        target.mkdir()
+        problem = problem_file(chain_problem())
+        code, _, err = run(capsys, ["lump", problem, "--out", str(target)])
+        assert code == 74
+        assert "write failed" in err
+        left = sorted(p.name for p in tmp_path.iterdir())
+        assert left == ["existing-directory", "problem.json"]
+
     def test_internal_check_failure_exits_seventy(self, problem_file, capsys, monkeypatch):
         def boom(*a, **k):
             raise ConsistencyError("redundant routes disagree")
@@ -781,6 +791,18 @@ class TestPackaging:
         scattered = gen.normal(size=(7, 9)) * 10.0 ** gen.integers(-30, 30, size=(7, 9))
         scattered[gen.random((7, 9)) < 0.3] = 0.0
         scattered[gen.random((7, 9)) < 0.3] = -0.0
+        zero_rows = np.zeros((4, 5))
+        zero_rows[1] = [0.5, 0.0, -0.0, 0.0, -2.0]
+        first_column, last_column = np.zeros((5, 6)), np.zeros((5, 6))
+        first_column[:, 0] = last_column[:, -1] = [1.5, -0.0, -1e-5, 0.0, 3.0]
+        long_runs = np.zeros((1, 500))
+        long_runs[0, [0, 137, 138, 499]] = [-0.25, 7.0, -0.0, 1e22]
+        block_sparse = np.zeros((64, 64))
+        for i in range(0, 64, 4):  # diagonal and a few off-diagonal 4 x 4 blocks
+            block_sparse[i : i + 4, i : i + 4] = gen.normal(size=(4, 4))
+            j = int(gen.integers(0, 16)) * 4
+            block_sparse[i : i + 4, j : j + 4] = gen.normal(size=(4, 4))
+        block_sparse[gen.random((64, 64)) < 0.4] *= -0.0  # runs of -0.0
         arrays = [
             special,
             special.T,
@@ -789,6 +811,13 @@ class TestPackaging:
             special[:, :1],
             np.zeros((1, 1)),
             np.full((1, 1), -0.0),
+            np.zeros((3, 7)),
+            zero_rows,
+            first_column,
+            last_column,
+            long_runs,
+            block_sparse,
+            block_sparse[::-1, ::3],
         ]
 
         def document(matrix):

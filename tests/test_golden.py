@@ -19,6 +19,15 @@ Two hand-written problems pin the other analyzer paths:
 
 The fixed-mode node has an upper-triangular A with integer diagonal, so the
 eigenvalue in its witness is exact whatever LAPACK computes it.
+
+One more pins the lumped pair of a multi-input network:
+
+    diffnet lump mimo.json                 (p = r = 2, file weights)
+
+Its node has negative entries in A and B, and its graph has one directed
+edge and one antiparallel pair. Every entry is a short binary fraction, so
+each product and sum is exact. The report writes every structural zero of
+the block-sparse pair as 0.0, never as -0.0.
 """
 
 from pathlib import Path
@@ -64,3 +73,9 @@ def test_analyzer_path_is_byte_identical(tmp_path, problem, golden, command, cod
     out = tmp_path / golden
     assert main([command, str(GOLDEN / problem), "--out", str(out)]) == code
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_mimo_lump_is_byte_identical(tmp_path):
+    out = tmp_path / "lump_mimo.json"
+    assert main(["lump", str(GOLDEN / "mimo.json"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "lump_mimo.json").read_bytes()

@@ -74,7 +74,7 @@ class MatrixWeights:
             )
         if shape is None:
             shape = arrays[0].shape if arrays else (1, 1)
-        return cls(shape, {e.key(): a for e, a in zip(graph.edges, arrays)})
+        return cls(shape, dict(zip(graph.edge_keys(), arrays)))
 
     def block(self, edge: Edge) -> np.ndarray:
         return self.blocks[edge.key()]
@@ -82,7 +82,7 @@ class MatrixWeights:
 
 def check_weights(graph: NetworkGraph, weights: MatrixWeights) -> None:
     """Reject weights that do not cover the edge set exactly."""
-    expected = {e.key() for e in graph.edges}
+    expected = set(graph.edge_keys())
     got = set(weights.blocks)
     extra = got - expected
     if extra:
@@ -92,17 +92,21 @@ def check_weights(graph: NetworkGraph, weights: MatrixWeights) -> None:
         raise ValueError(f"weights missing for edges: {sorted(missing)}")
 
 
+def _edge_blocks(graph: NetworkGraph, weights: MatrixWeights) -> np.ndarray:
+    """The weight blocks stacked in edge order, shape (M, p, r)."""
+    return np.stack(list(map(weights.blocks.__getitem__, graph.edge_keys())))
+
+
 def _laplacian_terms(graph: NetworkGraph):
     """Block position, sign and edge index of every term of the block
-    Laplacian, in edge order: an edge feeding v from u adds -W at (v, u)
-    and +W at (v, v), and an undirected one also -W at (u, v) and +W at
-    (u, u). Positions are 0-based vertex indices."""
-    u = np.array([e.u - 1 for e in graph.edges], dtype=np.intp)
-    v = np.array([e.v - 1 for e in graph.edges], dtype=np.intp)
-    both = np.array([e.kind == UNDIRECTED for e in graph.edges], dtype=bool)
+    Laplacian, in edge order: an edge oriented from a to b (its ``start``
+    and ``end`` columns) adds -W at (b, a) and +W at (b, b), and an
+    undirected one also -W at (a, b) and +W at (a, a). Positions are
+    0-based vertex indices."""
+    start, end, both = graph.start, graph.end, ~graph.directed
     keep = np.column_stack([np.ones_like(both), np.ones_like(both), both, both])
-    row = np.column_stack([v, v, u, u])[keep]
-    col = np.column_stack([u, v, v, u])[keep]
+    row = np.column_stack([end, end, start, start])[keep]
+    col = np.column_stack([start, end, end, start])[keep]
     sign = np.broadcast_to([-1.0, 1.0, -1.0, 1.0], keep.shape)[keep]
     edge = np.broadcast_to(np.arange(graph.num_edges)[:, None], keep.shape)[keep]
     return row, col, sign, edge
@@ -122,7 +126,7 @@ def matrix_laplacian(graph: NetworkGraph, weights: MatrixWeights) -> np.ndarray:
     n_vertices = graph.num_vertices
     lap = np.zeros((n_vertices, p, n_vertices, r))
     if graph.num_edges:
-        w = np.stack([weights.block(e) for e in graph.edges])
+        w = _edge_blocks(graph, weights)
         row, col, sign, edge = _laplacian_terms(graph)
         np.add.at(lap, (row, slice(None), col), sign[:, None, None] * w[edge])
     return lap.reshape(n_vertices * p, n_vertices * r)
@@ -162,8 +166,7 @@ def _edgewise_state_matrix(
     out[diag, :, diag, :] = model.a
     if not graph.num_edges:
         return out.reshape(n_vertices * n, n_vertices * n)
-    w = np.stack([weights.block(e) for e in graph.edges])
-    blocks = model.b @ w @ model.c
+    blocks = model.b @ _edge_blocks(graph, weights) @ model.c
     # every pair (nonzero K[i, e], nonzero K_I[e, j]) of one edge: np.nonzero
     # lists both by edge, so edge e's K_I entries are first[e] onwards
     inj_edge, inj_row = np.nonzero(real.injection.T)
@@ -322,13 +325,13 @@ def sample_weights(
     """Independent generic weights, one draw per edge in edge order.
 
     Entries are uniform on [-1, -0.1] U [0.1, 1]; a fixed source yields
-    identical weights.
+    identical weights. All edges draw in one call, from the stream that
+    one ``sample_away_from_zero`` call per edge would read.
     """
     p, r = shape
     if p < 1 or r < 1:
         raise ValueError(f"weight shape must be positive, got {shape}")
-    gen = rng.generator()
-    draws = [sample_away_from_zero(gen, (p, r)) for _ in graph.edges]
+    draws = sample_away_from_zero(rng.generator(), (p, r), count=graph.num_edges)
     return MatrixWeights.from_edge_arrays(graph, draws, shape=(p, r))
 
 

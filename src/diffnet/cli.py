@@ -42,6 +42,7 @@ from .numerics import (
 from .problem_io import (
     LUMP_SCHEMA,
     PROBLEM_SCHEMA,
+    PreEncoded,
     Problem,
     certification_to_json,
     dump_json,
@@ -176,11 +177,14 @@ def _write_output(out_path: str | None, payload: str) -> None:
         raise
 
 
-def _emit(args, doc: dict, text: str) -> None:
+def _emit(args, doc: dict, text) -> None:
+    """Write the report: ``doc`` as canonical JSON, or under ``--format
+    text`` the rendering that ``text()`` builds."""
     if args.format == "json":
         payload = dump_json(doc)
     else:
-        payload = text if text.endswith("\n") else text + "\n"
+        rendered = text()
+        payload = rendered if rendered.endswith("\n") else rendered + "\n"
     _write_output(args.out, payload)
 
 
@@ -250,7 +254,7 @@ def cmd_analyze(args) -> int:
     doc = report_document(
         report, __version__, digest, _report_options(seed, tol)
     )
-    _emit(args, doc, _analysis_text(report))
+    _emit(args, doc, lambda: _analysis_text(report))
     return _VERDICT_EXIT[report.verdict]
 
 
@@ -295,7 +299,7 @@ def cmd_certify(args) -> int:
     )
     if grounded_cert is not None:
         doc["grounded_certification"] = certification_to_json(grounded_cert)
-    _emit(args, doc, _analysis_text(report, grounded_cert))
+    _emit(args, doc, lambda: _analysis_text(report, grounded_cert))
     if not cert.agree_with_verdict:
         return EXIT_DISAGREEMENT
     return _VERDICT_EXIT[report.verdict]
@@ -328,16 +332,19 @@ def cmd_lump(args) -> int:
         "seed": seed,
         "grounded": grounded,
     }
-    with np.printoptions(precision=6, suppress=True):
-        text = "\n".join(
-            [
-                f"state matrix ({a_sys.shape[0]} x {a_sys.shape[1]}):",
-                str(a_sys),
-                f"input matrix ({lumped.b_sys.shape[0]} x {lumped.b_sys.shape[1]}):",
-                str(lumped.b_sys),
-                f"weights {'sampled from seed ' + str(seed) if sampled else 'taken from the problem file'}",
-            ]
-        )
+
+    def text() -> str:
+        with np.printoptions(precision=6, suppress=True):
+            return "\n".join(
+                [
+                    f"state matrix ({a_sys.shape[0]} x {a_sys.shape[1]}):",
+                    str(a_sys),
+                    f"input matrix ({lumped.b_sys.shape[0]} x {lumped.b_sys.shape[1]}):",
+                    str(lumped.b_sys),
+                    f"weights {'sampled from seed ' + str(seed) if sampled else 'taken from the problem file'}",
+                ]
+            )
+
     _emit(args, doc, text)
     return 0
 
@@ -389,47 +396,39 @@ def cmd_example(args) -> int:
     return 0
 
 
-def cmd_graph(args) -> int:
-    problem, digest = load_problem(args.path)
-    graph, driven = problem.graph, problem.driven
-    forest = spanning_forest(graph, driven)
+#: key-sorted JSON of one "edges" entry and one "orientation" entry,
+#: indexed by the edge's directed flag; an orientation entry takes end,
+#: start (undirected only), start, end, u and v
+_EDGE_JSON = ('{"kind":"undirected","u":%d,"v":%d}', '{"kind":"directed","u":%d,"v":%d}')
+_ORIENTATION_JSON = (
+    '{"injection_case":"injection +1 at %d, -1 at %d","kind":"undirected",'
+    '"oriented":[%d,%d],"u":%d,"v":%d}',
+    '{"injection_case":"injection +1 at %d only","kind":"directed",'
+    '"oriented":[%d,%d],"u":%d,"v":%d}',
+)
+
+
+def _graph_members(graph) -> tuple[PreEncoded, PreEncoded]:
+    """The report's "edges" and "orientation" members, written from the
+    graph's columns with the templates above. Their fields are ints and
+    fixed ASCII text, which JSON writes unescaped."""
+    us, vs, _ = zip(*graph.edges) if graph.edges else ((), (), ())
+    directed = graph.directed.tolist()
+    start, end = graph.start + 1, graph.end + 1
+    fields = np.column_stack([end, start, start, end, us, vs]).reshape(-1, 6)
+    keep = np.ones(fields.shape, dtype=bool)
+    keep[graph.directed, 1] = False
+    edges = ",".join(map(_EDGE_JSON.__getitem__, directed)) % tuple(
+        fields[:, 4:].ravel().tolist()
+    )
+    orientation = ",".join(map(_ORIENTATION_JSON.__getitem__, directed)) % tuple(
+        fields[keep].tolist()
+    )
+    return PreEncoded(f"[{edges}]"), PreEncoded(f"[{orientation}]")
+
+
+def _graph_text(graph, driven, forest) -> str:
     unreachable = sorted(forest.unreachable)
-    orientation = []
-    for edge in graph.edges:
-        start, end = edge.oriented()
-        if edge.kind == UNDIRECTED:
-            injection = f"injection +1 at {end}, -1 at {start}"
-        else:
-            injection = f"injection +1 at {end} only"
-        orientation.append(
-            {
-                "u": edge.u,
-                "v": edge.v,
-                "kind": edge.kind,
-                "oriented": [start, end],
-                "injection_case": injection,
-            }
-        )
-
-    doc = {
-        "$schema": "diffnet-graph/v1",
-        "tool": {"name": "diffnet", "version": __version__},
-        "input": {"sha256": digest},
-        "vertices": graph.num_vertices,
-        "edges": [
-            {"u": e.u, "v": e.v, "kind": e.kind} for e in graph.edges
-        ],
-        "driven": sorted(driven.driven),
-        "globally_input_reachable": not unreachable,
-        "reachable": sorted(forest.order),
-        "unreachable": unreachable,
-        "forest": {
-            "roots": sorted(forest.roots),
-            "parents": {str(child): parent for child, parent in forest.parent.items()},
-        },
-        "orientation": orientation,
-    }
-
     lines = [
         f"vertices: {graph.num_vertices}",
         f"edges: {graph.num_edges}",
@@ -445,12 +444,41 @@ def cmd_graph(args) -> int:
         if child in forest.parent:
             lines.append(f"  {child} <- {forest.parent[child]}")
     lines.append("edge orientation:")
-    for rec in orientation:
-        u, v, kind = rec["u"], rec["v"], rec["kind"]
-        start, end = rec["oriented"]
-        label = f"{{{u}, {v}}} {kind}" if kind == UNDIRECTED else f"({u} -> {v}) {kind}"
-        lines.append(f"  {label}: oriented {start} -> {end}; {rec['injection_case']}")
-    _emit(args, doc, "\n".join(lines))
+    for e in graph.edges:
+        start, end = e.oriented()
+        if e.kind == UNDIRECTED:
+            label = f"{{{e.u}, {e.v}}} {e.kind}"
+            injection = f"injection +1 at {end}, -1 at {start}"
+        else:
+            label = f"({e.u} -> {e.v}) {e.kind}"
+            injection = f"injection +1 at {end} only"
+        lines.append(f"  {label}: oriented {start} -> {end}; {injection}")
+    return "\n".join(lines)
+
+
+def cmd_graph(args) -> int:
+    problem, digest = load_problem(args.path)
+    graph, driven = problem.graph, problem.driven
+    forest = spanning_forest(graph, driven)
+    unreachable = sorted(forest.unreachable)
+    edges, orientation = _graph_members(graph)
+    doc = {
+        "$schema": "diffnet-graph/v1",
+        "tool": {"name": "diffnet", "version": __version__},
+        "input": {"sha256": digest},
+        "vertices": graph.num_vertices,
+        "edges": edges,
+        "driven": sorted(driven.driven),
+        "globally_input_reachable": not unreachable,
+        "reachable": sorted(forest.order),
+        "unreachable": unreachable,
+        "forest": {
+            "roots": sorted(forest.roots),
+            "parents": {str(child): parent for child, parent in forest.parent.items()},
+        },
+        "orientation": orientation,
+    }
+    _emit(args, doc, lambda: _graph_text(graph, driven, forest))
     return 0
 
 

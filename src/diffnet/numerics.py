@@ -80,11 +80,20 @@ class RandomSource:
         return RandomSource(self.seed, mixed)
 
 
-def sample_away_from_zero(gen: np.random.Generator, shape) -> np.ndarray:
-    """Uniform draw on [-1, -0.1] U [0.1, 1]."""
-    magnitude = gen.uniform(SAMPLE_GAP_FRACTION, 1.0, size=shape)
-    sign = np.where(gen.random(size=shape) < 0.5, -1.0, 1.0)
-    return magnitude * sign
+def sample_away_from_zero(
+    gen: np.random.Generator, shape, count: int | None = None
+) -> np.ndarray:
+    """Uniform draw on [-1, -0.1] U [0.1, 1]: one uniform per entry for its
+    magnitude, then one per entry for its sign.
+
+    With ``count``, ``count`` such draws stacked along a new first axis,
+    taken in one call from the stream that ``count`` calls without it read.
+    """
+    lead = () if count is None else (count,)
+    raw = gen.random(lead + (2,) + np.broadcast_shapes(shape))
+    uniform, flip = np.moveaxis(raw, len(lead), 0)
+    magnitude = SAMPLE_GAP_FRACTION + (1.0 - SAMPLE_GAP_FRACTION) * uniform
+    return np.where(flip < 0.5, -magnitude, magnitude)
 
 
 def kron(a, b) -> np.ndarray:

@@ -108,21 +108,35 @@ def _parse_subsystem(doc: dict) -> SubsystemModel:
     return model
 
 
-def _parse_graph(doc: dict) -> NetworkGraph:
-    g = _require_mapping(doc.get("graph"), '"graph"')
-    extra = set(g) - {"N", "edges"}
-    if extra:
-        raise _fail(f'"graph" has unknown members: {sorted(extra)}')
-    if "N" not in g:
-        raise _fail('"graph" is missing "N"')
-    n = _int_field(g["N"], 'graph "N"')
-    entries = g.get("edges", [])
-    if not isinstance(entries, list):
-        raise _fail('graph "edges" must be a list')
+_EDGE_MEMBERS = {"u", "v", "kind"}
+_WEIGHT_MEMBERS = {"u", "v", "W"}
+
+
+def _edge_columns(entries: list):
+    """The u, v and kind columns of the "edges" entries, or None unless
+    every entry is an object with int "u" and "v", a known kind and no
+    other member."""
+    try:
+        us = [e["u"] for e in entries]
+        vs = [e["v"] for e in entries]
+        kinds = [e.get("kind", UNDIRECTED) for e in entries]
+    except (TypeError, KeyError):  # no object, or no "u" or "v"
+        return None
+    if (
+        set().union(*entries) <= _EDGE_MEMBERS
+        and {*map(type, us), *map(type, vs)} <= {int}
+        and kinds.count(UNDIRECTED) + kinds.count(DIRECTED) == len(kinds)
+    ):
+        return us, vs, kinds
+    return None
+
+
+def _walk_edges(entries: list) -> list[Edge]:
+    """Parse the "edges" entries one by one, raising at the first bad one."""
     edges = []
     for i, entry in enumerate(entries):
         e = _require_mapping(entry, f"edge #{i}")
-        extra = set(e) - {"u", "v", "kind"}
+        extra = set(e) - _EDGE_MEMBERS
         if extra:
             raise _fail(f"edge #{i} has unknown members: {sorted(extra)}")
         if "u" not in e or "v" not in e:
@@ -135,6 +149,22 @@ def _parse_graph(doc: dict) -> NetworkGraph:
         edges.append(
             Edge(_int_field(e["u"], f'edge #{i} "u"'), _int_field(e["v"], f'edge #{i} "v"'), kind)
         )
+    return edges
+
+
+def _parse_graph(doc: dict) -> NetworkGraph:
+    g = _require_mapping(doc.get("graph"), '"graph"')
+    extra = set(g) - {"N", "edges"}
+    if extra:
+        raise _fail(f'"graph" has unknown members: {sorted(extra)}')
+    if "N" not in g:
+        raise _fail('"graph" is missing "N"')
+    n = _int_field(g["N"], 'graph "N"')
+    entries = g.get("edges", [])
+    if not isinstance(entries, list):
+        raise _fail('graph "edges" must be a list')
+    columns = _edge_columns(entries)
+    edges = _walk_edges(entries) if columns is None else map(Edge, *columns)
     try:
         return NetworkGraph(n, tuple(edges))
     except ValueError as exc:
@@ -153,6 +183,76 @@ def _parse_driven(doc: dict, graph: NetworkGraph) -> DrivenSet:
     return driven
 
 
+def _edge_positions(graph: NetworkGraph) -> dict[tuple[int, int], int]:
+    """Position of the edge a weight's (u, v) names: a directed edge's own
+    (u, v), and either order of an undirected edge's ends. An undirected
+    pair never coexists with another edge on the same vertices, so no two
+    edges share a name."""
+    both = ~graph.directed
+    first = np.concatenate([graph.start, graph.end[both]]) + 1
+    second = np.concatenate([graph.end, graph.start[both]]) + 1
+    position = np.concatenate([np.arange(graph.num_edges), np.flatnonzero(both)])
+    return dict(zip(zip(first.tolist(), second.tolist()), position.tolist()))
+
+
+def _weight_columns(entries: list, positions: dict, shape: tuple[int, int]):
+    """Edge positions and stacked blocks of the "weights" entries, or None
+    unless every entry is well formed, names a distinct edge and has a
+    finite block of the given shape."""
+    try:
+        us = [e["u"] for e in entries]
+        vs = [e["v"] for e in entries]
+        ws = [e["W"] for e in entries]
+    except (TypeError, KeyError):  # no object, or a member missing
+        return None
+    if not (
+        set().union(*entries) <= _WEIGHT_MEMBERS
+        and {*map(type, us), *map(type, vs)} <= {int}
+    ):
+        return None
+    found = list(map(positions.get, zip(us, vs)))
+    if None in found or len(set(found)) < len(found):
+        return None
+    try:
+        blocks = np.array(ws, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if shape[0] == 1 and blocks.ndim == 2:  # one 1-D row per weight
+        blocks = blocks[:, None, :]
+    if blocks.shape[1:] != shape or not np.all(np.isfinite(blocks)):
+        return None
+    return found, blocks
+
+
+def _walk_weights(entries: list, positions: dict, shape: tuple[int, int]):
+    """Parse the "weights" entries one by one, raising at the first bad one."""
+    found, blocks, seen = [], [], set()
+    for i, entry in enumerate(entries):
+        e = _require_mapping(entry, f"weight #{i}")
+        extra = set(e) - _WEIGHT_MEMBERS
+        if extra:
+            raise _fail(f"weight #{i} has unknown members: {sorted(extra)}")
+        if "u" not in e or "v" not in e or "W" not in e:
+            raise _fail(f'weight #{i} needs "u", "v" and "W"')
+        u = _int_field(e["u"], f'weight #{i} "u"')
+        v = _int_field(e["v"], f'weight #{i} "v"')
+        position = positions.get((u, v))
+        if position is None:
+            raise _fail(f"weight #{i} references no edge between {u} and {v}")
+        if position in seen:
+            raise _fail(f"duplicate weight for edge between {u} and {v}")
+        block = np.atleast_2d(_matrix(e["W"], f'weight #{i} "W"'))
+        if block.shape != shape:
+            raise _fail(
+                f"weight #{i} has shape {block.shape}, expected {shape} "
+                "from the subsystem's input and output counts"
+            )
+        seen.add(position)
+        found.append(position)
+        blocks.append(block)
+    return found, blocks
+
+
 def _parse_weights(doc: dict, graph: NetworkGraph, model: SubsystemModel):
     raw = doc.get("weights")
     if raw is None:
@@ -165,42 +265,20 @@ def _parse_weights(doc: dict, graph: NetworkGraph, model: SubsystemModel):
     if not isinstance(entries, list):
         raise _fail('weights "edges" must be a list')
 
-    p, r = model.num_inputs, model.num_outputs
-    edges_by_key = {edge.key(): edge for edge in graph.edges}
-    by_key: dict[tuple, np.ndarray] = {}
-    for i, entry in enumerate(entries):
-        e = _require_mapping(entry, f"weight #{i}")
-        extra = set(e) - {"u", "v", "W"}
-        if extra:
-            raise _fail(f"weight #{i} has unknown members: {sorted(extra)}")
-        if "u" not in e or "v" not in e or "W" not in e:
-            raise _fail(f'weight #{i} needs "u", "v" and "W"')
-        u = _int_field(e["u"], f'weight #{i} "u"')
-        v = _int_field(e["v"], f'weight #{i} "v"')
-        # a directed (u, v) is the specific match; an undirected pair never
-        # coexists with another edge on the same vertices, so order is free
-        edge = edges_by_key.get(Edge(u, v, DIRECTED).key()) or edges_by_key.get(
-            Edge(u, v).key()
-        )
-        if edge is None:
-            raise _fail(f"weight #{i} references no edge between {u} and {v}")
-        if edge.key() in by_key:
-            raise _fail(f"duplicate weight for edge between {u} and {v}")
-        block = np.atleast_2d(_matrix(e["W"], f'weight #{i} "W"'))
-        if block.shape != (p, r):
-            raise _fail(
-                f"weight #{i} has shape {block.shape}, expected {(p, r)} "
-                "from the subsystem's input and output counts"
-            )
-        by_key[edge.key()] = block
-
-    missing = [e for e in graph.edges if e.key() not in by_key]
-    if missing:
+    shape = (model.num_inputs, model.num_outputs)
+    positions = _edge_positions(graph)
+    columns = _weight_columns(entries, positions, shape)
+    found, blocks = _walk_weights(entries, positions, shape) if columns is None else columns
+    if len(found) < graph.num_edges:
+        covered = set(found)
         raise _fail(
             "weights must cover every edge; missing: "
-            + ", ".join(f"({e.u}, {e.v})" for e in missing)
+            + ", ".join(
+                f"({e.u}, {e.v})" for i, e in enumerate(graph.edges) if i not in covered
+            )
         )
-    return MatrixWeights((p, r), by_key)
+    keys = graph.edge_keys()
+    return MatrixWeights(shape, {keys[i]: block for i, block in zip(found, blocks)})
 
 
 def _parse_options(doc: dict) -> dict:
@@ -338,10 +416,11 @@ def report_document(
 
 
 def weights_to_json(graph: NetworkGraph, weights: MatrixWeights) -> dict:
+    blocks = map(weights.blocks.__getitem__, graph.edge_keys())
     return {
         "edges": [
-            {"u": e.u, "v": e.v, "kind": e.kind, "W": weights.block(e).tolist()}
-            for e in graph.edges
+            {"u": e.u, "v": e.v, "kind": e.kind, "W": w.tolist()}
+            for e, w in zip(graph.edges, blocks)
         ]
     }
 
@@ -402,7 +481,17 @@ def _encode_matrix(arr: np.ndarray) -> str:
     return "".join(parts.tolist())
 
 
+@dataclass(frozen=True)
+class PreEncoded:
+    """A report member already written as JSON text, which ``dump_json``
+    passes through as it is."""
+
+    text: str
+
+
 def _encode_value(value) -> str:
+    if isinstance(value, PreEncoded):
+        return value.text
     if (
         isinstance(value, np.ndarray)
         and value.ndim == 2
@@ -424,7 +513,8 @@ def dump_json(doc: dict) -> str:
     only the entries other than 0.0 are formatted, each distinct value
     once, and the runs of 0.0 between them are shared strings. For a
     block-sparse lumped matrix those entries are the few percent in the
-    blocks the graph fills. Every other value goes through the standard
+    blocks the graph fills. A top-level ``PreEncoded`` value is written
+    as its text, unchanged. Every other value goes through the standard
     library encoder whole.
     """
     members = (_ENCODER.encode(k) + ":" + _encode_value(doc[k]) for k in sorted(doc))

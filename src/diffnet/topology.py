@@ -4,9 +4,9 @@ incidence factorizations, and auxiliary-digraph cycle checks."""
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -14,12 +14,12 @@ UNDIRECTED = "undirected"
 DIRECTED = "directed"
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """One influence link between two distinct vertices (1-based ids).
 
     An undirected edge couples both endpoints symmetrically; a directed edge
-    (u, v) means u's state enters v's dynamics only.
+    (u, v) means u's state enters v's dynamics only. A named tuple: it
+    compares equal to the plain tuple (u, v, kind).
     """
 
     u: int
@@ -38,57 +38,135 @@ class Edge:
         return min(self.u, self.v), max(self.u, self.v)
 
 
+#: vertex counts and ids are held in int64 columns
+_MAX_VERTICES = int(np.iinfo(np.int64).max)
+
+
+def _id_column(ids: tuple, num_vertices: int) -> np.ndarray:
+    """int64 column of vertex ids, 0 wherever an id is not an int in
+    1..num_vertices."""
+    if {*map(type, ids)} <= {int}:
+        try:
+            col = np.array(ids, dtype=np.int64)
+        except OverflowError:  # an id beyond int64, out of range anyway
+            pass
+        else:
+            col[(col < 1) | (col > num_vertices)] = 0
+            return col
+    return np.array(
+        [i if isinstance(i, int) and 1 <= i <= num_vertices else 0 for i in ids],
+        dtype=np.int64,
+    )
+
+
+def _shared_pair_defects(start: np.ndarray, end: np.ndarray, directed: np.ndarray):
+    """Flags the edges that repeat the vertex pair of an earlier edge when
+    that is not allowed: every edge after the first on a pair, except a
+    directed second edge against a directed first one (an antiparallel
+    pair). Exact for an edge all of whose earlier edges are valid."""
+    lo, hi = np.minimum(start, end), np.maximum(start, end)
+    order = np.lexsort((hi, lo))  # stable: one pair's edges stay in edge order
+    lo, hi = lo[order], hi[order]
+    shares = np.zeros(order.size, dtype=bool)  # same pair as the edge sorted before
+    shares[1:] = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+    third = np.zeros_like(shares)
+    third[1:] = shares[1:] & shares[:-1]
+    d, s = directed[order], start[order]
+    antiparallel = np.zeros_like(shares)
+    antiparallel[1:] = d[1:] & d[:-1] & (s[1:] != s[:-1])
+    flags = np.empty_like(shares)
+    flags[order] = third | (shares & ~antiparallel)
+    return flags
+
+
+def _edge_error(edges: tuple, i: int, num_vertices: int) -> ValueError:
+    """The error for edge i, the first invalid edge, checked in order:
+    kind, vertex range, self-loop, duplicate, shared pair."""
+    e = edges[i]
+    if e.kind not in (UNDIRECTED, DIRECTED):
+        return ValueError(f"unknown edge kind {e.kind!r}")
+    for vid in (e.u, e.v):
+        if not isinstance(vid, int) or not 1 <= vid <= num_vertices:
+            return ValueError(
+                f"edge ({e.u}, {e.v}) references a vertex outside 1..{num_vertices}"
+            )
+    if e.u == e.v:
+        return ValueError(f"self-loop at vertex {e.u} is not allowed")
+    if e.key() in {f.key() for f in edges[:i]}:
+        return ValueError(f"duplicate edge between {e.u} and {e.v}")
+    pair = (e.u, e.v) if e.u < e.v else (e.v, e.u)
+    # one weight per vertex pair: an undirected edge may not share its
+    # pair with any other edge; opposite directed edges may coexist
+    return ValueError(
+        f"vertices {pair[0]} and {pair[1]} already carry an edge; "
+        "an undirected edge cannot share its pair with another edge"
+    )
+
+
 @dataclass(frozen=True)
 class NetworkGraph:
+    """Vertices 1..num_vertices and the edges between them.
+
+    Besides the edge tuple it holds the edge list as int64 columns, in edge
+    order: ``start`` and ``end``, the 0-based ends from ``Edge.oriented``,
+    and the ``directed`` mask. Vertex counts and ids must fit int64.
+    """
+
     num_vertices: int
     edges: tuple[Edge, ...] = ()
+    start: np.ndarray = field(init=False, repr=False, compare=False)
+    end: np.ndarray = field(init=False, repr=False, compare=False)
+    directed: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.num_vertices, int) or self.num_vertices < 1:
-            raise ValueError(f"graph needs a positive vertex count, got {self.num_vertices}")
-        object.__setattr__(self, "edges", tuple(self.edges))
-        seen_keys: set[tuple] = set()
-        pair_kinds: dict[tuple[int, int], set[str]] = {}
-        for e in self.edges:
-            if e.kind not in (UNDIRECTED, DIRECTED):
-                raise ValueError(f"unknown edge kind {e.kind!r}")
-            for vid in (e.u, e.v):
-                if not isinstance(vid, int) or not 1 <= vid <= self.num_vertices:
-                    raise ValueError(
-                        f"edge ({e.u}, {e.v}) references a vertex outside 1..{self.num_vertices}"
-                    )
-            if e.u == e.v:
-                raise ValueError(f"self-loop at vertex {e.u} is not allowed")
-            key = e.key()
-            if key in seen_keys:
-                raise ValueError(f"duplicate edge between {e.u} and {e.v}")
-            pair = (e.u, e.v) if e.u < e.v else (e.v, e.u)
-            kinds = pair_kinds.setdefault(pair, set())
-            # one weight per vertex pair: an undirected edge may not share its
-            # pair with any other edge; opposite directed edges may coexist
-            if kinds and (UNDIRECTED in kinds or e.kind == UNDIRECTED):
-                raise ValueError(
-                    f"vertices {pair[0]} and {pair[1]} already carry an edge; "
-                    "an undirected edge cannot share its pair with another edge"
-                )
-            kinds.add(e.kind)
-            seen_keys.add(key)
+        n = self.num_vertices
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"graph needs a positive vertex count, got {n}")
+        if n > _MAX_VERTICES:
+            raise ValueError(
+                f"graph vertex count {n} exceeds the 64-bit limit {_MAX_VERTICES}"
+            )
+        edges = tuple(self.edges)
+        object.__setattr__(self, "edges", edges)
+        us, vs, kinds = zip(*edges) if edges else ((), (), ())
+        # the columns cover the edges before the first unknown kind
+        m = len(edges)
+        if kinds.count(UNDIRECTED) + kinds.count(DIRECTED) < m:
+            m = next(i for i, k in enumerate(kinds) if k not in (UNDIRECTED, DIRECTED))
+        u, v = _id_column(us[:m], n), _id_column(vs[:m], n)
+        directed = np.fromiter(map(DIRECTED.__eq__, kinds[:m]), dtype=bool, count=m)
+        start = np.where(directed, u, np.minimum(u, v))
+        end = np.where(directed, v, np.maximum(u, v))
+        bad = np.flatnonzero(
+            (u == 0) | (v == 0) | (u == v) | _shared_pair_defects(start, end, directed)
+        )
+        if bad.size or m < len(edges):
+            raise _edge_error(edges, int(bad[0]) if bad.size else m, n)
+        object.__setattr__(self, "start", start - 1)
+        object.__setattr__(self, "end", end - 1)
+        object.__setattr__(self, "directed", directed)
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
     def has_directed_edges(self) -> bool:
-        return any(e.kind == DIRECTED for e in self.edges)
+        return bool(self.directed.any())
+
+    def edge_keys(self) -> list[tuple]:
+        """``Edge.key()`` of every edge, in edge order."""
+        kinds = map((UNDIRECTED, DIRECTED).__getitem__, self.directed.tolist())
+        return list(zip(kinds, (self.start + 1).tolist(), (self.end + 1).tolist()))
 
     def influence_neighbors(self) -> list[list[int]]:
-        """out[i] lists the 0-based vertices directly influenced by vertex i."""
+        """out[i] lists the 0-based vertices directly influenced by vertex i,
+        in edge order."""
         out: list[list[int]] = [[] for _ in range(self.num_vertices)]
-        for e in self.edges:
-            u, v = e.u - 1, e.v - 1
-            out[u].append(v)
-            if e.kind == UNDIRECTED:
-                out[v].append(u)
+        columns = (self.start.tolist(), self.end.tolist(), self.directed.tolist())
+        for a, b, directed in zip(*columns):
+            out[a].append(b)
+            if not directed:
+                out[b].append(a)
         return out
 
 
@@ -206,19 +284,19 @@ class IncidenceRealization:
 def incidence_matrices(graph: NetworkGraph) -> IncidenceRealization:
     """Build the incidence/injection pair in the graph's edge order.
 
-    Each edge is oriented by ``Edge.oriented``.
+    Each edge is oriented by ``Edge.oriented``, read from the graph's
+    ``start`` and ``end`` columns.
     """
     n = graph.num_vertices
     m = graph.num_edges
     incidence = np.zeros((m, n))
     injection = np.zeros((n, m))
-    for idx, e in enumerate(graph.edges):
-        start, end = e.oriented()
-        incidence[idx, start - 1] = 1.0
-        incidence[idx, end - 1] = -1.0
-        injection[end - 1, idx] = 1.0
-        if e.kind == UNDIRECTED:
-            injection[start - 1, idx] = -1.0
+    edge = np.arange(m)
+    incidence[edge, graph.start] = 1.0
+    incidence[edge, graph.end] = -1.0
+    injection[graph.end, edge] = 1.0
+    both = ~graph.directed
+    injection[graph.start[both], edge[both]] = -1.0
     return IncidenceRealization(incidence=incidence, injection=injection)
 
 

@@ -10,6 +10,9 @@ import numpy as np
 import pytest
 
 from diffnet.assembly import MatrixWeights
+from diffnet.errors import ProblemFileError
+from diffnet.numerics import RandomSource
+from diffnet.problem_io import _int_field, _matrix, _require_mapping
 from diffnet.subsystem import SubsystemModel, check_controllable, check_observable
 from diffnet.topology import (
     DIRECTED,
@@ -240,6 +243,163 @@ def dense_direct_state_matrix(
     eye = np.eye(graph.num_vertices)
     lap = loop_matrix_laplacian(graph, weights)
     return np.kron(eye, model.a) - np.kron(eye, model.b) @ lap @ np.kron(eye, model.c)
+
+
+def reference_graph_check(num_vertices, edges) -> None:
+    """Per-edge reference of NetworkGraph's checks: raises the ValueError of
+    the first invalid edge, checking its kind, vertex range, self-loop,
+    duplicate key and shared pair in that order."""
+    if not isinstance(num_vertices, int) or num_vertices < 1:
+        raise ValueError(f"graph needs a positive vertex count, got {num_vertices}")
+    seen_keys: set[tuple] = set()
+    pair_kinds: dict[tuple, set[str]] = {}
+    for e in edges:
+        if e.kind not in (UNDIRECTED, DIRECTED):
+            raise ValueError(f"unknown edge kind {e.kind!r}")
+        for vid in (e.u, e.v):
+            if not isinstance(vid, int) or not 1 <= vid <= num_vertices:
+                raise ValueError(
+                    f"edge ({e.u}, {e.v}) references a vertex outside 1..{num_vertices}"
+                )
+        if e.u == e.v:
+            raise ValueError(f"self-loop at vertex {e.u} is not allowed")
+        key = e.key()
+        if key in seen_keys:
+            raise ValueError(f"duplicate edge between {e.u} and {e.v}")
+        pair = (e.u, e.v) if e.u < e.v else (e.v, e.u)
+        kinds = pair_kinds.setdefault(pair, set())
+        if kinds and (UNDIRECTED in kinds or e.kind == UNDIRECTED):
+            raise ValueError(
+                f"vertices {pair[0]} and {pair[1]} already carry an edge; "
+                "an undirected edge cannot share its pair with another edge"
+            )
+        kinds.add(e.kind)
+        seen_keys.add(key)
+
+
+def reference_parse_edges(entries: list) -> list[Edge]:
+    """Per-entry reference of the "edges" parsing: raises the
+    ProblemFileError of the first bad entry."""
+    edges = []
+    for i, entry in enumerate(entries):
+        e = _require_mapping(entry, f"edge #{i}")
+        extra = set(e) - {"u", "v", "kind"}
+        if extra:
+            raise ProblemFileError(f"edge #{i} has unknown members: {sorted(extra)}")
+        if "u" not in e or "v" not in e:
+            raise ProblemFileError(f'edge #{i} needs both "u" and "v"')
+        kind = e.get("kind", UNDIRECTED)
+        if kind not in (UNDIRECTED, DIRECTED):
+            raise ProblemFileError(
+                f'edge #{i} kind must be "{UNDIRECTED}" or "{DIRECTED}", got {kind!r}'
+            )
+        edges.append(
+            Edge(_int_field(e["u"], f'edge #{i} "u"'), _int_field(e["v"], f'edge #{i} "v"'), kind)
+        )
+    return edges
+
+
+def reference_parse_weights(entries: list, graph: NetworkGraph, shape) -> dict:
+    """Per-entry reference of the "weights" parsing, resolving each entry
+    through Edge.key(): the blocks by edge key, or the ProblemFileError of
+    the first bad entry."""
+    p, r = shape
+    edges_by_key = {edge.key(): edge for edge in graph.edges}
+    by_key: dict[tuple, np.ndarray] = {}
+    for i, entry in enumerate(entries):
+        e = _require_mapping(entry, f"weight #{i}")
+        extra = set(e) - {"u", "v", "W"}
+        if extra:
+            raise ProblemFileError(f"weight #{i} has unknown members: {sorted(extra)}")
+        if "u" not in e or "v" not in e or "W" not in e:
+            raise ProblemFileError(f'weight #{i} needs "u", "v" and "W"')
+        u = _int_field(e["u"], f'weight #{i} "u"')
+        v = _int_field(e["v"], f'weight #{i} "v"')
+        edge = edges_by_key.get(Edge(u, v, DIRECTED).key()) or edges_by_key.get(
+            Edge(u, v).key()
+        )
+        if edge is None:
+            raise ProblemFileError(f"weight #{i} references no edge between {u} and {v}")
+        if edge.key() in by_key:
+            raise ProblemFileError(f"duplicate weight for edge between {u} and {v}")
+        block = np.atleast_2d(_matrix(e["W"], f'weight #{i} "W"'))
+        if block.shape != (p, r):
+            raise ProblemFileError(
+                f"weight #{i} has shape {block.shape}, expected {(p, r)} "
+                "from the subsystem's input and output counts"
+            )
+        by_key[edge.key()] = block
+    missing = [e for e in graph.edges if e.key() not in by_key]
+    if missing:
+        raise ProblemFileError(
+            "weights must cover every edge; missing: "
+            + ", ".join(f"({e.u}, {e.v})" for e in missing)
+        )
+    return by_key
+
+
+def outcome(fn, *args):
+    """("ok", result) or (exception class, message) of fn(*args)."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the comparison covers every exception class
+        return type(exc), str(exc)
+
+
+def edges_with_defects(gen: np.random.Generator, num_vertices: int) -> list:
+    """A random mixed edge list with zero to three planted defects or
+    allowed extras, each at a random position: ids of 0, N + 1, +-10**23,
+    True and 2.0; self-loops; duplicates, reversed undirected duplicates;
+    an edge of the other kind on a used pair; an antiparallel directed
+    edge (allowed); unknown kinds."""
+    edges = list(random_graph(gen, num_vertices, edge_prob=0.6).edges)
+    # some undirected edges listed high id first
+    edges = [
+        Edge(e.v, e.u) if e.kind == UNDIRECTED and gen.random() < 0.5 else e
+        for e in edges
+    ]
+    for _ in range(int(gen.integers(0, 4))):
+        pos = int(gen.integers(0, len(edges) + 1))
+        old = edges[int(gen.integers(0, len(edges)))] if edges else Edge(1, 2)
+        bad_id = [0, num_vertices + 1, 10**23, -(10**23), True, 2.0][int(gen.integers(0, 6))]
+        new = [
+            old._replace(u=bad_id),
+            old._replace(v=bad_id),
+            Edge(old.u, old.u, old.kind),
+            old,
+            Edge(old.v, old.u, old.kind),
+            old._replace(kind=DIRECTED if old.kind == UNDIRECTED else UNDIRECTED),
+            Edge(old.v, old.u, DIRECTED),
+            old._replace(kind=["both", None, 3][int(gen.integers(0, 3))]),
+        ][int(gen.integers(0, 8))]
+        edges.insert(pos, new)
+    return edges
+
+
+def loop_influence_neighbors(graph: NetworkGraph) -> list[list[int]]:
+    """Reference adjacency, one edge at a time in edge order."""
+    out: list[list[int]] = [[] for _ in range(graph.num_vertices)]
+    for e in graph.edges:
+        out[e.u - 1].append(e.v - 1)
+        if e.kind == UNDIRECTED:
+            out[e.v - 1].append(e.u - 1)
+    return out
+
+
+def loop_sample_away_from_zero(gen: np.random.Generator, shape) -> np.ndarray:
+    """Reference draw on [-1, -0.1] U [0.1, 1]: uniform magnitudes on
+    [0.1, 1], then signs from a second uniform."""
+    magnitude = gen.uniform(0.1, 1.0, size=shape)
+    sign = np.where(gen.random(size=shape) < 0.5, -1.0, 1.0)
+    return magnitude * sign
+
+
+def loop_sample_weights(
+    graph: NetworkGraph, shape: tuple[int, int], rng: RandomSource
+) -> list[np.ndarray]:
+    """Reference weight draws: one reference draw per edge, in edge order."""
+    gen = rng.generator()
+    return [loop_sample_away_from_zero(gen, shape) for _ in graph.edges]
 
 
 def verdict_bool(verdict: Verdict) -> bool:

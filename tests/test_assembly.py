@@ -10,6 +10,7 @@ from conftest import (
     dense_direct_state_matrix,
     dense_edgewise_state_matrix,
     loop_matrix_laplacian,
+    loop_sample_weights,
     random_connected_graph,
     random_driven,
     random_graph,
@@ -485,6 +486,18 @@ class TestSampledWeights:
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
             sample_weights(chain_graph(2), (0, 1), RandomSource(0))
+
+    def test_matches_per_edge_draws_bit_for_bit(self):
+        gen = np.random.default_rng(30)
+        for case in range(200):
+            g = random_graph(gen, int(gen.integers(1, 9)))
+            shape = (int(gen.integers(1, 4)), int(gen.integers(1, 4)))
+            rng = RandomSource(int(gen.integers(0, 2**31))).derive(case)
+            got = sample_weights(g, shape, rng)
+            want = loop_sample_weights(g, shape, rng)
+            assert got.shape == shape
+            for e, block in zip(g.edges, want):
+                assert got.block(e).view(np.uint64).tolist() == block.view(np.uint64).tolist()
 
 
 class TestMassSpringChain:

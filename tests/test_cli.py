@@ -9,13 +9,24 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import (
+    edges_with_defects,
+    outcome,
+    random_graph,
+    random_model,
+    reference_graph_check,
+    reference_parse_edges,
+    reference_parse_weights,
+)
+from diffnet import cli, problem_io
 from diffnet.cli import main
-from diffnet.errors import ConsistencyError
+from diffnet.errors import ConsistencyError, ProblemFileError
 from diffnet.problem_io import (
     PROBLEM_SCHEMA,
     REPORT_SCHEMA,
     dump_json,
 )
+from diffnet.topology import DIRECTED, UNDIRECTED, Edge, NetworkGraph
 from diffnet.verdict import CertificationReport, TrialResult
 
 
@@ -58,6 +69,32 @@ def run(capsys, argv):
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command", ["analyze", "graph"])
+    def test_vertex_count_beyond_int64_is_refused_at_once(self, tmp_path, command):
+        """A vertex count must fit the int64 edge columns. Checked in a child
+        process capped at 2 GB of address space: a loop over range(N) would
+        run out of memory there instead of running the machine out."""
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(chain_problem(extra={"graph": {"N": 10**30, "edges": []}})))
+        child = (
+            "import resource, sys, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from diffnet.cli import main\n"
+            "start = time.perf_counter()\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, time.perf_counter() - start)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child, command, str(path)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        code, seconds = proc.stdout.split()
+        assert int(code) == 64, proc.stderr
+        assert float(seconds) < 1.0
+        assert "64-bit" in proc.stderr
+
     def test_controllable_chain_exits_zero(self, problem_file, capsys):
         code, out, _ = run(capsys, ["analyze", problem_file(chain_problem())])
         assert code == 0
@@ -267,6 +304,23 @@ class TestTextFormat:
         )
         assert "certification: 2/2 trials controllable" in out
         assert "agrees with verdict: yes" in out
+
+
+    def test_text_is_rendered_for_text_format_only(
+        self, problem_file, capsys, monkeypatch, tmp_path
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("text rendering built for a JSON report")
+
+        monkeypatch.setattr(cli, "_analysis_text", refuse)
+        monkeypatch.setattr(cli, "_graph_text", refuse)
+        monkeypatch.setattr(np, "printoptions", refuse)
+        path = problem_file(chain_problem())
+        for argv in (["analyze"], ["certify", "--trials", "1"], ["graph"], ["lump"]):
+            out = tmp_path / "report.json"
+            assert main([argv[0], path, *argv[1:], "--out", str(out)]) == 0
+            assert json.loads(out.read_text())["$schema"]
+        assert main(["graph", path, "--format", "text"]) == 70
 
 
 class TestLump:
@@ -532,6 +586,50 @@ class TestGraphCommand:
         assert payload["forest"]["roots"] == [2]
         assert payload["forest"]["parents"]["1"] == 2
 
+    def test_edge_members_match_the_encoder(self):
+        gen = np.random.default_rng(12)
+        graphs = [NetworkGraph(1), NetworkGraph(3, (Edge(3, 1), Edge(2, 3, DIRECTED)))]
+        for _ in range(60):
+            g = random_graph(gen, int(gen.integers(2, 30)), edge_prob=0.3)
+            # undirected edges listed in either order
+            flip = gen.random(g.num_edges) < 0.5
+            graphs.append(
+                NetworkGraph(
+                    g.num_vertices,
+                    tuple(
+                        Edge(e.v, e.u) if e.kind == UNDIRECTED and f else e
+                        for e, f in zip(g.edges, flip)
+                    ),
+                )
+            )
+        for g in graphs:
+            edges, orientation = cli._graph_members(g)
+            assert edges.text == problem_io._ENCODER.encode(
+                [{"u": e.u, "v": e.v, "kind": e.kind} for e in g.edges]
+            )
+            assert orientation.text == problem_io._ENCODER.encode(
+                [
+                    {
+                        "u": e.u,
+                        "v": e.v,
+                        "kind": e.kind,
+                        "oriented": list(e.oriented()),
+                        "injection_case": (
+                            f"injection +1 at {e.oriented()[1]}, -1 at {e.oriented()[0]}"
+                            if e.kind == UNDIRECTED
+                            else f"injection +1 at {e.oriented()[1]} only"
+                        ),
+                    }
+                    for e in g.edges
+                ]
+            )
+
+    def test_dump_json_writes_pre_encoded_members_unchanged(self):
+        doc = {"b": problem_io.PreEncoded('[{"z":1}]'), "a": [1]}
+        assert dump_json(doc) == '{"a":[1],"b":[{"z":1}]}\n'
+        with pytest.raises(TypeError):
+            dump_json({"a": [problem_io.PreEncoded("1")]})
+
 
 class TestProblemParsing:
     def parse(self, doc):
@@ -651,6 +749,129 @@ class TestProblemParsing:
             {**base, "weights": {"edges": [{"u": 1, "v": 2, "W": [[1.0, 1.0]], "x": 1}]}},
             "unknown members",
         )
+
+    EDGE_ERRORS = (
+        "must be a JSON object",
+        "unknown members",
+        "needs both",
+        "kind must be",
+        "must be an integer",
+        "references a vertex outside",
+        "self-loop",
+        "duplicate edge",
+        "already carry",
+    )
+    WEIGHT_ERRORS = (
+        "must be a JSON object",
+        "unknown members",
+        "needs",
+        "must be an integer",
+        "references no edge",
+        "duplicate weight",
+        "not a numeric array",
+        "non-finite",
+        "non-empty 1-D or 2-D",
+        "has shape",
+        "must cover every edge",
+    )
+
+    def test_edge_parsing_matches_the_per_entry_reference(self):
+        gen = np.random.default_rng(44)
+        seen = set()
+        for _ in range(1500):
+            n = int(gen.integers(2, 7))
+            entries = [
+                {"u": e.u, "v": e.v, "kind": e.kind}
+                if e.kind != UNDIRECTED or gen.random() < 0.3
+                else {"u": e.u, "v": e.v}
+                for e in edges_with_defects(gen, n)
+            ]
+            if entries and gen.random() < 0.4:
+                i = int(gen.integers(0, len(entries)))
+                entries[i] = [
+                    {k: x for k, x in entries[i].items() if k != "u"},
+                    {k: x for k, x in entries[i].items() if k != "v"},
+                    {**entries[i], "w": 1.0},
+                    {**entries[i], "u": str(entries[i]["u"])},
+                    {**entries[i], "kind": ["directed"]},
+                    [entries[i]["u"], entries[i]["v"]],
+                    None,
+                ][int(gen.integers(0, 7))]
+
+            def reference():
+                edges = reference_parse_edges(entries)
+                try:
+                    reference_graph_check(n, edges)
+                except ValueError as exc:
+                    raise ProblemFileError(f"invalid graph: {exc}") from None
+                return n, tuple(edges)
+
+            got = outcome(problem_io._parse_graph, {"graph": {"N": n, "edges": entries}})
+            want = outcome(reference)
+            if want[0] == "ok":
+                assert got[0] == "ok", got
+                assert (got[1].num_vertices, got[1].edges) == want[1]
+                seen.add("ok")
+            else:
+                assert got == want
+                seen.update(f for f in self.EDGE_ERRORS if f in want[1])
+        assert seen == {"ok", *self.EDGE_ERRORS}
+
+    def test_weight_parsing_matches_the_per_entry_reference(self):
+        gen = np.random.default_rng(45)
+        seen = set()
+        for _ in range(800):
+            p, r = int(gen.integers(1, 3)), int(gen.integers(1, 3))
+            graph = random_graph(gen, int(gen.integers(2, 6)), edge_prob=0.7)
+            model = random_model(gen, 2, r, num_inputs=p)
+            entries = []
+            for e in graph.edges:
+                u, v = (e.v, e.u) if e.kind == UNDIRECTED and gen.random() < 0.5 else e[:2]
+                block = gen.normal(size=(p, r))
+                w = block[0].tolist() if p == 1 and gen.random() < 0.3 else block.tolist()
+                entries.append({"u": u, "v": v, "W": w})
+            order = gen.permutation(len(entries))
+            entries = [entries[i] for i in order]
+            for _ in range(int(gen.integers(0, 3))):
+                if not entries:
+                    break
+                i = int(gen.integers(0, len(entries)))
+                e = entries[i]
+                if not isinstance(e, dict) or set(e) != {"u", "v", "W"}:
+                    continue  # already made bad
+                bad = [
+                    {"u": e["u"], "v": e["v"]},
+                    {**e, "x": 1},
+                    {**e, "u": float(e["u"])},
+                    {**e, "u": e["v"], "v": e["u"]},
+                    {**e, "v": 99},
+                    {**e, "W": [[1.0] * (r + 1)] * p},
+                    {**e, "W": [[float("nan")] * r] * p},
+                    {**e, "W": [[1.0] * r, [2.0]]},
+                    {**e, "W": None},
+                    {**e, "W": [[[1.0] * r] * p]},
+                    [e["u"], e["v"]],
+                ][int(gen.integers(0, 11))]
+                if gen.random() < 0.3:
+                    entries.insert(i, e)  # a duplicate weight
+                elif gen.random() < 0.2:
+                    del entries[i]  # an edge left without weight
+                else:
+                    entries[i] = bad
+            doc = {"weights": {"edges": entries}}
+            got = outcome(problem_io._parse_weights, doc, graph, model)
+            want = outcome(reference_parse_weights, entries, graph, (p, r))
+            if want[0] == "ok":
+                assert got[0] == "ok", got
+                assert got[1].shape == (p, r)
+                assert set(got[1].blocks) == set(want[1])
+                for key, block in want[1].items():
+                    assert np.array_equal(got[1].blocks[key], block)
+                seen.add("ok")
+            else:
+                assert got == want
+                seen.update(f for f in self.WEIGHT_ERRORS if f in want[1])
+        assert seen == {"ok", *self.WEIGHT_ERRORS}
 
     def test_graph_rejections(self):
         self.expect_error(

@@ -17,6 +17,11 @@ Two hand-written problems pin the other analyzer paths:
     diffnet analyze directed_cutoff.json   (single input, vertex 4 cut off)
     diffnet graph directed_cutoff.json
 
+and pin the text rendering of the last two:
+
+    diffnet analyze directed_cutoff.json --format text
+    diffnet graph directed_cutoff.json --format text
+
 The fixed-mode node has an upper-triangular A with integer diagonal, so the
 eigenvalue in its witness is exact whatever LAPACK computes it.
 
@@ -72,6 +77,15 @@ def test_report_is_byte_identical(tmp_path, golden, argv):
 def test_analyzer_path_is_byte_identical(tmp_path, problem, golden, command, code):
     out = tmp_path / golden
     assert main([command, str(GOLDEN / problem), "--out", str(out)]) == code
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("command, code", [("analyze", 1), ("graph", 0)])
+def test_text_report_is_byte_identical(tmp_path, command, code):
+    golden = f"directed_cutoff_{command}.txt"
+    out = tmp_path / golden
+    argv = [command, str(GOLDEN / "directed_cutoff.json"), "--format", "text"]
+    assert main([*argv, "--out", str(out)]) == code
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 

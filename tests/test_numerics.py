@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import commutation_matrix, commutation_permutation
+from conftest import (
+    commutation_matrix,
+    commutation_permutation,
+    loop_sample_away_from_zero,
+)
 from diffnet.errors import NumericError
 from diffnet.numerics import (
     DEFAULT_TOL,
@@ -315,6 +319,23 @@ class TestRandomSource:
 
     def test_derive_is_stable(self):
         assert RandomSource(4).derive(2).stream_id == RandomSource(4).derive(2).stream_id
+
+    def test_sample_away_from_zero_matches_the_reference_bit_for_bit(self):
+        gen = np.random.default_rng(5)
+        for case in range(100):
+            shape = [5, (3,), (2, 3), (1, 4)][case % 4]
+            count = int(gen.integers(0, 6))
+            seed = int(gen.integers(0, 2**31))
+            got = sample_away_from_zero(np.random.default_rng(seed), shape)
+            ref = np.random.default_rng(seed)
+            want = loop_sample_away_from_zero(ref, shape)
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+            batch = sample_away_from_zero(np.random.default_rng(seed), shape, count=count)
+            ref = np.random.default_rng(seed)
+            want = [loop_sample_away_from_zero(ref, shape) for _ in range(count)]
+            assert batch.shape == (count, *np.broadcast_shapes(shape))
+            for block, w in zip(batch, want):
+                assert block.view(np.uint64).tolist() == w.view(np.uint64).tolist()
 
     def test_sample_away_from_zero_bounds(self):
         gen = RandomSource(0).generator()

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from conftest import incoming_influence_counts, random_driven, random_graph
+from conftest import (
+    edges_with_defects,
+    incoming_influence_counts,
+    loop_influence_neighbors,
+    outcome,
+    random_driven,
+    random_graph,
+    reference_graph_check,
+)
 from diffnet.assembly import MatrixWeights, matrix_laplacian
 from diffnet.topology import (
     DIRECTED,
@@ -46,6 +54,41 @@ class TestGraphValidation:
     def test_antiparallel_directed_pair_allowed(self):
         g = NetworkGraph(2, (Edge(1, 2, DIRECTED), Edge(2, 1, DIRECTED)))
         assert g.num_edges == 2 and g.has_directed_edges()
+
+    def test_edge_is_a_named_tuple(self):
+        assert Edge(1, 2) == (1, 2, UNDIRECTED)
+        assert hash(Edge(2, 1, DIRECTED)) == hash((2, 1, DIRECTED))
+        assert Edge(2, 1)._asdict() == {"u": 2, "v": 1, "kind": UNDIRECTED}
+
+    def test_bulk_checks_match_the_per_edge_reference(self):
+        gen = np.random.default_rng(81)
+        seen = set()
+        for _ in range(1500):
+            n = int(gen.integers(2, 7))
+            edges = edges_with_defects(gen, n)
+            got = outcome(lambda: NetworkGraph(n, tuple(edges)))
+            want = outcome(reference_graph_check, n, edges)
+            if want[0] == "ok":
+                assert got[0] == "ok", got
+                g = got[1]
+                assert g.edges == tuple(edges)
+                assert (g.start + 1).tolist() == [e.oriented()[0] for e in edges]
+                assert (g.end + 1).tolist() == [e.oriented()[1] for e in edges]
+                assert g.directed.tolist() == [e.kind == DIRECTED for e in edges]
+                assert g.edge_keys() == [e.key() for e in edges]
+                assert g.influence_neighbors() == loop_influence_neighbors(g)
+                assert g.has_directed_edges() == any(g.directed)
+                seen.add("ok")
+            else:
+                assert got == want
+                seen.add(want[1].split(" ")[0])
+        # every check of the reference fired at least once
+        assert seen == {"ok", "unknown", "edge", "self-loop", "duplicate", "vertices"}
+
+    def test_vertex_count_must_fit_int64(self):
+        NetworkGraph(2**63 - 1)
+        with pytest.raises(ValueError, match="64-bit"):
+            NetworkGraph(2**63)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

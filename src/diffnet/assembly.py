@@ -150,22 +150,25 @@ def _require_close(name: str, first: np.ndarray, second: np.ndarray, rtol: float
         )
 
 
-def _edgewise_state_matrix(
+def _edgewise_state_blocks(
     model: SubsystemModel, graph: NetworkGraph, weights: MatrixWeights
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """I kron A + sum_e (K[:, e] K_I[e, :]) kron (B W_e C), K and K_I the
-    injection and incidence matrices of the graph's incidence realization.
+    injection and incidence matrices of the graph's incidence realization,
+    as n x n block terms: the 0-based block rows, the block columns and the
+    blocks. The matrix is the sum of the terms, each at its block, and 0.0
+    at every block no term names.
 
-    Each edge's block B W_e C lands at block (i, j) scaled by
-    K[i, e] K_I[e, j], for every nonzero K[i, e] and K_I[e, j].
+    A lands at every diagonal block, then each edge's block B W_e C at
+    block (i, j) scaled by K[i, e] K_I[e, j], for every nonzero K[i, e]
+    and K_I[e, j].
     """
     real = incidence_matrices(graph)
-    n_vertices, n = graph.num_vertices, model.order
-    out = np.zeros((n_vertices, n, n_vertices, n))
+    n_vertices = graph.num_vertices
     diag = np.arange(n_vertices)
-    out[diag, :, diag, :] = model.a
+    on_diag = np.broadcast_to(model.a, (n_vertices, *model.a.shape))
     if not graph.num_edges:
-        return out.reshape(n_vertices * n, n_vertices * n)
+        return diag, diag, on_diag
     blocks = model.b @ _edge_blocks(graph, weights) @ model.c
     # every pair (nonzero K[i, e], nonzero K_I[e, j]) of one edge: np.nonzero
     # lists both by edge, so edge e's K_I entries are first[e] onwards
@@ -179,8 +182,11 @@ def _edgewise_state_matrix(
     pair_inc = first[inj_edge[pair_inj]] + rank
     edge, i, j = inj_edge[pair_inj], inj_row[pair_inj], inc_col[pair_inc]
     coef = real.injection[i, edge] * real.incidence[edge, j]
-    np.add.at(out, (i, slice(None), j), coef[:, None, None] * blocks[edge])
-    return out.reshape(n_vertices * n, n_vertices * n)
+    return (
+        np.concatenate([diag, i]),
+        np.concatenate([diag, j]),
+        np.concatenate([on_diag, coef[:, None, None] * blocks[edge]]),
+    )
 
 
 def _gemm(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -198,10 +204,11 @@ def _gemm(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 def _direct_state_matrix(
     model: SubsystemModel, graph: NetworkGraph, weights: MatrixWeights
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """I kron A - (I kron B) L_m (I kron C), formed at the nonzero blocks of
     L_m only: every diagonal block, and per edge the off-diagonal blocks
-    that carry -W. Every other block stays exactly 0.0.
+    that carry -W. Every other block stays exactly 0.0. Returns the matrix
+    and the 0-based block rows and columns of the blocks it writes.
     """
     n_vertices, n = graph.num_vertices, model.order
     p, r = weights.shape
@@ -218,7 +225,7 @@ def _direct_state_matrix(
     coupled = _gemm(model.b, blocks).reshape(n, -1, r)
     stacked = coupled.transpose(1, 0, 2).reshape(-1, r)
     out[i, :, j, :] -= _gemm(stacked, model.c).reshape(-1, n, n)
-    return out.reshape(n_vertices * n, n_vertices * n)
+    return out.reshape(n_vertices * n, n_vertices * n), i, j
 
 
 def assemble_lumped(
@@ -240,7 +247,9 @@ def assemble_lumped(
     I kron A + sum_e (K[:, e] K_I[e, :]) kron (B W_e C) built on the
     incidence realization (for undirected graphs K = -K_I^T, recovering the
     familiar incidence-quadratic form); the two must agree to
-    ASSEMBLY_CROSS_CHECK_RTOL. The edgewise route costs O(M n^3 + (nN)^2).
+    ASSEMBLY_CROSS_CHECK_RTOL. The edgewise route costs O(M n^3); it is
+    summed, and the two compared, at the blocks either route writes only,
+    O((N + M) n^2).
     Input matrix is Delta kron B, written as B at the driven diagonal
     blocks.
     """
@@ -253,18 +262,32 @@ def assemble_lumped(
         )
     driven.validate_for(graph)
 
+    n_vertices, n = graph.num_vertices, model.order
     # finite weights can still overflow; the result is checked just below
     with np.errstate(over="ignore", invalid="ignore"):
-        a_direct = _direct_state_matrix(model, graph, weights)
-        a_edge = _edgewise_state_matrix(model, graph, weights)
+        a_direct, rows, cols = _direct_state_matrix(model, graph, weights)
+        edge_rows, edge_cols, terms = _edgewise_state_blocks(model, graph, weights)
+        # both routes are exactly 0.0 outside the blocks they write, so they
+        # are compared at the union of those blocks only
+        at, slot = np.unique(
+            np.concatenate([rows, edge_rows]) * n_vertices
+            + np.concatenate([cols, edge_cols]),
+            return_inverse=True,
+        )
+        a_edge = np.zeros((at.size, n, n))
+        np.add.at(a_edge, slot[rows.size :], terms)
     if not np.all(np.isfinite(a_direct)):
         raise ValueError(
             "lumped state matrix overflows the float range: "
             "the edge weights or subsystem entries are too large"
         )
-    _require_close("lumped state matrix", a_direct, a_edge, ASSEMBLY_CROSS_CHECK_RTOL)
+    direct_blocks = a_direct.reshape(n_vertices, n, n_vertices, n)[
+        at // n_vertices, :, at % n_vertices, :
+    ]
+    _require_close(
+        "lumped state matrix", direct_blocks, a_edge, ASSEMBLY_CROSS_CHECK_RTOL
+    )
 
-    n_vertices, n = graph.num_vertices, model.order
     b_sys = np.zeros((n_vertices, n, n_vertices, p))
     driven_idx = np.array(sorted(driven.driven), dtype=np.intp) - 1
     b_sys[driven_idx, :, driven_idx, :] = model.b

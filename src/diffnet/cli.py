@@ -5,6 +5,13 @@ controllability oracle beside the verdict), ``lump`` (assembled system matrices)
 ``example`` (ready-to-analyze mass-spring chain files), ``graph``
 (topology report).
 
+``main`` may be called any number of times in one process. It parses with
+one parser, built on the first call and reused after: the parser holds no
+per-call state. ``parse_args`` returns a new namespace on each call, the
+command's function is looked up by name when it runs, ``DIFFNET_SEED`` is
+read when a seed is resolved and ``COLUMNS`` when help is formatted.
+Importing the module builds no parser. ``build_parser`` returns a fresh one.
+
 Exit codes: 0 structurally controllable (or success for non-verdict
 commands), 1 not structurally controllable, 2 inconclusive, 3
 certification disagrees with the verdict, 64 input error, 70 internal
@@ -15,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 
@@ -521,7 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="graph-theoretic verdict for a problem file")
     p.add_argument("path", help="problem file (JSON)")
     _add_io_flags(p, with_tol=True)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser(
         "certify", help="Monte Carlo controllability certification beside the verdict"
@@ -539,7 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
         "before each controllability test",
     )
     _add_io_flags(p, with_tol=True)
-    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("lump", help="assembled lumped matrices for a problem file")
     p.add_argument("path", help="problem file (JSON)")
@@ -549,7 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="add the wall coupling from options.wall to the emitted state matrix",
     )
     _add_io_flags(p)
-    p.set_defaults(func=cmd_lump)
 
     p = sub.add_parser("example", help="generate a ready-to-analyze problem file")
     p.add_argument(
@@ -582,21 +587,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", metavar="PATH", help="write the problem file here")
     p.add_argument("--seed", type=_any_int, help="seed for drawn constants")
-    p.set_defaults(func=cmd_example)
 
     p = sub.add_parser("graph", help="topology report for a problem file")
     p.add_argument("path", help="problem file (JSON)")
     _add_io_flags(p, with_seed=False)
-    p.set_defaults(func=cmd_graph)
 
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call uses, built on the first one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
+    # looked up at call time, so a rebound cmd_* function takes effect
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (ProblemFileError, ModelValidationError, PremiseError, ValueError) as exc:
         print(f"diffnet: error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

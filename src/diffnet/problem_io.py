@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -164,7 +165,10 @@ def _parse_graph(doc: dict) -> NetworkGraph:
     if not isinstance(entries, list):
         raise _fail('graph "edges" must be a list')
     columns = _edge_columns(entries)
-    edges = _walk_edges(entries) if columns is None else map(Edge, *columns)
+    if columns is None:
+        edges = _walk_edges(entries)
+    else:  # tuple.__new__ fills the named tuples without Edge's Python __new__
+        edges = map(tuple.__new__, repeat(Edge), zip(*columns))
     try:
         return NetworkGraph(n, tuple(edges))
     except ValueError as exc:

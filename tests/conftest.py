@@ -338,6 +338,20 @@ def reference_parse_weights(entries: list, graph: NetworkGraph, shape) -> dict:
     return by_key
 
 
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap ``module.name`` for the test: every call appends to the
+    returned list, then runs the original."""
+    calls: list = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def outcome(fn, *args):
     """("ok", result) or (exception class, message) of fn(*args)."""
     try:

@@ -18,6 +18,7 @@ from conftest import (
 )
 from diffnet.assembly import (
     MatrixWeights,
+    _edgewise_state_blocks,
     _require_close,
     assemble_lumped,
     check_weights,
@@ -392,15 +393,18 @@ class TestDirectRoute:
             )
 
 
+def edgewise_matrix(model, graph, blocks) -> np.ndarray:
+    """The whole state matrix of the edgewise route's block terms
+    ``blocks`` = (rows, cols, terms), summed in term order."""
+    rows, cols, terms = blocks
+    n_vertices, n = graph.num_vertices, model.order
+    out = np.zeros((n_vertices, n, n_vertices, n))
+    np.add.at(out, (rows, slice(None), cols), terms)
+    return out.reshape(n_vertices * n, n_vertices * n)
+
+
 class TestEdgewiseRoute:
-    def test_matches_dense_kronecker_reference(self, monkeypatch):
-        routes = []
-
-        def capture(name, first, second, rtol):
-            routes.append(second)
-            _require_close(name, first, second, rtol)
-
-        monkeypatch.setattr(diffnet.assembly, "_require_close", capture)
+    def test_matches_dense_kronecker_reference(self):
         gen = np.random.default_rng(2024)
         kinds, antiparallel = set(), 0
         for (p, r), case in itertools.product(
@@ -417,9 +421,9 @@ class TestEdgewiseRoute:
             antiparallel += sum((v, u) in directed for u, v in directed)
             model = random_model(gen, int(gen.integers(1, 4)), r, num_inputs=p)
             weights = sample_weights(g, (p, r), RandomSource(int(gen.integers(1 << 30))))
-            routes.clear()
-            assemble_lumped(model, g, weights, random_driven(gen, g.num_vertices))
-            (edge_route,) = routes
+            edge_route = edgewise_matrix(
+                model, g, _edgewise_state_blocks(model, g, weights)
+            )
             reference = dense_edgewise_state_matrix(model, g, weights)
             scale = max(1.0, float(np.max(np.abs(reference))))
             assert np.max(np.abs(edge_route - reference)) <= 1e-12 * scale
@@ -562,3 +566,57 @@ class TestMassSpringChain:
         assert np.array_equal(shift, expected)
         with pytest.raises(ValueError):
             grounding_shift(0, 1.0, 1.0)
+
+
+class TestCrossCheck:
+    def test_judged_deviation_is_that_of_the_whole_matrices(self, monkeypatch):
+        """The assembler sums the edgewise route and compares it with the
+        emitted matrix at the blocks either route writes. Both are exactly
+        0.0 everywhere else, so the deviation and scale it judges equal the
+        formula over the whole matrices: as built, with noise planted in
+        every term of the edgewise route, and with a NaN in one."""
+        gen = np.random.default_rng(909)
+        noise, judged, routes = [0.0, False], [], []
+
+        def planted(model, graph, weights):
+            rows, cols, terms = _edgewise_state_blocks(model, graph, weights)
+            terms = terms + gen.normal(scale=noise[0], size=terms.shape)
+            if noise[1]:
+                terms[-1, -1, -1] = np.nan
+            routes.append((rows, cols, terms))
+            return rows, cols, terms
+
+        def capture(name, first, second, rtol):
+            judged.append(deviation_and_scale(first, second))
+            _require_close(name, first, second, rtol)
+
+        def deviation_and_scale(first, second):
+            return (
+                float(np.max(np.abs(first - second))),
+                max(1.0, float(np.max(np.abs(first)))),
+            )
+
+        monkeypatch.setattr(diffnet.assembly, "_edgewise_state_blocks", planted)
+        monkeypatch.setattr(diffnet.assembly, "_require_close", capture)
+        for (p, r), g in itertools.product(
+            itertools.product((1, 2, 3), repeat=2), list(mixed_graphs(gen))
+        ):
+            model = random_model(gen, int(gen.integers(1, 4)), r, num_inputs=p)
+            weights = sample_weights(g, (p, r), RandomSource(int(gen.integers(1 << 30))))
+            driven = random_driven(gen, g.num_vertices)
+            a_sys = None
+            for noise[:] in ([0.0, False], [1e-3, False], [0.0, True]):
+                judged.clear()
+                routes.clear()
+                if a_sys is None:
+                    a_sys = assemble_lumped(model, g, weights, driven).a_sys
+                else:
+                    with pytest.raises(ConsistencyError, match="disagree"):
+                        assemble_lumped(model, g, weights, driven)
+                (route,) = routes
+                whole = deviation_and_scale(a_sys, edgewise_matrix(model, g, route))
+                if noise[1]:
+                    assert np.isnan(judged[0][0]) and np.isnan(whole[0])
+                    assert judged[0][1] == whole[1]
+                else:
+                    assert judged == [whole]

@@ -3,13 +3,16 @@
 import dataclasses
 import inspect
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import (
+    count_calls,
     edges_with_defects,
     outcome,
     random_graph,
@@ -28,6 +31,9 @@ from diffnet.problem_io import (
 )
 from diffnet.topology import DIRECTED, UNDIRECTED, Edge, NetworkGraph
 from diffnet.verdict import CertificationReport, TrialResult
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def chain_problem(n=3, driven=(1,), c=None, weights=None, options=None, extra=None):
@@ -651,6 +657,19 @@ class TestProblemParsing:
         assert problem.options == {}
         assert sorted(problem.driven.driven) == [1]
 
+    def test_parsed_edges_are_edge_tuples(self):
+        doc = chain_problem(n=4)
+        doc["graph"]["edges"].append({"u": 4, "v": 1, "kind": "directed"})
+        edges = self.parse(doc).graph.edges
+        assert {type(e) for e in edges} == {Edge}
+        assert [(e.u, e.v, e.kind) for e in edges] == [
+            (1, 2, UNDIRECTED),
+            (2, 3, UNDIRECTED),
+            (3, 4, UNDIRECTED),
+            (4, 1, DIRECTED),
+        ]
+        assert edges[-1].key() == (DIRECTED, 4, 1)
+
     def test_weight_order_is_free_for_undirected_edges(self):
         weights = {"edges": [{"u": 2, "v": 1, "W": [[1.0, 2.0]]}]}
         problem = self.parse(chain_problem(n=2, weights=weights))
@@ -947,6 +966,132 @@ class TestProblemParsing:
         self.expect_error(doc, "numeric|non-finite")
         doc["subsystem"]["A"] = [[0.0, 1.0], [0.0, 10**400]]
         self.expect_error(doc, "numeric|non-finite")
+
+
+def fresh_process(argv, env=None) -> int:
+    """Exit code of ``python -m diffnet *argv`` in a new interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "diffnet", *argv],
+        capture_output=True,
+        env=None if env is None else {**os.environ, **env},
+        timeout=120,
+    )
+    return proc.returncode
+
+
+@pytest.fixture
+def unbuilt_parser():
+    """No shared parser at the start or the end of the test."""
+    cli._shared_parser.cache_clear()
+    yield
+    cli._shared_parser.cache_clear()
+
+
+class TestParserReuse:
+    """``main`` builds its parser on the first call and reuses it; no call
+    leaves state behind that a later one would see."""
+
+    def test_parser_is_built_once_over_many_calls(
+        self, problem_file, capsys, monkeypatch, unbuilt_parser
+    ):
+        builds = count_calls(monkeypatch, cli, "build_parser")
+        path = problem_file(chain_problem())
+        for argv in (["analyze", path], ["graph", path], ["lump", path], ["analyze", path]):
+            assert run(capsys, argv)[0] == 0
+        assert len(builds) == 1
+
+    def test_import_builds_no_parser(self, tmp_path):
+        child = (
+            "import argparse, sys\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import diffnet.cli\n"
+            "counts = [len(built)]\n"
+            "for _ in range(2):\n"
+            "    diffnet.cli.main(['example', '--N', '2', '--out', sys.argv[1]])\n"
+            "    counts.append(len(built))\n"
+            "print(*counts)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child, str(tmp_path / "example.json")],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        after_import, after_first, after_second = map(int, proc.stdout.split())
+        assert after_import == 0, proc.stderr
+        assert after_first > 0 and after_second == after_first
+
+    def test_flags_of_one_call_do_not_reach_the_next(self, capsys, tmp_path):
+        path = str(GOLDEN / "example.json")
+        flagged = [
+            "certify", path, "--trials", "2", "--ground-first-mass",
+            "--format", "text", "--seed", "5",
+        ]
+        plain = ["certify", path]
+        for argv in (flagged, plain):
+            warm, cold = tmp_path / "warm", tmp_path / "cold"
+            assert main([*argv, "--out", str(warm)]) == 0
+            assert fresh_process([*argv, "--out", str(cold)]) == 0
+            assert warm.read_bytes() == cold.read_bytes(), argv
+        doc = json.loads(warm.read_bytes())
+        assert doc["options"]["trials"] == 5 and doc["options"]["seed"] == 1
+        assert not doc["options"]["ground_first_mass"]
+        assert "grounded_certification" not in doc
+
+    def test_usage_error_leaves_nothing_behind(self, problem_file, capsys, tmp_path):
+        path = problem_file(chain_problem())
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", path, "--tol", "2"])
+        assert exc.value.code == 64
+        warm, cold = tmp_path / "warm", tmp_path / "cold"
+        assert main(["analyze", path, "--out", str(warm)]) == 0
+        assert fresh_process(["analyze", path, "--out", str(cold)]) == 0
+        assert warm.read_bytes() == cold.read_bytes()
+
+    def test_seed_from_the_environment_is_read_per_call(
+        self, problem_file, monkeypatch, tmp_path
+    ):
+        path = problem_file(chain_problem())
+        reports = []
+        for seed in ("7", "8"):
+            monkeypatch.setenv("DIFFNET_SEED", seed)
+            warm, cold = tmp_path / f"warm{seed}", tmp_path / f"cold{seed}"
+            assert main(["lump", path, "--out", str(warm)]) == 0
+            assert fresh_process(["lump", path, "--out", str(cold)], {"DIFFNET_SEED": seed}) == 0
+            assert warm.read_bytes() == cold.read_bytes()
+            reports.append(warm.read_bytes())
+        assert reports[0] != reports[1]
+
+    def test_rebound_command_takes_effect(self, problem_file, capsys, monkeypatch):
+        path = problem_file(chain_problem())
+        assert run(capsys, ["graph", path])[0] == 0
+        monkeypatch.setattr(cli, "cmd_graph", lambda args: 42)
+        assert run(capsys, ["graph", path])[0] == 42
+
+    def test_help_matches_a_fresh_parser(self, capsys, monkeypatch, unbuilt_parser):
+        def help_text(parse, argv):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == 0
+            return capsys.readouterr().out
+
+        monkeypatch.setenv("COLUMNS", "200")
+        help_text(main, ["--help"])  # builds the shared parser at another width
+        commands = ([], ["analyze"], ["certify"], ["lump"], ["example"], ["graph"])
+        texts = set()
+        for columns in ("60", "120"):
+            monkeypatch.setenv("COLUMNS", columns)
+            for command in commands:
+                argv = [*command, "--help"]
+                shared = help_text(main, argv)
+                assert shared == help_text(cli.build_parser().parse_args, argv), argv
+                texts.add(shared)
+        assert len(texts) == 2 * len(commands)
 
 
 class TestPackaging:

@@ -33,22 +33,49 @@ Its node has negative entries in A and B, and its graph has one directed
 edge and one antiparallel pair. Every entry is a short binary fraction, so
 each product and sum is exact. The report writes every structural zero of
 the block-sparse pair as 0.0, never as -0.0.
+
+Every command runs three times: twice in this process, where the first call
+may build the command-line parser and the second must reuse it, and once in
+a fresh interpreter through ``python -m diffnet``. All three write the
+golden bytes.
 """
 
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from diffnet.cli import main
+from conftest import count_calls
+from diffnet import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 EXAMPLE = GOLDEN / "example.json"
 
 
-def test_example_file_is_byte_identical(tmp_path):
-    out = tmp_path / "example.json"
-    assert main(["example", "--N", "5", "--seed", "1", "--out", str(out)]) == 0
-    assert out.read_bytes() == EXAMPLE.read_bytes()
+def check_golden(tmp_path, monkeypatch, argv, golden, code=0):
+    """Run ``diffnet *argv --out FILE`` warm, warm again and cold; each run
+    must exit ``code`` and write the bytes of ``golden``."""
+    expected = (GOLDEN / golden).read_bytes()
+    builds = count_calls(monkeypatch, cli, "build_parser")
+    for run in ("first", "second"):
+        before = len(builds)
+        out = tmp_path / f"{run}-{golden}"
+        assert cli.main([*argv, "--out", str(out)]) == code
+        assert out.read_bytes() == expected, run
+    assert len(builds) == before, "the second call built a parser"
+    out = tmp_path / f"fresh-{golden}"
+    proc = subprocess.run(
+        [sys.executable, "-m", "diffnet", *argv, "--out", str(out)],
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert out.read_bytes() == expected, "fresh interpreter"
+
+
+def test_example_file_is_byte_identical(tmp_path, monkeypatch):
+    check_golden(tmp_path, monkeypatch, ["example", "--N", "5", "--seed", "1"], EXAMPLE.name)
 
 
 @pytest.mark.parametrize(
@@ -60,10 +87,8 @@ def test_example_file_is_byte_identical(tmp_path):
         ("lump.json", ["lump"]),
     ],
 )
-def test_report_is_byte_identical(tmp_path, golden, argv):
-    out = tmp_path / golden
-    assert main([argv[0], str(EXAMPLE), *argv[1:], "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+def test_report_is_byte_identical(tmp_path, monkeypatch, golden, argv):
+    check_golden(tmp_path, monkeypatch, [argv[0], str(EXAMPLE), *argv[1:]], golden)
 
 
 @pytest.mark.parametrize(
@@ -74,22 +99,17 @@ def test_report_is_byte_identical(tmp_path, golden, argv):
         ("directed_cutoff.json", "directed_cutoff_graph.json", "graph", 0),
     ],
 )
-def test_analyzer_path_is_byte_identical(tmp_path, problem, golden, command, code):
-    out = tmp_path / golden
-    assert main([command, str(GOLDEN / problem), "--out", str(out)]) == code
-    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+def test_analyzer_path_is_byte_identical(
+    tmp_path, monkeypatch, problem, golden, command, code
+):
+    check_golden(tmp_path, monkeypatch, [command, str(GOLDEN / problem)], golden, code)
 
 
 @pytest.mark.parametrize("command, code", [("analyze", 1), ("graph", 0)])
-def test_text_report_is_byte_identical(tmp_path, command, code):
-    golden = f"directed_cutoff_{command}.txt"
-    out = tmp_path / golden
+def test_text_report_is_byte_identical(tmp_path, monkeypatch, command, code):
     argv = [command, str(GOLDEN / "directed_cutoff.json"), "--format", "text"]
-    assert main([*argv, "--out", str(out)]) == code
-    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+    check_golden(tmp_path, monkeypatch, argv, f"directed_cutoff_{command}.txt", code)
 
 
-def test_mimo_lump_is_byte_identical(tmp_path):
-    out = tmp_path / "lump_mimo.json"
-    assert main(["lump", str(GOLDEN / "mimo.json"), "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / "lump_mimo.json").read_bytes()
+def test_mimo_lump_is_byte_identical(tmp_path, monkeypatch):
+    check_golden(tmp_path, monkeypatch, ["lump", str(GOLDEN / "mimo.json")], "lump_mimo.json")

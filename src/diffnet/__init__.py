@@ -2,8 +2,9 @@
 
 Decides, from topology plus one copy of the node dynamics, whether some
 (equivalently, almost every) assignment of vector or matrix edge weights
-makes the assembled network controllable, and certifies each verdict with
-an orthogonal controllability staircase on sampled weights.
+makes the assembled network controllable, and certifies each verdict by
+measuring the controllable subspace of the network on sampled weights,
+all draws of one certificate assembled and rank-tested as one stack.
 """
 
 from .assembly import (
@@ -11,6 +12,7 @@ from .assembly import (
     MassSpringChain,
     MatrixWeights,
     assemble_lumped,
+    assemble_lumped_stack,
     factorized_assembly_check,
     grounding_shift,
     mass_spring_chain,
@@ -75,6 +77,7 @@ __all__ = [
     "analyze",
     "analyze_scalar_constrained",
     "assemble_lumped",
+    "assemble_lumped_stack",
     "aux_condition_check",
     "certify_monte_carlo",
     "factorized_assembly_check",

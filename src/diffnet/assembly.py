@@ -16,7 +16,10 @@ Kronecker products cost O((nN)^3). Every other block is exactly 0.0. The
 edgewise route, I kron A + sum_e (K[:, e] K_I[e, :]) kron (B W_e C), reads
 the incidence realization and places one n x n block per edge at the at
 most four block positions its incidence entries select, at
-O(M n^3 + (nN)^2) cost.
+O(M n^3 + (nN)^2) cost. ``assemble_lumped_stack`` builds the pairs of T
+weight draws at once: the index work, which depends on the graph alone,
+runs once, the products run over all draws' blocks side by side, and the
+routes are compared draw by draw.
 """
 
 from __future__ import annotations
@@ -94,7 +97,8 @@ def check_weights(graph: NetworkGraph, weights: MatrixWeights) -> None:
 
 def _edge_blocks(graph: NetworkGraph, weights: MatrixWeights) -> np.ndarray:
     """The weight blocks stacked in edge order, shape (M, p, r)."""
-    return np.stack(list(map(weights.blocks.__getitem__, graph.edge_keys())))
+    blocks = list(map(weights.blocks.__getitem__, graph.edge_keys()))
+    return np.array(blocks, dtype=float).reshape(len(blocks), *weights.shape)
 
 
 def _laplacian_terms(graph: NetworkGraph):
@@ -112,6 +116,26 @@ def _laplacian_terms(graph: NetworkGraph):
     return row, col, sign, edge
 
 
+def _laplacian_blocks(
+    graph: NetworkGraph, blocks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The block Laplacian of each member of a (T, M, p, r) stack of edge
+    blocks at its possibly nonzero blocks only: every diagonal block, then
+    the off-diagonal blocks the edges name, each -W. Returns the 0-based
+    block rows, the block columns and the (T, blocks, p, r) values; the
+    terms are added in edge order, one indexed scatter for all members.
+    """
+    row, col, sign, edge = _laplacian_terms(graph)
+    n_vertices = graph.num_vertices
+    off = sign < 0  # an off-diagonal position takes exactly one term
+    slot = np.where(off, n_vertices + np.cumsum(off) - 1, row)
+    diag = np.arange(n_vertices)
+    count = n_vertices + np.count_nonzero(off)
+    values = np.zeros((blocks.shape[0], count) + blocks.shape[2:])
+    np.add.at(values, (slice(None), slot), sign[:, None, None] * blocks[:, edge])
+    return np.concatenate([diag, row[off]]), np.concatenate([diag, col[off]]), values
+
+
 def matrix_laplacian(graph: NetworkGraph, weights: MatrixWeights) -> np.ndarray:
     """Block Laplacian of shape (N * p) x (N * r).
 
@@ -125,16 +149,19 @@ def matrix_laplacian(graph: NetworkGraph, weights: MatrixWeights) -> np.ndarray:
     p, r = weights.shape
     n_vertices = graph.num_vertices
     lap = np.zeros((n_vertices, p, n_vertices, r))
-    if graph.num_edges:
-        w = _edge_blocks(graph, weights)
-        row, col, sign, edge = _laplacian_terms(graph)
-        np.add.at(lap, (row, slice(None), col), sign[:, None, None] * w[edge])
+    rows, cols, values = _laplacian_blocks(graph, _edge_blocks(graph, weights)[None])
+    lap[rows, :, cols, :] = values[0]
     return lap.reshape(n_vertices * p, n_vertices * r)
 
 
 @dataclass(frozen=True)
 class LumpedSystem:
-    """Assembled network pair (A_sys, B_sys)."""
+    """Assembled network pair (A_sys, B_sys).
+
+    From ``assemble_lumped_stack``, ``a_sys`` holds one state matrix per
+    member along a leading axis and ``b_sys``, the same for every member,
+    is stored once.
+    """
 
     a_sys: np.ndarray
     b_sys: np.ndarray
@@ -151,13 +178,14 @@ def _require_close(name: str, first: np.ndarray, second: np.ndarray, rtol: float
 
 
 def _edgewise_state_blocks(
-    model: SubsystemModel, graph: NetworkGraph, weights: MatrixWeights
+    model: SubsystemModel, graph: NetworkGraph, blocks: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """I kron A + sum_e (K[:, e] K_I[e, :]) kron (B W_e C), K and K_I the
     injection and incidence matrices of the graph's incidence realization,
-    as n x n block terms: the 0-based block rows, the block columns and the
-    blocks. The matrix is the sum of the terms, each at its block, and 0.0
-    at every block no term names.
+    for each member of a (T, M, p, r) stack of edge blocks W, as n x n
+    block terms: the 0-based block rows, the block columns and the
+    (T, terms, n, n) blocks. A member's matrix is the sum of its terms, each
+    at its block, and 0.0 at every block no term names.
 
     A lands at every diagonal block, then each edge's block B W_e C at
     block (i, j) scaled by K[i, e] K_I[e, j], for every nonzero K[i, e]
@@ -166,10 +194,10 @@ def _edgewise_state_blocks(
     real = incidence_matrices(graph)
     n_vertices = graph.num_vertices
     diag = np.arange(n_vertices)
-    on_diag = np.broadcast_to(model.a, (n_vertices, *model.a.shape))
+    on_diag = np.broadcast_to(model.a, (blocks.shape[0], n_vertices, *model.a.shape))
     if not graph.num_edges:
         return diag, diag, on_diag
-    blocks = model.b @ _edge_blocks(graph, weights) @ model.c
+    coupling = model.b @ blocks @ model.c
     # every pair (nonzero K[i, e], nonzero K_I[e, j]) of one edge: np.nonzero
     # lists both by edge, so edge e's K_I entries are first[e] onwards
     inj_edge, inj_row = np.nonzero(real.injection.T)
@@ -185,7 +213,7 @@ def _edgewise_state_blocks(
     return (
         np.concatenate([diag, i]),
         np.concatenate([diag, j]),
-        np.concatenate([on_diag, coef[:, None, None] * blocks[edge]]),
+        np.concatenate([on_diag, coef[:, None, None] * coupling[:, edge]], axis=1),
     )
 
 
@@ -202,30 +230,84 @@ def _gemm(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return (left @ right)[:rows, :cols]
 
 
-def _direct_state_matrix(
-    model: SubsystemModel, graph: NetworkGraph, weights: MatrixWeights
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """I kron A - (I kron B) L_m (I kron C), formed at the nonzero blocks of
-    L_m only: every diagonal block, and per edge the off-diagonal blocks
-    that carry -W. Every other block stays exactly 0.0. Returns the matrix
-    and the 0-based block rows and columns of the blocks it writes.
+def _direct_state_matrices(
+    model: SubsystemModel, n_vertices: int, rows, cols, lap: np.ndarray
+) -> np.ndarray:
+    """I kron A - (I kron B) L_m (I kron C) for each member of a stack,
+    formed at the nonzero blocks of L_m only: ``lap`` holds each member's
+    blocks at the block ``rows`` and ``cols``, every diagonal block among
+    them. Every other block stays exactly 0.0. Returns (T, nN, nN).
     """
-    n_vertices, n = graph.num_vertices, model.order
-    p, r = weights.shape
-    row, col, sign, _ = _laplacian_terms(graph)
+    n = model.order
+    members, _, p, r = lap.shape
     diag = np.arange(n_vertices)
-    i = np.concatenate([diag, row[sign < 0]])
-    j = np.concatenate([diag, col[sign < 0]])
-    l_m = matrix_laplacian(graph, weights).reshape(n_vertices, p, n_vertices, r)
-    out = np.zeros((n_vertices, n, n_vertices, n))
-    out[diag, :, diag, :] = model.a
-    # (B L_ij) C for every nonzero block L_ij: two products over all
-    # blocks side by side, associated as in the dense form
-    blocks = l_m[i, :, j, :].transpose(1, 0, 2).reshape(p, -1)
-    coupled = _gemm(model.b, blocks).reshape(n, -1, r)
-    stacked = coupled.transpose(1, 0, 2).reshape(-1, r)
-    out[i, :, j, :] -= _gemm(stacked, model.c).reshape(-1, n, n)
-    return out.reshape(n_vertices * n, n_vertices * n), i, j
+    out = np.zeros((members, n_vertices, n, n_vertices, n))
+    out[:, diag, :, diag, :] = model.a
+    # (B L_ij) C for every nonzero block L_ij of every member: two products
+    # over all blocks side by side, associated as in the dense form
+    coupled = _gemm(model.b, lap.transpose(2, 0, 1, 3).reshape(p, -1))
+    stacked = coupled.reshape(n, -1, r).transpose(1, 0, 2).reshape(-1, r)
+    product = _gemm(stacked, model.c).reshape(members, -1, n, n)
+    out[:, rows, :, cols, :] -= product.transpose(1, 0, 2, 3)
+    return out.reshape(members, n_vertices * n, n_vertices * n)
+
+
+def _assemble(
+    model: SubsystemModel,
+    graph: NetworkGraph,
+    blocks: np.ndarray,
+    driven: DrivenSet,
+) -> LumpedSystem:
+    """The lumped pairs of a (T, M, p, r) stack of edge blocks, in edge
+    order: ``a_sys`` of shape (T, nN, nN) and one ``b_sys``. The index work
+    depends on the graph only and runs once; the products run over every
+    member's blocks side by side, and the cross-check judges each member on
+    its own.
+    """
+    require_valid(model)
+    p, r = blocks.shape[2:]
+    if (p, r) != (model.num_inputs, model.num_outputs):
+        raise ValueError(
+            f"weight blocks have shape {(p, r)} but the model is "
+            f"({model.num_inputs} inputs, {model.num_outputs} outputs)"
+        )
+    driven.validate_for(graph)
+
+    n_vertices, n = graph.num_vertices, model.order
+    # finite weights can still overflow; the result is checked just below
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows, cols, lap = _laplacian_blocks(graph, blocks)
+        a_direct = _direct_state_matrices(model, n_vertices, rows, cols, lap)
+        edge_rows, edge_cols, terms = _edgewise_state_blocks(model, graph, blocks)
+        # both routes are exactly 0.0 outside the blocks they write, so they
+        # are compared at the union of those blocks only
+        at, slot = np.unique(
+            np.concatenate([rows, edge_rows]) * n_vertices
+            + np.concatenate([cols, edge_cols]),
+            return_inverse=True,
+        )
+        a_edge = np.zeros((blocks.shape[0], at.size, n, n))
+        np.add.at(a_edge, (slice(None), slot[rows.size :]), terms)
+    if not np.all(np.isfinite(a_direct)):
+        raise ValueError(
+            "lumped state matrix overflows the float range: "
+            "the edge weights or subsystem entries are too large"
+        )
+    direct_blocks = a_direct.reshape(-1, n_vertices, n, n_vertices, n)[
+        :, at // n_vertices, :, at % n_vertices, :
+    ]
+    for member, edgewise in enumerate(a_edge):
+        _require_close(
+            "lumped state matrix",
+            direct_blocks[:, member],
+            edgewise,
+            ASSEMBLY_CROSS_CHECK_RTOL,
+        )
+
+    b_sys = np.zeros((n_vertices, n, n_vertices, p))
+    driven_idx = np.array(sorted(driven.driven), dtype=np.intp) - 1
+    b_sys[driven_idx, :, driven_idx, :] = model.b
+    return LumpedSystem(a_direct, b_sys.reshape(n_vertices * n, n_vertices * p))
 
 
 def assemble_lumped(
@@ -253,45 +335,29 @@ def assemble_lumped(
     Input matrix is Delta kron B, written as B at the driven diagonal
     blocks.
     """
-    require_valid(model)
-    p, r = weights.shape
-    if (p, r) != (model.num_inputs, model.num_outputs):
-        raise ValueError(
-            f"weight blocks have shape {(p, r)} but the model is "
-            f"({model.num_inputs} inputs, {model.num_outputs} outputs)"
-        )
-    driven.validate_for(graph)
+    check_weights(graph, weights)
+    lumped = _assemble(model, graph, _edge_blocks(graph, weights)[None], driven)
+    return LumpedSystem(lumped.a_sys[0], lumped.b_sys)
 
-    n_vertices, n = graph.num_vertices, model.order
-    # finite weights can still overflow; the result is checked just below
-    with np.errstate(over="ignore", invalid="ignore"):
-        a_direct, rows, cols = _direct_state_matrix(model, graph, weights)
-        edge_rows, edge_cols, terms = _edgewise_state_blocks(model, graph, weights)
-        # both routes are exactly 0.0 outside the blocks they write, so they
-        # are compared at the union of those blocks only
-        at, slot = np.unique(
-            np.concatenate([rows, edge_rows]) * n_vertices
-            + np.concatenate([cols, edge_cols]),
-            return_inverse=True,
-        )
-        a_edge = np.zeros((at.size, n, n))
-        np.add.at(a_edge, slot[rows.size :], terms)
-    if not np.all(np.isfinite(a_direct)):
-        raise ValueError(
-            "lumped state matrix overflows the float range: "
-            "the edge weights or subsystem entries are too large"
-        )
-    direct_blocks = a_direct.reshape(n_vertices, n, n_vertices, n)[
-        at // n_vertices, :, at % n_vertices, :
-    ]
-    _require_close(
-        "lumped state matrix", direct_blocks, a_edge, ASSEMBLY_CROSS_CHECK_RTOL
-    )
 
-    b_sys = np.zeros((n_vertices, n, n_vertices, p))
-    driven_idx = np.array(sorted(driven.driven), dtype=np.intp) - 1
-    b_sys[driven_idx, :, driven_idx, :] = model.b
-    return LumpedSystem(a_direct, b_sys.reshape(n_vertices * n, n_vertices * p))
+def assemble_lumped_stack(
+    model: SubsystemModel, graph: NetworkGraph, blocks, driven: DrivenSet
+) -> LumpedSystem:
+    """Lumped pairs of T weight draws at once, as ``assemble_lumped`` builds
+    each, with the same cross-check on every member.
+
+    ``blocks`` has shape (T, M, p, r): draw t's weight blocks in edge
+    order. The result's ``a_sys`` has shape (T, nN, nN); its ``b_sys``,
+    Delta kron B, is the same for every draw and stored once. The index
+    work that depends on the graph alone runs once for the whole stack.
+    """
+    blocks = np.asarray(blocks, dtype=float)
+    if blocks.ndim != 4 or blocks.shape[1] != graph.num_edges:
+        raise ValueError(
+            f"need a (draws, {graph.num_edges}, p, r) stack of weight blocks, "
+            f"got shape {blocks.shape}"
+        )
+    return _assemble(model, graph, blocks, driven)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Dense matrix utilities shared by every engine in the package.
 
 Kronecker products, tolerance-based numerical rank, eigenvalues and their
-greedy matching, the controllable dimension by orthogonal staircase, PBH
-controllability/observability tests, and the seeded random streams behind
-every sampled draw. Everything operates on plain numpy arrays and treats
-them as immutable values.
+greedy matching, the controllable dimension by block Arnoldi (the
+controllability staircase's Krylov form) for one pair or a stack of pairs,
+PBH controllability/observability tests, and the seeded random streams
+behind every sampled draw. Everything operates on plain numpy arrays and
+treats them as immutable values.
 """
 
 from __future__ import annotations
@@ -211,47 +212,76 @@ def pbh_eigen_checks(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> list[PbhCheck]
     return checks
 
 
-def controllable_dimension(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Dimension of the controllable subspace of (A, B), by orthogonal staircase.
+def controllable_dimension(a, b, tol: ToleranceConfig = DEFAULT_TOL):
+    """Dimension of the controllable subspace of (A, B), by block Arnoldi.
 
-    Each step takes an SVD of the current input block, keeps the rho singular
-    values above rank_rel_tol * max(||A||_2, ||B||_2), and rotates the states
-    not yet covered by its left singular vectors U, so that the next input
-    block is A[done+rho:, done:done+rho]. It stops when rho = 0 or every
-    state is covered (Paige 1981; Van Dooren). No eigenvalues are computed, and the
-    cutoff scales with (A, B), so the result is invariant under uniform
-    scaling.
+    The basis of the Krylov subspace span [B, AB, A^2 B, ...] grows one
+    block per step: the next block is A times the last one, orthogonalized
+    against the whole basis by two passes of classical Gram-Schmidt, and
+    its SVD keeps the left singular vectors whose singular values exceed
+    rank_rel_tol * max(||A||_2, ||B||_2). It stops when no singular value
+    passes or every state is covered. This is the controllability
+    staircase (Paige 1981; Van Dooren) in exact arithmetic: the singular
+    values cut at each step are those of the staircase's input block. No
+    eigenvalues are computed, and the cutoff scales with (A, B), so the
+    result is invariant under uniform scaling.
+
+    Leading axes of ``a`` (..., n, n) and ``b`` (..., n, m) are a stack of
+    pairs, broadcast against each other; every member gets its own cutoff,
+    all step together, and a member whose rank falls below the step's
+    width carries zero columns. One pair gives an int, a stack an int
+    array of the leading shape.
     """
-    am = np.array(a, dtype=float)
+    am = np.asarray(a, dtype=float)
     bm = np.asarray(b, dtype=float)
     if bm.ndim == 1:
         bm = bm[:, None]
-    if am.ndim != 2 or am.shape[0] != am.shape[1]:
+    if am.ndim < 2 or am.shape[-1] != am.shape[-2]:
         raise ValueError(f"staircase needs a square state matrix, got shape {am.shape}")
-    n = am.shape[0]
-    if bm.ndim != 2 or bm.shape[0] != n:
+    n = am.shape[-1]
+    if bm.ndim < 2 or bm.shape[-2] != n:
         raise ValueError(
             f"input matrix must have {n} rows to match the state matrix, "
             f"got shape {bm.shape}"
         )
+    lead = np.broadcast_shapes(am.shape[:-2], bm.shape[:-2])
+    done = np.zeros(lead, dtype=np.intp)
     try:
-        scale = max((np.linalg.norm(m, 2) for m in (am, bm) if m.size), default=0.0)
-        cutoff = tol.rank_rel_tol * scale
-        done = 0
+        scale = np.maximum(_spectral_norm(am), _spectral_norm(bm))
+        cutoff = (tol.rank_rel_tol * scale)[..., None]
+        basis = np.zeros(lead + (n, n))
+        members = basis.reshape(-1, n, n)
+        # an input matrix shared by the stack is decomposed once
         block = bm
-        while done < n:
-            u, sv, _ = np.linalg.svd(block)
-            rho = int(np.count_nonzero(sv > cutoff))
-            if rho == 0:
+        while True:
+            u, sv, _ = np.linalg.svd(block, full_matrices=False)
+            rho = np.minimum(np.count_nonzero(sv > cutoff, axis=-1), n - done)
+            width = int(rho.max(initial=0))
+            if width == 0:
                 break
-            am[done:, done:] = u.T @ am[done:, done:] @ u
-            block = am[done + rho :, done : done + rho]
-            done += rho
+            kept = np.arange(width) < rho[..., None]
+            fresh = u[..., :width] * kept[..., None, :]
+            member, column = np.nonzero(kept.reshape(-1, width))
+            members[member, :, done.reshape(-1)[member] + column] = fresh.reshape(
+                -1, n, width
+            )[member, :, column]
+            done = done + rho
+            q = basis[..., : int(done.max())]
+            block = am @ fresh
+            for _ in range(2):
+                block = block - q @ (np.swapaxes(q, -1, -2) @ block)
     except np.linalg.LinAlgError as exc:
         raise NumericError(
             f"staircase SVD failed on a {n}-state pair: {exc}"
         ) from exc
-    return done
+    return int(done) if not lead else done
+
+
+def _spectral_norm(m: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of a stack; 0 for an empty one."""
+    if m.shape[-1] == 0 or m.shape[-2] == 0:
+        return np.zeros(m.shape[:-2])
+    return np.linalg.svd(m, compute_uv=False)[..., 0]
 
 
 def pbh_controllable(a, b, tol: ToleranceConfig = DEFAULT_TOL):

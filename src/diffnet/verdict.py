@@ -7,9 +7,12 @@ the one analyzer for single-input (vector-weight) and multi-input
 (matrix-weight) nodes; the scalar-weight, leader, auxiliary-digraph and
 rank-condition checks are side criteria. Every verdict can be
 cross-examined by a Monte Carlo oracle on sampled weights, which measures
-the controllable subspace of each assembled pair with an orthogonal
-staircase. Every randomized check draws its network one way: per trial,
-``sample_weights`` on a derived stream, then ``assemble_lumped``.
+the controllable subspace of each assembled pair by block Arnoldi. Every
+randomized check draws its network one way: trial t's weight blocks come
+from ``rng.derive(t)`` exactly as ``sample_weights`` draws them. The
+certificate and the leader check assemble and rank-test all their trials
+as one stack (``assemble_lumped_stack``); the rank condition builds each
+trial with ``assemble_lumped``.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import numpy as np
 from .assembly import (
     MatrixWeights,
     assemble_lumped,
+    assemble_lumped_stack,
     matrix_laplacian,
     sample_weights,
 )
@@ -36,6 +40,7 @@ from .numerics import (
     eigenvalues,
     kron,
     numerical_rank,
+    sample_away_from_zero,
 )
 from .subsystem import (
     SubsystemModel,
@@ -56,6 +61,11 @@ from .topology import (
 
 DEFAULT_CERTIFY_TRIALS = 5
 
+#: The certificate's trials run as one stack while their state matrices
+#: take at most this many bytes together, and in consecutive stacks beyond
+#: it, so that memory stays bounded whatever the trial count.
+_TRIAL_STACK_BYTES = 1 << 24
+
 
 class Verdict(str, Enum):
     CONTROLLABLE = "STRUCTURALLY_CONTROLLABLE"
@@ -74,10 +84,14 @@ class ConditionRecord:
 
 @dataclass(frozen=True)
 class TrialResult:
-    """One Monte Carlo draw: sampled weights, assembled, staircase-tested.
+    """One Monte Carlo draw: sampled weights, assembled, rank-tested.
 
     ``deficient_count`` is the number of states outside the controllable
-    subspace of the assembled pair (0 exactly when the draw is controllable).
+    subspace of the assembled pair (0 exactly when the draw is controllable),
+    as ``numerics.controllable_dimension`` measures it. The draws of one
+    call are tested as a stack; a numeric failure is retried draw by draw,
+    so ``error`` is set on the failing draw only, with ``controllable`` and
+    ``deficient_count`` None.
     """
 
     stream_id: int
@@ -255,33 +269,56 @@ def _sampled_trials(
     tol: ToleranceConfig,
     a_shift: np.ndarray | None = None,
 ) -> tuple[TrialResult, ...]:
-    """The trials of ``certify_monte_carlo``, without the verdict comparison."""
+    """The trials of ``certify_monte_carlo``, without the verdict comparison.
+
+    Trial t draws its blocks from ``rng.derive(t)`` as ``sample_weights``
+    does. The trials are assembled, shifted and rank-tested as one stack,
+    split only where the stack's state matrices would pass
+    ``_TRIAL_STACK_BYTES``. A numeric failure of the stacked rank test
+    reruns its members one at a time, so it lands on its own trial.
+    """
     if trials < 1:
         raise ValueError(f"certification needs at least one trial, got {trials}")
     require_valid(model)
     driven.validate_for(graph)
-    p, r = model.num_inputs, model.num_outputs
+    shape = (model.num_inputs, model.num_outputs)
+    n_states = graph.num_vertices * model.order
+    size = max(1, _TRIAL_STACK_BYTES // (8 * n_states * n_states))
+    sources = [rng.derive(t) for t in range(trials)]
     per: list[TrialResult] = []
-    for t in range(trials):
-        src = rng.derive(t)
+    for at in range(0, trials, size):
+        chunk = sources[at : at + size]
+        blocks = np.stack(
+            [
+                sample_away_from_zero(src.generator(), shape, count=graph.num_edges)
+                for src in chunk
+            ]
+        )
+        lumped = assemble_lumped_stack(model, graph, blocks, driven)
+        a_sys = lumped.a_sys
+        if a_shift is not None:
+            shift = np.asarray(a_shift, dtype=float)
+            if shift.shape != a_sys.shape[1:]:
+                raise ValueError(
+                    f"state-matrix shift has shape {shift.shape}, "
+                    f"expected {a_sys.shape[1:]}"
+                )
+            a_sys += shift
         try:
-            w = sample_weights(graph, (p, r), src)
-            lumped = assemble_lumped(model, graph, w, driven)
-            a_sys = lumped.a_sys
-            if a_shift is not None:
-                shift = np.asarray(a_shift, dtype=float)
-                if shift.shape != a_sys.shape:
-                    raise ValueError(
-                        f"state-matrix shift has shape {shift.shape}, "
-                        f"expected {a_sys.shape}"
-                    )
-                a_sys = a_sys + shift
-            deficient = a_sys.shape[0] - controllable_dimension(
-                a_sys, lumped.b_sys, tol
-            )
-            per.append(TrialResult(src.stream_id, deficient == 0, deficient))
-        except NumericError as exc:
-            per.append(TrialResult(src.stream_id, None, None, str(exc)))
+            dims = list(controllable_dimension(a_sys, lumped.b_sys, tol))
+        except NumericError:
+            dims = []
+            for member in a_sys:
+                try:
+                    dims.append(controllable_dimension(member, lumped.b_sys, tol))
+                except NumericError as exc:
+                    dims.append(exc)
+        per.extend(
+            TrialResult(src.stream_id, None, None, str(dim))
+            if isinstance(dim, NumericError)
+            else TrialResult(src.stream_id, bool(dim == n_states), int(n_states - dim))
+            for src, dim in zip(chunk, dims)
+        )
     return tuple(per)
 
 
@@ -297,11 +334,12 @@ def certify_monte_carlo(
 ) -> CertificationReport:
     """Monte Carlo controllability oracle over sampled weights.
 
-    Each trial derives its own stream from the source, samples one generic
-    weight per edge, assembles the lumped pair, and measures its controllable
-    subspace with an orthogonal staircase; the states outside it are the
-    trial's ``deficient_count``. ``a_shift`` (added to the assembled state
-    matrix before testing) accommodates grounding-style modifications. Numeric
+    Each trial derives its own stream from the source and samples one
+    generic weight per edge; the trials' lumped pairs are assembled as one
+    stack and their controllable subspaces measured together by block
+    Arnoldi. The states outside a pair's subspace are its trial's
+    ``deficient_count``. ``a_shift`` (added to every assembled state matrix
+    before testing) accommodates grounding-style modifications. Numeric
     failures are recorded per trial and never abort the run. The trials are
     compared with ``analysis``, computed by ``analyze`` when not given.
     """

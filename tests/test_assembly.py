@@ -19,8 +19,10 @@ from conftest import (
 from diffnet.assembly import (
     MatrixWeights,
     _edgewise_state_blocks,
+    _laplacian_blocks,
     _require_close,
     assemble_lumped,
+    assemble_lumped_stack,
     check_weights,
     factorized_assembly_check,
     grounding_shift,
@@ -376,13 +378,12 @@ class TestDirectRoute:
             assert np.array_equal(got.view(np.uint64), reference.view(np.uint64))
 
     def test_flipped_laplacian_block_is_caught(self, monkeypatch):
-        def flipped(graph, weights):
-            lap = matrix_laplacian(graph, weights)
-            p, r = weights.shape
-            lap[p : 2 * p, 0:r] *= -1.0  # block (2, 1): edge 1 -> 2
-            return lap
+        def flipped(graph, blocks):
+            rows, cols, values = _laplacian_blocks(graph, blocks)
+            values[:, (rows == 1) & (cols == 0)] *= -1.0  # block (2, 1): edge 1 -> 2
+            return rows, cols, values
 
-        monkeypatch.setattr(diffnet.assembly, "matrix_laplacian", flipped)
+        monkeypatch.setattr(diffnet.assembly, "_laplacian_blocks", flipped)
         g = NetworkGraph(3, (Edge(1, 2, DIRECTED), Edge(2, 3)))
         with pytest.raises(ConsistencyError, match="disagree"):
             assemble_lumped(
@@ -391,6 +392,12 @@ class TestDirectRoute:
                 rows(g, [[1.0, 0.5], [2.0, 0.3]]),
                 DrivenSet(frozenset({1})),
             )
+
+
+def edge_stack(graph, weights: MatrixWeights) -> np.ndarray:
+    """The weight blocks in edge order as a one-member (1, M, p, r) stack."""
+    blocks = [weights.block(e) for e in graph.edges]
+    return np.array(blocks).reshape(1, len(blocks), *weights.shape)
 
 
 def edgewise_matrix(model, graph, blocks) -> np.ndarray:
@@ -421,9 +428,8 @@ class TestEdgewiseRoute:
             antiparallel += sum((v, u) in directed for u, v in directed)
             model = random_model(gen, int(gen.integers(1, 4)), r, num_inputs=p)
             weights = sample_weights(g, (p, r), RandomSource(int(gen.integers(1 << 30))))
-            edge_route = edgewise_matrix(
-                model, g, _edgewise_state_blocks(model, g, weights)
-            )
+            rows, cols, terms = _edgewise_state_blocks(model, g, edge_stack(g, weights))
+            edge_route = edgewise_matrix(model, g, (rows, cols, terms[0]))
             reference = dense_edgewise_state_matrix(model, g, weights)
             scale = max(1.0, float(np.max(np.abs(reference))))
             assert np.max(np.abs(edge_route - reference)) <= 1e-12 * scale
@@ -446,6 +452,62 @@ class TestEdgewiseRoute:
                 rows(g, [[1.0, 0.5], [2.0, 0.3]]),
                 DrivenSet(frozenset({1})),
             )
+
+
+class TestStackedAssembly:
+    def test_stack_equals_one_assembly_per_member_bit_for_bit(self):
+        gen = np.random.default_rng(31)
+        for (p, r), g in itertools.product(
+            itertools.product((1, 2, 3), repeat=2), list(mixed_graphs(gen))
+        ):
+            n = int(gen.integers(1, 4))
+            c = quarters(gen, (r, n))
+            c[~c.any(axis=1), 0] = 1.0  # no zero output row
+            model = SubsystemModel(quarters(gen, (n, n)), quarters(gen, (n, p)), c)
+            blocks = quarters(gen, (3, g.num_edges, p, r))
+            driven = random_driven(gen, g.num_vertices)
+            stack = assemble_lumped_stack(model, g, blocks, driven)
+            assert stack.a_sys.shape == (3, g.num_vertices * n, g.num_vertices * n)
+            for member, a_sys in zip(blocks, stack.a_sys):
+                weights = MatrixWeights.from_edge_arrays(g, list(member), shape=(p, r))
+                alone = assemble_lumped(model, g, weights, driven)
+                bits = alone.a_sys.view(np.uint64)
+                assert np.array_equal(a_sys.view(np.uint64), bits)
+                assert np.array_equal(stack.b_sys, alone.b_sys)
+
+    def test_deviation_in_one_member_fails_the_cross_check(self, monkeypatch):
+        judged = []
+
+        def planted(model, graph, blocks):
+            rows, cols, terms = _edgewise_state_blocks(model, graph, blocks)
+            terms = terms.copy()
+            terms[1, -1] += 1e-3
+            return rows, cols, terms
+
+        def capture(name, first, second, rtol):
+            judged.append(first.shape)
+            _require_close(name, first, second, rtol)
+
+        g = NetworkGraph(3, (Edge(1, 2, DIRECTED), Edge(2, 3)))
+        blocks = np.stack([rows(g, [[1.0, 0.5], [2.0, 0.3]]).block(e) for e in g.edges])
+        stack = np.stack([blocks, 2.0 * blocks, 3.0 * blocks])
+        monkeypatch.setattr(diffnet.assembly, "_require_close", capture)
+        driven = DrivenSet(frozenset({1}))
+        assemble_lumped_stack(double_integrator(), g, stack, driven)
+        assert len(judged) == 3  # one judgement per member
+        monkeypatch.setattr(diffnet.assembly, "_edgewise_state_blocks", planted)
+        judged.clear()
+        with pytest.raises(ConsistencyError, match="disagree"):
+            assemble_lumped_stack(double_integrator(), g, stack, driven)
+        assert len(judged) == 2  # member 0 passes, member 1 fails
+
+    def test_rejects_a_stack_of_the_wrong_shape(self):
+        g = chain_graph(3)
+        for shape in ((2, 1, 2), (2, 3, 1, 2)):
+            with pytest.raises(ValueError, match="stack of weight blocks"):
+                assemble_lumped_stack(
+                    double_integrator(), g, np.ones(shape), DrivenSet(frozenset({1}))
+                )
 
 
 class TestFactorizedForm:
@@ -578,12 +640,12 @@ class TestCrossCheck:
         gen = np.random.default_rng(909)
         noise, judged, routes = [0.0, False], [], []
 
-        def planted(model, graph, weights):
-            rows, cols, terms = _edgewise_state_blocks(model, graph, weights)
+        def planted(model, graph, blocks):
+            rows, cols, terms = _edgewise_state_blocks(model, graph, blocks)
             terms = terms + gen.normal(scale=noise[0], size=terms.shape)
             if noise[1]:
-                terms[-1, -1, -1] = np.nan
-            routes.append((rows, cols, terms))
+                terms[:, -1, -1, -1] = np.nan
+            routes.append((rows, cols, terms[0]))
             return rows, cols, terms
 
         def capture(name, first, second, rtol):

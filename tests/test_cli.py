@@ -567,6 +567,46 @@ class TestLongChainCertification:
         assert code == 0
 
 
+class TestIsolatedVertexCertification:
+    """Vertex 2 has no edge and no input, so its 3 states lie outside the
+    controllable subspace of every draw. The eigenvalues of that block lie
+    near those of the controllable part, which a rotation staircase took
+    for 3 more controllable states in every trial."""
+
+    DOC = {
+        "$schema": "diffnet-problem/v1",
+        "driven": [7],
+        "graph": {
+            "N": 7,
+            "edges": [
+                {"kind": "undirected", "u": 1, "v": 4},
+                {"kind": "undirected", "u": 3, "v": 5},
+                {"kind": "directed", "u": 1, "v": 5},
+                {"kind": "undirected", "u": 4, "v": 6},
+                {"kind": "undirected", "u": 6, "v": 7},
+            ],
+        },
+        "options": {"seed": 440},
+        "subsystem": {
+            "A": [[3.0, 4.0, 1.0], [2.0, -1.0, -2.0], [1.0, -1.0, 2.0]],
+            "B": [[0.0], [3.0], [0.0]],
+            "C": [[0.0, 2.0, 1.0]],
+        },
+    }
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5])
+    def test_every_trial_counts_the_cut_off_states(self, problem_file, capsys, seed):
+        argv = ["certify", problem_file(self.DOC)]
+        argv += [] if seed is None else ["--seed", str(seed)]
+        code, out, _ = run(capsys, argv)
+        analysis = json.loads(out)["analysis"]
+        assert analysis["verdict"] == "NOT_STRUCTURALLY_CONTROLLABLE"
+        cert = analysis["certification"]
+        assert [t["deficient_count"] for t in cert["per_trial"]] == [3] * 5
+        assert cert["agree_with_verdict"] is True
+        assert code == 1
+
+
 class TestGraphCommand:
     def test_text_report(self, problem_file, capsys):
         doc = chain_problem(n=3)

@@ -304,6 +304,51 @@ class TestControllableDimension:
         with pytest.raises(NumericError, match="staircase"):
             controllable_dimension(np.eye(2), np.ones((2, 1)))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        inputs=st.integers(1, 3),
+        members=st.integers(1, 6),
+    )
+    def test_stack_equals_one_call_per_member(self, seed, n, inputs, members):
+        """Members of one stack with different planted dimensions, so they
+        stop at different steps and carry zero columns past their rank."""
+        gen = np.random.default_rng(seed)
+        pairs = [
+            planted_kalman_form(gen, n, int(gen.integers(0, n + 1)), inputs)
+            for _ in range(members)
+        ]
+        a = np.stack([pair[0] for pair in pairs])
+        b = np.stack([pair[1] for pair in pairs])
+        alone = [controllable_dimension(*pair) for pair in pairs]
+        assert all(type(dim) is int for dim in alone)
+        stacked = controllable_dimension(a, b)
+        assert stacked.shape == (members,)
+        assert stacked.tolist() == alone
+        # one input matrix broadcast against a stack of state matrices
+        shared = [controllable_dimension(pair[0], b[0]) for pair in pairs]
+        assert controllable_dimension(a, b[0]).tolist() == shared
+
+    def test_leading_axes_are_kept(self):
+        gen = RandomSource(8).generator()
+        pairs = [planted_kalman_form(gen, 6, nc) for nc in range(6)]
+        a = np.stack([pair[0] for pair in pairs]).reshape(2, 3, 6, 6)
+        b = np.stack([pair[1] for pair in pairs]).reshape(2, 3, 6, 2)
+        assert controllable_dimension(a, b).tolist() == [[0, 1, 2], [3, 4, 5]]
+
+    def test_one_pair_stays_two_dimensional(self, monkeypatch):
+        svd, shapes = np.linalg.svd, []
+
+        def recording(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        a, b = planted_kalman_form(RandomSource(3).generator(), 8, 5)
+        assert controllable_dimension(a, b) == 5
+        assert shapes and all(len(shape) == 2 for shape in shapes)
+
 
 class TestRandomSource:
     def test_same_seed_same_sequence(self):

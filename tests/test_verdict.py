@@ -17,9 +17,10 @@ from diffnet.assembly import (
     assemble_lumped,
     grounding_shift,
     mass_spring_chain,
+    sample_weights,
 )
 from diffnet.errors import NumericError, PremiseError
-from diffnet.numerics import RandomSource
+from diffnet.numerics import RandomSource, controllable_dimension
 from diffnet.subsystem import SubsystemModel, check_controllable
 from diffnet.topology import DIRECTED, DrivenSet, Edge, NetworkGraph
 from diffnet.verdict import (
@@ -247,6 +248,91 @@ class TestCertification:
         merged = report.with_certification(cert)
         assert merged.certification is cert
         assert merged.verdict is report.verdict
+
+
+def mixed_instance(seed: int):
+    """A random single- or multi-input triple on a random mixed graph."""
+    gen = np.random.default_rng(seed)
+    inputs = int(gen.integers(1, 3))
+    graph = random_graph(gen, 5, edge_prob=0.6, allow_directed=inputs == 1)
+    model = random_model(gen, 3, 2, num_inputs=inputs)
+    return model, graph, random_driven(gen, 5, allow_full=False)
+
+
+class TestStackedTrials:
+    def test_trials_match_one_draw_and_assembly_per_trial(self, monkeypatch):
+        """Each trial's blocks are the bits ``sample_weights`` draws from
+        rng.derive(t); all trials are assembled in one stack, and each
+        result is the one its own assembled pair gives."""
+        stacks = []
+        real = diffnet.verdict.assemble_lumped_stack
+
+        def capture(model, graph, blocks, driven):
+            stacks.append(blocks)
+            return real(model, graph, blocks, driven)
+
+        monkeypatch.setattr(diffnet.verdict, "assemble_lumped_stack", capture)
+        for seed in range(12):
+            model, graph, driven = mixed_instance(seed)
+            rng = RandomSource(seed)
+            stacks.clear()
+            cert = certify_monte_carlo(model, graph, driven, trials=4, rng=rng)
+            (blocks,) = stacks
+            shape = (model.num_inputs, model.num_outputs)
+            for t, trial in enumerate(cert.per_trial):
+                weights = sample_weights(graph, shape, rng.derive(t))
+                drawn = [weights.block(e) for e in graph.edges]
+                assert np.array_equal(blocks[t], np.reshape(drawn, blocks[t].shape))
+                lumped = assemble_lumped(model, graph, weights, driven)
+                dim = controllable_dimension(lumped.a_sys, lumped.b_sys)
+                n_states = lumped.a_sys.shape[0]
+                assert trial.stream_id == rng.derive(t).stream_id
+                assert trial.deficient_count == n_states - dim
+                assert trial.controllable is (dim == n_states)
+
+    def test_linalg_error_on_one_member_marks_only_its_trial(self, monkeypatch):
+        model, graph, driven = double_integrator(), chain_graph(4), first_driven()
+        rng = RandomSource(21)
+        clean = certify_monte_carlo(model, graph, driven, trials=4, rng=rng)
+        bad = assemble_lumped(
+            model, graph, sample_weights(graph, (1, 2), rng.derive(2)), driven
+        ).a_sys
+        svd = np.linalg.svd
+
+        def fail_on_bad_member(m, *args, **kwargs):
+            members = np.reshape(m, (-1,) + np.shape(m)[-2:])
+            if np.shape(m)[-2:] == bad.shape and any(
+                np.allclose(x, bad, rtol=0.0, atol=1e-12) for x in members
+            ):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", fail_on_bad_member)
+        cert = certify_monte_carlo(model, graph, driven, trials=4, rng=rng)
+        for t, (got, want) in enumerate(zip(cert.per_trial, clean.per_trial)):
+            if t == 2:
+                assert got.controllable is None and got.deficient_count is None
+                assert "staircase" in got.error
+                assert got.stream_id == want.stream_id
+            else:
+                assert got == want
+
+    def test_trials_split_into_stacks_of_bounded_size(self, monkeypatch):
+        model, graph, driven = double_integrator(), chain_graph(3), first_driven()
+        whole = certify_monte_carlo(model, graph, driven, trials=5, rng=RandomSource(4))
+        sizes = []
+        real = diffnet.verdict.assemble_lumped_stack
+
+        def count(model, graph, blocks, driven):
+            sizes.append(len(blocks))
+            return real(model, graph, blocks, driven)
+
+        monkeypatch.setattr(diffnet.verdict, "assemble_lumped_stack", count)
+        # room for the state matrices of two 6-state trials per stack
+        monkeypatch.setattr(diffnet.verdict, "_TRIAL_STACK_BYTES", 2 * 8 * 6 * 6)
+        split = certify_monte_carlo(model, graph, driven, trials=5, rng=RandomSource(4))
+        assert sizes == [2, 2, 1]
+        assert split == whole
 
 
 class TestVerdictAgainstOracle:

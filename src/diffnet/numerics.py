@@ -3,7 +3,9 @@
 Kronecker products, tolerance-based numerical rank, eigenvalues and their
 greedy matching, the controllable dimension by block Arnoldi (the
 controllability staircase's Krylov form) for one pair or a stack of pairs,
-PBH controllability/observability tests, and the seeded random streams
+whose cutoff's ||A||_2 is bracketed by sums of squares and taken by SVD
+only for a member whose step the bracket cannot decide, PBH
+controllability/observability tests, and the seeded random streams
 behind every sampled draw. Everything operates on plain numpy arrays and
 treats them as immutable values.
 """
@@ -23,6 +25,13 @@ DEFAULT_EIG_MATCH_TOL = 1e-7
 #: Sampled weight magnitudes lie in [0.1, 1], so draws stay clear of zero
 #: without biasing sign.
 SAMPLE_GAP_FRACTION = 0.1
+
+#: Relative widening of the bracket on ||A||_2: far above the rounding of
+#: the sums of squares and of LAPACK's largest singular value.
+_BRACKET_SLACK = 1e-6
+#: Sums of n^2 squares at least this large have lost under n^2 2^-175 of
+#: their value to squares that underflowed (each loses at most 2^-1075).
+_SQUARES_MIN = 2.0**-900
 
 _UINT64_MASK = 0xFFFFFFFFFFFFFFFF
 _STREAM_MIX = 0x9E3779B97F4A7C15
@@ -226,6 +235,14 @@ def controllable_dimension(a, b, tol: ToleranceConfig = DEFAULT_TOL):
     eigenvalues are computed, and the cutoff scales with (A, B), so the
     result is invariant under uniform scaling.
 
+    ||B||_2 is taken by SVD. ||A||_2 is first only bracketed, from the
+    sums of squares of its columns and rows (``_norm_bracket``); a step
+    whose count of kept singular values is the same at both ends of the
+    bracket has the count the exact cutoff gives. Only a member with a
+    singular value inside its bracket, or whose sums of squares cannot be
+    trusted, has ||A||_2 taken by SVD, and from then on uses the exact
+    cutoff. NaN or inf entries raise ``NumericError``.
+
     Leading axes of ``a`` (..., n, n) and ``b`` (..., n, m) are a stack of
     pairs, broadcast against each other; every member gets its own cutoff,
     all step together, and a member whose rank falls below the step's
@@ -245,36 +262,100 @@ def controllable_dimension(a, b, tol: ToleranceConfig = DEFAULT_TOL):
             f"got shape {bm.shape}"
         )
     lead = np.broadcast_shapes(am.shape[:-2], bm.shape[:-2])
-    done = np.zeros(lead, dtype=np.intp)
+    # a stack runs flat: operands (T, n, .) and bookkeeping (T,)
+    if am.ndim > 2:
+        am = np.broadcast_to(am, lead + am.shape[-2:]).reshape(-1, n, n)
+    if bm.ndim > 2:
+        bm = np.broadcast_to(bm, lead + bm.shape[-2:]).reshape(-1, n, bm.shape[-1])
+    done = np.zeros(math.prod(lead), dtype=np.intp)
     try:
-        scale = np.maximum(_spectral_norm(am), _spectral_norm(bm))
-        cutoff = (tol.rank_rel_tol * scale)[..., None]
-        basis = np.zeros(lead + (n, n))
+        if not np.isfinite(bm).all():
+            raise NumericError(f"staircase met a non-finite input matrix ({n} states)")
+        norm_b = np.broadcast_to(_spectral_norm(bm), done.shape)
+        low, high = _norm_bracket(am)
+        # each member's cutoff at the top and at the bottom of its bracket
+        cuts = np.empty((2, done.size, 1))
+        cuts[0, :, 0] = np.maximum(high, norm_b)
+        cuts[1, :, 0] = np.maximum(low, norm_b)
+        cuts *= tol.rank_rel_tol
+        _resolve_cutoffs(am, norm_b, cuts, ~np.isfinite(cuts[0, :, 0]), tol)
+        basis = np.zeros(((done.size,) if lead else ()) + (n, n))
         members = basis.reshape(-1, n, n)
+        aligned = True  # so far every member kept as many columns as the rest
         # an input matrix shared by the stack is decomposed once
         block = bm
         while True:
             u, sv, _ = np.linalg.svd(block, full_matrices=False)
-            rho = np.minimum(np.count_nonzero(sv > cutoff, axis=-1), n - done)
+            room = n - done
+            strict, loose = (sv > cuts).sum(axis=-1)
+            rho = np.minimum(strict, room)
+            unsure = (loose > strict) & (strict < room)
+            if unsure.any():
+                _resolve_cutoffs(am, norm_b, cuts, unsure, tol)
+                rho = np.minimum((sv > cuts[0]).sum(axis=-1), room)
             width = int(rho.max(initial=0))
             if width == 0:
                 break
-            kept = np.arange(width) < rho[..., None]
-            fresh = u[..., :width] * kept[..., None, :]
-            member, column = np.nonzero(kept.reshape(-1, width))
-            members[member, :, done.reshape(-1)[member] + column] = fresh.reshape(
-                -1, n, width
-            )[member, :, column]
+            aligned = aligned and int(rho.min()) == width
+            if aligned:
+                at = int(done[0])
+                fresh = u[..., :width]
+                basis[..., at : at + width] = fresh
+            else:
+                kept = np.arange(width) < rho[:, None]
+                fresh = u[..., :width] * kept[..., None, :]
+                member, column = np.nonzero(kept)
+                members[member, :, done[member] + column] = fresh[member, :, column]
             done = done + rho
             q = basis[..., : int(done.max())]
+            qt = np.swapaxes(q, -1, -2)
             block = am @ fresh
             for _ in range(2):
-                block = block - q @ (np.swapaxes(q, -1, -2) @ block)
+                block = block - q @ (qt @ block)
     except np.linalg.LinAlgError as exc:
         raise NumericError(
             f"staircase SVD failed on a {n}-state pair: {exc}"
         ) from exc
-    return int(done) if not lead else done
+    return int(done[0]) if not lead else done.reshape(lead)
+
+
+def _resolve_cutoffs(
+    am: np.ndarray,
+    norm_b: np.ndarray,
+    cuts: np.ndarray,
+    pick: np.ndarray,
+    tol: ToleranceConfig,
+) -> None:
+    """Sets both cutoffs of the picked members to the exact one,
+    rank_rel_tol * max(||A||_2, ||B||_2), by SVD of their state matrices."""
+    if not pick.any():
+        return
+    picked = am[pick] if am.ndim > 2 else am
+    if not np.isfinite(picked).all():
+        raise NumericError(
+            f"staircase met a non-finite state matrix ({am.shape[-1]} states)"
+        )
+    scale = np.maximum(_spectral_norm(picked), norm_b[pick])
+    cuts[:, pick, 0] = tol.rank_rel_tol * scale
+
+
+def _norm_bracket(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds low <= ||M||_2 <= high for each matrix of a stack.
+
+    low is the largest column or row 2-norm, high the Frobenius norm, both
+    from sums of squares taken without an (..., n, n) temporary and
+    widened by ``_BRACKET_SLACK``. Where the sums overflow, are not
+    finite, or are small enough to have lost squares to underflow, the
+    bracket is (0, inf): it says nothing.
+    """
+    cols = np.einsum("...ij,...ij->...j", m, m)
+    rows = np.einsum("...ij,...ij->...i", m, m)
+    low2 = np.maximum(cols.max(axis=-1, initial=0.0), rows.max(axis=-1, initial=0.0))
+    high2 = cols.sum(axis=-1)
+    trusted = (low2 >= _SQUARES_MIN) & (high2 < math.inf)
+    low = np.where(trusted, np.sqrt(low2) * (1.0 - _BRACKET_SLACK), 0.0)
+    high = np.where(trusted, np.sqrt(high2) * (1.0 + _BRACKET_SLACK), math.inf)
+    return low, high
 
 
 def _spectral_norm(m: np.ndarray) -> np.ndarray:

@@ -283,6 +283,13 @@ def _sampled_trials(
     driven.validate_for(graph)
     shape = (model.num_inputs, model.num_outputs)
     n_states = graph.num_vertices * model.order
+    if a_shift is not None:
+        a_shift = np.asarray(a_shift, dtype=float)
+        if a_shift.shape != (n_states, n_states):
+            raise ValueError(
+                f"state-matrix shift has shape {a_shift.shape}, "
+                f"expected {(n_states, n_states)}"
+            )
     size = max(1, _TRIAL_STACK_BYTES // (8 * n_states * n_states))
     sources = [rng.derive(t) for t in range(trials)]
     per: list[TrialResult] = []
@@ -297,13 +304,7 @@ def _sampled_trials(
         lumped = assemble_lumped_stack(model, graph, blocks, driven)
         a_sys = lumped.a_sys
         if a_shift is not None:
-            shift = np.asarray(a_shift, dtype=float)
-            if shift.shape != a_sys.shape[1:]:
-                raise ValueError(
-                    f"state-matrix shift has shape {shift.shape}, "
-                    f"expected {a_sys.shape[1:]}"
-                )
-            a_sys += shift
+            a_sys += a_shift
         try:
             dims = list(controllable_dimension(a_sys, lumped.b_sys, tol))
         except NumericError:

@@ -607,6 +607,31 @@ class TestIsolatedVertexCertification:
         assert code == 1
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+class TestDefectiveNodePair:
+    """A has the double eigenvalue -1 in one Jordan block and (A, b) has
+    Kalman rank 1 of 2, so no network of these nodes is controllable. PBH
+    at the computed eigenvalues -1 +- ~1e-8 finds full rank."""
+
+    DOC = {
+        "$schema": "diffnet-problem/v1",
+        "driven": [1],
+        "graph": {"N": 2, "edges": [{"kind": "undirected", "u": 1, "v": 2}]},
+        "subsystem": {
+            "A": [[0.0, 1.0], [-1.0, -2.0]],
+            "B": [[-1.0], [1.0]],
+            "C": [[0.0, 1.0]],
+        },
+    }
+
+    def test_analyze_finds_the_node_pair_uncontrollable(self, problem_file, capsys):
+        code, out, _ = run(capsys, ["analyze", problem_file(self.DOC)])
+        conditions = json.loads(out)["analysis"]["conditions"]
+        holds = {c["name"]: c["holds"] for c in conditions}
+        assert holds["subsystem_controllable"] is False
+        assert code == 1
+
+
 class TestGraphCommand:
     def test_text_report(self, problem_file, capsys):
         doc = chain_problem(n=3)

@@ -10,6 +10,8 @@ from conftest import (
     commutation_permutation,
     loop_sample_away_from_zero,
 )
+from diffnet import numerics
+from diffnet.assembly import mass_spring_chain
 from diffnet.errors import NumericError
 from diffnet.numerics import (
     DEFAULT_TOL,
@@ -28,6 +30,8 @@ from diffnet.numerics import (
     sample_away_from_zero,
     spectra_match,
 )
+from diffnet.topology import DrivenSet
+from diffnet.verdict import certify_monte_carlo
 
 
 def kron_oracle(a, b):
@@ -254,6 +258,31 @@ def planted_kalman_form(gen, n, nc, inputs=2):
     return q @ a @ q.T, q @ b
 
 
+def exact_norm_dimension(a, b):
+    """The dimension with every member's ||A||_2 taken by SVD: the bracket
+    forced to (0, inf) says nothing, so each member resolves at once."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            numerics,
+            "_norm_bracket",
+            lambda m: (np.zeros(m.shape[:-2]), np.full(m.shape[:-2], np.inf)),
+        )
+        return controllable_dimension(a, b)
+
+
+def svd_shapes(monkeypatch):
+    """Shapes of the matrices later passed to np.linalg.svd, with whether
+    singular vectors were asked for."""
+    svd, shapes = np.linalg.svd, []
+
+    def recording(m, *args, **kwargs):
+        shapes.append((np.shape(m), kwargs.get("compute_uv", True)))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return shapes
+
+
 class TestControllableDimension:
     @pytest.mark.parametrize("n, nc", [(30, 20), (60, 45), (100, 99)])
     def test_planted_kalman_form(self, n, nc):
@@ -338,16 +367,103 @@ class TestControllableDimension:
         assert controllable_dimension(a, b).tolist() == [[0, 1, 2], [3, 4, 5]]
 
     def test_one_pair_stays_two_dimensional(self, monkeypatch):
-        svd, shapes = np.linalg.svd, []
-
-        def recording(m, *args, **kwargs):
-            shapes.append(np.shape(m))
-            return svd(m, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", recording)
+        shapes = svd_shapes(monkeypatch)
         a, b = planted_kalman_form(RandomSource(3).generator(), 8, 5)
         assert controllable_dimension(a, b) == 5
-        assert shapes and all(len(shape) == 2 for shape in shapes)
+        assert shapes and all(len(shape) == 2 for shape, _ in shapes)
+
+
+class TestNormBracket:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        inputs=st.integers(1, 3),
+        members=st.integers(1, 6),
+        a_exp=st.integers(-150, 150),
+        b_exp=st.integers(-150, 150),
+    )
+    def test_dimension_equals_the_exact_norm_rule(
+        self, seed, n, inputs, members, a_exp, b_exp
+    ):
+        gen = np.random.default_rng(seed)
+        pairs = [
+            planted_kalman_form(gen, n, int(gen.integers(0, n + 1)), inputs)
+            for _ in range(members)
+        ]
+        a = np.stack([pair[0] for pair in pairs]) * 10.0**a_exp
+        b = np.stack([pair[1] for pair in pairs]) * 10.0**b_exp
+        assert controllable_dimension(a, b).tolist() == exact_norm_dimension(a, b).tolist()
+        assert controllable_dimension(a, b[0]).tolist() == exact_norm_dimension(a, b[0]).tolist()
+        assert controllable_dimension(a[0], b[0]) == exact_norm_dimension(a[0], b[0])
+
+    def test_bracket_holds_the_norm_or_says_nothing(self):
+        """Within the range where squares neither overflow nor underflow the
+        bracket holds ||M||_2; outside it, it is (0, inf)."""
+        gen = RandomSource(30).generator()
+        m = gen.normal(size=(4, 9, 9))
+        for exp in range(-300, 301, 10):
+            low, high = numerics._norm_bracket(m * 10.0**exp)
+            if abs(exp) <= 130:
+                norm = np.linalg.norm(m * 10.0**exp, 2, axis=(-2, -1))
+                assert (0.0 < low).all() and (low <= norm).all() and (norm <= high).all()
+            elif abs(exp) >= 160:
+                assert (low == 0.0).all() and (high == np.inf).all()
+
+    @pytest.mark.parametrize("a_exp, b_exp", [(-200, -205), (-170, -172), (200, 195)])
+    def test_squares_out_of_range_resolve_exactly(self, a_exp, b_exp):
+        """Entries whose squares underflow or overflow give no bracket; the
+        planted dimension still comes out, by the exact norm."""
+        gen = RandomSource(31).generator()
+        planted = [4, 7, 9]
+        pairs = [planted_kalman_form(gen, 10, nc) for nc in planted]
+        a = np.stack([pair[0] for pair in pairs]) * 10.0**a_exp
+        b = np.stack([pair[1] for pair in pairs]) * 10.0**b_exp
+        assert controllable_dimension(a, b).tolist() == planted
+        assert exact_norm_dimension(a, b).tolist() == planted
+
+    def test_singular_value_inside_the_bracket_is_resolved_exactly(self, monkeypatch):
+        """Step 1's singular value delta lies above tol * ||A||_2 (about
+        1 + delta / 2) but below tol * ||A||_F (about sqrt(3)): the column is
+        kept, after one SVD of A for its exact norm."""
+        delta = 1.5e-9
+        a = np.eye(3)
+        a[1, 0] = delta
+        b = np.array([[1.0], [0.0], [0.0]])
+        tol = DEFAULT_TOL.rank_rel_tol
+        assert tol * np.linalg.norm(a, 2) < delta <= tol * np.linalg.norm(a)
+        shapes = svd_shapes(monkeypatch)
+        assert controllable_dimension(a, b) == 2
+        assert [shape for shape, uv in shapes if not uv].count((3, 3)) == 1
+        assert exact_norm_dimension(a, b) == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_members_raise(self, bad):
+        gen = RandomSource(12).generator()
+        pairs = [planted_kalman_form(gen, 5, 4) for _ in range(3)]
+        a = np.stack([pair[0] for pair in pairs])
+        b = np.stack([pair[1] for pair in pairs])
+        a[1, 2, 3] = bad
+        # a zero input matrix decides nothing at step 0 at either end of
+        # the bracket, so only the check before the first step can raise
+        for args in ((a, b), (a, b[0]), (a[1], b[1]), (a[1], np.zeros((5, 1)))):
+            with pytest.raises(NumericError, match="staircase"):
+                controllable_dimension(*args)
+        b[0, 4, 0] = bad
+        with pytest.raises(NumericError, match="staircase"):
+            controllable_dimension(a[0], b[0])
+
+    def test_chain_certificate_takes_no_svd_of_a_state_matrix(self, monkeypatch):
+        chain = mass_spring_chain(
+            50, 1.0, springs=np.linspace(1.0, 2.0, 50), dampers=np.linspace(0.1, 0.5, 50)
+        )
+        shapes = svd_shapes(monkeypatch)
+        cert = certify_monte_carlo(
+            chain.model, chain.graph, DrivenSet(frozenset({1})), trials=5,
+            rng=RandomSource(1),
+        )
+        assert all(trial.controllable for trial in cert.per_trial)
+        assert shapes and all(shape[-2:] != (100, 100) for shape, _ in shapes)
 
 
 class TestRandomSource:

@@ -230,7 +230,16 @@ class TestCertification:
         )
         assert cert.any_controllable and cert.agree_with_verdict
 
-    def test_state_shift_shape_is_checked(self):
+    def test_state_shift_shape_is_checked(self, monkeypatch):
+        """A shift of the wrong shape is refused before anything is drawn
+        or assembled."""
+        calls = []
+
+        def count(*args):
+            calls.append(args)
+            raise AssertionError("assembled before the shift was checked")
+
+        monkeypatch.setattr(diffnet.verdict, "assemble_lumped_stack", count)
         with pytest.raises(ValueError, match="shift"):
             certify_monte_carlo(
                 double_integrator(),
@@ -239,6 +248,7 @@ class TestCertification:
                 trials=1,
                 a_shift=np.zeros((2, 2)),
             )
+        assert calls == []
 
     def test_report_attachment(self):
         model, g, d = double_integrator(), chain_graph(2), first_driven()
@@ -291,23 +301,19 @@ class TestStackedTrials:
                 assert trial.controllable is (dim == n_states)
 
     def test_linalg_error_on_one_member_marks_only_its_trial(self, monkeypatch):
+        """A NaN planted in member 2's assembled state matrix, after the
+        cross-check, fails the stacked rank test; the rerun marks trial 2."""
         model, graph, driven = double_integrator(), chain_graph(4), first_driven()
         rng = RandomSource(21)
         clean = certify_monte_carlo(model, graph, driven, trials=4, rng=rng)
-        bad = assemble_lumped(
-            model, graph, sample_weights(graph, (1, 2), rng.derive(2)), driven
-        ).a_sys
-        svd = np.linalg.svd
+        real = diffnet.verdict.assemble_lumped_stack
 
-        def fail_on_bad_member(m, *args, **kwargs):
-            members = np.reshape(m, (-1,) + np.shape(m)[-2:])
-            if np.shape(m)[-2:] == bad.shape and any(
-                np.allclose(x, bad, rtol=0.0, atol=1e-12) for x in members
-            ):
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return svd(m, *args, **kwargs)
+        def poison_member_2(model, graph, blocks, driven):
+            lumped = real(model, graph, blocks, driven)
+            lumped.a_sys[2, 0, 0] = np.nan
+            return lumped
 
-        monkeypatch.setattr(np.linalg, "svd", fail_on_bad_member)
+        monkeypatch.setattr(diffnet.verdict, "assemble_lumped_stack", poison_member_2)
         cert = certify_monte_carlo(model, graph, driven, trials=4, rng=rng)
         for t, (got, want) in enumerate(zip(cert.per_trial, clean.per_trial)):
             if t == 2:

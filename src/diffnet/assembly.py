@@ -288,14 +288,16 @@ def _assemble(
         )
         a_edge = np.zeros((blocks.shape[0], at.size, n, n))
         np.add.at(a_edge, (slice(None), slot[rows.size :]), terms)
-    if not np.all(np.isfinite(a_direct)):
+    direct_blocks = a_direct.reshape(-1, n_vertices, n, n_vertices, n)[
+        :, at // n_vertices, :, at % n_vertices, :
+    ]
+    # the blocks at ``at`` hold every entry the direct route writes; the
+    # rest of the matrix is 0.0, so only they can have overflowed
+    if not np.all(np.isfinite(direct_blocks)):
         raise ValueError(
             "lumped state matrix overflows the float range: "
             "the edge weights or subsystem entries are too large"
         )
-    direct_blocks = a_direct.reshape(-1, n_vertices, n, n_vertices, n)[
-        :, at // n_vertices, :, at % n_vertices, :
-    ]
     for member, edgewise in enumerate(a_edge):
         _require_close(
             "lumped state matrix",

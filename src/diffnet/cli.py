@@ -169,17 +169,33 @@ def _ground_shift(problem: Problem) -> np.ndarray:
     )
 
 
+#: characters per slice of a report written to ``--out``; reports are
+#: ASCII, so a slice is 64 KiB
+_WRITE_SLICE = 1 << 16
+
+
 def _write_output(out_path: str | None, payload: str) -> None:
+    """Write ``payload`` to stdout, or to ``out_path`` by way of
+    ``<out_path>.tmp`` and a rename, so that the target holds either its
+    old bytes or the whole new report.
+
+    The file is written as UTF-8 bytes, one 64 KiB slice of the text
+    encoded at a time: encoding a report of several megabytes whole would
+    copy it into fresh pages once more. Whatever interrupts the write or
+    the rename, the temporary file is removed and the exception raised
+    again.
+    """
     if out_path is None:
         sys.stdout.write(payload)
         return
     tmp = f"{out_path}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        with open(tmp, "wb") as fh:
+            for start in range(0, len(payload), _WRITE_SLICE):
+                fh.write(payload[start : start + _WRITE_SLICE].encode("utf-8"))
         os.replace(tmp, out_path)
-    except OSError:
-        # a failed write or rename leaves no partial report behind
+    except BaseException:
+        # a failed or interrupted write leaves no partial report behind
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
@@ -335,7 +351,7 @@ def cmd_lump(args) -> int:
         "input": {"sha256": digest},
         "a_sys": a_sys,
         "b_sys": lumped.b_sys,
-        "weights": weights_to_json(graph, weights),
+        "weights": _weights_member(graph, weights),
         "sampled": sampled,
         "seed": seed,
         "grounded": grounded,
@@ -433,6 +449,23 @@ def _graph_members(graph) -> tuple[PreEncoded, PreEncoded]:
         fields[keep].tolist()
     )
     return PreEncoded(f"[{edges}]"), PreEncoded(f"[{orientation}]")
+
+
+def _weights_member(graph, weights) -> PreEncoded:
+    """The lump report's "weights" member, written from the (M, p, r)
+    stack of the weight blocks in edge order with one key-sorted template
+    per edge kind. ``tolist`` hands ``%r`` Python floats, which it writes
+    as the JSON encoder does. They are finite: assembly refuses a
+    non-finite weight before the report is built."""
+    p, r = weights.shape
+    blocks = np.array(list(map(weights.blocks.__getitem__, graph.edge_keys())))
+    row = "[" + ",".join(["%r"] * r) + "]"
+    head = '{"W":[' + ",".join([row] * p) + '],"kind":'
+    templates = (head + '"undirected","u":%d,"v":%d}', head + '"directed","u":%d,"v":%d}')
+    values = blocks.reshape(graph.num_edges, p * r).tolist()
+    fields = [x for w, e in zip(values, graph.edges) for x in (*w, e.u, e.v)]
+    entries = ",".join(map(templates.__getitem__, graph.directed.tolist())) % tuple(fields)
+    return PreEncoded(f'{{"edges":[{entries}]}}')
 
 
 def _graph_text(graph, driven, forest) -> str:

@@ -439,22 +439,26 @@ def _prefixes(template: str, lengths: np.ndarray) -> np.ndarray:
     return np.array([template[:n] for n in distinct.tolist()], dtype=object)[index]
 
 
-def _encode_matrix(arr: np.ndarray) -> str:
-    """JSON text of a non-empty 2-D float64 array, byte-identical to
-    encoding ``arr.tolist()``.
+def _encode_matrix(arr: np.ndarray) -> list[str]:
+    """JSON text of a non-empty 2-D float64 array as a list of parts whose
+    join is byte-identical to encoding ``arr.tolist()``. ``dump_json``
+    joins them with the rest of its document in one pass, so the matrix
+    text is never built on its own.
 
     Only the entries other than 0.0, -0.0 included, go through float repr,
-    once per distinct value. The rest of the text is references to strings
-    shared across the matrix: a row of 0.0 entries, or one run of them per
-    length, so that no string is made per gap between two entries.
+    once per distinct value, and only they are checked to be finite: 0.0
+    is. The rest of the text is references to strings shared across the
+    matrix: a row of 0.0 entries, or one run of them per length, so that
+    no string is made per gap between two entries.
     """
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("Out of range float values are not JSON compliant")
     n_rows, n_cols = arr.shape
     bits = arr.ravel().view(np.uint64)
     flat = np.flatnonzero(bits)  # every entry but 0.0, in row-major order
     distinct, which = np.unique(bits[flat], return_inverse=True)
-    texts = list(map(float.__repr__, distinct.view(np.float64).tolist()))
+    values = distinct.view(np.float64)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("Out of range float values are not JSON compliant")
+    texts = list(map(float.__repr__, values.tolist()))
     row, col = divmod(flat, n_cols)
     first = np.ones(flat.size, dtype=bool)
     first[1:] = row[1:] != row[:-1]
@@ -482,7 +486,7 @@ def _encode_matrix(arr: np.ndarray) -> str:
     parts[slot + 1] = np.array(texts, dtype=object)[which]
     parts[slot[last] + 2] = ends
     parts[slot[last] + 3] = "]"
-    return "".join(parts.tolist())
+    return parts.tolist()
 
 
 @dataclass(frozen=True)
@@ -491,19 +495,6 @@ class PreEncoded:
     passes through as it is."""
 
     text: str
-
-
-def _encode_value(value) -> str:
-    if isinstance(value, PreEncoded):
-        return value.text
-    if (
-        isinstance(value, np.ndarray)
-        and value.ndim == 2
-        and value.dtype == np.float64
-        and value.size
-    ):
-        return _encode_matrix(value)
-    return _ENCODER.encode(value)
 
 
 def dump_json(doc: dict) -> str:
@@ -520,6 +511,26 @@ def dump_json(doc: dict) -> str:
     blocks the graph fills. A top-level ``PreEncoded`` value is written
     as its text, unchanged. Every other value goes through the standard
     library encoder whole.
+
+    The document is gathered as one flat list of parts, the matrices' row
+    parts among them, and joined once: a report of several megabytes is
+    built as a single string, with no intermediate copy of a matrix or of
+    the members to fill fresh pages.
     """
-    members = (_ENCODER.encode(k) + ":" + _encode_value(doc[k]) for k in sorted(doc))
-    return "{" + ",".join(members) + "}\n"
+    parts = []
+    for key in sorted(doc):
+        value = doc[key]
+        parts += ("," if parts else "{", _ENCODER.encode(key), ":")
+        if isinstance(value, PreEncoded):
+            parts.append(value.text)
+        elif (
+            isinstance(value, np.ndarray)
+            and value.ndim == 2
+            and value.dtype == np.float64
+            and value.size
+        ):
+            parts += _encode_matrix(value)
+        else:
+            parts.append(_ENCODER.encode(value))
+    parts.append("}\n" if parts else "{}\n")
+    return "".join(parts)

@@ -7,6 +7,7 @@ import pytest
 
 import diffnet.assembly
 from conftest import (
+    count_calls,
     dense_direct_state_matrix,
     dense_edgewise_state_matrix,
     loop_matrix_laplacian,
@@ -274,11 +275,21 @@ class TestMatrixWeightAssembly:
                 model, g, MatrixWeights.from_edge_arrays(g, [np.ones((1, 2))]), DrivenSet()
             )
 
-    def test_rejects_overflowing_weights(self):
-        g = chain_graph(3)
-        huge = rows(g, [[1e308, 1e308], [1e308, 1e308]])
-        with pytest.raises(ValueError, match="overflow"):
-            assemble_lumped(double_integrator(), g, huge, DrivenSet(frozenset({1})))
+    def test_rejects_overflowing_weights(self, monkeypatch):
+        judged = count_calls(monkeypatch, diffnet.assembly, "_require_close")
+        for hub in (1, 2, 3):
+            g = NetworkGraph(3, tuple(Edge(hub, v) for v in (1, 2, 3) if v != hub))
+            huge = rows(g, [[1e308, 1e308], [1e308, 1e308]])
+            # both edges meet at the hub: only its diagonal block, their
+            # sum, leaves the float range
+            with np.errstate(over="ignore"):
+                finite = np.isfinite(loop_matrix_laplacian(g, huge))
+            expected = np.ones((3, 6), dtype=bool)
+            expected[hub - 1, 2 * hub - 2 : 2 * hub] = False
+            assert np.array_equal(finite, expected)
+            with pytest.raises(ValueError, match="overflows the float range"):
+                assemble_lumped(double_integrator(), g, huge, DrivenSet(frozenset({1})))
+        assert judged == []  # refused before the routes are compared
 
     def test_cross_check_rejects_nan_deviation(self):
         with pytest.raises(ConsistencyError, match="disagree"):
@@ -500,6 +511,17 @@ class TestStackedAssembly:
         with pytest.raises(ConsistencyError, match="disagree"):
             assemble_lumped_stack(double_integrator(), g, stack, driven)
         assert len(judged) == 2  # member 0 passes, member 1 fails
+
+    def test_one_overflowing_member_refuses_the_stack(self, monkeypatch):
+        g = chain_graph(3)
+        stack = np.full((3, g.num_edges, 1, 2), 0.5)
+        stack[1] = 1e308  # member 1's block at vertex 2 leaves the float range
+        judged = count_calls(monkeypatch, diffnet.assembly, "_require_close")
+        with pytest.raises(ValueError, match="overflows the float range"):
+            assemble_lumped_stack(
+                double_integrator(), g, stack, DrivenSet(frozenset({1}))
+            )
+        assert judged == []
 
     def test_rejects_a_stack_of_the_wrong_shape(self):
         g = chain_graph(3)

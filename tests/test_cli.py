@@ -22,6 +22,7 @@ from conftest import (
     reference_parse_weights,
 )
 from diffnet import cli, problem_io
+from diffnet.assembly import MatrixWeights
 from diffnet.cli import main
 from diffnet.errors import ConsistencyError, ProblemFileError
 from diffnet.problem_io import (
@@ -372,6 +373,7 @@ class TestLump:
         assert json.loads(grounded)["grounded"] is True
 
     def test_overflowing_weights_are_refused(self, problem_file, capsys, tmp_path):
+        # the two edges meet at vertex 2, whose diagonal block alone overflows
         huge = [[1e308, 1e308]]
         weights = {"edges": [{"u": 1, "v": 2, "W": huge}, {"u": 2, "v": 3, "W": huge}]}
         target = tmp_path / "lump.json"
@@ -380,14 +382,99 @@ class TestLump:
         )
         assert code == 64
         assert out == ""
-        assert err.startswith("diffnet: error:") and "overflow" in err
-        assert not target.exists()
+        assert err.startswith("diffnet: error:") and "overflows the float range" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.json"]
+
+    def test_weights_member_matches_the_encoder(self):
+        gen = np.random.default_rng(17)
+        special = [0.0, -0.0, 5e-324, -1e-310, 1e300, -1e300, 0.1 + 0.2, 1 / 3, 2.0**53]
+        cases = [
+            (NetworkGraph(1), (1, 2)),
+            (NetworkGraph(3, (Edge(3, 1), Edge(2, 3, DIRECTED))), (2, 3)),
+        ]
+        for _ in range(40):
+            g = random_graph(gen, int(gen.integers(2, 20)), edge_prob=0.3)
+            cases.append((g, tuple(int(k) for k in gen.integers(1, 4, size=2))))
+        for g, shape in cases:
+            values = gen.normal(size=(g.num_edges, *shape)) * 10.0 ** gen.integers(
+                -20, 20, size=(g.num_edges, *shape)
+            )
+            picked = gen.random(values.shape) < 0.3
+            values[picked] = gen.choice(special, size=int(picked.sum()))
+            weights = MatrixWeights.from_edge_arrays(g, list(values), shape=shape)
+            assert cli._weights_member(g, weights).text == problem_io._ENCODER.encode(
+                problem_io.weights_to_json(g, weights)
+            )
 
     def test_grounding_without_wall_options_fails(self, problem_file, capsys):
         path = problem_file(chain_problem(n=2))
         code, _, err = run(capsys, ["lump", path, "--ground-first-mass"])
         assert code == 64
         assert "wall" in err
+
+
+def sliced_reports(tmp_path):
+    """(argv, format) of reports longer than one write slice and not a
+    whole number of slices: the ``lump`` of a 100-mass chain (json) and
+    the ``graph`` text of a 1,000-vertex, 1,498-edge problem."""
+    chain = tmp_path / "chain.json"
+    assert main(["example", "--N", "100", "--out", str(chain)]) == 0
+    edges = [{"u": i, "v": i + 1} for i in range(1, 1000)]
+    edges += [{"u": i, "v": i + 2, "kind": DIRECTED} for i in range(1, 999, 2)]
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(chain_problem(extra={"graph": {"N": 1000, "edges": edges}})))
+    return {
+        "json": ["lump", str(chain), "--seed", "3"],
+        "text": ["graph", str(wide), "--format", "text"],
+    }
+
+
+class TestSlicedWrites:
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path, fmt):
+        argv = sliced_reports(tmp_path)[fmt]
+        target = tmp_path / "report.out"
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert run(capsys, argv + ["--out", str(target)]) == (0, "", "")
+        data = target.read_bytes()
+        assert len(data) > cli._WRITE_SLICE and len(data) % cli._WRITE_SLICE
+        assert data == out.encode("utf-8")
+        if fmt == "json":  # the canonical form of the document itself
+            assert dump_json(json.loads(data)).encode("utf-8") == data
+
+    def test_failure_inside_the_write_leaves_the_old_report(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        argv = sliced_reports(tmp_path)["json"]
+        target = tmp_path / "report.json"
+        target.write_bytes(b"earlier report\n")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        writes = []
+
+        class FailingFile:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                writes.append(len(data))
+                if len(writes) == 2:
+                    raise MemoryError("no room for the second slice")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(cli, "open", lambda *a: FailingFile(open(*a)), raising=False)
+        code, out, err = run(capsys, argv + ["--out", str(target)])
+        assert code == 70
+        assert out == "" and "MemoryError" in err
+        assert writes == [cli._WRITE_SLICE] * 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert target.read_bytes() == b"earlier report\n"
 
 
 class TestGroundedCertification:

@@ -13,7 +13,6 @@ from .assembly import (
     MatrixWeights,
     assemble_lumped,
     assemble_lumped_stack,
-    factorized_assembly_check,
     grounding_shift,
     mass_spring_chain,
     sample_weights,
@@ -23,7 +22,6 @@ from .errors import (
     DiffnetError,
     ModelValidationError,
     NumericError,
-    PremiseError,
     ProblemFileError,
 )
 from .numerics import DEFAULT_TOL, RandomSource, ToleranceConfig
@@ -34,8 +32,6 @@ from .topology import (
     Edge,
     NetworkGraph,
     incidence_matrices,
-    input_reachable_set,
-    is_globally_input_reachable,
     spanning_forest,
 )
 from .verdict import (
@@ -43,12 +39,7 @@ from .verdict import (
     CertificationReport,
     Verdict,
     analyze,
-    analyze_scalar_constrained,
-    aux_condition_check,
     certify_monte_carlo,
-    laplacian_leader_controllability,
-    rank_condition_check,
-    reduce_scalar_weight,
 )
 
 __version__ = "0.1.0"
@@ -67,7 +58,6 @@ __all__ = [
     "ModelValidationError",
     "NetworkGraph",
     "NumericError",
-    "PremiseError",
     "Problem",
     "ProblemFileError",
     "RandomSource",
@@ -75,23 +65,15 @@ __all__ = [
     "ToleranceConfig",
     "Verdict",
     "analyze",
-    "analyze_scalar_constrained",
     "assemble_lumped",
     "assemble_lumped_stack",
-    "aux_condition_check",
     "certify_monte_carlo",
-    "factorized_assembly_check",
     "fixed_modes",
     "grounding_shift",
     "incidence_matrices",
-    "input_reachable_set",
-    "is_globally_input_reachable",
-    "laplacian_leader_controllability",
     "load_problem",
     "mass_spring_chain",
     "parse_problem",
-    "rank_condition_check",
-    "reduce_scalar_weight",
     "sample_weights",
     "spanning_forest",
     "validate_model",

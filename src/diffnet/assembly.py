@@ -1,4 +1,4 @@
-"""Weighted Laplacians and lumped network assembly.
+"""Edge weights and lumped network assembly.
 
 Each edge of the network carries a p x r weight block, where p and r are
 the node's input and output counts. The vector weights of single-input
@@ -31,7 +31,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConsistencyError
-from .numerics import RandomSource, kron, sample_away_from_zero
+from .numerics import RandomSource, sample_away_from_zero
 from .subsystem import SubsystemModel, require_valid
 from .topology import (
     UNDIRECTED,
@@ -134,24 +134,6 @@ def _laplacian_blocks(
     values = np.zeros((blocks.shape[0], count) + blocks.shape[2:])
     np.add.at(values, (slice(None), slot), sign[:, None, None] * blocks[:, edge])
     return np.concatenate([diag, row[off]]), np.concatenate([diag, col[off]]), values
-
-
-def matrix_laplacian(graph: NetworkGraph, weights: MatrixWeights) -> np.ndarray:
-    """Block Laplacian of shape (N * p) x (N * r).
-
-    Off-diagonal block (i, j) is -W_ij and each diagonal block the sum of
-    its row's weights. W_ij is the weight on the edge feeding vertex i from
-    vertex j, so a directed edge contributes to its head's block row only.
-    With 1 x r blocks, column k::r is the scalar Laplacian of channel k.
-    The terms are added in edge order, one indexed scatter for all edges.
-    """
-    check_weights(graph, weights)
-    p, r = weights.shape
-    n_vertices = graph.num_vertices
-    lap = np.zeros((n_vertices, p, n_vertices, r))
-    rows, cols, values = _laplacian_blocks(graph, _edge_blocks(graph, weights)[None])
-    lap[rows, :, cols, :] = values[0]
-    return lap.reshape(n_vertices * p, n_vertices * r)
 
 
 @dataclass(frozen=True)
@@ -360,54 +342,6 @@ def assemble_lumped_stack(
             f"got shape {blocks.shape}"
         )
     return _assemble(model, graph, blocks, driven)
-
-
-@dataclass(frozen=True)
-class FactorizationReport:
-    """Deviation between direct assembly and the factorized parameter form."""
-
-    max_abs_deviation: float
-    relative_deviation: float
-    tolerance: float
-    ok: bool
-
-
-def factorized_assembly_check(
-    model: SubsystemModel,
-    graph: NetworkGraph,
-    weights: MatrixWeights,
-    driven: DrivenSet,
-    rtol: float = ASSEMBLY_CROSS_CHECK_RTOL,
-) -> FactorizationReport:
-    """Rebuild A_sys from incidence factors and diagonal parameters.
-
-    A = I kron A + (I kron B) (K kron T) diag(Lambda_e) (K_I kron Q)
-    (I kron C), with T = I_p kron ones(1, r), Q = ones(p, 1) kron I_r and
-    each Lambda_e the row-major diagonal of that edge's weight block, so
-    T Lambda_e Q = W_e exactly.
-    """
-    direct = assemble_lumped(model, graph, weights, driven)
-    real = incidence_matrices(graph)
-    eye_n = np.eye(graph.num_vertices)
-    p, r = weights.shape
-    t = np.kron(np.eye(p), np.ones((1, r)))
-    q = np.kron(np.ones((p, 1)), np.eye(r))
-    lam = np.diag([x for e in graph.edges for x in weights.block(e).reshape(-1)])
-    a_fact = (
-        kron(eye_n, model.a)
-        + kron(eye_n, model.b)
-        @ kron(real.injection, t)
-        @ lam
-        @ kron(real.incidence, q)
-        @ kron(eye_n, model.c)
-    )
-
-    scale = max(1.0, float(np.max(np.abs(direct.a_sys))))
-    dev = float(np.max(np.abs(direct.a_sys - a_fact)))
-    rel = dev / scale
-    return FactorizationReport(
-        max_abs_deviation=dev, relative_deviation=rel, tolerance=rtol, ok=rel <= rtol
-    )
 
 
 def sample_weights(

@@ -35,12 +35,7 @@ from .assembly import (
     mass_spring_chain,
     sample_weights,
 )
-from .errors import (
-    DiffnetError,
-    ModelValidationError,
-    PremiseError,
-    ProblemFileError,
-)
+from .errors import DiffnetError, ModelValidationError, ProblemFileError
 from .numerics import (
     DEFAULT_EIG_MATCH_TOL,
     DEFAULT_RANK_REL_TOL,
@@ -640,7 +635,7 @@ def main(argv=None) -> int:
     command = globals()[f"cmd_{args.command}"]
     try:
         return command(args)
-    except (ProblemFileError, ModelValidationError, PremiseError, ValueError) as exc:
+    except (ProblemFileError, ModelValidationError, ValueError) as exc:
         print(f"diffnet: error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except OSError as exc:

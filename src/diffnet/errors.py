@@ -17,10 +17,6 @@ class ModelValidationError(DiffnetError):
         super().__init__("invalid subsystem model: " + "; ".join(self.violations))
 
 
-class PremiseError(DiffnetError):
-    """An engine was invoked outside the premises its criterion assumes."""
-
-
 class ConsistencyError(DiffnetError):
     """Two redundant computation routes disagreed beyond tolerance."""
 

@@ -1,13 +1,12 @@
 """Dense matrix utilities shared by every engine in the package.
 
-Kronecker products, tolerance-based numerical rank, eigenvalues and their
-greedy matching, the controllable dimension by block Arnoldi (the
-controllability staircase's Krylov form) for one pair or a stack of pairs,
-whose cutoff's ||A||_2 is bracketed by sums of squares and taken by SVD
-only for a member whose step the bracket cannot decide, PBH
-controllability/observability tests, and the seeded random streams
-behind every sampled draw. Everything operates on plain numpy arrays and
-treats them as immutable values.
+Tolerance-based numerical rank, eigenvalues and their greedy matching,
+the controllable dimension by block Arnoldi (the controllability
+staircase's Krylov form) for one pair or a stack of pairs, whose cutoff's
+||A||_2 is bracketed by sums of squares and taken by SVD only for a member
+whose step the bracket cannot decide, PBH controllability/observability
+tests, and the seeded random streams behind every sampled draw. Everything
+operates on plain numpy arrays and treats them as immutable values.
 """
 
 from __future__ import annotations
@@ -104,11 +103,6 @@ def sample_away_from_zero(
     uniform, flip = np.moveaxis(raw, len(lead), 0)
     magnitude = SAMPLE_GAP_FRACTION + (1.0 - SAMPLE_GAP_FRACTION) * uniform
     return np.where(flip < 0.5, -magnitude, magnitude)
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product: block (i, j) equals a[i, j] * b."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def numerical_rank(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> int:

@@ -1,5 +1,5 @@
-"""Network topology: graphs, driven sets, reachability, spanning forests,
-incidence factorizations, and auxiliary-digraph cycle checks."""
+"""Network topology: graphs, driven sets, the spanning forest that decides
+input-reachability, and the incidence factorization."""
 
 from __future__ import annotations
 
@@ -195,13 +195,6 @@ class DrivenSet:
                 f"driven vertices {sorted(bad)} exceed the vertex count {graph.num_vertices}"
             )
 
-    def delta(self, num_vertices: int) -> np.ndarray:
-        """Binary diagonal selector with a 1 at every driven vertex."""
-        d = np.zeros((num_vertices, num_vertices))
-        for i in self.driven:
-            d[i - 1, i - 1] = 1.0
-        return d
-
 
 @dataclass(frozen=True)
 class SpanningForest:
@@ -215,10 +208,6 @@ class SpanningForest:
     parent: Mapping[int, int]
     order: tuple[int, ...]
     unreachable: frozenset[int]
-
-    @property
-    def ok(self) -> bool:
-        return not self.unreachable
 
 
 def spanning_forest(graph: NetworkGraph, driven: DrivenSet) -> SpanningForest:
@@ -254,19 +243,6 @@ def spanning_forest(graph: NetworkGraph, driven: DrivenSet) -> SpanningForest:
     )
 
 
-def input_reachable_set(graph: NetworkGraph, driven: DrivenSet) -> frozenset[int]:
-    """Vertices reachable from the driven set along influence directions.
-
-    Undirected edges are traversable both ways; a directed edge only from
-    its tail to its head.
-    """
-    return frozenset(spanning_forest(graph, driven).order)
-
-
-def is_globally_input_reachable(graph: NetworkGraph, driven: DrivenSet) -> bool:
-    return spanning_forest(graph, driven).ok
-
-
 @dataclass(frozen=True)
 class IncidenceRealization:
     """Oriented incidence factorization of a mixed graph.
@@ -298,97 +274,3 @@ def incidence_matrices(graph: NetworkGraph) -> IncidenceRealization:
     both = ~graph.directed
     injection[graph.start[both], edge[both]] = -1.0
     return IncidenceRealization(incidence=incidence, injection=injection)
-
-
-@dataclass(frozen=True)
-class AuxDigraph:
-    """Digraph mirror of a (state pattern, input pattern) pair.
-
-    State vertex i -> state vertex j exists iff pattern entry (j, i) is
-    nonzero; input vertex i -> state vertex j likewise. Vertices are
-    0-based indices into the pattern dimensions.
-    """
-
-    num_states: int
-    num_inputs: int
-    state_edges: tuple[tuple[int, int], ...]
-    input_edges: tuple[tuple[int, int], ...]
-
-    def state_adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.num_states)]
-        for s, t in self.state_edges:
-            adj[s].append(t)
-        return adj
-
-
-def aux_digraph(state_pattern, input_pattern) -> AuxDigraph:
-    """Auxiliary digraph of an (H, P) pattern pair; nonzero entry = edge."""
-    h = np.asarray(state_pattern)
-    p = np.asarray(input_pattern)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"state pattern must be square, got shape {h.shape}")
-    if p.ndim != 2 or p.shape[0] != h.shape[0]:
-        raise ValueError(
-            f"input pattern must have {h.shape[0]} rows, got shape {p.shape}"
-        )
-    rows, cols = np.nonzero(h)
-    state_edges = tuple((int(i), int(j)) for j, i in zip(rows, cols))
-    rows, cols = np.nonzero(p)
-    input_edges = tuple((int(i), int(j)) for j, i in zip(rows, cols))
-    return AuxDigraph(
-        num_states=h.shape[0],
-        num_inputs=p.shape[1],
-        state_edges=state_edges,
-        input_edges=input_edges,
-    )
-
-
-def all_cycles_input_reachable(dg: AuxDigraph):
-    """True iff no cycle avoids the input-reachable region.
-
-    A cycle containing one reachable vertex is reachable as a whole, so the
-    check reduces to: the subgraph induced on states NOT reachable from any
-    input must be acyclic. Returns (True, None) or (False, witness cycle)
-    where the witness is a tuple of 0-based state vertices.
-    """
-    adj = dg.state_adjacency()
-    reached = [False] * dg.num_states
-    queue: deque[int] = deque()
-    for _, j in dg.input_edges:
-        if not reached[j]:
-            reached[j] = True
-            queue.append(j)
-    while queue:
-        i = queue.popleft()
-        for j in adj[i]:
-            if not reached[j]:
-                reached[j] = True
-                queue.append(j)
-
-    hidden = [v for v in range(dg.num_states) if not reached[v]]
-    color = dict.fromkeys(hidden, 0)  # 0 unvisited, 1 on stack, 2 done
-    for root in hidden:
-        if color[root]:
-            continue
-        color[root] = 1
-        path = [root]
-        stack = [(root, iter(adj[root]))]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in color:
-                    continue  # reachable neighbor, not part of the hidden subgraph
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    path.append(nxt)
-                    stack.append((nxt, iter(adj[nxt])))
-                    advanced = True
-                    break
-                if color[nxt] == 1:
-                    return False, tuple(path[path.index(nxt):])
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-                path.pop()
-    return True, None

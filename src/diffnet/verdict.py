@@ -1,18 +1,14 @@
 """Structural controllability verdicts and their numerical certification.
 
-The criteria implemented here decide, from the network topology and one
-copy of the node dynamics, whether some (equivalently, almost every) choice
-of edge weights makes the assembled network controllable. ``analyze`` is
-the one analyzer for single-input (vector-weight) and multi-input
-(matrix-weight) nodes; the scalar-weight, leader, auxiliary-digraph and
-rank-condition checks are side criteria. Every verdict can be
-cross-examined by a Monte Carlo oracle on sampled weights, which measures
-the controllable subspace of each assembled pair by block Arnoldi. Every
-randomized check draws its network one way: trial t's weight blocks come
-from ``rng.derive(t)`` exactly as ``sample_weights`` draws them. The
-certificate and the leader check assemble and rank-test all their trials
-as one stack (``assemble_lumped_stack``); the rank condition builds each
-trial with ``assemble_lumped``.
+``analyze`` decides, from the network topology and one copy of the node
+dynamics, whether some (equivalently, almost every) choice of edge weights
+makes the assembled network controllable. It is the one analyzer for
+single-input (vector-weight) and multi-input (matrix-weight) nodes. Every
+verdict can be cross-examined by ``certify_monte_carlo``, a Monte Carlo
+oracle on sampled weights: trial t's weight blocks come from
+``rng.derive(t)`` exactly as ``sample_weights`` draws them, and all trials
+are assembled (``assemble_lumped_stack``) and rank-tested as one stack, by
+block Arnoldi on the controllable subspace.
 """
 
 from __future__ import annotations
@@ -23,23 +19,14 @@ from enum import Enum
 
 import numpy as np
 
-from .assembly import (
-    MatrixWeights,
-    assemble_lumped,
-    assemble_lumped_stack,
-    matrix_laplacian,
-    sample_weights,
-)
-from .errors import ConsistencyError, NumericError, PremiseError
+from .assembly import assemble_lumped_stack
+from .errors import NumericError
 from .numerics import (
     DEFAULT_TOL,
     RandomSource,
     ToleranceConfig,
     controllable_dimension,
     dedupe_eigenvalues,
-    eigenvalues,
-    kron,
-    numerical_rank,
     sample_away_from_zero,
 )
 from .subsystem import (
@@ -49,15 +36,7 @@ from .subsystem import (
     fixed_modes,
     require_valid,
 )
-from .topology import (
-    DrivenSet,
-    NetworkGraph,
-    all_cycles_input_reachable,
-    aux_digraph,
-    incidence_matrices,
-    is_globally_input_reachable,
-    spanning_forest,
-)
+from .topology import DrivenSet, NetworkGraph, spanning_forest
 
 DEFAULT_CERTIFY_TRIALS = 5
 
@@ -137,48 +116,15 @@ class AnalysisReport:
         raise KeyError(name)
 
 
-def _eig_witness(deficient) -> dict:
-    return {"deficient_eigenvalues": tuple(complex(z) for z in deficient)}
-
-
-def _criterion_family(graph: NetworkGraph) -> tuple[str, tuple[str, ...]]:
-    if graph.has_directed_edges():
-        return "2", ("directed influences present: semi-symmetric criteria applied",)
-    return "1", ()
-
-
 def _pbh_record(
     name: str, check, model: SubsystemModel, tol: ToleranceConfig
 ) -> ConditionRecord:
     """Node-level PBH condition, witnessed by its deficient eigenvalues."""
     ok, deficient = check(model, tol)
-    return ConditionRecord(name, ok, None if ok else _eig_witness(deficient))
-
-
-def _all_driven_report(
-    model: SubsystemModel,
-    tol: ToleranceConfig,
-    notes: tuple[str, ...] = (
-        "every vertex is driven: subsystem controllability decides",
-    ),
-) -> AnalysisReport:
-    """With every vertex driven, subsystem controllability alone decides."""
-    record = _pbh_record("subsystem_controllable", check_controllable, model, tol)
-    return AnalysisReport(
-        verdict=Verdict.CONTROLLABLE if record.holds else Verdict.NOT_CONTROLLABLE,
-        theorem_used="trivial-case",
-        conditions=(record,),
-        notes=notes,
-    )
-
-
-def _reachability_record(graph: NetworkGraph, driven: DrivenSet) -> ConditionRecord:
-    unreachable = sorted(spanning_forest(graph, driven).unreachable)
-    return ConditionRecord(
-        "globally_input_reachable",
-        not unreachable,
-        {"unreachable_vertices": tuple(unreachable)} if unreachable else None,
-    )
+    if ok:
+        return ConditionRecord(name, ok)
+    witness = {"deficient_eigenvalues": tuple(complex(z) for z in deficient)}
+    return ConditionRecord(name, ok, witness)
 
 
 def analyze(
@@ -214,11 +160,25 @@ def analyze(
         )
     driven.validate_for(graph)
     if len(driven) == graph.num_vertices:
-        return _all_driven_report(model, tol)
-    reach = _reachability_record(graph, driven)
+        record = _pbh_record("subsystem_controllable", check_controllable, model, tol)
+        return AnalysisReport(
+            verdict=Verdict.CONTROLLABLE if record.holds else Verdict.NOT_CONTROLLABLE,
+            theorem_used="trivial-case",
+            conditions=(record,),
+            notes=("every vertex is driven: subsystem controllability decides",),
+        )
+    unreachable = tuple(sorted(spanning_forest(graph, driven).unreachable))
+    reach = ConditionRecord(
+        "globally_input_reachable",
+        not unreachable,
+        {"unreachable_vertices": unreachable} if unreachable else None,
+    )
 
     if single_input:
-        theorem, notes = _criterion_family(graph)
+        theorem, notes = "1", ()
+        if graph.has_directed_edges():
+            theorem = "2"
+            notes = ("directed influences present: semi-symmetric criteria applied",)
         conditions = (
             _pbh_record("subsystem_controllable", check_controllable, model, tol),
             _pbh_record("subsystem_observable", check_observable, model, tol),
@@ -260,23 +220,32 @@ def analyze(
     return AnalysisReport(verdict, "3", conditions, notes=notes)
 
 
-def _sampled_trials(
+def certify_monte_carlo(
     model: SubsystemModel,
     graph: NetworkGraph,
     driven: DrivenSet,
-    trials: int,
-    rng: RandomSource,
-    tol: ToleranceConfig,
+    trials: int = DEFAULT_CERTIFY_TRIALS,
+    rng: RandomSource = RandomSource(0),
+    tol: ToleranceConfig = DEFAULT_TOL,
     a_shift: np.ndarray | None = None,
-) -> tuple[TrialResult, ...]:
-    """The trials of ``certify_monte_carlo``, without the verdict comparison.
+    analysis: AnalysisReport | None = None,
+) -> CertificationReport:
+    """Monte Carlo controllability oracle over sampled weights.
 
-    Trial t draws its blocks from ``rng.derive(t)`` as ``sample_weights``
-    does. The trials are assembled, shifted and rank-tested as one stack,
-    split only where the stack's state matrices would pass
-    ``_TRIAL_STACK_BYTES``. A numeric failure of the stacked rank test
-    reruns its members one at a time, so it lands on its own trial.
+    Trial t draws one generic weight block per edge from ``rng.derive(t)``,
+    as ``sample_weights`` does. The trials' lumped pairs are assembled,
+    shifted and their controllable subspaces measured by block Arnoldi as
+    one stack, split only where the stack's state matrices would pass
+    ``_TRIAL_STACK_BYTES``. The states outside a pair's subspace are its
+    trial's ``deficient_count``. ``a_shift`` (added to every assembled state
+    matrix before testing) accommodates grounding-style modifications. A
+    numeric failure of the stacked rank test reruns its members one at a
+    time, so it is recorded on its own trial and never aborts the run. The
+    trials are compared with ``analysis``, computed by ``analyze`` when not
+    given.
     """
+    if analysis is None:
+        analysis = analyze(model, graph, driven, tol)
     if trials < 1:
         raise ValueError(f"certification needs at least one trial, got {trials}")
     require_valid(model)
@@ -320,33 +289,6 @@ def _sampled_trials(
             else TrialResult(src.stream_id, bool(dim == n_states), int(n_states - dim))
             for src, dim in zip(chunk, dims)
         )
-    return tuple(per)
-
-
-def certify_monte_carlo(
-    model: SubsystemModel,
-    graph: NetworkGraph,
-    driven: DrivenSet,
-    trials: int = DEFAULT_CERTIFY_TRIALS,
-    rng: RandomSource = RandomSource(0),
-    tol: ToleranceConfig = DEFAULT_TOL,
-    a_shift: np.ndarray | None = None,
-    analysis: AnalysisReport | None = None,
-) -> CertificationReport:
-    """Monte Carlo controllability oracle over sampled weights.
-
-    Each trial derives its own stream from the source and samples one
-    generic weight per edge; the trials' lumped pairs are assembled as one
-    stack and their controllable subspaces measured together by block
-    Arnoldi. The states outside a pair's subspace are its trial's
-    ``deficient_count``. ``a_shift`` (added to every assembled state matrix
-    before testing) accommodates grounding-style modifications. Numeric
-    failures are recorded per trial and never abort the run. The trials are
-    compared with ``analysis``, computed by ``analyze`` when not given.
-    """
-    if analysis is None:
-        analysis = analyze(model, graph, driven, tol)
-    per = _sampled_trials(model, graph, driven, trials, rng, tol, a_shift)
     any_ok = any(t.controllable for t in per)
     if analysis.verdict is Verdict.CONTROLLABLE:
         agree = any_ok
@@ -356,226 +298,8 @@ def certify_monte_carlo(
         agree = True
     return CertificationReport(
         trials=trials,
-        per_trial=per,
+        per_trial=tuple(per),
         any_controllable=any_ok,
         compared_verdict=analysis.verdict.value,
         agree_with_verdict=agree,
     )
-
-
-def reduce_scalar_weight(model: SubsystemModel) -> SubsystemModel:
-    """Collapse the coupling channels into one summed output row.
-
-    Models the constraint of a single scalar weight per edge: with all
-    channel Laplacians equal, the coupling acts through c_1 + ... + c_r.
-    The summed row may cancel to zero; the result is returned as-is and
-    callers decide how to treat that degenerate output.
-    """
-    require_valid(model)
-    summed = model.c.sum(axis=0, keepdims=True)
-    return SubsystemModel(model.a, model.b, summed)
-
-
-def analyze_scalar_constrained(
-    model: SubsystemModel,
-    graph: NetworkGraph,
-    driven: DrivenSet,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> AnalysisReport:
-    """Verdict when every edge is forced to carry one scalar weight.
-
-    A controllable scalar-constrained network is controllable in the
-    vector-weighted sense (the constraint picks particular weights), but
-    not conversely. If the summed coupling row cancels to zero the
-    constrained network has no coupling at all and cannot be controllable
-    unless every vertex is driven. The summed row models single-input nodes
-    only; any multi-input model is refused with ValueError.
-    """
-    require_valid(model)
-    if model.num_inputs != 1:
-        raise ValueError(
-            "the scalar-weight criteria need single-input nodes, got "
-            f"{model.num_inputs} inputs"
-        )
-    reduced = reduce_scalar_weight(model)
-    note = "channels constrained to a single scalar weight per edge"
-    if not np.any(reduced.c):
-        if len(driven) == graph.num_vertices:
-            return _all_driven_report(
-                model, tol, (note, "every vertex is driven: coupling is irrelevant")
-            )
-        theorem, extra = _criterion_family(graph)
-        record = ConditionRecord(
-            "scalar_reduced_coupling_nonzero",
-            False,
-            {"summed_output_row": tuple(float(x) for x in reduced.c.reshape(-1))},
-        )
-        return AnalysisReport(
-            verdict=Verdict.NOT_CONTROLLABLE,
-            theorem_used=theorem,
-            conditions=(record,),
-            notes=(note, "the channel sum cancels: no coupling survives") + extra,
-        )
-    report = analyze(reduced, graph, driven, tol)
-    return dataclasses.replace(report, notes=report.notes + (note,))
-
-
-def laplacian_leader_controllability(
-    graph: NetworkGraph,
-    leader: int,
-    trials: int = 3,
-    rng: RandomSource = RandomSource(0),
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> bool:
-    """Single-leader controllability of -L on a connected undirected graph.
-
-    Scalar integrator nodes (A = 0, B = C = 1) make the lumped pair
-    (-L, Delta) with Delta selecting the leader, so this runs the Monte
-    Carlo certificate's trials on that network, with no verdict to compare:
-    True only if every trial is controllable.
-    On a connected undirected graph that holds for almost every weight
-    draw. A trial that fails numerically raises NumericError.
-    """
-    if graph.has_directed_edges():
-        raise PremiseError("leader controllability is stated for undirected graphs")
-    if not 1 <= leader <= graph.num_vertices:
-        raise ValueError(
-            f"leader {leader} outside the vertex range 1..{graph.num_vertices}"
-        )
-    driven = DrivenSet(frozenset({leader}))
-    reach = _reachability_record(graph, driven)
-    if not reach.holds:
-        raise PremiseError(
-            "graph is not connected: vertices "
-            f"{list(reach.witness['unreachable_vertices'])} "
-            "are cut off from the leader"
-        )
-    integrator = SubsystemModel([[0.0]], [[1.0]], [[1.0]])
-    per = _sampled_trials(integrator, graph, driven, trials, rng, tol)
-    for trial in per:
-        if trial.error is not None:
-            raise NumericError(trial.error)
-    return all(trial.controllable for trial in per)
-
-
-@dataclass(frozen=True)
-class AuxConditionDetail:
-    """Both auxiliary-digraph cycle checks plus the topology comparison."""
-
-    edge_pattern_holds: bool
-    vertex_pattern_holds: bool
-    edge_pattern_witness: tuple[int, ...] | None
-    vertex_pattern_witness: tuple[int, ...] | None
-    num_edge_states: int
-    num_vertex_states: int
-    graph_reachable: bool
-
-
-def aux_condition_check(
-    model: SubsystemModel,
-    graph: NetworkGraph,
-    driven: DrivenSet,
-    tol: ToleranceConfig = DEFAULT_TOL,
-):
-    """Cycle input-reachability on two pattern-equivalent auxiliary digraphs.
-
-    Pattern one lives on coupling-channel copies of the edges (built from
-    the incidence product K_I K and K_I Delta); pattern two on channel
-    copies of the vertices (built from a structural Laplacian and Delta).
-    The two must agree; the shared boolean is returned with the detail.
-
-    Premises: single-input nodes with (A, b) controllable and no zero
-    coupling row.
-    """
-    require_valid(model)
-    if model.num_inputs != 1:
-        raise ValueError("the auxiliary-digraph condition is built on single-input nodes")
-    ctrb_ok, deficient = check_controllable(model, tol)
-    if not ctrb_ok:
-        raise PremiseError(
-            "the pattern equivalence assumes (A, b) controllable; deficient at "
-            + ", ".join(str(z) for z in deficient)
-        )
-    driven.validate_for(graph)
-
-    r = model.num_outputs
-    real = incidence_matrices(graph)
-    delta = driven.delta(graph.num_vertices)
-    ones_rr = np.ones((r, r))
-    ones_r1 = np.ones((r, 1))
-
-    kik = real.incidence @ real.injection
-    kid = real.incidence @ delta
-    dg_edge = aux_digraph(kron(ones_rr, kik), kron(ones_r1, kid))
-    edge_ok, edge_wit = all_cycles_input_reachable(dg_edge)
-
-    unit = MatrixWeights.from_edge_arrays(
-        graph, [np.ones((1, 1)) for _ in graph.edges], shape=(1, 1)
-    )
-    lap_pattern = matrix_laplacian(graph, unit)
-    dg_vertex = aux_digraph(kron(ones_rr, lap_pattern), kron(ones_r1, delta))
-    vertex_ok, vertex_wit = all_cycles_input_reachable(dg_vertex)
-
-    if edge_ok != vertex_ok:
-        raise ConsistencyError(
-            "pattern-equivalent auxiliary digraphs disagree: "
-            f"edge pattern {edge_ok}, vertex pattern {vertex_ok}"
-        )
-    detail = AuxConditionDetail(
-        edge_pattern_holds=edge_ok,
-        vertex_pattern_holds=vertex_ok,
-        edge_pattern_witness=edge_wit,
-        vertex_pattern_witness=vertex_wit,
-        num_edge_states=dg_edge.num_states,
-        num_vertex_states=dg_vertex.num_states,
-        graph_reachable=is_globally_input_reachable(graph, driven),
-    )
-    return edge_ok, detail
-
-
-@dataclass(frozen=True)
-class RankCheckDetail:
-    eigenvalue: complex
-    generic_rank: int
-    required: int
-    ok: bool
-
-
-def rank_condition_check(
-    model: SubsystemModel,
-    graph: NetworkGraph,
-    driven: DrivenSet,
-    rng: RandomSource = RandomSource(0),
-    tol: ToleranceConfig = DEFAULT_TOL,
-    trials: int = 3,
-):
-    """Generic rank of [lambda I - A_sys, B_sys] at each subsystem eigenvalue.
-
-    For a structurally controllable single-input network the sampled
-    maximum rank must reach full row rank at every distinct eigenvalue of
-    A. Eigenvalues are deduplicated within the matching tolerance. Trial t
-    samples weights from ``rng.derive(t)``, as the certificate does, and
-    tests every eigenvalue on that one assembled pair.
-    """
-    require_valid(model)
-    if model.num_inputs != 1:
-        raise ValueError("the rank condition is stated for single-input nodes")
-    if trials < 1:
-        raise ValueError(f"the rank condition needs at least one trial, got {trials}")
-    driven.validate_for(graph)
-
-    required = graph.num_vertices * model.order
-    eye_sys = np.eye(required)
-    distinct = dedupe_eigenvalues(eigenvalues(model.a), tol)
-    best = [0] * len(distinct)
-    for t in range(trials):
-        w = sample_weights(graph, (1, model.num_outputs), rng.derive(t))
-        lumped = assemble_lumped(model, graph, w, driven)
-        for i, lam in enumerate(distinct):
-            pencil = np.hstack([lam * eye_sys - lumped.a_sys, lumped.b_sys])
-            best[i] = max(best[i], numerical_rank(pencil, tol))
-    details = tuple(
-        RankCheckDetail(complex(lam), got, required, got == required)
-        for lam, got in zip(distinct, best)
-    )
-    return all(d.ok for d in details), details

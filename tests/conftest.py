@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from diffnet.assembly import MatrixWeights
+from diffnet.assembly import MatrixWeights, assemble_lumped
 from diffnet.errors import ProblemFileError
 from diffnet.numerics import RandomSource
 from diffnet.problem_io import _int_field, _matrix, _require_mapping
@@ -190,6 +190,11 @@ def unobservable_model(
     return SubsystemModel(a, b, c)
 
 
+def driven_selector(driven: DrivenSet, num_vertices: int) -> np.ndarray:
+    """Delta: the N x N diagonal with a 1 at every driven vertex."""
+    return np.diag([float(v in driven) for v in range(1, num_vertices + 1)])
+
+
 def dense_edgewise_state_matrix(
     model: SubsystemModel, graph: NetworkGraph, weights: MatrixWeights
 ) -> np.ndarray:
@@ -207,6 +212,46 @@ def dense_edgewise_state_matrix(
     return np.kron(np.eye(graph.num_vertices), model.a) + np.kron(
         real.injection, model.b
     ) @ blkdiag @ np.kron(real.incidence, model.c)
+
+
+def factorized_state_matrix(
+    model: SubsystemModel, graph: NetworkGraph, weights: MatrixWeights
+) -> np.ndarray:
+    """Reference factorized parameter form of the state matrix:
+    I kron A + (I kron B) (K kron T) diag(Lambda) (K_I kron Q) (I kron C),
+    with T = I_p kron ones(1, r), Q = ones(p, 1) kron I_r and Lambda the
+    row-major entries of every edge block in edge order, so that
+    T diag(Lambda_e) Q = W_e.
+    """
+    real = incidence_matrices(graph)
+    eye = np.eye(graph.num_vertices)
+    p, r = weights.shape
+    t = np.kron(np.eye(p), np.ones((1, r)))
+    q = np.kron(np.ones((p, 1)), np.eye(r))
+    lam = np.diag([x for e in graph.edges for x in weights.block(e).reshape(-1)])
+    return np.kron(eye, model.a) + (
+        np.kron(eye, model.b)
+        @ np.kron(real.injection, t)
+        @ lam
+        @ np.kron(real.incidence, q)
+        @ np.kron(eye, model.c)
+    )
+
+
+def assembled_laplacian(graph: NetworkGraph, weights: MatrixWeights) -> np.ndarray:
+    """The block Laplacian L_m, read off ``assemble_lumped``.
+
+    Nodes of order n = max(p, r) with A = 0, B = [I_p; 0] and C = [I_r, 0]
+    make each n x n block of A_sys = -(I kron B) L_m (I kron C) its p x r
+    block of L_m, negated and padded with zeros. Products with these 0/1
+    factors are exact, and 0.0 - A_sys turns every zero into 0.0.
+    """
+    p, r = weights.shape
+    n, nv = max(p, r), graph.num_vertices
+    node = SubsystemModel(np.zeros((n, n)), np.eye(n, p), np.eye(r, n))
+    a_sys = assemble_lumped(node, graph, weights, DrivenSet()).a_sys
+    blocks = 0.0 - a_sys.reshape(nv, n, nv, n)[:, :p, :, :r]
+    return blocks.reshape(nv * p, nv * r)
 
 
 def loop_matrix_laplacian(graph: NetworkGraph, weights: MatrixWeights) -> np.ndarray:

@@ -1,0 +1,104 @@
+"""The proof's lemmas, restated on the decision pipeline.
+
+Acceptance criteria 05-08 check auxiliary results of the paper: pattern
+digraphs, the generic rank condition, single-leader consensus and the
+scalar-weight constraint. The library needs none of them to decide or
+certify a verdict, so each is written here once, from what the pipeline
+computes: incidence matrices, sampled weights, the lumped assembly, the
+certificate and ``analyze``. Criterion 04's references live in conftest.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from conftest import driven_selector
+from diffnet.assembly import assemble_lumped, sample_weights
+from diffnet.numerics import (
+    DEFAULT_TOL,
+    dedupe_eigenvalues,
+    eigenvalues,
+    numerical_rank,
+)
+from diffnet.subsystem import SubsystemModel
+from diffnet.topology import DrivenSet, NetworkGraph, incidence_matrices
+from diffnet.verdict import analyze, certify_monte_carlo
+
+
+def cycles_input_reachable(state_pattern, input_pattern) -> bool:
+    """True iff no cycle of the pattern digraph avoids the states the
+    inputs reach. State i -> state j iff entry (j, i) of the state pattern
+    is nonzero, input k -> state j iff entry (j, k) of the input pattern
+    is. A cycle through one reached state is reached whole, so the states
+    left out must span an acyclic subgraph (a self-loop is a cycle)."""
+    import networkx as nx
+
+    digraph = nx.from_numpy_array(
+        (np.asarray(state_pattern).T != 0).astype(int), create_using=nx.DiGraph
+    )
+    targets = np.flatnonzero(np.asarray(input_pattern).any(axis=1)).tolist()
+    reached = set(targets).union(*(nx.descendants(digraph, t) for t in targets))
+    return nx.is_directed_acyclic_graph(digraph.subgraph(set(digraph) - reached))
+
+
+def pattern_pairs(graph: NetworkGraph, driven: DrivenSet, channels: int):
+    """The (state, input) patterns of the two auxiliary digraphs of a
+    network of single-input nodes with ``channels`` coupling channels,
+    every block repeated over all channel pairs: on edge states, K_I K and
+    K_I Delta; on vertex states, the unit-weight Laplacian -K K_I and
+    Delta. K_I and K are the incidence and injection matrices, Delta the
+    N x N selector of the driven vertices."""
+    real = incidence_matrices(graph)
+    delta = driven_selector(driven, graph.num_vertices)
+    square, column = np.ones((channels, channels)), np.ones((channels, 1))
+    return (
+        (
+            np.kron(square, real.incidence @ real.injection),
+            np.kron(column, real.incidence @ delta),
+        ),
+        (np.kron(square, -real.injection @ real.incidence), np.kron(column, delta)),
+    )
+
+
+def generic_ranks(model, graph, driven, rng, trials=3, tol=DEFAULT_TOL) -> list[int]:
+    """Largest numerical rank of [lambda I - A_sys, B_sys] over ``trials``
+    weight draws, at each distinct eigenvalue lambda of the node's A. Draw t
+    is ``sample_weights`` on ``rng.derive(t)``, as in the certificate; full
+    rank is the state count N n."""
+    distinct = dedupe_eigenvalues(eigenvalues(model.a), tol)
+    eye = np.eye(graph.num_vertices * model.order)
+    shape = (model.num_inputs, model.num_outputs)
+    best = [0] * len(distinct)
+    for t in range(trials):
+        weights = sample_weights(graph, shape, rng.derive(t))
+        lumped = assemble_lumped(model, graph, weights, driven)
+        for i, lam in enumerate(distinct):
+            pencil = np.hstack([lam * eye - lumped.a_sys, lumped.b_sys])
+            best[i] = max(best[i], numerical_rank(pencil, tol))
+    return best
+
+
+def leader_controls_consensus(graph: NetworkGraph, leader: int, trials, rng) -> bool:
+    """Whether every certificate trial of -L driven at one leader vertex is
+    controllable: scalar integrator nodes (A = 0, B = C = 1) make the
+    lumped pair (-L, e_leader)."""
+    integrator = SubsystemModel([[0.0]], [[1.0]], [[1.0]])
+    driven = DrivenSet(frozenset({leader}))
+    cert = certify_monte_carlo(integrator, graph, driven, trials=trials, rng=rng)
+    return all(t.controllable for t in cert.per_trial)
+
+
+def summed_row_model(model: SubsystemModel) -> SubsystemModel:
+    """The node seen through one scalar weight per edge: with every channel
+    weighted alike, the coupling acts through c_1 + ... + c_r."""
+    return SubsystemModel(model.a, model.b, model.c.sum(axis=0, keepdims=True))
+
+
+def scalar_weight_analysis(model, graph: NetworkGraph, driven: DrivenSet):
+    """``analyze`` on the network whose edges carry one scalar weight each.
+    When the summed row cancels no coupling survives: the network is its
+    nodes without edges."""
+    reduced = summed_row_model(model)
+    if not reduced.c.any():
+        return analyze(model, NetworkGraph(graph.num_vertices), driven)
+    return analyze(reduced, graph, driven)

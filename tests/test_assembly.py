@@ -7,9 +7,12 @@ import pytest
 
 import diffnet.assembly
 from conftest import (
+    assembled_laplacian,
     count_calls,
     dense_direct_state_matrix,
     dense_edgewise_state_matrix,
+    driven_selector,
+    factorized_state_matrix,
     loop_matrix_laplacian,
     loop_sample_weights,
     random_connected_graph,
@@ -25,14 +28,12 @@ from diffnet.assembly import (
     assemble_lumped,
     assemble_lumped_stack,
     check_weights,
-    factorized_assembly_check,
     grounding_shift,
     mass_spring_chain,
-    matrix_laplacian,
     sample_weights,
 )
 from diffnet.errors import ConsistencyError, ModelValidationError
-from diffnet.numerics import RandomSource, kron
+from diffnet.numerics import RandomSource
 from diffnet.subsystem import SubsystemModel
 from diffnet.topology import (
     DIRECTED,
@@ -62,7 +63,7 @@ def rows(graph: NetworkGraph, values, channels: int | None = None) -> MatrixWeig
 
 def channel_laplacians(graph: NetworkGraph, weights: MatrixWeights):
     """Per-channel N x N Laplacians read off a 1 x r block Laplacian."""
-    lap = matrix_laplacian(graph, weights)
+    lap = assembled_laplacian(graph, weights)
     r = weights.shape[1]
     return tuple(lap[:, k::r] for k in range(r))
 
@@ -132,7 +133,7 @@ class TestLaplacians:
 
     def test_directed_edge_hits_head_row_only(self):
         g = NetworkGraph(2, (Edge(1, 2, DIRECTED),))
-        lap = matrix_laplacian(g, rows(g, [[4.0]]))
+        lap = assembled_laplacian(g, rows(g, [[4.0]]))
         assert np.array_equal(lap, [[0.0, 0.0], [-4.0, 4.0]])
 
     def test_no_edges_gives_zeros(self):
@@ -147,22 +148,22 @@ class TestLaplacians:
             g = random_connected_graph(gen, int(gen.integers(2, 7)))
             r = int(gen.integers(1, 4))
             values = gen.normal(size=(g.num_edges, r))
-            l_g = matrix_laplacian(g, rows(g, values[:, None, :], channels=r))
+            l_g = assembled_laplacian(g, rows(g, values[:, None, :], channels=r))
             assert l_g.shape == (g.num_vertices, g.num_vertices * r)
             for k in range(r):
                 single = rows(g, values[:, None, k : k + 1], channels=1)
-                assert np.array_equal(l_g[:, k::r], matrix_laplacian(g, single))
+                assert np.array_equal(l_g[:, k::r], assembled_laplacian(g, single))
 
     def test_matrix_laplacian_blocks(self):
         g = chain_graph(2)
         block = np.array([[1.0, 2.0], [3.0, 4.0]])
-        lap = matrix_laplacian(g, MatrixWeights.from_edge_arrays(g, [block]))
+        lap = assembled_laplacian(g, MatrixWeights.from_edge_arrays(g, [block]))
         assert np.array_equal(lap, np.block([[block, -block], [-block, block]]))
 
     def test_matrix_laplacian_directed(self):
         g = NetworkGraph(2, (Edge(1, 2, DIRECTED),))
         block = np.array([[1.0, 2.0], [3.0, 4.0]])
-        lap = matrix_laplacian(g, MatrixWeights.from_edge_arrays(g, [block]))
+        lap = assembled_laplacian(g, MatrixWeights.from_edge_arrays(g, [block]))
         zero = np.zeros((2, 2))
         assert np.array_equal(lap, np.block([[zero, zero], [-block, block]]))
 
@@ -181,7 +182,7 @@ class TestSingleInputAssembly:
         g = chain_graph(2)
         w = rows(g, [[0.0, 0.0]])
         sys = assemble_lumped(model, g, w, DrivenSet())
-        assert np.array_equal(sys.a_sys, kron(np.eye(2), model.a))
+        assert np.array_equal(sys.a_sys, np.kron(np.eye(2), model.a))
         assert not sys.b_sys.any()
 
     def test_two_mass_hand_matrix(self):
@@ -261,11 +262,12 @@ class TestMatrixWeightAssembly:
             driven = random_driven(gen, n)
             lumped = assemble_lumped(model, g, vec, driven)
             # single-input form: I kron A minus the channel sum of L_k kron (b c_k)
-            channel_sum = kron(np.eye(n), model.a)
+            channel_sum = np.kron(np.eye(n), model.a)
             for k, lap in enumerate(channel_laplacians(g, vec)):
-                channel_sum = channel_sum - kron(lap, model.b @ model.c[k : k + 1])
+                channel_sum = channel_sum - np.kron(lap, model.b @ model.c[k : k + 1])
             assert np.allclose(lumped.a_sys, channel_sum, rtol=1e-10, atol=1e-10)
-            assert np.array_equal(lumped.b_sys, kron(driven.delta(n), model.b))
+            delta = driven_selector(driven, n)
+            assert np.array_equal(lumped.b_sys, np.kron(delta, model.b))
 
     def test_rejects_shape_mismatch_with_model(self):
         model = SubsystemModel(np.eye(2), np.eye(2), np.eye(2))
@@ -325,7 +327,7 @@ class TestDirectRoute:
         n, nv = model.order, graph.num_vertices
         off_diagonal = ~np.kron(np.eye(nv, dtype=bool), np.ones((n, n), dtype=bool))
         assert not np.any(np.signbit(a_sys) & (a_sys == 0) & off_diagonal)
-        assert np.array_equal(b_sys, kron(driven.delta(nv), model.b))
+        assert np.array_equal(b_sys, np.kron(driven_selector(driven, nv), model.b))
         assert not np.any(np.signbit(b_sys) & (b_sys == 0))
 
     def test_matches_dense_kronecker_reference_bit_for_bit(self):
@@ -383,7 +385,7 @@ class TestDirectRoute:
             blocks[gen.random(blocks.shape) < 0.2] = 0.0
             blocks[gen.random(blocks.shape) < 0.2] = -0.0
             weights = MatrixWeights.from_edge_arrays(g, list(blocks), shape=(p, r))
-            got = matrix_laplacian(g, weights)
+            got = assembled_laplacian(g, weights)
             reference = loop_matrix_laplacian(g, weights)
             assert got.shape == reference.shape
             assert np.array_equal(got.view(np.uint64), reference.view(np.uint64))
@@ -547,9 +549,10 @@ class TestFactorizedForm:
                 p, r = int(gen.integers(2, 4)), int(gen.integers(1, 3))
                 model = random_model(gen, int(gen.integers(1, 4)), r, num_inputs=p)
                 weights = sample_weights(g, (p, r), RandomSource(i))
-            report = factorized_assembly_check(model, g, weights, driven)
-            assert report.ok
-            assert report.relative_deviation < 1e-10
+            a_sys = assemble_lumped(model, g, weights, driven).a_sys
+            reference = factorized_state_matrix(model, g, weights)
+            scale = max(1.0, np.max(np.abs(a_sys)))
+            assert np.max(np.abs(a_sys - reference)) < 1e-10 * scale
 
 
 class TestSampledWeights:

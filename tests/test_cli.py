@@ -1267,23 +1267,86 @@ class TestPackaging:
 
     def test_public_names_resolve(self):
         import diffnet
+        import diffnet.assembly
+        import diffnet.errors
         import diffnet.numerics
         import diffnet.problem_io
         import diffnet.topology
         import diffnet.verdict
 
+        assert sorted(diffnet.__all__) == [
+            "AnalysisReport",
+            "CertificationReport",
+            "ConsistencyError",
+            "DEFAULT_TOL",
+            "DiffnetError",
+            "DrivenSet",
+            "Edge",
+            "LumpedSystem",
+            "MassSpringChain",
+            "MatrixWeights",
+            "ModelValidationError",
+            "NetworkGraph",
+            "NumericError",
+            "Problem",
+            "ProblemFileError",
+            "RandomSource",
+            "SubsystemModel",
+            "ToleranceConfig",
+            "Verdict",
+            "analyze",
+            "assemble_lumped",
+            "assemble_lumped_stack",
+            "certify_monte_carlo",
+            "fixed_modes",
+            "grounding_shift",
+            "incidence_matrices",
+            "load_problem",
+            "mass_spring_chain",
+            "parse_problem",
+            "sample_weights",
+            "spanning_forest",
+            "validate_model",
+        ]
         for name in diffnet.__all__:
             assert hasattr(diffnet, name), name
-        for module in (diffnet, diffnet.verdict):
-            assert not hasattr(module, "analyze_simo")
-            assert not hasattr(module, "analyze_mimo")
-        assert not hasattr(diffnet.problem_io, "analysis_from_json")
-        assert not hasattr(diffnet.numerics, "generic_rank")
-        assert not hasattr(diffnet.numerics, "DEFAULT_GENERIC_RANK_TRIALS")
-        assert not hasattr(diffnet.verdict, "generic_rank")
+        deleted = {
+            diffnet.verdict: (
+                "analyze_simo",
+                "analyze_mimo",
+                "generic_rank",
+                "reduce_scalar_weight",
+                "analyze_scalar_constrained",
+                "laplacian_leader_controllability",
+                "AuxConditionDetail",
+                "aux_condition_check",
+                "RankCheckDetail",
+                "rank_condition_check",
+            ),
+            diffnet.topology: (
+                "AuxDigraph",
+                "aux_digraph",
+                "all_cycles_input_reachable",
+                "input_reachable_set",
+                "is_globally_input_reachable",
+            ),
+            diffnet.assembly: (
+                "matrix_laplacian",
+                "FactorizationReport",
+                "factorized_assembly_check",
+            ),
+            diffnet.numerics: ("kron", "generic_rank", "DEFAULT_GENERIC_RANK_TRIALS"),
+            diffnet.errors: ("PremiseError",),
+            diffnet.problem_io: ("analysis_from_json",),
+        }
+        for module, names in deleted.items():
+            for name in names:
+                assert not hasattr(module, name), (module.__name__, name)
+                assert not hasattr(diffnet, name), name
+        assert not hasattr(diffnet.DrivenSet, "delta")
+        assert not hasattr(diffnet.topology.SpanningForest, "ok")
         for fn in (
             diffnet.certify_monte_carlo,
-            diffnet.laplacian_leader_controllability,
             diffnet.sample_weights,
             diffnet.numerics.sample_away_from_zero,
         ):

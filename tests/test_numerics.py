@@ -1,4 +1,4 @@
-"""Dense linear-algebra utilities: Kronecker, commutation, rank, PBH."""
+"""Dense linear-algebra utilities: commutation, rank, PBH."""
 
 import numpy as np
 import pytest
@@ -21,7 +21,6 @@ from diffnet.numerics import (
     controllable_dimension,
     dedupe_eigenvalues,
     eigenvalues,
-    kron,
     matched_eigenvalues,
     numerical_rank,
     pbh_controllable,
@@ -32,57 +31,6 @@ from diffnet.numerics import (
 )
 from diffnet.topology import DrivenSet
 from diffnet.verdict import certify_monte_carlo
-
-
-def kron_oracle(a, b):
-    """Entrywise definition: block (i, j) of the result is a[i, j] * b."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    m, n = a.shape
-    p, q = b.shape
-    out = np.zeros((m * p, n * q))
-    for i in range(m):
-        for j in range(n):
-            for k in range(p):
-                for l in range(q):
-                    out[i * p + k, j * q + l] = a[i, j] * b[k, l]
-    return out
-
-
-class TestKron:
-    def test_identity_factor_gives_block_diagonal(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        expected = np.block(
-            [[m, np.zeros((2, 2))], [np.zeros((2, 2)), m]]
-        )
-        assert np.array_equal(kron(np.eye(2), m), expected)
-
-    def test_scalar_factor_scales(self):
-        m = np.array([[1.0, -1.0], [0.5, 2.0]])
-        assert np.array_equal(kron(np.array([[2.0]]), m), 2.0 * m)
-
-    def test_matches_index_loop_oracle(self):
-        gen = RandomSource(101).generator()
-        a = gen.normal(size=(2, 3))
-        b = gen.normal(size=(3, 2))
-        assert np.allclose(kron(a, b), kron_oracle(a, b), rtol=0, atol=0)
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        m=st.integers(1, 3),
-        n=st.integers(1, 3),
-        p=st.integers(1, 3),
-        q=st.integers(1, 3),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_mixed_product_property(self, m, n, p, q, seed):
-        gen = np.random.default_rng(seed)
-        a = gen.normal(size=(m, n))
-        c = gen.normal(size=(n, m))
-        b = gen.normal(size=(p, q))
-        d = gen.normal(size=(q, p))
-        left = kron(a, b) @ kron(c, d)
-        right = kron(a @ c, b @ d)
-        assert np.allclose(left, right, rtol=1e-10)
 
 
 class TestCommutation:
@@ -101,8 +49,8 @@ class TestCommutation:
         gen = RandomSource(7).generator()
         a = gen.normal(size=(2, 2))
         b = gen.normal(size=(3, 3))
-        left = commutation_matrix(2, 3).T @ kron(a, b) @ commutation_matrix(2, 3)
-        assert np.max(np.abs(left - kron(b, a))) < 1e-12
+        left = commutation_matrix(2, 3).T @ np.kron(a, b) @ commutation_matrix(2, 3)
+        assert np.max(np.abs(left - np.kron(b, a))) < 1e-12
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -116,8 +64,8 @@ class TestCommutation:
         gen = np.random.default_rng(seed)
         a = gen.normal(size=(m, n))
         b = gen.normal(size=(p, r))
-        left = commutation_matrix(m, p).T @ kron(a, b) @ commutation_matrix(n, r)
-        assert np.max(np.abs(left - kron(b, a))) < 1e-12
+        left = commutation_matrix(m, p).T @ np.kron(a, b) @ commutation_matrix(n, r)
+        assert np.max(np.abs(left - np.kron(b, a))) < 1e-12
 
 
 class TestNumericalRank:

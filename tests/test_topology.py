@@ -1,9 +1,11 @@
-"""Graphs, reachability, forests, incidence factorization, cycle checks."""
+"""Graphs, reachability, forests, incidence factorization, and the pattern
+digraph cycle check restated in ``lemmas``."""
 
 import numpy as np
 import pytest
 
 from conftest import (
+    assembled_laplacian,
     edges_with_defects,
     incoming_influence_counts,
     loop_influence_neighbors,
@@ -12,20 +14,17 @@ from conftest import (
     random_graph,
     reference_graph_check,
 )
-from diffnet.assembly import MatrixWeights, matrix_laplacian
+from diffnet.assembly import MatrixWeights
 from diffnet.topology import (
     DIRECTED,
     UNDIRECTED,
     DrivenSet,
     Edge,
     NetworkGraph,
-    all_cycles_input_reachable,
-    aux_digraph,
     incidence_matrices,
-    input_reachable_set,
-    is_globally_input_reachable,
     spanning_forest,
 )
+from lemmas import cycles_input_reachable
 
 
 class TestGraphValidation:
@@ -100,9 +99,10 @@ class TestGraphValidation:
         d = DrivenSet(frozenset({2}))
         with pytest.raises(ValueError):
             d.validate_for(NetworkGraph(1))
-        assert np.array_equal(
-            DrivenSet(frozenset({1, 3})).delta(3), np.diag([1.0, 0.0, 1.0])
-        )
+
+
+def reached(graph: NetworkGraph, driven: DrivenSet) -> set[int]:
+    return set(spanning_forest(graph, driven).order)
 
 
 class TestReachability:
@@ -113,23 +113,23 @@ class TestReachability:
 
     def test_undirected_chain(self):
         g = NetworkGraph(3, (Edge(1, 2), Edge(2, 3)))
-        assert input_reachable_set(g, DrivenSet(frozenset({1}))) == {1, 2, 3}
-        assert is_globally_input_reachable(g, DrivenSet(frozenset({1})))
+        assert reached(g, DrivenSet(frozenset({1}))) == {1, 2, 3}
+        assert not spanning_forest(g, DrivenSet(frozenset({1}))).unreachable
 
     def test_empty_driven_reaches_nothing(self):
         g = NetworkGraph(3, (Edge(1, 2), Edge(2, 3)))
-        assert input_reachable_set(g, DrivenSet()) == frozenset()
+        assert reached(g, DrivenSet()) == frozenset()
 
     def test_mixed_kinds_hand_trace(self):
         g = NetworkGraph(3, (Edge(1, 2, DIRECTED), Edge(3, 2, UNDIRECTED)))
-        assert input_reachable_set(g, DrivenSet(frozenset({1}))) == {1, 2, 3}
+        assert reached(g, DrivenSet(frozenset({1}))) == {1, 2, 3}
 
     def test_directed_edges_are_one_way(self):
         g = NetworkGraph(2, (Edge(1, 2, DIRECTED),))
-        assert input_reachable_set(g, DrivenSet(frozenset({2}))) == {2}
+        assert reached(g, DrivenSet(frozenset({2}))) == {2}
 
     def test_single_driven_vertex_alone(self):
-        assert is_globally_input_reachable(NetworkGraph(1), DrivenSet(frozenset({1})))
+        assert reached(NetworkGraph(1), DrivenSet(frozenset({1}))) == {1}
 
     def test_monotone_in_driven_set(self):
         gen = np.random.default_rng(21)
@@ -139,14 +139,14 @@ class TestReachability:
             small = random_driven(gen, n, allow_empty=True)
             extra = random_driven(gen, n, allow_empty=True)
             large = DrivenSet(small.driven | extra.driven)
-            assert input_reachable_set(g, small) <= input_reachable_set(g, large)
+            assert reached(g, small) <= reached(g, large)
 
 
 class TestSpanningForest:
     def test_chain_parents(self):
         g = NetworkGraph(3, (Edge(1, 2), Edge(2, 3)))
         forest = spanning_forest(g, DrivenSet(frozenset({1})))
-        assert forest.ok
+        assert not forest.unreachable
         assert dict(forest.parent) == {2: 1, 3: 2}
         assert forest.roots == (1,)
 
@@ -158,7 +158,6 @@ class TestSpanningForest:
     def test_disconnected_reports_unreachable(self):
         g = NetworkGraph(4, (Edge(1, 2),))
         forest = spanning_forest(g, DrivenSet(frozenset({1})))
-        assert not forest.ok
         assert forest.unreachable == {3, 4}
 
     def test_parent_precedes_child_in_order(self):
@@ -177,7 +176,9 @@ class TestSpanningForest:
             n = int(gen.integers(1, 11))
             g = random_graph(gen, n, edge_prob=0.4)
             d = random_driven(gen, n, allow_empty=True)
-            assert spanning_forest(g, d).ok == is_globally_input_reachable(g, d)
+            forest = spanning_forest(g, d)
+            assert set(forest.order) | forest.unreachable == set(range(1, n + 1))
+            assert not set(forest.order) & forest.unreachable
 
 
 def incidence_laplacian(real, edge_weights) -> np.ndarray:
@@ -235,7 +236,7 @@ class TestIncidence:
             if g.num_edges == 0:
                 continue
             w = gen.uniform(0.5, 2.0, size=g.num_edges)
-            lap = matrix_laplacian(
+            lap = assembled_laplacian(
                 g, MatrixWeights.from_edge_arrays(g, w[:, None, None], shape=(1, 1))
             )
             assert np.allclose(lap, lap.T)
@@ -254,66 +255,65 @@ class TestIncidence:
         g = NetworkGraph(2, (Edge(1, 2),))
         extra = {Edge(1, 2).key(): [[1.0]], Edge(2, 1, DIRECTED).key(): [[2.0]]}
         with pytest.raises(ValueError):
-            matrix_laplacian(g, MatrixWeights((1, 1), extra))
+            assembled_laplacian(g, MatrixWeights((1, 1), extra))
 
 
 class TestAuxDigraph:
+    """Pattern entry (j, i) is the arc i -> j; inputs likewise."""
+
+    @pytest.fixture(autouse=True)
+    def _networkx(self):
+        pytest.importorskip("networkx")
+
     def test_pattern_rules(self):
-        dg = aux_digraph(np.eye(2), np.array([[1.0], [0.0]]))
-        assert set(dg.state_edges) == {(0, 0), (1, 1)}
-        assert set(dg.input_edges) == {(0, 0)}
+        h = np.zeros((2, 2))
+        h[0, 0] = h[1, 0] = 1.0  # a self-loop at 0 and the arc 0 -> 1
+        assert cycles_input_reachable(h, np.array([[1.0], [0.0]]))
+        assert not cycles_input_reachable(h, np.array([[0.0], [1.0]]))
 
     def test_all_zero_state_pattern(self):
-        dg = aux_digraph(np.zeros((2, 2)), np.ones((2, 2)))
-        assert dg.state_edges == ()
-        assert len(dg.input_edges) == 4
+        assert cycles_input_reachable(np.zeros((2, 2)), np.zeros((2, 1)))
+        assert cycles_input_reachable(np.zeros((2, 2)), np.ones((2, 2)))
 
     def test_three_cycle_pattern(self):
         h = np.zeros((3, 3))
         h[1, 0] = h[2, 1] = h[0, 2] = 1.0
-        dg = aux_digraph(h, np.zeros((3, 1)))
-        assert set(dg.state_edges) == {(0, 1), (1, 2), (2, 0)}
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            aux_digraph(np.zeros((2, 3)), np.zeros((2, 1)))
-        with pytest.raises(ValueError):
-            aux_digraph(np.zeros((2, 2)), np.zeros((3, 1)))
+        assert not cycles_input_reachable(h, np.zeros((3, 1)))
+        for k in range(3):
+            assert cycles_input_reachable(h, np.eye(3)[:, k : k + 1])
 
 
 class TestCycleCheck:
+    @pytest.fixture(autouse=True)
+    def _networkx(self):
+        pytest.importorskip("networkx")
+
     def test_everything_reachable_passes(self):
         h = np.zeros((2, 2))
         h[1, 0] = 1.0
         h[0, 1] = 1.0
-        dg = aux_digraph(h, np.array([[1.0], [0.0]]))
-        ok, witness = all_cycles_input_reachable(dg)
-        assert ok and witness is None
+        assert cycles_input_reachable(h, np.array([[1.0], [0.0]]))
 
     def test_isolated_two_cycle_fails_with_witness(self):
         h = np.zeros((3, 3))
         h[1, 0] = h[0, 1] = 1.0  # 0 <-> 1 isolated from the input
-        dg = aux_digraph(h, np.array([[0.0], [0.0], [1.0]]))
-        ok, witness = all_cycles_input_reachable(dg)
-        assert not ok
-        assert sorted(witness) == [0, 1]
+        assert not cycles_input_reachable(h, np.array([[0.0], [0.0], [1.0]]))
+        h[0, 2] = 1.0  # the input's state now feeds the cycle
+        assert cycles_input_reachable(h, np.array([[0.0], [0.0], [1.0]]))
 
     def test_self_loop_on_unreachable_vertex_fails(self):
         h = np.zeros((2, 2))
         h[1, 1] = 1.0
-        dg = aux_digraph(h, np.array([[1.0], [0.0]]))
-        ok, witness = all_cycles_input_reachable(dg)
-        assert not ok and witness == (1,)
+        assert not cycles_input_reachable(h, np.array([[1.0], [0.0]]))
 
     def test_cycle_touched_by_input_passes(self):
         h = np.zeros((2, 2))
         h[1, 0] = h[0, 1] = 1.0
-        dg = aux_digraph(h, np.array([[1.0], [0.0]]))
-        ok, _ = all_cycles_input_reachable(dg)
-        assert ok
+        assert cycles_input_reachable(h, np.array([[1.0], [0.0]]))
 
     def test_against_brute_force_enumerator(self):
-        networkx = pytest.importorskip("networkx")
+        import networkx
+
         gen = np.random.default_rng(47)
         for _ in range(60):
             n = int(gen.integers(1, 9))
@@ -322,28 +322,19 @@ class TestCycleCheck:
             p = (gen.random((n, max(num_inputs, 1))) < 0.5).astype(float)
             if num_inputs == 0:
                 p = np.zeros((n, 1))
-            dg = aux_digraph(h, p)
-            ok, witness = all_cycles_input_reachable(dg)
-
-            nxg = networkx.DiGraph()
+            arcs = [(int(i), int(j)) for j, i in zip(*np.nonzero(h))]
+            nxg = networkx.DiGraph(arcs)
             nxg.add_nodes_from(range(n))
-            nxg.add_edges_from(dg.state_edges)
             reached = set()
-            stack = [j for (_, j) in dg.input_edges]
+            stack = [int(j) for j in np.nonzero(p)[0]]
             while stack:
                 v = stack.pop()
                 if v in reached:
                     continue
                 reached.add(v)
-                stack.extend(w for (x, w) in dg.state_edges if x == v)
+                stack.extend(w for (x, w) in arcs if x == v)
             brute = all(
                 any(v in reached for v in cycle)
                 for cycle in networkx.simple_cycles(nxg)
             )
-            assert ok == brute
-            if not ok:
-                # witness must be a real cycle avoiding the reachable set
-                assert all(v not in reached for v in witness)
-                edges = set(dg.state_edges)
-                for i, v in enumerate(witness):
-                    assert (v, witness[(i + 1) % len(witness)]) in edges
+            assert cycles_input_reachable(h, p) == brute

@@ -1,4 +1,4 @@
-"""Verdict engines, Monte Carlo certification, and the side criteria."""
+"""Verdict engines, Monte Carlo certification, and the restated lemmas."""
 
 import numpy as np
 import pytest
@@ -19,20 +19,17 @@ from diffnet.assembly import (
     mass_spring_chain,
     sample_weights,
 )
-from diffnet.errors import NumericError, PremiseError
 from diffnet.numerics import RandomSource, controllable_dimension
-from diffnet.subsystem import SubsystemModel, check_controllable
-from diffnet.topology import DIRECTED, DrivenSet, Edge, NetworkGraph
-from diffnet.verdict import (
-    AnalysisReport,
-    Verdict,
-    analyze,
-    analyze_scalar_constrained,
-    aux_condition_check,
-    certify_monte_carlo,
-    laplacian_leader_controllability,
-    rank_condition_check,
-    reduce_scalar_weight,
+from diffnet.subsystem import SubsystemModel
+from diffnet.topology import DIRECTED, DrivenSet, Edge, NetworkGraph, spanning_forest
+from diffnet.verdict import AnalysisReport, Verdict, analyze, certify_monte_carlo
+from lemmas import (
+    cycles_input_reachable,
+    generic_ranks,
+    leader_controls_consensus,
+    pattern_pairs,
+    scalar_weight_analysis,
+    summed_row_model,
 )
 
 
@@ -388,7 +385,7 @@ class TestVerdictAgainstOracle:
 class TestScalarConstraint:
     def test_reduction_sums_channels(self):
         model = double_integrator(c=[[1.0, 0.0], [0.5, 2.0]])
-        reduced = reduce_scalar_weight(model)
+        reduced = summed_row_model(model)
         assert np.allclose(reduced.c, [[1.5, 2.0]])
         assert np.array_equal(reduced.a, model.a)
 
@@ -397,17 +394,15 @@ class TestScalarConstraint:
         vector_report = analyze(model, chain_graph(3), first_driven())
         assert vector_report.verdict is Verdict.CONTROLLABLE
 
-        scalar_report = analyze_scalar_constrained(
-            model, chain_graph(3), first_driven()
-        )
+        assert np.array_equal(summed_row_model(model).c, [[0.0, 0.0]])
+        scalar_report = scalar_weight_analysis(model, chain_graph(3), first_driven())
         assert scalar_report.verdict is Verdict.NOT_CONTROLLABLE
-        rec = scalar_report.condition("scalar_reduced_coupling_nonzero")
-        assert not rec.holds
-        assert rec.witness["summed_output_row"] == (0.0, 0.0)
+        rec = scalar_report.condition("globally_input_reachable")
+        assert rec.witness == {"unreachable_vertices": (2, 3)}
 
     def test_cancelling_channels_with_everyone_driven(self):
         model = double_integrator(c=[[1.0, 0.0], [-1.0, 0.0]])
-        report = analyze_scalar_constrained(
+        report = scalar_weight_analysis(
             model, chain_graph(2), DrivenSet(frozenset({1, 2}))
         )
         assert report.verdict is Verdict.CONTROLLABLE
@@ -415,20 +410,9 @@ class TestScalarConstraint:
 
     def test_surviving_sum_delegates_to_exact_criteria(self):
         model = double_integrator()
-        report = analyze_scalar_constrained(model, chain_graph(3), first_driven())
+        report = scalar_weight_analysis(model, chain_graph(3), first_driven())
         assert report.verdict is Verdict.CONTROLLABLE
-        assert any("scalar" in note for note in report.notes)
-
-    def test_multi_input_model(self):
-        a = [[0.0, 1.0], [-1.0, 0.0]]
-        model = SubsystemModel(a, np.eye(2), [[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="single-input"):
-            analyze_scalar_constrained(model, chain_graph(3), first_driven())
-        # the summed coupling row does not model multi-input nodes, so a
-        # cancelling sum is refused the same way
-        cancel = SubsystemModel(a, np.eye(2), [[1.0, 0.0], [-1.0, 0.0]])
-        with pytest.raises(ValueError, match="single-input"):
-            analyze_scalar_constrained(cancel, chain_graph(3), first_driven())
+        assert report.theorem_used == "1"
 
     def test_equal_channel_weights_realize_the_reduced_network(self):
         model = double_integrator(c=[[1.0, 0.5], [0.2, 2.0]])
@@ -437,7 +421,7 @@ class TestScalarConstraint:
         full = MatrixWeights.from_edge_arrays(
             g, [[[s, s]] for s in scalars], shape=(1, 2)
         )
-        reduced = reduce_scalar_weight(model)
+        reduced = summed_row_model(model)
         collapsed = MatrixWeights.from_edge_arrays(g, [[[s]] for s in scalars], shape=(1, 1))
         lhs = assemble_lumped(model, g, full, first_driven())
         rhs = assemble_lumped(reduced, g, collapsed, first_driven())
@@ -451,7 +435,7 @@ class TestScalarConstraint:
             graph = random_graph(gen, n_vertices, edge_prob=0.6)
             driven = random_driven(gen, n_vertices)
             model = random_model(gen, int(gen.integers(1, 4)), int(gen.integers(1, 3)))
-            scalar_report = analyze_scalar_constrained(model, graph, driven)
+            scalar_report = scalar_weight_analysis(model, graph, driven)
             if scalar_report.verdict is not Verdict.CONTROLLABLE:
                 continue
             seen += 1
@@ -468,155 +452,84 @@ class TestLeaderControllability:
         )
         for g in (path, star, cycle):
             for leader in range(1, 5):
-                assert laplacian_leader_controllability(
-                    g, leader, rng=RandomSource(11 * leader)
+                assert leader_controls_consensus(
+                    g, leader, trials=3, rng=RandomSource(11 * leader)
                 )
-
-    def test_directed_graph_rejected(self):
-        g = NetworkGraph(2, (Edge(1, 2, DIRECTED),))
-        with pytest.raises(PremiseError):
-            laplacian_leader_controllability(g, 1)
 
     def test_disconnected_graph_rejected(self):
         g = NetworkGraph(3, (Edge(1, 2),))
-        with pytest.raises(PremiseError, match="connected"):
-            laplacian_leader_controllability(g, 1)
+        assert not leader_controls_consensus(g, 1, trials=3, rng=RandomSource(0))
 
     def test_leader_out_of_range(self):
         with pytest.raises(ValueError):
-            laplacian_leader_controllability(chain_graph(2), 0)
+            leader_controls_consensus(chain_graph(2), 0, 1, RandomSource(0))
         with pytest.raises(ValueError):
-            laplacian_leader_controllability(chain_graph(2), 3)
+            leader_controls_consensus(chain_graph(2), 3, 1, RandomSource(0))
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
-            laplacian_leader_controllability(chain_graph(2), 1, trials=0)
+            leader_controls_consensus(chain_graph(2), 1, trials=0, rng=RandomSource(0))
 
-    def test_runs_no_verdict(self, monkeypatch):
-        calls = []
-        real_analyze = diffnet.verdict.analyze
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real_analyze(*args, **kwargs)
-
-        monkeypatch.setattr(diffnet.verdict, "analyze", counted)
-        assert laplacian_leader_controllability(chain_graph(4), 2)
-        assert calls == []
-
-    def test_staircase_failure_raises_numeric_error(self, monkeypatch):
-        svd = np.linalg.svd
-
-        def fail_on_network(m, *args, **kwargs):
-            # node-level checks take SVDs of one-row pencils; the staircase
-            # on the three-vertex network starts from a 3 x 3 input block
-            if np.shape(m)[0] > 1:
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return svd(m, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", fail_on_network)
-        with pytest.raises(NumericError, match="staircase"):
-            laplacian_leader_controllability(chain_graph(3), 1)
+def auxiliary_condition(graph, driven):
+    """(edge-pattern, vertex-pattern) outcome of the cycle condition for
+    double-integrator nodes, coupled on two channels."""
+    pairs = pattern_pairs(graph, driven, 2)
+    return tuple(cycles_input_reachable(*pair) for pair in pairs)
 
 
 class TestAuxiliaryCondition:
+    @pytest.fixture(autouse=True)
+    def _networkx(self):
+        pytest.importorskip("networkx")
+
     def test_chain_passes_and_matches_reachability(self):
-        ok, detail = aux_condition_check(
-            double_integrator(), chain_graph(3), first_driven()
-        )
-        assert ok
-        assert detail.edge_pattern_holds and detail.vertex_pattern_holds
-        assert detail.graph_reachable
-        assert detail.num_edge_states == 2 * 2  # channels x edges
-        assert detail.num_vertex_states == 2 * 3  # channels x vertices
+        g = chain_graph(3)
+        assert auxiliary_condition(g, first_driven()) == (True, True)
+        assert not spanning_forest(g, first_driven()).unreachable
+        (edge_states, _), (vertex_states, _) = pattern_pairs(g, first_driven(), 2)
+        assert edge_states.shape == (2 * 2, 2 * 2)  # channels x edges
+        assert vertex_states.shape == (2 * 3, 2 * 3)  # channels x vertices
 
     def test_hidden_cycle_fails_both_patterns(self):
         g = NetworkGraph(3, (Edge(2, 3),))
-        ok, detail = aux_condition_check(double_integrator(), g, first_driven())
-        assert not ok
-        assert not detail.edge_pattern_holds and not detail.vertex_pattern_holds
-        assert detail.edge_pattern_witness is not None
-        assert not detail.graph_reachable
+        assert auxiliary_condition(g, first_driven()) == (False, False)
+        assert spanning_forest(g, first_driven()).unreachable
 
     def test_isolated_vertex_sits_outside_the_premise(self):
         # an unreachable vertex with no incoming influence forms no cycle, so
         # the cycle condition holds while reachability fails; the equivalence
         # only binds when every undriven vertex has incoming influence
         g = NetworkGraph(3, (Edge(1, 2),))
-        ok, detail = aux_condition_check(double_integrator(), g, first_driven())
-        assert ok
-        assert not detail.graph_reachable
-
-    def test_premise_violations_rejected(self):
-        uncontrollable = SubsystemModel(np.eye(2), [1.0, 0.0], np.eye(2))
-        with pytest.raises(PremiseError):
-            aux_condition_check(uncontrollable, chain_graph(2), first_driven())
-        multi = SubsystemModel(np.eye(2), np.eye(2), np.eye(2))
-        with pytest.raises(ValueError):
-            aux_condition_check(multi, chain_graph(2), first_driven())
+        assert auxiliary_condition(g, first_driven()) == (True, True)
+        assert spanning_forest(g, first_driven()).unreachable == {3}
 
     def test_agreement_with_reachability_under_premise(self):
         gen = np.random.default_rng(99)
-        model = double_integrator()
         for _ in range(20):
             n_vertices = int(gen.integers(2, 6))
             graph = random_graph(gen, n_vertices, edge_prob=0.5)
             driven = random_driven(gen, n_vertices)
             graph = ensure_incoming_influence(gen, graph, driven)
-            ok, detail = aux_condition_check(model, graph, driven)
-            assert ok == detail.graph_reachable
+            reachable = not spanning_forest(graph, driven).unreachable
+            assert auxiliary_condition(graph, driven) == (reachable, reachable)
 
 
 class TestRankCondition:
     def test_controllable_chain_reaches_full_rank(self):
-        ok, details = rank_condition_check(
-            double_integrator(), chain_graph(3), first_driven(), rng=RandomSource(2)
+        ranks = generic_ranks(
+            double_integrator(), chain_graph(3), first_driven(), RandomSource(2)
         )
-        assert ok
         # the node matrix has one distinct eigenvalue (a double zero)
-        assert len(details) == 1
-        assert details[0].required == 6
-        assert details[0].generic_rank == 6
-        assert details[0].ok
+        assert ranks == [6]
 
     def test_unobservable_coupling_drops_rank(self):
         model = double_integrator(c=[[0.0, 1.0]])
-        ok, details = rank_condition_check(
-            model, chain_graph(4), first_driven(), rng=RandomSource(4)
-        )
-        assert not ok
-        assert any(d.generic_rank < d.required for d in details)
+        ranks = generic_ranks(model, chain_graph(4), first_driven(), RandomSource(4))
+        assert min(ranks) < 8
 
     def test_single_vertex_reduces_to_the_node_pair(self):
-        ok, details = rank_condition_check(
-            double_integrator(), NetworkGraph(1), first_driven()
+        ranks = generic_ranks(
+            double_integrator(), NetworkGraph(1), first_driven(), RandomSource(0)
         )
-        assert ok
-        assert details[0].required == 2
-
-    def test_multi_input_model_rejected(self):
-        model = SubsystemModel(np.eye(2), np.eye(2), np.eye(2))
-        with pytest.raises(ValueError):
-            rank_condition_check(model, chain_graph(2), first_driven())
-
-    def test_one_assembly_per_trial(self, monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return assemble_lumped(*args)
-
-        monkeypatch.setattr(diffnet.verdict, "assemble_lumped", counting)
-        model = SubsystemModel(np.diag([1.0, -2.0]), [1.0, 1.0], [[1.0, 1.0]])
-        ok, details = rank_condition_check(
-            model, chain_graph(3), first_driven(), trials=4
-        )
-        assert ok
-        assert len(details) == 2
-        assert len(calls) == 4
-
-    def test_trials_must_be_positive(self):
-        with pytest.raises(ValueError):
-            rank_condition_check(
-                double_integrator(), chain_graph(2), first_driven(), trials=0
-            )
+        assert ranks == [2]

@@ -213,17 +213,23 @@ def _gemm(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def _direct_state_matrices(
-    model: SubsystemModel, n_vertices: int, rows, cols, lap: np.ndarray
+    model: SubsystemModel, n_vertices: int, rows, cols, lap: np.ndarray, out=None
 ) -> np.ndarray:
     """I kron A - (I kron B) L_m (I kron C) for each member of a stack,
     formed at the nonzero blocks of L_m only: ``lap`` holds each member's
     blocks at the block ``rows`` and ``cols``, every diagonal block among
-    them. Every other block stays exactly 0.0. Returns (T, nN, nN).
+    them. Every other block stays exactly 0.0. Returns (T, nN, nN), written
+    into ``out`` when given.
     """
     n = model.order
     members, _, p, r = lap.shape
     diag = np.arange(n_vertices)
-    out = np.zeros((members, n_vertices, n, n_vertices, n))
+    shape = (members, n_vertices, n, n_vertices, n)
+    if out is None:
+        out = np.zeros(shape)
+    else:
+        out = out.reshape(shape)  # a view: the caller checked the layout
+        out.fill(0.0)
     out[:, diag, :, diag, :] = model.a
     # (B L_ij) C for every nonzero block L_ij of every member: two products
     # over all blocks side by side, associated as in the dense form
@@ -239,12 +245,13 @@ def _assemble(
     graph: NetworkGraph,
     blocks: np.ndarray,
     driven: DrivenSet,
+    out=None,
 ) -> LumpedSystem:
     """The lumped pairs of a (T, M, p, r) stack of edge blocks, in edge
-    order: ``a_sys`` of shape (T, nN, nN) and one ``b_sys``. The index work
-    depends on the graph only and runs once; the products run over every
-    member's blocks side by side, and the cross-check judges each member on
-    its own.
+    order: ``a_sys`` of shape (T, nN, nN), written into ``out`` when given,
+    and one ``b_sys``. The index work depends on the graph only and runs
+    once; the products run over every member's blocks side by side, and the
+    cross-check judges each member on its own.
     """
     require_valid(model)
     p, r = blocks.shape[2:]
@@ -259,7 +266,7 @@ def _assemble(
     # finite weights can still overflow; the result is checked just below
     with np.errstate(over="ignore", invalid="ignore"):
         rows, cols, lap = _laplacian_blocks(graph, blocks)
-        a_direct = _direct_state_matrices(model, n_vertices, rows, cols, lap)
+        a_direct = _direct_state_matrices(model, n_vertices, rows, cols, lap, out)
         edge_rows, edge_cols, terms = _edgewise_state_blocks(model, graph, blocks)
         # both routes are exactly 0.0 outside the blocks they write, so they
         # are compared at the union of those blocks only
@@ -325,7 +332,12 @@ def assemble_lumped(
 
 
 def assemble_lumped_stack(
-    model: SubsystemModel, graph: NetworkGraph, blocks, driven: DrivenSet
+    model: SubsystemModel,
+    graph: NetworkGraph,
+    blocks,
+    driven: DrivenSet,
+    *,
+    out: np.ndarray | None = None,
 ) -> LumpedSystem:
     """Lumped pairs of T weight draws at once, as ``assemble_lumped`` builds
     each, with the same cross-check on every member.
@@ -334,6 +346,9 @@ def assemble_lumped_stack(
     order. The result's ``a_sys`` has shape (T, nN, nN); its ``b_sys``,
     Delta kron B, is the same for every draw and stored once. The index
     work that depends on the graph alone runs once for the whole stack.
+    ``out``, a C-contiguous float64 array of that shape, receives the state
+    matrices in place of a new array, for a caller that assembles into part
+    of a larger stack.
     """
     blocks = np.asarray(blocks, dtype=float)
     if blocks.ndim != 4 or blocks.shape[1] != graph.num_edges:
@@ -341,7 +356,14 @@ def assemble_lumped_stack(
             f"need a (draws, {graph.num_edges}, p, r) stack of weight blocks, "
             f"got shape {blocks.shape}"
         )
-    return _assemble(model, graph, blocks, driven)
+    if out is not None:
+        n_states = graph.num_vertices * model.order
+        want = (blocks.shape[0], n_states, n_states)
+        if out.shape != want or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError(
+                f"out must be a C-contiguous float64 array of shape {want}"
+            )
+    return _assemble(model, graph, blocks, driven, out)
 
 
 def sample_weights(

@@ -238,7 +238,7 @@ def _cert_lines(cert, label: str) -> list[str]:
     return lines
 
 
-def _analysis_text(report: AnalysisReport, grounded_cert=None) -> str:
+def _analysis_text(report: AnalysisReport) -> str:
     lines = [f"verdict: {report.verdict.value}", f"criteria: {report.theorem_used}"]
     lines.append("conditions:")
     for cond in report.conditions:
@@ -246,10 +246,11 @@ def _analysis_text(report: AnalysisReport, grounded_cert=None) -> str:
         lines.append(f"  [{mark}] {cond.name}{_witness_text(cond.witness)}")
     for note in report.notes:
         lines.append(f"note: {note}")
-    if report.certification is not None:
-        lines.extend(_cert_lines(report.certification, "certification"))
-    if grounded_cert is not None:
-        lines.extend(_cert_lines(grounded_cert, "grounded certification"))
+    cert = report.certification
+    if cert is not None:
+        lines.extend(_cert_lines(cert, "certification"))
+        if cert.grounded is not None:
+            lines.extend(_cert_lines(cert.grounded, "grounded certification"))
     return "\n".join(lines)
 
 
@@ -282,6 +283,8 @@ def cmd_certify(args) -> int:
     tol = _resolve_tol(args.tol, problem.options)
     seed = _resolve_seed(args.seed, problem.options)
     trials = _resolve_trials(args.trials, problem.options)
+    # a grounded run without a usable wall is refused before anything is drawn
+    shift = _ground_shift(problem) if args.ground_first_mass else None
     rng = RandomSource(seed)
     analysis = analyze(problem.model, problem.graph, problem.driven, tol, rng)
     cert = certify_monte_carlo(
@@ -291,23 +294,10 @@ def cmd_certify(args) -> int:
         trials=trials,
         rng=rng,
         tol=tol,
+        a_shift=shift,
         analysis=analysis,
     )
     report = analysis.with_certification(cert)
-    # the theorem engine addresses the diffusive network itself, so agreement
-    # is judged on the unshifted trials; a grounded run is reported beside it
-    grounded_cert = None
-    if args.ground_first_mass:
-        grounded_cert = certify_monte_carlo(
-            problem.model,
-            problem.graph,
-            problem.driven,
-            trials=trials,
-            rng=rng,
-            tol=tol,
-            a_shift=_ground_shift(problem),
-            analysis=analysis,
-        )
     doc = report_document(
         report,
         __version__,
@@ -316,9 +306,11 @@ def cmd_certify(args) -> int:
             seed, tol, trials=trials, ground_first_mass=bool(args.ground_first_mass)
         ),
     )
-    if grounded_cert is not None:
-        doc["grounded_certification"] = certification_to_json(grounded_cert)
-    _emit(args, doc, lambda: _analysis_text(report, grounded_cert))
+    # the theorem engine addresses the diffusive network itself, so agreement
+    # is judged on the unshifted trials; the grounded ones are reported beside
+    if cert.grounded is not None:
+        doc["grounded_certification"] = certification_to_json(cert.grounded)
+    _emit(args, doc, lambda: _analysis_text(report))
     if not cert.agree_with_verdict:
         return EXIT_DISAGREEMENT
     return _VERDICT_EXIT[report.verdict]
@@ -570,8 +562,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--ground-first-mass",
         action="store_true",
-        help="add the wall coupling from options.wall to the state matrix "
-        "before each controllability test",
+        help="also test every sampled draw with the wall coupling from "
+        "options.wall added to its state matrix",
     )
     _add_io_flags(p, with_tol=True)
 

@@ -223,7 +223,8 @@ def controllable_dimension(a, b, tol: ToleranceConfig = DEFAULT_TOL):
     against the whole basis by two passes of classical Gram-Schmidt, and
     its SVD keeps the left singular vectors whose singular values exceed
     rank_rel_tol * max(||A||_2, ||B||_2). It stops when no singular value
-    passes or every state is covered. This is the controllability
+    passes, or as soon as every member covers every state: a further step
+    could only keep nothing. This is the controllability
     staircase (Paige 1981; Van Dooren) in exact arithmetic: the singular
     values cut at each step are those of the staircase's input block. No
     eigenvalues are computed, and the cutoff scales with (A, B), so the
@@ -301,6 +302,8 @@ def controllable_dimension(a, b, tol: ToleranceConfig = DEFAULT_TOL):
                 member, column = np.nonzero(kept)
                 members[member, :, done[member] + column] = fresh[member, :, column]
             done = done + rho
+            if int(done.min()) == n:
+                break
             q = basis[..., : int(done.max())]
             qt = np.swapaxes(q, -1, -2)
             block = am @ fresh

@@ -8,7 +8,9 @@ verdict can be cross-examined by ``certify_monte_carlo``, a Monte Carlo
 oracle on sampled weights: trial t's weight blocks come from
 ``rng.derive(t)`` exactly as ``sample_weights`` draws them, and all trials
 are assembled (``assemble_lumped_stack``) and rank-tested as one stack, by
-block Arnoldi on the controllable subspace.
+block Arnoldi on the controllable subspace. A state-matrix shift (the
+wall-grounded chain) is tested on the same draws: each trial is drawn and
+assembled once, and its plain and shifted pairs share the stack.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ from .topology import DrivenSet, NetworkGraph, spanning_forest
 DEFAULT_CERTIFY_TRIALS = 5
 
 #: The certificate's trials run as one stack while their state matrices
-#: take at most this many bytes together, and in consecutive stacks beyond
-#: it, so that memory stays bounded whatever the trial count.
+#: take at most this many bytes together, plain and shifted halves both
+#: counted, and in consecutive stacks beyond it, so that memory stays
+#: bounded whatever the trial count.
 _TRIAL_STACK_BYTES = 1 << 24
 
 
@@ -67,10 +70,10 @@ class TrialResult:
 
     ``deficient_count`` is the number of states outside the controllable
     subspace of the assembled pair (0 exactly when the draw is controllable),
-    as ``numerics.controllable_dimension`` measures it. The draws of one
-    call are tested as a stack; a numeric failure is retried draw by draw,
-    so ``error`` is set on the failing draw only, with ``controllable`` and
-    ``deficient_count`` None.
+    as ``numerics.controllable_dimension`` measures it. The pairs of one
+    call, plain and shifted, are tested as a stack; a numeric failure is
+    retried pair by pair, so ``error`` is set on the failing pair's trial
+    only, with ``controllable`` and ``deficient_count`` None.
     """
 
     stream_id: int
@@ -89,6 +92,10 @@ class CertificationReport:
     be contradicted). All trials uncontrollable against a controllable
     verdict is reported as disagreement, a numerical red flag left for the
     caller to adjudicate.
+
+    ``grounded`` holds, for a call with a state-matrix shift, the same
+    draws tested with the shift, compared with the same analysis; it is
+    None otherwise. ``per_trial`` always holds the unshifted trials.
     """
 
     trials: int
@@ -96,6 +103,7 @@ class CertificationReport:
     any_controllable: bool
     compared_verdict: str
     agree_with_verdict: bool
+    grounded: CertificationReport | None = None
 
 
 @dataclass(frozen=True)
@@ -233,16 +241,21 @@ def certify_monte_carlo(
     """Monte Carlo controllability oracle over sampled weights.
 
     Trial t draws one generic weight block per edge from ``rng.derive(t)``,
-    as ``sample_weights`` does. The trials' lumped pairs are assembled,
-    shifted and their controllable subspaces measured by block Arnoldi as
-    one stack, split only where the stack's state matrices would pass
+    as ``sample_weights`` does. The trials' lumped pairs are assembled and
+    their controllable subspaces measured by block Arnoldi as one stack,
+    split only where the stack's state matrices would pass
     ``_TRIAL_STACK_BYTES``. The states outside a pair's subspace are its
-    trial's ``deficient_count``. ``a_shift`` (added to every assembled state
-    matrix before testing) accommodates grounding-style modifications. A
-    numeric failure of the stacked rank test reruns its members one at a
-    time, so it is recorded on its own trial and never aborts the run. The
-    trials are compared with ``analysis``, computed by ``analyze`` when not
-    given.
+    trial's ``deficient_count``.
+
+    ``a_shift`` (added to every assembled state matrix) accommodates
+    grounding-style modifications. With it, each trial is still drawn and
+    assembled once: a stack of k trials holds their k plain state matrices,
+    assembled straight into its first half, and after them the k shifted
+    ones, added in place; the shifted results form the
+    report's ``grounded`` part. A numeric failure of the stacked rank test
+    reruns its members one at a time, so it is recorded on its own trial
+    (and half) and never aborts the run. Both parts are compared with
+    ``analysis``, computed by ``analyze`` when not given.
     """
     if analysis is None:
         analysis = analyze(model, graph, driven, tol)
@@ -252,6 +265,7 @@ def certify_monte_carlo(
     driven.validate_for(graph)
     shape = (model.num_inputs, model.num_outputs)
     n_states = graph.num_vertices * model.order
+    halves = 1
     if a_shift is not None:
         a_shift = np.asarray(a_shift, dtype=float)
         if a_shift.shape != (n_states, n_states):
@@ -259,9 +273,10 @@ def certify_monte_carlo(
                 f"state-matrix shift has shape {a_shift.shape}, "
                 f"expected {(n_states, n_states)}"
             )
-    size = max(1, _TRIAL_STACK_BYTES // (8 * n_states * n_states))
+        halves = 2
+    size = max(1, _TRIAL_STACK_BYTES // (8 * halves * n_states * n_states))
     sources = [rng.derive(t) for t in range(trials)]
-    per: list[TrialResult] = []
+    per: list[list[TrialResult]] = [[] for _ in range(halves)]
     for at in range(0, trials, size):
         chunk = sources[at : at + size]
         blocks = np.stack(
@@ -270,36 +285,51 @@ def certify_monte_carlo(
                 for src in chunk
             ]
         )
-        lumped = assemble_lumped_stack(model, graph, blocks, driven)
-        a_sys = lumped.a_sys
+        # the chunk's plain state matrices, then (shifted) the same plus S
+        k = len(chunk)
+        a_sys = np.empty((halves * k, n_states, n_states))
+        b_sys = assemble_lumped_stack(model, graph, blocks, driven, out=a_sys[:k]).b_sys
         if a_shift is not None:
-            a_sys += a_shift
+            np.add(a_sys[:k], a_shift, out=a_sys[k:])
         try:
-            dims = list(controllable_dimension(a_sys, lumped.b_sys, tol))
+            dims = list(controllable_dimension(a_sys, b_sys, tol))
         except NumericError:
             dims = []
             for member in a_sys:
                 try:
-                    dims.append(controllable_dimension(member, lumped.b_sys, tol))
+                    dims.append(controllable_dimension(member, b_sys, tol))
                 except NumericError as exc:
                     dims.append(exc)
-        per.extend(
-            TrialResult(src.stream_id, None, None, str(dim))
-            if isinstance(dim, NumericError)
-            else TrialResult(src.stream_id, bool(dim == n_states), int(n_states - dim))
-            for src, dim in zip(chunk, dims)
-        )
+        for half, results in enumerate(per):
+            results.extend(
+                _trial(src, dim, n_states) for src, dim in zip(chunk, dims[half * k :])
+            )
+    plain = _compared(per[0], analysis.verdict)
+    if a_shift is None:
+        return plain
+    return dataclasses.replace(plain, grounded=_compared(per[1], analysis.verdict))
+
+
+def _trial(src: RandomSource, dim, n_states: int) -> TrialResult:
+    """One trial from its pair's controllable dimension or numeric failure."""
+    if isinstance(dim, NumericError):
+        return TrialResult(src.stream_id, None, None, str(dim))
+    return TrialResult(src.stream_id, bool(dim == n_states), int(n_states - dim))
+
+
+def _compared(per: list[TrialResult], verdict: Verdict) -> CertificationReport:
+    """The trials as evidence for or against ``verdict``."""
     any_ok = any(t.controllable for t in per)
-    if analysis.verdict is Verdict.CONTROLLABLE:
+    if verdict is Verdict.CONTROLLABLE:
         agree = any_ok
-    elif analysis.verdict is Verdict.NOT_CONTROLLABLE:
+    elif verdict is Verdict.NOT_CONTROLLABLE:
         agree = not any_ok
     else:
         agree = True
     return CertificationReport(
-        trials=trials,
+        trials=len(per),
         per_trial=tuple(per),
         any_controllable=any_ok,
-        compared_verdict=analysis.verdict.value,
+        compared_verdict=verdict.value,
         agree_with_verdict=agree,
     )

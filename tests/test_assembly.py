@@ -525,6 +525,21 @@ class TestStackedAssembly:
             )
         assert judged == []
 
+    def test_out_receives_the_state_matrices_in_part_of_a_larger_stack(self):
+        g, model = chain_graph(3), double_integrator()
+        gen = np.random.default_rng(5)
+        blocks = quarters(gen, (2, g.num_edges, 1, 2))
+        driven = DrivenSet(frozenset({1}))
+        fresh = assemble_lumped_stack(model, g, blocks, driven)
+        buffer = np.full((4, 6, 6), np.nan)
+        stack = assemble_lumped_stack(model, g, blocks, driven, out=buffer[:2])
+        assert np.shares_memory(stack.a_sys, buffer)
+        assert np.array_equal(buffer[:2].view(np.uint64), fresh.a_sys.view(np.uint64))
+        assert np.isnan(buffer[2:]).all()
+        for bad in (np.empty((3, 6, 6)), np.empty((2, 6, 6), np.float32), buffer[:, :, :2].T):
+            with pytest.raises(ValueError, match="C-contiguous float64"):
+                assemble_lumped_stack(model, g, blocks, driven, out=bad)
+
     def test_rejects_a_stack_of_the_wrong_shape(self):
         g = chain_graph(3)
         for shape in ((2, 1, 2), (2, 3, 1, 2)):

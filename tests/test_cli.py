@@ -21,6 +21,7 @@ from conftest import (
     reference_parse_edges,
     reference_parse_weights,
 )
+import diffnet.verdict
 from diffnet import cli, problem_io
 from diffnet.assembly import MatrixWeights
 from diffnet.cli import main
@@ -491,6 +492,49 @@ class TestGroundedCertification:
         assert grounded["trials"] == 2
         assert all(t["controllable"] for t in grounded["per_trial"])
         assert doc["options"]["ground_first_mass"] is True
+
+    def test_each_trial_is_drawn_and_assembled_once(
+        self, problem_file, capsys, monkeypatch
+    ):
+        """The grounded trials reuse the plain trials' draws and assembly."""
+        options = {"wall": {"stiffness_over_mass": 1.0, "damping_over_mass": 0.5}}
+        path = problem_file(chain_problem(n=4, options=options))
+        draws, stacks = [], []
+        sample = diffnet.verdict.sample_away_from_zero
+        assemble = diffnet.verdict.assemble_lumped_stack
+
+        def drawing(*args, **kwargs):
+            draws.append(args)
+            return sample(*args, **kwargs)
+
+        def assembling(model, graph, blocks, driven, **kwargs):
+            stacks.append(len(blocks))
+            return assemble(model, graph, blocks, driven, **kwargs)
+
+        monkeypatch.setattr(diffnet.verdict, "sample_away_from_zero", drawing)
+        monkeypatch.setattr(diffnet.verdict, "assemble_lumped_stack", assembling)
+        code, out, _ = run(
+            capsys, ["certify", path, "--trials", "3", "--ground-first-mass"]
+        )
+        assert code == 0
+        assert len(draws) == 3 and stacks == [3]
+        doc = json.loads(out)
+        plain = doc["analysis"]["certification"]["per_trial"]
+        grounded = doc["grounded_certification"]["per_trial"]
+        assert [t["stream_id"] for t in grounded] == [t["stream_id"] for t in plain]
+
+    def test_missing_wall_is_refused_before_any_draw(
+        self, problem_file, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("assembled before the wall was checked")
+
+        monkeypatch.setattr(diffnet.verdict, "assemble_lumped_stack", refuse)
+        path = problem_file(chain_problem())
+        code, out, err = run(capsys, ["certify", path, "--ground-first-mass"])
+        assert code == 64
+        assert out == ""
+        assert "wall" in err
 
     def test_text_format_shows_grounded_block(self, problem_file, capsys):
         options = {"wall": {"stiffness_over_mass": 1.0, "damping_over_mass": 0.5}}

@@ -314,6 +314,21 @@ class TestControllableDimension:
         b = np.stack([pair[1] for pair in pairs]).reshape(2, 3, 6, 2)
         assert controllable_dimension(a, b).tolist() == [[0, 1, 2], [3, 4, 5]]
 
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_stops_once_every_state_is_covered(self, n, monkeypatch):
+        """A controllable single-input pair covers one state per step: n
+        SVDs of Krylov blocks, one of B for ||B||_2, and no empty step
+        after the last."""
+        shapes = svd_shapes(monkeypatch)
+        a = np.diag(np.ones(n - 1), 1) + 0.5 * np.eye(n)
+        b = np.eye(n)[:, -1:]
+        assert controllable_dimension(a, b) == n
+        assert len(shapes) == n + 1
+        shapes.clear()
+        stacked = controllable_dimension(np.stack([a, 2.0 * a]), b)
+        assert stacked.tolist() == [n, n]
+        assert len(shapes) == n + 1
+
     def test_one_pair_stays_two_dimensional(self, monkeypatch):
         shapes = svd_shapes(monkeypatch)
         a, b = planted_kalman_form(RandomSource(3).generator(), 8, 5)

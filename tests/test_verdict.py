@@ -1,5 +1,7 @@
 """Verdict engines, Monte Carlo certification, and the restated lemmas."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,8 @@ class TestCertification:
         assert cert.agree_with_verdict
 
     def test_state_shift_certifies_grounded_variant(self):
+        """The shifted trials are reported in ``grounded``, beside the
+        plain ones, and compared with the same verdict."""
         chain = mass_spring_chain(3, 1.0, springs=(1.0, 2.0, 3.0), dampers=(0.1, 0.2, 0.3))
         cert = certify_monte_carlo(
             chain.model,
@@ -225,14 +229,27 @@ class TestCertification:
                 3, chain.wall_stiffness_over_mass, chain.wall_damping_over_mass
             ),
         )
-        assert cert.any_controllable and cert.agree_with_verdict
+        grounded = cert.grounded
+        assert grounded is not None and grounded.grounded is None
+        assert grounded.trials == 3 and len(grounded.per_trial) == 3
+        assert grounded.any_controllable and grounded.agree_with_verdict
+        assert grounded.compared_verdict == cert.compared_verdict
+        assert [t.stream_id for t in grounded.per_trial] == [
+            t.stream_id for t in cert.per_trial
+        ]
+
+    def test_unshifted_call_has_no_grounded_part(self):
+        cert = certify_monte_carlo(
+            double_integrator(), chain_graph(2), first_driven(), trials=2
+        )
+        assert cert.grounded is None
 
     def test_state_shift_shape_is_checked(self, monkeypatch):
         """A shift of the wrong shape is refused before anything is drawn
         or assembled."""
         calls = []
 
-        def count(*args):
+        def count(*args, **kwargs):
             calls.append(args)
             raise AssertionError("assembled before the shift was checked")
 
@@ -266,6 +283,26 @@ def mixed_instance(seed: int):
     return model, graph, random_driven(gen, 5, allow_full=False)
 
 
+def dense_shift(model: SubsystemModel, graph: NetworkGraph, seed: int):
+    """A random state-matrix shift coupling every pair of states, so that
+    shifted pairs are controllable where cut-off plain ones are not."""
+    n = graph.num_vertices * model.order
+    return np.random.default_rng(seed).standard_normal((n, n))
+
+
+def chain_with_wall(num_masses: int):
+    chain = mass_spring_chain(
+        num_masses,
+        1.0,
+        springs=tuple(1.0 + i for i in range(num_masses)),
+        dampers=tuple(0.1 * (1 + i) for i in range(num_masses)),
+    )
+    shift = grounding_shift(
+        num_masses, chain.wall_stiffness_over_mass, chain.wall_damping_over_mass
+    )
+    return chain.model, chain.graph, chain.driven_template, shift
+
+
 class TestStackedTrials:
     def test_trials_match_one_draw_and_assembly_per_trial(self, monkeypatch):
         """Each trial's blocks are the bits ``sample_weights`` draws from
@@ -274,9 +311,9 @@ class TestStackedTrials:
         stacks = []
         real = diffnet.verdict.assemble_lumped_stack
 
-        def capture(model, graph, blocks, driven):
+        def capture(model, graph, blocks, driven, **kwargs):
             stacks.append(blocks)
-            return real(model, graph, blocks, driven)
+            return real(model, graph, blocks, driven, **kwargs)
 
         monkeypatch.setattr(diffnet.verdict, "assemble_lumped_stack", capture)
         for seed in range(12):
@@ -299,43 +336,120 @@ class TestStackedTrials:
 
     def test_linalg_error_on_one_member_marks_only_its_trial(self, monkeypatch):
         """A NaN planted in member 2's assembled state matrix, after the
-        cross-check, fails the stacked rank test; the rerun marks trial 2."""
+        cross-check, fails the stacked rank test; the rerun marks trial 2,
+        in the grounded half too, which is built from the poisoned one."""
         model, graph, driven = double_integrator(), chain_graph(4), first_driven()
+        shifts = (None, grounding_shift(4, 1.0, 0.5))
         rng = RandomSource(21)
-        clean = certify_monte_carlo(model, graph, driven, trials=4, rng=rng)
+        cleans = [
+            certify_monte_carlo(model, graph, driven, trials=4, rng=rng, a_shift=shift)
+            for shift in shifts
+        ]
         real = diffnet.verdict.assemble_lumped_stack
 
-        def poison_member_2(model, graph, blocks, driven):
-            lumped = real(model, graph, blocks, driven)
+        def poison_member_2(model, graph, blocks, driven, **kwargs):
+            lumped = real(model, graph, blocks, driven, **kwargs)
             lumped.a_sys[2, 0, 0] = np.nan
             return lumped
 
         monkeypatch.setattr(diffnet.verdict, "assemble_lumped_stack", poison_member_2)
-        cert = certify_monte_carlo(model, graph, driven, trials=4, rng=rng)
-        for t, (got, want) in enumerate(zip(cert.per_trial, clean.per_trial)):
-            if t == 2:
-                assert got.controllable is None and got.deficient_count is None
-                assert "staircase" in got.error
-                assert got.stream_id == want.stream_id
+        for shift, clean in zip(shifts, cleans):
+            cert = certify_monte_carlo(
+                model, graph, driven, trials=4, rng=rng, a_shift=shift
+            )
+            reports = [(cert, clean)]
+            if shift is None:
+                assert cert.grounded is None
             else:
-                assert got == want
+                reports.append((cert.grounded, clean.grounded))
+            for got_report, want_report in reports:
+                pairs = zip(got_report.per_trial, want_report.per_trial)
+                for t, (got, want) in enumerate(pairs):
+                    if t == 2:
+                        assert got.controllable is None and got.deficient_count is None
+                        assert "staircase" in got.error
+                        assert got.stream_id == want.stream_id
+                    else:
+                        assert got == want
 
     def test_trials_split_into_stacks_of_bounded_size(self, monkeypatch):
         model, graph, driven = double_integrator(), chain_graph(3), first_driven()
-        whole = certify_monte_carlo(model, graph, driven, trials=5, rng=RandomSource(4))
+        shifts = (None, grounding_shift(3, 1.0, 0.5))
+        wholes = [
+            certify_monte_carlo(
+                model, graph, driven, trials=5, rng=RandomSource(4), a_shift=shift
+            )
+            for shift in shifts
+        ]
         sizes = []
         real = diffnet.verdict.assemble_lumped_stack
 
-        def count(model, graph, blocks, driven):
+        def count(model, graph, blocks, driven, **kwargs):
             sizes.append(len(blocks))
-            return real(model, graph, blocks, driven)
+            return real(model, graph, blocks, driven, **kwargs)
 
         monkeypatch.setattr(diffnet.verdict, "assemble_lumped_stack", count)
-        # room for the state matrices of two 6-state trials per stack
-        monkeypatch.setattr(diffnet.verdict, "_TRIAL_STACK_BYTES", 2 * 8 * 6 * 6)
-        split = certify_monte_carlo(model, graph, driven, trials=5, rng=RandomSource(4))
-        assert sizes == [2, 2, 1]
-        assert split == whole
+        for halves, shift, whole in zip((1, 2), shifts, wholes):
+            # room for the state matrices of two 6-state trials per stack,
+            # each tested plain and, with a shift, shifted too
+            budget = halves * 2 * 8 * 6 * 6
+            monkeypatch.setattr(diffnet.verdict, "_TRIAL_STACK_BYTES", budget)
+            sizes.clear()
+            split = certify_monte_carlo(
+                model, graph, driven, trials=5, rng=RandomSource(4), a_shift=shift
+            )
+            assert sizes == [2, 2, 1]
+            assert split == whole
+            assert (split.grounded is None) is (shift is None)
+
+    @pytest.mark.parametrize("case", [*range(12), "chain"])
+    def test_shifted_call_draws_and_assembles_each_trial_once(self, case, monkeypatch):
+        """With a state-matrix shift all trials are still drawn and assembled
+        in one stack; each plain trial is the one its pair (A_t, B) gives and
+        each grounded trial the one (A_t + S, B) gives."""
+        stacks = []
+        real = diffnet.verdict.assemble_lumped_stack
+
+        def capture(model, graph, blocks, driven, **kwargs):
+            stacks.append(blocks)
+            return real(model, graph, blocks, driven, **kwargs)
+
+        monkeypatch.setattr(diffnet.verdict, "assemble_lumped_stack", capture)
+        if case == "chain":
+            model, graph, driven, shift = chain_with_wall(6)
+            seed = 31
+        else:
+            model, graph, driven = mixed_instance(case)
+            shift = dense_shift(model, graph, case)
+            seed = case
+        rng = RandomSource(seed)
+        cert = certify_monte_carlo(
+            model, graph, driven, trials=4, rng=rng, a_shift=shift
+        )
+        (blocks,) = stacks
+        assert len(blocks) == 4
+        shape = (model.num_inputs, model.num_outputs)
+        halves = zip(cert.per_trial, cert.grounded.per_trial)
+        for t, (plain, grounded) in enumerate(halves):
+            weights = sample_weights(graph, shape, rng.derive(t))
+            lumped = assemble_lumped(model, graph, weights, driven)
+            n_states = lumped.a_sys.shape[0]
+            for trial, a_sys in ((plain, lumped.a_sys), (grounded, lumped.a_sys + shift)):
+                dim = controllable_dimension(a_sys, lumped.b_sys)
+                assert trial.stream_id == rng.derive(t).stream_id
+                assert trial.deficient_count == n_states - dim
+                assert trial.controllable is (dim == n_states)
+                assert trial.error is None
+
+    def test_shift_changes_only_the_grounded_half(self):
+        model, graph, driven, shift = chain_with_wall(5)
+        plain = certify_monte_carlo(
+            model, graph, driven, trials=3, rng=RandomSource(8)
+        )
+        both = certify_monte_carlo(
+            model, graph, driven, trials=3, rng=RandomSource(8), a_shift=shift
+        )
+        assert dataclasses.replace(both, grounded=None) == plain
 
 
 class TestVerdictAgainstOracle:

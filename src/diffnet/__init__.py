@@ -10,9 +10,7 @@ all draws of one certificate assembled and rank-tested as one stack.
 from .assembly import (
     LumpedSystem,
     MassSpringChain,
-    MatrixWeights,
     assemble_lumped,
-    assemble_lumped_stack,
     grounding_shift,
     mass_spring_chain,
     sample_weights,
@@ -54,7 +52,6 @@ __all__ = [
     "Edge",
     "LumpedSystem",
     "MassSpringChain",
-    "MatrixWeights",
     "ModelValidationError",
     "NetworkGraph",
     "NumericError",
@@ -66,7 +63,6 @@ __all__ = [
     "Verdict",
     "analyze",
     "assemble_lumped",
-    "assemble_lumped_stack",
     "certify_monte_carlo",
     "fixed_modes",
     "grounding_shift",

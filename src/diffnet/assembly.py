@@ -1,32 +1,32 @@
 """Edge weights and lumped network assembly.
 
 Each edge of the network carries a p x r weight block, where p and r are
-the node's input and output counts. The vector weights of single-input
-nodes are the p = 1 case: a 1 x r row, one scalar weight per coupling
-channel. The assembled network state matrix couples N copies of the node
-dynamics through the block Laplacian; the assembler computes it along two
-independent routes and insists they agree. The direct route,
-I kron A - (I kron B) L_m (I kron C), is the emitted matrix. L_m has the
-sparsity of the graph: N diagonal blocks and one off-diagonal block per
-edge and direction, at most N + 2M blocks for M edges. The route starts
-from A on the diagonal blocks and subtracts (B L_ij) C at those blocks
-only, in two BLAS products over all of them side by side, at
-O((N + M) n r (n + p) + (nN)^2) cost for nodes of order n; the dense
-Kronecker products cost O((nN)^3). Every other block is exactly 0.0. The
-edgewise route, I kron A + sum_e (K[:, e] K_I[e, :]) kron (B W_e C), reads
-the incidence realization and places one n x n block per edge at the at
-most four block positions its incidence entries select, at
-O(M n^3 + (nN)^2) cost. ``assemble_lumped_stack`` builds the pairs of T
-weight draws at once: the index work, which depends on the graph alone,
-runs once, the products run over all draws' blocks side by side, and the
-routes are compared draw by draw.
+the node's input and output counts. The weights of a network are one
+float64 array of shape (M, p, r), block e belonging to the graph's edge e;
+the vector weights of single-input nodes are the p = 1 case, a 1 x r row
+per edge, one scalar weight per coupling channel. The assembled network
+state matrix couples N copies of the node dynamics through the block
+Laplacian; the assembler computes it along two independent routes and
+insists they agree. The direct route, I kron A - (I kron B) L_m (I kron C),
+is the emitted matrix. L_m has the sparsity of the graph: N diagonal
+blocks and one off-diagonal block per edge and direction, at most N + 2M
+blocks for M edges. The route starts from A on the diagonal blocks and
+subtracts (B L_ij) C at those blocks only, in two BLAS products over all
+of them side by side, at O((N + M) n r (n + p) + (nN)^2) cost for nodes of
+order n; the dense Kronecker products cost O((nN)^3). Every other block is
+exactly 0.0. The edgewise route, I kron A + sum_e (K[:, e] K_I[e, :])
+kron (B W_e C), reads the incidence realization and places one n x n block
+per edge at the at most four block positions its incidence entries
+select, at O(M n^3 + (nN)^2) cost. ``assemble_lumped`` also takes a
+(T, M, p, r) stack of T weight draws: the index work, which depends on the
+graph alone, runs once, the products run over all draws' blocks side by
+side, and the routes are compared draw by draw.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -43,62 +43,6 @@ from .topology import (
 
 #: The two assembly routes must agree to this relative tolerance.
 ASSEMBLY_CROSS_CHECK_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class MatrixWeights:
-    """One p x r weight block per edge, keyed by Edge.key()."""
-
-    shape: tuple[int, int]
-    blocks: Mapping[tuple, np.ndarray]
-
-    def __post_init__(self) -> None:
-        p, r = self.shape
-        if p < 1 or r < 1:
-            raise ValueError(f"weight shape must be positive, got {self.shape}")
-        fixed = {}
-        for key, block in dict(self.blocks).items():
-            arr = np.atleast_2d(np.asarray(block, dtype=float))
-            if arr.shape != (p, r):
-                raise ValueError(
-                    f"weight for edge {key} must have shape {(p, r)}, got {arr.shape}"
-                )
-            fixed[key] = arr
-        object.__setattr__(self, "blocks", fixed)
-
-    @classmethod
-    def from_edge_arrays(
-        cls, graph: NetworkGraph, arrays, shape: tuple[int, int] | None = None
-    ) -> "MatrixWeights":
-        arrays = [np.atleast_2d(np.asarray(a, dtype=float)) for a in arrays]
-        if len(arrays) != graph.num_edges:
-            raise ValueError(
-                f"need {graph.num_edges} weight blocks, got {len(arrays)}"
-            )
-        if shape is None:
-            shape = arrays[0].shape if arrays else (1, 1)
-        return cls(shape, dict(zip(graph.edge_keys(), arrays)))
-
-    def block(self, edge: Edge) -> np.ndarray:
-        return self.blocks[edge.key()]
-
-
-def check_weights(graph: NetworkGraph, weights: MatrixWeights) -> None:
-    """Reject weights that do not cover the edge set exactly."""
-    expected = set(graph.edge_keys())
-    got = set(weights.blocks)
-    extra = got - expected
-    if extra:
-        raise ValueError(f"weights reference non-edges: {sorted(extra)}")
-    missing = expected - got
-    if missing:
-        raise ValueError(f"weights missing for edges: {sorted(missing)}")
-
-
-def _edge_blocks(graph: NetworkGraph, weights: MatrixWeights) -> np.ndarray:
-    """The weight blocks stacked in edge order, shape (M, p, r)."""
-    blocks = list(map(weights.blocks.__getitem__, graph.edge_keys()))
-    return np.array(blocks, dtype=float).reshape(len(blocks), *weights.shape)
 
 
 def _laplacian_terms(graph: NetworkGraph):
@@ -140,9 +84,9 @@ def _laplacian_blocks(
 class LumpedSystem:
     """Assembled network pair (A_sys, B_sys).
 
-    From ``assemble_lumped_stack``, ``a_sys`` holds one state matrix per
-    member along a leading axis and ``b_sys``, the same for every member,
-    is stored once.
+    From a stack of weight draws, ``a_sys`` holds one state matrix per
+    draw along a leading axis and ``b_sys``, the same for every draw, is
+    stored once.
     """
 
     a_sys: np.ndarray
@@ -240,34 +184,65 @@ def _direct_state_matrices(
     return out.reshape(members, n_vertices * n, n_vertices * n)
 
 
-def _assemble(
+def assemble_lumped(
     model: SubsystemModel,
     graph: NetworkGraph,
-    blocks: np.ndarray,
+    weights,
     driven: DrivenSet,
-    out=None,
+    *,
+    out: np.ndarray | None = None,
 ) -> LumpedSystem:
-    """The lumped pairs of a (T, M, p, r) stack of edge blocks, in edge
-    order: ``a_sys`` of shape (T, nN, nN), written into ``out`` when given,
-    and one ``b_sys``. The index work depends on the graph only and runs
-    once; the products run over every member's blocks side by side, and the
-    cross-check judges each member on its own.
+    """Lumped pair of the network: N copies of (A, B, C) coupled by the weights.
+
+    ``weights`` is the (M, p, r) array of the edges' weight blocks in edge
+    order, or a (T, M, p, r) stack of T such draws; ``a_sys`` then has
+    shape (nN, nN) or (T, nN, nN). ``b_sys``, Delta kron B written as B at
+    the driven diagonal blocks, is the same for every draw and stored once.
+    ``out``, a C-contiguous float64 array of ``a_sys``'s shape, receives
+    the state matrices in place of a new array, for a caller that
+    assembles into part of a larger stack.
+
+    Direct route I kron A - (I kron B) L_m (I kron C), formed block by
+    block: A on the diagonal blocks, minus (B L_ij) C at each nonzero block
+    L_ij of the Laplacian, the products associated as in the dense form.
+    It costs O((N + M) n r (n + p) + (nN)^2) for M edges and N vertices of
+    order n, where the dense Kronecker form costs O((nN)^3). Structural
+    zeros come out as 0.0: the dense form writes -0.0 wherever a zero of a
+    Kronecker factor meets a negative entry of A or B. The route is
+    cross-checked, draw by draw, against the edgewise form
+    I kron A + sum_e (K[:, e] K_I[e, :]) kron (B W_e C) built on the
+    incidence realization (for undirected graphs K = -K_I^T, recovering the
+    familiar incidence-quadratic form); the two must agree to
+    ASSEMBLY_CROSS_CHECK_RTOL. The edgewise route costs O(M n^3); it is
+    summed, and the two compared, at the blocks either route writes only,
+    O((N + M) n^2). The index work depends on the graph only and runs once
+    for the whole stack; the products run over every draw's blocks side by
+    side.
     """
     require_valid(model)
-    p, r = blocks.shape[2:]
-    if (p, r) != (model.num_inputs, model.num_outputs):
+    blocks = np.asarray(weights, dtype=float)
+    want = (graph.num_edges, model.num_inputs, model.num_outputs)
+    if blocks.ndim not in (3, 4) or blocks.shape[-3:] != want:
         raise ValueError(
-            f"weight blocks have shape {(p, r)} but the model is "
-            f"({model.num_inputs} inputs, {model.num_outputs} outputs)"
+            f"edge weights must have shape {want}, one block per edge in edge "
+            f"order, or be a (draws, *{want}) stack of weight blocks; "
+            f"got shape {blocks.shape}"
         )
     driven.validate_for(graph)
-
     n_vertices, n = graph.num_vertices, model.order
+    if out is not None:
+        shape = blocks.shape[:-3] + (n_vertices * n, n_vertices * n)
+        if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError(
+                f"out must be a C-contiguous float64 array of shape {shape}"
+            )
+    stack = blocks if blocks.ndim == 4 else blocks[None]
+
     # finite weights can still overflow; the result is checked just below
     with np.errstate(over="ignore", invalid="ignore"):
-        rows, cols, lap = _laplacian_blocks(graph, blocks)
+        rows, cols, lap = _laplacian_blocks(graph, stack)
         a_direct = _direct_state_matrices(model, n_vertices, rows, cols, lap, out)
-        edge_rows, edge_cols, terms = _edgewise_state_blocks(model, graph, blocks)
+        edge_rows, edge_cols, terms = _edgewise_state_blocks(model, graph, stack)
         # both routes are exactly 0.0 outside the blocks they write, so they
         # are compared at the union of those blocks only
         at, slot = np.unique(
@@ -275,7 +250,7 @@ def _assemble(
             + np.concatenate([cols, edge_cols]),
             return_inverse=True,
         )
-        a_edge = np.zeros((blocks.shape[0], at.size, n, n))
+        a_edge = np.zeros((stack.shape[0], at.size, n, n))
         np.add.at(a_edge, (slice(None), slot[rows.size :]), terms)
     direct_blocks = a_direct.reshape(-1, n_vertices, n, n_vertices, n)[
         :, at // n_vertices, :, at % n_vertices, :
@@ -295,81 +270,19 @@ def _assemble(
             ASSEMBLY_CROSS_CHECK_RTOL,
         )
 
+    p = model.num_inputs
     b_sys = np.zeros((n_vertices, n, n_vertices, p))
     driven_idx = np.array(sorted(driven.driven), dtype=np.intp) - 1
     b_sys[driven_idx, :, driven_idx, :] = model.b
-    return LumpedSystem(a_direct, b_sys.reshape(n_vertices * n, n_vertices * p))
-
-
-def assemble_lumped(
-    model: SubsystemModel,
-    graph: NetworkGraph,
-    weights: MatrixWeights,
-    driven: DrivenSet,
-) -> LumpedSystem:
-    """Lumped pair of the network: N copies of (A, B, C) coupled by the weights.
-
-    Direct route I kron A - (I kron B) L_m (I kron C), formed block by
-    block: A on the diagonal blocks, minus (B L_ij) C at each nonzero block
-    L_ij of the Laplacian, the products associated as in the dense form.
-    It costs O((N + M) n r (n + p) + (nN)^2) for M edges and N vertices of
-    order n, where the dense Kronecker form costs O((nN)^3). Structural
-    zeros come out as 0.0: the dense form writes -0.0 wherever a zero of a
-    Kronecker factor meets a negative entry of A or B. The route is
-    cross-checked against the edgewise form
-    I kron A + sum_e (K[:, e] K_I[e, :]) kron (B W_e C) built on the
-    incidence realization (for undirected graphs K = -K_I^T, recovering the
-    familiar incidence-quadratic form); the two must agree to
-    ASSEMBLY_CROSS_CHECK_RTOL. The edgewise route costs O(M n^3); it is
-    summed, and the two compared, at the blocks either route writes only,
-    O((N + M) n^2).
-    Input matrix is Delta kron B, written as B at the driven diagonal
-    blocks.
-    """
-    check_weights(graph, weights)
-    lumped = _assemble(model, graph, _edge_blocks(graph, weights)[None], driven)
-    return LumpedSystem(lumped.a_sys[0], lumped.b_sys)
-
-
-def assemble_lumped_stack(
-    model: SubsystemModel,
-    graph: NetworkGraph,
-    blocks,
-    driven: DrivenSet,
-    *,
-    out: np.ndarray | None = None,
-) -> LumpedSystem:
-    """Lumped pairs of T weight draws at once, as ``assemble_lumped`` builds
-    each, with the same cross-check on every member.
-
-    ``blocks`` has shape (T, M, p, r): draw t's weight blocks in edge
-    order. The result's ``a_sys`` has shape (T, nN, nN); its ``b_sys``,
-    Delta kron B, is the same for every draw and stored once. The index
-    work that depends on the graph alone runs once for the whole stack.
-    ``out``, a C-contiguous float64 array of that shape, receives the state
-    matrices in place of a new array, for a caller that assembles into part
-    of a larger stack.
-    """
-    blocks = np.asarray(blocks, dtype=float)
-    if blocks.ndim != 4 or blocks.shape[1] != graph.num_edges:
-        raise ValueError(
-            f"need a (draws, {graph.num_edges}, p, r) stack of weight blocks, "
-            f"got shape {blocks.shape}"
-        )
-    if out is not None:
-        n_states = graph.num_vertices * model.order
-        want = (blocks.shape[0], n_states, n_states)
-        if out.shape != want or out.dtype != np.float64 or not out.flags.c_contiguous:
-            raise ValueError(
-                f"out must be a C-contiguous float64 array of shape {want}"
-            )
-    return _assemble(model, graph, blocks, driven, out)
+    a_sys = a_direct.reshape(blocks.shape[:-3] + a_direct.shape[1:])
+    return LumpedSystem(a_sys, b_sys.reshape(n_vertices * n, n_vertices * p))
 
 
 def sample_weights(
     graph: NetworkGraph, shape: tuple[int, int], rng: RandomSource
-) -> MatrixWeights:
-    """Independent generic weights, one draw per edge in edge order.
+) -> np.ndarray:
+    """Independent generic weights: an (M, p, r) array, one p x r draw per
+    edge in edge order.
 
     Entries are uniform on [-1, -0.1] U [0.1, 1]; a fixed source yields
     identical weights. All edges draw in one call, from the stream that
@@ -378,8 +291,7 @@ def sample_weights(
     p, r = shape
     if p < 1 or r < 1:
         raise ValueError(f"weight shape must be positive, got {shape}")
-    draws = sample_away_from_zero(rng.generator(), (p, r), count=graph.num_edges)
-    return MatrixWeights.from_edge_arrays(graph, draws, shape=(p, r))
+    return sample_away_from_zero(rng.generator(), (p, r), count=graph.num_edges)
 
 
 @dataclass(frozen=True)
@@ -388,16 +300,16 @@ class MassSpringChain:
 
     Each mass contributes states (position, velocity) with double-integrator
     node dynamics; edge {i, i+1} carries the 1 x 2 weight row
-    [k_{i+1}/mass, mu_{i+1}/mass]. The first spring/damper pair couples mass
-    1 to the wall and is exposed as the grounding coefficients rather than
-    as an edge. External force enters each driven mass scaled by
+    [k_{i+1}/mass, mu_{i+1}/mass], so ``weights`` has shape (N - 1, 1, 2).
+    The first spring/damper pair couples mass 1 to the wall and is exposed
+    as the grounding coefficients rather than as an edge. External force enters each driven mass scaled by
     ``input_gain`` = 1/mass, a positive column scaling that cannot change
     any rank verdict.
     """
 
     model: SubsystemModel
     graph: NetworkGraph
-    weights: MatrixWeights
+    weights: np.ndarray
     driven_template: DrivenSet
     input_gain: float
     wall_stiffness_over_mass: float
@@ -436,11 +348,7 @@ def mass_spring_chain(
         num_masses,
         tuple(Edge(i, i + 1, UNDIRECTED) for i in range(1, num_masses)),
     )
-    rows = [
-        np.array([[springs[i] / mass, dampers[i] / mass]])
-        for i in range(1, num_masses)
-    ]
-    weights = MatrixWeights.from_edge_arrays(graph, rows, shape=(1, 2))
+    weights = np.stack([springs[1:], dampers[1:]], axis=-1)[:, None, :] / mass
     return MassSpringChain(
         model=model,
         graph=graph,

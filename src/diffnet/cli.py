@@ -268,9 +268,7 @@ def cmd_analyze(args) -> int:
     problem, digest = load_problem(args.path)
     tol = _resolve_tol(args.tol, problem.options)
     seed = _resolve_seed(args.seed, problem.options)
-    report = analyze(
-        problem.model, problem.graph, problem.driven, tol, RandomSource(seed)
-    )
+    report = analyze(problem.model, problem.graph, problem.driven, tol)
     doc = report_document(
         report, __version__, digest, _report_options(seed, tol)
     )
@@ -285,14 +283,13 @@ def cmd_certify(args) -> int:
     trials = _resolve_trials(args.trials, problem.options)
     # a grounded run without a usable wall is refused before anything is drawn
     shift = _ground_shift(problem) if args.ground_first_mass else None
-    rng = RandomSource(seed)
-    analysis = analyze(problem.model, problem.graph, problem.driven, tol, rng)
+    analysis = analyze(problem.model, problem.graph, problem.driven, tol)
     cert = certify_monte_carlo(
         problem.model,
         problem.graph,
         problem.driven,
         trials=trials,
-        rng=rng,
+        rng=RandomSource(seed),
         tol=tol,
         a_shift=shift,
         analysis=analysis,
@@ -438,18 +435,17 @@ def _graph_members(graph) -> tuple[PreEncoded, PreEncoded]:
     return PreEncoded(f"[{edges}]"), PreEncoded(f"[{orientation}]")
 
 
-def _weights_member(graph, weights) -> PreEncoded:
+def _weights_member(graph, weights: np.ndarray) -> PreEncoded:
     """The lump report's "weights" member, written from the (M, p, r)
-    stack of the weight blocks in edge order with one key-sorted template
+    array of the weight blocks in edge order with one key-sorted template
     per edge kind. ``tolist`` hands ``%r`` Python floats, which it writes
     as the JSON encoder does. They are finite: assembly refuses a
     non-finite weight before the report is built."""
-    p, r = weights.shape
-    blocks = np.array(list(map(weights.blocks.__getitem__, graph.edge_keys())))
+    p, r = weights.shape[1:]
     row = "[" + ",".join(["%r"] * r) + "]"
     head = '{"W":[' + ",".join([row] * p) + '],"kind":'
     templates = (head + '"undirected","u":%d,"v":%d}', head + '"directed","u":%d,"v":%d}')
-    values = blocks.reshape(graph.num_edges, p * r).tolist()
+    values = weights.reshape(graph.num_edges, p * r).tolist()
     fields = [x for w, e in zip(values, graph.edges) for x in (*w, e.u, e.v)]
     entries = ",".join(map(templates.__getitem__, graph.directed.tolist())) % tuple(fields)
     return PreEncoded(f'{{"edges":[{entries}]}}')

@@ -1,6 +1,6 @@
 """Dense matrix utilities shared by every engine in the package.
 
-Tolerance-based numerical rank, eigenvalues and their greedy matching,
+Tolerance-based numerical rank, eigenvalues and their deduplication,
 the controllable dimension by block Arnoldi (the controllability
 staircase's Krylov form) for one pair or a stack of pairs, whose cutoff's
 ||A||_2 is bracketed by sums of squares and taken by SVD only for a member
@@ -148,37 +148,6 @@ def dedupe_eigenvalues(values, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray
     return np.array(reps, dtype=complex)
 
 
-def matched_eigenvalues(
-    candidates, pool, tol: ToleranceConfig = DEFAULT_TOL
-) -> list[complex]:
-    """Candidates, sorted, that find a partner in the pool.
-
-    Greedy nearest matching: each candidate in turn takes the nearest pool
-    value not yet taken, if it lies within eig_match_tol.
-    """
-    remaining = list(np.atleast_1d(np.asarray(pool, dtype=complex)))
-    matched: list[complex] = []
-    for lam in sorted(
-        np.atleast_1d(np.asarray(candidates, dtype=complex)),
-        key=lambda z: (z.real, z.imag),
-    ):
-        if not remaining:
-            break
-        dists = [abs(lam - mu) for mu in remaining]
-        j = int(np.argmin(dists))
-        if dists[j] <= tol.eig_match_tol:
-            remaining.pop(j)
-            matched.append(complex(lam))
-    return matched
-
-
-def spectra_match(left, right, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Multiset equality of two spectra under greedy nearest matching."""
-    xs = np.atleast_1d(np.asarray(left, dtype=complex))
-    ys = np.atleast_1d(np.asarray(right, dtype=complex))
-    return len(xs) == len(ys) and len(matched_eigenvalues(xs, ys, tol)) == len(xs)
-
-
 @dataclass(frozen=True)
 class PbhCheck:
     """One PBH rank evaluation at a single eigenvalue (multiplicity kept)."""
@@ -235,8 +204,9 @@ def controllable_dimension(a, b, tol: ToleranceConfig = DEFAULT_TOL):
     whose count of kept singular values is the same at both ends of the
     bracket has the count the exact cutoff gives. Only a member with a
     singular value inside its bracket, or whose sums of squares cannot be
-    trusted, has ||A||_2 taken by SVD, and from then on uses the exact
-    cutoff. NaN or inf entries raise ``NumericError``.
+    trusted and which is not exactly zero, has ||A||_2 taken by SVD, and
+    from then on uses the exact cutoff. NaN or inf entries raise
+    ``NumericError``.
 
     Leading axes of ``a`` (..., n, n) and ``b`` (..., n, m) are a stack of
     pairs, broadcast against each other; every member gets its own cutoff,
@@ -343,15 +313,25 @@ def _norm_bracket(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     from sums of squares taken without an (..., n, n) temporary and
     widened by ``_BRACKET_SLACK``. Where the sums overflow, are not
     finite, or are small enough to have lost squares to underflow, the
-    bracket is (0, inf): it says nothing.
+    bracket is (0, inf): it says nothing. A matrix that is exactly zero,
+    whose squares are 0 without any loss, has the exact bracket (0, 0).
     """
     cols = np.einsum("...ij,...ij->...j", m, m)
     rows = np.einsum("...ij,...ij->...i", m, m)
     low2 = np.maximum(cols.max(axis=-1, initial=0.0), rows.max(axis=-1, initial=0.0))
     high2 = cols.sum(axis=-1)
     trusted = (low2 >= _SQUARES_MIN) & (high2 < math.inf)
+    # squares of tiny entries underflow to 0, so only the entries themselves
+    # show a matrix to be zero; they are read for the untrusted members only
+    zero = np.zeros_like(trusted)
+    if not trusted.all():
+        zero[~trusted] = ~m[~trusted].any(axis=(-2, -1))
     low = np.where(trusted, np.sqrt(low2) * (1.0 - _BRACKET_SLACK), 0.0)
-    high = np.where(trusted, np.sqrt(high2) * (1.0 + _BRACKET_SLACK), math.inf)
+    high = np.where(
+        trusted,
+        np.sqrt(high2) * (1.0 + _BRACKET_SLACK),
+        np.where(zero, 0.0, math.inf),
+    )
     return low, high
 
 

@@ -25,7 +25,6 @@ from itertools import repeat
 
 import numpy as np
 
-from .assembly import MatrixWeights
 from .errors import ProblemFileError
 from .subsystem import SubsystemModel, validate_model
 from .topology import DIRECTED, UNDIRECTED, DrivenSet, Edge, NetworkGraph
@@ -41,12 +40,15 @@ _OPTION_KEYS = {"seed", "trials", "rank_rel_tol", "eig_match_tol", "wall"}
 
 @dataclass(frozen=True)
 class Problem:
-    """A parsed problem file, ready for the analysis entry points."""
+    """A parsed problem file, ready for the analysis entry points.
+
+    ``weights``, when the file gives them, is the (M, p, r) array of the
+    edges' weight blocks in edge order."""
 
     model: SubsystemModel
     graph: NetworkGraph
     driven: DrivenSet
-    weights: MatrixWeights | None
+    weights: np.ndarray | None
     options: dict
 
 
@@ -281,8 +283,9 @@ def _parse_weights(doc: dict, graph: NetworkGraph, model: SubsystemModel):
                 f"({e.u}, {e.v})" for i, e in enumerate(graph.edges) if i not in covered
             )
         )
-    keys = graph.edge_keys()
-    return MatrixWeights(shape, {keys[i]: block for i, block in zip(found, blocks)})
+    weights = np.empty((graph.num_edges, *shape))
+    weights[found] = np.reshape(blocks, (-1, *shape))
+    return weights
 
 
 def _parse_options(doc: dict) -> dict:
@@ -419,12 +422,13 @@ def report_document(
     }
 
 
-def weights_to_json(graph: NetworkGraph, weights: MatrixWeights) -> dict:
-    blocks = map(weights.blocks.__getitem__, graph.edge_keys())
+def weights_to_json(graph: NetworkGraph, weights: np.ndarray) -> dict:
+    """The edges' weight blocks, an (M, p, r) array in edge order, as the
+    "weights" member of a report."""
     return {
         "edges": [
-            {"u": e.u, "v": e.v, "kind": e.kind, "W": w.tolist()}
-            for e, w in zip(graph.edges, blocks)
+            {"u": e.u, "v": e.v, "kind": e.kind, "W": w}
+            for e, w in zip(graph.edges, weights.tolist())
         ]
     }
 

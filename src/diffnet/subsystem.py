@@ -1,5 +1,6 @@
 """Node-level dynamics: model validation and the classical controllability,
-observability, and fixed-mode tests used by the network criteria."""
+observability, and fixed-mode tests used by the network criteria. The
+fixed modes are decided by PBH ranks alone."""
 
 from __future__ import annotations
 
@@ -10,17 +11,12 @@ import numpy as np
 from .errors import ModelValidationError
 from .numerics import (
     DEFAULT_TOL,
-    RandomSource,
     ToleranceConfig,
     eigenvalues,
-    matched_eigenvalues,
     numerical_rank,
     pbh_controllable,
     pbh_observable,
-    spectra_match,
 )
-
-DEFAULT_FEEDBACK_DRAWS = 4
 
 
 def _as_2d(value, fallback_orientation: str) -> np.ndarray:
@@ -102,65 +98,24 @@ def check_observable(model: SubsystemModel, tol: ToleranceConfig = DEFAULT_TOL):
     return pbh_observable(model.a, model.c, tol)
 
 
-@dataclass(frozen=True)
-class FixedModeReport:
-    """Modes surviving every static output feedback, two ways.
-
-    ``fixed_modes`` is the authoritative deterministic set: eigenvalues of A
-    at which the pair (A, B) is uncontrollable or (A, C) is unobservable,
-    multiplicity preserved. ``randomized_modes`` holds the eigenvalues that
-    persisted across random feedback draws; ``method_agreement`` records
-    whether the two sets match within tolerance.
-    """
-
-    fixed_modes: tuple[complex, ...]
-    randomized_modes: tuple[complex, ...]
-    method_agreement: bool
-
-    @property
-    def empty(self) -> bool:
-        return not self.fixed_modes
-
-
 def fixed_modes(
-    model: SubsystemModel,
-    rng: RandomSource = RandomSource(0),
-    tol: ToleranceConfig = DEFAULT_TOL,
-    feedback_draws: int = DEFAULT_FEEDBACK_DRAWS,
-) -> FixedModeReport:
+    model: SubsystemModel, tol: ToleranceConfig = DEFAULT_TOL
+) -> tuple[complex, ...]:
     """Fixed modes of (A, B, C) under unconstrained static output feedback.
 
     With a full feedback matrix the fixed modes are exactly the modes that
-    are uncontrollable or unobservable, which the deterministic path tests
-    by PBH ranks. The randomized path draws feedback matrices uniformly
-    from [-1, 1] entries and keeps the eigenvalues of A that persist in
-    every perturbed spectrum; it cross-checks the deterministic set but
-    never overrides it.
+    are uncontrollable or unobservable: the eigenvalues of A at which the
+    pair (A, B) or (A, C) loses PBH rank, multiplicity preserved. Empty
+    exactly when (A, B) is controllable and (A, C) observable.
     """
     require_valid(model)
-    if feedback_draws < 1:
-        raise ValueError(f"need at least one feedback draw, got {feedback_draws}")
     a, b, c = model.a, model.b, model.c
     n = model.order
     eye = np.eye(n, dtype=complex)
-    spectrum = eigenvalues(a)
-
-    deterministic: list[complex] = []
-    for lam in spectrum:
+    modes: list[complex] = []
+    for lam in eigenvalues(a):
         ctrb_rank = numerical_rank(np.hstack([lam * eye - a, b.astype(complex)]), tol)
         obsv_rank = numerical_rank(np.vstack([lam * eye - a, c.astype(complex)]), tol)
         if ctrb_rank < n or obsv_rank < n:
-            deterministic.append(complex(lam))
-
-    gen = rng.generator()
-    randomized = list(spectrum)
-    for _ in range(feedback_draws):
-        f = gen.uniform(-1.0, 1.0, size=(model.num_inputs, model.num_outputs))
-        perturbed = eigenvalues(a + b @ f @ c)
-        randomized = matched_eigenvalues(randomized, perturbed, tol)
-
-    return FixedModeReport(
-        fixed_modes=tuple(deterministic),
-        randomized_modes=tuple(randomized),
-        method_agreement=spectra_match(deterministic, randomized, tol),
-    )
+            modes.append(complex(lam))
+    return tuple(modes)

@@ -153,11 +153,6 @@ class NetworkGraph:
     def has_directed_edges(self) -> bool:
         return bool(self.directed.any())
 
-    def edge_keys(self) -> list[tuple]:
-        """``Edge.key()`` of every edge, in edge order."""
-        kinds = map((UNDIRECTED, DIRECTED).__getitem__, self.directed.tolist())
-        return list(zip(kinds, (self.start + 1).tolist(), (self.end + 1).tolist()))
-
     def influence_neighbors(self) -> list[list[int]]:
         """out[i] lists the 0-based vertices directly influenced by vertex i,
         in edge order."""

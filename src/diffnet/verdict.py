@@ -5,12 +5,12 @@ dynamics, whether some (equivalently, almost every) choice of edge weights
 makes the assembled network controllable. It is the one analyzer for
 single-input (vector-weight) and multi-input (matrix-weight) nodes. Every
 verdict can be cross-examined by ``certify_monte_carlo``, a Monte Carlo
-oracle on sampled weights: trial t's weight blocks come from
-``rng.derive(t)`` exactly as ``sample_weights`` draws them, and all trials
-are assembled (``assemble_lumped_stack``) and rank-tested as one stack, by
-block Arnoldi on the controllable subspace. A state-matrix shift (the
-wall-grounded chain) is tested on the same draws: each trial is drawn and
-assembled once, and its plain and shifted pairs share the stack.
+oracle on sampled weights: trial t's weight blocks are ``sample_weights``
+on ``rng.derive(t)``, and all trials are assembled (``assemble_lumped`` on
+the stack of draws) and rank-tested as one stack, by block Arnoldi on the
+controllable subspace. A state-matrix shift (the wall-grounded chain) is
+tested on the same draws: each trial is drawn and assembled once, and its
+plain and shifted pairs share the stack.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .assembly import assemble_lumped_stack
+from .assembly import assemble_lumped, sample_weights
 from .errors import NumericError
 from .numerics import (
     DEFAULT_TOL,
@@ -29,7 +29,6 @@ from .numerics import (
     ToleranceConfig,
     controllable_dimension,
     dedupe_eigenvalues,
-    sample_away_from_zero,
 )
 from .subsystem import (
     SubsystemModel,
@@ -140,7 +139,6 @@ def analyze(
     graph: NetworkGraph,
     driven: DrivenSet,
     tol: ToleranceConfig = DEFAULT_TOL,
-    rng: RandomSource = RandomSource(0),
 ) -> AnalysisReport:
     """Structural controllability verdict from the topology and one node.
 
@@ -156,8 +154,7 @@ def analyze(
     when (A, B, C) has no fixed mode, reachability is equivalent to
     structural controllability (theorem 3). An unreachable topology is
     decisive; fixed modes on a reachable topology leave the criterion
-    silent and the verdict is INCONCLUSIVE. ``rng`` drives the randomized
-    fixed-mode cross-check only.
+    silent and the verdict is INCONCLUSIVE.
     """
     require_valid(model)
     single_input = model.num_inputs == 1
@@ -199,25 +196,21 @@ def analyze(
         )
         return AnalysisReport(verdict, theorem, conditions, notes=notes)
 
-    modes = fixed_modes(model, rng, tol)
+    modes = fixed_modes(model, tol)
     conditions = (
         ConditionRecord(
             "no_fixed_mode",
-            modes.empty,
-            None
-            if modes.empty
-            else {
-                "fixed_modes": tuple(
-                    complex(z) for z in dedupe_eigenvalues(modes.fixed_modes, tol)
-                )
-            },
+            not modes,
+            {"fixed_modes": tuple(complex(z) for z in dedupe_eigenvalues(modes, tol))}
+            if modes
+            else None,
         ),
         reach,
     )
     notes: tuple[str, ...] = ()
     if not reach.holds:
         verdict = Verdict.NOT_CONTROLLABLE
-    elif modes.empty:
+    elif not modes:
         verdict = Verdict.CONTROLLABLE
     else:
         verdict = Verdict.INCONCLUSIVE
@@ -240,11 +233,10 @@ def certify_monte_carlo(
 ) -> CertificationReport:
     """Monte Carlo controllability oracle over sampled weights.
 
-    Trial t draws one generic weight block per edge from ``rng.derive(t)``,
-    as ``sample_weights`` does. The trials' lumped pairs are assembled and
-    their controllable subspaces measured by block Arnoldi as one stack,
-    split only where the stack's state matrices would pass
-    ``_TRIAL_STACK_BYTES``. The states outside a pair's subspace are its
+    Trial t's weights are ``sample_weights`` on ``rng.derive(t)``. The
+    trials' lumped pairs are assembled and their controllable subspaces
+    measured by block Arnoldi as one stack, split only where the stack's
+    state matrices would pass ``_TRIAL_STACK_BYTES``. The states outside a pair's subspace are its
     trial's ``deficient_count``.
 
     ``a_shift`` (added to every assembled state matrix) accommodates
@@ -279,16 +271,11 @@ def certify_monte_carlo(
     per: list[list[TrialResult]] = [[] for _ in range(halves)]
     for at in range(0, trials, size):
         chunk = sources[at : at + size]
-        blocks = np.stack(
-            [
-                sample_away_from_zero(src.generator(), shape, count=graph.num_edges)
-                for src in chunk
-            ]
-        )
+        blocks = np.stack([sample_weights(graph, shape, src) for src in chunk])
         # the chunk's plain state matrices, then (shifted) the same plus S
         k = len(chunk)
         a_sys = np.empty((halves * k, n_states, n_states))
-        b_sys = assemble_lumped_stack(model, graph, blocks, driven, out=a_sys[:k]).b_sys
+        b_sys = assemble_lumped(model, graph, blocks, driven, out=a_sys[:k]).b_sys
         if a_shift is not None:
             np.add(a_sys[:k], a_shift, out=a_sys[k:])
         try:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from diffnet.assembly import MatrixWeights, assemble_lumped
+from diffnet.assembly import assemble_lumped
 from diffnet.errors import ProblemFileError
 from diffnet.numerics import RandomSource
 from diffnet.problem_io import _int_field, _matrix, _require_mapping
@@ -196,7 +196,7 @@ def driven_selector(driven: DrivenSet, num_vertices: int) -> np.ndarray:
 
 
 def dense_edgewise_state_matrix(
-    model: SubsystemModel, graph: NetworkGraph, weights: MatrixWeights
+    model: SubsystemModel, graph: NetworkGraph, weights: np.ndarray
 ) -> np.ndarray:
     """Reference edgewise route: I kron A + (K kron B) diag(W_e) (K_I kron C).
 
@@ -204,18 +204,17 @@ def dense_edgewise_state_matrix(
     on the incidence realization; O((nN)^3).
     """
     real = incidence_matrices(graph)
-    p, r = weights.shape
-    m = graph.num_edges
+    m, p, r = weights.shape
     blkdiag = np.zeros((m * p, m * r))
-    for idx, e in enumerate(graph.edges):
-        blkdiag[idx * p : (idx + 1) * p, idx * r : (idx + 1) * r] = weights.block(e)
+    for idx in range(m):
+        blkdiag[idx * p : (idx + 1) * p, idx * r : (idx + 1) * r] = weights[idx]
     return np.kron(np.eye(graph.num_vertices), model.a) + np.kron(
         real.injection, model.b
     ) @ blkdiag @ np.kron(real.incidence, model.c)
 
 
 def factorized_state_matrix(
-    model: SubsystemModel, graph: NetworkGraph, weights: MatrixWeights
+    model: SubsystemModel, graph: NetworkGraph, weights: np.ndarray
 ) -> np.ndarray:
     """Reference factorized parameter form of the state matrix:
     I kron A + (I kron B) (K kron T) diag(Lambda) (K_I kron Q) (I kron C),
@@ -225,10 +224,10 @@ def factorized_state_matrix(
     """
     real = incidence_matrices(graph)
     eye = np.eye(graph.num_vertices)
-    p, r = weights.shape
+    p, r = weights.shape[1:]
     t = np.kron(np.eye(p), np.ones((1, r)))
     q = np.kron(np.ones((p, 1)), np.eye(r))
-    lam = np.diag([x for e in graph.edges for x in weights.block(e).reshape(-1)])
+    lam = np.diag(weights.reshape(-1))
     return np.kron(eye, model.a) + (
         np.kron(eye, model.b)
         @ np.kron(real.injection, t)
@@ -238,7 +237,7 @@ def factorized_state_matrix(
     )
 
 
-def assembled_laplacian(graph: NetworkGraph, weights: MatrixWeights) -> np.ndarray:
+def assembled_laplacian(graph: NetworkGraph, weights: np.ndarray) -> np.ndarray:
     """The block Laplacian L_m, read off ``assemble_lumped``.
 
     Nodes of order n = max(p, r) with A = 0, B = [I_p; 0] and C = [I_r, 0]
@@ -246,7 +245,7 @@ def assembled_laplacian(graph: NetworkGraph, weights: MatrixWeights) -> np.ndarr
     block of L_m, negated and padded with zeros. Products with these 0/1
     factors are exact, and 0.0 - A_sys turns every zero into 0.0.
     """
-    p, r = weights.shape
+    p, r = weights.shape[1:]
     n, nv = max(p, r), graph.num_vertices
     node = SubsystemModel(np.zeros((n, n)), np.eye(n, p), np.eye(r, n))
     a_sys = assemble_lumped(node, graph, weights, DrivenSet()).a_sys
@@ -254,9 +253,9 @@ def assembled_laplacian(graph: NetworkGraph, weights: MatrixWeights) -> np.ndarr
     return blocks.reshape(nv * p, nv * r)
 
 
-def loop_matrix_laplacian(graph: NetworkGraph, weights: MatrixWeights) -> np.ndarray:
+def loop_matrix_laplacian(graph: NetworkGraph, weights: np.ndarray) -> np.ndarray:
     """Reference block Laplacian, built one edge at a time in edge order."""
-    p, r = weights.shape
+    p, r = weights.shape[1:]
     lap = np.zeros((graph.num_vertices * p, graph.num_vertices * r))
 
     def rows(i):
@@ -265,8 +264,7 @@ def loop_matrix_laplacian(graph: NetworkGraph, weights: MatrixWeights) -> np.nda
     def cols(j):
         return slice(j * r, (j + 1) * r)
 
-    for e in graph.edges:
-        w = weights.block(e)
+    for e, w in zip(graph.edges, weights):
         u, v = e.u - 1, e.v - 1
         lap[rows(v), cols(u)] -= w
         lap[rows(v), cols(v)] += w
@@ -277,7 +275,7 @@ def loop_matrix_laplacian(graph: NetworkGraph, weights: MatrixWeights) -> np.nda
 
 
 def dense_direct_state_matrix(
-    model: SubsystemModel, graph: NetworkGraph, weights: MatrixWeights
+    model: SubsystemModel, graph: NetworkGraph, weights: np.ndarray
 ) -> np.ndarray:
     """Reference direct route: I kron A - (I kron B) L_m (I kron C).
 
@@ -344,10 +342,10 @@ def reference_parse_edges(entries: list) -> list[Edge]:
     return edges
 
 
-def reference_parse_weights(entries: list, graph: NetworkGraph, shape) -> dict:
+def reference_parse_weights(entries: list, graph: NetworkGraph, shape) -> np.ndarray:
     """Per-entry reference of the "weights" parsing, resolving each entry
-    through Edge.key(): the blocks by edge key, or the ProblemFileError of
-    the first bad entry."""
+    through Edge.key(): the (M, p, r) array of the blocks in edge order, or
+    the ProblemFileError of the first bad entry."""
     p, r = shape
     edges_by_key = {edge.key(): edge for edge in graph.edges}
     by_key: dict[tuple, np.ndarray] = {}
@@ -380,7 +378,7 @@ def reference_parse_weights(entries: list, graph: NetworkGraph, shape) -> dict:
             "weights must cover every edge; missing: "
             + ", ".join(f"({e.u}, {e.v})" for e in missing)
         )
-    return by_key
+    return np.array([by_key[e.key()] for e in graph.edges]).reshape(-1, p, r)
 
 
 def count_calls(monkeypatch, module, name: str) -> list:

@@ -6,6 +6,8 @@ scalar-weight constraint. The library needs none of them to decide or
 certify a verdict, so each is written here once, from what the pipeline
 computes: incidence matrices, sampled weights, the lumped assembly, the
 certificate and ``analyze``. Criterion 04's references live in conftest.
+Criterion 09 also checks the library's fixed modes, decided by PBH ranks,
+against a second method written here: randomized output feedback.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from conftest import driven_selector
 from diffnet.assembly import assemble_lumped, sample_weights
 from diffnet.numerics import (
     DEFAULT_TOL,
+    RandomSource,
     dedupe_eigenvalues,
     eigenvalues,
     numerical_rank,
@@ -102,3 +105,49 @@ def scalar_weight_analysis(model, graph: NetworkGraph, driven: DrivenSet):
     if not reduced.c.any():
         return analyze(model, NetworkGraph(graph.num_vertices), driven)
     return analyze(reduced, graph, driven)
+
+
+def matched_eigenvalues(candidates, pool, tol=DEFAULT_TOL) -> list[complex]:
+    """Candidates, sorted, that find a partner in the pool.
+
+    Greedy nearest matching: each candidate in turn takes the nearest pool
+    value not yet taken, if it lies within eig_match_tol.
+    """
+    remaining = list(np.atleast_1d(np.asarray(pool, dtype=complex)))
+    matched: list[complex] = []
+    for lam in sorted(
+        np.atleast_1d(np.asarray(candidates, dtype=complex)),
+        key=lambda z: (z.real, z.imag),
+    ):
+        if not remaining:
+            break
+        dists = [abs(lam - mu) for mu in remaining]
+        j = int(np.argmin(dists))
+        if dists[j] <= tol.eig_match_tol:
+            remaining.pop(j)
+            matched.append(complex(lam))
+    return matched
+
+
+def spectra_match(left, right, tol=DEFAULT_TOL) -> bool:
+    """Multiset equality of two spectra under greedy nearest matching."""
+    xs = np.atleast_1d(np.asarray(left, dtype=complex))
+    ys = np.atleast_1d(np.asarray(right, dtype=complex))
+    return len(xs) == len(ys) and len(matched_eigenvalues(xs, ys, tol)) == len(xs)
+
+
+def randomized_fixed_modes(
+    model: SubsystemModel, rng: RandomSource, tol=DEFAULT_TOL, draws: int = 4
+) -> list[complex]:
+    """Fixed modes under static output feedback found without PBH ranks:
+    the eigenvalues of A, sorted, that persist in the spectrum of
+    A + B F C for each of ``draws`` feedback matrices F with entries
+    uniform on [-1, 1], drawn from ``rng``. Generic, not exact: a draw can
+    land a moving eigenvalue near a mode by chance."""
+    gen = rng.generator()
+    persistent = list(eigenvalues(model.a))
+    for _ in range(draws):
+        f = gen.uniform(-1.0, 1.0, size=(model.num_inputs, model.num_outputs))
+        perturbed = eigenvalues(model.a + model.b @ f @ model.c)
+        persistent = matched_eigenvalues(persistent, perturbed, tol)
+    return persistent

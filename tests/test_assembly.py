@@ -1,6 +1,7 @@
 """Weighted Laplacians, lumped assembly routes, and the physical chain builder."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -21,19 +22,17 @@ from conftest import (
     random_model,
 )
 from diffnet.assembly import (
-    MatrixWeights,
     _edgewise_state_blocks,
     _laplacian_blocks,
     _require_close,
     assemble_lumped,
-    assemble_lumped_stack,
-    check_weights,
     grounding_shift,
     mass_spring_chain,
     sample_weights,
 )
 from diffnet.errors import ConsistencyError, ModelValidationError
 from diffnet.numerics import RandomSource
+from diffnet.problem_io import parse_problem
 from diffnet.subsystem import SubsystemModel
 from diffnet.topology import (
     DIRECTED,
@@ -54,66 +53,69 @@ def double_integrator() -> SubsystemModel:
     return SubsystemModel([[0.0, 1.0], [0.0, 0.0]], [0.0, 1.0], np.eye(2))
 
 
-def rows(graph: NetworkGraph, values, channels: int | None = None) -> MatrixWeights:
+def rows(graph: NetworkGraph, values, channels: int | None = None) -> np.ndarray:
     """Single-input weights: one 1 x r row per edge, in edge order."""
-    values = [np.atleast_2d(np.asarray(v, dtype=float)) for v in values]
-    r = channels if channels is not None else values[0].shape[1]
-    return MatrixWeights.from_edge_arrays(graph, values, shape=(1, r))
+    values = np.asarray(values, dtype=float)
+    r = channels if channels is not None else values.shape[-1]
+    return values.reshape(graph.num_edges, 1, r)
 
 
-def channel_laplacians(graph: NetworkGraph, weights: MatrixWeights):
+def channel_laplacians(graph: NetworkGraph, weights: np.ndarray):
     """Per-channel N x N Laplacians read off a 1 x r block Laplacian."""
     lap = assembled_laplacian(graph, weights)
-    r = weights.shape[1]
+    r = weights.shape[2]
     return tuple(lap[:, k::r] for k in range(r))
 
 
 class TestWeightContainers:
-    def test_vector_weights_key_lookup_ignores_orientation(self):
-        w = MatrixWeights((1, 2), {Edge(1, 2).key(): [3.0, 4.0]})
-        assert np.array_equal(w.block(Edge(2, 1)), [[3.0, 4.0]])
+    """Edge weights are one (M, p, r) array, block e for edge e."""
 
     def test_vector_weights_length_enforced(self):
+        g = chain_graph(2)
+        with pytest.raises(ValueError, match=r"shape \(1, 1, 2\)"):
+            assemble_lumped(double_integrator(), g, rows(g, [[1.0, 2.0, 3.0]]), DrivenSet())
         with pytest.raises(ValueError):
-            MatrixWeights((1, 2), {Edge(1, 2).key(): [1.0, 2.0, 3.0]})
-        with pytest.raises(ValueError):
-            MatrixWeights((1, 0), {})
-
-    def test_from_edge_arrays_follows_edge_order(self):
-        g = chain_graph(3)
-        w = MatrixWeights.from_edge_arrays(g, [[1.0, 2.0], [3.0, 4.0]])
-        assert w.shape == (1, 2)
-        assert np.array_equal(w.block(Edge(2, 3)), [[3.0, 4.0]])
-        with pytest.raises(ValueError):
-            MatrixWeights.from_edge_arrays(g, [[1.0, 2.0]])
+            sample_weights(g, (1, 0), RandomSource(0))
 
     def test_empty_edge_list_needs_explicit_channels(self):
-        w = MatrixWeights.from_edge_arrays(NetworkGraph(1), [], shape=(1, 2))
-        assert w.shape == (1, 2) and not w.blocks
+        """Edgeless graphs carry (0, p, r) arrays from every source; a bare
+        empty array, which names no channels, is refused."""
+        model, g = double_integrator(), NetworkGraph(1)
+        chain = mass_spring_chain(1, 1.0, springs=(2.0,), dampers=(0.5,))
+        doc = {
+            "subsystem": {"A": model.a.tolist(), "B": model.b.tolist(), "C": model.c.tolist()},
+            "graph": {"N": 1, "edges": []},
+            "driven": [1],
+            "weights": {"edges": []},
+        }
+        for weights in (
+            sample_weights(g, (1, 2), RandomSource(0)),
+            chain.weights,
+            parse_problem(json.dumps(doc)).weights,
+        ):
+            assert weights.shape == (0, 1, 2) and weights.dtype == np.float64
+            lumped = assemble_lumped(model, g, weights, DrivenSet(frozenset({1})))
+            assert np.array_equal(lumped.a_sys, model.a)
+        with pytest.raises(ValueError, match=r"shape \(0, 1, 2\)"):
+            assemble_lumped(model, g, np.array([]), DrivenSet())
 
     def test_matrix_weights_shape_enforced(self):
+        model = SubsystemModel(np.zeros((2, 2)), np.eye(2), np.eye(2))
+        g = chain_graph(2)
+        with pytest.raises(ValueError, match=r"shape \(1, 2, 2\)"):
+            assemble_lumped(model, g, np.ones((1, 1, 2)), DrivenSet())
+        with pytest.raises(ValueError, match=r"shape \(1, 2, 2\)"):
+            assemble_lumped(model, g, np.ones((1, 2, 3)), DrivenSet())
         with pytest.raises(ValueError):
-            MatrixWeights((2, 2), {Edge(1, 2).key(): np.ones((1, 2))})
-        with pytest.raises(ValueError):
-            MatrixWeights((0, 1), {})
+            sample_weights(g, (0, 1), RandomSource(0))
 
-    def test_check_weights_exact_coverage(self):
+    def test_weight_array_must_cover_every_edge_exactly(self):
         g = chain_graph(3)
-        ok = rows(g, [[1.0], [2.0]])
-        check_weights(g, ok)
-        missing = MatrixWeights((1, 1), {Edge(1, 2).key(): [1.0]})
-        with pytest.raises(ValueError, match="missing"):
-            check_weights(g, missing)
-        extra = MatrixWeights(
-            (1, 1),
-            {
-                Edge(1, 2).key(): [1.0],
-                Edge(2, 3).key(): [2.0],
-                Edge(1, 3).key(): [9.0],
-            },
-        )
-        with pytest.raises(ValueError, match="non-edges"):
-            check_weights(g, extra)
+        model = SubsystemModel([[0.0]], [[1.0]], [[1.0]])
+        assemble_lumped(model, g, rows(g, [[1.0], [2.0]]), DrivenSet())
+        for count in (1, 3):
+            with pytest.raises(ValueError, match=r"shape \(2, 1, 1\)"):
+                assemble_lumped(model, g, np.ones((count, 1, 1)), DrivenSet())
 
 
 class TestLaplacians:
@@ -157,13 +159,13 @@ class TestLaplacians:
     def test_matrix_laplacian_blocks(self):
         g = chain_graph(2)
         block = np.array([[1.0, 2.0], [3.0, 4.0]])
-        lap = assembled_laplacian(g, MatrixWeights.from_edge_arrays(g, [block]))
+        lap = assembled_laplacian(g, np.array([block]))
         assert np.array_equal(lap, np.block([[block, -block], [-block, block]]))
 
     def test_matrix_laplacian_directed(self):
         g = NetworkGraph(2, (Edge(1, 2, DIRECTED),))
         block = np.array([[1.0, 2.0], [3.0, 4.0]])
-        lap = assembled_laplacian(g, MatrixWeights.from_edge_arrays(g, [block]))
+        lap = assembled_laplacian(g, np.array([block]))
         zero = np.zeros((2, 2))
         assert np.array_equal(lap, np.block([[zero, zero], [-block, block]]))
 
@@ -245,7 +247,7 @@ class TestMatrixWeightAssembly:
         sys = assemble_lumped(
             model,
             g,
-            MatrixWeights.from_edge_arrays(g, [block]),
+            np.array([block]),
             DrivenSet(frozenset({1, 2})),
         )
         assert np.allclose(sys.a_sys, -np.block([[block, -block], [-block, block]]))
@@ -273,9 +275,7 @@ class TestMatrixWeightAssembly:
         model = SubsystemModel(np.eye(2), np.eye(2), np.eye(2))
         g = chain_graph(2)
         with pytest.raises(ValueError, match="shape"):
-            assemble_lumped(
-                model, g, MatrixWeights.from_edge_arrays(g, [np.ones((1, 2))]), DrivenSet()
-            )
+            assemble_lumped(model, g, np.ones((1, 1, 2)), DrivenSet())
 
     def test_rejects_overflowing_weights(self, monkeypatch):
         judged = count_calls(monkeypatch, diffnet.assembly, "_require_close")
@@ -344,8 +344,7 @@ class TestDirectRoute:
             c = quarters(gen, (r, n))
             c[~c.any(axis=1), 0] = 1.0  # no zero output row
             model = SubsystemModel(quarters(gen, (n, n)), quarters(gen, (n, p)), c)
-            blocks = quarters(gen, (g.num_edges, p, r))
-            weights = MatrixWeights.from_edge_arrays(g, list(blocks), shape=(p, r))
+            weights = quarters(gen, (g.num_edges, p, r))
             driven = random_driven(gen, g.num_vertices)
             lumped = assemble_lumped(model, g, weights, driven)
             reference = dense_direct_state_matrix(model, g, weights)
@@ -384,9 +383,8 @@ class TestDirectRoute:
             blocks = gen.normal(size=(g.num_edges, p, r))
             blocks[gen.random(blocks.shape) < 0.2] = 0.0
             blocks[gen.random(blocks.shape) < 0.2] = -0.0
-            weights = MatrixWeights.from_edge_arrays(g, list(blocks), shape=(p, r))
-            got = assembled_laplacian(g, weights)
-            reference = loop_matrix_laplacian(g, weights)
+            got = assembled_laplacian(g, blocks)
+            reference = loop_matrix_laplacian(g, blocks)
             assert got.shape == reference.shape
             assert np.array_equal(got.view(np.uint64), reference.view(np.uint64))
 
@@ -405,12 +403,6 @@ class TestDirectRoute:
                 rows(g, [[1.0, 0.5], [2.0, 0.3]]),
                 DrivenSet(frozenset({1})),
             )
-
-
-def edge_stack(graph, weights: MatrixWeights) -> np.ndarray:
-    """The weight blocks in edge order as a one-member (1, M, p, r) stack."""
-    blocks = [weights.block(e) for e in graph.edges]
-    return np.array(blocks).reshape(1, len(blocks), *weights.shape)
 
 
 def edgewise_matrix(model, graph, blocks) -> np.ndarray:
@@ -441,7 +433,7 @@ class TestEdgewiseRoute:
             antiparallel += sum((v, u) in directed for u, v in directed)
             model = random_model(gen, int(gen.integers(1, 4)), r, num_inputs=p)
             weights = sample_weights(g, (p, r), RandomSource(int(gen.integers(1 << 30))))
-            rows, cols, terms = _edgewise_state_blocks(model, g, edge_stack(g, weights))
+            rows, cols, terms = _edgewise_state_blocks(model, g, weights[None])
             edge_route = edgewise_matrix(model, g, (rows, cols, terms[0]))
             reference = dense_edgewise_state_matrix(model, g, weights)
             scale = max(1.0, float(np.max(np.abs(reference))))
@@ -479,11 +471,11 @@ class TestStackedAssembly:
             model = SubsystemModel(quarters(gen, (n, n)), quarters(gen, (n, p)), c)
             blocks = quarters(gen, (3, g.num_edges, p, r))
             driven = random_driven(gen, g.num_vertices)
-            stack = assemble_lumped_stack(model, g, blocks, driven)
+            stack = assemble_lumped(model, g, blocks, driven)
             assert stack.a_sys.shape == (3, g.num_vertices * n, g.num_vertices * n)
             for member, a_sys in zip(blocks, stack.a_sys):
-                weights = MatrixWeights.from_edge_arrays(g, list(member), shape=(p, r))
-                alone = assemble_lumped(model, g, weights, driven)
+                alone = assemble_lumped(model, g, member, driven)
+                assert alone.a_sys.shape == a_sys.shape
                 bits = alone.a_sys.view(np.uint64)
                 assert np.array_equal(a_sys.view(np.uint64), bits)
                 assert np.array_equal(stack.b_sys, alone.b_sys)
@@ -502,16 +494,16 @@ class TestStackedAssembly:
             _require_close(name, first, second, rtol)
 
         g = NetworkGraph(3, (Edge(1, 2, DIRECTED), Edge(2, 3)))
-        blocks = np.stack([rows(g, [[1.0, 0.5], [2.0, 0.3]]).block(e) for e in g.edges])
+        blocks = rows(g, [[1.0, 0.5], [2.0, 0.3]])
         stack = np.stack([blocks, 2.0 * blocks, 3.0 * blocks])
         monkeypatch.setattr(diffnet.assembly, "_require_close", capture)
         driven = DrivenSet(frozenset({1}))
-        assemble_lumped_stack(double_integrator(), g, stack, driven)
+        assemble_lumped(double_integrator(), g, stack, driven)
         assert len(judged) == 3  # one judgement per member
         monkeypatch.setattr(diffnet.assembly, "_edgewise_state_blocks", planted)
         judged.clear()
         with pytest.raises(ConsistencyError, match="disagree"):
-            assemble_lumped_stack(double_integrator(), g, stack, driven)
+            assemble_lumped(double_integrator(), g, stack, driven)
         assert len(judged) == 2  # member 0 passes, member 1 fails
 
     def test_one_overflowing_member_refuses_the_stack(self, monkeypatch):
@@ -520,7 +512,7 @@ class TestStackedAssembly:
         stack[1] = 1e308  # member 1's block at vertex 2 leaves the float range
         judged = count_calls(monkeypatch, diffnet.assembly, "_require_close")
         with pytest.raises(ValueError, match="overflows the float range"):
-            assemble_lumped_stack(
+            assemble_lumped(
                 double_integrator(), g, stack, DrivenSet(frozenset({1}))
             )
         assert judged == []
@@ -530,21 +522,27 @@ class TestStackedAssembly:
         gen = np.random.default_rng(5)
         blocks = quarters(gen, (2, g.num_edges, 1, 2))
         driven = DrivenSet(frozenset({1}))
-        fresh = assemble_lumped_stack(model, g, blocks, driven)
+        fresh = assemble_lumped(model, g, blocks, driven)
         buffer = np.full((4, 6, 6), np.nan)
-        stack = assemble_lumped_stack(model, g, blocks, driven, out=buffer[:2])
+        stack = assemble_lumped(model, g, blocks, driven, out=buffer[:2])
         assert np.shares_memory(stack.a_sys, buffer)
         assert np.array_equal(buffer[:2].view(np.uint64), fresh.a_sys.view(np.uint64))
         assert np.isnan(buffer[2:]).all()
         for bad in (np.empty((3, 6, 6)), np.empty((2, 6, 6), np.float32), buffer[:, :, :2].T):
             with pytest.raises(ValueError, match="C-contiguous float64"):
-                assemble_lumped_stack(model, g, blocks, driven, out=bad)
+                assemble_lumped(model, g, blocks, driven, out=bad)
+        # one draw: out has the single state matrix's shape
+        single = assemble_lumped(model, g, blocks[1], driven, out=buffer[3])
+        assert np.shares_memory(single.a_sys, buffer) and single.a_sys.shape == (6, 6)
+        assert np.array_equal(buffer[3], fresh.a_sys[1])
+        with pytest.raises(ValueError, match=r"shape \(6, 6\)"):
+            assemble_lumped(model, g, blocks[1], driven, out=buffer[2:3])
 
     def test_rejects_a_stack_of_the_wrong_shape(self):
         g = chain_graph(3)
-        for shape in ((2, 1, 2), (2, 3, 1, 2)):
+        for shape in ((2, 3, 1, 2), (2, 2, 2, 2), (2, 2, 1, 3), (1, 2, 2, 1, 2), (2, 2)):
             with pytest.raises(ValueError, match="stack of weight blocks"):
-                assemble_lumped_stack(
+                assemble_lumped(
                     double_integrator(), g, np.ones(shape), DrivenSet(frozenset({1}))
                 )
 
@@ -576,18 +574,15 @@ class TestSampledWeights:
         first = sample_weights(g, (1, 2), RandomSource(7))
         second = sample_weights(g, (1, 2), RandomSource(7))
         other = sample_weights(g, (1, 2), RandomSource(8))
-        for e in g.edges:
-            assert np.array_equal(first.block(e), second.block(e))
-        assert any(
-            not np.array_equal(first.block(e), other.block(e)) for e in g.edges
-        )
+        assert first.shape == (g.num_edges, 1, 2)
+        assert np.array_equal(first, second)
+        assert any(not np.array_equal(f, o) for f, o in zip(first, other))
 
     def test_entries_bounded_away_from_zero(self):
         g = chain_graph(5)
         w = sample_weights(g, (2, 3), RandomSource(3))
-        for e in g.edges:
-            mags = np.abs(w.block(e))
-            assert np.all(mags >= 0.1 - 1e-12) and np.all(mags <= 1.0 + 1e-12)
+        mags = np.abs(w)
+        assert np.all(mags >= 0.1 - 1e-12) and np.all(mags <= 1.0 + 1e-12)
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
@@ -601,9 +596,9 @@ class TestSampledWeights:
             rng = RandomSource(int(gen.integers(0, 2**31))).derive(case)
             got = sample_weights(g, shape, rng)
             want = loop_sample_weights(g, shape, rng)
-            assert got.shape == shape
-            for e, block in zip(g.edges, want):
-                assert got.block(e).view(np.uint64).tolist() == block.view(np.uint64).tolist()
+            assert got.shape == (g.num_edges, *shape)
+            for drawn, block in zip(got, want):
+                assert drawn.view(np.uint64).tolist() == block.view(np.uint64).tolist()
 
 
 class TestMassSpringChain:
@@ -615,8 +610,7 @@ class TestMassSpringChain:
             Edge(2, 3).key(),
         ]
         # edge {i, i+1} carries [k_{i+1}/m, mu_{i+1}/m]; k_1, mu_1 belong to the wall
-        assert np.allclose(chain.weights.block(Edge(1, 2)), [[1.0, 2.5]])
-        assert np.allclose(chain.weights.block(Edge(2, 3)), [[1.5, 3.0]])
+        assert np.array_equal(chain.weights, [[[1.0, 2.5]], [[1.5, 3.0]]])
         assert chain.wall_stiffness_over_mass == 0.5
         assert chain.wall_damping_over_mass == 2.0
         assert chain.input_gain == 0.5

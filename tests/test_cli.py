@@ -23,7 +23,6 @@ from conftest import (
 )
 import diffnet.verdict
 from diffnet import cli, problem_io
-from diffnet.assembly import MatrixWeights
 from diffnet.cli import main
 from diffnet.errors import ConsistencyError, ProblemFileError
 from diffnet.problem_io import (
@@ -358,6 +357,16 @@ class TestLump:
         assert np.allclose(doc["a_sys"], expected)
         assert doc["weights"]["edges"][0]["W"] == [[2.0, 0.5]]
 
+    def test_edgeless_graph_lumps_with_sampled_and_file_weights(self, problem_file, capsys):
+        for weights in (None, {"edges": []}):
+            path = problem_file(chain_problem(n=1, weights=weights))
+            code, out, _ = run(capsys, ["lump", path])
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["sampled"] is (weights is None)
+            assert doc["a_sys"] == [[0.0, 1.0], [0.0, 0.0]]
+            assert doc["weights"] == {"edges": []}
+
     def test_grounding_adds_exactly_the_wall_coupling(self, problem_file, capsys):
         weights = {"edges": [{"u": 1, "v": 2, "W": [[1.0, 1.0]]}]}
         options = {"wall": {"stiffness_over_mass": 3.0, "damping_over_mass": 0.25}}
@@ -402,9 +411,8 @@ class TestLump:
             )
             picked = gen.random(values.shape) < 0.3
             values[picked] = gen.choice(special, size=int(picked.sum()))
-            weights = MatrixWeights.from_edge_arrays(g, list(values), shape=shape)
-            assert cli._weights_member(g, weights).text == problem_io._ENCODER.encode(
-                problem_io.weights_to_json(g, weights)
+            assert cli._weights_member(g, values).text == problem_io._ENCODER.encode(
+                problem_io.weights_to_json(g, values)
             )
 
     def test_grounding_without_wall_options_fails(self, problem_file, capsys):
@@ -500,8 +508,8 @@ class TestGroundedCertification:
         options = {"wall": {"stiffness_over_mass": 1.0, "damping_over_mass": 0.5}}
         path = problem_file(chain_problem(n=4, options=options))
         draws, stacks = [], []
-        sample = diffnet.verdict.sample_away_from_zero
-        assemble = diffnet.verdict.assemble_lumped_stack
+        sample = diffnet.verdict.sample_weights
+        assemble = diffnet.verdict.assemble_lumped
 
         def drawing(*args, **kwargs):
             draws.append(args)
@@ -511,8 +519,8 @@ class TestGroundedCertification:
             stacks.append(len(blocks))
             return assemble(model, graph, blocks, driven, **kwargs)
 
-        monkeypatch.setattr(diffnet.verdict, "sample_away_from_zero", drawing)
-        monkeypatch.setattr(diffnet.verdict, "assemble_lumped_stack", assembling)
+        monkeypatch.setattr(diffnet.verdict, "sample_weights", drawing)
+        monkeypatch.setattr(diffnet.verdict, "assemble_lumped", assembling)
         code, out, _ = run(
             capsys, ["certify", path, "--trials", "3", "--ground-first-mass"]
         )
@@ -529,7 +537,7 @@ class TestGroundedCertification:
         def refuse(*args, **kwargs):
             raise AssertionError("assembled before the wall was checked")
 
-        monkeypatch.setattr(diffnet.verdict, "assemble_lumped_stack", refuse)
+        monkeypatch.setattr(diffnet.verdict, "assemble_lumped", refuse)
         path = problem_file(chain_problem())
         code, out, err = run(capsys, ["certify", path, "--ground-first-mass"])
         assert code == 64
@@ -869,9 +877,7 @@ class TestProblemParsing:
     def test_weight_order_is_free_for_undirected_edges(self):
         weights = {"edges": [{"u": 2, "v": 1, "W": [[1.0, 2.0]]}]}
         problem = self.parse(chain_problem(n=2, weights=weights))
-        from diffnet.topology import Edge
-
-        assert np.array_equal(problem.weights.block(Edge(1, 2)), [[1.0, 2.0]])
+        assert np.array_equal(problem.weights, [[[1.0, 2.0]]])
 
     def test_antiparallel_directed_edges_match_by_direction(self):
         doc = chain_problem(n=2)
@@ -886,10 +892,7 @@ class TestProblemParsing:
             ]
         }
         problem = self.parse(doc)
-        from diffnet.topology import DIRECTED, Edge
-
-        assert np.array_equal(problem.weights.block(Edge(1, 2, DIRECTED)), [[1.0, 0.0]])
-        assert np.array_equal(problem.weights.block(Edge(2, 1, DIRECTED)), [[0.0, 2.0]])
+        assert np.array_equal(problem.weights, [[[1.0, 0.0]], [[0.0, 2.0]]])
 
     def test_weights_match_undirected_reversed_and_directed_as_given(self):
         doc = chain_problem(n=3)
@@ -904,10 +907,7 @@ class TestProblemParsing:
             ]
         }
         problem = self.parse(doc)
-        from diffnet.topology import DIRECTED, Edge
-
-        assert np.array_equal(problem.weights.block(Edge(1, 2)), [[1.0, 2.0]])
-        assert np.array_equal(problem.weights.block(Edge(2, 3, DIRECTED)), [[3.0, 4.0]])
+        assert np.array_equal(problem.weights, [[[1.0, 2.0]], [[3.0, 4.0]]])
         doc["weights"]["edges"][1].update(u=3, v=2)
         self.expect_error(doc, "references no edge between 3 and 2")
 
@@ -920,10 +920,9 @@ class TestProblemParsing:
         }
         doc["weights"] = {"edges": [{"u": 1, "v": 2, "W": [[1.0, 2.0], [3.0, 4.0]]}]}
         problem = self.parse(doc)
-        from diffnet.assembly import MatrixWeights
-
-        assert isinstance(problem.weights, MatrixWeights)
-        assert problem.weights.shape == (2, 2)
+        assert isinstance(problem.weights, np.ndarray)
+        assert problem.weights.dtype == np.float64
+        assert np.array_equal(problem.weights, [[[1.0, 2.0], [3.0, 4.0]]])
 
     def test_weight_rejections(self):
         base = chain_problem(n=2)
@@ -1078,10 +1077,8 @@ class TestProblemParsing:
             want = outcome(reference_parse_weights, entries, graph, (p, r))
             if want[0] == "ok":
                 assert got[0] == "ok", got
-                assert got[1].shape == (p, r)
-                assert set(got[1].blocks) == set(want[1])
-                for key, block in want[1].items():
-                    assert np.array_equal(got[1].blocks[key], block)
+                assert got[1].shape == want[1].shape == (graph.num_edges, p, r)
+                assert np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
                 seen.add("ok")
             else:
                 assert got == want
@@ -1315,6 +1312,7 @@ class TestPackaging:
         import diffnet.errors
         import diffnet.numerics
         import diffnet.problem_io
+        import diffnet.subsystem
         import diffnet.topology
         import diffnet.verdict
 
@@ -1328,7 +1326,6 @@ class TestPackaging:
             "Edge",
             "LumpedSystem",
             "MassSpringChain",
-            "MatrixWeights",
             "ModelValidationError",
             "NetworkGraph",
             "NumericError",
@@ -1340,7 +1337,6 @@ class TestPackaging:
             "Verdict",
             "analyze",
             "assemble_lumped",
-            "assemble_lumped_stack",
             "certify_monte_carlo",
             "fixed_modes",
             "grounding_shift",
@@ -1378,8 +1374,19 @@ class TestPackaging:
                 "matrix_laplacian",
                 "FactorizationReport",
                 "factorized_assembly_check",
+                "MatrixWeights",
+                "check_weights",
+                "_edge_blocks",
+                "assemble_lumped_stack",
             ),
-            diffnet.numerics: ("kron", "generic_rank", "DEFAULT_GENERIC_RANK_TRIALS"),
+            diffnet.subsystem: ("FixedModeReport", "DEFAULT_FEEDBACK_DRAWS"),
+            diffnet.numerics: (
+                "kron",
+                "generic_rank",
+                "DEFAULT_GENERIC_RANK_TRIALS",
+                "matched_eigenvalues",
+                "spectra_match",
+            ),
             diffnet.errors: ("PremiseError",),
             diffnet.problem_io: ("analysis_from_json",),
         }
@@ -1388,6 +1395,9 @@ class TestPackaging:
                 assert not hasattr(module, name), (module.__name__, name)
                 assert not hasattr(diffnet, name), name
         assert not hasattr(diffnet.DrivenSet, "delta")
+        assert not hasattr(diffnet.NetworkGraph, "edge_keys")
+        assert list(inspect.signature(diffnet.fixed_modes).parameters) == ["model", "tol"]
+        assert "rng" not in inspect.signature(diffnet.analyze).parameters
         assert not hasattr(diffnet.topology.SpanningForest, "ok")
         for fn in (
             diffnet.certify_monte_carlo,

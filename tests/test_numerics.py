@@ -10,6 +10,7 @@ from conftest import (
     commutation_permutation,
     loop_sample_away_from_zero,
 )
+from lemmas import matched_eigenvalues, spectra_match
 from diffnet import numerics
 from diffnet.assembly import mass_spring_chain
 from diffnet.errors import NumericError
@@ -21,13 +22,11 @@ from diffnet.numerics import (
     controllable_dimension,
     dedupe_eigenvalues,
     eigenvalues,
-    matched_eigenvalues,
     numerical_rank,
     pbh_controllable,
     pbh_eigen_checks,
     pbh_observable,
     sample_away_from_zero,
-    spectra_match,
 )
 from diffnet.topology import DrivenSet
 from diffnet.verdict import certify_monte_carlo
@@ -399,6 +398,31 @@ class TestNormBracket:
         assert controllable_dimension(a, b) == 2
         assert [shape for shape, uv in shapes if not uv].count((3, 3)) == 1
         assert exact_norm_dimension(a, b) == 2
+
+    def test_zero_state_matrix_takes_no_svd_of_its_own(self, monkeypatch):
+        """An exactly zero A has the exact bracket (0, 0): with b = [[1]]
+        the call takes the SVD of b for ||B||_2 and one of its Krylov
+        block, as for any other 1 x 1 A, and none of A."""
+        shapes = svd_shapes(monkeypatch)
+        for a in (0.0, 0.5):
+            shapes.clear()
+            assert controllable_dimension([[a]], [[1.0]]) == 1
+            assert len(shapes) == 2
+
+    def test_squares_that_underflow_do_not_make_a_matrix_zero(self):
+        """Entries of 1e-300 or 1e-200 square to 0.0, yet the matrix is not
+        zero: its bracket says nothing and the dimension is the exact
+        norm's. With ||A||_2 far above ||B||_2 that dimension is 0, where
+        a zero A would keep B's columns."""
+        gen = RandomSource(32).generator()
+        a0, b0 = planted_kalman_form(gen, 4, 3)
+        a = np.stack([np.zeros((4, 4)), 1e-300 * a0, 1e-200 * a0])
+        b = np.stack([b0, 1e-300 * b0, 1e-215 * b0])
+        low, high = numerics._norm_bracket(a)
+        assert low.tolist() == [0.0] * 3 and high.tolist() == [0.0, np.inf, np.inf]
+        dims = controllable_dimension(a, b)
+        assert dims.tolist() == exact_norm_dimension(a, b).tolist() == [2, 3, 0]
+        assert controllable_dimension(np.zeros((4, 4)), b[2]) == 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_members_raise(self, bad):

@@ -14,7 +14,6 @@ from conftest import (
     random_graph,
     reference_graph_check,
 )
-from diffnet.assembly import MatrixWeights
 from diffnet.topology import (
     DIRECTED,
     UNDIRECTED,
@@ -74,7 +73,6 @@ class TestGraphValidation:
                 assert (g.start + 1).tolist() == [e.oriented()[0] for e in edges]
                 assert (g.end + 1).tolist() == [e.oriented()[1] for e in edges]
                 assert g.directed.tolist() == [e.kind == DIRECTED for e in edges]
-                assert g.edge_keys() == [e.key() for e in edges]
                 assert g.influence_neighbors() == loop_influence_neighbors(g)
                 assert g.has_directed_edges() == any(g.directed)
                 seen.add("ok")
@@ -236,9 +234,7 @@ class TestIncidence:
             if g.num_edges == 0:
                 continue
             w = gen.uniform(0.5, 2.0, size=g.num_edges)
-            lap = assembled_laplacian(
-                g, MatrixWeights.from_edge_arrays(g, w[:, None, None], shape=(1, 1))
-            )
+            lap = assembled_laplacian(g, w[:, None, None])
             assert np.allclose(lap, lap.T)
             assert np.max(np.abs(lap.sum(axis=1))) < 1e-12
             for idx, e in enumerate(g.edges):
@@ -253,9 +249,8 @@ class TestIncidence:
 
     def test_weight_count_mismatch_rejected(self):
         g = NetworkGraph(2, (Edge(1, 2),))
-        extra = {Edge(1, 2).key(): [[1.0]], Edge(2, 1, DIRECTED).key(): [[2.0]]}
         with pytest.raises(ValueError):
-            assembled_laplacian(g, MatrixWeights((1, 1), extra))
+            assembled_laplacian(g, np.array([[[1.0]], [[2.0]]]))
 
 
 class TestAuxDigraph:

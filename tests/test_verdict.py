@@ -15,7 +15,6 @@ from conftest import (
     verdict_bool,
 )
 from diffnet.assembly import (
-    MatrixWeights,
     assemble_lumped,
     grounding_shift,
     mass_spring_chain,
@@ -253,7 +252,7 @@ class TestCertification:
             calls.append(args)
             raise AssertionError("assembled before the shift was checked")
 
-        monkeypatch.setattr(diffnet.verdict, "assemble_lumped_stack", count)
+        monkeypatch.setattr(diffnet.verdict, "assemble_lumped", count)
         with pytest.raises(ValueError, match="shift"):
             certify_monte_carlo(
                 double_integrator(),
@@ -309,13 +308,13 @@ class TestStackedTrials:
         rng.derive(t); all trials are assembled in one stack, and each
         result is the one its own assembled pair gives."""
         stacks = []
-        real = diffnet.verdict.assemble_lumped_stack
+        real = diffnet.verdict.assemble_lumped
 
         def capture(model, graph, blocks, driven, **kwargs):
             stacks.append(blocks)
             return real(model, graph, blocks, driven, **kwargs)
 
-        monkeypatch.setattr(diffnet.verdict, "assemble_lumped_stack", capture)
+        monkeypatch.setattr(diffnet.verdict, "assemble_lumped", capture)
         for seed in range(12):
             model, graph, driven = mixed_instance(seed)
             rng = RandomSource(seed)
@@ -325,8 +324,7 @@ class TestStackedTrials:
             shape = (model.num_inputs, model.num_outputs)
             for t, trial in enumerate(cert.per_trial):
                 weights = sample_weights(graph, shape, rng.derive(t))
-                drawn = [weights.block(e) for e in graph.edges]
-                assert np.array_equal(blocks[t], np.reshape(drawn, blocks[t].shape))
+                assert np.array_equal(blocks[t], weights)
                 lumped = assemble_lumped(model, graph, weights, driven)
                 dim = controllable_dimension(lumped.a_sys, lumped.b_sys)
                 n_states = lumped.a_sys.shape[0]
@@ -345,14 +343,14 @@ class TestStackedTrials:
             certify_monte_carlo(model, graph, driven, trials=4, rng=rng, a_shift=shift)
             for shift in shifts
         ]
-        real = diffnet.verdict.assemble_lumped_stack
+        real = diffnet.verdict.assemble_lumped
 
         def poison_member_2(model, graph, blocks, driven, **kwargs):
             lumped = real(model, graph, blocks, driven, **kwargs)
             lumped.a_sys[2, 0, 0] = np.nan
             return lumped
 
-        monkeypatch.setattr(diffnet.verdict, "assemble_lumped_stack", poison_member_2)
+        monkeypatch.setattr(diffnet.verdict, "assemble_lumped", poison_member_2)
         for shift, clean in zip(shifts, cleans):
             cert = certify_monte_carlo(
                 model, graph, driven, trials=4, rng=rng, a_shift=shift
@@ -382,13 +380,13 @@ class TestStackedTrials:
             for shift in shifts
         ]
         sizes = []
-        real = diffnet.verdict.assemble_lumped_stack
+        real = diffnet.verdict.assemble_lumped
 
         def count(model, graph, blocks, driven, **kwargs):
             sizes.append(len(blocks))
             return real(model, graph, blocks, driven, **kwargs)
 
-        monkeypatch.setattr(diffnet.verdict, "assemble_lumped_stack", count)
+        monkeypatch.setattr(diffnet.verdict, "assemble_lumped", count)
         for halves, shift, whole in zip((1, 2), shifts, wholes):
             # room for the state matrices of two 6-state trials per stack,
             # each tested plain and, with a shift, shifted too
@@ -408,13 +406,13 @@ class TestStackedTrials:
         in one stack; each plain trial is the one its pair (A_t, B) gives and
         each grounded trial the one (A_t + S, B) gives."""
         stacks = []
-        real = diffnet.verdict.assemble_lumped_stack
+        real = diffnet.verdict.assemble_lumped
 
         def capture(model, graph, blocks, driven, **kwargs):
             stacks.append(blocks)
             return real(model, graph, blocks, driven, **kwargs)
 
-        monkeypatch.setattr(diffnet.verdict, "assemble_lumped_stack", capture)
+        monkeypatch.setattr(diffnet.verdict, "assemble_lumped", capture)
         if case == "chain":
             model, graph, driven, shift = chain_with_wall(6)
             seed = 31
@@ -532,11 +530,9 @@ class TestScalarConstraint:
         model = double_integrator(c=[[1.0, 0.5], [0.2, 2.0]])
         g = chain_graph(3)
         scalars = [1.7, 0.6]
-        full = MatrixWeights.from_edge_arrays(
-            g, [[[s, s]] for s in scalars], shape=(1, 2)
-        )
+        full = np.array([[[s, s]] for s in scalars])
         reduced = summed_row_model(model)
-        collapsed = MatrixWeights.from_edge_arrays(g, [[[s]] for s in scalars], shape=(1, 1))
+        collapsed = np.array([[[s]] for s in scalars])
         lhs = assemble_lumped(model, g, full, first_driven())
         rhs = assemble_lumped(reduced, g, collapsed, first_driven())
         assert np.allclose(lhs.a_sys, rhs.a_sys)

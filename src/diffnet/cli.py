@@ -12,6 +12,9 @@ command's function is looked up by name when it runs, ``DIFFNET_SEED`` is
 read when a seed is resolved and ``COLUMNS`` when help is formatted.
 Importing the module builds no parser. ``build_parser`` returns a fresh one.
 
+A command resolves a seed only when it draws from it (``certify``, and
+``lump`` without file weights) or writes it for a later draw (``example``).
+
 Exit codes: 0 structurally controllable (or success for non-verdict
 commands), 1 not structurally controllable, 2 inconclusive, 3
 certification disagrees with the verdict, 64 input error, 70 internal
@@ -254,24 +257,19 @@ def _analysis_text(report: AnalysisReport) -> str:
     return "\n".join(lines)
 
 
-def _report_options(seed: int, tol: ToleranceConfig, **extra) -> dict:
-    opts = {
-        "seed": seed,
+def _report_options(tol: ToleranceConfig, **extra) -> dict:
+    return {
         "rank_rel_tol": tol.rank_rel_tol,
         "eig_match_tol": tol.eig_match_tol,
+        **extra,
     }
-    opts.update(extra)
-    return opts
 
 
 def cmd_analyze(args) -> int:
     problem, digest = load_problem(args.path)
     tol = _resolve_tol(args.tol, problem.options)
-    seed = _resolve_seed(args.seed, problem.options)
     report = analyze(problem.model, problem.graph, problem.driven, tol)
-    doc = report_document(
-        report, __version__, digest, _report_options(seed, tol)
-    )
+    doc = report_document(report, __version__, digest, _report_options(tol))
     _emit(args, doc, lambda: _analysis_text(report))
     return _VERDICT_EXIT[report.verdict]
 
@@ -295,14 +293,10 @@ def cmd_certify(args) -> int:
         analysis=analysis,
     )
     report = analysis.with_certification(cert)
-    doc = report_document(
-        report,
-        __version__,
-        digest,
-        _report_options(
-            seed, tol, trials=trials, ground_first_mass=bool(args.ground_first_mass)
-        ),
+    options = _report_options(
+        tol, seed=seed, trials=trials, ground_first_mass=bool(args.ground_first_mass)
     )
+    doc = report_document(report, __version__, digest, options)
     # the theorem engine addresses the diffusive network itself, so agreement
     # is judged on the unshifted trials; the grounded ones are reported beside
     if cert.grounded is not None:
@@ -544,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="graph-theoretic verdict for a problem file")
     p.add_argument("path", help="problem file (JSON)")
-    _add_io_flags(p, with_tol=True)
+    _add_io_flags(p, with_seed=False, with_tol=True)
 
     p = sub.add_parser(
         "certify", help="Monte Carlo controllability certification beside the verdict"

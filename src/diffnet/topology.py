@@ -44,7 +44,7 @@ _MAX_VERTICES = int(np.iinfo(np.int64).max)
 
 def _id_column(ids: tuple, num_vertices: int) -> np.ndarray:
     """int64 column of vertex ids, 0 wherever an id is not an int in
-    1..num_vertices."""
+    1..num_vertices (a bool, a numpy integer or a float is not)."""
     if {*map(type, ids)} <= {int}:
         try:
             col = np.array(ids, dtype=np.int64)
@@ -54,7 +54,7 @@ def _id_column(ids: tuple, num_vertices: int) -> np.ndarray:
             col[(col < 1) | (col > num_vertices)] = 0
             return col
     return np.array(
-        [i if isinstance(i, int) and 1 <= i <= num_vertices else 0 for i in ids],
+        [i if type(i) is int and 1 <= i <= num_vertices else 0 for i in ids],
         dtype=np.int64,
     )
 
@@ -80,19 +80,19 @@ def _shared_pair_defects(start: np.ndarray, end: np.ndarray, directed: np.ndarra
 
 
 def _edge_error(edges: tuple, i: int, num_vertices: int) -> ValueError:
-    """The error for edge i, the first invalid edge, checked in order:
-    kind, vertex range, self-loop, duplicate, shared pair."""
-    e = edges[i]
+    """The error for edge i, the first invalid edge, checked in order: kind,
+    vertex id (an int in range), self-loop, duplicate, shared pair."""
+    e = Edge(*edges[i])  # an entry may be a plain (u, v, kind) tuple
     if e.kind not in (UNDIRECTED, DIRECTED):
         return ValueError(f"unknown edge kind {e.kind!r}")
     for vid in (e.u, e.v):
-        if not isinstance(vid, int) or not 1 <= vid <= num_vertices:
+        if type(vid) is not int or not 1 <= vid <= num_vertices:
             return ValueError(
-                f"edge ({e.u}, {e.v}) references a vertex outside 1..{num_vertices}"
+                f"edge ({e.u!r}, {e.v!r}) references a vertex outside 1..{num_vertices}"
             )
     if e.u == e.v:
         return ValueError(f"self-loop at vertex {e.u} is not allowed")
-    if e.key() in {f.key() for f in edges[:i]}:
+    if e.key() in {Edge(*f).key() for f in edges[:i]}:
         return ValueError(f"duplicate edge between {e.u} and {e.v}")
     pair = (e.u, e.v) if e.u < e.v else (e.v, e.u)
     # one weight per vertex pair: an undirected edge may not share its
@@ -172,7 +172,12 @@ class DrivenSet:
     driven: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
-        vals = frozenset(int(i) for i in self.driven)
+        vals = frozenset(self.driven)
+        if not {*map(type, vals)} <= {int}:  # numpy integers are taken as ints
+            bad = [i for i in vals if isinstance(i, bool) or not isinstance(i, (int, np.integer))]
+            if bad:
+                raise ValueError(f"driven vertex ids must be integers, got {bad[0]!r}")
+            vals = frozenset(map(int, vals))
         if any(i < 1 for i in vals):
             raise ValueError("driven vertex ids must be positive")
         object.__setattr__(self, "driven", vals)

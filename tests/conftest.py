@@ -290,8 +290,8 @@ def dense_direct_state_matrix(
 
 def reference_graph_check(num_vertices, edges) -> None:
     """Per-edge reference of NetworkGraph's checks: raises the ValueError of
-    the first invalid edge, checking its kind, vertex range, self-loop,
-    duplicate key and shared pair in that order."""
+    the first invalid edge, checking its kind, vertex id (an int in range),
+    self-loop, duplicate key and shared pair in that order."""
     if not isinstance(num_vertices, int) or num_vertices < 1:
         raise ValueError(f"graph needs a positive vertex count, got {num_vertices}")
     seen_keys: set[tuple] = set()
@@ -300,9 +300,9 @@ def reference_graph_check(num_vertices, edges) -> None:
         if e.kind not in (UNDIRECTED, DIRECTED):
             raise ValueError(f"unknown edge kind {e.kind!r}")
         for vid in (e.u, e.v):
-            if not isinstance(vid, int) or not 1 <= vid <= num_vertices:
+            if type(vid) is not int or not 1 <= vid <= num_vertices:
                 raise ValueError(
-                    f"edge ({e.u}, {e.v}) references a vertex outside 1..{num_vertices}"
+                    f"edge ({e.u!r}, {e.v!r}) references a vertex outside 1..{num_vertices}"
                 )
         if e.u == e.v:
             raise ValueError(f"self-loop at vertex {e.u} is not allowed")

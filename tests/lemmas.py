@@ -8,6 +8,11 @@ computes: incidence matrices, sampled weights, the lumped assembly, the
 certificate and ``analyze``. Criterion 04's references live in conftest.
 Criterion 09 also checks the library's fixed modes, decided by PBH ranks,
 against a second method written here: randomized output feedback.
+
+The exact oracle at the end decides controllability of integer pairs by
+the rank of the block Krylov matrix over GF(2^61 - 1), with Python ints:
+at the node, and on networks assembled by the library from integer edge
+weights.
 """
 
 from __future__ import annotations
@@ -151,3 +156,62 @@ def randomized_fixed_modes(
         perturbed = eigenvalues(model.a + model.b @ f @ model.c)
         persistent = matched_eigenvalues(persistent, perturbed, tol)
     return persistent
+
+
+#: the Mersenne prime 2^61 - 1: the exact ranks are taken modulo it
+PRIME = (1 << 61) - 1
+
+#: integer edge weights are drawn with magnitudes in [1, WEIGHT_BOUND)
+WEIGHT_BOUND = 1 << 20
+
+
+def reachable_dimension(a, b) -> int:
+    """Rank over GF(PRIME) of the block Krylov matrix [B, AB, A^2 B, ...]
+    of an integer pair: the span grows one vector at a time, each new
+    vector reduced against the basis and, if it survives, its image under
+    A queued. The entries must be integers below 2^52 in magnitude, so
+    that their doubles are exact.
+
+    A full rank mod PRIME proves full rank over the rationals. A deficit
+    proves a deficit too when every minor of the Krylov matrix is below
+    PRIME in magnitude, as for the small nodes of the tests."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    for m in (a, b):
+        assert np.array_equal(m, np.round(m)), "the exact rank needs integer entries"
+        assert np.abs(m).max(initial=0.0) < 2.0**52, "entries must be below 2^52"
+    rows = [[int(x) % PRIME for x in row] for row in a.tolist()]
+    queue = [[int(x) % PRIME for x in col] for col in b.T.tolist()]
+    basis: list[tuple[int, list[int]]] = []  # (pivot, vector with 1 there)
+    while queue:
+        v = queue.pop()
+        for pivot, w in basis:  # w is 0 at the pivots of earlier vectors
+            if v[pivot]:
+                f = v[pivot]
+                v = [(x - f * y) % PRIME for x, y in zip(v, w)]
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is None:
+            continue
+        inverse = pow(v[pivot], -1, PRIME)
+        v = [x * inverse % PRIME for x in v]
+        basis.append((pivot, v))
+        queue.append([sum(x * y for x, y in zip(row, v)) % PRIME for row in rows])
+    return len(basis)
+
+
+def node_ranks(model: SubsystemModel) -> tuple[int, int]:
+    """Exact Kalman ranks of (A, B) and of (A, C), the latter as the rank
+    of its dual pair (A^T, C^T), for a node with integer entries."""
+    return reachable_dimension(model.a, model.b), reachable_dimension(model.a.T, model.c.T)
+
+
+def network_reachable_dimension(model, graph, driven, gen: np.random.Generator) -> int:
+    """Exact reachable dimension of the lumped pair at one draw of integer
+    edge weights with magnitudes in [1, WEIGHT_BOUND) and random signs,
+    assembled by ``assemble_lumped``. A full rank proves the network
+    controllable; a deficit is evidence, wrong with probability at most
+    deg / (2 WEIGHT_BOUND) for the degree deg of the Krylov determinant in
+    the weights."""
+    shape = (graph.num_edges, model.num_inputs, model.num_outputs)
+    weights = gen.integers(1, WEIGHT_BOUND, size=shape) * gen.choice([-1, 1], size=shape)
+    lumped = assemble_lumped(model, graph, weights.astype(float), driven)
+    return reachable_dimension(lumped.a_sys, lumped.b_sys)

@@ -217,9 +217,23 @@ class TestExitCodes:
 
     def test_bad_env_seed_exits_sixtyfour(self, problem_file, capsys, monkeypatch):
         monkeypatch.setenv("DIFFNET_SEED", "not-a-number")
-        code, _, err = run(capsys, ["analyze", problem_file(chain_problem())])
-        assert code == 64
-        assert "DIFFNET_SEED" in err
+        path = problem_file(chain_problem())  # no weights: lump samples them
+        for command in ("certify", "lump"):
+            code, _, err = run(capsys, [command, path])
+            assert code == 64, command
+            assert "DIFFNET_SEED" in err
+
+    def test_analyze_reads_no_seed(self, problem_file, capsys, monkeypatch):
+        path = problem_file(chain_problem())
+        plain = run(capsys, ["analyze", path])
+        monkeypatch.setenv("DIFFNET_SEED", "not-a-number")
+        assert run(capsys, ["analyze", path]) == plain
+        assert plain[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", path, "--seed", "1"])
+        assert exc.value.code == 64
+        bad = problem_file(chain_problem(options={"seed": "abc"}), name="bad.json")
+        assert run(capsys, ["analyze", bad])[0] == 64
 
     def test_unwritable_output_exits_seventyfour(self, problem_file, capsys, tmp_path):
         target = tmp_path / "no" / "such" / "dir" / "report.json"
@@ -264,7 +278,7 @@ class TestReportDocuments:
             "notes",
             "certification",
         }
-        assert "seed" in doc["options"] and "rank_rel_tol" in doc["options"]
+        assert set(doc["options"]) == {"eig_match_tol", "rank_rel_tol"}
 
     def test_witnesses_serialize_as_real_imag_pairs(self, problem_file, capsys):
         doc = chain_problem(c=[[0.0, 1.0]])
@@ -760,6 +774,31 @@ class TestDefectiveNodePair:
             "A": [[0.0, 1.0], [-1.0, -2.0]],
             "B": [[-1.0], [1.0]],
             "C": [[0.0, 1.0]],
+        },
+    }
+
+    def test_analyze_finds_the_node_pair_uncontrollable(self, problem_file, capsys):
+        code, out, _ = run(capsys, ["analyze", problem_file(self.DOC)])
+        conditions = json.loads(out)["analysis"]["conditions"]
+        holds = {c["name"]: c["holds"] for c in conditions}
+        assert holds["subsystem_controllable"] is False
+        assert code == 1
+
+
+class TestDecimalNearMiss:
+    """As written, A b = 0.4 b, so (A, b) has Kalman rank 1 of 2 and no
+    network of these nodes is controllable. Over the doubles the decimals
+    miss that by about 1e-16, so a test exact on the doubles would pass the
+    pair. The verdict must stay NOT_CONTROLLABLE on the failing node pair."""
+
+    DOC = {
+        "$schema": "diffnet-problem/v1",
+        "driven": [1],
+        "graph": {"N": 2, "edges": [{"kind": "undirected", "u": 1, "v": 2}]},
+        "subsystem": {
+            "A": [[0.1, 0.1], [0.3, 0.3]],
+            "B": [[1.0], [3.0]],
+            "C": [[1.0, 0.0]],
         },
     }
 

@@ -10,6 +10,9 @@ The files under ``golden/`` are the canonical output of
 
 A mass-spring chain assembles with exact float arithmetic (one nonzero
 product per entry), so these bytes do not depend on the BLAS in use.
+``analyze`` draws nothing, so its reports hold no seed: their ``options``
+are the two tolerances, and their bytes depend on the problem file alone.
+The seed in ``example.json`` reaches the ``certify`` and ``lump`` reports.
 
 Two hand-written problems pin the other analyzer paths:
 

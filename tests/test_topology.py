@@ -91,9 +91,27 @@ class TestGraphValidation:
         with pytest.raises(ValueError):
             NetworkGraph(2, (Edge(1, 2, "bidirectional"),))
 
+    @pytest.mark.parametrize("bad", [True, "2"])
+    def test_vertex_ids_must_be_ints(self, bad):
+        for edge in (Edge(bad, 3), Edge(3, bad), (bad, 3, UNDIRECTED)):
+            with pytest.raises(ValueError, match="outside"):
+                NetworkGraph(3, (Edge(1, 2), edge))
+
+    def test_plain_tuple_edges_are_checked_as_edges(self):
+        with pytest.raises(ValueError, match="outside"):
+            NetworkGraph(3, ((1.0, 2, UNDIRECTED),))
+        with pytest.raises(ValueError, match="duplicate"):
+            NetworkGraph(3, ((1, 2, UNDIRECTED), (2, 1, UNDIRECTED)))
+        assert NetworkGraph(3, ((1, 2, UNDIRECTED),)).num_edges == 1
+
     def test_driven_set_validation(self):
         with pytest.raises(ValueError):
             DrivenSet(frozenset({0}))
+        for bad in (True, 1.5, 2.0, "2"):
+            with pytest.raises(ValueError, match="integers"):
+                DrivenSet(frozenset({bad}))
+        assert DrivenSet(frozenset({np.int64(2), np.int32(3)})).driven == {2, 3}
+        assert all(type(i) is int for i in DrivenSet(frozenset({np.int64(2)})).driven)
         d = DrivenSet(frozenset({2}))
         with pytest.raises(ValueError):
             d.validate_for(NetworkGraph(1))

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .numerics import DEFAULT_TOL, RandomSource, ToleranceConfig
 from .problem_io import Problem, load_problem, parse_problem
-from .subsystem import SubsystemModel, fixed_modes, validate_model
+from .subsystem import SubsystemModel, fixed_modes
 from .topology import (
     DrivenSet,
     Edge,
@@ -72,5 +72,4 @@ __all__ = [
     "parse_problem",
     "sample_weights",
     "spanning_forest",
-    "validate_model",
 ]

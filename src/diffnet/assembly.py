@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConsistencyError
 from .numerics import RandomSource, sample_away_from_zero
-from .subsystem import SubsystemModel, require_valid
+from .subsystem import SubsystemModel
 from .topology import (
     UNDIRECTED,
     DrivenSet,
@@ -219,7 +219,6 @@ def assemble_lumped(
     for the whole stack; the products run over every draw's blocks side by
     side.
     """
-    require_valid(model)
     blocks = np.asarray(weights, dtype=float)
     want = (graph.num_edges, model.num_inputs, model.num_outputs)
     if blocks.ndim not in (3, 4) or blocks.shape[-3:] != want:
@@ -339,11 +338,7 @@ def mass_spring_chain(
             f"{len(springs)} and {len(dampers)}"
         )
 
-    model = SubsystemModel(
-        a=np.array([[0.0, 1.0], [0.0, 0.0]]),
-        b=np.array([[0.0], [1.0]]),
-        c=np.eye(2),
-    )
+    model = SubsystemModel([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], np.eye(2))
     graph = NetworkGraph(
         num_masses,
         tuple(Edge(i, i + 1, UNDIRECTED) for i in range(1, num_masses)),

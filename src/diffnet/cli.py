@@ -24,7 +24,6 @@ consistency failure or unexpected error, 74 output write failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import os
 import sys
@@ -48,13 +47,15 @@ from .numerics import (
 from .problem_io import (
     LUMP_SCHEMA,
     PROBLEM_SCHEMA,
-    PreEncoded,
     Problem,
     certification_to_json,
     dump_json,
+    graph_members,
     load_problem,
     report_document,
+    weights_member,
     weights_to_json,
+    write_report,
 )
 from .topology import UNDIRECTED, spanning_forest
 from .verdict import (
@@ -167,38 +168,6 @@ def _ground_shift(problem: Problem) -> np.ndarray:
     )
 
 
-#: characters per slice of a report written to ``--out``; reports are
-#: ASCII, so a slice is 64 KiB
-_WRITE_SLICE = 1 << 16
-
-
-def _write_output(out_path: str | None, payload: str) -> None:
-    """Write ``payload`` to stdout, or to ``out_path`` by way of
-    ``<out_path>.tmp`` and a rename, so that the target holds either its
-    old bytes or the whole new report.
-
-    The file is written as UTF-8 bytes, one 64 KiB slice of the text
-    encoded at a time: encoding a report of several megabytes whole would
-    copy it into fresh pages once more. Whatever interrupts the write or
-    the rename, the temporary file is removed and the exception raised
-    again.
-    """
-    if out_path is None:
-        sys.stdout.write(payload)
-        return
-    tmp = f"{out_path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            for start in range(0, len(payload), _WRITE_SLICE):
-                fh.write(payload[start : start + _WRITE_SLICE].encode("utf-8"))
-        os.replace(tmp, out_path)
-    except BaseException:
-        # a failed or interrupted write leaves no partial report behind
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
-
-
 def _emit(args, doc: dict, text) -> None:
     """Write the report: ``doc`` as canonical JSON, or under ``--format
     text`` the rendering that ``text()`` builds."""
@@ -207,7 +176,7 @@ def _emit(args, doc: dict, text) -> None:
     else:
         rendered = text()
         payload = rendered if rendered.endswith("\n") else rendered + "\n"
-    _write_output(args.out, payload)
+    write_report(args.out, payload)
 
 
 def _witness_text(witness) -> str:
@@ -329,7 +298,7 @@ def cmd_lump(args) -> int:
         "input": {"sha256": digest},
         "a_sys": a_sys,
         "b_sys": lumped.b_sys,
-        "weights": _weights_member(graph, weights),
+        "weights": weights_member(graph, weights),
         "sampled": sampled,
         "seed": seed,
         "grounded": grounded,
@@ -394,55 +363,8 @@ def cmd_example(args) -> int:
     for row in doc["weights"]["edges"]:
         row.pop("kind", None)
     payload = dump_json(doc)
-    _write_output(args.out, payload)
+    write_report(args.out, payload)
     return 0
-
-
-#: key-sorted JSON of one "edges" entry and one "orientation" entry,
-#: indexed by the edge's directed flag; an orientation entry takes end,
-#: start (undirected only), start, end, u and v
-_EDGE_JSON = ('{"kind":"undirected","u":%d,"v":%d}', '{"kind":"directed","u":%d,"v":%d}')
-_ORIENTATION_JSON = (
-    '{"injection_case":"injection +1 at %d, -1 at %d","kind":"undirected",'
-    '"oriented":[%d,%d],"u":%d,"v":%d}',
-    '{"injection_case":"injection +1 at %d only","kind":"directed",'
-    '"oriented":[%d,%d],"u":%d,"v":%d}',
-)
-
-
-def _graph_members(graph) -> tuple[PreEncoded, PreEncoded]:
-    """The report's "edges" and "orientation" members, written from the
-    graph's columns with the templates above. Their fields are ints and
-    fixed ASCII text, which JSON writes unescaped."""
-    us, vs, _ = zip(*graph.edges) if graph.edges else ((), (), ())
-    directed = graph.directed.tolist()
-    start, end = graph.start + 1, graph.end + 1
-    fields = np.column_stack([end, start, start, end, us, vs]).reshape(-1, 6)
-    keep = np.ones(fields.shape, dtype=bool)
-    keep[graph.directed, 1] = False
-    edges = ",".join(map(_EDGE_JSON.__getitem__, directed)) % tuple(
-        fields[:, 4:].ravel().tolist()
-    )
-    orientation = ",".join(map(_ORIENTATION_JSON.__getitem__, directed)) % tuple(
-        fields[keep].tolist()
-    )
-    return PreEncoded(f"[{edges}]"), PreEncoded(f"[{orientation}]")
-
-
-def _weights_member(graph, weights: np.ndarray) -> PreEncoded:
-    """The lump report's "weights" member, written from the (M, p, r)
-    array of the weight blocks in edge order with one key-sorted template
-    per edge kind. ``tolist`` hands ``%r`` Python floats, which it writes
-    as the JSON encoder does. They are finite: assembly refuses a
-    non-finite weight before the report is built."""
-    p, r = weights.shape[1:]
-    row = "[" + ",".join(["%r"] * r) + "]"
-    head = '{"W":[' + ",".join([row] * p) + '],"kind":'
-    templates = (head + '"undirected","u":%d,"v":%d}', head + '"directed","u":%d,"v":%d}')
-    values = weights.reshape(graph.num_edges, p * r).tolist()
-    fields = [x for w, e in zip(values, graph.edges) for x in (*w, e.u, e.v)]
-    entries = ",".join(map(templates.__getitem__, graph.directed.tolist())) % tuple(fields)
-    return PreEncoded(f'{{"edges":[{entries}]}}')
 
 
 def _graph_text(graph, driven, forest) -> str:
@@ -479,7 +401,7 @@ def cmd_graph(args) -> int:
     graph, driven = problem.graph, problem.driven
     forest = spanning_forest(graph, driven)
     unreachable = sorted(forest.unreachable)
-    edges, orientation = _graph_members(graph)
+    edges, orientation = graph_members(graph)
     doc = {
         "$schema": "diffnet-graph/v1",
         "tool": {"name": "diffnet", "version": __version__},

@@ -1,4 +1,4 @@
-"""Problem-file loading and report serialization.
+"""Problem-file loading, report serialization and the report write.
 
 A problem file is one JSON document:
 
@@ -17,16 +17,19 @@ Reports serialize to canonical JSON with complex numbers as
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import os
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
-from .errors import ProblemFileError
-from .subsystem import SubsystemModel, validate_model
+from .errors import ModelValidationError, ProblemFileError
+from .subsystem import SubsystemModel
 from .topology import DIRECTED, UNDIRECTED, DrivenSet, Edge, NetworkGraph
 from .verdict import AnalysisReport, CertificationReport
 
@@ -100,15 +103,13 @@ def _parse_subsystem(doc: dict) -> SubsystemModel:
     extra = set(sub) - {"A", "B", "C"}
     if extra:
         raise _fail(f'"subsystem" has unknown members: {sorted(extra)}')
-    model = SubsystemModel(
-        _matrix(sub["A"], 'subsystem "A"'),
-        _matrix(sub["B"], 'subsystem "B"'),
-        _matrix(sub["C"], 'subsystem "C"'),
-    )
-    violations = validate_model(model)
-    if violations:
-        raise _fail("invalid subsystem: " + "; ".join(violations))
-    return model
+    a = _matrix(sub["A"], 'subsystem "A"')
+    b = _matrix(sub["B"], 'subsystem "B"')
+    c = _matrix(sub["C"], 'subsystem "C"')
+    try:
+        return SubsystemModel(a, b, c)
+    except ModelValidationError as exc:
+        raise _fail("invalid subsystem: " + "; ".join(exc.violations)) from None
 
 
 _EDGE_MEMBERS = {"u", "v", "kind"}
@@ -538,3 +539,82 @@ def dump_json(doc: dict) -> str:
             parts.append(_ENCODER.encode(value))
     parts.append("}\n" if parts else "{}\n")
     return "".join(parts)
+
+
+#: key-sorted JSON of one "edges" entry and one "orientation" entry,
+#: indexed by the edge's directed flag; an orientation entry takes end,
+#: start (undirected only), start, end, u and v
+_EDGE_JSON = ('{"kind":"undirected","u":%d,"v":%d}', '{"kind":"directed","u":%d,"v":%d}')
+_ORIENTATION_JSON = (
+    '{"injection_case":"injection +1 at %d, -1 at %d","kind":"undirected",'
+    '"oriented":[%d,%d],"u":%d,"v":%d}',
+    '{"injection_case":"injection +1 at %d only","kind":"directed",'
+    '"oriented":[%d,%d],"u":%d,"v":%d}',
+)
+
+
+def graph_members(graph) -> tuple[PreEncoded, PreEncoded]:
+    """The report's "edges" and "orientation" members, written from the
+    graph's columns with the templates above. Their fields are ints and
+    fixed ASCII text, which JSON writes unescaped."""
+    us, vs, _ = zip(*graph.edges) if graph.edges else ((), (), ())
+    directed = graph.directed.tolist()
+    start, end = graph.start + 1, graph.end + 1
+    fields = np.column_stack([end, start, start, end, us, vs]).reshape(-1, 6)
+    keep = np.ones(fields.shape, dtype=bool)
+    keep[graph.directed, 1] = False
+    edges = ",".join(map(_EDGE_JSON.__getitem__, directed)) % tuple(
+        fields[:, 4:].ravel().tolist()
+    )
+    orientation = ",".join(map(_ORIENTATION_JSON.__getitem__, directed)) % tuple(
+        fields[keep].tolist()
+    )
+    return PreEncoded(f"[{edges}]"), PreEncoded(f"[{orientation}]")
+
+
+def weights_member(graph, weights: np.ndarray) -> PreEncoded:
+    """The lump report's "weights" member, written from the (M, p, r)
+    array of the weight blocks in edge order with one key-sorted template
+    per edge kind. ``tolist`` hands ``%r`` Python floats, which it writes
+    as the JSON encoder does. They are finite: assembly refuses a
+    non-finite weight before the report is built."""
+    p, r = weights.shape[1:]
+    row = "[" + ",".join(["%r"] * r) + "]"
+    head = '{"W":[' + ",".join([row] * p) + '],"kind":'
+    templates = (head + '"undirected","u":%d,"v":%d}', head + '"directed","u":%d,"v":%d}')
+    values = weights.reshape(graph.num_edges, p * r).tolist()
+    fields = [x for w, e in zip(values, graph.edges) for x in (*w, e.u, e.v)]
+    entries = ",".join(map(templates.__getitem__, graph.directed.tolist())) % tuple(fields)
+    return PreEncoded(f'{{"edges":[{entries}]}}')
+
+
+#: characters per slice of a report written to ``--out``; reports are
+#: ASCII, so a slice is 64 KiB
+_WRITE_SLICE = 1 << 16
+
+
+def write_report(out_path: str | None, payload: str) -> None:
+    """Write ``payload`` to stdout, or to ``out_path`` by way of
+    ``<out_path>.tmp`` and a rename, so that the target holds either its
+    old bytes or the whole new report.
+
+    The file is written as UTF-8 bytes, one 64 KiB slice of the text
+    encoded at a time: encoding a report of several megabytes whole would
+    copy it into fresh pages once more. Whatever interrupts the write or
+    the rename, the temporary file is removed and the exception raised
+    again.
+    """
+    if out_path is None:
+        sys.stdout.write(payload)
+        return
+    tmp = f"{out_path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for start in range(0, len(payload), _WRITE_SLICE):
+                fh.write(payload[start : start + _WRITE_SLICE].encode("utf-8"))
+        os.replace(tmp, out_path)
+    except BaseException:
+        # a failed or interrupted write leaves no partial report behind
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise

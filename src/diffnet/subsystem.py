@@ -1,6 +1,10 @@
-"""Node-level dynamics: model validation and the classical controllability,
-observability, and fixed-mode tests used by the network criteria. The
-fixed modes are decided by PBH ranks alone."""
+"""Node-level dynamics: the checked node model and its fixed modes.
+
+A ``SubsystemModel`` is checked once, when it is built, and holds read-only
+float64 copies of its matrices, so every model in hand is valid. The
+pairs' PBH tests are ``numerics.pbh_controllable`` and ``pbh_observable``
+on the model's matrices; the fixed modes are decided by PBH ranks alone.
+"""
 
 from __future__ import annotations
 
@@ -9,62 +13,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelValidationError
-from .numerics import (
-    DEFAULT_TOL,
-    ToleranceConfig,
-    eigenvalues,
-    numerical_rank,
-    pbh_controllable,
-    pbh_observable,
-)
+from .numerics import DEFAULT_TOL, ToleranceConfig, eigenvalues, numerical_rank
 
 
-def _as_2d(value, fallback_orientation: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 1:
+def _read_only(value, fallback_orientation: str | None = None) -> np.ndarray:
+    """A read-only float64 copy of ``value``; a 1-D value becomes a
+    "column" or a "row" when ``fallback_orientation`` names one."""
+    arr = np.array(value, dtype=float)
+    arr.flags.writeable = False  # and so is a view of it
+    if arr.ndim == 1 and fallback_orientation:
         arr = arr[:, None] if fallback_orientation == "column" else arr[None, :]
     return arr
 
 
-@dataclass(frozen=True)
-class SubsystemModel:
-    """Identical node dynamics (A, B, C).
-
-    A is the n x n state matrix, B the n x p input matrix (p = 1 for the
-    single-input case), and C the r x n output-coupling matrix whose rows
-    are the coupling channels. 1-D inputs are accepted as a column (B) or a
-    row (C).
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        object.__setattr__(self, "b", _as_2d(self.b, "column"))
-        object.__setattr__(self, "c", _as_2d(self.c, "row"))
-
-    @property
-    def order(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def num_inputs(self) -> int:
-        return self.b.shape[1]
-
-    @property
-    def num_outputs(self) -> int:
-        return self.c.shape[0]
-
-
-def validate_model(model: SubsystemModel) -> tuple[str, ...]:
-    """Structural violations as values; empty means the model is usable."""
-    violations: list[str] = []
-    a, b, c = model.a, model.b, model.c
+def _violations(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> list[str]:
+    """Structural violations of the triple; empty means it is usable."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        violations.append(f"state matrix must be square, got shape {a.shape}")
-        return tuple(violations)
+        return [f"state matrix must be square, got shape {a.shape}"]
+    violations: list[str] = []
     n = a.shape[0]
     if n < 1:
         violations.append("state dimension must be at least 1")
@@ -79,23 +45,45 @@ def validate_model(model: SubsystemModel) -> tuple[str, ...]:
         for k in range(c.shape[0]):
             if not np.any(c[k]):
                 violations.append(f"output row {k + 1} is identically zero")
-    return tuple(violations)
+    return violations
 
 
-def require_valid(model: SubsystemModel) -> None:
-    violations = validate_model(model)
-    if violations:
-        raise ModelValidationError(violations)
+@dataclass(frozen=True)
+class SubsystemModel:
+    """Identical node dynamics (A, B, C).
 
+    A is the n x n state matrix, B the n x p input matrix (p = 1 for the
+    single-input case), and C the r x n output-coupling matrix whose rows
+    are the coupling channels. 1-D inputs are accepted as a column (B) or a
+    row (C). An invalid triple (A not square or empty, B or C of the wrong
+    size, a non-finite entry, a zero row of C) raises
+    ``ModelValidationError`` with one text per violation. The matrices are
+    held as read-only float64 copies.
+    """
 
-def check_controllable(model: SubsystemModel, tol: ToleranceConfig = DEFAULT_TOL):
-    """(controllable, deficient eigenvalues) for the pair (A, B)."""
-    return pbh_controllable(model.a, model.b, tol)
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
 
+    def __post_init__(self) -> None:
+        a, b, c = _read_only(self.a), _read_only(self.b, "column"), _read_only(self.c, "row")
+        violations = _violations(a, b, c)
+        if violations:
+            raise ModelValidationError(violations)
+        for name, value in (("a", a), ("b", b), ("c", c)):
+            object.__setattr__(self, name, value)
 
-def check_observable(model: SubsystemModel, tol: ToleranceConfig = DEFAULT_TOL):
-    """(observable, deficient eigenvalues) for the pair (A, C)."""
-    return pbh_observable(model.a, model.c, tol)
+    @property
+    def order(self) -> int:
+        return self.a.shape[0]
+
+    @property
+    def num_inputs(self) -> int:
+        return self.b.shape[1]
+
+    @property
+    def num_outputs(self) -> int:
+        return self.c.shape[0]
 
 
 def fixed_modes(
@@ -108,7 +96,6 @@ def fixed_modes(
     pair (A, B) or (A, C) loses PBH rank, multiplicity preserved. Empty
     exactly when (A, B) is controllable and (A, C) observable.
     """
-    require_valid(model)
     a, b, c = model.a, model.b, model.c
     n = model.order
     eye = np.eye(n, dtype=complex)

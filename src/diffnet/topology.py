@@ -42,21 +42,33 @@ class Edge(NamedTuple):
 _MAX_VERTICES = int(np.iinfo(np.int64).max)
 
 
+def _vertex_id(vid):
+    """Vertex id rule of graphs and driven sets: an int or a numpy integer
+    is the int it holds; a bool, float or str is kept, for the caller to refuse."""
+    integer = isinstance(vid, (int, np.integer)) and not isinstance(vid, bool)
+    return int(vid) if integer else vid
+
+
+def _as_edge(i: int, entry) -> Edge:
+    """Entry i of an edge list, an ``Edge`` or a plain (u, v) or
+    (u, v, kind) tuple, as an ``Edge`` with its ids read by ``_vertex_id``."""
+    if not isinstance(entry, tuple) or len(entry) not in (2, 3):
+        raise ValueError(
+            f"edge #{i} must be an Edge or a (u, v) or (u, v, kind) tuple, got {entry!r}"
+        )
+    u, v, *kind = entry
+    return Edge(_vertex_id(u), _vertex_id(v), *kind)
+
+
 def _id_column(ids: tuple, num_vertices: int) -> np.ndarray:
-    """int64 column of vertex ids, 0 wherever an id is not an int in
-    1..num_vertices (a bool, a numpy integer or a float is not)."""
-    if {*map(type, ids)} <= {int}:
-        try:
-            col = np.array(ids, dtype=np.int64)
-        except OverflowError:  # an id beyond int64, out of range anyway
-            pass
-        else:
-            col[(col < 1) | (col > num_vertices)] = 0
-            return col
-    return np.array(
-        [i if type(i) is int and 1 <= i <= num_vertices else 0 for i in ids],
-        dtype=np.int64,
-    )
+    """int64 column of int vertex ids, 0 wherever an id is outside
+    1..num_vertices."""
+    try:
+        col = np.array(ids, dtype=np.int64)
+    except OverflowError:  # an id beyond int64, out of range anyway
+        return np.array([i if 1 <= i <= num_vertices else 0 for i in ids], dtype=np.int64)
+    col[(col < 1) | (col > num_vertices)] = 0
+    return col
 
 
 def _shared_pair_defects(start: np.ndarray, end: np.ndarray, directed: np.ndarray):
@@ -82,7 +94,7 @@ def _shared_pair_defects(start: np.ndarray, end: np.ndarray, directed: np.ndarra
 def _edge_error(edges: tuple, i: int, num_vertices: int) -> ValueError:
     """The error for edge i, the first invalid edge, checked in order: kind,
     vertex id (an int in range), self-loop, duplicate, shared pair."""
-    e = Edge(*edges[i])  # an entry may be a plain (u, v, kind) tuple
+    e = edges[i]
     if e.kind not in (UNDIRECTED, DIRECTED):
         return ValueError(f"unknown edge kind {e.kind!r}")
     for vid in (e.u, e.v):
@@ -92,7 +104,7 @@ def _edge_error(edges: tuple, i: int, num_vertices: int) -> ValueError:
             )
     if e.u == e.v:
         return ValueError(f"self-loop at vertex {e.u} is not allowed")
-    if e.key() in {Edge(*f).key() for f in edges[:i]}:
+    if e.key() in {f.key() for f in edges[:i]}:
         return ValueError(f"duplicate edge between {e.u} and {e.v}")
     pair = (e.u, e.v) if e.u < e.v else (e.v, e.u)
     # one weight per vertex pair: an undirected edge may not share its
@@ -107,9 +119,11 @@ def _edge_error(edges: tuple, i: int, num_vertices: int) -> ValueError:
 class NetworkGraph:
     """Vertices 1..num_vertices and the edges between them.
 
-    Besides the edge tuple it holds the edge list as int64 columns, in edge
-    order: ``start`` and ``end``, the 0-based ends from ``Edge.oriented``,
-    and the ``directed`` mask. Vertex counts and ids must fit int64.
+    ``edges`` is a tuple of ``Edge`` with int ids: a plain (u, v) or
+    (u, v, kind) tuple becomes an ``Edge``, a numpy integer id its int.
+    The edge list is also held as int64 columns, in edge order: ``start``
+    and ``end``, the 0-based ends from ``Edge.oriented``, and the
+    ``directed`` mask. Vertex counts and ids must fit int64.
     """
 
     num_vertices: int
@@ -127,12 +141,20 @@ class NetworkGraph:
                 f"graph vertex count {n} exceeds the 64-bit limit {_MAX_VERTICES}"
             )
         edges = tuple(self.edges)
+        # Edges of ints, as the parser builds them, pass with no call per edge
+        us, vs, kinds = zip(*edges) if {*map(type, edges)} == {Edge} else ((), (), ())
+        ints = len(us) == len(edges) and {*map(type, us), *map(type, vs)} <= {int}
+        if not ints:
+            edges = tuple(map(_as_edge, range(len(edges)), edges))
+            us, vs, kinds = zip(*edges) if edges else ((), (), ())
         object.__setattr__(self, "edges", edges)
-        us, vs, kinds = zip(*edges) if edges else ((), (), ())
-        # the columns cover the edges before the first unknown kind
+        # the columns cover the edges before the first unknown kind or id
+        # that is not an int
         m = len(edges)
         if kinds.count(UNDIRECTED) + kinds.count(DIRECTED) < m:
             m = next(i for i, k in enumerate(kinds) if k not in (UNDIRECTED, DIRECTED))
+        if not ints:
+            m = next((i for i in range(m) if {type(us[i]), type(vs[i])} != {int}), m)
         u, v = _id_column(us[:m], n), _id_column(vs[:m], n)
         directed = np.fromiter(map(DIRECTED.__eq__, kinds[:m]), dtype=bool, count=m)
         start = np.where(directed, u, np.minimum(u, v))
@@ -173,11 +195,11 @@ class DrivenSet:
 
     def __post_init__(self) -> None:
         vals = frozenset(self.driven)
-        if not {*map(type, vals)} <= {int}:  # numpy integers are taken as ints
-            bad = [i for i in vals if isinstance(i, bool) or not isinstance(i, (int, np.integer))]
+        if not {*map(type, vals)} <= {int}:
+            vals = frozenset(map(_vertex_id, vals))
+            bad = [i for i in vals if type(i) is not int]
             if bad:
                 raise ValueError(f"driven vertex ids must be integers, got {bad[0]!r}")
-            vals = frozenset(map(int, vals))
         if any(i < 1 for i in vals):
             raise ValueError("driven vertex ids must be positive")
         object.__setattr__(self, "driven", vals)

@@ -29,14 +29,10 @@ from .numerics import (
     ToleranceConfig,
     controllable_dimension,
     dedupe_eigenvalues,
+    pbh_controllable,
+    pbh_observable,
 )
-from .subsystem import (
-    SubsystemModel,
-    check_controllable,
-    check_observable,
-    fixed_modes,
-    require_valid,
-)
+from .subsystem import SubsystemModel, fixed_modes
 from .topology import DrivenSet, NetworkGraph, spanning_forest
 
 DEFAULT_CERTIFY_TRIALS = 5
@@ -123,11 +119,10 @@ class AnalysisReport:
         raise KeyError(name)
 
 
-def _pbh_record(
-    name: str, check, model: SubsystemModel, tol: ToleranceConfig
-) -> ConditionRecord:
-    """Node-level PBH condition, witnessed by its deficient eigenvalues."""
-    ok, deficient = check(model, tol)
+def _pbh_record(name: str, result: tuple[bool, tuple]) -> ConditionRecord:
+    """Node-level PBH condition from a ``(holds, deficient eigenvalues)``
+    result, witnessed by those eigenvalues."""
+    ok, deficient = result
     if ok:
         return ConditionRecord(name, ok)
     witness = {"deficient_eigenvalues": tuple(complex(z) for z in deficient)}
@@ -156,7 +151,6 @@ def analyze(
     decisive; fixed modes on a reachable topology leave the criterion
     silent and the verdict is INCONCLUSIVE.
     """
-    require_valid(model)
     single_input = model.num_inputs == 1
     if not single_input and graph.has_directed_edges():
         raise ValueError(
@@ -165,7 +159,7 @@ def analyze(
         )
     driven.validate_for(graph)
     if len(driven) == graph.num_vertices:
-        record = _pbh_record("subsystem_controllable", check_controllable, model, tol)
+        record = _pbh_record("subsystem_controllable", pbh_controllable(model.a, model.b, tol))
         return AnalysisReport(
             verdict=Verdict.CONTROLLABLE if record.holds else Verdict.NOT_CONTROLLABLE,
             theorem_used="trivial-case",
@@ -185,8 +179,8 @@ def analyze(
             theorem = "2"
             notes = ("directed influences present: semi-symmetric criteria applied",)
         conditions = (
-            _pbh_record("subsystem_controllable", check_controllable, model, tol),
-            _pbh_record("subsystem_observable", check_observable, model, tol),
+            _pbh_record("subsystem_controllable", pbh_controllable(model.a, model.b, tol)),
+            _pbh_record("subsystem_observable", pbh_observable(model.a, model.c, tol)),
             reach,
         )
         verdict = (
@@ -253,7 +247,6 @@ def certify_monte_carlo(
         analysis = analyze(model, graph, driven, tol)
     if trials < 1:
         raise ValueError(f"certification needs at least one trial, got {trials}")
-    require_valid(model)
     driven.validate_for(graph)
     shape = (model.num_inputs, model.num_outputs)
     n_states = graph.num_vertices * model.order

@@ -11,9 +11,9 @@ import pytest
 
 from diffnet.assembly import assemble_lumped
 from diffnet.errors import ProblemFileError
-from diffnet.numerics import RandomSource
+from diffnet.numerics import RandomSource, pbh_controllable, pbh_observable
 from diffnet.problem_io import _int_field, _matrix, _require_mapping
-from diffnet.subsystem import SubsystemModel, check_controllable, check_observable
+from diffnet.subsystem import SubsystemModel
 from diffnet.topology import (
     DIRECTED,
     UNDIRECTED,
@@ -152,9 +152,9 @@ def random_model(
             gen.normal(size=(order, num_inputs)),
             gen.normal(size=(num_outputs, order)),
         )
-        if require_ctrb and not check_controllable(model)[0]:
+        if require_ctrb and not pbh_controllable(model.a, model.b)[0]:
             continue
-        if require_obsv and not check_observable(model)[0]:
+        if require_obsv and not pbh_observable(model.a, model.c)[0]:
             continue
         return model
     raise AssertionError("could not draw a model with the requested properties")
@@ -290,13 +290,15 @@ def dense_direct_state_matrix(
 
 def reference_graph_check(num_vertices, edges) -> None:
     """Per-edge reference of NetworkGraph's checks: raises the ValueError of
-    the first invalid edge, checking its kind, vertex id (an int in range),
-    self-loop, duplicate key and shared pair in that order."""
+    the first invalid edge, checking its kind, vertex id (an int in range;
+    a numpy integer is taken as its int, a bool is refused), self-loop,
+    duplicate key and shared pair in that order."""
     if not isinstance(num_vertices, int) or num_vertices < 1:
         raise ValueError(f"graph needs a positive vertex count, got {num_vertices}")
     seen_keys: set[tuple] = set()
     pair_kinds: dict[tuple, set[str]] = {}
     for e in edges:
+        e = Edge(*(int(i) if isinstance(i, np.integer) else i for i in e[:2]), e.kind)
         if e.kind not in (UNDIRECTED, DIRECTED):
             raise ValueError(f"unknown edge kind {e.kind!r}")
         for vid in (e.u, e.v):
@@ -408,7 +410,9 @@ def edges_with_defects(gen: np.random.Generator, num_vertices: int) -> list:
     allowed extras, each at a random position: ids of 0, N + 1, +-10**23,
     True and 2.0; self-loops; duplicates, reversed undirected duplicates;
     an edge of the other kind on a used pair; an antiparallel directed
-    edge (allowed); unknown kinds."""
+    edge (allowed); unknown kinds. About one in five in-range ids is an
+    ``np.int64`` (allowed), drawn from a child stream of ``gen`` so that
+    the lists are otherwise the ones drawn without them."""
     edges = list(random_graph(gen, num_vertices, edge_prob=0.6).edges)
     # some undirected edges listed high id first
     edges = [
@@ -430,7 +434,19 @@ def edges_with_defects(gen: np.random.Generator, num_vertices: int) -> list:
             old._replace(kind=["both", None, 3][int(gen.integers(0, 3))]),
         ][int(gen.integers(0, 8))]
         edges.insert(pos, new)
-    return edges
+    child = gen.spawn(1)[0]
+    return [
+        Edge(
+            *(
+                np.int64(i)
+                if type(i) is int and 1 <= i <= num_vertices and child.random() < 0.2
+                else i
+                for i in e[:2]
+            ),
+            e.kind,
+        )
+        for e in edges
+    ]
 
 
 def loop_influence_neighbors(graph: NetworkGraph) -> list[list[int]]:

@@ -96,20 +96,25 @@ def leader_controls_consensus(graph: NetworkGraph, leader: int, trials, rng) -> 
     return all(t.controllable for t in cert.per_trial)
 
 
+def summed_row(model: SubsystemModel) -> np.ndarray:
+    """The coupling row seen through one scalar weight per edge: with every
+    channel weighted alike, the coupling acts through c_1 + ... + c_r."""
+    return model.c.sum(axis=0, keepdims=True)
+
+
 def summed_row_model(model: SubsystemModel) -> SubsystemModel:
-    """The node seen through one scalar weight per edge: with every channel
-    weighted alike, the coupling acts through c_1 + ... + c_r."""
-    return SubsystemModel(model.a, model.b, model.c.sum(axis=0, keepdims=True))
+    """The node with its summed row as its one output; a model, so the row
+    must not cancel."""
+    return SubsystemModel(model.a, model.b, summed_row(model))
 
 
 def scalar_weight_analysis(model, graph: NetworkGraph, driven: DrivenSet):
     """``analyze`` on the network whose edges carry one scalar weight each.
     When the summed row cancels no coupling survives: the network is its
     nodes without edges."""
-    reduced = summed_row_model(model)
-    if not reduced.c.any():
+    if not summed_row(model).any():
         return analyze(model, NetworkGraph(graph.num_vertices), driven)
-    return analyze(reduced, graph, driven)
+    return analyze(summed_row_model(model), graph, driven)
 
 
 def matched_eigenvalues(candidates, pool, tol=DEFAULT_TOL) -> list[complex]:

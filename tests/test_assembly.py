@@ -233,10 +233,14 @@ class TestSingleInputAssembly:
             assemble_lumped(model, g, rows(g, [[1.0]]), DrivenSet())
 
     def test_rejects_invalid_model(self):
-        bad = SubsystemModel(np.eye(2), np.ones(2), [[0.0, 0.0]])
         g = chain_graph(2)
-        with pytest.raises(ModelValidationError):
-            assemble_lumped(bad, g, rows(g, [[1.0]]), DrivenSet())
+        with pytest.raises(ModelValidationError):  # refused when built
+            assemble_lumped(
+                SubsystemModel(np.eye(2), np.ones(2), [[0.0, 0.0]]),
+                g,
+                rows(g, [[1.0]]),
+                DrivenSet(),
+            )
 
 
 class TestMatrixWeightAssembly:

@@ -425,7 +425,7 @@ class TestLump:
             )
             picked = gen.random(values.shape) < 0.3
             values[picked] = gen.choice(special, size=int(picked.sum()))
-            assert cli._weights_member(g, values).text == problem_io._ENCODER.encode(
+            assert problem_io.weights_member(g, values).text == problem_io._ENCODER.encode(
                 problem_io.weights_to_json(g, values)
             )
 
@@ -461,7 +461,7 @@ class TestSlicedWrites:
         assert code == 0
         assert run(capsys, argv + ["--out", str(target)]) == (0, "", "")
         data = target.read_bytes()
-        assert len(data) > cli._WRITE_SLICE and len(data) % cli._WRITE_SLICE
+        assert len(data) > problem_io._WRITE_SLICE and len(data) % problem_io._WRITE_SLICE
         assert data == out.encode("utf-8")
         if fmt == "json":  # the canonical form of the document itself
             assert dump_json(json.loads(data)).encode("utf-8") == data
@@ -491,11 +491,15 @@ class TestSlicedWrites:
                     raise MemoryError("no room for the second slice")
                 return self.fh.write(data)
 
-        monkeypatch.setattr(cli, "open", lambda *a: FailingFile(open(*a)), raising=False)
+        def failing_open(path, mode="r", *rest):  # the problem file reads as usual
+            fh = open(path, mode, *rest)
+            return FailingFile(fh) if "w" in mode else fh
+
+        monkeypatch.setattr(problem_io, "open", failing_open, raising=False)
         code, out, err = run(capsys, argv + ["--out", str(target)])
         assert code == 70
         assert out == "" and "MemoryError" in err
-        assert writes == [cli._WRITE_SLICE] * 2
+        assert writes == [problem_io._WRITE_SLICE] * 2
         assert sorted(p.name for p in tmp_path.iterdir()) == before
         assert target.read_bytes() == b"earlier report\n"
 
@@ -852,7 +856,7 @@ class TestGraphCommand:
                 )
             )
         for g in graphs:
-            edges, orientation = cli._graph_members(g)
+            edges, orientation = problem_io.graph_members(g)
             assert edges.text == problem_io._ENCODER.encode(
                 [{"u": e.u, "v": e.v, "kind": e.kind} for e in g.edges]
             )
@@ -1385,7 +1389,6 @@ class TestPackaging:
             "parse_problem",
             "sample_weights",
             "spanning_forest",
-            "validate_model",
         ]
         for name in diffnet.__all__:
             assert hasattr(diffnet, name), name
@@ -1418,7 +1421,14 @@ class TestPackaging:
                 "_edge_blocks",
                 "assemble_lumped_stack",
             ),
-            diffnet.subsystem: ("FixedModeReport", "DEFAULT_FEEDBACK_DRAWS"),
+            diffnet.subsystem: (
+                "FixedModeReport",
+                "DEFAULT_FEEDBACK_DRAWS",
+                "validate_model",
+                "require_valid",
+                "check_controllable",
+                "check_observable",
+            ),
             diffnet.numerics: (
                 "kron",
                 "generic_rank",

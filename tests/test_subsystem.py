@@ -1,19 +1,15 @@
 """Node model validation and classical controllability / fixed-mode tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import random_model, uncontrollable_model, unobservable_model
+from diffnet.cli import main
 from diffnet.errors import ModelValidationError
-from diffnet.numerics import RandomSource
-from diffnet.subsystem import (
-    SubsystemModel,
-    check_controllable,
-    check_observable,
-    fixed_modes,
-    require_valid,
-    validate_model,
-)
+from diffnet.numerics import RandomSource, pbh_controllable, pbh_observable
+from diffnet.subsystem import SubsystemModel, fixed_modes
 from lemmas import randomized_fixed_modes, spectra_match
 
 
@@ -35,58 +31,135 @@ class TestModelCoercion:
         assert np.array_equal(m.c, [[1.0, 0.0, 2.0]])
 
 
+#: invalid triples and the violation texts they are refused with
+INVALID_TRIPLES = {
+    "non-square A": (
+        (np.zeros((2, 3)), np.zeros(2), np.zeros((1, 2))),
+        ("state matrix must be square, got shape (2, 3)",),
+    ),
+    "B row count": (
+        (np.eye(2), np.ones(3), np.eye(2)),
+        ("input matrix must have 2 rows, got shape (3, 1)",),
+    ),
+    "C column count": (
+        (np.eye(2), np.ones(2), np.ones((1, 3))),
+        ("output matrix must have 2 columns, got shape (1, 3)",),
+    ),
+    "non-finite entry": (
+        ([[0.0, np.nan], [0.0, 0.0]], np.ones(2), np.eye(2)),
+        ("state matrix contains non-finite entries",),
+    ),
+    "zero C row": (
+        (np.eye(2), np.ones(2), [[1.0, 0.0], [0.0, 0.0]]),
+        ("output row 2 is identically zero",),
+    ),
+    "zero only C row": (
+        (np.eye(2), np.ones(2), [[0.0, 0.0]]),
+        ("output row 1 is identically zero",),
+    ),
+    "several at once": (
+        ([[0.0, np.inf], [0.0, 0.0]], np.ones((3, 1)), [[0.0, 0.0], [np.nan, 1.0]]),
+        (
+            "input matrix must have 2 rows, got shape (3, 1)",
+            "state matrix contains non-finite entries",
+            "output matrix contains non-finite entries",
+            "output row 1 is identically zero",
+        ),
+    ),
+}
+
+
 class TestValidation:
     def test_clean_model_passes(self):
-        assert validate_model(double_integrator()) == ()
-        require_valid(double_integrator())
+        m = double_integrator()
+        again = dataclasses.replace(m)  # a valid model rebuilds
+        for mine, its in ((m.a, again.a), (m.b, again.b), (m.c, again.c)):
+            assert np.array_equal(mine, its)
 
     def test_non_square_state_matrix(self):
-        bad = SubsystemModel(np.zeros((2, 3)), np.zeros(2), np.zeros((1, 2)))
-        violations = validate_model(bad)
-        assert len(violations) == 1
-        assert "square" in violations[0]
+        with pytest.raises(ModelValidationError) as exc:
+            SubsystemModel(np.zeros((2, 3)), np.zeros(2), np.zeros((1, 2)))
+        assert len(exc.value.violations) == 1
+        assert "square" in exc.value.violations[0]
 
     def test_input_row_count_mismatch(self):
-        bad = SubsystemModel(np.eye(2), np.ones(3), np.eye(2))
-        assert any("input matrix" in v for v in validate_model(bad))
+        with pytest.raises(ModelValidationError, match="input matrix"):
+            SubsystemModel(np.eye(2), np.ones(3), np.eye(2))
 
     def test_output_column_count_mismatch(self):
-        bad = SubsystemModel(np.eye(2), np.ones(2), np.ones((1, 3)))
-        assert any("output matrix" in v for v in validate_model(bad))
+        with pytest.raises(ModelValidationError, match="output matrix"):
+            SubsystemModel(np.eye(2), np.ones(2), np.ones((1, 3)))
 
     def test_zero_output_row_flagged(self):
-        bad = SubsystemModel(np.eye(2), np.ones(2), [[1.0, 0.0], [0.0, 0.0]])
-        assert any("row 2" in v for v in validate_model(bad))
+        with pytest.raises(ModelValidationError, match="row 2"):
+            SubsystemModel(np.eye(2), np.ones(2), [[1.0, 0.0], [0.0, 0.0]])
 
     def test_non_finite_entries_flagged(self):
-        bad = SubsystemModel([[0.0, np.nan], [0.0, 0.0]], np.ones(2), np.eye(2))
-        assert any("non-finite" in v for v in validate_model(bad))
+        with pytest.raises(ModelValidationError, match="non-finite"):
+            SubsystemModel([[0.0, np.nan], [0.0, 0.0]], np.ones(2), np.eye(2))
 
-    def test_require_valid_raises_with_violations(self):
-        bad = SubsystemModel(np.eye(2), np.ones(3), [[1.0, 0.0], [0.0, 0.0]])
+    def test_every_violation_is_raised_together(self):
         with pytest.raises(ModelValidationError) as exc:
-            require_valid(bad)
+            SubsystemModel(np.eye(2), np.ones(3), [[1.0, 0.0], [0.0, 0.0]])
         assert len(exc.value.violations) == 2
+
+    @pytest.mark.parametrize("case", list(INVALID_TRIPLES))
+    def test_invalid_triple_is_refused_when_built(self, case):
+        triple, violations = INVALID_TRIPLES[case]
+        with pytest.raises(ModelValidationError) as exc:
+            SubsystemModel(*triple)
+        assert exc.value.violations == violations
+        assert str(exc.value) == "invalid subsystem model: " + "; ".join(violations)
+
+    def test_replace_is_checked_too(self):
+        with pytest.raises(ModelValidationError) as exc:
+            dataclasses.replace(double_integrator(), c=[[0.0, 0.0]])
+        assert exc.value.violations == ("output row 1 is identically zero",)
+
+    def test_matrices_are_read_only_copies(self):
+        c = np.eye(2)
+        m = SubsystemModel([[0.0, 1.0], [0.0, 0.0]], [0.0, 1.0], c)
+        c[1, 1] = 0.0  # the model holds its own copy
+        assert np.array_equal(m.c, np.eye(2))
+        for mat in (m.a, m.b, m.c):
+            assert mat.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                mat[0, 0] = np.nan
+        with pytest.raises(ValueError):
+            m.b.flags.writeable = True  # a view of a read-only copy
+
+    def test_cli_refuses_a_zero_output_row(self, tmp_path, capsys):
+        path = tmp_path / "zero_row.json"
+        path.write_text(
+            '{"$schema":"diffnet-problem/v1","driven":[1],'
+            '"graph":{"N":2,"edges":[{"kind":"undirected","u":1,"v":2}]},'
+            '"subsystem":{"A":[[0.0,1.0],[0.0,0.0]],"B":[[0.0],[1.0]],'
+            '"C":[[1.0,0.0],[0.0,0.0]]}}'
+        )
+        assert main(["analyze", str(path)]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "diffnet: error: invalid subsystem: output row 2 is identically zero\n"
 
 
 class TestClassicalChecks:
     def test_double_integrator_controllable_observable(self):
         m = double_integrator()
-        assert check_controllable(m) == (True, ())
-        assert check_observable(m) == (True, ())
+        assert pbh_controllable(m.a, m.b) == (True, ())
+        assert pbh_observable(m.a, m.c) == (True, ())
 
     def test_decoupled_mode_breaks_controllability(self):
         gen = np.random.default_rng(5)
         for order in (2, 3, 4):
             m = uncontrollable_model(gen, order, 1)
-            ok, deficient = check_controllable(m)
+            ok, deficient = pbh_controllable(m.a, m.b)
             assert not ok and len(deficient) >= 1
 
     def test_decoupled_mode_breaks_observability(self):
         gen = np.random.default_rng(6)
         for order in (2, 3, 4):
             m = unobservable_model(gen, order, 2)
-            ok, deficient = check_observable(m)
+            ok, deficient = pbh_observable(m.a, m.c)
             assert not ok and len(deficient) >= 1
 
 
@@ -126,7 +199,7 @@ class TestFixedModes:
             else:
                 m = unobservable_model(gen, order, int(gen.integers(1, 3)))
             modes = fixed_modes(m)
-            both = check_controllable(m)[0] and check_observable(m)[0]
+            both = pbh_controllable(m.a, m.b)[0] and pbh_observable(m.a, m.c)[0]
             assert (not modes) == both
             agreements += spectra_match(modes, randomized_fixed_modes(m, rng.derive(i)))
         # the randomized cross-check is generic, not exact; expect near-total agreement
@@ -139,6 +212,5 @@ class TestFixedModes:
         assert spectra_match(fixed_modes(m), fixed_modes(scaled))
 
     def test_rejects_invalid_model(self):
-        bad = SubsystemModel(np.eye(2), np.ones(3), np.eye(2))
         with pytest.raises(ModelValidationError):
-            fixed_modes(bad)
+            fixed_modes(SubsystemModel(np.eye(2), np.ones(3), np.eye(2)))

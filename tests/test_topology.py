@@ -14,6 +14,7 @@ from conftest import (
     random_graph,
     reference_graph_check,
 )
+from diffnet import problem_io
 from diffnet.topology import (
     DIRECTED,
     UNDIRECTED,
@@ -70,6 +71,7 @@ class TestGraphValidation:
                 assert got[0] == "ok", got
                 g = got[1]
                 assert g.edges == tuple(edges)
+                assert {type(i) for e in g.edges for i in e[:2]} <= {int}
                 assert (g.start + 1).tolist() == [e.oriented()[0] for e in edges]
                 assert (g.end + 1).tolist() == [e.oriented()[1] for e in edges]
                 assert g.directed.tolist() == [e.kind == DIRECTED for e in edges]
@@ -91,7 +93,7 @@ class TestGraphValidation:
         with pytest.raises(ValueError):
             NetworkGraph(2, (Edge(1, 2, "bidirectional"),))
 
-    @pytest.mark.parametrize("bad", [True, "2"])
+    @pytest.mark.parametrize("bad", [True, 2.0, "2"])
     def test_vertex_ids_must_be_ints(self, bad):
         for edge in (Edge(bad, 3), Edge(3, bad), (bad, 3, UNDIRECTED)):
             with pytest.raises(ValueError, match="outside"):
@@ -103,6 +105,30 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match="duplicate"):
             NetworkGraph(3, ((1, 2, UNDIRECTED), (2, 1, UNDIRECTED)))
         assert NetworkGraph(3, ((1, 2, UNDIRECTED),)).num_edges == 1
+
+    def test_plain_tuples_are_held_as_edges(self):
+        g = NetworkGraph(3, ((1, 2, UNDIRECTED),))
+        assert type(g.edges[0]) is Edge
+        assert problem_io.weights_to_json(g, np.ones((1, 1, 1))) == {
+            "edges": [{"u": 1, "v": 2, "kind": UNDIRECTED, "W": [[1.0]]}]
+        }
+        pair = NetworkGraph(3, ((1, 2),)).edges
+        assert pair == (Edge(1, 2),) and type(pair[0]) is Edge
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32])
+    def test_numpy_integer_ids_become_ints(self, integer):
+        g = NetworkGraph(3, (Edge(integer(1), 2), (3, integer(2), DIRECTED)))
+        assert g.edges == (Edge(1, 2), Edge(3, 2, DIRECTED))
+        assert {type(i) for e in g.edges for i in e[:2]} == {int}
+        with pytest.raises(ValueError, match=r"edge \(4, 2\) references a vertex outside"):
+            NetworkGraph(3, (Edge(integer(4), 2),))
+
+    @pytest.mark.parametrize("entry", [(1, 2, UNDIRECTED, 0), (1,), [1, 2], "12", None])
+    def test_other_entries_are_refused_by_position(self, entry):
+        with pytest.raises(ValueError, match="edge #0 must be an Edge"):
+            NetworkGraph(3, (entry,))
+        with pytest.raises(ValueError, match="edge #1 must be an Edge"):
+            NetworkGraph(3, (Edge(1, 2), entry))
 
     def test_driven_set_validation(self):
         with pytest.raises(ValueError):

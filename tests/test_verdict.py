@@ -30,6 +30,7 @@ from lemmas import (
     leader_controls_consensus,
     pattern_pairs,
     scalar_weight_analysis,
+    summed_row,
     summed_row_model,
 )
 
@@ -506,7 +507,7 @@ class TestScalarConstraint:
         vector_report = analyze(model, chain_graph(3), first_driven())
         assert vector_report.verdict is Verdict.CONTROLLABLE
 
-        assert np.array_equal(summed_row_model(model).c, [[0.0, 0.0]])
+        assert np.array_equal(summed_row(model), [[0.0, 0.0]])
         scalar_report = scalar_weight_analysis(model, chain_graph(3), first_driven())
         assert scalar_report.verdict is Verdict.NOT_CONTROLLABLE
         rec = scalar_report.condition("globally_input_reachable")

@@ -26,7 +26,6 @@ from .numerics import DEFAULT_TOL, RandomSource, ToleranceConfig
 from .problem_io import Problem, load_problem, parse_problem
 from .subsystem import SubsystemModel, fixed_modes
 from .topology import (
-    DrivenSet,
     Edge,
     NetworkGraph,
     incidence_matrices,
@@ -48,7 +47,6 @@ __all__ = [
     "ConsistencyError",
     "DEFAULT_TOL",
     "DiffnetError",
-    "DrivenSet",
     "Edge",
     "LumpedSystem",
     "MassSpringChain",

@@ -20,7 +20,9 @@ per edge at the at most four block positions its incidence entries
 select, at O(M n^3 + (nN)^2) cost. ``assemble_lumped`` also takes a
 (T, M, p, r) stack of T weight draws: the index work, which depends on the
 graph alone, runs once, the products run over all draws' blocks side by
-side, and the routes are compared draw by draw.
+side, and the routes are compared draw by draw. The input matrix,
+Delta kron B, holds B at the diagonal blocks of the graph's driven
+vertices, ``NetworkGraph.driven``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .numerics import RandomSource, sample_away_from_zero
 from .subsystem import SubsystemModel
 from .topology import (
     UNDIRECTED,
-    DrivenSet,
     Edge,
     NetworkGraph,
     incidence_matrices,
@@ -188,7 +189,6 @@ def assemble_lumped(
     model: SubsystemModel,
     graph: NetworkGraph,
     weights,
-    driven: DrivenSet,
     *,
     out: np.ndarray | None = None,
 ) -> LumpedSystem:
@@ -197,7 +197,8 @@ def assemble_lumped(
     ``weights`` is the (M, p, r) array of the edges' weight blocks in edge
     order, or a (T, M, p, r) stack of T such draws; ``a_sys`` then has
     shape (nN, nN) or (T, nN, nN). ``b_sys``, Delta kron B written as B at
-    the driven diagonal blocks, is the same for every draw and stored once.
+    the diagonal blocks of ``graph.driven``, is the same for every draw and
+    stored once.
     ``out``, a C-contiguous float64 array of ``a_sys``'s shape, receives
     the state matrices in place of a new array, for a caller that
     assembles into part of a larger stack.
@@ -227,7 +228,6 @@ def assemble_lumped(
             f"order, or be a (draws, *{want}) stack of weight blocks; "
             f"got shape {blocks.shape}"
         )
-    driven.validate_for(graph)
     n_vertices, n = graph.num_vertices, model.order
     if out is not None:
         shape = blocks.shape[:-3] + (n_vertices * n, n_vertices * n)
@@ -271,7 +271,7 @@ def assemble_lumped(
 
     p = model.num_inputs
     b_sys = np.zeros((n_vertices, n, n_vertices, p))
-    driven_idx = np.array(sorted(driven.driven), dtype=np.intp) - 1
+    driven_idx = np.array(graph.driven, dtype=np.intp) - 1
     b_sys[driven_idx, :, driven_idx, :] = model.b
     a_sys = a_direct.reshape(blocks.shape[:-3] + a_direct.shape[1:])
     return LumpedSystem(a_sys, b_sys.reshape(n_vertices * n, n_vertices * p))
@@ -301,7 +301,8 @@ class MassSpringChain:
     node dynamics; edge {i, i+1} carries the 1 x 2 weight row
     [k_{i+1}/mass, mu_{i+1}/mass], so ``weights`` has shape (N - 1, 1, 2).
     The first spring/damper pair couples mass 1 to the wall and is exposed
-    as the grounding coefficients rather than as an edge. External force enters each driven mass scaled by
+    as the grounding coefficients rather than as an edge. The graph drives
+    mass 1. External force enters each driven mass scaled by
     ``input_gain`` = 1/mass, a positive column scaling that cannot change
     any rank verdict.
     """
@@ -309,7 +310,6 @@ class MassSpringChain:
     model: SubsystemModel
     graph: NetworkGraph
     weights: np.ndarray
-    driven_template: DrivenSet
     input_gain: float
     wall_stiffness_over_mass: float
     wall_damping_over_mass: float
@@ -342,13 +342,13 @@ def mass_spring_chain(
     graph = NetworkGraph(
         num_masses,
         tuple(Edge(i, i + 1, UNDIRECTED) for i in range(1, num_masses)),
+        driven=(1,),
     )
     weights = np.stack([springs[1:], dampers[1:]], axis=-1)[:, None, :] / mass
     return MassSpringChain(
         model=model,
         graph=graph,
         weights=weights,
-        driven_template=DrivenSet(frozenset({1})),
         input_gain=1.0 / mass,
         wall_stiffness_over_mass=springs[0] / mass,
         wall_damping_over_mass=dampers[0] / mass,

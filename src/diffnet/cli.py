@@ -237,7 +237,7 @@ def _report_options(tol: ToleranceConfig, **extra) -> dict:
 def cmd_analyze(args) -> int:
     problem, digest = load_problem(args.path)
     tol = _resolve_tol(args.tol, problem.options)
-    report = analyze(problem.model, problem.graph, problem.driven, tol)
+    report = analyze(problem.model, problem.graph, tol)
     doc = report_document(report, __version__, digest, _report_options(tol))
     _emit(args, doc, lambda: _analysis_text(report))
     return _VERDICT_EXIT[report.verdict]
@@ -250,11 +250,10 @@ def cmd_certify(args) -> int:
     trials = _resolve_trials(args.trials, problem.options)
     # a grounded run without a usable wall is refused before anything is drawn
     shift = _ground_shift(problem) if args.ground_first_mass else None
-    analysis = analyze(problem.model, problem.graph, problem.driven, tol)
+    analysis = analyze(problem.model, problem.graph, tol)
     cert = certify_monte_carlo(
         problem.model,
         problem.graph,
-        problem.driven,
         trials=trials,
         rng=RandomSource(seed),
         tol=tol,
@@ -278,20 +277,22 @@ def cmd_certify(args) -> int:
 
 def cmd_lump(args) -> int:
     problem, digest = load_problem(args.path)
-    model, graph, driven = problem.model, problem.graph, problem.driven
+    model, graph = problem.model, problem.graph
     sampled = problem.weights is None
     seed = _resolve_seed(args.seed, problem.options) if sampled else None
+    # a grounded run without a usable wall is refused before anything is drawn
+    shift = _ground_shift(problem) if args.ground_first_mass else None
     if sampled:
         weights = sample_weights(
             graph, (model.num_inputs, model.num_outputs), RandomSource(seed)
         )
     else:
         weights = problem.weights
-    lumped = assemble_lumped(model, graph, weights, driven)
+    lumped = assemble_lumped(model, graph, weights)
     a_sys = lumped.a_sys
-    grounded = bool(args.ground_first_mass)
+    grounded = shift is not None
     if grounded:
-        a_sys = a_sys + _ground_shift(problem)
+        a_sys = a_sys + shift
     doc = {
         "$schema": LUMP_SCHEMA,
         "tool": {"name": "diffnet", "version": __version__},
@@ -349,7 +350,7 @@ def cmd_example(args) -> int:
                 {"u": e.u, "v": e.v, "kind": e.kind} for e in chain.graph.edges
             ],
         },
-        "driven": sorted(chain.driven_template.driven),
+        "driven": list(chain.graph.driven),
         "weights": weights_to_json(chain.graph, chain.weights),
         "options": {
             "seed": seed,
@@ -367,12 +368,12 @@ def cmd_example(args) -> int:
     return 0
 
 
-def _graph_text(graph, driven, forest) -> str:
+def _graph_text(graph, forest) -> str:
     unreachable = sorted(forest.unreachable)
     lines = [
         f"vertices: {graph.num_vertices}",
         f"edges: {graph.num_edges}",
-        f"driven: {sorted(driven.driven)}",
+        f"driven: {list(graph.driven)}",
         f"globally input-reachable: {'yes' if not unreachable else 'no'}",
     ]
     if unreachable:
@@ -398,8 +399,8 @@ def _graph_text(graph, driven, forest) -> str:
 
 def cmd_graph(args) -> int:
     problem, digest = load_problem(args.path)
-    graph, driven = problem.graph, problem.driven
-    forest = spanning_forest(graph, driven)
+    graph = problem.graph
+    forest = spanning_forest(graph)
     unreachable = sorted(forest.unreachable)
     edges, orientation = graph_members(graph)
     doc = {
@@ -408,7 +409,7 @@ def cmd_graph(args) -> int:
         "input": {"sha256": digest},
         "vertices": graph.num_vertices,
         "edges": edges,
-        "driven": sorted(driven.driven),
+        "driven": list(graph.driven),
         "globally_input_reachable": not unreachable,
         "reachable": sorted(forest.order),
         "unreachable": unreachable,
@@ -418,7 +419,7 @@ def cmd_graph(args) -> int:
         },
         "orientation": orientation,
     }
-    _emit(args, doc, lambda: _graph_text(graph, driven, forest))
+    _emit(args, doc, lambda: _graph_text(graph, forest))
     return 0
 
 

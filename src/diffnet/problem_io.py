@@ -11,6 +11,9 @@ A problem file is one JSON document:
     }
 
 Matrices are dense row-major nested lists. ``kind`` defaults to undirected.
+"graph" and "driven" build one ``NetworkGraph``, checked once: a bad
+driven id is reported as an invalid driven set, any other fault of the
+graph as an invalid graph.
 Reports serialize to canonical JSON with complex numbers as
 {"re": ..., "im": ...} objects.
 """
@@ -30,7 +33,7 @@ import numpy as np
 
 from .errors import ModelValidationError, ProblemFileError
 from .subsystem import SubsystemModel
-from .topology import DIRECTED, UNDIRECTED, DrivenSet, Edge, NetworkGraph
+from .topology import DIRECTED, UNDIRECTED, DrivenIdError, Edge, NetworkGraph
 from .verdict import AnalysisReport, CertificationReport
 
 REPORT_SCHEMA = "diffnet-report/v1"
@@ -45,12 +48,11 @@ _OPTION_KEYS = {"seed", "trials", "rank_rel_tol", "eig_match_tol", "wall"}
 class Problem:
     """A parsed problem file, ready for the analysis entry points.
 
-    ``weights``, when the file gives them, is the (M, p, r) array of the
+    ``graph`` holds the file's driven vertices. ``weights``, when the file gives them, is the (M, p, r) array of the
     edges' weight blocks in edge order."""
 
     model: SubsystemModel
     graph: NetworkGraph
-    driven: DrivenSet
     weights: np.ndarray | None
     options: dict
 
@@ -172,22 +174,17 @@ def _parse_graph(doc: dict) -> NetworkGraph:
         edges = _walk_edges(entries)
     else:  # tuple.__new__ fills the named tuples without Edge's Python __new__
         edges = map(tuple.__new__, repeat(Edge), zip(*columns))
+    driven = doc.get("driven")
+    if not isinstance(driven, list):
+        raise _fail('"driven" must be a list of vertex ids')
+    for v in driven:
+        _int_field(v, '"driven" entry')
     try:
-        return NetworkGraph(n, tuple(edges))
+        return NetworkGraph(n, tuple(edges), driven)
+    except DrivenIdError as exc:
+        raise _fail(f"invalid driven set: {exc}") from None
     except ValueError as exc:
         raise _fail(f"invalid graph: {exc}") from None
-
-
-def _parse_driven(doc: dict, graph: NetworkGraph) -> DrivenSet:
-    raw = doc.get("driven")
-    if not isinstance(raw, list):
-        raise _fail('"driven" must be a list of vertex ids')
-    try:
-        driven = DrivenSet(frozenset(_int_field(v, '"driven" entry') for v in raw))
-        driven.validate_for(graph)
-    except ValueError as exc:
-        raise _fail(f"invalid driven set: {exc}") from None
-    return driven
 
 
 def _edge_positions(graph: NetworkGraph) -> dict[tuple[int, int], int]:
@@ -336,10 +333,9 @@ def parse_problem(text: str) -> Problem:
 
     model = _parse_subsystem(doc)
     graph = _parse_graph(doc)
-    driven = _parse_driven(doc, graph)
     weights = _parse_weights(doc, graph, model)
     options = _parse_options(doc)
-    return Problem(model, graph, driven, weights, options)
+    return Problem(model, graph, weights, options)
 
 
 def load_problem(path) -> tuple[Problem, str]:

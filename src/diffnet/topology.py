@@ -1,5 +1,5 @@
-"""Network topology: graphs, driven sets, the spanning forest that decides
-input-reachability, and the incidence factorization."""
+"""Network topology: graphs with their driven vertices, the spanning forest
+that decides input-reachability, and the incidence factorization."""
 
 from __future__ import annotations
 
@@ -43,8 +43,8 @@ _MAX_VERTICES = int(np.iinfo(np.int64).max)
 
 
 def _vertex_id(vid):
-    """Vertex id rule of graphs and driven sets: an int or a numpy integer
-    is the int it holds; a bool, float or str is kept, for the caller to refuse."""
+    """Vertex id and count rule of graphs: an int or a numpy integer is the
+    int it holds; a bool, float or str is kept, for the caller to refuse."""
     integer = isinstance(vid, (int, np.integer)) and not isinstance(vid, bool)
     return int(vid) if integer else vid
 
@@ -115,31 +115,58 @@ def _edge_error(edges: tuple, i: int, num_vertices: int) -> ValueError:
     )
 
 
+class DrivenIdError(ValueError):
+    """A driven vertex id is not an int in 1..num_vertices."""
+
+
+def _driven_ids(driven, num_vertices: int) -> tuple[int, ...]:
+    """The driven ids, any iterable, as a sorted tuple of distinct ints."""
+    ids = tuple(driven)
+    if not {*map(type, ids)} <= {int}:
+        ids = tuple(map(_vertex_id, ids))
+        bad = [i for i in ids if type(i) is not int]
+        if bad:
+            raise DrivenIdError(f"driven vertex ids must be integers, got {bad[0]!r}")
+    ids = tuple(sorted(set(ids)))
+    if ids and ids[0] < 1:
+        raise DrivenIdError("driven vertex ids must be positive")
+    if ids and ids[-1] > num_vertices:
+        bad = [i for i in ids if i > num_vertices]
+        raise DrivenIdError(f"driven vertices {bad} exceed the vertex count {num_vertices}")
+    return ids
+
+
 @dataclass(frozen=True)
 class NetworkGraph:
-    """Vertices 1..num_vertices and the edges between them.
+    """Vertices 1..num_vertices, the edges between them and the driven
+    vertices, those that receive an external input.
 
     ``edges`` is a tuple of ``Edge`` with int ids: a plain (u, v) or
     (u, v, kind) tuple becomes an ``Edge``, a numpy integer id its int.
     The edge list is also held as int64 columns, in edge order: ``start``
     and ``end``, the 0-based ends from ``Edge.oriented``, and the
-    ``directed`` mask. Vertex counts and ids must fit int64.
+    ``directed`` mask. ``driven``, given as any iterable of ids, is held
+    as a sorted tuple of distinct ints; a bad id raises ``DrivenIdError``,
+    after every edge check. Vertex counts and ids follow one rule: an int
+    or a numpy integer that fits int64, never a bool, float or str.
     """
 
     num_vertices: int
     edges: tuple[Edge, ...] = ()
+    driven: tuple[int, ...] = ()
     start: np.ndarray = field(init=False, repr=False, compare=False)
     end: np.ndarray = field(init=False, repr=False, compare=False)
     directed: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = self.num_vertices
-        if not isinstance(n, int) or n < 1:
-            raise ValueError(f"graph needs a positive vertex count, got {n}")
+        n = _vertex_id(self.num_vertices)
+        if type(n) is not int or n < 1:
+            raise ValueError(f"graph needs a positive vertex count, got {n!r}")
         if n > _MAX_VERTICES:
             raise ValueError(
                 f"graph vertex count {n} exceeds the 64-bit limit {_MAX_VERTICES}"
             )
+        object.__setattr__(self, "num_vertices", n)
         edges = tuple(self.edges)
         # Edges of ints, as the parser builds them, pass with no call per edge
         us, vs, kinds = zip(*edges) if {*map(type, edges)} == {Edge} else ((), (), ())
@@ -167,6 +194,7 @@ class NetworkGraph:
         object.__setattr__(self, "start", start - 1)
         object.__setattr__(self, "end", end - 1)
         object.__setattr__(self, "directed", directed)
+        object.__setattr__(self, "driven", _driven_ids(self.driven, n))
 
     @property
     def num_edges(self) -> int:
@@ -188,37 +216,6 @@ class NetworkGraph:
 
 
 @dataclass(frozen=True)
-class DrivenSet:
-    """Vertices receiving an external input (1-based ids)."""
-
-    driven: frozenset[int] = frozenset()
-
-    def __post_init__(self) -> None:
-        vals = frozenset(self.driven)
-        if not {*map(type, vals)} <= {int}:
-            vals = frozenset(map(_vertex_id, vals))
-            bad = [i for i in vals if type(i) is not int]
-            if bad:
-                raise ValueError(f"driven vertex ids must be integers, got {bad[0]!r}")
-        if any(i < 1 for i in vals):
-            raise ValueError("driven vertex ids must be positive")
-        object.__setattr__(self, "driven", vals)
-
-    def __len__(self) -> int:
-        return len(self.driven)
-
-    def __contains__(self, vid: int) -> bool:
-        return vid in self.driven
-
-    def validate_for(self, graph: NetworkGraph) -> None:
-        bad = [i for i in self.driven if i > graph.num_vertices]
-        if bad:
-            raise ValueError(
-                f"driven vertices {sorted(bad)} exceed the vertex count {graph.num_vertices}"
-            )
-
-
-@dataclass(frozen=True)
 class SpanningForest:
     """BFS forest rooted at the driven vertices.
 
@@ -232,20 +229,16 @@ class SpanningForest:
     unreachable: frozenset[int]
 
 
-def spanning_forest(graph: NetworkGraph, driven: DrivenSet) -> SpanningForest:
-    """Forest of influence paths from the driven set; partial on failure."""
-    driven.validate_for(graph)
+def spanning_forest(graph: NetworkGraph) -> SpanningForest:
+    """Forest of influence paths from the driven vertices; partial on failure."""
     adj = graph.influence_neighbors()
-    roots = tuple(sorted(driven.driven))
+    roots = graph.driven  # distinct, so each starts its own tree
     parent: dict[int, int] = {}
-    order: list[int] = []
+    order = list(roots)
     seen = [False] * graph.num_vertices
-    queue: deque[int] = deque()
     for vid in roots:
-        if not seen[vid - 1]:
-            seen[vid - 1] = True
-            order.append(vid)
-            queue.append(vid - 1)
+        seen[vid - 1] = True
+    queue = deque(vid - 1 for vid in roots)
     while queue:
         i = queue.popleft()
         for j in adj[i]:

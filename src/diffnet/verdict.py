@@ -1,16 +1,17 @@
 """Structural controllability verdicts and their numerical certification.
 
-``analyze`` decides, from the network topology and one copy of the node
-dynamics, whether some (equivalently, almost every) choice of edge weights
-makes the assembled network controllable. It is the one analyzer for
-single-input (vector-weight) and multi-input (matrix-weight) nodes. Every
-verdict can be cross-examined by ``certify_monte_carlo``, a Monte Carlo
-oracle on sampled weights: trial t's weight blocks are ``sample_weights``
-on ``rng.derive(t)``, and all trials are assembled (``assemble_lumped`` on
-the stack of draws) and rank-tested as one stack, by block Arnoldi on the
-controllable subspace. A state-matrix shift (the wall-grounded chain) is
-tested on the same draws: each trial is drawn and assembled once, and its
-plain and shifted pairs share the stack.
+``analyze`` decides, from the network graph with its driven vertices and
+one copy of the node dynamics, whether some (equivalently, almost every)
+choice of edge weights makes the assembled network controllable. It is
+the one analyzer for single-input (vector-weight) and multi-input
+(matrix-weight) nodes. Every verdict can be cross-examined by
+``certify_monte_carlo``, a Monte Carlo oracle on sampled weights: trial
+t's weight blocks are ``sample_weights`` on ``rng.derive(t)``, and all
+trials are assembled (``assemble_lumped`` on the stack of draws) and
+rank-tested as one stack, by block Arnoldi on the controllable subspace.
+A state-matrix shift (the wall-grounded chain) is tested on the same
+draws: each trial is drawn and assembled once, and its plain and shifted
+pairs share the stack.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .numerics import (
     pbh_observable,
 )
 from .subsystem import SubsystemModel, fixed_modes
-from .topology import DrivenSet, NetworkGraph, spanning_forest
+from .topology import NetworkGraph, spanning_forest
 
 DEFAULT_CERTIFY_TRIALS = 5
 
@@ -132,7 +133,6 @@ def _pbh_record(name: str, result: tuple[bool, tuple]) -> ConditionRecord:
 def analyze(
     model: SubsystemModel,
     graph: NetworkGraph,
-    driven: DrivenSet,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> AnalysisReport:
     """Structural controllability verdict from the topology and one node.
@@ -157,8 +157,7 @@ def analyze(
             "matrix-weight analysis covers undirected topologies only; "
             "model directed influences with single-input nodes instead"
         )
-    driven.validate_for(graph)
-    if len(driven) == graph.num_vertices:
+    if len(graph.driven) == graph.num_vertices:
         record = _pbh_record("subsystem_controllable", pbh_controllable(model.a, model.b, tol))
         return AnalysisReport(
             verdict=Verdict.CONTROLLABLE if record.holds else Verdict.NOT_CONTROLLABLE,
@@ -166,7 +165,7 @@ def analyze(
             conditions=(record,),
             notes=("every vertex is driven: subsystem controllability decides",),
         )
-    unreachable = tuple(sorted(spanning_forest(graph, driven).unreachable))
+    unreachable = tuple(sorted(spanning_forest(graph).unreachable))
     reach = ConditionRecord(
         "globally_input_reachable",
         not unreachable,
@@ -218,7 +217,6 @@ def analyze(
 def certify_monte_carlo(
     model: SubsystemModel,
     graph: NetworkGraph,
-    driven: DrivenSet,
     trials: int = DEFAULT_CERTIFY_TRIALS,
     rng: RandomSource = RandomSource(0),
     tol: ToleranceConfig = DEFAULT_TOL,
@@ -243,11 +241,10 @@ def certify_monte_carlo(
     (and half) and never aborts the run. Both parts are compared with
     ``analysis``, computed by ``analyze`` when not given.
     """
-    if analysis is None:
-        analysis = analyze(model, graph, driven, tol)
     if trials < 1:
         raise ValueError(f"certification needs at least one trial, got {trials}")
-    driven.validate_for(graph)
+    if analysis is None:
+        analysis = analyze(model, graph, tol)
     shape = (model.num_inputs, model.num_outputs)
     n_states = graph.num_vertices * model.order
     halves = 1
@@ -268,7 +265,7 @@ def certify_monte_carlo(
         # the chunk's plain state matrices, then (shifted) the same plus S
         k = len(chunk)
         a_sys = np.empty((halves * k, n_states, n_states))
-        b_sys = assemble_lumped(model, graph, blocks, driven, out=a_sys[:k]).b_sys
+        b_sys = assemble_lumped(model, graph, blocks, out=a_sys[:k]).b_sys
         if a_shift is not None:
             np.add(a_sys[:k], a_shift, out=a_sys[k:])
         try:

@@ -1,4 +1,4 @@
-"""Shared generators for random models, graphs, and driven sets.
+"""Shared generators for random models, graphs and driven vertices.
 
 Generators take an explicit numpy Generator so every test pins its own
 seed; nothing here draws from global state.
@@ -17,7 +17,6 @@ from diffnet.subsystem import SubsystemModel
 from diffnet.topology import (
     DIRECTED,
     UNDIRECTED,
-    DrivenSet,
     Edge,
     NetworkGraph,
     incidence_matrices,
@@ -98,13 +97,14 @@ def random_driven(
     num_vertices: int,
     allow_empty: bool = False,
     allow_full: bool = True,
-) -> DrivenSet:
+) -> tuple[int, ...]:
+    """Random driven vertex ids, for ``NetworkGraph(driven=...)``."""
     low = 0 if allow_empty else 1
     high = num_vertices if allow_full else num_vertices - 1
     high = max(high, low)
     count = int(gen.integers(low, high + 1))
     chosen = gen.choice(np.arange(1, num_vertices + 1), size=count, replace=False)
-    return DrivenSet(frozenset(int(v) for v in chosen))
+    return tuple(int(v) for v in chosen)
 
 
 def incoming_influence_counts(graph: NetworkGraph) -> list[int]:
@@ -117,9 +117,7 @@ def incoming_influence_counts(graph: NetworkGraph) -> list[int]:
     return counts
 
 
-def ensure_incoming_influence(
-    gen: np.random.Generator, graph: NetworkGraph, driven: DrivenSet
-) -> NetworkGraph:
+def ensure_incoming_influence(gen: np.random.Generator, graph: NetworkGraph) -> NetworkGraph:
     """Add directed edges so every undriven vertex has incoming influence.
 
     A vertex with zero incoming influence has no undirected edge and no
@@ -129,12 +127,12 @@ def ensure_incoming_influence(
     counts = incoming_influence_counts(graph)
     edges = list(graph.edges)
     for v in range(1, graph.num_vertices + 1):
-        if v in driven or counts[v - 1] > 0:
+        if v in graph.driven or counts[v - 1] > 0:
             continue
         others = [w for w in range(1, graph.num_vertices + 1) if w != v]
         w = int(gen.choice(others))
         edges.append(Edge(w, v, DIRECTED))
-    return NetworkGraph(graph.num_vertices, tuple(edges))
+    return NetworkGraph(graph.num_vertices, tuple(edges), graph.driven)
 
 
 def random_model(
@@ -190,9 +188,9 @@ def unobservable_model(
     return SubsystemModel(a, b, c)
 
 
-def driven_selector(driven: DrivenSet, num_vertices: int) -> np.ndarray:
+def driven_selector(graph: NetworkGraph) -> np.ndarray:
     """Delta: the N x N diagonal with a 1 at every driven vertex."""
-    return np.diag([float(v in driven) for v in range(1, num_vertices + 1)])
+    return np.diag([float(v in graph.driven) for v in range(1, graph.num_vertices + 1)])
 
 
 def dense_edgewise_state_matrix(
@@ -248,7 +246,7 @@ def assembled_laplacian(graph: NetworkGraph, weights: np.ndarray) -> np.ndarray:
     p, r = weights.shape[1:]
     n, nv = max(p, r), graph.num_vertices
     node = SubsystemModel(np.zeros((n, n)), np.eye(n, p), np.eye(r, n))
-    a_sys = assemble_lumped(node, graph, weights, DrivenSet()).a_sys
+    a_sys = assemble_lumped(node, graph, weights).a_sys
     blocks = 0.0 - a_sys.reshape(nv, n, nv, n)[:, :p, :, :r]
     return blocks.reshape(nv * p, nv * r)
 

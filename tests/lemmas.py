@@ -17,6 +17,8 @@ weights.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from conftest import driven_selector
@@ -29,7 +31,7 @@ from diffnet.numerics import (
     numerical_rank,
 )
 from diffnet.subsystem import SubsystemModel
-from diffnet.topology import DrivenSet, NetworkGraph, incidence_matrices
+from diffnet.topology import NetworkGraph, incidence_matrices
 from diffnet.verdict import analyze, certify_monte_carlo
 
 
@@ -49,7 +51,7 @@ def cycles_input_reachable(state_pattern, input_pattern) -> bool:
     return nx.is_directed_acyclic_graph(digraph.subgraph(set(digraph) - reached))
 
 
-def pattern_pairs(graph: NetworkGraph, driven: DrivenSet, channels: int):
+def pattern_pairs(graph: NetworkGraph, channels: int):
     """The (state, input) patterns of the two auxiliary digraphs of a
     network of single-input nodes with ``channels`` coupling channels,
     every block repeated over all channel pairs: on edge states, K_I K and
@@ -57,7 +59,7 @@ def pattern_pairs(graph: NetworkGraph, driven: DrivenSet, channels: int):
     Delta. K_I and K are the incidence and injection matrices, Delta the
     N x N selector of the driven vertices."""
     real = incidence_matrices(graph)
-    delta = driven_selector(driven, graph.num_vertices)
+    delta = driven_selector(graph)
     square, column = np.ones((channels, channels)), np.ones((channels, 1))
     return (
         (
@@ -68,7 +70,7 @@ def pattern_pairs(graph: NetworkGraph, driven: DrivenSet, channels: int):
     )
 
 
-def generic_ranks(model, graph, driven, rng, trials=3, tol=DEFAULT_TOL) -> list[int]:
+def generic_ranks(model, graph, rng, trials=3, tol=DEFAULT_TOL) -> list[int]:
     """Largest numerical rank of [lambda I - A_sys, B_sys] over ``trials``
     weight draws, at each distinct eigenvalue lambda of the node's A. Draw t
     is ``sample_weights`` on ``rng.derive(t)``, as in the certificate; full
@@ -79,7 +81,7 @@ def generic_ranks(model, graph, driven, rng, trials=3, tol=DEFAULT_TOL) -> list[
     best = [0] * len(distinct)
     for t in range(trials):
         weights = sample_weights(graph, shape, rng.derive(t))
-        lumped = assemble_lumped(model, graph, weights, driven)
+        lumped = assemble_lumped(model, graph, weights)
         for i, lam in enumerate(distinct):
             pencil = np.hstack([lam * eye - lumped.a_sys, lumped.b_sys])
             best[i] = max(best[i], numerical_rank(pencil, tol))
@@ -91,8 +93,9 @@ def leader_controls_consensus(graph: NetworkGraph, leader: int, trials, rng) -> 
     controllable: scalar integrator nodes (A = 0, B = C = 1) make the
     lumped pair (-L, e_leader)."""
     integrator = SubsystemModel([[0.0]], [[1.0]], [[1.0]])
-    driven = DrivenSet(frozenset({leader}))
-    cert = certify_monte_carlo(integrator, graph, driven, trials=trials, rng=rng)
+    cert = certify_monte_carlo(
+        integrator, replace(graph, driven=(leader,)), trials=trials, rng=rng
+    )
     return all(t.controllable for t in cert.per_trial)
 
 
@@ -108,13 +111,13 @@ def summed_row_model(model: SubsystemModel) -> SubsystemModel:
     return SubsystemModel(model.a, model.b, summed_row(model))
 
 
-def scalar_weight_analysis(model, graph: NetworkGraph, driven: DrivenSet):
+def scalar_weight_analysis(model, graph: NetworkGraph):
     """``analyze`` on the network whose edges carry one scalar weight each.
     When the summed row cancels no coupling survives: the network is its
     nodes without edges."""
     if not summed_row(model).any():
-        return analyze(model, NetworkGraph(graph.num_vertices), driven)
-    return analyze(summed_row_model(model), graph, driven)
+        return analyze(model, NetworkGraph(graph.num_vertices, driven=graph.driven))
+    return analyze(summed_row_model(model), graph)
 
 
 def matched_eigenvalues(candidates, pool, tol=DEFAULT_TOL) -> list[complex]:
@@ -209,7 +212,7 @@ def node_ranks(model: SubsystemModel) -> tuple[int, int]:
     return reachable_dimension(model.a, model.b), reachable_dimension(model.a.T, model.c.T)
 
 
-def network_reachable_dimension(model, graph, driven, gen: np.random.Generator) -> int:
+def network_reachable_dimension(model, graph, gen: np.random.Generator) -> int:
     """Exact reachable dimension of the lumped pair at one draw of integer
     edge weights with magnitudes in [1, WEIGHT_BOUND) and random signs,
     assembled by ``assemble_lumped``. A full rank proves the network
@@ -218,5 +221,5 @@ def network_reachable_dimension(model, graph, driven, gen: np.random.Generator) 
     the weights."""
     shape = (graph.num_edges, model.num_inputs, model.num_outputs)
     weights = gen.integers(1, WEIGHT_BOUND, size=shape) * gen.choice([-1, 1], size=shape)
-    lumped = assemble_lumped(model, graph, weights.astype(float), driven)
+    lumped = assemble_lumped(model, graph, weights.astype(float))
     return reachable_dimension(lumped.a_sys, lumped.b_sys)

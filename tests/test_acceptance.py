@@ -1,6 +1,7 @@
 """Acceptance suite: one test per published claim, one pass/fail line each."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from conftest import (
 from diffnet.assembly import assemble_lumped, mass_spring_chain, sample_weights
 from diffnet.numerics import RandomSource
 from diffnet.subsystem import SubsystemModel, fixed_modes
-from diffnet.topology import DrivenSet, Edge, NetworkGraph, spanning_forest
+from diffnet.topology import Edge, NetworkGraph, spanning_forest
 from diffnet.verdict import Verdict, analyze, certify_monte_carlo
 from lemmas import (
     cycles_input_reachable,
@@ -51,13 +52,12 @@ def test_criterion_01_any_single_driver_controls_a_chain(acceptance):
             n, 1.0, distinct_constants(gen, n), distinct_constants(gen, n)
         )
         for driver in range(1, n + 1):
-            driven = DrivenSet(frozenset({driver}))
-            report = analyze(chain.model, chain.graph, driven)
+            graph = replace(chain.graph, driven=(driver,))
+            report = analyze(chain.model, graph)
             ok = ok and report.verdict is Verdict.CONTROLLABLE
             cert = certify_monte_carlo(
                 chain.model,
-                chain.graph,
-                driven,
+                graph,
                 trials=5,
                 rng=RandomSource(42),
                 analysis=report,
@@ -78,17 +78,16 @@ def test_criterion_01_any_single_driver_controls_a_chain(acceptance):
 
 def test_criterion_02_broken_chain_reachability_witness(acceptance):
     # drop the middle edge {3, 4} of the 5-chain
-    graph = NetworkGraph(5, (Edge(1, 2), Edge(2, 3), Edge(4, 5)))
+    graph = NetworkGraph(5, (Edge(1, 2), Edge(2, 3), Edge(4, 5)), driven=(1,))
     gen = np.random.default_rng(7)
     chain = mass_spring_chain(5, 1.0, distinct_constants(gen, 5), distinct_constants(gen, 5))
-    driven = DrivenSet(frozenset({1}))
-    report = analyze(chain.model, graph, driven)
+    report = analyze(chain.model, graph)
     ok = report.verdict is Verdict.NOT_CONTROLLABLE
     witness = report.condition("globally_input_reachable").witness
     ok = ok and witness == {"unreachable_vertices": (4, 5)}
 
     cert = certify_monte_carlo(
-        chain.model, graph, driven, trials=5, rng=RandomSource(42), analysis=report
+        chain.model, graph, trials=5, rng=RandomSource(42), analysis=report
     )
     floor = chain.model.order * 2  # n states per cut-off vertex, two vertices
     ok = ok and all(
@@ -107,14 +106,13 @@ def test_criterion_02_broken_chain_reachability_witness(acceptance):
 
 def test_criterion_03_velocity_only_coupling_is_refused(acceptance):
     model = SubsystemModel([[0.0, 1.0], [0.0, 0.0]], [0.0, 1.0], [[0.0, 1.0]])
-    graph = NetworkGraph(4, chain_edges(4))
-    driven = DrivenSet(frozenset({1}))
-    report = analyze(model, graph, driven)
+    graph = NetworkGraph(4, chain_edges(4), driven=(1,))
+    report = analyze(model, graph)
     ok = report.verdict is Verdict.NOT_CONTROLLABLE
     ok = ok and not report.condition("subsystem_observable").holds
 
     cert = certify_monte_carlo(
-        model, graph, driven, trials=20, rng=RandomSource(42), analysis=report
+        model, graph, trials=20, rng=RandomSource(42), analysis=report
     )
     bad = sum(1 for t in cert.per_trial if t.controllable is False)
     ok = ok and bad == 20 and cert.agree_with_verdict
@@ -134,7 +132,7 @@ def test_criterion_04_factorized_assembly_matches_direct(acceptance):
     for i in range(100):
         n_vertices = int(gen.integers(2, 7))
         graph = random_graph(gen, n_vertices, edge_prob=0.6)
-        driven = random_driven(gen, n_vertices, allow_empty=True)
+        graph = replace(graph, driven=random_driven(gen, n_vertices, allow_empty=True))
         r = int(gen.integers(1, 4))
         if i % 5 < 3:
             model = random_model(gen, int(gen.integers(1, 4)), r)
@@ -143,7 +141,7 @@ def test_criterion_04_factorized_assembly_matches_direct(acceptance):
             p = int(gen.integers(2, 4))
             model = random_model(gen, int(gen.integers(1, 4)), r, num_inputs=p)
             weights = sample_weights(graph, (p, r), RandomSource(40_000 + i))
-        a_sys = assemble_lumped(model, graph, weights, driven).a_sys
+        a_sys = assemble_lumped(model, graph, weights).a_sys
         reference = factorized_state_matrix(model, graph, weights)
         residual = np.max(np.abs(a_sys - reference)) / max(1.0, np.max(np.abs(a_sys)))
         worst_residual = max(worst_residual, float(residual))
@@ -172,16 +170,16 @@ def test_criterion_05_pattern_checks_agree_with_reachability(acceptance):
     for _ in range(100):
         n_vertices = int(gen.integers(2, 6))
         graph = random_graph(gen, n_vertices, edge_prob=0.5)
-        driven = random_driven(gen, n_vertices)
-        graph = ensure_incoming_influence(gen, graph, driven)
+        graph = replace(graph, driven=random_driven(gen, n_vertices))
+        graph = ensure_incoming_influence(gen, graph)
         r = int(gen.integers(1, 3))
         # the premise: (A, b) controllable; the patterns depend on r alone
         model = random_model(gen, int(gen.integers(1, 4)), r, require_ctrb=True)
         edge_ok, vertex_ok = (
             cycles_input_reachable(*pair)
-            for pair in pattern_pairs(graph, driven, model.num_outputs)
+            for pair in pattern_pairs(graph, model.num_outputs)
         )
-        reachable = not spanning_forest(graph, driven).unreachable
+        reachable = not spanning_forest(graph).unreachable
         agreements += edge_ok == vertex_ok == reachable
     acceptance(
         5,
@@ -198,13 +196,13 @@ def test_criterion_06_controllable_verdicts_pass_the_rank_condition(acceptance):
     for i in range(60):
         n_vertices = int(gen.integers(2, 6))
         graph = random_graph(gen, n_vertices, edge_prob=0.6)
-        driven = random_driven(gen, n_vertices)
+        graph = replace(graph, driven=random_driven(gen, n_vertices))
         model = random_model(gen, int(gen.integers(1, 4)), int(gen.integers(1, 3)))
-        report = analyze(model, graph, driven)
+        report = analyze(model, graph)
         if report.verdict is not Verdict.CONTROLLABLE:
             continue
         controllable_seen += 1
-        ranks = generic_ranks(model, graph, driven, RandomSource(60_000 + i))
+        ranks = generic_ranks(model, graph, RandomSource(60_000 + i))
         full = n_vertices * model.order
         rank_passes += all(rank == full for rank in ranks)
         assert min(ranks) == full, f"instance {i}: ranks {ranks} below {full}"
@@ -246,13 +244,13 @@ def test_criterion_08_scalar_constraint_implies_but_is_not_implied(acceptance):
     for _ in range(50):
         n_vertices = int(gen.integers(2, 6))
         graph = random_graph(gen, n_vertices, edge_prob=0.6)
-        driven = random_driven(gen, n_vertices)
+        graph = replace(graph, driven=random_driven(gen, n_vertices))
         model = random_model(gen, int(gen.integers(1, 4)), int(gen.integers(1, 4)))
-        scalar_report = scalar_weight_analysis(model, graph, driven)
+        scalar_report = scalar_weight_analysis(model, graph)
         if scalar_report.verdict is not Verdict.CONTROLLABLE:
             continue
         scalar_controllable_seen += 1
-        vector_report = analyze(model, graph, driven)
+        vector_report = analyze(model, graph)
         implication_held = (
             implication_held and vector_report.verdict is Verdict.CONTROLLABLE
         )
@@ -260,11 +258,10 @@ def test_criterion_08_scalar_constraint_implies_but_is_not_implied(acceptance):
     cancel = SubsystemModel(
         [[0.0, 1.0], [0.0, 0.0]], [0.0, 1.0], [[1.0, 0.0], [-1.0, 0.0]]
     )
-    graph = NetworkGraph(3, chain_edges(3))
-    driven = DrivenSet(frozenset({1}))
-    vector_ok = analyze(cancel, graph, driven).verdict is Verdict.CONTROLLABLE
+    graph = NetworkGraph(3, chain_edges(3), driven=(1,))
+    vector_ok = analyze(cancel, graph).verdict is Verdict.CONTROLLABLE
     scalar_bad = (
-        scalar_weight_analysis(cancel, graph, driven).verdict
+        scalar_weight_analysis(cancel, graph).verdict
         is Verdict.NOT_CONTROLLABLE
     )
     ok = (
@@ -299,12 +296,11 @@ def test_criterion_09_matrix_weight_verdicts_match_the_oracle(acceptance):
         methods_agree = methods_agree and spectra_match(modes, randomized)
         n_vertices = int(gen.integers(2, 5))
         graph = random_connected_graph(gen, n_vertices)
-        driven = random_driven(gen, n_vertices)
-        report = analyze(model, graph, driven)
+        graph = replace(graph, driven=random_driven(gen, n_vertices))
+        report = analyze(model, graph)
         cert = certify_monte_carlo(
             model,
             graph,
-            driven,
             trials=3,
             rng=RandomSource(92_000 + built),
             analysis=report,

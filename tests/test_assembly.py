@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +38,6 @@ from diffnet.subsystem import SubsystemModel
 from diffnet.topology import (
     DIRECTED,
     UNDIRECTED,
-    DrivenSet,
     Edge,
     IncidenceRealization,
     NetworkGraph,
@@ -45,8 +45,8 @@ from diffnet.topology import (
 )
 
 
-def chain_graph(n: int) -> NetworkGraph:
-    return NetworkGraph(n, tuple(Edge(i, i + 1) for i in range(1, n)))
+def chain_graph(n: int, driven=()) -> NetworkGraph:
+    return NetworkGraph(n, tuple(Edge(i, i + 1) for i in range(1, n)), driven)
 
 
 def double_integrator() -> SubsystemModel:
@@ -73,14 +73,14 @@ class TestWeightContainers:
     def test_vector_weights_length_enforced(self):
         g = chain_graph(2)
         with pytest.raises(ValueError, match=r"shape \(1, 1, 2\)"):
-            assemble_lumped(double_integrator(), g, rows(g, [[1.0, 2.0, 3.0]]), DrivenSet())
+            assemble_lumped(double_integrator(), g, rows(g, [[1.0, 2.0, 3.0]]))
         with pytest.raises(ValueError):
             sample_weights(g, (1, 0), RandomSource(0))
 
     def test_empty_edge_list_needs_explicit_channels(self):
         """Edgeless graphs carry (0, p, r) arrays from every source; a bare
         empty array, which names no channels, is refused."""
-        model, g = double_integrator(), NetworkGraph(1)
+        model, g = double_integrator(), NetworkGraph(1, driven=(1,))
         chain = mass_spring_chain(1, 1.0, springs=(2.0,), dampers=(0.5,))
         doc = {
             "subsystem": {"A": model.a.tolist(), "B": model.b.tolist(), "C": model.c.tolist()},
@@ -94,28 +94,28 @@ class TestWeightContainers:
             parse_problem(json.dumps(doc)).weights,
         ):
             assert weights.shape == (0, 1, 2) and weights.dtype == np.float64
-            lumped = assemble_lumped(model, g, weights, DrivenSet(frozenset({1})))
+            lumped = assemble_lumped(model, g, weights)
             assert np.array_equal(lumped.a_sys, model.a)
         with pytest.raises(ValueError, match=r"shape \(0, 1, 2\)"):
-            assemble_lumped(model, g, np.array([]), DrivenSet())
+            assemble_lumped(model, g, np.array([]))
 
     def test_matrix_weights_shape_enforced(self):
         model = SubsystemModel(np.zeros((2, 2)), np.eye(2), np.eye(2))
         g = chain_graph(2)
         with pytest.raises(ValueError, match=r"shape \(1, 2, 2\)"):
-            assemble_lumped(model, g, np.ones((1, 1, 2)), DrivenSet())
+            assemble_lumped(model, g, np.ones((1, 1, 2)))
         with pytest.raises(ValueError, match=r"shape \(1, 2, 2\)"):
-            assemble_lumped(model, g, np.ones((1, 2, 3)), DrivenSet())
+            assemble_lumped(model, g, np.ones((1, 2, 3)))
         with pytest.raises(ValueError):
             sample_weights(g, (0, 1), RandomSource(0))
 
     def test_weight_array_must_cover_every_edge_exactly(self):
         g = chain_graph(3)
         model = SubsystemModel([[0.0]], [[1.0]], [[1.0]])
-        assemble_lumped(model, g, rows(g, [[1.0], [2.0]]), DrivenSet())
+        assemble_lumped(model, g, rows(g, [[1.0], [2.0]]))
         for count in (1, 3):
             with pytest.raises(ValueError, match=r"shape \(2, 1, 1\)"):
-                assemble_lumped(model, g, np.ones((count, 1, 1)), DrivenSet())
+                assemble_lumped(model, g, np.ones((count, 1, 1)))
 
 
 class TestLaplacians:
@@ -173,9 +173,9 @@ class TestLaplacians:
 class TestSingleInputAssembly:
     def test_single_vertex_is_the_node_itself(self):
         model = double_integrator()
-        g = NetworkGraph(1)
+        g = NetworkGraph(1, driven=(1,))
         w = rows(g, [], channels=2)
-        sys = assemble_lumped(model, g, w, DrivenSet(frozenset({1})))
+        sys = assemble_lumped(model, g, w)
         assert np.array_equal(sys.a_sys, model.a)
         assert np.array_equal(sys.b_sys, model.b)
 
@@ -183,7 +183,7 @@ class TestSingleInputAssembly:
         model = double_integrator()
         g = chain_graph(2)
         w = rows(g, [[0.0, 0.0]])
-        sys = assemble_lumped(model, g, w, DrivenSet())
+        sys = assemble_lumped(model, g, w)
         assert np.array_equal(sys.a_sys, np.kron(np.eye(2), model.a))
         assert not sys.b_sys.any()
 
@@ -191,9 +191,8 @@ class TestSingleInputAssembly:
         k, d = 3.0, 0.5
         sys = assemble_lumped(
             double_integrator(),
-            chain_graph(2),
+            chain_graph(2, driven=(1,)),
             rows(chain_graph(2), [[k, d]]),
-            DrivenSet(frozenset({1})),
         )
         expected = np.array(
             [
@@ -211,9 +210,9 @@ class TestSingleInputAssembly:
 
     def test_input_blocks_follow_driven_set(self):
         model = double_integrator()
-        g = chain_graph(3)
+        g = chain_graph(3, driven=(2, 3))
         w = rows(g, [[1.0, 1.0], [1.0, 1.0]])
-        sys = assemble_lumped(model, g, w, DrivenSet(frozenset({2, 3})))
+        sys = assemble_lumped(model, g, w)
         assert not sys.b_sys[0:2].any()
         assert not sys.b_sys[:, 0].any()
         assert np.array_equal(sys.b_sys[2:4, 1], [0.0, 1.0])
@@ -224,13 +223,13 @@ class TestSingleInputAssembly:
         g = chain_graph(2)
         w = rows(g, [[1.0, 1.0]])
         with pytest.raises(ValueError, match="shape"):
-            assemble_lumped(model, g, w, DrivenSet())
+            assemble_lumped(model, g, w)
 
     def test_rejects_wrong_container_and_channel_count(self):
         model = double_integrator()
         g = chain_graph(2)
         with pytest.raises(ValueError, match="shape"):
-            assemble_lumped(model, g, rows(g, [[1.0]]), DrivenSet())
+            assemble_lumped(model, g, rows(g, [[1.0]]))
 
     def test_rejects_invalid_model(self):
         g = chain_graph(2)
@@ -239,21 +238,15 @@ class TestSingleInputAssembly:
                 SubsystemModel(np.eye(2), np.ones(2), [[0.0, 0.0]]),
                 g,
                 rows(g, [[1.0]]),
-                DrivenSet(),
             )
 
 
 class TestMatrixWeightAssembly:
     def test_identity_node_reduces_to_block_laplacian(self):
         model = SubsystemModel(np.zeros((2, 2)), np.eye(2), np.eye(2))
-        g = chain_graph(2)
+        g = chain_graph(2, driven=(1, 2))
         block = np.array([[1.0, 2.0], [3.0, 4.0]])
-        sys = assemble_lumped(
-            model,
-            g,
-            np.array([block]),
-            DrivenSet(frozenset({1, 2})),
-        )
+        sys = assemble_lumped(model, g, np.array([block]))
         assert np.allclose(sys.a_sys, -np.block([[block, -block], [-block, block]]))
         assert np.array_equal(sys.b_sys, np.eye(4))
 
@@ -265,21 +258,21 @@ class TestMatrixWeightAssembly:
             r = int(gen.integers(1, 3))
             model = random_model(gen, int(gen.integers(1, 4)), r)
             vec = sample_weights(g, (1, r), RandomSource(int(gen.integers(1 << 30))))
-            driven = random_driven(gen, n)
-            lumped = assemble_lumped(model, g, vec, driven)
+            g = replace(g, driven=random_driven(gen, n))
+            lumped = assemble_lumped(model, g, vec)
             # single-input form: I kron A minus the channel sum of L_k kron (b c_k)
             channel_sum = np.kron(np.eye(n), model.a)
             for k, lap in enumerate(channel_laplacians(g, vec)):
                 channel_sum = channel_sum - np.kron(lap, model.b @ model.c[k : k + 1])
             assert np.allclose(lumped.a_sys, channel_sum, rtol=1e-10, atol=1e-10)
-            delta = driven_selector(driven, n)
+            delta = driven_selector(g)
             assert np.array_equal(lumped.b_sys, np.kron(delta, model.b))
 
     def test_rejects_shape_mismatch_with_model(self):
         model = SubsystemModel(np.eye(2), np.eye(2), np.eye(2))
         g = chain_graph(2)
         with pytest.raises(ValueError, match="shape"):
-            assemble_lumped(model, g, np.ones((1, 1, 2)), DrivenSet())
+            assemble_lumped(model, g, np.ones((1, 1, 2)))
 
     def test_rejects_overflowing_weights(self, monkeypatch):
         judged = count_calls(monkeypatch, diffnet.assembly, "_require_close")
@@ -294,7 +287,7 @@ class TestMatrixWeightAssembly:
             expected[hub - 1, 2 * hub - 2 : 2 * hub] = False
             assert np.array_equal(finite, expected)
             with pytest.raises(ValueError, match="overflows the float range"):
-                assemble_lumped(double_integrator(), g, huge, DrivenSet(frozenset({1})))
+                assemble_lumped(double_integrator(), g, huge)
         assert judged == []  # refused before the routes are compared
 
     def test_cross_check_rejects_nan_deviation(self):
@@ -324,14 +317,14 @@ def max_degree(graph: NetworkGraph) -> int:
 
 
 class TestDirectRoute:
-    def check_pair(self, lumped, model, graph, driven):
+    def check_pair(self, lumped, model, graph):
         """Structural zeros are 0.0: no -0.0 outside the diagonal blocks of
         A_sys or anywhere in B_sys, which is Delta kron B."""
         a_sys, b_sys = lumped.a_sys, lumped.b_sys
         n, nv = model.order, graph.num_vertices
         off_diagonal = ~np.kron(np.eye(nv, dtype=bool), np.ones((n, n), dtype=bool))
         assert not np.any(np.signbit(a_sys) & (a_sys == 0) & off_diagonal)
-        assert np.array_equal(b_sys, np.kron(driven_selector(driven, nv), model.b))
+        assert np.array_equal(b_sys, np.kron(driven_selector(graph), model.b))
         assert not np.any(np.signbit(b_sys) & (b_sys == 0))
 
     def test_matches_dense_kronecker_reference_bit_for_bit(self):
@@ -349,12 +342,12 @@ class TestDirectRoute:
             c[~c.any(axis=1), 0] = 1.0  # no zero output row
             model = SubsystemModel(quarters(gen, (n, n)), quarters(gen, (n, p)), c)
             weights = quarters(gen, (g.num_edges, p, r))
-            driven = random_driven(gen, g.num_vertices)
-            lumped = assemble_lumped(model, g, weights, driven)
+            g = replace(g, driven=random_driven(gen, g.num_vertices))
+            lumped = assemble_lumped(model, g, weights)
             reference = dense_direct_state_matrix(model, g, weights)
             # equal floats that are nonzero have equal bits
             assert np.array_equal(lumped.a_sys, reference)
-            self.check_pair(lumped, model, g, driven)
+            self.check_pair(lumped, model, g)
         assert kinds == {UNDIRECTED, DIRECTED} and antiparallel > 0 and degree >= 5
 
     def test_matches_dense_reference_within_rounding(self):
@@ -367,8 +360,8 @@ class TestDirectRoute:
         ):
             model = random_model(gen, int(gen.integers(1, 4)), r, num_inputs=p)
             weights = sample_weights(g, (p, r), RandomSource(int(gen.integers(1 << 30))))
-            driven = random_driven(gen, g.num_vertices)
-            lumped = assemble_lumped(model, g, weights, driven)
+            g = replace(g, driven=random_driven(gen, g.num_vertices))
+            lumped = assemble_lumped(model, g, weights)
             reference = dense_direct_state_matrix(model, g, weights)
             eye = np.eye(g.num_vertices)
             lap = np.abs(loop_matrix_laplacian(g, weights))
@@ -377,7 +370,7 @@ class TestDirectRoute:
             )
             bound = 2 * (p + r + 1) * np.finfo(float).eps * magnitude
             assert np.all(np.abs(lumped.a_sys - reference) <= bound)
-            self.check_pair(lumped, model, g, driven)
+            self.check_pair(lumped, model, g)
 
     def test_laplacian_matches_edge_loop_bit_for_bit(self):
         gen = np.random.default_rng(78)
@@ -405,7 +398,6 @@ class TestDirectRoute:
                 double_integrator(),
                 g,
                 rows(g, [[1.0, 0.5], [2.0, 0.3]]),
-                DrivenSet(frozenset({1})),
             )
 
 
@@ -459,7 +451,6 @@ class TestEdgewiseRoute:
                 double_integrator(),
                 g,
                 rows(g, [[1.0, 0.5], [2.0, 0.3]]),
-                DrivenSet(frozenset({1})),
             )
 
 
@@ -474,11 +465,11 @@ class TestStackedAssembly:
             c[~c.any(axis=1), 0] = 1.0  # no zero output row
             model = SubsystemModel(quarters(gen, (n, n)), quarters(gen, (n, p)), c)
             blocks = quarters(gen, (3, g.num_edges, p, r))
-            driven = random_driven(gen, g.num_vertices)
-            stack = assemble_lumped(model, g, blocks, driven)
+            g = replace(g, driven=random_driven(gen, g.num_vertices))
+            stack = assemble_lumped(model, g, blocks)
             assert stack.a_sys.shape == (3, g.num_vertices * n, g.num_vertices * n)
             for member, a_sys in zip(blocks, stack.a_sys):
-                alone = assemble_lumped(model, g, member, driven)
+                alone = assemble_lumped(model, g, member)
                 assert alone.a_sys.shape == a_sys.shape
                 bits = alone.a_sys.view(np.uint64)
                 assert np.array_equal(a_sys.view(np.uint64), bits)
@@ -501,13 +492,12 @@ class TestStackedAssembly:
         blocks = rows(g, [[1.0, 0.5], [2.0, 0.3]])
         stack = np.stack([blocks, 2.0 * blocks, 3.0 * blocks])
         monkeypatch.setattr(diffnet.assembly, "_require_close", capture)
-        driven = DrivenSet(frozenset({1}))
-        assemble_lumped(double_integrator(), g, stack, driven)
+        assemble_lumped(double_integrator(), g, stack)
         assert len(judged) == 3  # one judgement per member
         monkeypatch.setattr(diffnet.assembly, "_edgewise_state_blocks", planted)
         judged.clear()
         with pytest.raises(ConsistencyError, match="disagree"):
-            assemble_lumped(double_integrator(), g, stack, driven)
+            assemble_lumped(double_integrator(), g, stack)
         assert len(judged) == 2  # member 0 passes, member 1 fails
 
     def test_one_overflowing_member_refuses_the_stack(self, monkeypatch):
@@ -517,7 +507,7 @@ class TestStackedAssembly:
         judged = count_calls(monkeypatch, diffnet.assembly, "_require_close")
         with pytest.raises(ValueError, match="overflows the float range"):
             assemble_lumped(
-                double_integrator(), g, stack, DrivenSet(frozenset({1}))
+                double_integrator(), g, stack
             )
         assert judged == []
 
@@ -525,29 +515,28 @@ class TestStackedAssembly:
         g, model = chain_graph(3), double_integrator()
         gen = np.random.default_rng(5)
         blocks = quarters(gen, (2, g.num_edges, 1, 2))
-        driven = DrivenSet(frozenset({1}))
-        fresh = assemble_lumped(model, g, blocks, driven)
+        fresh = assemble_lumped(model, g, blocks)
         buffer = np.full((4, 6, 6), np.nan)
-        stack = assemble_lumped(model, g, blocks, driven, out=buffer[:2])
+        stack = assemble_lumped(model, g, blocks, out=buffer[:2])
         assert np.shares_memory(stack.a_sys, buffer)
         assert np.array_equal(buffer[:2].view(np.uint64), fresh.a_sys.view(np.uint64))
         assert np.isnan(buffer[2:]).all()
         for bad in (np.empty((3, 6, 6)), np.empty((2, 6, 6), np.float32), buffer[:, :, :2].T):
             with pytest.raises(ValueError, match="C-contiguous float64"):
-                assemble_lumped(model, g, blocks, driven, out=bad)
+                assemble_lumped(model, g, blocks, out=bad)
         # one draw: out has the single state matrix's shape
-        single = assemble_lumped(model, g, blocks[1], driven, out=buffer[3])
+        single = assemble_lumped(model, g, blocks[1], out=buffer[3])
         assert np.shares_memory(single.a_sys, buffer) and single.a_sys.shape == (6, 6)
         assert np.array_equal(buffer[3], fresh.a_sys[1])
         with pytest.raises(ValueError, match=r"shape \(6, 6\)"):
-            assemble_lumped(model, g, blocks[1], driven, out=buffer[2:3])
+            assemble_lumped(model, g, blocks[1], out=buffer[2:3])
 
     def test_rejects_a_stack_of_the_wrong_shape(self):
         g = chain_graph(3)
         for shape in ((2, 3, 1, 2), (2, 2, 2, 2), (2, 2, 1, 3), (1, 2, 2, 1, 2), (2, 2)):
             with pytest.raises(ValueError, match="stack of weight blocks"):
                 assemble_lumped(
-                    double_integrator(), g, np.ones(shape), DrivenSet(frozenset({1}))
+                    double_integrator(), g, np.ones(shape)
                 )
 
 
@@ -557,7 +546,7 @@ class TestFactorizedForm:
         for i in range(12):
             n = int(gen.integers(2, 6))
             g = random_connected_graph(gen, n)
-            driven = random_driven(gen, n)
+            g = replace(g, driven=random_driven(gen, n))
             if i % 2 == 0:
                 r = int(gen.integers(1, 3))
                 model = random_model(gen, int(gen.integers(1, 4)), r)
@@ -566,7 +555,7 @@ class TestFactorizedForm:
                 p, r = int(gen.integers(2, 4)), int(gen.integers(1, 3))
                 model = random_model(gen, int(gen.integers(1, 4)), r, num_inputs=p)
                 weights = sample_weights(g, (p, r), RandomSource(i))
-            a_sys = assemble_lumped(model, g, weights, driven).a_sys
+            a_sys = assemble_lumped(model, g, weights).a_sys
             reference = factorized_state_matrix(model, g, weights)
             scale = max(1.0, np.max(np.abs(a_sys)))
             assert np.max(np.abs(a_sys - reference)) < 1e-10 * scale
@@ -618,21 +607,17 @@ class TestMassSpringChain:
         assert chain.wall_stiffness_over_mass == 0.5
         assert chain.wall_damping_over_mass == 2.0
         assert chain.input_gain == 0.5
-        assert 1 in chain.driven_template
+        assert chain.graph.driven == (1,)
 
     def test_single_mass_chain_assembles(self):
         chain = mass_spring_chain(1, 1.0, springs=(2.0,), dampers=(0.5,))
-        sys = assemble_lumped(
-            chain.model, chain.graph, chain.weights, chain.driven_template
-        )
+        sys = assemble_lumped(chain.model, chain.graph, chain.weights)
         assert np.array_equal(sys.a_sys, chain.model.a)
 
     def test_grounded_two_mass_physics(self):
         m, k1, k2, mu1, mu2 = 2.0, 1.0, 3.0, 0.25, 0.5
         chain = mass_spring_chain(2, m, springs=(k1, k2), dampers=(mu1, mu2))
-        sys = assemble_lumped(
-            chain.model, chain.graph, chain.weights, chain.driven_template
-        )
+        sys = assemble_lumped(chain.model, chain.graph, chain.weights)
         grounded = sys.a_sys + grounding_shift(
             2, chain.wall_stiffness_over_mass, chain.wall_damping_over_mass
         )
@@ -703,16 +688,16 @@ class TestCrossCheck:
         ):
             model = random_model(gen, int(gen.integers(1, 4)), r, num_inputs=p)
             weights = sample_weights(g, (p, r), RandomSource(int(gen.integers(1 << 30))))
-            driven = random_driven(gen, g.num_vertices)
+            g = replace(g, driven=random_driven(gen, g.num_vertices))
             a_sys = None
             for noise[:] in ([0.0, False], [1e-3, False], [0.0, True]):
                 judged.clear()
                 routes.clear()
                 if a_sys is None:
-                    a_sys = assemble_lumped(model, g, weights, driven).a_sys
+                    a_sys = assemble_lumped(model, g, weights).a_sys
                 else:
                     with pytest.raises(ConsistencyError, match="disagree"):
-                        assemble_lumped(model, g, weights, driven)
+                        assemble_lumped(model, g, weights)
                 (route,) = routes
                 whole = deviation_and_scale(a_sys, edgewise_matrix(model, g, route))
                 if noise[1]:

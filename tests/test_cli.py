@@ -21,6 +21,7 @@ from conftest import (
     reference_parse_edges,
     reference_parse_weights,
 )
+import diffnet.topology
 import diffnet.verdict
 from diffnet import cli, problem_io
 from diffnet.cli import main
@@ -435,6 +436,24 @@ class TestLump:
         assert code == 64
         assert "wall" in err
 
+    @pytest.mark.parametrize("weights", [None, {"edges": [{"u": 1, "v": 2, "W": [[1.0, 0.5]]}]}])
+    def test_missing_wall_is_refused_before_any_assembly(
+        self, problem_file, capsys, monkeypatch, weights
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("assembled before the wall was checked")
+
+        monkeypatch.setattr(cli, "assemble_lumped", refuse)
+        monkeypatch.setattr(cli, "sample_weights", refuse)
+        path = problem_file(chain_problem(n=2, weights=weights))
+        code, out, err = run(capsys, ["lump", path, "--ground-first-mass"])
+        assert code == 64
+        assert out == ""
+        assert err == (
+            'diffnet: error: --ground-first-mass needs options "wall" with '
+            "stiffness_over_mass and damping_over_mass\n"
+        )
+
 
 def sliced_reports(tmp_path):
     """(argv, format) of reports longer than one write slice and not a
@@ -533,9 +552,9 @@ class TestGroundedCertification:
             draws.append(args)
             return sample(*args, **kwargs)
 
-        def assembling(model, graph, blocks, driven, **kwargs):
+        def assembling(model, graph, blocks, **kwargs):
             stacks.append(len(blocks))
-            return assemble(model, graph, blocks, driven, **kwargs)
+            return assemble(model, graph, blocks, **kwargs)
 
         monkeypatch.setattr(diffnet.verdict, "sample_weights", drawing)
         monkeypatch.setattr(diffnet.verdict, "assemble_lumped", assembling)
@@ -902,7 +921,7 @@ class TestProblemParsing:
         assert problem.graph.num_vertices == 3
         assert problem.weights is None
         assert problem.options == {}
-        assert sorted(problem.driven.driven) == [1]
+        assert problem.graph.driven == (1,)
 
     def test_parsed_edges_are_edge_tuples(self):
         doc = chain_problem(n=4)
@@ -1063,7 +1082,8 @@ class TestProblemParsing:
                     raise ProblemFileError(f"invalid graph: {exc}") from None
                 return n, tuple(edges)
 
-            got = outcome(problem_io._parse_graph, {"graph": {"N": n, "edges": entries}})
+            doc = {"graph": {"N": n, "edges": entries}, "driven": []}
+            got = outcome(problem_io._parse_graph, doc)
             want = outcome(reference)
             if want[0] == "ok":
                 assert got[0] == "ok", got
@@ -1156,6 +1176,47 @@ class TestProblemParsing:
         self.expect_error(chain_problem(extra={"driven": 1}), "list")
         self.expect_error(chain_problem(driven=(7,)), "invalid driven")
         self.expect_error(chain_problem(driven=(0,)), "invalid driven")
+
+    @pytest.mark.parametrize(
+        "doc, line",
+        [
+            (
+                chain_problem(driven=(7, 1, 5)),
+                "invalid driven set: driven vertices [5, 7] exceed the vertex count 3",
+            ),
+            (
+                chain_problem(driven=(1, 0)),
+                "invalid driven set: driven vertex ids must be positive",
+            ),
+            (chain_problem(driven=(1, True)), '"driven" entry must be an integer, got True'),
+            (chain_problem(driven=(1.5,)), '"driven" entry must be an integer, got 1.5'),
+            (chain_problem(extra={"driven": {"1": 1}}), '"driven" must be a list of vertex ids'),
+            (
+                chain_problem(extra={"graph": {"N": 2, "edges": [{"u": 1, "v": 1}]}}),
+                "invalid graph: self-loop at vertex 1 is not allowed",
+            ),
+            (
+                chain_problem(extra={"graph": {"N": 0, "edges": []}}, driven=()),
+                "invalid graph: graph needs a positive vertex count, got 0",
+            ),
+            # the edges are checked before the driven ids
+            (
+                chain_problem(driven=(9,), extra={"graph": {"N": 2, "edges": [{"u": 1, "v": 3}]}}),
+                "invalid graph: edge (1, 3) references a vertex outside 1..2",
+            ),
+        ],
+    )
+    def test_graph_and_driven_refusals_are_told_apart(self, problem_file, capsys, doc, line):
+        code, out, err = run(capsys, ["analyze", problem_file(doc)])
+        assert (code, out, err) == (64, "", f"diffnet: error: {line}\n")
+
+    def test_driven_ids_are_checked_once_per_certify_run(self, capsys, tmp_path, monkeypatch):
+        target = tmp_path / "chain.json"
+        run(capsys, ["example", "--N", "6", "--seed", "3", "--out", str(target)])
+        checks = count_calls(monkeypatch, diffnet.topology, "_driven_ids")
+        code, _, _ = run(capsys, ["certify", str(target), "--ground-first-mass"])
+        assert code == 0
+        assert len(checks) == 1
 
     def test_option_rejections(self):
         self.expect_error(
@@ -1365,7 +1426,6 @@ class TestPackaging:
             "ConsistencyError",
             "DEFAULT_TOL",
             "DiffnetError",
-            "DrivenSet",
             "Edge",
             "LumpedSystem",
             "MassSpringChain",
@@ -1406,6 +1466,7 @@ class TestPackaging:
                 "rank_condition_check",
             ),
             diffnet.topology: (
+                "DrivenSet",
                 "AuxDigraph",
                 "aux_digraph",
                 "all_cycles_input_reachable",
@@ -1443,8 +1504,19 @@ class TestPackaging:
             for name in names:
                 assert not hasattr(module, name), (module.__name__, name)
                 assert not hasattr(diffnet, name), name
-        assert not hasattr(diffnet.DrivenSet, "delta")
         assert not hasattr(diffnet.NetworkGraph, "edge_keys")
+        assert not hasattr(diffnet.NetworkGraph, "validate_for")
+        assert "driven_template" not in {
+            f.name for f in dataclasses.fields(diffnet.MassSpringChain)
+        }
+        assert "driven" not in {f.name for f in dataclasses.fields(diffnet.Problem)}
+        for fn in (
+            diffnet.analyze,
+            diffnet.certify_monte_carlo,
+            diffnet.assemble_lumped,
+            diffnet.spanning_forest,
+        ):
+            assert "driven" not in inspect.signature(fn).parameters, fn
         assert list(inspect.signature(diffnet.fixed_modes).parameters) == ["model", "tol"]
         assert "rng" not in inspect.signature(diffnet.analyze).parameters
         assert not hasattr(diffnet.topology.SpanningForest, "ok")

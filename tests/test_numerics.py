@@ -28,7 +28,6 @@ from diffnet.numerics import (
     pbh_observable,
     sample_away_from_zero,
 )
-from diffnet.topology import DrivenSet
 from diffnet.verdict import certify_monte_carlo
 
 
@@ -446,8 +445,7 @@ class TestNormBracket:
         )
         shapes = svd_shapes(monkeypatch)
         cert = certify_monte_carlo(
-            chain.model, chain.graph, DrivenSet(frozenset({1})), trials=5,
-            rng=RandomSource(1),
+            chain.model, chain.graph, trials=5, rng=RandomSource(1)
         )
         assert all(trial.controllable for trial in cert.per_trial)
         assert shapes and all(shape[-2:] != (100, 100) for shape, _ in shapes)

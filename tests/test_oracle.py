@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from conftest import ACCEPTANCE_LINES
 from diffnet.subsystem import SubsystemModel
-from diffnet.topology import DIRECTED, UNDIRECTED, DrivenSet, Edge, NetworkGraph
+from diffnet.topology import DIRECTED, UNDIRECTED, Edge, NetworkGraph
 from diffnet.verdict import Verdict, analyze
 from lemmas import network_reachable_dimension, node_ranks
 
@@ -47,11 +47,11 @@ def node_disagreements(report, model) -> list[tuple[str, bool]]:
     ]
 
 
-def check_against_oracle(model, graph, driven, gen, tally, strict=False) -> None:
+def check_against_oracle(model, graph, gen, tally, strict=False) -> None:
     """Assert ``analyze`` agrees with the oracle on one network and count
     the outcome in ``tally``. Unless ``strict``, item 1's disagreement is
     counted instead of failing."""
-    report = analyze(model, graph, driven)
+    report = analyze(model, graph)
     wrong = node_disagreements(report, model)
     if wrong and not strict:
         assert all(holds for _, holds in wrong), f"a node record fails wrongly: {wrong}"
@@ -59,7 +59,7 @@ def check_against_oracle(model, graph, driven, gen, tally, strict=False) -> None
         return
     assert not wrong, f"node records contradict the exact ranks: {wrong}"
     full = graph.num_vertices * model.order
-    dims = [network_reachable_dimension(model, graph, driven, gen) for _ in range(2)]
+    dims = [network_reachable_dimension(model, graph, gen) for _ in range(2)]
     exact_full = max(dims) == full
     if report.verdict is Verdict.CONTROLLABLE:
         assert exact_full, "CONTROLLABLE, but deficient at both draws"
@@ -118,8 +118,7 @@ def networks(draw, single_input: bool):
     ]
     driven = draw(st.sets(st.integers(1, n_vertices), min_size=1, max_size=max_driven))
     weight_seed = draw(st.integers(0, 2**32 - 1))
-    graph = NetworkGraph(n_vertices, tuple(edges))
-    return model, graph, DrivenSet(frozenset(driven)), weight_seed
+    return model, NetworkGraph(n_vertices, tuple(edges), driven), weight_seed
 
 
 @pytest.mark.parametrize(
@@ -133,8 +132,8 @@ def test_analyze_agrees_with_the_exact_oracle(name, single_input, examples):
     @settings(max_examples=examples, deadline=None, database=None)
     @given(networks(single_input))
     def case(network):
-        model, graph, driven, weight_seed = network
-        check_against_oracle(model, graph, driven, np.random.default_rng(weight_seed), tally)
+        model, graph, weight_seed = network
+        check_against_oracle(model, graph, np.random.default_rng(weight_seed), tally)
 
     case()
     report_tally(name, tally)
@@ -164,19 +163,19 @@ PLANTED = [
 
 def planted(case):
     _, a, b, c, n_vertices, edges, driven = case
-    graph = NetworkGraph(n_vertices, tuple(Edge(*e) for e in edges))
-    return SubsystemModel(a, b, c), graph, DrivenSet(frozenset(driven))
+    graph = NetworkGraph(n_vertices, tuple(Edge(*e) for e in edges), driven)
+    return SubsystemModel(a, b, c), graph
 
 
 @pytest.mark.parametrize("case", PLANTED, ids=[case[0] for case in PLANTED])
 def test_planted_node_is_exact_deficient(case):
-    model, _, _ = planted(case)
+    model, _ = planted(case)
     assert min(node_ranks(model)) < model.order
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 @pytest.mark.parametrize("case", PLANTED, ids=[case[0] for case in PLANTED])
 def test_planted_defective_node(case):
-    model, graph, driven = planted(case)
+    model, graph = planted(case)
     gen = np.random.default_rng(1)
-    check_against_oracle(model, graph, driven, gen, Counter(), strict=True)
+    check_against_oracle(model, graph, gen, Counter(), strict=True)

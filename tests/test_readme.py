@@ -15,4 +15,6 @@ def test_library_use_example_runs(capsys):
     assert lines[1:] == [
         "('output row 1 is identically zero',)",
         "(Edge(u=1, v=2, kind='undirected'), Edge(u=2, v=3, kind='directed'))",
+        "(1, 3)",
+        "driven vertices [4] exceed the vertex count 3",
     ]

@@ -1,6 +1,9 @@
 """Graphs, reachability, forests, incidence factorization, and the pattern
 digraph cycle check restated in ``lemmas``."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,7 @@ from diffnet import problem_io
 from diffnet.topology import (
     DIRECTED,
     UNDIRECTED,
-    DrivenSet,
+    DrivenIdError,
     Edge,
     NetworkGraph,
     incidence_matrices,
@@ -131,20 +134,56 @@ class TestGraphValidation:
             NetworkGraph(3, (Edge(1, 2), entry))
 
     def test_driven_set_validation(self):
-        with pytest.raises(ValueError):
-            DrivenSet(frozenset({0}))
+        with pytest.raises(DrivenIdError, match="must be positive"):
+            NetworkGraph(3, driven=(0,))
         for bad in (True, 1.5, 2.0, "2"):
-            with pytest.raises(ValueError, match="integers"):
-                DrivenSet(frozenset({bad}))
-        assert DrivenSet(frozenset({np.int64(2), np.int32(3)})).driven == {2, 3}
-        assert all(type(i) is int for i in DrivenSet(frozenset({np.int64(2)})).driven)
-        d = DrivenSet(frozenset({2}))
-        with pytest.raises(ValueError):
-            d.validate_for(NetworkGraph(1))
+            with pytest.raises(DrivenIdError, match=f"integers, got {bad!r}"):
+                NetworkGraph(3, driven=(1, bad))
+        g = NetworkGraph(3, driven=[np.int64(2), np.int32(3), 2])
+        assert g.driven == (2, 3)
+        assert all(type(i) is int for i in g.driven)
+        exceed = r"driven vertices \[2, 5\] exceed the vertex count 1"
+        with pytest.raises(DrivenIdError, match=exceed):
+            NetworkGraph(1, driven={5, 1, 2})
+
+    def test_driven_ids_are_held_sorted_and_distinct(self):
+        assert NetworkGraph(4, driven=iter([3, 1, 3, 4])).driven == (1, 3, 4)
+        assert NetworkGraph(4).driven == ()
+        assert NetworkGraph(4, driven=(2,)) == NetworkGraph(4, driven={2})
+
+    def test_driven_ids_are_checked_after_the_edges(self):
+        # a graph with a bad edge and a bad driven id reports the edge
+        with pytest.raises(ValueError, match="self-loop") as caught:
+            NetworkGraph(2, (Edge(1, 1),), driven=(9,))
+        assert not isinstance(caught.value, DrivenIdError)
+
+    def test_replace_checks_the_driven_ids(self):
+        g = NetworkGraph(3, (Edge(1, 2), Edge(2, 3)), driven=(1,))
+        moved = replace(g, driven=(np.int64(3), 2))
+        assert moved.driven == (2, 3) and moved.edges == g.edges
+        assert np.array_equal(moved.start, g.start) and g.driven == (1,)
+        for bad, message in ((4, "exceed the vertex count 3"), (0, "positive"), (1.0, "integers")):
+            with pytest.raises(DrivenIdError, match=message):
+                replace(g, driven=(bad,))
+        with pytest.raises(DrivenIdError, match=r"vertices \[3\] exceed the vertex count 2"):
+            replace(moved, num_vertices=2, edges=(Edge(1, 2),))
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8])
+    def test_numpy_integer_vertex_count_is_an_int(self, integer):
+        g = NetworkGraph(integer(3), (Edge(1, 3),), driven=(3,))
+        assert g.num_vertices == 3 and type(g.num_vertices) is int
+        with pytest.raises(ValueError, match="positive vertex count, got 0"):
+            NetworkGraph(integer(0))
+
+    @pytest.mark.parametrize("bad", [True, False, 3.0, "3", None])
+    def test_vertex_count_must_be_an_integer(self, bad):
+        message = f"positive vertex count, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            NetworkGraph(bad)
 
 
-def reached(graph: NetworkGraph, driven: DrivenSet) -> set[int]:
-    return set(spanning_forest(graph, driven).order)
+def reached(graph: NetworkGraph, driven) -> set[int]:
+    return set(spanning_forest(replace(graph, driven=driven)).order)
 
 
 class TestReachability:
@@ -155,23 +194,23 @@ class TestReachability:
 
     def test_undirected_chain(self):
         g = NetworkGraph(3, (Edge(1, 2), Edge(2, 3)))
-        assert reached(g, DrivenSet(frozenset({1}))) == {1, 2, 3}
-        assert not spanning_forest(g, DrivenSet(frozenset({1}))).unreachable
+        assert reached(g, (1,)) == {1, 2, 3}
+        assert not spanning_forest(replace(g, driven=(1,))).unreachable
 
     def test_empty_driven_reaches_nothing(self):
         g = NetworkGraph(3, (Edge(1, 2), Edge(2, 3)))
-        assert reached(g, DrivenSet()) == frozenset()
+        assert reached(g, ()) == frozenset()
 
     def test_mixed_kinds_hand_trace(self):
         g = NetworkGraph(3, (Edge(1, 2, DIRECTED), Edge(3, 2, UNDIRECTED)))
-        assert reached(g, DrivenSet(frozenset({1}))) == {1, 2, 3}
+        assert reached(g, (1,)) == {1, 2, 3}
 
     def test_directed_edges_are_one_way(self):
         g = NetworkGraph(2, (Edge(1, 2, DIRECTED),))
-        assert reached(g, DrivenSet(frozenset({2}))) == {2}
+        assert reached(g, (2,)) == {2}
 
     def test_single_driven_vertex_alone(self):
-        assert reached(NetworkGraph(1), DrivenSet(frozenset({1}))) == {1}
+        assert reached(NetworkGraph(1), (1,)) == {1}
 
     def test_monotone_in_driven_set(self):
         gen = np.random.default_rng(21)
@@ -180,26 +219,26 @@ class TestReachability:
             g = random_graph(gen, n)
             small = random_driven(gen, n, allow_empty=True)
             extra = random_driven(gen, n, allow_empty=True)
-            large = DrivenSet(small.driven | extra.driven)
+            large = small + extra
             assert reached(g, small) <= reached(g, large)
 
 
 class TestSpanningForest:
     def test_chain_parents(self):
-        g = NetworkGraph(3, (Edge(1, 2), Edge(2, 3)))
-        forest = spanning_forest(g, DrivenSet(frozenset({1})))
+        g = NetworkGraph(3, (Edge(1, 2), Edge(2, 3)), driven=(1,))
+        forest = spanning_forest(g)
         assert not forest.unreachable
         assert dict(forest.parent) == {2: 1, 3: 2}
         assert forest.roots == (1,)
 
     def test_star_center(self):
-        g = NetworkGraph(4, (Edge(1, 2), Edge(1, 3), Edge(1, 4)))
-        forest = spanning_forest(g, DrivenSet(frozenset({1})))
+        g = NetworkGraph(4, (Edge(1, 2), Edge(1, 3), Edge(1, 4)), driven=(1,))
+        forest = spanning_forest(g)
         assert dict(forest.parent) == {2: 1, 3: 1, 4: 1}
 
     def test_disconnected_reports_unreachable(self):
-        g = NetworkGraph(4, (Edge(1, 2),))
-        forest = spanning_forest(g, DrivenSet(frozenset({1})))
+        g = NetworkGraph(4, (Edge(1, 2),), driven=(1,))
+        forest = spanning_forest(g)
         assert forest.unreachable == {3, 4}
 
     def test_parent_precedes_child_in_order(self):
@@ -207,7 +246,7 @@ class TestSpanningForest:
         for _ in range(25):
             n = int(gen.integers(2, 9))
             g = random_graph(gen, n)
-            forest = spanning_forest(g, random_driven(gen, n))
+            forest = spanning_forest(replace(g, driven=random_driven(gen, n)))
             pos = {v: i for i, v in enumerate(forest.order)}
             for child, parent in forest.parent.items():
                 assert pos[parent] < pos[child]
@@ -218,7 +257,7 @@ class TestSpanningForest:
             n = int(gen.integers(1, 11))
             g = random_graph(gen, n, edge_prob=0.4)
             d = random_driven(gen, n, allow_empty=True)
-            forest = spanning_forest(g, d)
+            forest = spanning_forest(replace(g, driven=d))
             assert set(forest.order) | forest.unreachable == set(range(1, n + 1))
             assert not set(forest.order) & forest.unreachable
 

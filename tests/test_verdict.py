@@ -22,7 +22,7 @@ from diffnet.assembly import (
 )
 from diffnet.numerics import RandomSource, controllable_dimension
 from diffnet.subsystem import SubsystemModel
-from diffnet.topology import DIRECTED, DrivenSet, Edge, NetworkGraph, spanning_forest
+from diffnet.topology import DIRECTED, Edge, NetworkGraph, spanning_forest
 from diffnet.verdict import AnalysisReport, Verdict, analyze, certify_monte_carlo
 from lemmas import (
     cycles_input_reachable,
@@ -43,17 +43,13 @@ def double_integrator(c=None) -> SubsystemModel:
     )
 
 
-def chain_graph(n: int) -> NetworkGraph:
-    return NetworkGraph(n, tuple(Edge(i, i + 1) for i in range(1, n)))
-
-
-def first_driven() -> DrivenSet:
-    return DrivenSet(frozenset({1}))
+def chain_graph(n: int, driven=(1,)) -> NetworkGraph:
+    return NetworkGraph(n, tuple(Edge(i, i + 1) for i in range(1, n)), driven)
 
 
 class TestSingleInputAnalysis:
     def test_chain_is_structurally_controllable(self):
-        report = analyze(double_integrator(), chain_graph(4), first_driven())
+        report = analyze(double_integrator(), chain_graph(4))
         assert report.verdict is Verdict.CONTROLLABLE
         assert report.theorem_used == "1"
         assert all(rec.holds for rec in report.conditions)
@@ -65,7 +61,7 @@ class TestSingleInputAnalysis:
 
     def test_velocity_only_coupling_fails_observability(self):
         model = double_integrator(c=[[0.0, 1.0]])
-        report = analyze(model, chain_graph(3), first_driven())
+        report = analyze(model, chain_graph(3))
         assert report.verdict is Verdict.NOT_CONTROLLABLE
         rec = report.condition("subsystem_observable")
         assert not rec.holds
@@ -73,8 +69,8 @@ class TestSingleInputAnalysis:
         assert abs(lam) < 1e-7
 
     def test_reversed_directed_chain_unreachable(self):
-        g = NetworkGraph(3, (Edge(2, 1, DIRECTED), Edge(3, 2, DIRECTED)))
-        report = analyze(double_integrator(), g, first_driven())
+        g = NetworkGraph(3, (Edge(2, 1, DIRECTED), Edge(3, 2, DIRECTED)), driven=(1,))
+        report = analyze(double_integrator(), g)
         assert report.verdict is Verdict.NOT_CONTROLLABLE
         assert report.theorem_used == "2"
         rec = report.condition("globally_input_reachable")
@@ -82,25 +78,25 @@ class TestSingleInputAnalysis:
         assert any("directed" in note for note in report.notes)
 
     def test_nobody_driven_is_never_controllable(self):
-        report = analyze(double_integrator(), chain_graph(2), DrivenSet())
+        report = analyze(double_integrator(), chain_graph(2, driven=()))
         assert report.verdict is Verdict.NOT_CONTROLLABLE
         rec = report.condition("globally_input_reachable")
         assert rec.witness == {"unreachable_vertices": (1, 2)}
 
     def test_everyone_driven_reduces_to_the_node_test(self):
         report = analyze(
-            double_integrator(), chain_graph(3), DrivenSet(frozenset({1, 2, 3}))
+            double_integrator(), chain_graph(3, driven=(1, 2, 3))
         )
         assert report.verdict is Verdict.CONTROLLABLE
         assert report.theorem_used == "trivial-case"
         assert len(report.conditions) == 1
 
         broken = SubsystemModel(np.eye(2), [1.0, 0.0], np.eye(2))
-        report = analyze(broken, chain_graph(2), DrivenSet(frozenset({1, 2})))
+        report = analyze(broken, chain_graph(2, driven=(1, 2)))
         assert report.verdict is Verdict.NOT_CONTROLLABLE
 
     def test_condition_lookup_raises_on_unknown_name(self):
-        report = analyze(double_integrator(), chain_graph(2), first_driven())
+        report = analyze(double_integrator(), chain_graph(2))
         with pytest.raises(KeyError):
             report.condition("no_such_condition")
 
@@ -108,15 +104,15 @@ class TestSingleInputAnalysis:
 class TestMatrixWeightAnalysis:
     def test_no_fixed_mode_and_reachable_is_controllable(self):
         model = SubsystemModel([[0.0, 1.0], [-1.0, 0.0]], np.eye(2), np.eye(2))
-        report = analyze(model, chain_graph(3), first_driven())
+        report = analyze(model, chain_graph(3))
         assert report.verdict is Verdict.CONTROLLABLE
         assert report.theorem_used == "3"
         assert report.condition("no_fixed_mode").holds
 
     def test_unreachable_topology_is_decisive(self):
         model = SubsystemModel([[0.0, 1.0], [-1.0, 0.0]], np.eye(2), np.eye(2))
-        g = NetworkGraph(3, (Edge(1, 2),))
-        report = analyze(model, g, first_driven())
+        g = NetworkGraph(3, (Edge(1, 2),), driven=(1,))
+        report = analyze(model, g)
         assert report.verdict is Verdict.NOT_CONTROLLABLE
         assert report.condition("globally_input_reachable").witness == {
             "unreachable_vertices": (3,)
@@ -128,7 +124,7 @@ class TestMatrixWeightAnalysis:
         b = np.array([[1.0, 0.5], [0.0, 0.0]])
         c = np.array([[1.0, 0.0], [1.0, 0.0]])
         model = SubsystemModel(a, b, c)
-        report = analyze(model, chain_graph(2), first_driven())
+        report = analyze(model, chain_graph(2))
         assert report.verdict is Verdict.INCONCLUSIVE
         rec = report.condition("no_fixed_mode")
         assert not rec.holds
@@ -137,29 +133,29 @@ class TestMatrixWeightAnalysis:
 
     def test_everyone_driven_reduces_to_the_node_test(self):
         model = SubsystemModel([[0.0, 1.0], [-1.0, 0.0]], np.eye(2), np.eye(2))
-        report = analyze(model, chain_graph(2), DrivenSet(frozenset({1, 2})))
+        report = analyze(model, chain_graph(2, driven=(1, 2)))
         assert report.verdict is Verdict.CONTROLLABLE
         assert report.theorem_used == "trivial-case"
 
     def test_rejects_directed_edges_with_guidance(self):
         model = SubsystemModel(np.eye(2), np.eye(2), np.eye(2))
-        g = NetworkGraph(2, (Edge(1, 2, DIRECTED),))
+        g = NetworkGraph(2, (Edge(1, 2, DIRECTED),), driven=(1,))
         with pytest.raises(ValueError, match="single-input"):
-            analyze(model, g, first_driven())
+            analyze(model, g)
 
     def test_dispatcher_picks_engine_by_input_count(self):
-        simo = analyze(double_integrator(), chain_graph(2), first_driven())
+        simo = analyze(double_integrator(), chain_graph(2))
         assert simo.theorem_used == "1"
         mimo_model = SubsystemModel([[0.0, 1.0], [-1.0, 0.0]], np.eye(2), np.eye(2))
-        mimo = analyze(mimo_model, chain_graph(2), first_driven())
+        mimo = analyze(mimo_model, chain_graph(2))
         assert mimo.theorem_used == "3"
 
 
 class TestCertification:
     def test_controllable_chain_every_trial_passes(self):
-        model, g, d = double_integrator(), chain_graph(3), first_driven()
-        analysis = analyze(model, g, d)
-        cert = certify_monte_carlo(model, g, d, trials=5, rng=RandomSource(42))
+        model, g = double_integrator(), chain_graph(3)
+        analysis = analyze(model, g)
+        cert = certify_monte_carlo(model, g, trials=5, rng=RandomSource(42))
         assert cert.trials == 5 and len(cert.per_trial) == 5
         assert all(t.controllable for t in cert.per_trial)
         assert all(t.deficient_count == 0 for t in cert.per_trial)
@@ -170,7 +166,7 @@ class TestCertification:
     def test_not_verdict_agrees_when_no_trial_is_controllable(self):
         model = double_integrator(c=[[0.0, 1.0]])
         cert = certify_monte_carlo(
-            model, chain_graph(3), first_driven(), trials=5, rng=RandomSource(1)
+            model, chain_graph(3), trials=5, rng=RandomSource(1)
         )
         assert not cert.any_controllable
         assert cert.agree_with_verdict
@@ -178,32 +174,41 @@ class TestCertification:
 
     def test_broken_topology_deficiency_scales_with_cut_off_states(self):
         # vertex 3 cut off: its whole node block stays input-free every draw
-        g = NetworkGraph(3, (Edge(1, 2),))
+        g = NetworkGraph(3, (Edge(1, 2),), driven=(1,))
         cert = certify_monte_carlo(
-            double_integrator(), g, first_driven(), trials=4, rng=RandomSource(9)
+            double_integrator(), g, trials=4, rng=RandomSource(9)
         )
         for t in cert.per_trial:
             assert t.controllable is False
             assert t.deficient_count >= 2
 
     def test_single_vertex_network(self):
-        g = NetworkGraph(1)
+        g = NetworkGraph(1, driven=(1,))
         cert = certify_monte_carlo(
-            double_integrator(), g, first_driven(), trials=2, rng=RandomSource(3)
+            double_integrator(), g, trials=2, rng=RandomSource(3)
         )
         assert cert.any_controllable and cert.agree_with_verdict
 
     def test_rejects_nonpositive_trials(self):
         with pytest.raises(ValueError):
             certify_monte_carlo(
-                double_integrator(), chain_graph(2), first_driven(), trials=0
+                double_integrator(), chain_graph(2), trials=0
             )
+
+    def test_trials_are_checked_before_the_analysis(self):
+        # analyze would refuse this multi-input model on a directed graph
+        model = SubsystemModel(np.eye(2), np.eye(2), np.eye(2))
+        g = NetworkGraph(2, (Edge(1, 2, DIRECTED),), driven=(1,))
+        with pytest.raises(ValueError, match="single-input"):
+            analyze(model, g)
+        with pytest.raises(ValueError, match="at least one trial, got 0"):
+            certify_monte_carlo(model, g, trials=0)
 
     def test_doctored_analysis_is_reported_as_disagreement(self):
         model = double_integrator(c=[[0.0, 1.0]])
         fake = AnalysisReport(Verdict.CONTROLLABLE, "1", ())
         cert = certify_monte_carlo(
-            model, chain_graph(3), first_driven(), trials=3, analysis=fake
+            model, chain_graph(3), trials=3, analysis=fake
         )
         assert not cert.any_controllable
         assert not cert.agree_with_verdict
@@ -211,7 +216,7 @@ class TestCertification:
     def test_inconclusive_verdict_cannot_be_contradicted(self):
         fake = AnalysisReport(Verdict.INCONCLUSIVE, "3", ())
         cert = certify_monte_carlo(
-            double_integrator(), chain_graph(2), first_driven(), trials=2, analysis=fake
+            double_integrator(), chain_graph(2), trials=2, analysis=fake
         )
         assert cert.agree_with_verdict
 
@@ -222,7 +227,6 @@ class TestCertification:
         cert = certify_monte_carlo(
             chain.model,
             chain.graph,
-            chain.driven_template,
             trials=3,
             rng=RandomSource(5),
             a_shift=grounding_shift(
@@ -240,7 +244,7 @@ class TestCertification:
 
     def test_unshifted_call_has_no_grounded_part(self):
         cert = certify_monte_carlo(
-            double_integrator(), chain_graph(2), first_driven(), trials=2
+            double_integrator(), chain_graph(2), trials=2
         )
         assert cert.grounded is None
 
@@ -258,16 +262,15 @@ class TestCertification:
             certify_monte_carlo(
                 double_integrator(),
                 chain_graph(2),
-                first_driven(),
                 trials=1,
                 a_shift=np.zeros((2, 2)),
             )
         assert calls == []
 
     def test_report_attachment(self):
-        model, g, d = double_integrator(), chain_graph(2), first_driven()
-        report = analyze(model, g, d)
-        cert = certify_monte_carlo(model, g, d, trials=2, analysis=report)
+        model, g = double_integrator(), chain_graph(2)
+        report = analyze(model, g)
+        cert = certify_monte_carlo(model, g, trials=2, analysis=report)
         assert report.certification is None
         merged = report.with_certification(cert)
         assert merged.certification is cert
@@ -280,7 +283,8 @@ def mixed_instance(seed: int):
     inputs = int(gen.integers(1, 3))
     graph = random_graph(gen, 5, edge_prob=0.6, allow_directed=inputs == 1)
     model = random_model(gen, 3, 2, num_inputs=inputs)
-    return model, graph, random_driven(gen, 5, allow_full=False)
+    driven = random_driven(gen, 5, allow_full=False)
+    return model, dataclasses.replace(graph, driven=driven)
 
 
 def dense_shift(model: SubsystemModel, graph: NetworkGraph, seed: int):
@@ -300,7 +304,7 @@ def chain_with_wall(num_masses: int):
     shift = grounding_shift(
         num_masses, chain.wall_stiffness_over_mass, chain.wall_damping_over_mass
     )
-    return chain.model, chain.graph, chain.driven_template, shift
+    return chain.model, chain.graph, shift
 
 
 class TestStackedTrials:
@@ -311,22 +315,22 @@ class TestStackedTrials:
         stacks = []
         real = diffnet.verdict.assemble_lumped
 
-        def capture(model, graph, blocks, driven, **kwargs):
+        def capture(model, graph, blocks, **kwargs):
             stacks.append(blocks)
-            return real(model, graph, blocks, driven, **kwargs)
+            return real(model, graph, blocks, **kwargs)
 
         monkeypatch.setattr(diffnet.verdict, "assemble_lumped", capture)
         for seed in range(12):
-            model, graph, driven = mixed_instance(seed)
+            model, graph = mixed_instance(seed)
             rng = RandomSource(seed)
             stacks.clear()
-            cert = certify_monte_carlo(model, graph, driven, trials=4, rng=rng)
+            cert = certify_monte_carlo(model, graph, trials=4, rng=rng)
             (blocks,) = stacks
             shape = (model.num_inputs, model.num_outputs)
             for t, trial in enumerate(cert.per_trial):
                 weights = sample_weights(graph, shape, rng.derive(t))
                 assert np.array_equal(blocks[t], weights)
-                lumped = assemble_lumped(model, graph, weights, driven)
+                lumped = assemble_lumped(model, graph, weights)
                 dim = controllable_dimension(lumped.a_sys, lumped.b_sys)
                 n_states = lumped.a_sys.shape[0]
                 assert trial.stream_id == rng.derive(t).stream_id
@@ -337,24 +341,24 @@ class TestStackedTrials:
         """A NaN planted in member 2's assembled state matrix, after the
         cross-check, fails the stacked rank test; the rerun marks trial 2,
         in the grounded half too, which is built from the poisoned one."""
-        model, graph, driven = double_integrator(), chain_graph(4), first_driven()
+        model, graph = double_integrator(), chain_graph(4)
         shifts = (None, grounding_shift(4, 1.0, 0.5))
         rng = RandomSource(21)
         cleans = [
-            certify_monte_carlo(model, graph, driven, trials=4, rng=rng, a_shift=shift)
+            certify_monte_carlo(model, graph, trials=4, rng=rng, a_shift=shift)
             for shift in shifts
         ]
         real = diffnet.verdict.assemble_lumped
 
-        def poison_member_2(model, graph, blocks, driven, **kwargs):
-            lumped = real(model, graph, blocks, driven, **kwargs)
+        def poison_member_2(model, graph, blocks, **kwargs):
+            lumped = real(model, graph, blocks, **kwargs)
             lumped.a_sys[2, 0, 0] = np.nan
             return lumped
 
         monkeypatch.setattr(diffnet.verdict, "assemble_lumped", poison_member_2)
         for shift, clean in zip(shifts, cleans):
             cert = certify_monte_carlo(
-                model, graph, driven, trials=4, rng=rng, a_shift=shift
+                model, graph, trials=4, rng=rng, a_shift=shift
             )
             reports = [(cert, clean)]
             if shift is None:
@@ -372,20 +376,20 @@ class TestStackedTrials:
                         assert got == want
 
     def test_trials_split_into_stacks_of_bounded_size(self, monkeypatch):
-        model, graph, driven = double_integrator(), chain_graph(3), first_driven()
+        model, graph = double_integrator(), chain_graph(3)
         shifts = (None, grounding_shift(3, 1.0, 0.5))
         wholes = [
             certify_monte_carlo(
-                model, graph, driven, trials=5, rng=RandomSource(4), a_shift=shift
+                model, graph, trials=5, rng=RandomSource(4), a_shift=shift
             )
             for shift in shifts
         ]
         sizes = []
         real = diffnet.verdict.assemble_lumped
 
-        def count(model, graph, blocks, driven, **kwargs):
+        def count(model, graph, blocks, **kwargs):
             sizes.append(len(blocks))
-            return real(model, graph, blocks, driven, **kwargs)
+            return real(model, graph, blocks, **kwargs)
 
         monkeypatch.setattr(diffnet.verdict, "assemble_lumped", count)
         for halves, shift, whole in zip((1, 2), shifts, wholes):
@@ -395,7 +399,7 @@ class TestStackedTrials:
             monkeypatch.setattr(diffnet.verdict, "_TRIAL_STACK_BYTES", budget)
             sizes.clear()
             split = certify_monte_carlo(
-                model, graph, driven, trials=5, rng=RandomSource(4), a_shift=shift
+                model, graph, trials=5, rng=RandomSource(4), a_shift=shift
             )
             assert sizes == [2, 2, 1]
             assert split == whole
@@ -409,21 +413,21 @@ class TestStackedTrials:
         stacks = []
         real = diffnet.verdict.assemble_lumped
 
-        def capture(model, graph, blocks, driven, **kwargs):
+        def capture(model, graph, blocks, **kwargs):
             stacks.append(blocks)
-            return real(model, graph, blocks, driven, **kwargs)
+            return real(model, graph, blocks, **kwargs)
 
         monkeypatch.setattr(diffnet.verdict, "assemble_lumped", capture)
         if case == "chain":
-            model, graph, driven, shift = chain_with_wall(6)
+            model, graph, shift = chain_with_wall(6)
             seed = 31
         else:
-            model, graph, driven = mixed_instance(case)
+            model, graph = mixed_instance(case)
             shift = dense_shift(model, graph, case)
             seed = case
         rng = RandomSource(seed)
         cert = certify_monte_carlo(
-            model, graph, driven, trials=4, rng=rng, a_shift=shift
+            model, graph, trials=4, rng=rng, a_shift=shift
         )
         (blocks,) = stacks
         assert len(blocks) == 4
@@ -431,7 +435,7 @@ class TestStackedTrials:
         halves = zip(cert.per_trial, cert.grounded.per_trial)
         for t, (plain, grounded) in enumerate(halves):
             weights = sample_weights(graph, shape, rng.derive(t))
-            lumped = assemble_lumped(model, graph, weights, driven)
+            lumped = assemble_lumped(model, graph, weights)
             n_states = lumped.a_sys.shape[0]
             for trial, a_sys in ((plain, lumped.a_sys), (grounded, lumped.a_sys + shift)):
                 dim = controllable_dimension(a_sys, lumped.b_sys)
@@ -441,12 +445,12 @@ class TestStackedTrials:
                 assert trial.error is None
 
     def test_shift_changes_only_the_grounded_half(self):
-        model, graph, driven, shift = chain_with_wall(5)
+        model, graph, shift = chain_with_wall(5)
         plain = certify_monte_carlo(
-            model, graph, driven, trials=3, rng=RandomSource(8)
+            model, graph, trials=3, rng=RandomSource(8)
         )
         both = certify_monte_carlo(
-            model, graph, driven, trials=3, rng=RandomSource(8), a_shift=shift
+            model, graph, trials=3, rng=RandomSource(8), a_shift=shift
         )
         assert dataclasses.replace(both, grounded=None) == plain
 
@@ -459,13 +463,15 @@ class TestVerdictAgainstOracle:
         for i in range(100):
             n_vertices = int(gen.integers(2, 6))
             graph = random_graph(gen, n_vertices, edge_prob=0.6)
-            driven = random_driven(gen, n_vertices, allow_full=False)
+            graph = dataclasses.replace(
+                graph, driven=random_driven(gen, n_vertices, allow_full=False)
+            )
             model = random_model(
                 gen, int(gen.integers(1, 4)), int(gen.integers(1, 3))
             )
-            report = analyze(model, graph, driven)
+            report = analyze(model, graph)
             cert = certify_monte_carlo(
-                model, graph, driven, trials=3, rng=RandomSource(1000 + i),
+                model, graph, trials=3, rng=RandomSource(1000 + i),
                 analysis=report,
             )
             assert cert.agree_with_verdict, (
@@ -484,12 +490,12 @@ class TestVerdictAgainstOracle:
         for i in range(20):
             n_vertices = int(gen.integers(2, 5))
             graph = random_graph(gen, n_vertices, edge_prob=0.7)
-            driven = random_driven(gen, n_vertices)
+            graph = dataclasses.replace(graph, driven=random_driven(gen, n_vertices))
             model = random_model(gen, int(gen.integers(1, 3)), int(gen.integers(1, 3)))
-            report = analyze(model, graph, driven)
+            report = analyze(model, graph)
             for seed in (1, 2, 3):
                 cert = certify_monte_carlo(
-                    model, graph, driven, trials=2, rng=RandomSource(seed),
+                    model, graph, trials=2, rng=RandomSource(seed),
                     analysis=report,
                 )
                 assert cert.agree_with_verdict, f"instance {i}, source seed {seed}"
@@ -504,11 +510,11 @@ class TestScalarConstraint:
 
     def test_cancelling_channels_lose_controllability(self):
         model = double_integrator(c=[[1.0, 0.0], [-1.0, 0.0]])
-        vector_report = analyze(model, chain_graph(3), first_driven())
+        vector_report = analyze(model, chain_graph(3))
         assert vector_report.verdict is Verdict.CONTROLLABLE
 
         assert np.array_equal(summed_row(model), [[0.0, 0.0]])
-        scalar_report = scalar_weight_analysis(model, chain_graph(3), first_driven())
+        scalar_report = scalar_weight_analysis(model, chain_graph(3))
         assert scalar_report.verdict is Verdict.NOT_CONTROLLABLE
         rec = scalar_report.condition("globally_input_reachable")
         assert rec.witness == {"unreachable_vertices": (2, 3)}
@@ -516,14 +522,14 @@ class TestScalarConstraint:
     def test_cancelling_channels_with_everyone_driven(self):
         model = double_integrator(c=[[1.0, 0.0], [-1.0, 0.0]])
         report = scalar_weight_analysis(
-            model, chain_graph(2), DrivenSet(frozenset({1, 2}))
+            model, chain_graph(2, driven=(1, 2))
         )
         assert report.verdict is Verdict.CONTROLLABLE
         assert report.theorem_used == "trivial-case"
 
     def test_surviving_sum_delegates_to_exact_criteria(self):
         model = double_integrator()
-        report = scalar_weight_analysis(model, chain_graph(3), first_driven())
+        report = scalar_weight_analysis(model, chain_graph(3))
         assert report.verdict is Verdict.CONTROLLABLE
         assert report.theorem_used == "1"
 
@@ -534,8 +540,8 @@ class TestScalarConstraint:
         full = np.array([[[s, s]] for s in scalars])
         reduced = summed_row_model(model)
         collapsed = np.array([[[s]] for s in scalars])
-        lhs = assemble_lumped(model, g, full, first_driven())
-        rhs = assemble_lumped(reduced, g, collapsed, first_driven())
+        lhs = assemble_lumped(model, g, full)
+        rhs = assemble_lumped(reduced, g, collapsed)
         assert np.allclose(lhs.a_sys, rhs.a_sys)
 
     def test_scalar_controllable_implies_vector_controllable(self):
@@ -544,13 +550,13 @@ class TestScalarConstraint:
         for _ in range(30):
             n_vertices = int(gen.integers(2, 5))
             graph = random_graph(gen, n_vertices, edge_prob=0.6)
-            driven = random_driven(gen, n_vertices)
+            graph = dataclasses.replace(graph, driven=random_driven(gen, n_vertices))
             model = random_model(gen, int(gen.integers(1, 4)), int(gen.integers(1, 3)))
-            scalar_report = scalar_weight_analysis(model, graph, driven)
+            scalar_report = scalar_weight_analysis(model, graph)
             if scalar_report.verdict is not Verdict.CONTROLLABLE:
                 continue
             seen += 1
-            assert verdict_bool(analyze(model, graph, driven).verdict)
+            assert verdict_bool(analyze(model, graph).verdict)
         assert seen >= 5
 
 
@@ -582,10 +588,10 @@ class TestLeaderControllability:
             leader_controls_consensus(chain_graph(2), 1, trials=0, rng=RandomSource(0))
 
 
-def auxiliary_condition(graph, driven):
+def auxiliary_condition(graph):
     """(edge-pattern, vertex-pattern) outcome of the cycle condition for
     double-integrator nodes, coupled on two channels."""
-    pairs = pattern_pairs(graph, driven, 2)
+    pairs = pattern_pairs(graph, 2)
     return tuple(cycles_input_reachable(*pair) for pair in pairs)
 
 
@@ -596,51 +602,51 @@ class TestAuxiliaryCondition:
 
     def test_chain_passes_and_matches_reachability(self):
         g = chain_graph(3)
-        assert auxiliary_condition(g, first_driven()) == (True, True)
-        assert not spanning_forest(g, first_driven()).unreachable
-        (edge_states, _), (vertex_states, _) = pattern_pairs(g, first_driven(), 2)
+        assert auxiliary_condition(g) == (True, True)
+        assert not spanning_forest(g).unreachable
+        (edge_states, _), (vertex_states, _) = pattern_pairs(g, 2)
         assert edge_states.shape == (2 * 2, 2 * 2)  # channels x edges
         assert vertex_states.shape == (2 * 3, 2 * 3)  # channels x vertices
 
     def test_hidden_cycle_fails_both_patterns(self):
-        g = NetworkGraph(3, (Edge(2, 3),))
-        assert auxiliary_condition(g, first_driven()) == (False, False)
-        assert spanning_forest(g, first_driven()).unreachable
+        g = NetworkGraph(3, (Edge(2, 3),), driven=(1,))
+        assert auxiliary_condition(g) == (False, False)
+        assert spanning_forest(g).unreachable
 
     def test_isolated_vertex_sits_outside_the_premise(self):
         # an unreachable vertex with no incoming influence forms no cycle, so
         # the cycle condition holds while reachability fails; the equivalence
         # only binds when every undriven vertex has incoming influence
-        g = NetworkGraph(3, (Edge(1, 2),))
-        assert auxiliary_condition(g, first_driven()) == (True, True)
-        assert spanning_forest(g, first_driven()).unreachable == {3}
+        g = NetworkGraph(3, (Edge(1, 2),), driven=(1,))
+        assert auxiliary_condition(g) == (True, True)
+        assert spanning_forest(g).unreachable == {3}
 
     def test_agreement_with_reachability_under_premise(self):
         gen = np.random.default_rng(99)
         for _ in range(20):
             n_vertices = int(gen.integers(2, 6))
             graph = random_graph(gen, n_vertices, edge_prob=0.5)
-            driven = random_driven(gen, n_vertices)
-            graph = ensure_incoming_influence(gen, graph, driven)
-            reachable = not spanning_forest(graph, driven).unreachable
-            assert auxiliary_condition(graph, driven) == (reachable, reachable)
+            graph = dataclasses.replace(graph, driven=random_driven(gen, n_vertices))
+            graph = ensure_incoming_influence(gen, graph)
+            reachable = not spanning_forest(graph).unreachable
+            assert auxiliary_condition(graph) == (reachable, reachable)
 
 
 class TestRankCondition:
     def test_controllable_chain_reaches_full_rank(self):
         ranks = generic_ranks(
-            double_integrator(), chain_graph(3), first_driven(), RandomSource(2)
+            double_integrator(), chain_graph(3), RandomSource(2)
         )
         # the node matrix has one distinct eigenvalue (a double zero)
         assert ranks == [6]
 
     def test_unobservable_coupling_drops_rank(self):
         model = double_integrator(c=[[0.0, 1.0]])
-        ranks = generic_ranks(model, chain_graph(4), first_driven(), RandomSource(4))
+        ranks = generic_ranks(model, chain_graph(4), RandomSource(4))
         assert min(ranks) < 8
 
     def test_single_vertex_reduces_to_the_node_pair(self):
         ranks = generic_ranks(
-            double_integrator(), NetworkGraph(1), first_driven(), RandomSource(0)
+            double_integrator(), NetworkGraph(1, driven=(1,)), RandomSource(0)
         )
         assert ranks == [2]

@@ -50,6 +50,7 @@ from .problem_io import (
     Problem,
     certification_to_json,
     dump_json,
+    forest_member,
     graph_members,
     load_problem,
     report_document,
@@ -57,7 +58,7 @@ from .problem_io import (
     weights_to_json,
     write_report,
 )
-from .topology import UNDIRECTED, spanning_forest
+from .topology import DIRECTED, UNDIRECTED, spanning_forest
 from .verdict import (
     DEFAULT_CERTIFY_TRIALS,
     AnalysisReport,
@@ -385,14 +386,14 @@ def _graph_text(graph, forest) -> str:
         if child in forest.parent:
             lines.append(f"  {child} <- {forest.parent[child]}")
     lines.append("edge orientation:")
-    for e in graph.edges:
-        start, end = e.oriented()
-        if e.kind == UNDIRECTED:
-            label = f"{{{e.u}, {e.v}}} {e.kind}"
-            injection = f"injection +1 at {end}, -1 at {start}"
-        else:
-            label = f"({e.u} -> {e.v}) {e.kind}"
+    columns = (graph.u, graph.v, graph.start + 1, graph.end + 1, graph.directed)
+    for u, v, start, end, directed in zip(*(c.tolist() for c in columns)):
+        if directed:
+            label = f"({u} -> {v}) {DIRECTED}"
             injection = f"injection +1 at {end} only"
+        else:
+            label = f"{{{u}, {v}}} {UNDIRECTED}"
+            injection = f"injection +1 at {end}, -1 at {start}"
         lines.append(f"  {label}: oriented {start} -> {end}; {injection}")
     return "\n".join(lines)
 
@@ -413,10 +414,7 @@ def cmd_graph(args) -> int:
         "globally_input_reachable": not unreachable,
         "reachable": sorted(forest.order),
         "unreachable": unreachable,
-        "forest": {
-            "roots": sorted(forest.roots),
-            "parents": {str(child): parent for child, parent in forest.parent.items()},
-        },
+        "forest": forest_member(graph, forest),
         "orientation": orientation,
     }
     _emit(args, doc, lambda: _graph_text(graph, forest))

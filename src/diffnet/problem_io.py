@@ -13,7 +13,11 @@ A problem file is one JSON document:
 Matrices are dense row-major nested lists. ``kind`` defaults to undirected.
 "graph" and "driven" build one ``NetworkGraph``, checked once: a bad
 driven id is reported as an invalid driven set, any other fault of the
-graph as an invalid graph.
+graph as an invalid graph. The "edges" entries are read as u, v and kind
+columns and handed to the graph's column check, so a parsed file builds
+no ``Edge``; the report members that list edges or the forest are
+written from the graph's int64 columns, each id taken from one table of
+id strings.
 Reports serialize to canonical JSON with complex numbers as
 {"re": ..., "im": ...} objects.
 """
@@ -21,19 +25,19 @@ Reports serialize to canonical JSON with complex numbers as
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .errors import ModelValidationError, ProblemFileError
 from .subsystem import SubsystemModel
-from .topology import DIRECTED, UNDIRECTED, DrivenIdError, Edge, NetworkGraph
+from .topology import DIRECTED, UNDIRECTED, DrivenIdError, NetworkGraph, SpanningForest
 from .verdict import AnalysisReport, CertificationReport
 
 REPORT_SCHEMA = "diffnet-report/v1"
@@ -137,9 +141,9 @@ def _edge_columns(entries: list):
     return None
 
 
-def _walk_edges(entries: list) -> list[Edge]:
+def _walk_edges(entries: list) -> tuple[list, list, list]:
     """Parse the "edges" entries one by one, raising at the first bad one."""
-    edges = []
+    us, vs, kinds = [], [], []
     for i, entry in enumerate(entries):
         e = _require_mapping(entry, f"edge #{i}")
         extra = set(e) - _EDGE_MEMBERS
@@ -152,10 +156,10 @@ def _walk_edges(entries: list) -> list[Edge]:
             raise _fail(
                 f'edge #{i} kind must be "{UNDIRECTED}" or "{DIRECTED}", got {kind!r}'
             )
-        edges.append(
-            Edge(_int_field(e["u"], f'edge #{i} "u"'), _int_field(e["v"], f'edge #{i} "v"'), kind)
-        )
-    return edges
+        us.append(_int_field(e["u"], f'edge #{i} "u"'))
+        vs.append(_int_field(e["v"], f'edge #{i} "v"'))
+        kinds.append(kind)
+    return us, vs, kinds
 
 
 def _parse_graph(doc: dict) -> NetworkGraph:
@@ -169,18 +173,15 @@ def _parse_graph(doc: dict) -> NetworkGraph:
     entries = g.get("edges", [])
     if not isinstance(entries, list):
         raise _fail('graph "edges" must be a list')
-    columns = _edge_columns(entries)
-    if columns is None:
-        edges = _walk_edges(entries)
-    else:  # tuple.__new__ fills the named tuples without Edge's Python __new__
-        edges = map(tuple.__new__, repeat(Edge), zip(*columns))
+    columns = _edge_columns(entries) or _walk_edges(entries)
     driven = doc.get("driven")
     if not isinstance(driven, list):
         raise _fail('"driven" must be a list of vertex ids')
-    for v in driven:
-        _int_field(v, '"driven" entry')
+    if not {*map(type, driven)} <= {int}:
+        for v in driven:
+            _int_field(v, '"driven" entry')
     try:
-        return NetworkGraph(n, tuple(edges), driven)
+        return NetworkGraph._from_columns(n, *columns, driven)
     except DrivenIdError as exc:
         raise _fail(f"invalid driven set: {exc}") from None
     except ValueError as exc:
@@ -278,7 +279,9 @@ def _parse_weights(doc: dict, graph: NetworkGraph, model: SubsystemModel):
         raise _fail(
             "weights must cover every edge; missing: "
             + ", ".join(
-                f"({e.u}, {e.v})" for i, e in enumerate(graph.edges) if i not in covered
+                f"({u}, {v})"
+                for i, (u, v) in enumerate(zip(graph.u.tolist(), graph.v.tolist()))
+                if i not in covered
             )
         )
     weights = np.empty((graph.num_edges, *shape))
@@ -537,49 +540,101 @@ def dump_json(doc: dict) -> str:
     return "".join(parts)
 
 
-#: key-sorted JSON of one "edges" entry and one "orientation" entry,
-#: indexed by the edge's directed flag; an orientation entry takes end,
-#: start (undirected only), start, end, u and v
-_EDGE_JSON = ('{"kind":"undirected","u":%d,"v":%d}', '{"kind":"directed","u":%d,"v":%d}')
-_ORIENTATION_JSON = (
-    '{"injection_case":"injection +1 at %d, -1 at %d","kind":"undirected",'
-    '"oriented":[%d,%d],"u":%d,"v":%d}',
-    '{"injection_case":"injection +1 at %d only","kind":"directed",'
-    '"oriented":[%d,%d],"u":%d,"v":%d}',
-)
+@functools.lru_cache(maxsize=1)
+def _id_texts(num_vertices: int) -> np.ndarray:
+    """The table of vertex id strings, str(i) at index i for i in
+    0..num_vertices, as a read-only object array that a column of ids
+    indexes. The table of the last vertex count is kept, so the writers
+    of one report share it."""
+    table = np.array(list(map(str, range(num_vertices + 1))), dtype=object)
+    table.flags.writeable = False
+    return table
 
 
-def graph_members(graph) -> tuple[PreEncoded, PreEncoded]:
-    """The report's "edges" and "orientation" members, written from the
-    graph's columns with the templates above. Their fields are ints and
-    fixed ASCII text, which JSON writes unescaped."""
-    us, vs, _ = zip(*graph.edges) if graph.edges else ((), (), ())
-    directed = graph.directed.tolist()
-    start, end = graph.start + 1, graph.end + 1
-    fields = np.column_stack([end, start, start, end, us, vs]).reshape(-1, 6)
-    keep = np.ones(fields.shape, dtype=bool)
-    keep[graph.directed, 1] = False
-    edges = ",".join(map(_EDGE_JSON.__getitem__, directed)) % tuple(
-        fields[:, 4:].ravel().tolist()
+def _json_rows(count: int, opening: str, parts: list, closing: str) -> str:
+    """``opening``, then ``count`` rows separated by commas, then
+    ``closing``. ``parts`` lists the pieces of a row in order, each one
+    str for every row or an array of one str per row."""
+    if not count:
+        return opening + closing
+    table = np.empty((count, len(parts) + 1), dtype=object)
+    table[:, 0] = ","
+    table[0, 0] = opening
+    for j, piece in enumerate(parts, start=1):
+        table[:, j] = piece
+    return "".join(table.ravel().tolist()) + closing
+
+
+def graph_members(graph: NetworkGraph) -> tuple[PreEncoded, PreEncoded]:
+    """The report's "edges" and "orientation" members, written key-sorted
+    from the graph's columns: ids from ``_id_texts`` and fixed ASCII text,
+    which JSON writes unescaped. An orientation entry names the end, then
+    (undirected edges only) the start, then both ends, u and v."""
+    ids = _id_texts(graph.num_vertices)
+    u, v = ids[graph.u], ids[graph.v]
+    start, end = ids[graph.start + 1], ids[graph.end + 1]
+    directed = graph.directed.view(np.int8)
+
+    def by_kind(undirected_text: str, directed_text: str) -> np.ndarray:
+        return np.array([undirected_text, directed_text], dtype=object)[directed]
+
+    m = graph.num_edges
+    edges = _json_rows(
+        m,
+        "[",
+        [by_kind('{"kind":"undirected","u":', '{"kind":"directed","u":'), u, ',"v":', v, "}"],
+        "]",
     )
-    orientation = ",".join(map(_ORIENTATION_JSON.__getitem__, directed)) % tuple(
-        fields[keep].tolist()
+    undirected_start = np.where(graph.directed, "", start)
+    orientation = _json_rows(
+        m,
+        "[",
+        [
+            '{"injection_case":"injection +1 at ', end,
+            by_kind(", -1 at ", ' only","kind":"directed","oriented":['), undirected_start,
+            by_kind('","kind":"undirected","oriented":[', ""),
+            start, ",", end, '],"u":', u, ',"v":', v, "}",
+        ],
+        "]",
     )
-    return PreEncoded(f"[{edges}]"), PreEncoded(f"[{orientation}]")
+    return PreEncoded(edges), PreEncoded(orientation)
 
 
-def weights_member(graph, weights: np.ndarray) -> PreEncoded:
-    """The lump report's "weights" member, written from the (M, p, r)
-    array of the weight blocks in edge order with one key-sorted template
-    per edge kind. ``tolist`` hands ``%r`` Python floats, which it writes
-    as the JSON encoder does. They are finite: assembly refuses a
-    non-finite weight before the report is built."""
+def forest_member(graph: NetworkGraph, forest: SpanningForest) -> PreEncoded:
+    """The graph report's "forest" member: the sorted roots, and each
+    reached vertex's parent keyed by the child's id string, the keys
+    sorted as strings."""
+    ids = _id_texts(graph.num_vertices)
+    count = len(forest.parent)
+    child = np.fromiter(forest.parent.keys(), dtype=np.int64, count=count)
+    parent = np.fromiter(forest.parent.values(), dtype=np.int64, count=count)
+    order = np.argsort(child.astype(str))
+    roots = ",".join(map(ids.__getitem__, sorted(forest.roots)))
+    return PreEncoded(
+        _json_rows(
+            count,
+            '{"parents":{',
+            ['"', ids[child[order]], '":', ids[parent[order]]],
+            f'}},"roots":[{roots}]}}',
+        )
+    )
+
+
+def weights_member(graph: NetworkGraph, weights: np.ndarray) -> PreEncoded:
+    """The lump report's "weights" member, written from the graph's
+    columns and the (M, p, r) array of the weight blocks in edge order
+    with one key-sorted template per edge kind. ``tolist`` hands ``%r``
+    Python floats, which it writes as the JSON encoder does. They are
+    finite: assembly refuses a non-finite weight before the report is
+    built."""
     p, r = weights.shape[1:]
     row = "[" + ",".join(["%r"] * r) + "]"
     head = '{"W":[' + ",".join([row] * p) + '],"kind":'
-    templates = (head + '"undirected","u":%d,"v":%d}', head + '"directed","u":%d,"v":%d}')
+    templates = (head + '"undirected","u":%s,"v":%s}', head + '"directed","u":%s,"v":%s}')
+    ids = _id_texts(graph.num_vertices)
     values = weights.reshape(graph.num_edges, p * r).tolist()
-    fields = [x for w, e in zip(values, graph.edges) for x in (*w, e.u, e.v)]
+    ends = zip(ids[graph.u].tolist(), ids[graph.v].tolist())
+    fields = [x for w, uv in zip(values, ends) for x in (*w, *uv)]
     entries = ",".join(map(templates.__getitem__, graph.directed.tolist())) % tuple(fields)
     return PreEncoded(f'{{"edges":[{entries}]}}')
 

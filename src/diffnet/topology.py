@@ -1,10 +1,16 @@
 """Network topology: graphs with their driven vertices, the spanning forest
-that decides input-reachability, and the incidence factorization."""
+that decides input-reachability, and the incidence factorization.
+
+A graph holds its edge list as int64 columns, checked once when it is
+built; every pass over the edges (the forest, the incidence pair, the
+report writers) reads the columns. The tuple of ``Edge`` is built only
+when ``NetworkGraph.edges`` is read."""
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -28,7 +34,7 @@ class Edge(NamedTuple):
 
     def key(self) -> tuple:
         """Canonical identity: unordered pair for undirected edges."""
-        return (self.kind, *self.oriented())
+        return _key(*self)
 
     def oriented(self) -> tuple[int, int]:
         """(start, end): undirected edges run from the lower to the higher
@@ -51,16 +57,27 @@ def _vertex_id(vid):
 
 def _as_edge(i: int, entry) -> Edge:
     """Entry i of an edge list, an ``Edge`` or a plain (u, v) or
-    (u, v, kind) tuple, as an ``Edge`` with its ids read by ``_vertex_id``."""
+    (u, v, kind) tuple, as an ``Edge``."""
     if not isinstance(entry, tuple) or len(entry) not in (2, 3):
         raise ValueError(
             f"edge #{i} must be an Edge or a (u, v) or (u, v, kind) tuple, got {entry!r}"
         )
-    u, v, *kind = entry
-    return Edge(_vertex_id(u), _vertex_id(v), *kind)
+    return Edge(*entry)
 
 
-def _id_column(ids: tuple, num_vertices: int) -> np.ndarray:
+def _unzip(edges) -> tuple[tuple, tuple, tuple]:
+    """The u, v and kind columns of an edge list given in Python, with its
+    ids read by ``_vertex_id``."""
+    edges = tuple(edges)
+    if not {*map(type, edges)} <= {Edge}:
+        edges = tuple(map(_as_edge, range(len(edges)), edges))
+    us, vs, kinds = zip(*edges) if edges else ((), (), ())
+    if not {*map(type, us), *map(type, vs)} <= {int}:
+        us, vs = tuple(map(_vertex_id, us)), tuple(map(_vertex_id, vs))
+    return us, vs, kinds
+
+
+def _id_column(ids, num_vertices: int) -> np.ndarray:
     """int64 column of int vertex ids, 0 wherever an id is outside
     1..num_vertices."""
     try:
@@ -91,28 +108,71 @@ def _shared_pair_defects(start: np.ndarray, end: np.ndarray, directed: np.ndarra
     return flags
 
 
-def _edge_error(edges: tuple, i: int, num_vertices: int) -> ValueError:
+def _key(u, v, kind) -> tuple:
+    """(kind, start, end), with the ends of ``Edge.oriented``."""
+    return (kind, u, v) if kind == DIRECTED or u < v else (kind, v, u)
+
+
+def _edge_error(us, vs, kinds, i: int, num_vertices: int) -> ValueError:
     """The error for edge i, the first invalid edge, checked in order: kind,
     vertex id (an int in range), self-loop, duplicate, shared pair."""
-    e = edges[i]
-    if e.kind not in (UNDIRECTED, DIRECTED):
-        return ValueError(f"unknown edge kind {e.kind!r}")
-    for vid in (e.u, e.v):
+    u, v, kind = us[i], vs[i], kinds[i]
+    if kind not in (UNDIRECTED, DIRECTED):
+        return ValueError(f"unknown edge kind {kind!r}")
+    for vid in (u, v):
         if type(vid) is not int or not 1 <= vid <= num_vertices:
             return ValueError(
-                f"edge ({e.u!r}, {e.v!r}) references a vertex outside 1..{num_vertices}"
+                f"edge ({u!r}, {v!r}) references a vertex outside 1..{num_vertices}"
             )
-    if e.u == e.v:
-        return ValueError(f"self-loop at vertex {e.u} is not allowed")
-    if e.key() in {f.key() for f in edges[:i]}:
-        return ValueError(f"duplicate edge between {e.u} and {e.v}")
-    pair = (e.u, e.v) if e.u < e.v else (e.v, e.u)
+    if u == v:
+        return ValueError(f"self-loop at vertex {u} is not allowed")
+    if _key(u, v, kind) in set(map(_key, us[:i], vs[:i], kinds[:i])):
+        return ValueError(f"duplicate edge between {u} and {v}")
+    pair = (u, v) if u < v else (v, u)
     # one weight per vertex pair: an undirected edge may not share its
     # pair with any other edge; opposite directed edges may coexist
     return ValueError(
         f"vertices {pair[0]} and {pair[1]} already carry an edge; "
         "an undirected edge cannot share its pair with another edge"
     )
+
+
+def _checked_columns(num_vertices: int, us, vs, kinds) -> tuple[np.ndarray, ...]:
+    """The one check of an edge list, given as its u, v and kind columns:
+    the read-only ``u``, ``v``, ``start``, ``end`` and ``directed`` columns
+    of a graph, or the ValueError of the first invalid edge. Ids and kinds
+    of the types a parsed file holds, ints and the two kind names, pass
+    with no Python call per edge."""
+    n = num_vertices
+    # the int64 columns cover the edges before the first unknown kind or id
+    # that is not an int
+    m = len(kinds)
+    if kinds.count(UNDIRECTED) + kinds.count(DIRECTED) < m:
+        m = next(i for i, k in enumerate(kinds) if k not in (UNDIRECTED, DIRECTED))
+    if not {*map(type, us), *map(type, vs)} <= {int}:
+        m = next((i for i in range(m) if {type(us[i]), type(vs[i])} != {int}), m)
+    u, v = _id_column(us[:m], n), _id_column(vs[:m], n)
+    directed = np.fromiter(map(DIRECTED.__eq__, kinds[:m]), dtype=bool, count=m)
+    start = np.where(directed, u, np.minimum(u, v))
+    end = np.where(directed, v, np.maximum(u, v))
+    bad = np.flatnonzero(
+        (u == 0) | (v == 0) | (u == v) | _shared_pair_defects(start, end, directed)
+    )
+    if bad.size or m < len(kinds):
+        raise _edge_error(us, vs, kinds, int(bad[0]) if bad.size else m, n)
+    columns = (u, v, start - 1, end - 1, directed)
+    for col in columns:
+        col.flags.writeable = False  # graphs built by ``replace`` share them
+    return columns
+
+
+class _CheckedEdges(tuple):
+    """The ``edges`` tuple a graph hands out. It remembers the graph's
+    vertex count and checked columns, so that a graph built from it with
+    the same vertex count, as ``dataclasses.replace`` does when only the
+    driven ids change, takes the columns over unchecked."""
+
+    checked: tuple
 
 
 class DrivenIdError(ValueError):
@@ -136,69 +196,87 @@ def _driven_ids(driven, num_vertices: int) -> tuple[int, ...]:
     return ids
 
 
+def _vertex_count(num_vertices) -> int:
+    n = _vertex_id(num_vertices)
+    if type(n) is not int or n < 1:
+        raise ValueError(f"graph needs a positive vertex count, got {n!r}")
+    if n > _MAX_VERTICES:
+        raise ValueError(f"graph vertex count {n} exceeds the 64-bit limit {_MAX_VERTICES}")
+    return n
+
+
+_KINDS = (UNDIRECTED, DIRECTED)  # indexed by the directed flag
+
+
 @dataclass(frozen=True)
 class NetworkGraph:
     """Vertices 1..num_vertices, the edges between them and the driven
     vertices, those that receive an external input.
 
-    ``edges`` is a tuple of ``Edge`` with int ids: a plain (u, v) or
-    (u, v, kind) tuple becomes an ``Edge``, a numpy integer id its int.
-    The edge list is also held as int64 columns, in edge order: ``start``
-    and ``end``, the 0-based ends from ``Edge.oriented``, and the
-    ``directed`` mask. ``driven``, given as any iterable of ids, is held
-    as a sorted tuple of distinct ints; a bad id raises ``DrivenIdError``,
-    after every edge check. Vertex counts and ids follow one rule: an int
-    or a numpy integer that fits int64, never a bool, float or str.
+    The edges are held as read-only columns, in edge order: ``u`` and
+    ``v``, the int64 ids as given; ``start`` and ``end``, the 0-based ends
+    from ``Edge.oriented``; and the ``directed`` mask. ``edges``, the same
+    list as a tuple of ``Edge`` with int ids, is built from the columns
+    on first read. An edge list given in Python, of ``Edge``s or plain
+    (u, v) or (u, v, kind) tuples with int or numpy integer ids, is
+    unzipped into columns and checked; the problem-file parser hands its
+    columns to the same check and builds no ``Edge``. ``driven``, given
+    as any iterable of ids, is held as a sorted tuple of distinct ints; a
+    bad id raises ``DrivenIdError``, after every edge check. Vertex counts
+    and ids follow one rule: an int or a numpy integer that fits int64,
+    never a bool, float or str.
     """
 
     num_vertices: int
-    edges: tuple[Edge, ...] = ()
+    # no class attribute: an instance without it builds it in __getattr__
+    edges: tuple[Edge, ...] = field(default_factory=tuple)
     driven: tuple[int, ...] = ()
+    u: np.ndarray = field(init=False, repr=False, compare=False)
+    v: np.ndarray = field(init=False, repr=False, compare=False)
     start: np.ndarray = field(init=False, repr=False, compare=False)
     end: np.ndarray = field(init=False, repr=False, compare=False)
     directed: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = _vertex_id(self.num_vertices)
-        if type(n) is not int or n < 1:
-            raise ValueError(f"graph needs a positive vertex count, got {n!r}")
-        if n > _MAX_VERTICES:
-            raise ValueError(
-                f"graph vertex count {n} exceeds the 64-bit limit {_MAX_VERTICES}"
-            )
+        n = _vertex_count(self.num_vertices)
+        edges = self.edges
+        if type(edges) is _CheckedEdges and edges.checked[0] == n:
+            columns = edges.checked[1:]
+        else:
+            columns = _checked_columns(n, *_unzip(edges))
+            object.__delattr__(self, "edges")  # built again from the columns
+        self._hold(n, columns, self.driven)
+
+    @classmethod
+    def _from_columns(cls, num_vertices, u: list, v: list, kinds: list, driven) -> NetworkGraph:
+        """The graph whose edge i is (u[i], v[i], kinds[i]), checked as one
+        built from its ``Edge``s is, with no ``Edge`` built."""
+        graph = object.__new__(cls)
+        n = _vertex_count(num_vertices)
+        graph._hold(n, _checked_columns(n, u, v, kinds), driven)
+        return graph
+
+    def _hold(self, n: int, columns: tuple[np.ndarray, ...], driven) -> None:
         object.__setattr__(self, "num_vertices", n)
-        edges = tuple(self.edges)
-        # Edges of ints, as the parser builds them, pass with no call per edge
-        us, vs, kinds = zip(*edges) if {*map(type, edges)} == {Edge} else ((), (), ())
-        ints = len(us) == len(edges) and {*map(type, us), *map(type, vs)} <= {int}
-        if not ints:
-            edges = tuple(map(_as_edge, range(len(edges)), edges))
-            us, vs, kinds = zip(*edges) if edges else ((), (), ())
-        object.__setattr__(self, "edges", edges)
-        # the columns cover the edges before the first unknown kind or id
-        # that is not an int
-        m = len(edges)
-        if kinds.count(UNDIRECTED) + kinds.count(DIRECTED) < m:
-            m = next(i for i, k in enumerate(kinds) if k not in (UNDIRECTED, DIRECTED))
-        if not ints:
-            m = next((i for i in range(m) if {type(us[i]), type(vs[i])} != {int}), m)
-        u, v = _id_column(us[:m], n), _id_column(vs[:m], n)
-        directed = np.fromiter(map(DIRECTED.__eq__, kinds[:m]), dtype=bool, count=m)
-        start = np.where(directed, u, np.minimum(u, v))
-        end = np.where(directed, v, np.maximum(u, v))
-        bad = np.flatnonzero(
-            (u == 0) | (v == 0) | (u == v) | _shared_pair_defects(start, end, directed)
+        for name, col in zip(("u", "v", "start", "end", "directed"), columns):
+            object.__setattr__(self, name, col)
+        object.__setattr__(self, "driven", _driven_ids(driven, n))
+
+    def __getattr__(self, name: str):
+        if name != "edges" or "directed" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        kinds = map(_KINDS.__getitem__, self.directed.tolist())
+        # tuple.__new__ fills the named tuples without Edge's Python __new__
+        edges = _CheckedEdges(
+            map(tuple.__new__, repeat(Edge), zip(self.u.tolist(), self.v.tolist(), kinds))
         )
-        if bad.size or m < len(edges):
-            raise _edge_error(edges, int(bad[0]) if bad.size else m, n)
-        object.__setattr__(self, "start", start - 1)
-        object.__setattr__(self, "end", end - 1)
-        object.__setattr__(self, "directed", directed)
-        object.__setattr__(self, "driven", _driven_ids(self.driven, n))
+        edges.checked = (self.num_vertices, self.u, self.v, self.start, self.end, self.directed)
+        object.__setattr__(self, "edges", edges)
+        return edges
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.u)
 
     def has_directed_edges(self) -> bool:
         return bool(self.directed.any())

@@ -381,6 +381,45 @@ def reference_parse_weights(entries: list, graph: NetworkGraph, shape) -> np.nda
     return np.array([by_key[e.key()] for e in graph.edges]).reshape(-1, p, r)
 
 
+#: key-sorted JSON of one "edges" entry and one "orientation" entry,
+#: indexed by the edge's directed flag; an orientation entry takes end,
+#: start (undirected only), start, end, u and v
+_EDGE_TEMPLATES = ('{"kind":"undirected","u":%d,"v":%d}', '{"kind":"directed","u":%d,"v":%d}')
+_ORIENTATION_TEMPLATES = (
+    '{"injection_case":"injection +1 at %d, -1 at %d","kind":"undirected",'
+    '"oriented":[%d,%d],"u":%d,"v":%d}',
+    '{"injection_case":"injection +1 at %d only","kind":"directed",'
+    '"oriented":[%d,%d],"u":%d,"v":%d}',
+)
+
+
+def reference_graph_members(graph: NetworkGraph) -> tuple[str, str]:
+    """%-template reference of the graph report's "edges" and
+    "orientation" member texts, written from ``graph.edges``."""
+    us, vs, _ = zip(*graph.edges) if graph.edges else ((), (), ())
+    directed = graph.directed.tolist()
+    start, end = graph.start + 1, graph.end + 1
+    fields = np.column_stack([end, start, start, end, us, vs]).reshape(-1, 6)
+    keep = np.ones(fields.shape, dtype=bool)
+    keep[graph.directed, 1] = False
+    edges = ",".join(map(_EDGE_TEMPLATES.__getitem__, directed)) % tuple(
+        fields[:, 4:].ravel().tolist()
+    )
+    orientation = ",".join(map(_ORIENTATION_TEMPLATES.__getitem__, directed)) % tuple(
+        fields[keep].tolist()
+    )
+    return f"[{edges}]", f"[{orientation}]"
+
+
+def reference_forest(forest) -> dict:
+    """Dict reference of the graph report's "forest" member, for the JSON
+    encoder: parents keyed by the child's id string."""
+    return {
+        "roots": sorted(forest.roots),
+        "parents": {str(child): parent for child, parent in forest.parent.items()},
+    }
+
+
 def count_calls(monkeypatch, module, name: str) -> list:
     """Wrap ``module.name`` for the test: every call appends to the
     returned list, then runs the original."""

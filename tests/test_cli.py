@@ -17,7 +17,9 @@ from conftest import (
     outcome,
     random_graph,
     random_model,
+    reference_forest,
     reference_graph_check,
+    reference_graph_members,
     reference_parse_edges,
     reference_parse_weights,
 )
@@ -31,7 +33,7 @@ from diffnet.problem_io import (
     REPORT_SCHEMA,
     dump_json,
 )
-from diffnet.topology import DIRECTED, UNDIRECTED, Edge, NetworkGraph
+from diffnet.topology import DIRECTED, UNDIRECTED, Edge, NetworkGraph, spanning_forest
 from diffnet.verdict import CertificationReport, TrialResult
 
 
@@ -860,41 +862,61 @@ class TestGraphCommand:
 
     def test_edge_members_match_the_encoder(self):
         gen = np.random.default_rng(12)
-        graphs = [NetworkGraph(1), NetworkGraph(3, (Edge(3, 1), Edge(2, 3, DIRECTED)))]
-        for _ in range(60):
-            g = random_graph(gen, int(gen.integers(2, 30)), edge_prob=0.3)
-            # undirected edges listed in either order
+        graphs = [
+            NetworkGraph(1),
+            NetworkGraph(12, driven=(3,)),  # no edges, eleven vertices unreachable
+            NetworkGraph(3, (Edge(3, 1), Edge(2, 3, DIRECTED)), driven=(2,)),
+        ]
+        # ids that cross 9 -> 10 and 99 -> 100, so parents sort as strings
+        sizes = [int(gen.integers(2, 30)) for _ in range(60)] + [11, 40, 101, 130] * 3
+        for n in sizes:
+            g = random_graph(gen, n, edge_prob=min(0.3, 4.0 / n))
+            # undirected edges listed in either order, 0 to 3 driven vertices
             flip = gen.random(g.num_edges) < 0.5
+            edges = tuple(
+                Edge(e.v, e.u) if e.kind == UNDIRECTED and f else e
+                for e, f in zip(g.edges, flip)
+            )
+            driven = gen.choice(np.arange(1, n + 1), size=int(gen.integers(0, 4))).tolist()
+            graphs.append(NetworkGraph(n, edges, driven))
+            # the same graph from a problem file's columns
+            entries = [{"u": e.u, "v": e.v, "kind": e.kind} for e in edges]
             graphs.append(
-                NetworkGraph(
-                    g.num_vertices,
-                    tuple(
-                        Edge(e.v, e.u) if e.kind == UNDIRECTED and f else e
-                        for e, f in zip(g.edges, flip)
-                    ),
-                )
+                problem_io._parse_graph({"graph": {"N": n, "edges": entries}, "driven": driven})
             )
+        seen = set()
         for g in graphs:
+            forest = spanning_forest(g)
             edges, orientation = problem_io.graph_members(g)
-            assert edges.text == problem_io._ENCODER.encode(
-                [{"u": e.u, "v": e.v, "kind": e.kind} for e in g.edges]
+            assert (edges.text, orientation.text) == reference_graph_members(g)
+            assert problem_io.forest_member(g, forest).text == problem_io._ENCODER.encode(
+                reference_forest(forest)
             )
-            assert orientation.text == problem_io._ENCODER.encode(
-                [
-                    {
-                        "u": e.u,
-                        "v": e.v,
-                        "kind": e.kind,
-                        "oriented": list(e.oriented()),
-                        "injection_case": (
-                            f"injection +1 at {e.oriented()[1]}, -1 at {e.oriented()[0]}"
-                            if e.kind == UNDIRECTED
-                            else f"injection +1 at {e.oriented()[1]} only"
-                        ),
-                    }
-                    for e in g.edges
-                ]
+            shape = tuple(int(k) for k in gen.integers(1, 3, size=2))
+            weights = gen.normal(size=(g.num_edges, *shape))
+            assert problem_io.weights_member(g, weights).text == problem_io._ENCODER.encode(
+                problem_io.weights_to_json(g, weights)
             )
+            keys = list(map(str, forest.parent))
+            seen.add(("no edges", g.num_edges == 0))
+            seen.add(("mixed kinds", 0 < g.directed.sum() < g.num_edges))
+            seen.add(("unreachable", bool(forest.unreachable)))
+            seen.add(("not numeric order", sorted(keys) != sorted(keys, key=int)))
+            seen.add(("ids past 99", g.num_edges > 0 and int(g.u.max()) >= 100))
+        assert {k for k, hit in seen if hit} == {
+            "no edges", "mixed kinds", "unreachable", "not numeric order", "ids past 99"
+        }
+
+    def test_report_writers_build_no_edge(self, problem_file):
+        doc = chain_problem(n=12, driven=(3,))
+        doc["graph"]["edges"][4]["kind"] = "directed"
+        graph = problem_io.load_problem(problem_file(doc))[0].graph
+        problem_io.graph_members(graph)
+        problem_io.forest_member(graph, spanning_forest(graph))
+        problem_io.weights_member(graph, np.ones((graph.num_edges, 1, 2)))
+        assert "edges" not in vars(graph)  # built on first read only
+        want = [(e["u"], e["v"], e.get("kind", UNDIRECTED)) for e in doc["graph"]["edges"]]
+        assert graph.edges == tuple(want) and {*map(type, graph.edges)} == {Edge}
 
     def test_dump_json_writes_pre_encoded_members_unchanged(self):
         doc = {"b": problem_io.PreEncoded('[{"z":1}]'), "a": [1]}
@@ -1217,6 +1239,17 @@ class TestProblemParsing:
         code, _, _ = run(capsys, ["certify", str(target), "--ground-first-mass"])
         assert code == 0
         assert len(checks) == 1
+
+    def test_ids_are_read_with_no_call_per_entry(self, problem_file, monkeypatch):
+        # 1,000 driven ids and 1,500 edges: a path, then (i, i + 2) edges
+        edges = [{"u": i, "v": i + 1} for i in range(1, 1000)]
+        edges += [{"u": i, "v": i + 2, "kind": "directed"} for i in range(1, 502)]
+        doc = chain_problem(driven=range(1, 1001), extra={"graph": {"N": 1000, "edges": edges}})
+        path = problem_file(doc)
+        calls = count_calls(monkeypatch, problem_io, "_int_field")
+        graph = problem_io.load_problem(path)[0].graph
+        assert graph.num_edges == 1500 and len(graph.driven) == 1000
+        assert len(calls) == 1  # graph "N" alone
 
     def test_option_rejections(self):
         self.expect_error(

@@ -14,6 +14,7 @@ def test_library_use_example_runs(capsys):
     assert lines[0].endswith(" True")  # the certificate agrees with the verdict
     assert lines[1:] == [
         "('output row 1 is identically zero',)",
+        "[1 2] [2 3] [0 1] [1 2] [False  True]",
         "(Edge(u=1, v=2, kind='undirected'), Edge(u=2, v=3, kind='directed'))",
         "(1, 3)",
         "driven vertices [4] exceed the vertex count 3",

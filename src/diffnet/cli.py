@@ -50,7 +50,6 @@ from .problem_io import (
     Problem,
     certification_to_json,
     dump_json,
-    forest_member,
     graph_members,
     load_problem,
     report_document,
@@ -414,7 +413,10 @@ def cmd_graph(args) -> int:
         "globally_input_reachable": not unreachable,
         "reachable": sorted(forest.order),
         "unreachable": unreachable,
-        "forest": forest_member(graph, forest),
+        "forest": {
+            "roots": sorted(forest.roots),
+            "parents": {str(child): parent for child, parent in forest.parent.items()},
+        },
         "orientation": orientation,
     }
     _emit(args, doc, lambda: _graph_text(graph, forest))

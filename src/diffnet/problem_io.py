@@ -15,9 +15,8 @@ Matrices are dense row-major nested lists. ``kind`` defaults to undirected.
 driven id is reported as an invalid driven set, any other fault of the
 graph as an invalid graph. The "edges" entries are read as u, v and kind
 columns and handed to the graph's column check, so a parsed file builds
-no ``Edge``; the report members that list edges or the forest are
-written from the graph's int64 columns, each id taken from one table of
-id strings.
+no ``Edge``; the report members that list edges are written from the
+graph's int64 columns.
 Reports serialize to canonical JSON with complex numbers as
 {"re": ..., "im": ...} objects.
 """
@@ -25,7 +24,6 @@ Reports serialize to canonical JSON with complex numbers as
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import json
 import math
@@ -37,7 +35,7 @@ import numpy as np
 
 from .errors import ModelValidationError, ProblemFileError
 from .subsystem import SubsystemModel
-from .topology import DIRECTED, UNDIRECTED, DrivenIdError, NetworkGraph, SpanningForest
+from .topology import DIRECTED, UNDIRECTED, DrivenIdError, NetworkGraph
 from .verdict import AnalysisReport, CertificationReport
 
 REPORT_SCHEMA = "diffnet-report/v1"
@@ -540,84 +538,34 @@ def dump_json(doc: dict) -> str:
     return "".join(parts)
 
 
-@functools.lru_cache(maxsize=1)
-def _id_texts(num_vertices: int) -> np.ndarray:
-    """The table of vertex id strings, str(i) at index i for i in
-    0..num_vertices, as a read-only object array that a column of ids
-    indexes. The table of the last vertex count is kept, so the writers
-    of one report share it."""
-    table = np.array(list(map(str, range(num_vertices + 1))), dtype=object)
-    table.flags.writeable = False
-    return table
-
-
-def _json_rows(count: int, opening: str, parts: list, closing: str) -> str:
-    """``opening``, then ``count`` rows separated by commas, then
-    ``closing``. ``parts`` lists the pieces of a row in order, each one
-    str for every row or an array of one str per row."""
-    if not count:
-        return opening + closing
-    table = np.empty((count, len(parts) + 1), dtype=object)
-    table[:, 0] = ","
-    table[0, 0] = opening
-    for j, piece in enumerate(parts, start=1):
-        table[:, j] = piece
-    return "".join(table.ravel().tolist()) + closing
+#: key-sorted JSON of one "edges" entry and one "orientation" entry,
+#: indexed by the edge's directed flag; an orientation entry takes end,
+#: start (undirected only), start, end, u and v
+_EDGE_JSON = ('{"kind":"undirected","u":%d,"v":%d}', '{"kind":"directed","u":%d,"v":%d}')
+_ORIENTATION_JSON = (
+    '{"injection_case":"injection +1 at %d, -1 at %d","kind":"undirected",'
+    '"oriented":[%d,%d],"u":%d,"v":%d}',
+    '{"injection_case":"injection +1 at %d only","kind":"directed",'
+    '"oriented":[%d,%d],"u":%d,"v":%d}',
+)
 
 
 def graph_members(graph: NetworkGraph) -> tuple[PreEncoded, PreEncoded]:
-    """The report's "edges" and "orientation" members, written key-sorted
-    from the graph's columns: ids from ``_id_texts`` and fixed ASCII text,
-    which JSON writes unescaped. An orientation entry names the end, then
-    (undirected edges only) the start, then both ends, u and v."""
-    ids = _id_texts(graph.num_vertices)
-    u, v = ids[graph.u], ids[graph.v]
-    start, end = ids[graph.start + 1], ids[graph.end + 1]
-    directed = graph.directed.view(np.int8)
-
-    def by_kind(undirected_text: str, directed_text: str) -> np.ndarray:
-        return np.array([undirected_text, directed_text], dtype=object)[directed]
-
-    m = graph.num_edges
-    edges = _json_rows(
-        m,
-        "[",
-        [by_kind('{"kind":"undirected","u":', '{"kind":"directed","u":'), u, ',"v":', v, "}"],
-        "]",
+    """The report's "edges" and "orientation" members, written from the
+    graph's columns with the templates above. Their fields are ints and
+    fixed ASCII text, which JSON writes unescaped."""
+    directed = graph.directed.tolist()
+    start, end = graph.start + 1, graph.end + 1
+    fields = np.column_stack([end, start, start, end, graph.u, graph.v])
+    keep = np.ones(fields.shape, dtype=bool)
+    keep[graph.directed, 1] = False
+    edges = ",".join(map(_EDGE_JSON.__getitem__, directed)) % tuple(
+        fields[:, 4:].ravel().tolist()
     )
-    undirected_start = np.where(graph.directed, "", start)
-    orientation = _json_rows(
-        m,
-        "[",
-        [
-            '{"injection_case":"injection +1 at ', end,
-            by_kind(", -1 at ", ' only","kind":"directed","oriented":['), undirected_start,
-            by_kind('","kind":"undirected","oriented":[', ""),
-            start, ",", end, '],"u":', u, ',"v":', v, "}",
-        ],
-        "]",
+    orientation = ",".join(map(_ORIENTATION_JSON.__getitem__, directed)) % tuple(
+        fields[keep].tolist()
     )
-    return PreEncoded(edges), PreEncoded(orientation)
-
-
-def forest_member(graph: NetworkGraph, forest: SpanningForest) -> PreEncoded:
-    """The graph report's "forest" member: the sorted roots, and each
-    reached vertex's parent keyed by the child's id string, the keys
-    sorted as strings."""
-    ids = _id_texts(graph.num_vertices)
-    count = len(forest.parent)
-    child = np.fromiter(forest.parent.keys(), dtype=np.int64, count=count)
-    parent = np.fromiter(forest.parent.values(), dtype=np.int64, count=count)
-    order = np.argsort(child.astype(str))
-    roots = ",".join(map(ids.__getitem__, sorted(forest.roots)))
-    return PreEncoded(
-        _json_rows(
-            count,
-            '{"parents":{',
-            ['"', ids[child[order]], '":', ids[parent[order]]],
-            f'}},"roots":[{roots}]}}',
-        )
-    )
+    return PreEncoded(f"[{edges}]"), PreEncoded(f"[{orientation}]")
 
 
 def weights_member(graph: NetworkGraph, weights: np.ndarray) -> PreEncoded:
@@ -630,11 +578,10 @@ def weights_member(graph: NetworkGraph, weights: np.ndarray) -> PreEncoded:
     p, r = weights.shape[1:]
     row = "[" + ",".join(["%r"] * r) + "]"
     head = '{"W":[' + ",".join([row] * p) + '],"kind":'
-    templates = (head + '"undirected","u":%s,"v":%s}', head + '"directed","u":%s,"v":%s}')
-    ids = _id_texts(graph.num_vertices)
+    templates = (head + '"undirected","u":%d,"v":%d}', head + '"directed","u":%d,"v":%d}')
     values = weights.reshape(graph.num_edges, p * r).tolist()
-    ends = zip(ids[graph.u].tolist(), ids[graph.v].tolist())
-    fields = [x for w, uv in zip(values, ends) for x in (*w, *uv)]
+    ends = zip(values, graph.u.tolist(), graph.v.tolist())
+    fields = [x for w, u, v in ends for x in (*w, u, v)]
     entries = ",".join(map(templates.__getitem__, graph.directed.tolist())) % tuple(fields)
     return PreEncoded(f'{{"edges":[{entries}]}}')
 

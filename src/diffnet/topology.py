@@ -162,17 +162,8 @@ def _checked_columns(num_vertices: int, us, vs, kinds) -> tuple[np.ndarray, ...]
         raise _edge_error(us, vs, kinds, int(bad[0]) if bad.size else m, n)
     columns = (u, v, start - 1, end - 1, directed)
     for col in columns:
-        col.flags.writeable = False  # graphs built by ``replace`` share them
+        col.flags.writeable = False  # a built graph stays checked
     return columns
-
-
-class _CheckedEdges(tuple):
-    """The ``edges`` tuple a graph hands out. It remembers the graph's
-    vertex count and checked columns, so that a graph built from it with
-    the same vertex count, as ``dataclasses.replace`` does when only the
-    driven ids change, takes the columns over unchecked."""
-
-    checked: tuple
 
 
 class DrivenIdError(ValueError):
@@ -239,12 +230,8 @@ class NetworkGraph:
 
     def __post_init__(self) -> None:
         n = _vertex_count(self.num_vertices)
-        edges = self.edges
-        if type(edges) is _CheckedEdges and edges.checked[0] == n:
-            columns = edges.checked[1:]
-        else:
-            columns = _checked_columns(n, *_unzip(edges))
-            object.__delattr__(self, "edges")  # built again from the columns
+        columns = _checked_columns(n, *_unzip(self.edges))
+        object.__delattr__(self, "edges")  # built again from the columns
         self._hold(n, columns, self.driven)
 
     @classmethod
@@ -267,10 +254,9 @@ class NetworkGraph:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         kinds = map(_KINDS.__getitem__, self.directed.tolist())
         # tuple.__new__ fills the named tuples without Edge's Python __new__
-        edges = _CheckedEdges(
+        edges = tuple(
             map(tuple.__new__, repeat(Edge), zip(self.u.tolist(), self.v.tolist(), kinds))
         )
-        edges.checked = (self.num_vertices, self.u, self.v, self.start, self.end, self.directed)
         object.__setattr__(self, "edges", edges)
         return edges
 

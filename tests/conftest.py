@@ -411,15 +411,6 @@ def reference_graph_members(graph: NetworkGraph) -> tuple[str, str]:
     return f"[{edges}]", f"[{orientation}]"
 
 
-def reference_forest(forest) -> dict:
-    """Dict reference of the graph report's "forest" member, for the JSON
-    encoder: parents keyed by the child's id string."""
-    return {
-        "roots": sorted(forest.roots),
-        "parents": {str(child): parent for child, parent in forest.parent.items()},
-    }
-
-
 def count_calls(monkeypatch, module, name: str) -> list:
     """Wrap ``module.name`` for the test: every call appends to the
     returned list, then runs the original."""

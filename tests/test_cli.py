@@ -17,7 +17,6 @@ from conftest import (
     outcome,
     random_graph,
     random_model,
-    reference_forest,
     reference_graph_check,
     reference_graph_members,
     reference_parse_edges,
@@ -867,7 +866,7 @@ class TestGraphCommand:
             NetworkGraph(12, driven=(3,)),  # no edges, eleven vertices unreachable
             NetworkGraph(3, (Edge(3, 1), Edge(2, 3, DIRECTED)), driven=(2,)),
         ]
-        # ids that cross 9 -> 10 and 99 -> 100, so parents sort as strings
+        # ids that cross 9 -> 10 and 99 -> 100
         sizes = [int(gen.integers(2, 30)) for _ in range(60)] + [11, 40, 101, 130] * 3
         for n in sizes:
             g = random_graph(gen, n, edge_prob=min(0.3, 4.0 / n))
@@ -886,25 +885,38 @@ class TestGraphCommand:
             )
         seen = set()
         for g in graphs:
-            forest = spanning_forest(g)
             edges, orientation = problem_io.graph_members(g)
             assert (edges.text, orientation.text) == reference_graph_members(g)
-            assert problem_io.forest_member(g, forest).text == problem_io._ENCODER.encode(
-                reference_forest(forest)
+            assert edges.text == problem_io._ENCODER.encode(
+                [{"u": e.u, "v": e.v, "kind": e.kind} for e in g.edges]
+            )
+            assert orientation.text == problem_io._ENCODER.encode(
+                [
+                    {
+                        "u": e.u,
+                        "v": e.v,
+                        "kind": e.kind,
+                        "oriented": list(e.oriented()),
+                        "injection_case": (
+                            f"injection +1 at {e.oriented()[1]}, -1 at {e.oriented()[0]}"
+                            if e.kind == UNDIRECTED
+                            else f"injection +1 at {e.oriented()[1]} only"
+                        ),
+                    }
+                    for e in g.edges
+                ]
             )
             shape = tuple(int(k) for k in gen.integers(1, 3, size=2))
             weights = gen.normal(size=(g.num_edges, *shape))
             assert problem_io.weights_member(g, weights).text == problem_io._ENCODER.encode(
                 problem_io.weights_to_json(g, weights)
             )
-            keys = list(map(str, forest.parent))
             seen.add(("no edges", g.num_edges == 0))
             seen.add(("mixed kinds", 0 < g.directed.sum() < g.num_edges))
-            seen.add(("unreachable", bool(forest.unreachable)))
-            seen.add(("not numeric order", sorted(keys) != sorted(keys, key=int)))
+            seen.add(("unreachable", bool(spanning_forest(g).unreachable)))
             seen.add(("ids past 99", g.num_edges > 0 and int(g.u.max()) >= 100))
         assert {k for k, hit in seen if hit} == {
-            "no edges", "mixed kinds", "unreachable", "not numeric order", "ids past 99"
+            "no edges", "mixed kinds", "unreachable", "ids past 99"
         }
 
     def test_report_writers_build_no_edge(self, problem_file):
@@ -912,7 +924,6 @@ class TestGraphCommand:
         doc["graph"]["edges"][4]["kind"] = "directed"
         graph = problem_io.load_problem(problem_file(doc))[0].graph
         problem_io.graph_members(graph)
-        problem_io.forest_member(graph, spanning_forest(graph))
         problem_io.weights_member(graph, np.ones((graph.num_edges, 1, 2)))
         assert "edges" not in vars(graph)  # built on first read only
         want = [(e["u"], e["v"], e.get("kind", UNDIRECTED)) for e in doc["graph"]["edges"]]

@@ -9,7 +9,6 @@ import pytest
 
 from conftest import (
     assembled_laplacian,
-    count_calls,
     edges_with_defects,
     incoming_influence_counts,
     loop_influence_neighbors,
@@ -18,7 +17,6 @@ from conftest import (
     random_graph,
     reference_graph_check,
 )
-import diffnet.topology
 from diffnet import problem_io
 from diffnet.topology import (
     DIRECTED,
@@ -169,25 +167,6 @@ class TestGraphValidation:
                 replace(g, driven=(bad,))
         with pytest.raises(DrivenIdError, match=r"vertices \[3\] exceed the vertex count 2"):
             replace(moved, num_vertices=2, edges=(Edge(1, 2),))
-
-    def test_replace_carries_the_checked_edge_columns(self, monkeypatch):
-        gen = np.random.default_rng(19)
-        g = random_graph(gen, 60, edge_prob=0.1)
-        parsed = problem_io._parse_graph(
-            {"graph": {"N": 60, "edges": [e._asdict() for e in g.edges]}, "driven": [1]}
-        )
-        checks = count_calls(monkeypatch, diffnet.topology, "_shared_pair_defects")
-        for graph in (g, parsed):
-            moved = replace(graph, driven=(5, 2))
-            assert moved.driven == (2, 5) and moved.edges == g.edges
-            for name in ("u", "v", "start", "end", "directed"):
-                assert getattr(moved, name) is getattr(graph, name)
-                assert not getattr(moved, name).flags.writeable
-        assert checks == []
-        # another vertex count checks the edges again
-        assert replace(g, num_vertices=61).edges == g.edges and len(checks) == 1
-        with pytest.raises(ValueError, match=r"edge \(\d+, 60\) references a vertex outside 1..59"):
-            replace(g, num_vertices=59)
 
     @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8])
     def test_numpy_integer_vertex_count_is_an_int(self, integer):

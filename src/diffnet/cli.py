@@ -54,7 +54,6 @@ from .problem_io import (
     load_problem,
     report_document,
     weights_member,
-    weights_to_json,
     write_report,
 )
 from .topology import DIRECTED, UNDIRECTED, spanning_forest
@@ -337,6 +336,9 @@ def cmd_example(args) -> int:
             f"--springs and --dampers each need {num} values (wall first)"
         )
     chain = mass_spring_chain(num, mass, springs, dampers)
+    graph = chain.graph
+    ends = list(zip(graph.u.tolist(), graph.v.tolist()))
+    kinds = [DIRECTED if d else UNDIRECTED for d in graph.directed.tolist()]
     doc = {
         "$schema": PROBLEM_SCHEMA,
         "subsystem": {
@@ -345,13 +347,16 @@ def cmd_example(args) -> int:
             "C": chain.model.c.tolist(),
         },
         "graph": {
-            "N": chain.graph.num_vertices,
-            "edges": [
-                {"u": e.u, "v": e.v, "kind": e.kind} for e in chain.graph.edges
-            ],
+            "N": graph.num_vertices,
+            "edges": [{"u": u, "v": v, "kind": k} for (u, v), k in zip(ends, kinds)],
         },
-        "driven": list(chain.graph.driven),
-        "weights": weights_to_json(chain.graph, chain.weights),
+        "driven": list(graph.driven),
+        # problem files carry no edge kinds inside "weights"
+        "weights": {
+            "edges": [
+                {"u": u, "v": v, "W": w} for (u, v), w in zip(ends, chain.weights.tolist())
+            ]
+        },
         "options": {
             "seed": seed,
             "wall": {
@@ -360,9 +365,6 @@ def cmd_example(args) -> int:
             },
         },
     }
-    # problem files carry no edge kinds inside "weights"
-    for row in doc["weights"]["edges"]:
-        row.pop("kind", None)
     payload = dump_json(doc)
     write_report(args.out, payload)
     return 0

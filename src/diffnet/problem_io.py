@@ -11,12 +11,14 @@ A problem file is one JSON document:
     }
 
 Matrices are dense row-major nested lists. ``kind`` defaults to undirected.
-"graph" and "driven" build one ``NetworkGraph``, checked once: a bad
-driven id is reported as an invalid driven set, any other fault of the
-graph as an invalid graph. The "edges" entries are read as u, v and kind
-columns and handed to the graph's column check, so a parsed file builds
-no ``Edge``; the report members that list edges are written from the
-graph's int64 columns.
+"graph" and "driven" build one ``NetworkGraph``. The parser checks only
+their JSON shape; "N", the u, v and kind columns of the "edges" entries
+and the "driven" list go to the graph's one check as the file gives
+them, so a parsed file builds no ``Edge`` and its values are checked
+once. A bad driven id is reported as ``invalid driven set:`` and any
+other value fault of the graph as ``invalid graph:``, each followed by
+the graph's own text. The report members that list edges are written
+from the graph's int64 columns.
 Reports serialize to canonical JSON with complex numbers as
 {"re": ..., "im": ...} objects.
 """
@@ -35,7 +37,7 @@ import numpy as np
 
 from .errors import ModelValidationError, ProblemFileError
 from .subsystem import SubsystemModel
-from .topology import DIRECTED, UNDIRECTED, DrivenIdError, NetworkGraph
+from .topology import UNDIRECTED, DrivenIdError, NetworkGraph
 from .verdict import AnalysisReport, CertificationReport
 
 REPORT_SCHEMA = "diffnet-report/v1"
@@ -120,66 +122,48 @@ _EDGE_MEMBERS = {"u", "v", "kind"}
 _WEIGHT_MEMBERS = {"u", "v", "W"}
 
 
-def _edge_columns(entries: list):
-    """The u, v and kind columns of the "edges" entries, or None unless
-    every entry is an object with int "u" and "v", a known kind and no
-    other member."""
+def _edge_columns(entries: list) -> tuple[list, list, list]:
+    """The u, v and kind columns of the "edges" entries, their values as
+    the file gives them, for the graph to check. Raises at the first entry
+    that is not an object with "u" and "v" and no member but those and
+    "kind"."""
     try:
         us = [e["u"] for e in entries]
         vs = [e["v"] for e in entries]
         kinds = [e.get("kind", UNDIRECTED) for e in entries]
     except (TypeError, KeyError):  # no object, or no "u" or "v"
-        return None
-    if (
-        set().union(*entries) <= _EDGE_MEMBERS
-        and {*map(type, us), *map(type, vs)} <= {int}
-        and kinds.count(UNDIRECTED) + kinds.count(DIRECTED) == len(kinds)
-    ):
-        return us, vs, kinds
-    return None
-
-
-def _walk_edges(entries: list) -> tuple[list, list, list]:
-    """Parse the "edges" entries one by one, raising at the first bad one."""
-    us, vs, kinds = [], [], []
-    for i, entry in enumerate(entries):
-        e = _require_mapping(entry, f"edge #{i}")
-        extra = set(e) - _EDGE_MEMBERS
-        if extra:
-            raise _fail(f"edge #{i} has unknown members: {sorted(extra)}")
-        if "u" not in e or "v" not in e:
-            raise _fail(f'edge #{i} needs both "u" and "v"')
-        kind = e.get("kind", UNDIRECTED)
-        if kind not in (UNDIRECTED, DIRECTED):
-            raise _fail(
-                f'edge #{i} kind must be "{UNDIRECTED}" or "{DIRECTED}", got {kind!r}'
-            )
-        us.append(_int_field(e["u"], f'edge #{i} "u"'))
-        vs.append(_int_field(e["v"], f'edge #{i} "v"'))
-        kinds.append(kind)
+        us = None
+    if us is None or not set().union(*entries) <= _EDGE_MEMBERS:
+        for i, entry in enumerate(entries):
+            e = _require_mapping(entry, f"edge #{i}")
+            extra = set(e) - _EDGE_MEMBERS
+            if extra:
+                raise _fail(f"edge #{i} has unknown members: {sorted(extra)}")
+            if "u" not in e or "v" not in e:
+                raise _fail(f'edge #{i} needs both "u" and "v"')
     return us, vs, kinds
 
 
 def _parse_graph(doc: dict) -> NetworkGraph:
+    """The graph of "graph" and "driven". Only the JSON shape is checked
+    here; the vertex count, the edge values and the driven ids go to the
+    graph as the file gives them, and a fault among them is refused with
+    the graph's own text."""
     g = _require_mapping(doc.get("graph"), '"graph"')
     extra = set(g) - {"N", "edges"}
     if extra:
         raise _fail(f'"graph" has unknown members: {sorted(extra)}')
     if "N" not in g:
         raise _fail('"graph" is missing "N"')
-    n = _int_field(g["N"], 'graph "N"')
     entries = g.get("edges", [])
     if not isinstance(entries, list):
         raise _fail('graph "edges" must be a list')
-    columns = _edge_columns(entries) or _walk_edges(entries)
+    columns = _edge_columns(entries)
     driven = doc.get("driven")
     if not isinstance(driven, list):
         raise _fail('"driven" must be a list of vertex ids')
-    if not {*map(type, driven)} <= {int}:
-        for v in driven:
-            _int_field(v, '"driven" entry')
     try:
-        return NetworkGraph._from_columns(n, *columns, driven)
+        return NetworkGraph._from_columns(g["N"], *columns, driven)
     except DrivenIdError as exc:
         raise _fail(f"invalid driven set: {exc}") from None
     except ValueError as exc:
@@ -417,17 +401,6 @@ def report_document(
         "input": {"sha256": input_digest},
         "options": _jsonable(options),
         "analysis": analysis_to_json(report),
-    }
-
-
-def weights_to_json(graph: NetworkGraph, weights: np.ndarray) -> dict:
-    """The edges' weight blocks, an (M, p, r) array in edge order, as the
-    "weights" member of a report."""
-    return {
-        "edges": [
-            {"u": e.u, "v": e.v, "kind": e.kind, "W": w}
-            for e, w in zip(graph.edges, weights.tolist())
-        ]
     }
 
 

@@ -1,10 +1,14 @@
 """Network topology: graphs with their driven vertices, the spanning forest
 that decides input-reachability, and the incidence factorization.
 
-A graph holds its edge list as int64 columns, checked once when it is
-built; every pass over the edges (the forest, the incidence pair, the
-report writers) reads the columns. The tuple of ``Edge`` is built only
-when ``NetworkGraph.edges`` is read."""
+This module is the one home of the rules of a valid graph: the vertex
+count, the edge ids and kinds, the vertex pairs and the driven ids. A
+graph checks them once, when it is built, whether its values come from
+Python or, unchecked, from a problem file; each fault has one refusal
+text. A graph holds its edge list as int64 columns; every pass over the
+edges (the forest, the incidence pair, the report writers) reads the
+columns. The tuple of ``Edge`` is built only when ``NetworkGraph.edges``
+is read."""
 
 from __future__ import annotations
 
@@ -31,17 +35,6 @@ class Edge(NamedTuple):
     u: int
     v: int
     kind: str = UNDIRECTED
-
-    def key(self) -> tuple:
-        """Canonical identity: unordered pair for undirected edges."""
-        return _key(*self)
-
-    def oriented(self) -> tuple[int, int]:
-        """(start, end): undirected edges run from the lower to the higher
-        vertex id; directed edges keep their own direction."""
-        if self.kind == DIRECTED:
-            return self.u, self.v
-        return min(self.u, self.v), max(self.u, self.v)
 
 
 #: vertex counts and ids are held in int64 columns
@@ -109,7 +102,9 @@ def _shared_pair_defects(start: np.ndarray, end: np.ndarray, directed: np.ndarra
 
 
 def _key(u, v, kind) -> tuple:
-    """(kind, start, end), with the ends of ``Edge.oriented``."""
+    """(kind, start, end), the identity of an edge: an undirected edge runs
+    from the lower to the higher vertex id, a directed edge keeps its own
+    direction."""
     return (kind, u, v) if kind == DIRECTED or u < v else (kind, v, u)
 
 
@@ -118,7 +113,7 @@ def _edge_error(us, vs, kinds, i: int, num_vertices: int) -> ValueError:
     vertex id (an int in range), self-loop, duplicate, shared pair."""
     u, v, kind = us[i], vs[i], kinds[i]
     if kind not in (UNDIRECTED, DIRECTED):
-        return ValueError(f"unknown edge kind {kind!r}")
+        return ValueError(f"edge ({u!r}, {v!r}) has unknown kind {kind!r}")
     for vid in (u, v):
         if type(vid) is not int or not 1 <= vid <= num_vertices:
             return ValueError(
@@ -140,9 +135,9 @@ def _edge_error(us, vs, kinds, i: int, num_vertices: int) -> ValueError:
 def _checked_columns(num_vertices: int, us, vs, kinds) -> tuple[np.ndarray, ...]:
     """The one check of an edge list, given as its u, v and kind columns:
     the read-only ``u``, ``v``, ``start``, ``end`` and ``directed`` columns
-    of a graph, or the ValueError of the first invalid edge. Ids and kinds
-    of the types a parsed file holds, ints and the two kind names, pass
-    with no Python call per edge."""
+    of a graph, or the ValueError of the first invalid edge. The columns
+    may hold any values, as a problem file gives them; valid ids and kinds,
+    ints and the two kind names, pass with no Python call per edge."""
     n = num_vertices
     # the int64 columns cover the edges before the first unknown kind or id
     # that is not an int
@@ -206,7 +201,8 @@ class NetworkGraph:
 
     The edges are held as read-only columns, in edge order: ``u`` and
     ``v``, the int64 ids as given; ``start`` and ``end``, the 0-based ends
-    from ``Edge.oriented``; and the ``directed`` mask. ``edges``, the same
+    (an undirected edge runs from the lower to the higher id, a directed
+    edge keeps its direction); and the ``directed`` mask. ``edges``, the same
     list as a tuple of ``Edge`` with int ids, is built from the columns
     on first read. An edge list given in Python, of ``Edge``s or plain
     (u, v) or (u, v, kind) tuples with int or numpy integer ids, is
@@ -237,7 +233,9 @@ class NetworkGraph:
     @classmethod
     def _from_columns(cls, num_vertices, u: list, v: list, kinds: list, driven) -> NetworkGraph:
         """The graph whose edge i is (u[i], v[i], kinds[i]), checked as one
-        built from its ``Edge``s is, with no ``Edge`` built."""
+        built from its ``Edge``s is, with no ``Edge`` built. The vertex
+        count, the columns and the driven ids may hold any values: each
+        is refused with the text the constructor gives."""
         graph = object.__new__(cls)
         n = _vertex_count(num_vertices)
         graph._hold(n, _checked_columns(n, u, v, kinds), driven)
@@ -267,17 +265,6 @@ class NetworkGraph:
     def has_directed_edges(self) -> bool:
         return bool(self.directed.any())
 
-    def influence_neighbors(self) -> list[list[int]]:
-        """out[i] lists the 0-based vertices directly influenced by vertex i,
-        in edge order."""
-        out: list[list[int]] = [[] for _ in range(self.num_vertices)]
-        columns = (self.start.tolist(), self.end.tolist(), self.directed.tolist())
-        for a, b, directed in zip(*columns):
-            out[a].append(b)
-            if not directed:
-                out[b].append(a)
-        return out
-
 
 @dataclass(frozen=True)
 class SpanningForest:
@@ -295,7 +282,13 @@ class SpanningForest:
 
 def spanning_forest(graph: NetworkGraph) -> SpanningForest:
     """Forest of influence paths from the driven vertices; partial on failure."""
-    adj = graph.influence_neighbors()
+    # adj[i] lists the 0-based vertices vertex i directly influences, in edge order
+    adj: list[list[int]] = [[] for _ in range(graph.num_vertices)]
+    columns = (graph.start.tolist(), graph.end.tolist(), graph.directed.tolist())
+    for a, b, directed in zip(*columns):
+        adj[a].append(b)
+        if not directed:
+            adj[b].append(a)
     roots = graph.driven  # distinct, so each starts its own tree
     parent: dict[int, int] = {}
     order = list(roots)
@@ -339,8 +332,7 @@ class IncidenceRealization:
 def incidence_matrices(graph: NetworkGraph) -> IncidenceRealization:
     """Build the incidence/injection pair in the graph's edge order.
 
-    Each edge is oriented by ``Edge.oriented``, read from the graph's
-    ``start`` and ``end`` columns.
+    Each edge runs from the graph's ``start`` to its ``end`` column.
     """
     n = graph.num_vertices
     m = graph.num_edges

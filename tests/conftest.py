@@ -48,6 +48,31 @@ def acceptance():
     return _report
 
 
+def oriented(edge: Edge) -> tuple[int, int]:
+    """Reference orientation, (start, end): undirected edges run from the
+    lower to the higher vertex id; directed edges keep their own direction."""
+    if edge.kind == DIRECTED:
+        return edge.u, edge.v
+    return min(edge.u, edge.v), max(edge.u, edge.v)
+
+
+def edge_key(edge: Edge) -> tuple:
+    """Reference identity of an edge, (kind, start, end): the unordered
+    pair for undirected edges."""
+    return (edge.kind, *oriented(edge))
+
+
+def reference_weights_json(graph: NetworkGraph, weights: np.ndarray) -> dict:
+    """Encoder reference of the lump report's "weights" member: the edges'
+    weight blocks, an (M, p, r) array in edge order, as plain JSON values."""
+    return {
+        "edges": [
+            {"u": e.u, "v": e.v, "kind": e.kind, "W": w}
+            for e, w in zip(graph.edges, weights.tolist())
+        ]
+    }
+
+
 def random_graph(
     gen: np.random.Generator,
     num_vertices: int,
@@ -82,7 +107,7 @@ def random_connected_graph(
     for i in range(1, num_vertices):
         j = int(gen.integers(0, i))
         edges.append(Edge(int(labels[j]), int(labels[i]), UNDIRECTED))
-    present = {e.key() for e in edges}
+    present = {edge_key(e) for e in edges}
     for u in range(1, num_vertices + 1):
         for v in range(u + 1, num_vertices + 1):
             key = (UNDIRECTED, u, v)
@@ -289,16 +314,16 @@ def dense_direct_state_matrix(
 def reference_graph_check(num_vertices, edges) -> None:
     """Per-edge reference of NetworkGraph's checks: raises the ValueError of
     the first invalid edge, checking its kind, vertex id (an int in range;
-    a numpy integer is taken as its int, a bool is refused), self-loop,
-    duplicate key and shared pair in that order."""
-    if not isinstance(num_vertices, int) or num_vertices < 1:
+    a numpy integer is taken as its int, a bool, float or str is refused),
+    self-loop, duplicate key and shared pair in that order."""
+    if type(num_vertices) is not int or num_vertices < 1:
         raise ValueError(f"graph needs a positive vertex count, got {num_vertices}")
     seen_keys: set[tuple] = set()
     pair_kinds: dict[tuple, set[str]] = {}
     for e in edges:
         e = Edge(*(int(i) if isinstance(i, np.integer) else i for i in e[:2]), e.kind)
         if e.kind not in (UNDIRECTED, DIRECTED):
-            raise ValueError(f"unknown edge kind {e.kind!r}")
+            raise ValueError(f"edge ({e.u!r}, {e.v!r}) has unknown kind {e.kind!r}")
         for vid in (e.u, e.v):
             if type(vid) is not int or not 1 <= vid <= num_vertices:
                 raise ValueError(
@@ -306,7 +331,7 @@ def reference_graph_check(num_vertices, edges) -> None:
                 )
         if e.u == e.v:
             raise ValueError(f"self-loop at vertex {e.u} is not allowed")
-        key = e.key()
+        key = edge_key(e)
         if key in seen_keys:
             raise ValueError(f"duplicate edge between {e.u} and {e.v}")
         pair = (e.u, e.v) if e.u < e.v else (e.v, e.u)
@@ -321,8 +346,10 @@ def reference_graph_check(num_vertices, edges) -> None:
 
 
 def reference_parse_edges(entries: list) -> list[Edge]:
-    """Per-entry reference of the "edges" parsing: raises the
-    ProblemFileError of the first bad entry."""
+    """Per-entry reference of the "edges" parsing, which checks the entry
+    shape only: raises the ProblemFileError of the first entry that is not
+    an object with "u" and "v" and no other member but "kind", else returns
+    the edges with their values as given, for ``reference_graph_check``."""
     edges = []
     for i, entry in enumerate(entries):
         e = _require_mapping(entry, f"edge #{i}")
@@ -331,23 +358,16 @@ def reference_parse_edges(entries: list) -> list[Edge]:
             raise ProblemFileError(f"edge #{i} has unknown members: {sorted(extra)}")
         if "u" not in e or "v" not in e:
             raise ProblemFileError(f'edge #{i} needs both "u" and "v"')
-        kind = e.get("kind", UNDIRECTED)
-        if kind not in (UNDIRECTED, DIRECTED):
-            raise ProblemFileError(
-                f'edge #{i} kind must be "{UNDIRECTED}" or "{DIRECTED}", got {kind!r}'
-            )
-        edges.append(
-            Edge(_int_field(e["u"], f'edge #{i} "u"'), _int_field(e["v"], f'edge #{i} "v"'), kind)
-        )
+        edges.append(Edge(e["u"], e["v"], e.get("kind", UNDIRECTED)))
     return edges
 
 
 def reference_parse_weights(entries: list, graph: NetworkGraph, shape) -> np.ndarray:
     """Per-entry reference of the "weights" parsing, resolving each entry
-    through Edge.key(): the (M, p, r) array of the blocks in edge order, or
-    the ProblemFileError of the first bad entry."""
+    through ``edge_key``: the (M, p, r) array of the blocks in edge order,
+    or the ProblemFileError of the first bad entry."""
     p, r = shape
-    edges_by_key = {edge.key(): edge for edge in graph.edges}
+    edges_by_key = {edge_key(edge): edge for edge in graph.edges}
     by_key: dict[tuple, np.ndarray] = {}
     for i, entry in enumerate(entries):
         e = _require_mapping(entry, f"weight #{i}")
@@ -358,12 +378,12 @@ def reference_parse_weights(entries: list, graph: NetworkGraph, shape) -> np.nda
             raise ProblemFileError(f'weight #{i} needs "u", "v" and "W"')
         u = _int_field(e["u"], f'weight #{i} "u"')
         v = _int_field(e["v"], f'weight #{i} "v"')
-        edge = edges_by_key.get(Edge(u, v, DIRECTED).key()) or edges_by_key.get(
-            Edge(u, v).key()
+        edge = edges_by_key.get(edge_key(Edge(u, v, DIRECTED))) or edges_by_key.get(
+            edge_key(Edge(u, v))
         )
         if edge is None:
             raise ProblemFileError(f"weight #{i} references no edge between {u} and {v}")
-        if edge.key() in by_key:
+        if edge_key(edge) in by_key:
             raise ProblemFileError(f"duplicate weight for edge between {u} and {v}")
         block = np.atleast_2d(_matrix(e["W"], f'weight #{i} "W"'))
         if block.shape != (p, r):
@@ -371,14 +391,14 @@ def reference_parse_weights(entries: list, graph: NetworkGraph, shape) -> np.nda
                 f"weight #{i} has shape {block.shape}, expected {(p, r)} "
                 "from the subsystem's input and output counts"
             )
-        by_key[edge.key()] = block
-    missing = [e for e in graph.edges if e.key() not in by_key]
+        by_key[edge_key(edge)] = block
+    missing = [e for e in graph.edges if edge_key(e) not in by_key]
     if missing:
         raise ProblemFileError(
             "weights must cover every edge; missing: "
             + ", ".join(f"({e.u}, {e.v})" for e in missing)
         )
-    return np.array([by_key[e.key()] for e in graph.edges]).reshape(-1, p, r)
+    return np.array([by_key[edge_key(e)] for e in graph.edges]).reshape(-1, p, r)
 
 
 #: key-sorted JSON of one "edges" entry and one "orientation" entry,
@@ -477,14 +497,24 @@ def edges_with_defects(gen: np.random.Generator, num_vertices: int) -> list:
     ]
 
 
-def loop_influence_neighbors(graph: NetworkGraph) -> list[list[int]]:
-    """Reference adjacency, one edge at a time in edge order."""
-    out: list[list[int]] = [[] for _ in range(graph.num_vertices)]
+def loop_spanning_forest(graph: NetworkGraph) -> tuple[dict, tuple, frozenset]:
+    """Reference forest from the driven vertices, (parent, order,
+    unreachable): a breadth-first search over an adjacency built one edge
+    at a time in edge order."""
+    adj: list[list[int]] = [[] for _ in range(graph.num_vertices + 1)]
     for e in graph.edges:
-        out[e.u - 1].append(e.v - 1)
+        adj[e.u].append(e.v)
         if e.kind == UNDIRECTED:
-            out[e.v - 1].append(e.u - 1)
-    return out
+            adj[e.v].append(e.u)
+    parent: dict[int, int] = {}
+    order = list(graph.driven)
+    for i in order:  # the list grows as the search goes
+        for j in adj[i]:
+            if j not in parent and j not in graph.driven:
+                parent[j] = i
+                order.append(j)
+    unreachable = frozenset(range(1, graph.num_vertices + 1)) - set(order)
+    return parent, tuple(order), unreachable
 
 
 def loop_sample_away_from_zero(gen: np.random.Generator, shape) -> np.ndarray:

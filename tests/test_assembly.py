@@ -14,6 +14,7 @@ from conftest import (
     dense_direct_state_matrix,
     dense_edgewise_state_matrix,
     driven_selector,
+    edge_key,
     factorized_state_matrix,
     loop_matrix_laplacian,
     loop_sample_weights,
@@ -598,9 +599,9 @@ class TestMassSpringChain:
     def test_coefficients_and_layout(self):
         chain = mass_spring_chain(3, 2.0, springs=(1.0, 2.0, 3.0), dampers=(4.0, 5.0, 6.0))
         assert chain.graph.num_vertices == 3
-        assert [e.key() for e in chain.graph.edges] == [
-            Edge(1, 2).key(),
-            Edge(2, 3).key(),
+        assert [edge_key(e) for e in chain.graph.edges] == [
+            edge_key(Edge(1, 2)),
+            edge_key(Edge(2, 3)),
         ]
         # edge {i, i+1} carries [k_{i+1}/m, mu_{i+1}/m]; k_1, mu_1 belong to the wall
         assert np.array_equal(chain.weights, [[[1.0, 2.5]], [[1.5, 3.0]]])

@@ -14,6 +14,7 @@ import pytest
 from conftest import (
     count_calls,
     edges_with_defects,
+    oriented,
     outcome,
     random_graph,
     random_model,
@@ -21,6 +22,7 @@ from conftest import (
     reference_graph_members,
     reference_parse_edges,
     reference_parse_weights,
+    reference_weights_json,
 )
 import diffnet.topology
 import diffnet.verdict
@@ -32,7 +34,14 @@ from diffnet.problem_io import (
     REPORT_SCHEMA,
     dump_json,
 )
-from diffnet.topology import DIRECTED, UNDIRECTED, Edge, NetworkGraph, spanning_forest
+from diffnet.topology import (
+    DIRECTED,
+    UNDIRECTED,
+    DrivenIdError,
+    Edge,
+    NetworkGraph,
+    spanning_forest,
+)
 from diffnet.verdict import CertificationReport, TrialResult
 
 
@@ -428,7 +437,7 @@ class TestLump:
             picked = gen.random(values.shape) < 0.3
             values[picked] = gen.choice(special, size=int(picked.sum()))
             assert problem_io.weights_member(g, values).text == problem_io._ENCODER.encode(
-                problem_io.weights_to_json(g, values)
+                reference_weights_json(g, values)
             )
 
     def test_grounding_without_wall_options_fails(self, problem_file, capsys):
@@ -896,11 +905,11 @@ class TestGraphCommand:
                         "u": e.u,
                         "v": e.v,
                         "kind": e.kind,
-                        "oriented": list(e.oriented()),
+                        "oriented": list(oriented(e)),
                         "injection_case": (
-                            f"injection +1 at {e.oriented()[1]}, -1 at {e.oriented()[0]}"
+                            f"injection +1 at {oriented(e)[1]}, -1 at {oriented(e)[0]}"
                             if e.kind == UNDIRECTED
-                            else f"injection +1 at {e.oriented()[1]} only"
+                            else f"injection +1 at {oriented(e)[1]} only"
                         ),
                     }
                     for e in g.edges
@@ -909,7 +918,7 @@ class TestGraphCommand:
             shape = tuple(int(k) for k in gen.integers(1, 3, size=2))
             weights = gen.normal(size=(g.num_edges, *shape))
             assert problem_io.weights_member(g, weights).text == problem_io._ENCODER.encode(
-                problem_io.weights_to_json(g, weights)
+                reference_weights_json(g, weights)
             )
             seen.add(("no edges", g.num_edges == 0))
             seen.add(("mixed kinds", 0 < g.directed.sum() < g.num_edges))
@@ -928,6 +937,42 @@ class TestGraphCommand:
         assert "edges" not in vars(graph)  # built on first read only
         want = [(e["u"], e["v"], e.get("kind", UNDIRECTED)) for e in doc["graph"]["edges"]]
         assert graph.edges == tuple(want) and {*map(type, graph.edges)} == {Edge}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "example.json"],
+            ["analyze", "fixed_mode.json"],
+            ["analyze", "directed_cutoff.json", "--format", "text"],
+            ["certify", "example.json", "--trials", "3", "--ground-first-mass"],
+            ["lump", "example.json"],
+            ["lump", "mimo.json", "--format", "text"],
+            ["graph", "directed_cutoff.json"],
+            ["graph", "directed_cutoff.json", "--format", "text"],
+            ["example", "--N", "5", "--seed", "1"],
+        ],
+    )
+    def test_no_command_reads_the_edge_tuple(self, argv, tmp_path, monkeypatch):
+        used = []
+
+        def loading(path):
+            problem, digest = problem_io.load_problem(path)
+            used.append(problem.graph)
+            return problem, digest
+
+        def building(*args):
+            chain = cli_chain(*args)
+            used.append(chain.graph)
+            return chain
+
+        cli_chain = cli.mass_spring_chain
+        monkeypatch.setattr(cli, "load_problem", loading)
+        monkeypatch.setattr(cli, "mass_spring_chain", building)
+        if argv[0] != "example":
+            argv = [argv[0], str(GOLDEN / argv[1]), *argv[2:]]
+        assert main([*argv, "--out", str(tmp_path / "report")]) in (0, 1, 2)
+        assert len(used) == 1
+        assert "edges" not in vars(used[0])
 
     def test_dump_json_writes_pre_encoded_members_unchanged(self):
         doc = {"b": problem_io.PreEncoded('[{"z":1}]'), "a": [1]}
@@ -959,7 +1004,8 @@ class TestProblemParsing:
     def test_parsed_edges_are_edge_tuples(self):
         doc = chain_problem(n=4)
         doc["graph"]["edges"].append({"u": 4, "v": 1, "kind": "directed"})
-        edges = self.parse(doc).graph.edges
+        graph = self.parse(doc).graph
+        edges = graph.edges
         assert {type(e) for e in edges} == {Edge}
         assert [(e.u, e.v, e.kind) for e in edges] == [
             (1, 2, UNDIRECTED),
@@ -967,7 +1013,8 @@ class TestProblemParsing:
             (3, 4, UNDIRECTED),
             (4, 1, DIRECTED),
         ]
-        assert edges[-1].key() == (DIRECTED, 4, 1)
+        # the directed edge keeps its own direction
+        assert (graph.start[-1] + 1, graph.end[-1] + 1, graph.directed[-1]) == (4, 1, True)
 
     def test_weight_order_is_free_for_undirected_edges(self):
         weights = {"edges": [{"u": 2, "v": 1, "W": [[1.0, 2.0]]}]}
@@ -1063,8 +1110,7 @@ class TestProblemParsing:
         "must be a JSON object",
         "unknown members",
         "needs both",
-        "kind must be",
-        "must be an integer",
+        "has unknown kind",
         "references a vertex outside",
         "self-loop",
         "duplicate edge",
@@ -1089,11 +1135,16 @@ class TestProblemParsing:
         seen = set()
         for _ in range(1500):
             n = int(gen.integers(2, 7))
+            # ids as JSON gives them: Python ints, never numpy integers
+            edges = [
+                Edge(*(int(i) if isinstance(i, np.integer) else i for i in e[:2]), e.kind)
+                for e in edges_with_defects(gen, n)
+            ]
             entries = [
                 {"u": e.u, "v": e.v, "kind": e.kind}
                 if e.kind != UNDIRECTED or gen.random() < 0.3
                 else {"u": e.u, "v": e.v}
-                for e in edges_with_defects(gen, n)
+                for e in edges
             ]
             if entries and gen.random() < 0.4:
                 i = int(gen.integers(0, len(entries)))
@@ -1221,8 +1272,14 @@ class TestProblemParsing:
                 chain_problem(driven=(1, 0)),
                 "invalid driven set: driven vertex ids must be positive",
             ),
-            (chain_problem(driven=(1, True)), '"driven" entry must be an integer, got True'),
-            (chain_problem(driven=(1.5,)), '"driven" entry must be an integer, got 1.5'),
+            (
+                chain_problem(driven=(1, True)),
+                "invalid driven set: driven vertex ids must be integers, got True",
+            ),
+            (
+                chain_problem(driven=(1.5,)),
+                "invalid driven set: driven vertex ids must be integers, got 1.5",
+            ),
             (chain_problem(extra={"driven": {"1": 1}}), '"driven" must be a list of vertex ids'),
             (
                 chain_problem(extra={"graph": {"N": 2, "edges": [{"u": 1, "v": 1}]}}),
@@ -1243,6 +1300,65 @@ class TestProblemParsing:
         code, out, err = run(capsys, ["analyze", problem_file(doc)])
         assert (code, out, err) == (64, "", f"diffnet: error: {line}\n")
 
+    # (N, edges as (u, v, kind), driven): one fault of a graph's values each
+    GRAPH_FAULTS = {
+        "kind str": (3, [(1, 2, UNDIRECTED), (2, 3, "both")], [1]),
+        "kind list": (3, [(1, 2, ["directed"])], [1]),
+        "bool id": (3, [(1, 2, UNDIRECTED), (True, 3, UNDIRECTED)], [1]),
+        "float id": (3, [(1, 2.0, DIRECTED)], [1]),
+        "str id": (3, [("1", 2, UNDIRECTED)], [1]),
+        "id out of range": (3, [(1, 4, UNDIRECTED)], [1]),
+        "id beyond int64": (3, [(2**70, 1, UNDIRECTED)], [1]),
+        "self-loop": (3, [(1, 2, UNDIRECTED), (3, 3, UNDIRECTED)], [1]),
+        "duplicate": (3, [(1, 2, UNDIRECTED), (2, 1, UNDIRECTED)], [1]),
+        "shared pair": (3, [(1, 2, DIRECTED), (2, 1, UNDIRECTED)], [1]),
+        "N of 0": (0, [], []),
+        "N of 1.5": (1.5, [], []),
+        "N of true": (True, [], []),
+        "driven true": (3, [(1, 2, UNDIRECTED)], [1, True]),
+        "driven 1.5": (3, [(1, 2, UNDIRECTED)], [1.5]),
+        "driven 0": (3, [(1, 2, UNDIRECTED)], [0, 2]),
+        "driven beyond N": (3, [(1, 2, UNDIRECTED)], [4, 1, 9]),
+        # the edges are checked before the driven ids
+        "edge and driven": (3, [(1, 1, UNDIRECTED)], [9]),
+    }
+
+    @pytest.mark.parametrize("fault", GRAPH_FAULTS)
+    def test_graph_faults_are_told_with_the_graph_text(self, problem_file, capsys, fault):
+        n, edges, driven = self.GRAPH_FAULTS[fault]
+        with pytest.raises(ValueError) as caught:
+            NetworkGraph(n, edges, driven)
+        driven_fault = isinstance(caught.value, DrivenIdError)
+        assert driven_fault == fault.startswith("driven")
+        prefix = "invalid driven set: " if driven_fault else "invalid graph: "
+        entries = [{"u": u, "v": v, "kind": kind} for u, v, kind in edges]
+        doc = chain_problem(driven=driven, extra={"graph": {"N": n, "edges": entries}})
+        code, out, err = run(capsys, ["analyze", problem_file(doc)])
+        assert (code, out, err) == (64, "", f"diffnet: error: {prefix}{caught.value}\n")
+
+    @pytest.mark.parametrize(
+        "graph, line",
+        [
+            # a value fault in an earlier entry, a shape fault in a later one
+            (
+                {"N": 3, "edges": [{"u": 1, "v": 1}, {"u": 2}]},
+                'edge #1 needs both "u" and "v"',
+            ),
+            (
+                {"N": True, "edges": [{"u": 1, "v": 2}, [2, 3]]},
+                "edge #1 must be a JSON object, got list",
+            ),
+            (
+                {"N": 3, "edges": [{"u": 1, "v": 2, "kind": "x"}, {"u": 2, "v": 3, "w": 1}]},
+                "edge #1 has unknown members: ['w']",
+            ),
+        ],
+    )
+    def test_entry_shape_faults_come_before_value_faults(self, problem_file, capsys, graph, line):
+        doc = chain_problem(extra={"graph": graph})
+        code, out, err = run(capsys, ["analyze", problem_file(doc)])
+        assert (code, out, err) == (64, "", f"diffnet: error: {line}\n")
+
     def test_driven_ids_are_checked_once_per_certify_run(self, capsys, tmp_path, monkeypatch):
         target = tmp_path / "chain.json"
         run(capsys, ["example", "--N", "6", "--seed", "3", "--out", str(target)])
@@ -1260,7 +1376,7 @@ class TestProblemParsing:
         calls = count_calls(monkeypatch, problem_io, "_int_field")
         graph = problem_io.load_problem(path)[0].graph
         assert graph.num_edges == 1500 and len(graph.driven) == 1000
-        assert len(calls) == 1  # graph "N" alone
+        assert len(calls) == 0  # the graph checks "N", the ids and the kinds
 
     def test_option_rejections(self):
         self.expect_error(
@@ -1542,7 +1658,7 @@ class TestPackaging:
                 "spectra_match",
             ),
             diffnet.errors: ("PremiseError",),
-            diffnet.problem_io: ("analysis_from_json",),
+            diffnet.problem_io: ("analysis_from_json", "weights_to_json"),
         }
         for module, names in deleted.items():
             for name in names:
@@ -1550,6 +1666,8 @@ class TestPackaging:
                 assert not hasattr(diffnet, name), name
         assert not hasattr(diffnet.NetworkGraph, "edge_keys")
         assert not hasattr(diffnet.NetworkGraph, "validate_for")
+        assert not hasattr(diffnet.NetworkGraph, "influence_neighbors")
+        assert not hasattr(diffnet.Edge, "key") and not hasattr(diffnet.Edge, "oriented")
         assert "driven_template" not in {
             f.name for f in dataclasses.fields(diffnet.MassSpringChain)
         }

@@ -9,15 +9,17 @@ import pytest
 
 from conftest import (
     assembled_laplacian,
+    edge_key,
     edges_with_defects,
     incoming_influence_counts,
-    loop_influence_neighbors,
+    loop_spanning_forest,
+    oriented,
     outcome,
     random_driven,
     random_graph,
     reference_graph_check,
+    reference_weights_json,
 )
-from diffnet import problem_io
 from diffnet.topology import (
     DIRECTED,
     UNDIRECTED,
@@ -32,8 +34,8 @@ from lemmas import cycles_input_reachable
 
 class TestGraphValidation:
     def test_edge_key_canonicalizes_undirected(self):
-        assert Edge(3, 1).key() == Edge(1, 3).key()
-        assert Edge(3, 1, DIRECTED).key() != Edge(1, 3, DIRECTED).key()
+        assert edge_key(Edge(3, 1)) == edge_key(Edge(1, 3))
+        assert edge_key(Edge(3, 1, DIRECTED)) != edge_key(Edge(1, 3, DIRECTED))
 
     def test_rejects_bad_vertex_count(self):
         with pytest.raises(ValueError):
@@ -75,17 +77,28 @@ class TestGraphValidation:
                 g = got[1]
                 assert g.edges == tuple(edges)
                 assert {type(i) for e in g.edges for i in e[:2]} <= {int}
-                assert (g.start + 1).tolist() == [e.oriented()[0] for e in edges]
-                assert (g.end + 1).tolist() == [e.oriented()[1] for e in edges]
+                assert (g.start + 1).tolist() == [oriented(e)[0] for e in edges]
+                assert (g.end + 1).tolist() == [oriented(e)[1] for e in edges]
                 assert g.directed.tolist() == [e.kind == DIRECTED for e in edges]
-                assert g.influence_neighbors() == loop_influence_neighbors(g)
+                driven = replace(g, driven=(1,))
+                forest = spanning_forest(driven)
+                want_forest = loop_spanning_forest(driven)
+                assert (dict(forest.parent), forest.order, forest.unreachable) == want_forest
                 assert g.has_directed_edges() == any(g.directed)
                 seen.add("ok")
             else:
                 assert got == want
-                seen.add(want[1].split(" ")[0])
+                seen.update(f for f in self.GRAPH_ERRORS if f in want[1])
         # every check of the reference fired at least once
-        assert seen == {"ok", "unknown", "edge", "self-loop", "duplicate", "vertices"}
+        assert seen == {"ok", *self.GRAPH_ERRORS}
+
+    GRAPH_ERRORS = (
+        "has unknown kind",
+        "references a vertex outside",
+        "self-loop",
+        "duplicate edge",
+        "already carry",
+    )
 
     def test_vertex_count_must_fit_int64(self):
         NetworkGraph(2**63 - 1)
@@ -112,7 +125,7 @@ class TestGraphValidation:
     def test_plain_tuples_are_held_as_edges(self):
         g = NetworkGraph(3, ((1, 2, UNDIRECTED),))
         assert type(g.edges[0]) is Edge
-        assert problem_io.weights_to_json(g, np.ones((1, 1, 1))) == {
+        assert reference_weights_json(g, np.ones((1, 1, 1))) == {
             "edges": [{"u": 1, "v": 2, "kind": UNDIRECTED, "W": [[1.0]]}]
         }
         pair = NetworkGraph(3, ((1, 2),)).edges
@@ -189,7 +202,10 @@ def reached(graph: NetworkGraph, driven) -> set[int]:
 class TestReachability:
     def test_influence_and_incoming_counts(self):
         g = NetworkGraph(3, (Edge(1, 2, DIRECTED), Edge(2, 3)))
-        assert g.influence_neighbors() == [[1], [2], [1]]
+        from_2 = spanning_forest(replace(g, driven=(2,)))
+        assert (from_2.order, dict(from_2.parent), from_2.unreachable) == ((2, 3), {3: 2}, {1})
+        from_3 = spanning_forest(replace(g, driven=(3,)))
+        assert (from_3.order, dict(from_3.parent), from_3.unreachable) == ((3, 2), {2: 3}, {1})
         assert incoming_influence_counts(g) == [0, 2, 1]
 
     def test_undirected_chain(self):
@@ -324,11 +340,11 @@ class TestIncidence:
                 assert np.isclose(lap[e.u - 1, e.v - 1], -w[idx])
 
     def test_orientation_policy_recorded(self):
-        # undirected edges run from the lower to the higher vertex id
-        assert Edge(2, 1).oriented() == (1, 2)
+        g = NetworkGraph(3, (Edge(2, 1), Edge(2, 3, DIRECTED), Edge(3, 2, DIRECTED)))
+        # undirected edges run from the lower to the higher vertex id;
         # directed edges keep their own direction
-        assert Edge(2, 3, DIRECTED).oriented() == (2, 3)
-        assert Edge(3, 2, DIRECTED).oriented() == (3, 2)
+        assert (g.start + 1).tolist() == [1, 2, 3]
+        assert (g.end + 1).tolist() == [2, 3, 2]
 
     def test_weight_count_mismatch_rejected(self):
         g = NetworkGraph(2, (Edge(1, 2),))

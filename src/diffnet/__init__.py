@@ -8,29 +8,20 @@ all draws of one certificate assembled and rank-tested as one stack.
 """
 
 from .assembly import (
+    BlockMatrix,
     LumpedSystem,
     MassSpringChain,
+    assemble_blocks,
     assemble_lumped,
     grounding_shift,
     mass_spring_chain,
     sample_weights,
 )
-from .errors import (
-    ConsistencyError,
-    DiffnetError,
-    ModelValidationError,
-    NumericError,
-    ProblemFileError,
-)
+from .errors import DiffnetError, ModelValidationError, NumericError, ProblemFileError
 from .numerics import DEFAULT_TOL, RandomSource, ToleranceConfig
 from .problem_io import Problem, load_problem, parse_problem
 from .subsystem import SubsystemModel, fixed_modes
-from .topology import (
-    Edge,
-    NetworkGraph,
-    incidence_matrices,
-    spanning_forest,
-)
+from .topology import Edge, NetworkGraph, spanning_forest
 from .verdict import (
     AnalysisReport,
     CertificationReport,
@@ -43,8 +34,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport",
+    "BlockMatrix",
     "CertificationReport",
-    "ConsistencyError",
     "DEFAULT_TOL",
     "DiffnetError",
     "Edge",
@@ -60,11 +51,11 @@ __all__ = [
     "ToleranceConfig",
     "Verdict",
     "analyze",
+    "assemble_blocks",
     "assemble_lumped",
     "certify_monte_carlo",
     "fixed_modes",
     "grounding_shift",
-    "incidence_matrices",
     "load_problem",
     "mass_spring_chain",
     "parse_problem",

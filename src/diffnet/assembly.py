@@ -4,25 +4,22 @@ Each edge of the network carries a p x r weight block, where p and r are
 the node's input and output counts. The weights of a network are one
 float64 array of shape (M, p, r), block e belonging to the graph's edge e;
 the vector weights of single-input nodes are the p = 1 case, a 1 x r row
-per edge, one scalar weight per coupling channel. The assembled network
-state matrix couples N copies of the node dynamics through the block
-Laplacian; the assembler computes it along two independent routes and
-insists they agree. The direct route, I kron A - (I kron B) L_m (I kron C),
-is the emitted matrix. L_m has the sparsity of the graph: N diagonal
-blocks and one off-diagonal block per edge and direction, at most N + 2M
-blocks for M edges. The route starts from A on the diagonal blocks and
-subtracts (B L_ij) C at those blocks only, in two BLAS products over all
-of them side by side, at O((N + M) n r (n + p) + (nN)^2) cost for nodes of
-order n; the dense Kronecker products cost O((nN)^3). Every other block is
-exactly 0.0. The edgewise route, I kron A + sum_e (K[:, e] K_I[e, :])
-kron (B W_e C), reads the incidence realization and places one n x n block
-per edge at the at most four block positions its incidence entries
-select, at O(M n^3 + (nN)^2) cost. ``assemble_lumped`` also takes a
-(T, M, p, r) stack of T weight draws: the index work, which depends on the
-graph alone, runs once, the products run over all draws' blocks side by
-side, and the routes are compared draw by draw. The input matrix,
-Delta kron B, holds B at the diagonal blocks of the graph's driven
-vertices, ``NetworkGraph.driven``.
+per edge, one scalar weight per coupling channel.
+
+The lumped pair is assembled along one route, in blocks. The state
+matrix, I kron A - (I kron B) L_m (I kron C), couples N copies of the node
+dynamics through the block Laplacian L_m, which has the sparsity of the
+graph: N diagonal blocks and one off-diagonal block per edge and
+direction, at most N + 2M blocks for M edges. ``assemble_blocks`` forms
+the state matrix at those block positions only: A minus (B L_ij) C on the
+diagonal and 0.0 minus it off it, in two BLAS products over all blocks
+side by side, at O((N + M) n r (n + p)) cost for nodes of order n; every
+other block is exactly 0.0. The input matrix, Delta kron B, is B at the
+diagonal blocks of the graph's driven vertices, ``NetworkGraph.driven``.
+A (T, M, p, r) stack of T weight draws runs the index work, which
+depends on the graph alone, once, and the products over all draws'
+blocks side by side. ``assemble_lumped`` scatters the blocks into the
+dense matrices; a ``lump`` report is written from the blocks themselves.
 """
 
 from __future__ import annotations
@@ -32,18 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError
 from .numerics import RandomSource, sample_away_from_zero
 from .subsystem import SubsystemModel
-from .topology import (
-    UNDIRECTED,
-    Edge,
-    NetworkGraph,
-    incidence_matrices,
-)
-
-#: The two assembly routes must agree to this relative tolerance.
-ASSEMBLY_CROSS_CHECK_RTOL = 1e-10
+from .topology import UNDIRECTED, Edge, NetworkGraph
 
 
 def _laplacian_terms(graph: NetworkGraph):
@@ -82,6 +70,33 @@ def _laplacian_blocks(
 
 
 @dataclass(frozen=True)
+class BlockMatrix:
+    """A matrix of ``shape`` held as its possibly nonzero h x w blocks:
+    ``blocks[..., k, :, :]`` at block row ``rows[k]`` and block column
+    ``cols[k]``, no position twice, and 0.0 everywhere else. Leading axes
+    of ``blocks`` stack matrices with the same positions."""
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    blocks: np.ndarray
+
+    def dense(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The matrix, or the stack of them, as a dense array, written into
+        ``out`` when given: a C-contiguous float64 array of that shape."""
+        lead = self.blocks.shape[:-3]
+        h, w = self.blocks.shape[-2:]
+        grid = (*lead, self.shape[0] // h, h, self.shape[1] // w, w)
+        if out is None:
+            full = np.zeros(grid)
+        else:
+            full = out.reshape(grid)  # a view of the checked layout
+            full.fill(0.0)
+        full[..., self.rows, :, self.cols, :] = np.moveaxis(self.blocks, -3, 0)
+        return full.reshape(*lead, *self.shape)
+
+
+@dataclass(frozen=True)
 class LumpedSystem:
     """Assembled network pair (A_sys, B_sys).
 
@@ -92,56 +107,6 @@ class LumpedSystem:
 
     a_sys: np.ndarray
     b_sys: np.ndarray
-
-
-def _require_close(name: str, first: np.ndarray, second: np.ndarray, rtol: float):
-    scale = max(1.0, float(np.max(np.abs(first))) if first.size else 0.0)
-    dev = float(np.max(np.abs(first - second))) if first.size else 0.0
-    if not dev <= rtol * scale:  # a NaN deviation must fail too
-        raise ConsistencyError(
-            f"{name}: redundant assembly routes disagree "
-            f"(max deviation {dev:.3e}, allowed {rtol * scale:.3e})"
-        )
-
-
-def _edgewise_state_blocks(
-    model: SubsystemModel, graph: NetworkGraph, blocks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """I kron A + sum_e (K[:, e] K_I[e, :]) kron (B W_e C), K and K_I the
-    injection and incidence matrices of the graph's incidence realization,
-    for each member of a (T, M, p, r) stack of edge blocks W, as n x n
-    block terms: the 0-based block rows, the block columns and the
-    (T, terms, n, n) blocks. A member's matrix is the sum of its terms, each
-    at its block, and 0.0 at every block no term names.
-
-    A lands at every diagonal block, then each edge's block B W_e C at
-    block (i, j) scaled by K[i, e] K_I[e, j], for every nonzero K[i, e]
-    and K_I[e, j].
-    """
-    real = incidence_matrices(graph)
-    n_vertices = graph.num_vertices
-    diag = np.arange(n_vertices)
-    on_diag = np.broadcast_to(model.a, (blocks.shape[0], n_vertices, *model.a.shape))
-    if not graph.num_edges:
-        return diag, diag, on_diag
-    coupling = model.b @ blocks @ model.c
-    # every pair (nonzero K[i, e], nonzero K_I[e, j]) of one edge: np.nonzero
-    # lists both by edge, so edge e's K_I entries are first[e] onwards
-    inj_edge, inj_row = np.nonzero(real.injection.T)
-    inc_edge, inc_col = np.nonzero(real.incidence)
-    count = np.bincount(inc_edge, minlength=graph.num_edges)
-    first = np.cumsum(count) - count
-    reps = count[inj_edge]
-    pair_inj = np.repeat(np.arange(inj_edge.size), reps)
-    rank = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-    pair_inc = first[inj_edge[pair_inj]] + rank
-    edge, i, j = inj_edge[pair_inj], inj_row[pair_inj], inc_col[pair_inc]
-    coef = real.injection[i, edge] * real.incidence[edge, j]
-    return (
-        np.concatenate([diag, i]),
-        np.concatenate([diag, j]),
-        np.concatenate([on_diag, coef[:, None, None] * coupling[:, edge]], axis=1),
-    )
 
 
 def _gemm(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -157,32 +122,65 @@ def _gemm(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return (left @ right)[:rows, :cols]
 
 
-def _direct_state_matrices(
-    model: SubsystemModel, n_vertices: int, rows, cols, lap: np.ndarray, out=None
-) -> np.ndarray:
-    """I kron A - (I kron B) L_m (I kron C) for each member of a stack,
-    formed at the nonzero blocks of L_m only: ``lap`` holds each member's
-    blocks at the block ``rows`` and ``cols``, every diagonal block among
-    them. Every other block stays exactly 0.0. Returns (T, nN, nN), written
-    into ``out`` when given.
+def assemble_blocks(
+    model: SubsystemModel, graph: NetworkGraph, weights
+) -> tuple[BlockMatrix, BlockMatrix]:
+    """The lumped pair of the network as ``BlockMatrix``es: N copies of
+    (A, B, C) coupled by the weights.
+
+    ``weights`` is the (M, p, r) array of the edges' weight blocks in edge
+    order, or a (T, M, p, r) stack of T such draws, whose state matrices
+    then share one set of block positions. The state matrix
+    I kron A - (I kron B) L_m (I kron C) is held at the N diagonal blocks,
+    A - (B L_ii) C, and then at the off-diagonal blocks the edges name,
+    0.0 - (B L_ij) C, the products associated as in the dense form. Its
+    blocks are as the dense Kronecker form writes them, except that a
+    structural zero is 0.0 where the dense form writes -0.0 (a zero of a
+    Kronecker factor met by a negative entry of A or B). The input matrix
+    Delta kron B, the same for every draw, is B at the diagonal blocks of
+    ``graph.driven``. A state matrix that leaves the float range, which
+    finite weights can do, is refused with a ValueError.
     """
-    n = model.order
-    members, _, p, r = lap.shape
-    diag = np.arange(n_vertices)
-    shape = (members, n_vertices, n, n_vertices, n)
-    if out is None:
-        out = np.zeros(shape)
-    else:
-        out = out.reshape(shape)  # a view: the caller checked the layout
-        out.fill(0.0)
-    out[:, diag, :, diag, :] = model.a
-    # (B L_ij) C for every nonzero block L_ij of every member: two products
-    # over all blocks side by side, associated as in the dense form
-    coupled = _gemm(model.b, lap.transpose(2, 0, 1, 3).reshape(p, -1))
-    stacked = coupled.reshape(n, -1, r).transpose(1, 0, 2).reshape(-1, r)
-    product = _gemm(stacked, model.c).reshape(members, -1, n, n)
-    out[:, rows, :, cols, :] -= product.transpose(1, 0, 2, 3)
-    return out.reshape(members, n_vertices * n, n_vertices * n)
+    weights = np.asarray(weights, dtype=float)
+    want = (graph.num_edges, model.num_inputs, model.num_outputs)
+    if weights.ndim not in (3, 4) or weights.shape[-3:] != want:
+        raise ValueError(
+            f"edge weights must have shape {want}, one block per edge in edge "
+            f"order, or be a (draws, *{want}) stack of weight blocks; "
+            f"got shape {weights.shape}"
+        )
+    stack = weights if weights.ndim == 4 else weights[None]
+    _, p, r = want
+    n_vertices, n = graph.num_vertices, model.order
+    # finite weights can still overflow; the blocks are checked just below
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows, cols, lap = _laplacian_blocks(graph, stack)
+        # (B L_ij) C for every nonzero block L_ij of every member: two
+        # products over all blocks side by side
+        coupled = _gemm(model.b, lap.transpose(2, 0, 1, 3).reshape(p, -1))
+        stacked = coupled.reshape(n, -1, r).transpose(1, 0, 2).reshape(-1, r)
+        values = _gemm(stacked, model.c).reshape(lap.shape[:2] + (n, n))
+        # then A - (B L_ii) C on the diagonal blocks, 0.0 - (B L_ij) C off it
+        np.subtract(model.a, values[:, :n_vertices], out=values[:, :n_vertices])
+        np.subtract(0.0, values[:, n_vertices:], out=values[:, n_vertices:])
+    if not np.all(np.isfinite(values)):
+        raise ValueError(
+            "lumped state matrix overflows the float range: "
+            "the edge weights or subsystem entries are too large"
+        )
+    n_states = n_vertices * n
+    if weights.ndim == 3:
+        values = values[0]
+    driven = np.array(graph.driven, dtype=np.intp) - 1
+    return (
+        BlockMatrix((n_states, n_states), rows, cols, values),
+        BlockMatrix(
+            (n_states, n_vertices * p),
+            driven,
+            driven,
+            np.broadcast_to(model.b, (driven.size, n, p)),
+        ),
+    )
 
 
 def assemble_lumped(
@@ -192,89 +190,27 @@ def assemble_lumped(
     *,
     out: np.ndarray | None = None,
 ) -> LumpedSystem:
-    """Lumped pair of the network: N copies of (A, B, C) coupled by the weights.
+    """Lumped pair of the network as dense matrices: the blocks of
+    ``assemble_blocks``, scattered into arrays that are 0.0 elsewhere.
 
     ``weights`` is the (M, p, r) array of the edges' weight blocks in edge
     order, or a (T, M, p, r) stack of T such draws; ``a_sys`` then has
-    shape (nN, nN) or (T, nN, nN). ``b_sys``, Delta kron B written as B at
-    the diagonal blocks of ``graph.driven``, is the same for every draw and
-    stored once.
-    ``out``, a C-contiguous float64 array of ``a_sys``'s shape, receives
-    the state matrices in place of a new array, for a caller that
-    assembles into part of a larger stack.
-
-    Direct route I kron A - (I kron B) L_m (I kron C), formed block by
-    block: A on the diagonal blocks, minus (B L_ij) C at each nonzero block
-    L_ij of the Laplacian, the products associated as in the dense form.
-    It costs O((N + M) n r (n + p) + (nN)^2) for M edges and N vertices of
-    order n, where the dense Kronecker form costs O((nN)^3). Structural
-    zeros come out as 0.0: the dense form writes -0.0 wherever a zero of a
-    Kronecker factor meets a negative entry of A or B. The route is
-    cross-checked, draw by draw, against the edgewise form
-    I kron A + sum_e (K[:, e] K_I[e, :]) kron (B W_e C) built on the
-    incidence realization (for undirected graphs K = -K_I^T, recovering the
-    familiar incidence-quadratic form); the two must agree to
-    ASSEMBLY_CROSS_CHECK_RTOL. The edgewise route costs O(M n^3); it is
-    summed, and the two compared, at the blocks either route writes only,
-    O((N + M) n^2). The index work depends on the graph only and runs once
-    for the whole stack; the products run over every draw's blocks side by
-    side.
+    shape (nN, nN) or (T, nN, nN). ``b_sys``, Delta kron B, is the same for
+    every draw and stored once. ``out``, a C-contiguous float64 array of
+    ``a_sys``'s shape, receives the state matrices in place of a new
+    array, for a caller that assembles into part of a larger stack. The
+    blocks cost O((N + M) n r (n + p)) for M edges and N vertices of order
+    n, and the scatter O((nN)^2) per draw, where the dense Kronecker form
+    costs O((nN)^3).
     """
-    blocks = np.asarray(weights, dtype=float)
-    want = (graph.num_edges, model.num_inputs, model.num_outputs)
-    if blocks.ndim not in (3, 4) or blocks.shape[-3:] != want:
-        raise ValueError(
-            f"edge weights must have shape {want}, one block per edge in edge "
-            f"order, or be a (draws, *{want}) stack of weight blocks; "
-            f"got shape {blocks.shape}"
-        )
-    n_vertices, n = graph.num_vertices, model.order
+    a_sys, b_sys = assemble_blocks(model, graph, weights)
     if out is not None:
-        shape = blocks.shape[:-3] + (n_vertices * n, n_vertices * n)
+        shape = a_sys.blocks.shape[:-3] + a_sys.shape
         if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
             raise ValueError(
                 f"out must be a C-contiguous float64 array of shape {shape}"
             )
-    stack = blocks if blocks.ndim == 4 else blocks[None]
-
-    # finite weights can still overflow; the result is checked just below
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows, cols, lap = _laplacian_blocks(graph, stack)
-        a_direct = _direct_state_matrices(model, n_vertices, rows, cols, lap, out)
-        edge_rows, edge_cols, terms = _edgewise_state_blocks(model, graph, stack)
-        # both routes are exactly 0.0 outside the blocks they write, so they
-        # are compared at the union of those blocks only
-        at, slot = np.unique(
-            np.concatenate([rows, edge_rows]) * n_vertices
-            + np.concatenate([cols, edge_cols]),
-            return_inverse=True,
-        )
-        a_edge = np.zeros((stack.shape[0], at.size, n, n))
-        np.add.at(a_edge, (slice(None), slot[rows.size :]), terms)
-    direct_blocks = a_direct.reshape(-1, n_vertices, n, n_vertices, n)[
-        :, at // n_vertices, :, at % n_vertices, :
-    ]
-    # the blocks at ``at`` hold every entry the direct route writes; the
-    # rest of the matrix is 0.0, so only they can have overflowed
-    if not np.all(np.isfinite(direct_blocks)):
-        raise ValueError(
-            "lumped state matrix overflows the float range: "
-            "the edge weights or subsystem entries are too large"
-        )
-    for member, edgewise in enumerate(a_edge):
-        _require_close(
-            "lumped state matrix",
-            direct_blocks[:, member],
-            edgewise,
-            ASSEMBLY_CROSS_CHECK_RTOL,
-        )
-
-    p = model.num_inputs
-    b_sys = np.zeros((n_vertices, n, n_vertices, p))
-    driven_idx = np.array(graph.driven, dtype=np.intp) - 1
-    b_sys[driven_idx, :, driven_idx, :] = model.b
-    a_sys = a_direct.reshape(blocks.shape[:-3] + a_direct.shape[1:])
-    return LumpedSystem(a_sys, b_sys.reshape(n_vertices * n, n_vertices * p))
+    return LumpedSystem(a_sys.dense(out), b_sys.dense())
 
 
 def sample_weights(

@@ -18,12 +18,13 @@ A command resolves a seed only when it draws from it (``certify``, and
 Exit codes: 0 structurally controllable (or success for non-verdict
 commands), 1 not structurally controllable, 2 inconclusive, 3
 certification disagrees with the verdict, 64 input error, 70 internal
-consistency failure or unexpected error, 74 output write failure.
+error, 74 output write failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .assembly import (
-    assemble_lumped,
+    assemble_blocks,
     grounding_shift,
     mass_spring_chain,
     sample_weights,
@@ -148,7 +149,8 @@ def _resolve_trials(flag_value: int | None, options: dict) -> int:
     return options.get("trials", DEFAULT_CERTIFY_TRIALS)
 
 
-def _ground_shift(problem: Problem) -> np.ndarray:
+def _ground_shift(problem: Problem, num_nodes: int) -> np.ndarray:
+    """The wall shift of the first ``num_nodes`` nodes' states."""
     wall = problem.options.get("wall")
     if wall is None:
         raise ProblemFileError(
@@ -161,9 +163,7 @@ def _ground_shift(problem: Problem) -> np.ndarray:
             f"per node, but the subsystem has {problem.model.order}"
         )
     return grounding_shift(
-        problem.graph.num_vertices,
-        wall["stiffness_over_mass"],
-        wall["damping_over_mass"],
+        num_nodes, wall["stiffness_over_mass"], wall["damping_over_mass"]
     )
 
 
@@ -248,7 +248,8 @@ def cmd_certify(args) -> int:
     seed = _resolve_seed(args.seed, problem.options)
     trials = _resolve_trials(args.trials, problem.options)
     # a grounded run without a usable wall is refused before anything is drawn
-    shift = _ground_shift(problem) if args.ground_first_mass else None
+    n_nodes = problem.graph.num_vertices
+    shift = _ground_shift(problem, n_nodes) if args.ground_first_mass else None
     analysis = analyze(problem.model, problem.graph, tol)
     cert = certify_monte_carlo(
         problem.model,
@@ -279,25 +280,29 @@ def cmd_lump(args) -> int:
     model, graph = problem.model, problem.graph
     sampled = problem.weights is None
     seed = _resolve_seed(args.seed, problem.options) if sampled else None
-    # a grounded run without a usable wall is refused before anything is drawn
-    shift = _ground_shift(problem) if args.ground_first_mass else None
+    # a grounded run without a usable wall is refused before anything is
+    # drawn; the shift is 0.0 outside vertex 1's diagonal block, this one
+    wall = _ground_shift(problem, 1) if args.ground_first_mass else None
     if sampled:
         weights = sample_weights(
             graph, (model.num_inputs, model.num_outputs), RandomSource(seed)
         )
     else:
         weights = problem.weights
-    lumped = assemble_lumped(model, graph, weights)
-    a_sys = lumped.a_sys
-    grounded = shift is not None
+    a_sys, b_sys = assemble_blocks(model, graph, weights)
+    grounded = wall is not None
     if grounded:
-        a_sys = a_sys + shift
+        # the dense sum with the shift, block by block: adding its 0.0
+        # entries turns every -0.0 into 0.0, in every block
+        shift = np.zeros_like(a_sys.blocks)
+        shift[0] = wall  # block 0 is vertex 1's diagonal block
+        a_sys = dataclasses.replace(a_sys, blocks=a_sys.blocks + shift)
     doc = {
         "$schema": LUMP_SCHEMA,
         "tool": {"name": "diffnet", "version": __version__},
         "input": {"sha256": digest},
         "a_sys": a_sys,
-        "b_sys": lumped.b_sys,
+        "b_sys": b_sys,
         "weights": weights_member(graph, weights),
         "sampled": sampled,
         "seed": seed,
@@ -309,9 +314,9 @@ def cmd_lump(args) -> int:
             return "\n".join(
                 [
                     f"state matrix ({a_sys.shape[0]} x {a_sys.shape[1]}):",
-                    str(a_sys),
-                    f"input matrix ({lumped.b_sys.shape[0]} x {lumped.b_sys.shape[1]}):",
-                    str(lumped.b_sys),
+                    str(a_sys.dense()),
+                    f"input matrix ({b_sys.shape[0]} x {b_sys.shape[1]}):",
+                    str(b_sys.dense()),
                     f"weights {'sampled from seed ' + str(seed) if sampled else 'taken from the problem file'}",
                 ]
             )

@@ -17,9 +17,5 @@ class ModelValidationError(DiffnetError):
         super().__init__("invalid subsystem model: " + "; ".join(self.violations))
 
 
-class ConsistencyError(DiffnetError):
-    """Two redundant computation routes disagreed beyond tolerance."""
-
-
 class ProblemFileError(DiffnetError):
     """A problem file failed to parse or validate."""

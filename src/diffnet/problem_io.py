@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assembly import BlockMatrix
 from .errors import ModelValidationError, ProblemFileError
 from .subsystem import SubsystemModel
 from .topology import UNDIRECTED, DrivenIdError, NetworkGraph
@@ -406,61 +407,94 @@ def report_document(
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
-
-def _prefixes(template: str, lengths: np.ndarray) -> np.ndarray:
-    """``template[:n]`` for each n in ``lengths``, one string object per
-    distinct n."""
-    distinct, index = np.unique(lengths, return_inverse=True)
-    return np.array([template[:n] for n in distinct.tolist()], dtype=object)[index]
+#: the block position of a dense matrix taken as a single block
+_ORIGIN = np.zeros(1, dtype=np.intp)
 
 
-def _encode_matrix(arr: np.ndarray) -> list[str]:
-    """JSON text of a non-empty 2-D float64 array as a list of parts whose
-    join is byte-identical to encoding ``arr.tolist()``. ``dump_json``
-    joins them with the rest of its document in one pass, so the matrix
-    text is never built on its own.
+#: the format of an entry of ``_encode_blocks``: after the one before it
+#: in its run, or starting a new run
+_RUN_FORMAT = np.array([",%s", "\0%s"], dtype=object)
 
-    Only the entries other than 0.0, -0.0 included, go through float repr,
-    once per distinct value, and only they are checked to be finite: 0.0
-    is. The rest of the text is references to strings shared across the
-    matrix: a row of 0.0 entries, or one run of them per length, so that
-    no string is made per gap between two entries.
+#: a run of k 0.0 entries is written as two shared strings, of
+#: k - k % _RUN_STEP and of k % _RUN_STEP entries
+_RUN_STEP = 64
+
+
+def _zero_runs(unit: str, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``unit * k`` for each k in ``counts``, as two object arrays whose
+    elementwise concatenation it is. Their strings come from two tables,
+    of ``unit`` repeated by the multiples of ``_RUN_STEP`` up to
+    max(counts) and by 0 to ``_RUN_STEP`` - 1, so that runs of any
+    lengths share at most max(counts) / _RUN_STEP + _RUN_STEP strings."""
+    steps, rest = divmod(counts, _RUN_STEP)
+    longs = [unit * (_RUN_STEP * q) for q in range(int(steps.max(initial=0)) + 1)]
+    shorts = [unit * k for k in range(_RUN_STEP)]
+    return np.array(longs, dtype=object)[steps], np.array(shorts, dtype=object)[rest]
+
+
+def _encode_blocks(matrix: BlockMatrix) -> list[str]:
+    """JSON text of a 2-D ``BlockMatrix`` as a list of parts whose join is
+    byte-identical to encoding ``matrix.dense().tolist()``. ``dump_json``
+    joins them with the rest of its document in one pass, so neither the
+    dense matrix nor its text is built on its own.
+
+    Only the block entries other than 0.0, -0.0 included, go through float
+    repr, once per distinct value, and only they are checked to be finite:
+    0.0 is. Each run of them in adjacent columns of a row is one string,
+    made in one formatting pass over all runs. The rest of the
+    text is references to strings shared across the matrix: a row of 0.0
+    entries, and the runs of 0.0 before, between and after the entries,
+    two strings from small tables per run (``_zero_runs``).
     """
-    n_rows, n_cols = arr.shape
-    bits = arr.ravel().view(np.uint64)
-    flat = np.flatnonzero(bits)  # every entry but 0.0, in row-major order
-    distinct, which = np.unique(bits[flat], return_inverse=True)
+    n_rows, n_cols = matrix.shape
+    h, w = matrix.blocks.shape[1:]
+    bits = np.ascontiguousarray(matrix.blocks).view(np.uint64).ravel()
+    at = np.flatnonzero(bits)  # every block entry but 0.0
+    block, inner = divmod(at, h * w)
+    i, j = divmod(inner, w)
+    flat = (matrix.rows[block] * h + i) * n_cols + matrix.cols[block] * w + j
+    order = np.argsort(flat, kind="stable")  # row-major
+    distinct, which = np.unique(bits[at[order]], return_inverse=True)
     values = distinct.view(np.float64)
     if not np.all(np.isfinite(values)):
         raise ValueError("Out of range float values are not JSON compliant")
-    texts = list(map(float.__repr__, values.tolist()))
-    row, col = divmod(flat, n_cols)
-    first = np.ones(flat.size, dtype=bool)
-    first[1:] = row[1:] != row[:-1]
-    last = np.ones(flat.size, dtype=bool)
-    last[:-1] = first[1:]
-    # a row holding such entries is "[", then per entry the run of "0.0,"
-    # since the row start, or "," and the run since the previous entry,
-    # and the entry itself, then the run of ",0.0" to the row end and "]"
-    leads = np.empty(flat.size, dtype=object)
-    leads[first] = _prefixes("[" + "0.0," * n_cols, 4 * col[first] + 1)
-    leads[~first] = _prefixes("," + "0.0," * n_cols, 4 * np.diff(col)[~first[1:]] - 3)
-    ends = _prefixes(",0.0" * n_cols, 4 * (n_cols - 1 - col[last]))
-    # each row takes a slot for the separator before it, then one for a
-    # row of 0.0 entries, or two per entry and two for its end
-    per_row = np.bincount(row, minlength=n_rows)
-    slots = 1 + np.where(per_row, 2 * per_row + 2, 1)
+    row, col = divmod(flat[order], n_cols)
+    # per entry: it opens its row, or starts a run of entries in adjacent
+    # columns; it ends its run, or closes its row
+    opens = np.ones(row.size, dtype=bool)
+    opens[1:] = row[1:] != row[:-1]
+    starts = opens.copy()
+    starts[1:] |= col[1:] != col[:-1] + 1
+    ends, closes = np.ones_like(starts), np.ones_like(opens)
+    ends[:-1], closes[:-1] = starts[1:], opens[1:]
+    first, last = np.flatnonzero(starts), np.flatnonzero(ends)
+    texts = []
+    if first.size:  # each run's text, its entries' reprs joined by ","
+        fmt = "".join(_RUN_FORMAT[starts.view(np.uint8)].tolist())[1:]
+        reprs = np.array(list(map(float.__repr__, values.tolist())), dtype=object)
+        texts = (fmt % tuple(reprs[which].tolist())).split("\0")
+    # per run from here on; its 0.0 entries before it, from its row's
+    # start or from the run before
+    opens, closes = opens[first], closes[last]
+    before = col[first] - np.where(opens, 0, col[first - 1] + 1)
+    # a row holding runs is "[", then per run the 0.0 entries before it,
+    # each "0.0,", and the run, after the first run preceded by ",", and
+    # then the 0.0 entries after its last run, each ",0.0", and "]"
+    per_row = np.bincount(row[first], minlength=n_rows)
+    slots = 1 + np.where(per_row, 4 * per_row + 3, 1)
     offset = np.cumsum(slots) - slots
     parts = np.empty(slots.sum() + 1, dtype=object)
     parts[offset] = ","
     parts[0], parts[-1] = "[", "]"
     parts[offset[per_row == 0] + 1] = "[" + "0.0," * (n_cols - 1) + "0.0]"
-    rank = np.arange(flat.size) - (np.cumsum(per_row) - per_row)[row]  # place in its row
-    slot = offset[row] + 1 + 2 * rank
-    parts[slot] = leads
-    parts[slot + 1] = np.array(texts, dtype=object)[which]
-    parts[slot[last] + 2] = ends
-    parts[slot[last] + 3] = "]"
+    rank = np.arange(first.size) - (np.cumsum(per_row) - per_row)[row[first]]
+    slot = offset[row[first]] + 1 + 4 * rank
+    parts[slot] = np.where(opens, "[", ",")
+    parts[slot + 1], parts[slot + 2] = _zero_runs("0.0,", before)
+    parts[slot + 3] = texts
+    end = slot[closes] + 4
+    parts[end], parts[end + 1] = _zero_runs(",0.0", n_cols - 1 - col[last[closes]])
+    parts[end + 2] = "]"
     return parts.tolist()
 
 
@@ -477,15 +511,15 @@ def dump_json(doc: dict) -> str:
 
     Byte-identical output for equal documents, so fixed-seed runs are
     reproducible at the file level. NaN and infinities raise ValueError:
-    RFC 8259 JSON has no token for them. A top-level non-empty 2-D float64
-    ndarray value is encoded in place, with the same bytes as its
-    ``tolist()`` form but without the generic encoder's per-element pass:
-    only the entries other than 0.0 are formatted, each distinct value
-    once, and the runs of 0.0 between them are shared strings. For a
-    block-sparse lumped matrix those entries are the few percent in the
-    blocks the graph fills. A top-level ``PreEncoded`` value is written
-    as its text, unchanged. Every other value goes through the standard
-    library encoder whole.
+    RFC 8259 JSON has no token for them. A top-level 2-D ``BlockMatrix``
+    value is encoded from its blocks alone, with the same bytes as the
+    ``tolist()`` form of its dense matrix but without making that matrix
+    or the generic encoder's per-element pass: only the block entries
+    other than 0.0 are formatted, each distinct value once, and the runs
+    of 0.0 between them are shared strings. A top-level non-empty 2-D
+    float64 ndarray is encoded as the one-block case. A top-level
+    ``PreEncoded`` value is written as its text, unchanged. Every other
+    value goes through the standard library encoder whole.
 
     The document is gathered as one flat list of parts, the matrices' row
     parts among them, and joined once: a report of several megabytes is
@@ -496,15 +530,17 @@ def dump_json(doc: dict) -> str:
     for key in sorted(doc):
         value = doc[key]
         parts += ("," if parts else "{", _ENCODER.encode(key), ":")
-        if isinstance(value, PreEncoded):
-            parts.append(value.text)
-        elif (
+        if (
             isinstance(value, np.ndarray)
             and value.ndim == 2
             and value.dtype == np.float64
             and value.size
         ):
-            parts += _encode_matrix(value)
+            value = BlockMatrix(value.shape, _ORIGIN, _ORIGIN, value[None])
+        if isinstance(value, PreEncoded):
+            parts.append(value.text)
+        elif isinstance(value, BlockMatrix):
+            parts += _encode_blocks(value)
         else:
             parts.append(_ENCODER.encode(value))
     parts.append("}\n" if parts else "{}\n")

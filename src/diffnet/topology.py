@@ -1,14 +1,13 @@
-"""Network topology: graphs with their driven vertices, the spanning forest
-that decides input-reachability, and the incidence factorization.
+"""Network topology: graphs with their driven vertices, and the spanning
+forest that decides input-reachability.
 
 This module is the one home of the rules of a valid graph: the vertex
 count, the edge ids and kinds, the vertex pairs and the driven ids. A
 graph checks them once, when it is built, whether its values come from
 Python or, unchecked, from a problem file; each fault has one refusal
 text. A graph holds its edge list as int64 columns; every pass over the
-edges (the forest, the incidence pair, the report writers) reads the
-columns. The tuple of ``Edge`` is built only when ``NetworkGraph.edges``
-is read."""
+edges (the forest, assembly, the report writers) reads the columns. The
+tuple of ``Edge`` is built only when ``NetworkGraph.edges`` is read."""
 
 from __future__ import annotations
 
@@ -313,35 +312,3 @@ def spanning_forest(graph: NetworkGraph) -> SpanningForest:
         order=tuple(order),
         unreachable=unreachable,
     )
-
-
-@dataclass(frozen=True)
-class IncidenceRealization:
-    """Oriented incidence factorization of a mixed graph.
-
-    ``incidence`` has one row per edge: +1 at the start vertex, -1 at the
-    end. ``injection`` has one column per edge: +1 at the end vertex always,
-    -1 at the start vertex of undirected edges only, so one-way influence
-    stays one-way. For undirected-only graphs, injection == -incidence.T.
-    """
-
-    incidence: np.ndarray
-    injection: np.ndarray
-
-
-def incidence_matrices(graph: NetworkGraph) -> IncidenceRealization:
-    """Build the incidence/injection pair in the graph's edge order.
-
-    Each edge runs from the graph's ``start`` to its ``end`` column.
-    """
-    n = graph.num_vertices
-    m = graph.num_edges
-    incidence = np.zeros((m, n))
-    injection = np.zeros((n, m))
-    edge = np.arange(m)
-    incidence[edge, graph.start] = 1.0
-    incidence[edge, graph.end] = -1.0
-    injection[graph.end, edge] = 1.0
-    both = ~graph.directed
-    injection[graph.start[both], edge[both]] = -1.0
-    return IncidenceRealization(incidence=incidence, injection=injection)

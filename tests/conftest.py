@@ -14,14 +14,9 @@ from diffnet.errors import ProblemFileError
 from diffnet.numerics import RandomSource, pbh_controllable, pbh_observable
 from diffnet.problem_io import _int_field, _matrix, _require_mapping
 from diffnet.subsystem import SubsystemModel
-from diffnet.topology import (
-    DIRECTED,
-    UNDIRECTED,
-    Edge,
-    NetworkGraph,
-    incidence_matrices,
-)
+from diffnet.topology import DIRECTED, UNDIRECTED, Edge, NetworkGraph
 from diffnet.verdict import Verdict
+from edgewise import incidence_matrices
 
 ACCEPTANCE_LINES: list[str] = []
 

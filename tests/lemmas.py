@@ -31,8 +31,9 @@ from diffnet.numerics import (
     numerical_rank,
 )
 from diffnet.subsystem import SubsystemModel
-from diffnet.topology import NetworkGraph, incidence_matrices
+from diffnet.topology import NetworkGraph
 from diffnet.verdict import analyze, certify_monte_carlo
+from edgewise import incidence_matrices
 
 
 def cycles_input_reachable(state_pattern, input_pattern) -> bool:

@@ -1,4 +1,5 @@
-"""Weighted Laplacians, lumped assembly routes, and the physical chain builder."""
+"""Weighted Laplacians, the lumped assembly route checked against the
+test-side edgewise and factorized forms, and the physical chain builder."""
 
 import itertools
 import json
@@ -6,8 +7,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import diffnet.assembly
+import edgewise
 from conftest import (
     assembled_laplacian,
     count_calls,
@@ -24,24 +28,23 @@ from conftest import (
     random_model,
 )
 from diffnet.assembly import (
-    _edgewise_state_blocks,
     _laplacian_blocks,
-    _require_close,
     assemble_lumped,
     grounding_shift,
     mass_spring_chain,
     sample_weights,
 )
-from diffnet.errors import ConsistencyError, ModelValidationError
+from diffnet.errors import ModelValidationError
 from diffnet.numerics import RandomSource
 from diffnet.problem_io import parse_problem
 from diffnet.subsystem import SubsystemModel
-from diffnet.topology import (
-    DIRECTED,
-    UNDIRECTED,
-    Edge,
+from diffnet.topology import DIRECTED, UNDIRECTED, Edge, NetworkGraph
+from edgewise import (
+    ConsistencyError,
     IncidenceRealization,
-    NetworkGraph,
+    _edgewise_state_blocks,
+    _require_close,
+    cross_check,
     incidence_matrices,
 )
 
@@ -276,7 +279,7 @@ class TestMatrixWeightAssembly:
             assemble_lumped(model, g, np.ones((1, 1, 2)))
 
     def test_rejects_overflowing_weights(self, monkeypatch):
-        judged = count_calls(monkeypatch, diffnet.assembly, "_require_close")
+        judged = count_calls(monkeypatch, edgewise, "_require_close")
         for hub in (1, 2, 3):
             g = NetworkGraph(3, tuple(Edge(hub, v) for v in (1, 2, 3) if v != hub))
             huge = rows(g, [[1e308, 1e308], [1e308, 1e308]])
@@ -289,6 +292,8 @@ class TestMatrixWeightAssembly:
             assert np.array_equal(finite, expected)
             with pytest.raises(ValueError, match="overflows the float range"):
                 assemble_lumped(double_integrator(), g, huge)
+            with pytest.raises(ValueError, match="overflows the float range"):
+                cross_check(double_integrator(), g, huge)
         assert judged == []  # refused before the routes are compared
 
     def test_cross_check_rejects_nan_deviation(self):
@@ -393,13 +398,68 @@ class TestDirectRoute:
             return rows, cols, values
 
         monkeypatch.setattr(diffnet.assembly, "_laplacian_blocks", flipped)
-        g = NetworkGraph(3, (Edge(1, 2, DIRECTED), Edge(2, 3)))
         with pytest.raises(ConsistencyError, match="disagree"):
-            assemble_lumped(
-                double_integrator(),
-                g,
-                rows(g, [[1.0, 0.5], [2.0, 0.3]]),
-            )
+            check_routes_agree(examples=40)
+
+
+@st.composite
+def lumped_cases(draw):
+    """A model, a graph with its driven vertices, and the weights of one
+    network or a stack of draws: every vertex pair unlinked, undirected,
+    directed either way or antiparallel, so edgeless graphs come first."""
+    p, r, n = (draw(st.integers(1, 3)) for _ in range(3))
+    n_vertices = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(1, n_vertices + 1) for v in range(u + 1, n_vertices + 1)]
+    kinds = [None, UNDIRECTED, "forward", "backward", "antiparallel"]
+    drawn = draw(st.lists(st.sampled_from(kinds), min_size=len(pairs), max_size=len(pairs)))
+    edges = []
+    for (u, v), kind in zip(pairs, drawn):
+        if kind in (UNDIRECTED, "forward"):
+            edges.append(Edge(u, v, DIRECTED if kind == "forward" else kind))
+        if kind in ("backward", "antiparallel"):
+            edges.append(Edge(v, u, DIRECTED))
+        if kind == "antiparallel":
+            edges.append(Edge(u, v, DIRECTED))
+    driven = draw(st.sets(st.integers(1, n_vertices)))
+    draws = draw(st.sampled_from([None, 1, 3]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    graph = NetworkGraph(n_vertices, tuple(edges), driven)
+    model = random_model(gen, n, r, num_inputs=p)
+    shape = (len(edges), p, r) if draws is None else (draws, len(edges), p, r)
+    return model, graph, gen.uniform(-1.0, 1.0, size=shape)
+
+
+def check_routes_agree(examples: int) -> set:
+    """The one assembly route against the test-side edgewise route (to
+    ASSEMBLY_CROSS_CHECK_RTOL, draw by draw) and against the dense
+    factorized form, on ``lumped_cases``. Returns the kinds of case met."""
+    met = set()
+
+    @seed(21)
+    @settings(max_examples=examples, deadline=None, database=None)
+    @given(lumped_cases())
+    def case(network):
+        model, graph, weights = network
+        met.add("stacked" if weights.ndim == 4 else "single")
+        met.update(e.kind for e in graph.edges)
+        if not graph.num_edges:
+            met.add("edgeless")
+        cross_check(model, graph, weights)
+        a_sys = assemble_lumped(model, graph, weights).a_sys
+        if weights.ndim == 3:
+            weights, a_sys = weights[None], a_sys[None]
+        for member, a_member in zip(weights, a_sys):
+            reference = factorized_state_matrix(model, graph, member)
+            scale = max(1.0, float(np.max(np.abs(reference))))
+            assert np.max(np.abs(a_member - reference)) <= 1e-10 * scale
+
+    case()
+    return met
+
+
+def test_one_route_matches_the_edgewise_and_factorized_forms():
+    met = check_routes_agree(examples=150)
+    assert met == {"single", "stacked", "edgeless", UNDIRECTED, DIRECTED}
 
 
 def edgewise_matrix(model, graph, blocks) -> np.ndarray:
@@ -445,10 +505,10 @@ class TestEdgewiseRoute:
             injection[:, idx] *= -1.0
             return IncidenceRealization(real.incidence, injection)
 
-        monkeypatch.setattr(diffnet.assembly, "incidence_matrices", flipped)
+        monkeypatch.setattr(edgewise, "incidence_matrices", flipped)
         g = NetworkGraph(3, (Edge(1, 2, DIRECTED), Edge(2, 3)))
         with pytest.raises(ConsistencyError, match="disagree"):
-            assemble_lumped(
+            cross_check(
                 double_integrator(),
                 g,
                 rows(g, [[1.0, 0.5], [2.0, 0.3]]),
@@ -492,24 +552,24 @@ class TestStackedAssembly:
         g = NetworkGraph(3, (Edge(1, 2, DIRECTED), Edge(2, 3)))
         blocks = rows(g, [[1.0, 0.5], [2.0, 0.3]])
         stack = np.stack([blocks, 2.0 * blocks, 3.0 * blocks])
-        monkeypatch.setattr(diffnet.assembly, "_require_close", capture)
-        assemble_lumped(double_integrator(), g, stack)
+        monkeypatch.setattr(edgewise, "_require_close", capture)
+        cross_check(double_integrator(), g, stack)
         assert len(judged) == 3  # one judgement per member
-        monkeypatch.setattr(diffnet.assembly, "_edgewise_state_blocks", planted)
+        monkeypatch.setattr(edgewise, "_edgewise_state_blocks", planted)
         judged.clear()
         with pytest.raises(ConsistencyError, match="disagree"):
-            assemble_lumped(double_integrator(), g, stack)
+            cross_check(double_integrator(), g, stack)
         assert len(judged) == 2  # member 0 passes, member 1 fails
 
     def test_one_overflowing_member_refuses_the_stack(self, monkeypatch):
         g = chain_graph(3)
         stack = np.full((3, g.num_edges, 1, 2), 0.5)
         stack[1] = 1e308  # member 1's block at vertex 2 leaves the float range
-        judged = count_calls(monkeypatch, diffnet.assembly, "_require_close")
+        judged = count_calls(monkeypatch, edgewise, "_require_close")
         with pytest.raises(ValueError, match="overflows the float range"):
-            assemble_lumped(
-                double_integrator(), g, stack
-            )
+            assemble_lumped(double_integrator(), g, stack)
+        with pytest.raises(ValueError, match="overflows the float range"):
+            cross_check(double_integrator(), g, stack)
         assert judged == []
 
     def test_out_receives_the_state_matrices_in_part_of_a_larger_stack(self):
@@ -656,8 +716,8 @@ class TestMassSpringChain:
 
 class TestCrossCheck:
     def test_judged_deviation_is_that_of_the_whole_matrices(self, monkeypatch):
-        """The assembler sums the edgewise route and compares it with the
-        emitted matrix at the blocks either route writes. Both are exactly
+        """``cross_check`` sums the edgewise route and compares it with the
+        assembled matrix at the blocks either route writes. Both are exactly
         0.0 everywhere else, so the deviation and scale it judges equal the
         formula over the whole matrices: as built, with noise planted in
         every term of the edgewise route, and with a NaN in one."""
@@ -682,8 +742,8 @@ class TestCrossCheck:
                 max(1.0, float(np.max(np.abs(first)))),
             )
 
-        monkeypatch.setattr(diffnet.assembly, "_edgewise_state_blocks", planted)
-        monkeypatch.setattr(diffnet.assembly, "_require_close", capture)
+        monkeypatch.setattr(edgewise, "_edgewise_state_blocks", planted)
+        monkeypatch.setattr(edgewise, "_require_close", capture)
         for (p, r), g in itertools.product(
             itertools.product((1, 2, 3), repeat=2), list(mixed_graphs(gen))
         ):
@@ -695,10 +755,11 @@ class TestCrossCheck:
                 judged.clear()
                 routes.clear()
                 if a_sys is None:
+                    cross_check(model, g, weights)
                     a_sys = assemble_lumped(model, g, weights).a_sys
                 else:
                     with pytest.raises(ConsistencyError, match="disagree"):
-                        assemble_lumped(model, g, weights)
+                        cross_check(model, g, weights)
                 (route,) = routes
                 whole = deviation_and_scale(a_sys, edgewise_matrix(model, g, route))
                 if noise[1]:

@@ -1,11 +1,13 @@
 """End-to-end command-line behavior: exit codes, schemas, reproducibility."""
 
 import dataclasses
+import hashlib
 import inspect
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +28,11 @@ from conftest import (
 )
 import diffnet.topology
 import diffnet.verdict
+import edgewise
 from diffnet import cli, problem_io
+from diffnet.assembly import BlockMatrix
 from diffnet.cli import main
-from diffnet.errors import ConsistencyError, ProblemFileError
+from diffnet.errors import NumericError, ProblemFileError
 from diffnet.problem_io import (
     PROBLEM_SCHEMA,
     REPORT_SCHEMA,
@@ -46,6 +50,10 @@ from diffnet.verdict import CertificationReport, TrialResult
 
 
 GOLDEN = Path(__file__).parent / "golden"
+
+#: sha256 of ``lump --format text`` on ``wide_chain_problem()``, as the
+#: dense assembly printed it
+WIDE_CHAIN_TEXT_SHA256 = "68e2b798638036075752016caabc8e48d876c9cbf68b20f6504d03aeaccd3e14"
 
 
 def chain_problem(n=3, driven=(1,), c=None, weights=None, options=None, extra=None):
@@ -67,6 +75,22 @@ def chain_problem(n=3, driven=(1,), c=None, weights=None, options=None, extra=No
         doc["options"] = options
     if extra is not None:
         doc.update(extra)
+    return doc
+
+
+def wide_chain_problem(n=200):
+    """An n-vertex chain of nodes of order 4 with p = r = 2, driven at
+    its ends, its node triple and weights drawn uniform on [-1, 1]."""
+    gen = np.random.default_rng(2100)
+    weights = [
+        {"u": i, "v": i + 1, "W": gen.uniform(-1.0, 1.0, (2, 2)).tolist()}
+        for i in range(1, n)
+    ]
+    doc = chain_problem(n=n, driven=(1, n), weights={"edges": weights})
+    doc["subsystem"] = {
+        name: gen.uniform(-1.0, 1.0, shape).tolist()
+        for name, shape in (("A", (4, 4)), ("B", (4, 2)), ("C", (2, 4)))
+    }
     return doc
 
 
@@ -266,7 +290,7 @@ class TestExitCodes:
 
     def test_internal_check_failure_exits_seventy(self, problem_file, capsys, monkeypatch):
         def boom(*a, **k):
-            raise ConsistencyError("redundant routes disagree")
+            raise NumericError("eigenvalue solver did not converge")
 
         monkeypatch.setattr("diffnet.cli.analyze", boom)
         code, _, err = run(capsys, ["analyze", problem_file(chain_problem())])
@@ -440,6 +464,67 @@ class TestLump:
                 reference_weights_json(g, values)
             )
 
+    def test_signed_zeros_are_the_dense_forms(self, problem_file, capsys):
+        """A -0.0 of A stays in every diagonal block; grounded, the
+        wall shift's 0.0 entries are added to every entry, as to the dense
+        matrix, which turns each -0.0 into 0.0, in vertex 2's block too."""
+        path = problem_file(
+            {
+                "subsystem": {
+                    "A": [[-0.0, 1.0], [0.0, -0.0]],
+                    "B": [[0.0], [1.0]],
+                    "C": [[1.0, 0.0], [0.0, 1.0]],
+                },
+                "graph": {"N": 2, "edges": [{"u": 1, "v": 2}]},
+                "driven": [1],
+                "weights": {"edges": [{"u": 1, "v": 2, "W": [[3.0, 0.25]]}]},
+                "options": {"wall": {"stiffness_over_mass": 2.0, "damping_over_mass": 0.5}},
+            }
+        )
+        plain = "[[-0.0,1.0,0.0,0.0],[-3.0,-0.25,3.0,0.25],[0.0,0.0,-0.0,1.0],[3.0,0.25,-3.0,-0.25]]"
+        grounded = "[[0.0,1.0,0.0,0.0],[-5.0,-0.75,3.0,0.25],[0.0,0.0,0.0,1.0],[3.0,0.25,-3.0,-0.25]]"
+        for flags, a_sys in (([], plain), (["--ground-first-mass"], grounded)):
+            code, out, _ = run(capsys, ["lump", path, *flags])
+            assert code == 0
+            assert f'"a_sys":{a_sys},"b_sys":[[0.0,0.0],[1.0,0.0],[0.0,0.0],[0.0,0.0]],' in out
+
+    def test_json_report_is_written_from_the_blocks(self, problem_file, capsys, monkeypatch):
+        """``--format json``, grounded or not, never makes a dense matrix of
+        the lumped pair; ``--format text`` makes both, by the scatter."""
+        made = []
+        dense = BlockMatrix.dense
+        monkeypatch.setattr(BlockMatrix, "dense", lambda m, out=None: made.append(m) or dense(m, out))
+        options = {"wall": {"stiffness_over_mass": 2.0, "damping_over_mass": 0.5}}
+        path = problem_file(chain_problem(n=4, options=options))
+        for flags in ([], ["--ground-first-mass"]):
+            assert run(capsys, ["lump", path, *flags])[0] == 0
+            assert made == []
+            code, text, _ = run(capsys, ["lump", path, *flags, "--format", "text"])
+            assert code == 0 and len(made) == 2 and "state matrix (8 x 8):" in text
+            made.clear()
+
+    def test_traced_peak_stays_below_one_dense_state_matrix(self, problem_file, capsys, tmp_path):
+        """Lumping 200 vertices of order 4 with p = r = 2 peaks below
+        8 (nN)^2 bytes, the size of one dense state matrix, though the
+        report text alone takes about 4 MB; the text rendering is as
+        before."""
+        path = problem_file(wide_chain_problem())
+        argv = ["lump", path, "--out", str(tmp_path / "lump.json")]
+        assert main(argv) == 0  # imports and caches are made before tracing
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "lump.json").stat().st_size > 4_000_000
+        assert peak < 8 * 800**2
+        code, text, _ = run(capsys, ["lump", path, "--format", "text"])
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == WIDE_CHAIN_TEXT_SHA256
+
     def test_grounding_without_wall_options_fails(self, problem_file, capsys):
         path = problem_file(chain_problem(n=2))
         code, _, err = run(capsys, ["lump", path, "--ground-first-mass"])
@@ -453,7 +538,7 @@ class TestLump:
         def refuse(*args, **kwargs):
             raise AssertionError("assembled before the wall was checked")
 
-        monkeypatch.setattr(cli, "assemble_lumped", refuse)
+        monkeypatch.setattr(cli, "assemble_blocks", refuse)
         monkeypatch.setattr(cli, "sample_weights", refuse)
         path = problem_file(chain_problem(n=2, weights=weights))
         code, out, err = run(capsys, ["lump", path, "--ground-first-mass"])
@@ -1582,8 +1667,8 @@ class TestPackaging:
 
         assert sorted(diffnet.__all__) == [
             "AnalysisReport",
+            "BlockMatrix",
             "CertificationReport",
-            "ConsistencyError",
             "DEFAULT_TOL",
             "DiffnetError",
             "Edge",
@@ -1599,11 +1684,11 @@ class TestPackaging:
             "ToleranceConfig",
             "Verdict",
             "analyze",
+            "assemble_blocks",
             "assemble_lumped",
             "certify_monte_carlo",
             "fixed_modes",
             "grounding_shift",
-            "incidence_matrices",
             "load_problem",
             "mass_spring_chain",
             "parse_problem",
@@ -1632,6 +1717,8 @@ class TestPackaging:
                 "all_cycles_input_reachable",
                 "input_reachable_set",
                 "is_globally_input_reachable",
+                "IncidenceRealization",
+                "incidence_matrices",
             ),
             diffnet.assembly: (
                 "matrix_laplacian",
@@ -1641,6 +1728,10 @@ class TestPackaging:
                 "check_weights",
                 "_edge_blocks",
                 "assemble_lumped_stack",
+                "ASSEMBLY_CROSS_CHECK_RTOL",
+                "_require_close",
+                "_edgewise_state_blocks",
+                "_direct_state_matrices",
             ),
             diffnet.subsystem: (
                 "FixedModeReport",
@@ -1657,7 +1748,7 @@ class TestPackaging:
                 "matched_eigenvalues",
                 "spectra_match",
             ),
-            diffnet.errors: ("PremiseError",),
+            diffnet.errors: ("PremiseError", "ConsistencyError"),
             diffnet.problem_io: ("analysis_from_json", "weights_to_json"),
         }
         for module, names in deleted.items():
@@ -1675,6 +1766,7 @@ class TestPackaging:
         for fn in (
             diffnet.analyze,
             diffnet.certify_monte_carlo,
+            diffnet.assemble_blocks,
             diffnet.assemble_lumped,
             diffnet.spanning_forest,
         ):
@@ -1689,7 +1781,7 @@ class TestPackaging:
         ):
             params = inspect.signature(fn).parameters
             assert "weight_scale" not in params and "scale" not in params, fn
-        fields = {f.name for f in dataclasses.fields(diffnet.topology.IncidenceRealization)}
+        fields = {f.name for f in dataclasses.fields(edgewise.IncidenceRealization)}
         assert "oriented" not in fields
         assert [f.name for f in dataclasses.fields(diffnet.LumpedSystem)] == [
             "a_sys",
@@ -1751,6 +1843,34 @@ class TestPackaging:
                 document(arr.tolist()), sort_keys=True, separators=(",", ":")
             )
             assert dump_json(document(arr)) == expected + "\n", arr
+
+    def test_dump_json_encodes_block_matrices_as_their_dense_lists(self):
+        """Blocks of any shape, adjacent or apart, holding 0.0, -0.0 and
+        repeated values, with runs of 0.0 of many lengths around them, past
+        ``_RUN_STEP`` too; and no block at all."""
+        gen = np.random.default_rng(12)
+        special = [0.0, -0.0, 5e-324, 1e300, -1e-300, 0.1 + 0.2, 1.0]
+        matrices = [BlockMatrix((6, 4), np.zeros(0, int), np.zeros(0, int), np.zeros((0, 3, 2)))]
+        for _ in range(60):
+            h, w = (int(k) for k in gen.integers(1, 5, size=2))
+            grid = (int(gen.integers(1, 9)), int(gen.integers(1, 70)))
+            count = int(gen.integers(0, min(grid[0] * grid[1], 12) + 1))
+            at = gen.choice(grid[0] * grid[1], size=count, replace=False)
+            blocks = gen.normal(size=(count, h, w)) * 10.0 ** gen.integers(-5, 5, size=(count, h, w))
+            picked = gen.random(blocks.shape) < 0.3
+            blocks[picked] = gen.choice(special, size=int(picked.sum()))
+            if count and gen.random() < 0.2:  # one block repeated, as B in B_sys
+                blocks = np.broadcast_to(blocks[0], blocks.shape)
+            rows, cols = divmod(at, grid[1])
+            matrices.append(BlockMatrix((grid[0] * h, grid[1] * w), rows, cols, blocks))
+        for matrix in matrices:
+            expected = json.dumps(
+                {"a": 1, "m": matrix.dense().tolist()}, sort_keys=True, separators=(",", ":")
+            )
+            assert dump_json({"m": matrix, "a": 1}) == expected + "\n"
+        bad = BlockMatrix((2, 4), np.array([0]), np.array([1]), np.array([[[1.0, np.inf]]]))
+        with pytest.raises(ValueError):
+            dump_json({"m": bad})
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_dump_json_rejects_non_finite(self, bad):

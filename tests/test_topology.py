@@ -26,9 +26,9 @@ from diffnet.topology import (
     DrivenIdError,
     Edge,
     NetworkGraph,
-    incidence_matrices,
     spanning_forest,
 )
+from edgewise import incidence_matrices
 from lemmas import cycles_input_reachable
 
 

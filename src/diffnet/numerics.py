@@ -4,7 +4,8 @@ Tolerance-based numerical rank, eigenvalues and their deduplication,
 the controllable dimension by block Arnoldi (the controllability
 staircase's Krylov form) for one pair or a stack of pairs, whose cutoff's
 ||A||_2 is bracketed by sums of squares and taken by SVD only for a member
-whose step the bracket cannot decide, PBH controllability/observability
+whose step the bracket cannot decide, and whose steps call LAPACK's SVD
+kernel directly under one errstate, PBH controllability/observability
 tests, and the seeded random streams behind every sampled draw. Everything
 operates on plain numpy arrays and treats them as immutable values.
 """
@@ -15,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import NumericError
 
@@ -213,6 +215,17 @@ def controllable_dimension(a, b, tol: ToleranceConfig = DEFAULT_TOL):
     all step together, and a member whose rank falls below the step's
     width carries zero columns. One pair gives an int, a stack an int
     array of the leading shape.
+
+    Most steps keep every member's whole block. One comparison finds such
+    a step: every member's smallest singular value exceeds the top of its
+    bracket, and the block fits in the states left. It then takes no
+    count at either end of the bracket and resolves no cutoff, and while
+    every member has kept as many columns as the rest, the number kept is
+    one int. Each step's SVD is the LAPACK kernel behind ``np.linalg.svd``
+    (``_block_svd``), with the same bits; one errstate around the whole
+    iteration turns the kernel's non-convergence flag into the same
+    ``NumericError`` that ``np.linalg.svd``'s error gave. The new block's
+    Gram-Schmidt passes subtract in place.
     """
     am = np.asarray(a, dtype=float)
     bm = np.asarray(b, dtype=float)
@@ -232,58 +245,96 @@ def controllable_dimension(a, b, tol: ToleranceConfig = DEFAULT_TOL):
         am = np.broadcast_to(am, lead + am.shape[-2:]).reshape(-1, n, n)
     if bm.ndim > 2:
         bm = np.broadcast_to(bm, lead + bm.shape[-2:]).reshape(-1, n, bm.shape[-1])
-    done = np.zeros(math.prod(lead), dtype=np.intp)
+    count = math.prod(lead)
+    # while every member has kept as many columns as the rest, that count;
+    # from the first step that splits them, each member's count
+    done = 0
+    aligned = True
     try:
         if not np.isfinite(bm).all():
             raise NumericError(f"staircase met a non-finite input matrix ({n} states)")
-        norm_b = np.broadcast_to(_spectral_norm(bm), done.shape)
+        norm_b = np.broadcast_to(_spectral_norm(bm), (count,))
         low, high = _norm_bracket(am)
         # each member's cutoff at the top and at the bottom of its bracket
-        cuts = np.empty((2, done.size, 1))
+        cuts = np.empty((2, count, 1))
         cuts[0, :, 0] = np.maximum(high, norm_b)
         cuts[1, :, 0] = np.maximum(low, norm_b)
         cuts *= tol.rank_rel_tol
         _resolve_cutoffs(am, norm_b, cuts, ~np.isfinite(cuts[0, :, 0]), tol)
-        basis = np.zeros(((done.size,) if lead else ()) + (n, n))
+        basis = np.zeros(((count,) if lead else ()) + (n, n))
         members = basis.reshape(-1, n, n)
-        aligned = True  # so far every member kept as many columns as the rest
         # an input matrix shared by the stack is decomposed once
         block = bm
-        while True:
-            u, sv, _ = np.linalg.svd(block, full_matrices=False)
-            room = n - done
-            strict, loose = (sv > cuts).sum(axis=-1)
-            rho = np.minimum(strict, room)
-            unsure = (loose > strict) & (strict < room)
-            if unsure.any():
-                _resolve_cutoffs(am, norm_b, cuts, unsure, tol)
-                rho = np.minimum((sv > cuts[0]).sum(axis=-1), room)
-            width = int(rho.max(initial=0))
-            if width == 0:
-                break
-            aligned = aligned and int(rho.min()) == width
-            if aligned:
-                at = int(done[0])
-                fresh = u[..., :width]
-                basis[..., at : at + width] = fresh
-            else:
-                kept = np.arange(width) < rho[:, None]
-                fresh = u[..., :width] * kept[..., None, :]
-                member, column = np.nonzero(kept)
-                members[member, :, done[member] + column] = fresh[member, :, column]
-            done = done + rho
-            if int(done.min()) == n:
-                break
-            q = basis[..., : int(done.max())]
-            qt = np.swapaxes(q, -1, -2)
-            block = am @ fresh
-            for _ in range(2):
-                block = block - q @ (qt @ block)
+        with np.errstate(
+            call=_svd_failed, invalid="call", over="ignore", divide="ignore", under="ignore"
+        ):
+            while True:
+                u, sv, _ = _block_svd(block)
+                width = sv.shape[-1]
+                # a step where every member keeps its whole block at the top
+                # of its bracket needs no count and no cutoff resolved
+                if not (
+                    aligned
+                    and 0 < width <= n - done
+                    and (sv[..., -1:] > cuts[0]).all()
+                ):
+                    room = n - done
+                    strict, loose = (sv > cuts).sum(axis=-1)
+                    rho = np.minimum(strict, room)
+                    unsure = (loose > strict) & (strict < room)
+                    if unsure.any():
+                        _resolve_cutoffs(am, norm_b, cuts, unsure, tol)
+                        rho = np.minimum((sv > cuts[0]).sum(axis=-1), room)
+                    width = int(rho.max(initial=0))
+                    if width == 0:
+                        break
+                    if aligned and int(rho.min()) < width:
+                        done, aligned = np.full(count, done, dtype=np.intp), False
+                if aligned:
+                    fresh = u[..., :width]
+                    basis[..., done : done + width] = fresh
+                    done += width
+                    if done == n:
+                        break
+                    q = basis[..., :done]
+                else:
+                    kept = np.arange(width) < rho[:, None]
+                    fresh = u[..., :width] * kept[..., None, :]
+                    member, column = np.nonzero(kept)
+                    members[member, :, done[member] + column] = fresh[member, :, column]
+                    done = done + rho
+                    if int(done.min()) == n:
+                        break
+                    q = basis[..., : int(done.max())]
+                qt = np.swapaxes(q, -1, -2)
+                block = am @ fresh
+                for _ in range(2):
+                    block -= q @ (qt @ block)
     except np.linalg.LinAlgError as exc:
         raise NumericError(
             f"staircase SVD failed on a {n}-state pair: {exc}"
         ) from exc
-    return int(done[0]) if not lead else done.reshape(lead)
+    if aligned:
+        # one pair is always aligned, so it gives an int
+        return np.full(lead, done, dtype=np.intp) if lead else done
+    return done.reshape(lead)
+
+
+def _svd_failed(err: str, flag: int) -> None:
+    """errstate callback: LAPACK's SVD kernel flags non-convergence as an
+    invalid operation; the words are ``np.linalg.svd``'s."""
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+def _block_svd(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD (u, singular values, vh) of each matrix of a float64 stack.
+
+    The LAPACK kernel that ``np.linalg.svd(block, full_matrices=False)``
+    calls, with the same bits, without that wrapper's type checks, copies
+    and errstate: the caller's errstate must turn the invalid flag it
+    raises on non-convergence into an error (``_svd_failed``).
+    """
+    return _umath_linalg.svd_s(block, signature="d->ddd")
 
 
 def _resolve_cutoffs(

@@ -6,12 +6,23 @@ seed; nothing here draws from global state.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from diffnet.assembly import assemble_lumped
-from diffnet.errors import ProblemFileError
-from diffnet.numerics import RandomSource, pbh_controllable, pbh_observable
+from diffnet.errors import NumericError, ProblemFileError
+from diffnet.numerics import (
+    DEFAULT_TOL,
+    RandomSource,
+    ToleranceConfig,
+    _norm_bracket,
+    _resolve_cutoffs,
+    _spectral_norm,
+    pbh_controllable,
+    pbh_observable,
+)
 from diffnet.problem_io import _int_field, _matrix, _require_mapping
 from diffnet.subsystem import SubsystemModel
 from diffnet.topology import DIRECTED, UNDIRECTED, Edge, NetworkGraph
@@ -518,6 +529,80 @@ def loop_sample_away_from_zero(gen: np.random.Generator, shape) -> np.ndarray:
     magnitude = gen.uniform(0.1, 1.0, size=shape)
     sign = np.where(gen.random(size=shape) < 0.5, -1.0, 1.0)
     return magnitude * sign
+
+
+def reference_dimension(a, b, tol: ToleranceConfig = DEFAULT_TOL):
+    """``numerics.controllable_dimension`` as one general step: every step
+    counts each member's singular values at both ends of its bracket,
+    through ``np.linalg.svd``, with a per-member column count throughout
+    and Gram-Schmidt on new arrays. The library skips all of that on a
+    step where every member keeps its whole block; its dimensions, and its
+    errors' text, must be this function's."""
+    am = np.asarray(a, dtype=float)
+    bm = np.asarray(b, dtype=float)
+    if bm.ndim == 1:
+        bm = bm[:, None]
+    if am.ndim < 2 or am.shape[-1] != am.shape[-2]:
+        raise ValueError(f"staircase needs a square state matrix, got shape {am.shape}")
+    n = am.shape[-1]
+    if bm.ndim < 2 or bm.shape[-2] != n:
+        raise ValueError(
+            f"input matrix must have {n} rows to match the state matrix, "
+            f"got shape {bm.shape}"
+        )
+    lead = np.broadcast_shapes(am.shape[:-2], bm.shape[:-2])
+    if am.ndim > 2:
+        am = np.broadcast_to(am, lead + am.shape[-2:]).reshape(-1, n, n)
+    if bm.ndim > 2:
+        bm = np.broadcast_to(bm, lead + bm.shape[-2:]).reshape(-1, n, bm.shape[-1])
+    done = np.zeros(math.prod(lead), dtype=np.intp)
+    try:
+        if not np.isfinite(bm).all():
+            raise NumericError(f"staircase met a non-finite input matrix ({n} states)")
+        norm_b = np.broadcast_to(_spectral_norm(bm), done.shape)
+        low, high = _norm_bracket(am)
+        cuts = np.empty((2, done.size, 1))
+        cuts[0, :, 0] = np.maximum(high, norm_b)
+        cuts[1, :, 0] = np.maximum(low, norm_b)
+        cuts *= tol.rank_rel_tol
+        _resolve_cutoffs(am, norm_b, cuts, ~np.isfinite(cuts[0, :, 0]), tol)
+        basis = np.zeros(((done.size,) if lead else ()) + (n, n))
+        members = basis.reshape(-1, n, n)
+        aligned = True
+        block = bm
+        while True:
+            u, sv, _ = np.linalg.svd(block, full_matrices=False)
+            room = n - done
+            strict, loose = (sv > cuts).sum(axis=-1)
+            rho = np.minimum(strict, room)
+            unsure = (loose > strict) & (strict < room)
+            if unsure.any():
+                _resolve_cutoffs(am, norm_b, cuts, unsure, tol)
+                rho = np.minimum((sv > cuts[0]).sum(axis=-1), room)
+            width = int(rho.max(initial=0))
+            if width == 0:
+                break
+            aligned = aligned and int(rho.min()) == width
+            if aligned:
+                at = int(done[0])
+                fresh = u[..., :width]
+                basis[..., at : at + width] = fresh
+            else:
+                kept = np.arange(width) < rho[:, None]
+                fresh = u[..., :width] * kept[..., None, :]
+                member, column = np.nonzero(kept)
+                members[member, :, done[member] + column] = fresh[member, :, column]
+            done = done + rho
+            if int(done.min()) == n:
+                break
+            q = basis[..., : int(done.max())]
+            qt = np.swapaxes(q, -1, -2)
+            block = am @ fresh
+            for _ in range(2):
+                block = block - q @ (qt @ block)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"staircase SVD failed on a {n}-state pair: {exc}") from exc
+    return int(done[0]) if not lead else done.reshape(lead)
 
 
 def loop_sample_weights(

@@ -9,9 +9,11 @@ from conftest import (
     commutation_matrix,
     commutation_permutation,
     loop_sample_away_from_zero,
+    outcome,
+    reference_dimension,
 )
 from lemmas import matched_eigenvalues, spectra_match
-from diffnet import numerics
+from diffnet import numerics, verdict
 from diffnet.assembly import mass_spring_chain
 from diffnet.errors import NumericError
 from diffnet.numerics import (
@@ -218,15 +220,35 @@ def exact_norm_dimension(a, b):
 
 def svd_shapes(monkeypatch):
     """Shapes of the matrices later passed to np.linalg.svd, with whether
-    singular vectors were asked for."""
-    svd, shapes = np.linalg.svd, []
+    singular vectors were asked for, and to the staircase's step SVD
+    ``numerics._block_svd``, which always computes them."""
+    svd, block_svd, shapes = np.linalg.svd, numerics._block_svd, []
 
     def recording(m, *args, **kwargs):
         shapes.append((np.shape(m), kwargs.get("compute_uv", True)))
         return svd(m, *args, **kwargs)
 
+    def recording_block(m):
+        shapes.append((np.shape(m), True))
+        return block_svd(m)
+
     monkeypatch.setattr(np.linalg, "svd", recording)
+    monkeypatch.setattr(numerics, "_block_svd", recording_block)
     return shapes
+
+
+def dimension_or_error(fn, *args):
+    """fn's dimensions with their type and dtype, or its error and text."""
+    kind, got = outcome(fn, *args)
+    if kind != "ok":
+        return kind, got
+    return kind, type(got), np.asarray(got).dtype, np.asarray(got).tolist()
+
+
+def non_converging(block):
+    """The staircase's step SVD as it fails: LAPACK's kernel on a block of
+    NaN sets the invalid flag, which is how it reports non-convergence."""
+    return numerics._umath_linalg.svd_s(np.full_like(block, np.nan), signature="d->ddd")
 
 
 class TestControllableDimension:
@@ -275,9 +297,12 @@ class TestControllableDimension:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(np.linalg, "svd", fail)
-        with pytest.raises(NumericError, match="staircase"):
-            controllable_dimension(np.eye(2), np.ones((2, 1)))
+        # the SVD of B for ||B||_2, then the first step's SVD
+        for module, name in ((np.linalg, "svd"), (numerics, "_block_svd")):
+            with monkeypatch.context() as mp:
+                mp.setattr(module, name, fail)
+                with pytest.raises(NumericError, match="staircase"):
+                    controllable_dimension(np.eye(2), np.ones((2, 1)))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -304,6 +329,37 @@ class TestControllableDimension:
         # one input matrix broadcast against a stack of state matrices
         shared = [controllable_dimension(pair[0], b[0]) for pair in pairs]
         assert controllable_dimension(a, b[0]).tolist() == shared
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        inputs=st.integers(1, 3),
+        members=st.integers(1, 6),
+        a_exp=st.integers(-200, 200),
+        b_exp=st.integers(-200, 200),
+    )
+    def test_equals_the_reference_loop(self, seed, n, inputs, members, a_exp, b_exp):
+        """Stacks mixing full, deficient, zero-A and zero-B members, whose
+        kept widths split at some step, and members whose uncontrollable
+        part is coupled at about rank_rel_tol, so a step's singular value
+        falls inside its bracket; one pair; one B broadcast against the
+        stack; scales up to 10^+-200. The whole-block step gives the
+        reference loop's dimensions, or the same NumericError."""
+        gen = np.random.default_rng(seed)
+        pairs = []
+        for kind in gen.integers(0, 5, size=members):
+            nc = n if kind == 0 else int(gen.integers(0, n + 1))
+            a, b = planted_kalman_form(gen, n, nc, inputs)
+            if kind == 4:
+                a = a + 10.0 ** gen.uniform(-10.5, -7.5) * gen.normal(size=(n, n))
+            pairs.append((0.0 * a if kind == 2 else a, 0.0 * b if kind == 3 else b))
+        a = np.stack([pair[0] for pair in pairs]) * 10.0**a_exp
+        b = np.stack([pair[1] for pair in pairs]) * 10.0**b_exp
+        for args in ((a, b), (a, b[0]), (a[0], b), (a[0], b[0])):
+            assert dimension_or_error(controllable_dimension, *args) == dimension_or_error(
+                reference_dimension, *args
+            )
 
     def test_leading_axes_are_kept(self):
         gen = RandomSource(8).generator()
@@ -332,6 +388,66 @@ class TestControllableDimension:
         a, b = planted_kalman_form(RandomSource(3).generator(), 8, 5)
         assert controllable_dimension(a, b) == 5
         assert shapes and all(len(shape) == 2 for shape, _ in shapes)
+
+
+class TestBlockSvd:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        members=st.integers(0, 6),
+        n=st.integers(1, 12),
+        width=st.integers(1, 4),
+        exp=st.integers(-150, 150),
+        zero=st.sampled_from(["none", "one", "all"]),
+    )
+    def test_equals_np_linalg_svd_bit_for_bit(self, seed, members, n, width, exp, zero):
+        """The staircase's step SVD is np.linalg.svd's kernel: the same u
+        and singular values, bit for bit, on one block (members = 0) or a
+        stack, with zero blocks and scales 2^+-150."""
+        gen = np.random.default_rng(seed)
+        block = gen.normal(size=((members,) if members else ()) + (n, width)) * 2.0**exp
+        if zero == "all":
+            block[...] = 0.0
+        elif zero == "one":
+            block[..., int(gen.integers(0, width))] = 0.0
+            if members:
+                block[int(gen.integers(0, members))] = 0.0
+        u, sv, _ = numerics._block_svd(block)
+        want_u, want_sv, _ = np.linalg.svd(block, full_matrices=False)
+        for got, want in ((u, want_u), (sv, want_sv)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_non_convergence_is_a_numeric_error(self, monkeypatch, capfd):
+        monkeypatch.setattr(numerics, "_block_svd", non_converging)
+        with pytest.raises(NumericError, match="staircase") as raised:
+            controllable_dimension(np.eye(2), np.ones((2, 1)))
+        assert str(raised.value) == "staircase SVD failed on a 2-state pair: SVD did not converge"
+        assert capfd.readouterr().err == ""
+
+    def test_non_convergence_is_recorded_on_its_own_trial(self, monkeypatch, capfd):
+        """The stacked rank test fails, so certify reruns its members one
+        at a time; only the third trial's own run fails again."""
+        chain = mass_spring_chain(
+            6, 1.0, springs=np.linspace(1.0, 2.0, 6), dampers=np.linspace(0.1, 0.5, 6)
+        )
+        calls = []
+
+        def third_fails(a, b, tol):
+            calls.append(np.ndim(a))
+            with pytest.MonkeyPatch.context() as mp:
+                if np.ndim(a) == 3 or len(calls) == 4:
+                    mp.setattr(numerics, "_block_svd", non_converging)
+                return controllable_dimension(a, b, tol)
+
+        monkeypatch.setattr(verdict, "controllable_dimension", third_fails)
+        cert = certify_monte_carlo(chain.model, chain.graph, trials=5, rng=RandomSource(1))
+        assert calls == [3, 2, 2, 2, 2, 2]
+        errors = [trial.error for trial in cert.per_trial]
+        assert errors[2] == "staircase SVD failed on a 12-state pair: SVD did not converge"
+        assert errors[:2] + errors[3:] == [None] * 4
+        assert all(trial.controllable for i, trial in enumerate(cert.per_trial) if i != 2)
+        assert capfd.readouterr().err == ""
 
 
 class TestNormBracket:
@@ -397,6 +513,24 @@ class TestNormBracket:
         assert controllable_dimension(a, b) == 2
         assert [shape for shape, uv in shapes if not uv].count((3, 3)) == 1
         assert exact_norm_dimension(a, b) == 2
+
+    def test_singular_value_below_the_exact_cutoff_is_dropped(self, monkeypatch):
+        """A ones block gives ||A||_2 = 9, three times its largest column
+        norm: step 1's singular value delta lies above the bracket's low
+        cutoff (about 3e-9) but below the exact one (9e-9), so the step
+        cannot keep its whole block. The exact norm drops the column."""
+        delta = 6e-9
+        a = np.zeros((10, 10))
+        a[1:, 1:] = 1.0
+        a[1, 0] = delta
+        b = np.eye(10)[:, :1]
+        tol = DEFAULT_TOL.rank_rel_tol
+        low, _ = numerics._norm_bracket(a)
+        assert tol * low < delta < tol * np.linalg.norm(a, 2)
+        shapes = svd_shapes(monkeypatch)
+        assert controllable_dimension(a, b) == 1
+        assert [shape for shape, uv in shapes if not uv].count((10, 10)) == 1
+        assert reference_dimension(a, b) == exact_norm_dimension(a, b) == 1
 
     def test_zero_state_matrix_takes_no_svd_of_its_own(self, monkeypatch):
         """An exactly zero A has the exact bracket (0, 0): with b = [[1]]

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import math
 import os
 import sys
 
@@ -33,6 +34,7 @@ import numpy as np
 
 from . import __version__
 from .assembly import (
+    BlockMatrix,
     assemble_blocks,
     grounding_shift,
     mass_spring_chain,
@@ -50,8 +52,8 @@ from .problem_io import (
     PROBLEM_SCHEMA,
     Problem,
     certification_to_json,
-    dump_json,
     graph_members,
+    json_parts,
     load_problem,
     report_document,
     weights_member,
@@ -171,11 +173,11 @@ def _emit(args, doc: dict, text) -> None:
     """Write the report: ``doc`` as canonical JSON, or under ``--format
     text`` the rendering that ``text()`` builds."""
     if args.format == "json":
-        payload = dump_json(doc)
+        parts = json_parts(doc)
     else:
         rendered = text()
-        payload = rendered if rendered.endswith("\n") else rendered + "\n"
-    write_report(args.out, payload)
+        parts = [rendered] if rendered.endswith("\n") else [rendered, "\n"]
+    write_report(args.out, parts)
 
 
 def _witness_text(witness) -> str:
@@ -275,6 +277,40 @@ def cmd_certify(args) -> int:
     return _VERDICT_EXIT[report.verdict]
 
 
+def _printed(matrix: BlockMatrix) -> str:
+    """``str`` of the dense matrix under the print options in effect.
+
+    Above numpy's ``threshold`` entries it prints only the first and last
+    ``edgeitems`` rows and columns of each axis longer than twice that,
+    and formats them from those entries alone. So a larger matrix is
+    printed from a small array of just those rows and columns, with one
+    more between them that the summary drops, gathered from the blocks.
+    """
+    options = np.get_printoptions()
+    if math.prod(matrix.shape) <= options["threshold"]:
+        return str(matrix.dense())
+    edge = options["edgeitems"]
+    picks = [
+        np.r_[: edge + 1, n - edge : n] if n > 2 * edge else np.arange(n)
+        for n in matrix.shape
+    ]
+    # the blocks in the picked rows and columns, renumbered among them
+    h, w = matrix.blocks.shape[-2:]
+    (brows, at_row), (bcols, at_col) = (
+        np.unique(p // size, return_inverse=True) for p, size in zip(picks, (h, w))
+    )
+    hit = np.isin(matrix.rows, brows) & np.isin(matrix.cols, bcols)
+    near = BlockMatrix(
+        (brows.size * h, bcols.size * w),
+        np.searchsorted(brows, matrix.rows[hit]),
+        np.searchsorted(bcols, matrix.cols[hit]),
+        matrix.blocks[hit],
+    ).dense()
+    corners = near[np.ix_(at_row * h + picks[0] % h, at_col * w + picks[1] % w)]
+    with np.printoptions(threshold=corners.size - 1):
+        return str(corners)
+
+
 def cmd_lump(args) -> int:
     problem, digest = load_problem(args.path)
     model, graph = problem.model, problem.graph
@@ -314,9 +350,9 @@ def cmd_lump(args) -> int:
             return "\n".join(
                 [
                     f"state matrix ({a_sys.shape[0]} x {a_sys.shape[1]}):",
-                    str(a_sys.dense()),
+                    _printed(a_sys),
                     f"input matrix ({b_sys.shape[0]} x {b_sys.shape[1]}):",
-                    str(b_sys.dense()),
+                    _printed(b_sys),
                     f"weights {'sampled from seed ' + str(seed) if sampled else 'taken from the problem file'}",
                 ]
             )
@@ -370,8 +406,7 @@ def cmd_example(args) -> int:
             },
         },
     }
-    payload = dump_json(doc)
-    write_report(args.out, payload)
+    write_report(args.out, json_parts(doc))
     return 0
 
 

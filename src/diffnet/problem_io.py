@@ -434,9 +434,9 @@ def _zero_runs(unit: str, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _encode_blocks(matrix: BlockMatrix) -> list[str]:
     """JSON text of a 2-D ``BlockMatrix`` as a list of parts whose join is
-    byte-identical to encoding ``matrix.dense().tolist()``. ``dump_json``
-    joins them with the rest of its document in one pass, so neither the
-    dense matrix nor its text is built on its own.
+    byte-identical to encoding ``matrix.dense().tolist()``. ``json_parts``
+    lists them among the rest of its document's parts, so neither the
+    dense matrix nor its text is built.
 
     Only the block entries other than 0.0, -0.0 included, go through float
     repr, once per distinct value, and only they are checked to be finite:
@@ -453,12 +453,16 @@ def _encode_blocks(matrix: BlockMatrix) -> list[str]:
     block, inner = divmod(at, h * w)
     i, j = divmod(inner, w)
     flat = (matrix.rows[block] * h + i) * n_cols + matrix.cols[block] * w + j
+    # arrays of one value per entry are dropped once used: the formatting
+    # below sets the peak of a lump call, and they would be held under it
+    del block, inner, i, j
     order = np.argsort(flat, kind="stable")  # row-major
     distinct, which = np.unique(bits[at[order]], return_inverse=True)
     values = distinct.view(np.float64)
     if not np.all(np.isfinite(values)):
         raise ValueError("Out of range float values are not JSON compliant")
     row, col = divmod(flat[order], n_cols)
+    del at, flat, order
     # per entry: it opens its row, or starts a run of entries in adjacent
     # columns; it ends its run, or closes its row
     opens = np.ones(row.size, dtype=bool)
@@ -500,18 +504,20 @@ def _encode_blocks(matrix: BlockMatrix) -> list[str]:
 
 @dataclass(frozen=True)
 class PreEncoded:
-    """A report member already written as JSON text, which ``dump_json``
+    """A report member already written as JSON text, which ``json_parts``
     passes through as it is."""
 
     text: str
 
 
-def dump_json(doc: dict) -> str:
-    """Canonical serialization: key-sorted, compact, newline-terminated.
+def json_parts(doc: dict) -> list[str]:
+    """Canonical serialization of ``doc`` as a flat list of parts whose
+    join is ``dump_json(doc)``: key-sorted, compact, newline-terminated.
 
     Byte-identical output for equal documents, so fixed-seed runs are
     reproducible at the file level. NaN and infinities raise ValueError:
-    RFC 8259 JSON has no token for them. A top-level 2-D ``BlockMatrix``
+    RFC 8259 JSON has no token for them. Every value is encoded, and so
+    checked, before the list is returned. A top-level 2-D ``BlockMatrix``
     value is encoded from its blocks alone, with the same bytes as the
     ``tolist()`` form of its dense matrix but without making that matrix
     or the generic encoder's per-element pass: only the block entries
@@ -521,10 +527,9 @@ def dump_json(doc: dict) -> str:
     ``PreEncoded`` value is written as its text, unchanged. Every other
     value goes through the standard library encoder whole.
 
-    The document is gathered as one flat list of parts, the matrices' row
-    parts among them, and joined once: a report of several megabytes is
-    built as a single string, with no intermediate copy of a matrix or of
-    the members to fill fresh pages.
+    The matrices' row parts are among the parts, so a report of several
+    megabytes is held as shared strings and references and never as one
+    string: ``write_report`` writes it from the parts.
     """
     parts = []
     for key in sorted(doc):
@@ -544,7 +549,13 @@ def dump_json(doc: dict) -> str:
         else:
             parts.append(_ENCODER.encode(value))
     parts.append("}\n" if parts else "{}\n")
-    return "".join(parts)
+    return parts
+
+
+def dump_json(doc: dict) -> str:
+    """Canonical serialization of ``doc`` as one string: the join of
+    ``json_parts(doc)``."""
+    return "".join(json_parts(doc))
 
 
 #: key-sorted JSON of one "edges" entry and one "orientation" entry,
@@ -595,30 +606,53 @@ def weights_member(graph: NetworkGraph, weights: np.ndarray) -> PreEncoded:
     return PreEncoded(f'{{"edges":[{entries}]}}')
 
 
-#: characters per slice of a report written to ``--out``; reports are
-#: ASCII, so a slice is 64 KiB
+#: characters per slice of a written report; reports are ASCII, so a
+#: slice is 64 KiB
 _WRITE_SLICE = 1 << 16
 
 
-def write_report(out_path: str | None, payload: str) -> None:
-    """Write ``payload`` to stdout, or to ``out_path`` by way of
+def _slices(parts: list[str]):
+    """The join of ``parts`` in slices of ``_WRITE_SLICE`` characters, the
+    last one shorter. Each slice is cut from the join of the parts it
+    spans, after what the slice before left over, so no string longer
+    than a slice and the longest part is built. Slices are cut by length,
+    not by a count of parts: one part may be a whole row of 0.0 entries."""
+    held, size = [], 0
+    for part in parts:
+        held.append(part)
+        size += len(part)
+        if size >= _WRITE_SLICE:
+            text = "".join(held)
+            whole = size - size % _WRITE_SLICE
+            for start in range(0, whole, _WRITE_SLICE):
+                yield text[start : start + _WRITE_SLICE]
+            held, size = [text[whole:]], size - whole
+    tail = "".join(held)
+    if tail:
+        yield tail
+
+
+def write_report(out_path: str | None, parts: list[str]) -> None:
+    """Write the report whose text is the join of ``parts`` (strings, such
+    as ``json_parts`` returns) to stdout, or to ``out_path`` by way of
     ``<out_path>.tmp`` and a rename, so that the target holds either its
     old bytes or the whole new report.
 
-    The file is written as UTF-8 bytes, one 64 KiB slice of the text
-    encoded at a time: encoding a report of several megabytes whole would
-    copy it into fresh pages once more. Whatever interrupts the write or
-    the rename, the temporary file is removed and the exception raised
-    again.
+    The report is written one 64 KiB slice at a time, the file as UTF-8
+    bytes, and is never joined whole: a ``lump`` report of (nN)^2 entries
+    would otherwise be held in memory twice, as its parts and as its
+    text. Whatever interrupts the write or the rename, the temporary file
+    is removed and the exception raised again.
     """
     if out_path is None:
-        sys.stdout.write(payload)
+        for piece in _slices(parts):
+            sys.stdout.write(piece)
         return
     tmp = f"{out_path}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            for start in range(0, len(payload), _WRITE_SLICE):
-                fh.write(payload[start : start + _WRITE_SLICE].encode("utf-8"))
+            for piece in _slices(parts):
+                fh.write(piece.encode("utf-8"))
         os.replace(tmp, out_path)
     except BaseException:
         # a failed or interrupted write leaves no partial report behind

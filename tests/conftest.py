@@ -7,11 +7,13 @@ seed; nothing here draws from global state.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from diffnet.assembly import assemble_lumped
+from diffnet.cli import main
 from diffnet.errors import NumericError, ProblemFileError
 from diffnet.numerics import (
     DEFAULT_TOL,
@@ -449,6 +451,21 @@ def count_calls(monkeypatch, module, name: str) -> list:
 
     monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def traced_peak(argv) -> int:
+    """Bytes that a second ``main(argv)`` call holds at its peak above
+    what was held before it, measured with tracemalloc. The first call,
+    untraced, makes the imports and caches; each call must exit 0."""
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def outcome(fn, *args):

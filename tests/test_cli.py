@@ -7,7 +7,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +24,7 @@ from conftest import (
     reference_parse_edges,
     reference_parse_weights,
     reference_weights_json,
+    traced_peak,
 )
 import diffnet.topology
 import diffnet.verdict
@@ -378,6 +378,41 @@ class TestTextFormat:
             assert json.loads(out.read_text())["$schema"]
         assert main(["graph", path, "--format", "text"]) == 70
 
+    @pytest.mark.parametrize(
+        "shape, block",
+        [
+            ((800, 800), (4, 4)),
+            ((800, 400), (4, 2)),
+            ((2000, 1), (2, 1)),
+            ((1, 2000), (1, 2)),
+            ((6, 400), (2, 4)),
+            ((7, 200), (1, 4)),
+            ((33, 33), (3, 3)),
+            ((32, 32), (4, 4)),
+            ((9, 9), (1, 1)),
+        ],
+    )
+    def test_matrix_prints_as_its_dense_form(self, shape, block):
+        """``cli._printed`` gives the bytes of ``str`` of the dense matrix,
+        summarised or not, with the corner blocks and a few others set,
+        -0.0 entries among them, at magnitudes from 1e-9 to 1e9."""
+        gen = np.random.default_rng(shape[0] * 7 + shape[1])
+        (h, w), grid = block, (shape[0] // block[0], shape[1] // block[1])
+        ends = [np.unique(np.r_[:2, n - 2 : n].clip(0, n - 1)) for n in grid]
+        corners = (ends[0][:, None] * grid[1] + ends[1]).ravel()
+        others = gen.choice(grid[0] * grid[1], size=min(grid[0] * grid[1], 20), replace=False)
+        for trial in range(6):
+            at = np.unique(np.r_[corners[gen.random(corners.size) < 0.8], others])
+            blocks = gen.uniform(-1.0, 1.0, (at.size, h, w)) * 10.0 ** gen.integers(-9, 10)
+            blocks[gen.random(blocks.shape) < 0.3] = 0.0
+            blocks[gen.random(blocks.shape) < 0.1] = -0.0
+            if trial % 2:
+                blocks = np.round(blocks)
+            matrix = BlockMatrix(shape, at // grid[1], at % grid[1], blocks)
+            for options in ({"precision": 6, "suppress": True}, {}):
+                with np.printoptions(**options):
+                    assert cli._printed(matrix) == str(matrix.dense())
+
 
 class TestLump:
     def test_byte_identical_across_runs(self, problem_file, capsys):
@@ -509,21 +544,57 @@ class TestLump:
         report text alone takes about 4 MB; the text rendering is as
         before."""
         path = problem_file(wide_chain_problem())
-        argv = ["lump", path, "--out", str(tmp_path / "lump.json")]
-        assert main(argv) == 0  # imports and caches are made before tracing
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(["lump", path, "--out", str(tmp_path / "lump.json")])
         assert (tmp_path / "lump.json").stat().st_size > 4_000_000
         assert peak < 8 * 800**2
         code, text, _ = run(capsys, ["lump", path, "--format", "text"])
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == WIDE_CHAIN_TEXT_SHA256
+
+    def test_json_report_is_never_held_whole(self, problem_file, tmp_path):
+        """The 4 MB report of the 200-vertex chain is written from its
+        parts: the call peaks below 2.5 MB, where holding the text whole
+        took 4.5 MB."""
+        out = tmp_path / "lump.json"
+        peak = traced_peak(["lump", problem_file(wide_chain_problem()), "--out", str(out)])
+        assert out.stat().st_size > 4_000_000
+        assert peak < 2_500_000
+
+    def test_text_report_is_printed_from_the_corners(self, problem_file, tmp_path):
+        """``--format text`` on the 200-vertex chain makes neither 800-state
+        matrix dense: the call peaks below 1 MB, where the dense pair alone
+        took 7.7 MB, and prints the bytes the dense pair printed."""
+        out = tmp_path / "lump.txt"
+        argv = ["lump", problem_file(wide_chain_problem()), "--format", "text", "--out", str(out)]
+        assert traced_peak(argv) < 1_000_000
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == WIDE_CHAIN_TEXT_SHA256
+
+    def test_failure_while_encoding_writes_nothing(
+        self, problem_file, capsys, tmp_path, monkeypatch
+    ):
+        """A value refused while encoding "b_sys", after "a_sys" is encoded,
+        exits 64 before the first byte: stdout stays empty, and ``--out``
+        leaves neither the target nor its temporary file."""
+        encode = problem_io._encode_blocks
+        calls = []
+
+        def failing(matrix):
+            calls.append(matrix.shape)
+            if len(calls) == 2:
+                raise ValueError("Out of range float values are not JSON compliant")
+            return encode(matrix)
+
+        monkeypatch.setattr(problem_io, "_encode_blocks", failing)
+        path = problem_file(wide_chain_problem(n=40))  # "a_sys" fills a slice
+        code, out, err = run(capsys, ["lump", path])
+        assert (code, out) == (64, "")
+        assert err == "diffnet: error: Out of range float values are not JSON compliant\n"
+        assert calls == [(160, 160), (160, 80)]
+        calls.clear()
+        target = tmp_path / "lump.json"
+        assert run(capsys, ["lump", path, "--out", str(target)])[:2] == (64, "")
+        assert calls == [(160, 160), (160, 80)]
+        assert not target.exists() and not (tmp_path / "lump.json.tmp").exists()
 
     def test_grounding_without_wall_options_fails(self, problem_file, capsys):
         path = problem_file(chain_problem(n=2))

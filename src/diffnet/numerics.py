@@ -2,12 +2,12 @@
 
 Tolerance-based numerical rank, eigenvalues and their deduplication,
 the controllable dimension by block Arnoldi (the controllability
-staircase's Krylov form) for one pair or a stack of pairs, whose cutoff's
-||A||_2 is bracketed by sums of squares and taken by SVD only for a member
-whose step the bracket cannot decide, and whose steps call LAPACK's SVD
-kernel directly under one errstate, PBH controllability/observability
-tests, and the seeded random streams behind every sampled draw. Everything
-operates on plain numpy arrays and treats them as immutable values.
+staircase's Krylov form) for one pair or a stack of pairs, each cut once
+at rank_rel_tol times the larger Frobenius norm of its state and input
+matrices, with steps that call LAPACK's SVD kernel directly under one
+errstate, PBH controllability/observability tests, and the seeded random
+streams behind every sampled draw. Everything operates on plain numpy
+arrays and treats them as immutable values.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ DEFAULT_EIG_MATCH_TOL = 1e-7
 #: without biasing sign.
 SAMPLE_GAP_FRACTION = 0.1
 
-#: Relative widening of the bracket on ||A||_2: far above the rounding of
-#: the sums of squares and of LAPACK's largest singular value.
-_BRACKET_SLACK = 1e-6
 #: Sums of n^2 squares at least this large have lost under n^2 2^-175 of
 #: their value to squares that underflowed (each loses at most 2^-1075).
 _SQUARES_MIN = 2.0**-900
@@ -43,9 +40,12 @@ _STREAM_FINALIZE = 0xBF58476D1CE4E5B9
 class ToleranceConfig:
     """Numeric thresholds for rank and eigenvalue decisions.
 
-    ``rank_rel_tol`` cuts singular values relative to the largest one, so
-    rank verdicts are invariant under uniform scaling. ``eig_match_tol`` is
-    the absolute radius used when matching or deduplicating eigenvalues.
+    ``rank_rel_tol`` cuts singular values relative to a scale of the
+    matrix, so rank verdicts are invariant under uniform scaling: for a
+    PBH pencil the scale is its largest singular value, and for the
+    certificate's staircase it is the larger of ||A||_F and ||B||_F of
+    the pair. ``eig_match_tol`` is the absolute radius used when matching
+    or deduplicating eigenvalues.
     """
 
     rank_rel_tol: float = DEFAULT_RANK_REL_TOL
@@ -193,33 +193,28 @@ def controllable_dimension(a, b, tol: ToleranceConfig = DEFAULT_TOL):
     block per step: the next block is A times the last one, orthogonalized
     against the whole basis by two passes of classical Gram-Schmidt, and
     its SVD keeps the left singular vectors whose singular values exceed
-    rank_rel_tol * max(||A||_2, ||B||_2). It stops when no singular value
-    passes, or as soon as every member covers every state: a further step
-    could only keep nothing. This is the controllability
-    staircase (Paige 1981; Van Dooren) in exact arithmetic: the singular
-    values cut at each step are those of the staircase's input block. No
-    eigenvalues are computed, and the cutoff scales with (A, B), so the
-    result is invariant under uniform scaling.
+    the pair's one cut, rank_rel_tol * max(||A||_F, ||B||_F). It stops
+    when no singular value passes, or as soon as every member covers every
+    state: a further step could only keep nothing. This is the
+    controllability staircase (Paige 1981; Van Dooren) in exact
+    arithmetic: the singular values cut at each step are those of the
+    staircase's input block. No eigenvalues are computed, and the cut
+    scales with (A, B), so the result is invariant under uniform scaling.
 
-    ||B||_2 is taken by SVD. ||A||_2 is first only bracketed, from the
-    sums of squares of its columns and rows (``_norm_bracket``); a step
-    whose count of kept singular values is the same at both ends of the
-    bracket has the count the exact cutoff gives. Only a member with a
-    singular value inside its bracket, or whose sums of squares cannot be
-    trusted and which is not exactly zero, has ||A||_2 taken by SVD, and
-    from then on uses the exact cutoff. NaN or inf entries raise
-    ``NumericError``.
+    The cut is taken once per pair, before the first step, from one sum
+    of squares of each matrix (``_frobenius``). The Frobenius norm bounds
+    the 2-norm from above, at most sqrt(rank) times it, so no SVD of A or
+    B is taken. NaN or inf entries raise ``NumericError``.
 
     Leading axes of ``a`` (..., n, n) and ``b`` (..., n, m) are a stack of
-    pairs, broadcast against each other; every member gets its own cutoff,
+    pairs, broadcast against each other; every member gets its own cut,
     all step together, and a member whose rank falls below the step's
     width carries zero columns. One pair gives an int, a stack an int
     array of the leading shape.
 
     Most steps keep every member's whole block. One comparison finds such
-    a step: every member's smallest singular value exceeds the top of its
-    bracket, and the block fits in the states left. It then takes no
-    count at either end of the bracket and resolves no cutoff, and while
+    a step: every member's smallest singular value exceeds its cut, and
+    the block fits in the states left. It then takes no count, and while
     every member has kept as many columns as the rest, the number kept is
     one int. Each step's SVD is the LAPACK kernel behind ``np.linalg.svd``
     (``_block_svd``), with the same bits; one errstate around the whole
@@ -246,21 +241,15 @@ def controllable_dimension(a, b, tol: ToleranceConfig = DEFAULT_TOL):
     if bm.ndim > 2:
         bm = np.broadcast_to(bm, lead + bm.shape[-2:]).reshape(-1, n, bm.shape[-1])
     count = math.prod(lead)
+    # each member's one cut, as a column against its singular values
+    norm_b = _frobenius(bm, "input")
+    scale = np.maximum(_frobenius(am, "state"), norm_b)
+    cut = tol.rank_rel_tol * np.broadcast_to(scale, (count,))[:, None]
     # while every member has kept as many columns as the rest, that count;
     # from the first step that splits them, each member's count
     done = 0
     aligned = True
     try:
-        if not np.isfinite(bm).all():
-            raise NumericError(f"staircase met a non-finite input matrix ({n} states)")
-        norm_b = np.broadcast_to(_spectral_norm(bm), (count,))
-        low, high = _norm_bracket(am)
-        # each member's cutoff at the top and at the bottom of its bracket
-        cuts = np.empty((2, count, 1))
-        cuts[0, :, 0] = np.maximum(high, norm_b)
-        cuts[1, :, 0] = np.maximum(low, norm_b)
-        cuts *= tol.rank_rel_tol
-        _resolve_cutoffs(am, norm_b, cuts, ~np.isfinite(cuts[0, :, 0]), tol)
         basis = np.zeros(((count,) if lead else ()) + (n, n))
         members = basis.reshape(-1, n, n)
         # an input matrix shared by the stack is decomposed once
@@ -271,20 +260,11 @@ def controllable_dimension(a, b, tol: ToleranceConfig = DEFAULT_TOL):
             while True:
                 u, sv, _ = _block_svd(block)
                 width = sv.shape[-1]
-                # a step where every member keeps its whole block at the top
-                # of its bracket needs no count and no cutoff resolved
+                # a step where every member keeps its whole block needs no count
                 if not (
-                    aligned
-                    and 0 < width <= n - done
-                    and (sv[..., -1:] > cuts[0]).all()
+                    aligned and 0 < width <= n - done and (sv[..., -1:] > cut).all()
                 ):
-                    room = n - done
-                    strict, loose = (sv > cuts).sum(axis=-1)
-                    rho = np.minimum(strict, room)
-                    unsure = (loose > strict) & (strict < room)
-                    if unsure.any():
-                        _resolve_cutoffs(am, norm_b, cuts, unsure, tol)
-                        rho = np.minimum((sv > cuts[0]).sum(axis=-1), room)
+                    rho = np.minimum((sv > cut).sum(axis=-1), n - done)
                     width = int(rho.max(initial=0))
                     if width == 0:
                         break
@@ -320,6 +300,33 @@ def controllable_dimension(a, b, tol: ToleranceConfig = DEFAULT_TOL):
     return done.reshape(lead)
 
 
+def _frobenius(m: np.ndarray, what: str) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack (..., r, c), as a flat
+    vector; one norm for a single matrix.
+
+    Each comes from one sum of squares. A sum that overflows, is not
+    finite, or is small enough to have lost squares to underflow is taken
+    again from its matrix scaled by its largest entry, so an exactly zero
+    matrix has norm 0 and a tiny one does not. NaN or inf entries raise
+    ``NumericError``, naming the ``what`` matrix.
+    """
+    m = m.reshape(math.prod(m.shape[:-2]), *m.shape[-2:])
+    squares = np.einsum("kij,kij->k", m, m)
+    norm = np.sqrt(squares)
+    redo = ~((squares >= _SQUARES_MIN) & (squares < math.inf))
+    if redo.any():
+        picked = m[redo]
+        if not np.isfinite(picked).all():
+            raise NumericError(
+                f"staircase met a non-finite {what} matrix ({m.shape[-2]} states)"
+            )
+        top = np.abs(picked).max(axis=(-2, -1), initial=0.0)
+        top[top == 0.0] = 1.0
+        picked /= top[:, None, None]
+        norm[redo] = top * np.sqrt(np.einsum("kij,kij->k", picked, picked))
+    return norm
+
+
 def _svd_failed(err: str, flag: int) -> None:
     """errstate callback: LAPACK's SVD kernel flags non-convergence as an
     invalid operation; the words are ``np.linalg.svd``'s."""
@@ -335,62 +342,6 @@ def _block_svd(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     raises on non-convergence into an error (``_svd_failed``).
     """
     return _umath_linalg.svd_s(block, signature="d->ddd")
-
-
-def _resolve_cutoffs(
-    am: np.ndarray,
-    norm_b: np.ndarray,
-    cuts: np.ndarray,
-    pick: np.ndarray,
-    tol: ToleranceConfig,
-) -> None:
-    """Sets both cutoffs of the picked members to the exact one,
-    rank_rel_tol * max(||A||_2, ||B||_2), by SVD of their state matrices."""
-    if not pick.any():
-        return
-    picked = am[pick] if am.ndim > 2 else am
-    if not np.isfinite(picked).all():
-        raise NumericError(
-            f"staircase met a non-finite state matrix ({am.shape[-1]} states)"
-        )
-    scale = np.maximum(_spectral_norm(picked), norm_b[pick])
-    cuts[:, pick, 0] = tol.rank_rel_tol * scale
-
-
-def _norm_bracket(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds low <= ||M||_2 <= high for each matrix of a stack.
-
-    low is the largest column or row 2-norm, high the Frobenius norm, both
-    from sums of squares taken without an (..., n, n) temporary and
-    widened by ``_BRACKET_SLACK``. Where the sums overflow, are not
-    finite, or are small enough to have lost squares to underflow, the
-    bracket is (0, inf): it says nothing. A matrix that is exactly zero,
-    whose squares are 0 without any loss, has the exact bracket (0, 0).
-    """
-    cols = np.einsum("...ij,...ij->...j", m, m)
-    rows = np.einsum("...ij,...ij->...i", m, m)
-    low2 = np.maximum(cols.max(axis=-1, initial=0.0), rows.max(axis=-1, initial=0.0))
-    high2 = cols.sum(axis=-1)
-    trusted = (low2 >= _SQUARES_MIN) & (high2 < math.inf)
-    # squares of tiny entries underflow to 0, so only the entries themselves
-    # show a matrix to be zero; they are read for the untrusted members only
-    zero = np.zeros_like(trusted)
-    if not trusted.all():
-        zero[~trusted] = ~m[~trusted].any(axis=(-2, -1))
-    low = np.where(trusted, np.sqrt(low2) * (1.0 - _BRACKET_SLACK), 0.0)
-    high = np.where(
-        trusted,
-        np.sqrt(high2) * (1.0 + _BRACKET_SLACK),
-        np.where(zero, 0.0, math.inf),
-    )
-    return low, high
-
-
-def _spectral_norm(m: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix of a stack; 0 for an empty one."""
-    if m.shape[-1] == 0 or m.shape[-2] == 0:
-        return np.zeros(m.shape[:-2])
-    return np.linalg.svd(m, compute_uv=False)[..., 0]
 
 
 def pbh_controllable(a, b, tol: ToleranceConfig = DEFAULT_TOL):

@@ -19,9 +19,6 @@ from diffnet.numerics import (
     DEFAULT_TOL,
     RandomSource,
     ToleranceConfig,
-    _norm_bracket,
-    _resolve_cutoffs,
-    _spectral_norm,
     pbh_controllable,
     pbh_observable,
 )
@@ -550,11 +547,13 @@ def loop_sample_away_from_zero(gen: np.random.Generator, shape) -> np.ndarray:
 
 def reference_dimension(a, b, tol: ToleranceConfig = DEFAULT_TOL):
     """``numerics.controllable_dimension`` as one general step: every step
-    counts each member's singular values at both ends of its bracket,
-    through ``np.linalg.svd``, with a per-member column count throughout
-    and Gram-Schmidt on new arrays. The library skips all of that on a
-    step where every member keeps its whole block; its dimensions, and its
-    errors' text, must be this function's."""
+    counts each member's singular values, through ``np.linalg.svd``,
+    against its one cut rank_rel_tol * max(||A||_F, ||B||_F), with a
+    per-member column count throughout and Gram-Schmidt on new arrays.
+    Each norm is taken from its matrix scaled by its largest entry. The
+    library skips the count on a step where every member keeps its whole
+    block, and scales only a sum of squares that left the float range; its
+    dimensions, and its errors' text, must be this function's."""
     am = np.asarray(a, dtype=float)
     bm = np.asarray(b, dtype=float)
     if bm.ndim == 1:
@@ -573,29 +572,19 @@ def reference_dimension(a, b, tol: ToleranceConfig = DEFAULT_TOL):
     if bm.ndim > 2:
         bm = np.broadcast_to(bm, lead + bm.shape[-2:]).reshape(-1, n, bm.shape[-1])
     done = np.zeros(math.prod(lead), dtype=np.intp)
+    for matrix, what in ((bm, "input"), (am, "state")):
+        if not np.isfinite(matrix).all():
+            raise NumericError(f"staircase met a non-finite {what} matrix ({n} states)")
+    scale = np.maximum(scaled_frobenius(am), scaled_frobenius(bm))
+    cut = tol.rank_rel_tol * np.broadcast_to(scale, done.shape)[:, None]
     try:
-        if not np.isfinite(bm).all():
-            raise NumericError(f"staircase met a non-finite input matrix ({n} states)")
-        norm_b = np.broadcast_to(_spectral_norm(bm), done.shape)
-        low, high = _norm_bracket(am)
-        cuts = np.empty((2, done.size, 1))
-        cuts[0, :, 0] = np.maximum(high, norm_b)
-        cuts[1, :, 0] = np.maximum(low, norm_b)
-        cuts *= tol.rank_rel_tol
-        _resolve_cutoffs(am, norm_b, cuts, ~np.isfinite(cuts[0, :, 0]), tol)
         basis = np.zeros(((done.size,) if lead else ()) + (n, n))
         members = basis.reshape(-1, n, n)
         aligned = True
         block = bm
         while True:
             u, sv, _ = np.linalg.svd(block, full_matrices=False)
-            room = n - done
-            strict, loose = (sv > cuts).sum(axis=-1)
-            rho = np.minimum(strict, room)
-            unsure = (loose > strict) & (strict < room)
-            if unsure.any():
-                _resolve_cutoffs(am, norm_b, cuts, unsure, tol)
-                rho = np.minimum((sv > cuts[0]).sum(axis=-1), room)
+            rho = np.minimum((sv > cut).sum(axis=-1), n - done)
             width = int(rho.max(initial=0))
             if width == 0:
                 break
@@ -620,6 +609,15 @@ def reference_dimension(a, b, tol: ToleranceConfig = DEFAULT_TOL):
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"staircase SVD failed on a {n}-state pair: {exc}") from exc
     return int(done[0]) if not lead else done.reshape(lead)
+
+
+def scaled_frobenius(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, from the matrix scaled by
+    its largest entry, so no square overflows or underflows to zero; 0 for
+    a zero matrix."""
+    top = np.abs(m).max(axis=(-2, -1), initial=0.0)
+    top = np.where(top > 0.0, top, 1.0)
+    return top * np.linalg.norm(m / top[..., None, None], axis=(-2, -1))
 
 
 def loop_sample_weights(

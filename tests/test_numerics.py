@@ -206,18 +206,6 @@ def planted_kalman_form(gen, n, nc, inputs=2):
     return q @ a @ q.T, q @ b
 
 
-def exact_norm_dimension(a, b):
-    """The dimension with every member's ||A||_2 taken by SVD: the bracket
-    forced to (0, inf) says nothing, so each member resolves at once."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(
-            numerics,
-            "_norm_bracket",
-            lambda m: (np.zeros(m.shape[:-2]), np.full(m.shape[:-2], np.inf)),
-        )
-        return controllable_dimension(a, b)
-
-
 def svd_shapes(monkeypatch):
     """Shapes of the matrices later passed to np.linalg.svd, with whether
     singular vectors were asked for, and to the staircase's step SVD
@@ -297,12 +285,12 @@ class TestControllableDimension:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        # the SVD of B for ||B||_2, then the first step's SVD
-        for module, name in ((np.linalg, "svd"), (numerics, "_block_svd")):
-            with monkeypatch.context() as mp:
-                mp.setattr(module, name, fail)
-                with pytest.raises(NumericError, match="staircase"):
-                    controllable_dimension(np.eye(2), np.ones((2, 1)))
+        # the cut takes no SVD, so only the step kernel can fail
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        assert controllable_dimension(np.eye(2), np.ones((2, 1))) == 1
+        monkeypatch.setattr(numerics, "_block_svd", fail)
+        with pytest.raises(NumericError, match="staircase"):
+            controllable_dimension(np.eye(2), np.ones((2, 1)))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -343,7 +331,7 @@ class TestControllableDimension:
         """Stacks mixing full, deficient, zero-A and zero-B members, whose
         kept widths split at some step, and members whose uncontrollable
         part is coupled at about rank_rel_tol, so a step's singular value
-        falls inside its bracket; one pair; one B broadcast against the
+        falls near its cut; one pair; one B broadcast against the
         stack; scales up to 10^+-200. The whole-block step gives the
         reference loop's dimensions, or the same NumericError."""
         gen = np.random.default_rng(seed)
@@ -371,17 +359,17 @@ class TestControllableDimension:
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_stops_once_every_state_is_covered(self, n, monkeypatch):
         """A controllable single-input pair covers one state per step: n
-        SVDs of Krylov blocks, one of B for ||B||_2, and no empty step
+        SVDs of Krylov blocks, none of B for its norm, and no empty step
         after the last."""
         shapes = svd_shapes(monkeypatch)
         a = np.diag(np.ones(n - 1), 1) + 0.5 * np.eye(n)
         b = np.eye(n)[:, -1:]
         assert controllable_dimension(a, b) == n
-        assert len(shapes) == n + 1
+        assert len(shapes) == n
         shapes.clear()
         stacked = controllable_dimension(np.stack([a, 2.0 * a]), b)
         assert stacked.tolist() == [n, n]
-        assert len(shapes) == n + 1
+        assert len(shapes) == n
 
     def test_one_pair_stays_two_dimensional(self, monkeypatch):
         shapes = svd_shapes(monkeypatch)
@@ -451,6 +439,10 @@ class TestBlockSvd:
 
 
 class TestNormBracket:
+    """||M||_2 lies in a bracket whose top is ||M||_F. Each pair is cut
+    once, at that top: rank_rel_tol * max(||A||_F, ||B||_F), from one sum
+    of squares per matrix."""
+
     @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -460,7 +452,7 @@ class TestNormBracket:
         a_exp=st.integers(-150, 150),
         b_exp=st.integers(-150, 150),
     )
-    def test_dimension_equals_the_exact_norm_rule(
+    def test_dimension_equals_the_reference_staircase(
         self, seed, n, inputs, members, a_exp, b_exp
     ):
         gen = np.random.default_rng(seed)
@@ -470,39 +462,31 @@ class TestNormBracket:
         ]
         a = np.stack([pair[0] for pair in pairs]) * 10.0**a_exp
         b = np.stack([pair[1] for pair in pairs]) * 10.0**b_exp
-        assert controllable_dimension(a, b).tolist() == exact_norm_dimension(a, b).tolist()
-        assert controllable_dimension(a, b[0]).tolist() == exact_norm_dimension(a, b[0]).tolist()
-        assert controllable_dimension(a[0], b[0]) == exact_norm_dimension(a[0], b[0])
+        assert controllable_dimension(a, b).tolist() == reference_dimension(a, b).tolist()
+        assert controllable_dimension(a, b[0]).tolist() == reference_dimension(a, b[0]).tolist()
+        assert controllable_dimension(a[0], b[0]) == reference_dimension(a[0], b[0])
 
-    def test_bracket_holds_the_norm_or_says_nothing(self):
-        """Within the range where squares neither overflow nor underflow the
-        bracket holds ||M||_2; outside it, it is (0, inf)."""
-        gen = RandomSource(30).generator()
-        m = gen.normal(size=(4, 9, 9))
-        for exp in range(-300, 301, 10):
-            low, high = numerics._norm_bracket(m * 10.0**exp)
-            if abs(exp) <= 130:
-                norm = np.linalg.norm(m * 10.0**exp, 2, axis=(-2, -1))
-                assert (0.0 < low).all() and (low <= norm).all() and (norm <= high).all()
-            elif abs(exp) >= 160:
-                assert (low == 0.0).all() and (high == np.inf).all()
-
-    @pytest.mark.parametrize("a_exp, b_exp", [(-200, -205), (-170, -172), (200, 195)])
+    @pytest.mark.parametrize(
+        "a_exp, b_exp", [(-200, -205), (-170, -172), (170, 168), (200, 195)]
+    )
     def test_squares_out_of_range_resolve_exactly(self, a_exp, b_exp):
-        """Entries whose squares underflow or overflow give no bracket; the
-        planted dimension still comes out, by the exact norm."""
+        """Entries whose squares underflow or overflow leave the sum of
+        squares out of range; it is taken again, scaled by the largest
+        entry, and the planted dimension still comes out."""
         gen = RandomSource(31).generator()
         planted = [4, 7, 9]
         pairs = [planted_kalman_form(gen, 10, nc) for nc in planted]
         a = np.stack([pair[0] for pair in pairs]) * 10.0**a_exp
         b = np.stack([pair[1] for pair in pairs]) * 10.0**b_exp
+        squares = np.einsum("kij,kij->k", a, a)
+        assert ((squares == 0.0) | (squares == np.inf)).all()
         assert controllable_dimension(a, b).tolist() == planted
-        assert exact_norm_dimension(a, b).tolist() == planted
+        assert reference_dimension(a, b).tolist() == planted
 
-    def test_singular_value_inside_the_bracket_is_resolved_exactly(self, monkeypatch):
+    def test_singular_value_inside_the_bracket_is_dropped(self, monkeypatch):
         """Step 1's singular value delta lies above tol * ||A||_2 (about
-        1 + delta / 2) but below tol * ||A||_F (about sqrt(3)): the column is
-        kept, after one SVD of A for its exact norm."""
+        1 + delta / 2) but not above the cut tol * ||A||_F (about sqrt(3)):
+        the column is dropped, and no SVD of A is taken."""
         delta = 1.5e-9
         a = np.eye(3)
         a[1, 0] = delta
@@ -510,51 +494,62 @@ class TestNormBracket:
         tol = DEFAULT_TOL.rank_rel_tol
         assert tol * np.linalg.norm(a, 2) < delta <= tol * np.linalg.norm(a)
         shapes = svd_shapes(monkeypatch)
-        assert controllable_dimension(a, b) == 2
-        assert [shape for shape, uv in shapes if not uv].count((3, 3)) == 1
-        assert exact_norm_dimension(a, b) == 2
+        assert controllable_dimension(a, b) == 1
+        assert shapes == [((3, 1), True)] * 2
+        assert reference_dimension(a, b) == 1
 
     def test_singular_value_below_the_exact_cutoff_is_dropped(self, monkeypatch):
-        """A ones block gives ||A||_2 = 9, three times its largest column
-        norm: step 1's singular value delta lies above the bracket's low
-        cutoff (about 3e-9) but below the exact one (9e-9), so the step
-        cannot keep its whole block. The exact norm drops the column."""
+        """A ones block has rank one, so ||A||_F = ||A||_2 = 9, three times
+        its largest column norm: step 1's singular value delta lies above
+        tol times any column norm (3e-9) but below the cut (9e-9), so the
+        step cannot keep its whole block, and drops the column."""
         delta = 6e-9
         a = np.zeros((10, 10))
         a[1:, 1:] = 1.0
         a[1, 0] = delta
         b = np.eye(10)[:, :1]
         tol = DEFAULT_TOL.rank_rel_tol
-        low, _ = numerics._norm_bracket(a)
-        assert tol * low < delta < tol * np.linalg.norm(a, 2)
+        assert tol * np.linalg.norm(a, axis=0).max() < delta < tol * np.linalg.norm(a)
         shapes = svd_shapes(monkeypatch)
         assert controllable_dimension(a, b) == 1
-        assert [shape for shape, uv in shapes if not uv].count((10, 10)) == 1
-        assert reference_dimension(a, b) == exact_norm_dimension(a, b) == 1
+        assert shapes == [((10, 1), True)] * 2
+        assert reference_dimension(a, b) == 1
 
     def test_zero_state_matrix_takes_no_svd_of_its_own(self, monkeypatch):
-        """An exactly zero A has the exact bracket (0, 0): with b = [[1]]
-        the call takes the SVD of b for ||B||_2 and one of its Krylov
-        block, as for any other 1 x 1 A, and none of A."""
+        """An exactly zero A has norm 0 with no SVD: with b = [[1]] the call
+        takes one SVD, of its Krylov block, as for any other 1 x 1 A."""
         shapes = svd_shapes(monkeypatch)
         for a in (0.0, 0.5):
             shapes.clear()
             assert controllable_dimension([[a]], [[1.0]]) == 1
-            assert len(shapes) == 2
+            assert len(shapes) == 1
+
+    @pytest.mark.parametrize("exp", [-300, 0, 300])
+    def test_zero_state_matrix_keeps_the_columns_of_b(self, exp):
+        """With A exactly zero the cut is B's own, at any scale of B: the
+        dimension is the rank of B, and a zero B gives 0."""
+        gen = RandomSource(33).generator()
+        b = gen.normal(size=(3, 5, 2)) * 10.0**exp
+        b[1, :, 1] = 0.0
+        b[2] = 0.0
+        zero = np.zeros((5, 5))
+        assert controllable_dimension(zero, b).tolist() == [2, 1, 0]
+        assert controllable_dimension(np.zeros((3, 5, 5)), b).tolist() == [2, 1, 0]
+        assert controllable_dimension(zero, b[0]) == 2
+        assert reference_dimension(zero, b).tolist() == [2, 1, 0]
 
     def test_squares_that_underflow_do_not_make_a_matrix_zero(self):
         """Entries of 1e-300 or 1e-200 square to 0.0, yet the matrix is not
-        zero: its bracket says nothing and the dimension is the exact
-        norm's. With ||A||_2 far above ||B||_2 that dimension is 0, where
-        a zero A would keep B's columns."""
+        zero: its norm is taken again, scaled. With ||A||_F far above
+        ||B||_F the dimension is 0, where a zero A would keep B's
+        columns."""
         gen = RandomSource(32).generator()
         a0, b0 = planted_kalman_form(gen, 4, 3)
         a = np.stack([np.zeros((4, 4)), 1e-300 * a0, 1e-200 * a0])
         b = np.stack([b0, 1e-300 * b0, 1e-215 * b0])
-        low, high = numerics._norm_bracket(a)
-        assert low.tolist() == [0.0] * 3 and high.tolist() == [0.0, np.inf, np.inf]
+        assert np.einsum("kij,kij->k", a, a).tolist() == [0.0] * 3
         dims = controllable_dimension(a, b)
-        assert dims.tolist() == exact_norm_dimension(a, b).tolist() == [2, 3, 0]
+        assert dims.tolist() == reference_dimension(a, b).tolist() == [2, 3, 0]
         assert controllable_dimension(np.zeros((4, 4)), b[2]) == 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -564,8 +559,8 @@ class TestNormBracket:
         a = np.stack([pair[0] for pair in pairs])
         b = np.stack([pair[1] for pair in pairs])
         a[1, 2, 3] = bad
-        # a zero input matrix decides nothing at step 0 at either end of
-        # the bracket, so only the check before the first step can raise
+        # a zero input matrix keeps nothing at step 0, so only the check
+        # before the first step can raise
         for args in ((a, b), (a, b[0]), (a[1], b[1]), (a[1], np.zeros((5, 1)))):
             with pytest.raises(NumericError, match="staircase"):
                 controllable_dimension(*args)

@@ -9,10 +9,9 @@ all draws of one certificate assembled and rank-tested as one stack.
 
 from .assembly import (
     BlockMatrix,
-    LumpedSystem,
     MassSpringChain,
     assemble_blocks,
-    assemble_lumped,
+    ground_first_vertex,
     grounding_shift,
     mass_spring_chain,
     sample_weights,
@@ -39,7 +38,6 @@ __all__ = [
     "DEFAULT_TOL",
     "DiffnetError",
     "Edge",
-    "LumpedSystem",
     "MassSpringChain",
     "ModelValidationError",
     "NetworkGraph",
@@ -52,9 +50,9 @@ __all__ = [
     "Verdict",
     "analyze",
     "assemble_blocks",
-    "assemble_lumped",
     "certify_monte_carlo",
     "fixed_modes",
+    "ground_first_vertex",
     "grounding_shift",
     "load_problem",
     "mass_spring_chain",

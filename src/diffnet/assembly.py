@@ -18,14 +18,17 @@ other block is exactly 0.0. The input matrix, Delta kron B, is B at the
 diagonal blocks of the graph's driven vertices, ``NetworkGraph.driven``.
 A (T, M, p, r) stack of T weight draws runs the index work, which
 depends on the graph alone, once, and the products over all draws'
-blocks side by side. ``assemble_lumped`` scatters the blocks into the
-dense matrices; a ``lump`` report is written from the blocks themselves.
+blocks side by side. ``BlockMatrix.dense`` scatters the blocks into the
+dense matrices, as the certificate does; a ``lump`` report is written
+from the blocks themselves. ``ground_first_vertex`` grounds a state
+matrix at a wall: it adds the (n, n) shift, ``grounding_shift`` for a
+mass-spring chain, to vertex 1's diagonal block.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,19 +97,6 @@ class BlockMatrix:
             full.fill(0.0)
         full[..., self.rows, :, self.cols, :] = np.moveaxis(self.blocks, -3, 0)
         return full.reshape(*lead, *self.shape)
-
-
-@dataclass(frozen=True)
-class LumpedSystem:
-    """Assembled network pair (A_sys, B_sys).
-
-    From a stack of weight draws, ``a_sys`` holds one state matrix per
-    draw along a leading axis and ``b_sys``, the same for every draw, is
-    stored once.
-    """
-
-    a_sys: np.ndarray
-    b_sys: np.ndarray
 
 
 def _gemm(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -181,36 +171,6 @@ def assemble_blocks(
             np.broadcast_to(model.b, (driven.size, n, p)),
         ),
     )
-
-
-def assemble_lumped(
-    model: SubsystemModel,
-    graph: NetworkGraph,
-    weights,
-    *,
-    out: np.ndarray | None = None,
-) -> LumpedSystem:
-    """Lumped pair of the network as dense matrices: the blocks of
-    ``assemble_blocks``, scattered into arrays that are 0.0 elsewhere.
-
-    ``weights`` is the (M, p, r) array of the edges' weight blocks in edge
-    order, or a (T, M, p, r) stack of T such draws; ``a_sys`` then has
-    shape (nN, nN) or (T, nN, nN). ``b_sys``, Delta kron B, is the same for
-    every draw and stored once. ``out``, a C-contiguous float64 array of
-    ``a_sys``'s shape, receives the state matrices in place of a new
-    array, for a caller that assembles into part of a larger stack. The
-    blocks cost O((N + M) n r (n + p)) for M edges and N vertices of order
-    n, and the scatter O((nN)^2) per draw, where the dense Kronecker form
-    costs O((nN)^3).
-    """
-    a_sys, b_sys = assemble_blocks(model, graph, weights)
-    if out is not None:
-        shape = a_sys.blocks.shape[:-3] + a_sys.shape
-        if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-            raise ValueError(
-                f"out must be a C-contiguous float64 array of shape {shape}"
-            )
-    return LumpedSystem(a_sys.dense(out), b_sys.dense())
 
 
 def sample_weights(
@@ -291,19 +251,22 @@ def mass_spring_chain(
     )
 
 
-def grounding_shift(
-    num_nodes: int, stiffness_over_mass: float, damping_over_mass: float
-) -> np.ndarray:
-    """State-matrix shift grounding the first two-state node to a wall.
+def grounding_shift(stiffness_over_mass: float, damping_over_mass: float) -> np.ndarray:
+    """The 2 x 2 shift of a two-state node's diagonal block that grounds
+    it to a wall: -k_1/m and -mu_1/m in its acceleration row (position and
+    velocity columns). ``ground_first_vertex`` adds it to vertex 1's block
+    of a state matrix whose nodes carry (position, velocity) states."""
+    return np.array(
+        [[0.0, 0.0], [-stiffness_over_mass, -damping_over_mass]], dtype=float
+    )
 
-    Adds -k_1/m and -mu_1/m to the first node's acceleration row (position
-    and velocity columns). Apply by adding to an assembled state matrix of
-    a network whose nodes carry (position, velocity) states.
-    """
-    if num_nodes < 1:
-        raise ValueError(f"need at least one node, got {num_nodes}")
-    n_states = 2 * num_nodes
-    shift = np.zeros((n_states, n_states))
-    shift[1, 0] = -stiffness_over_mass
-    shift[1, 1] = -damping_over_mass
-    return shift
+
+def ground_first_vertex(state: BlockMatrix, shift) -> BlockMatrix:
+    """``state`` with the (n, n) ``shift`` added to vertex 1's diagonal
+    block, block 0 of each matrix of the stack, and 0.0 to every other
+    block entry. Its dense matrix is bit for bit the dense ``state`` plus
+    the shift placed at vertex 1's block and 0.0 elsewhere: both turn each
+    -0.0 entry into 0.0 and leave every structural zero 0.0."""
+    add = np.zeros(state.blocks.shape[-3:])
+    add[0] = shift
+    return replace(state, blocks=state.blocks + add)

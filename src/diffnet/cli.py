@@ -24,7 +24,6 @@ error, 74 output write failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import os
@@ -36,6 +35,7 @@ from . import __version__
 from .assembly import (
     BlockMatrix,
     assemble_blocks,
+    ground_first_vertex,
     grounding_shift,
     mass_spring_chain,
     sample_weights,
@@ -151,8 +151,8 @@ def _resolve_trials(flag_value: int | None, options: dict) -> int:
     return options.get("trials", DEFAULT_CERTIFY_TRIALS)
 
 
-def _ground_shift(problem: Problem, num_nodes: int) -> np.ndarray:
-    """The wall shift of the first ``num_nodes`` nodes' states."""
+def _ground_shift(problem: Problem) -> np.ndarray:
+    """The wall's shift of vertex 1's diagonal block."""
     wall = problem.options.get("wall")
     if wall is None:
         raise ProblemFileError(
@@ -164,9 +164,7 @@ def _ground_shift(problem: Problem, num_nodes: int) -> np.ndarray:
             "--ground-first-mass assumes two states (position, velocity) "
             f"per node, but the subsystem has {problem.model.order}"
         )
-    return grounding_shift(
-        num_nodes, wall["stiffness_over_mass"], wall["damping_over_mass"]
-    )
+    return grounding_shift(wall["stiffness_over_mass"], wall["damping_over_mass"])
 
 
 def _emit(args, doc: dict, text) -> None:
@@ -250,8 +248,7 @@ def cmd_certify(args) -> int:
     seed = _resolve_seed(args.seed, problem.options)
     trials = _resolve_trials(args.trials, problem.options)
     # a grounded run without a usable wall is refused before anything is drawn
-    n_nodes = problem.graph.num_vertices
-    shift = _ground_shift(problem, n_nodes) if args.ground_first_mass else None
+    shift = _ground_shift(problem) if args.ground_first_mass else None
     analysis = analyze(problem.model, problem.graph, tol)
     cert = certify_monte_carlo(
         problem.model,
@@ -316,9 +313,8 @@ def cmd_lump(args) -> int:
     model, graph = problem.model, problem.graph
     sampled = problem.weights is None
     seed = _resolve_seed(args.seed, problem.options) if sampled else None
-    # a grounded run without a usable wall is refused before anything is
-    # drawn; the shift is 0.0 outside vertex 1's diagonal block, this one
-    wall = _ground_shift(problem, 1) if args.ground_first_mass else None
+    # a grounded run without a usable wall is refused before anything is drawn
+    wall = _ground_shift(problem) if args.ground_first_mass else None
     if sampled:
         weights = sample_weights(
             graph, (model.num_inputs, model.num_outputs), RandomSource(seed)
@@ -328,11 +324,7 @@ def cmd_lump(args) -> int:
     a_sys, b_sys = assemble_blocks(model, graph, weights)
     grounded = wall is not None
     if grounded:
-        # the dense sum with the shift, block by block: adding its 0.0
-        # entries turns every -0.0 into 0.0, in every block
-        shift = np.zeros_like(a_sys.blocks)
-        shift[0] = wall  # block 0 is vertex 1's diagonal block
-        a_sys = dataclasses.replace(a_sys, blocks=a_sys.blocks + shift)
+        a_sys = ground_first_vertex(a_sys, wall)
     doc = {
         "$schema": LUMP_SCHEMA,
         "tool": {"name": "diffnet", "version": __version__},

@@ -235,12 +235,13 @@ def controllable_dimension(a, b, tol: ToleranceConfig = DEFAULT_TOL):
             f"got shape {bm.shape}"
         )
     lead = np.broadcast_shapes(am.shape[:-2], bm.shape[:-2])
-    # a stack runs flat: operands (T, n, .) and bookkeeping (T,)
-    if am.ndim > 2:
-        am = np.broadcast_to(am, lead + am.shape[-2:]).reshape(-1, n, n)
-    if bm.ndim > 2:
-        bm = np.broadcast_to(bm, lead + bm.shape[-2:]).reshape(-1, n, bm.shape[-1])
     count = math.prod(lead)
+    # a stack runs flat: operands (T, n, .) and bookkeeping (T,); explicit
+    # sizes, since numpy cannot resolve a -1 against an empty array
+    if am.ndim > 2:
+        am = np.broadcast_to(am, lead + am.shape[-2:]).reshape(count, n, n)
+    if bm.ndim > 2:
+        bm = np.broadcast_to(bm, lead + bm.shape[-2:]).reshape(count, n, bm.shape[-1])
     # each member's one cut, as a column against its singular values
     norm_b = _frobenius(bm, "input")
     scale = np.maximum(_frobenius(am, "state"), norm_b)
@@ -251,7 +252,7 @@ def controllable_dimension(a, b, tol: ToleranceConfig = DEFAULT_TOL):
     aligned = True
     try:
         basis = np.zeros(((count,) if lead else ()) + (n, n))
-        members = basis.reshape(-1, n, n)
+        members = basis.reshape(count, n, n)
         # an input matrix shared by the stack is decomposed once
         block = bm
         with np.errstate(

@@ -407,9 +407,6 @@ def report_document(
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
-#: the block position of a dense matrix taken as a single block
-_ORIGIN = np.zeros(1, dtype=np.intp)
-
 
 #: the format of an entry of ``_encode_blocks``: after the one before it
 #: in its run, or starting a new run
@@ -522,10 +519,9 @@ def json_parts(doc: dict) -> list[str]:
     ``tolist()`` form of its dense matrix but without making that matrix
     or the generic encoder's per-element pass: only the block entries
     other than 0.0 are formatted, each distinct value once, and the runs
-    of 0.0 between them are shared strings. A top-level non-empty 2-D
-    float64 ndarray is encoded as the one-block case. A top-level
-    ``PreEncoded`` value is written as its text, unchanged. Every other
-    value goes through the standard library encoder whole.
+    of 0.0 between them are shared strings. A top-level ``PreEncoded``
+    value is written as its text, unchanged. Every other value goes
+    through the standard library encoder whole.
 
     The matrices' row parts are among the parts, so a report of several
     megabytes is held as shared strings and references and never as one
@@ -535,13 +531,6 @@ def json_parts(doc: dict) -> list[str]:
     for key in sorted(doc):
         value = doc[key]
         parts += ("," if parts else "{", _ENCODER.encode(key), ":")
-        if (
-            isinstance(value, np.ndarray)
-            and value.ndim == 2
-            and value.dtype == np.float64
-            and value.size
-        ):
-            value = BlockMatrix(value.shape, _ORIGIN, _ORIGIN, value[None])
         if isinstance(value, PreEncoded):
             parts.append(value.text)
         elif isinstance(value, BlockMatrix):

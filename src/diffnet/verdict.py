@@ -7,11 +7,12 @@ the one analyzer for single-input (vector-weight) and multi-input
 (matrix-weight) nodes. Every verdict can be cross-examined by
 ``certify_monte_carlo``, a Monte Carlo oracle on sampled weights: trial
 t's weight blocks are ``sample_weights`` on ``rng.derive(t)``, and all
-trials are assembled (``assemble_lumped`` on the stack of draws) and
-rank-tested as one stack, by block Arnoldi on the controllable subspace.
-A state-matrix shift (the wall-grounded chain) is tested on the same
-draws: each trial is drawn and assembled once, and its plain and shifted
-pairs share the stack.
+trials are assembled (``assemble_blocks`` on the stack of draws, its
+blocks scattered into dense matrices) and rank-tested as one stack, by
+block Arnoldi on the controllable subspace. A shift of vertex 1's
+diagonal block (a wall-grounded chain) is tested on the same draws:
+each trial is drawn and assembled once, and its plain and shifted pairs
+share the stack.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .assembly import assemble_lumped, sample_weights
+from .assembly import assemble_blocks, ground_first_vertex, sample_weights
 from .errors import NumericError
 from .numerics import (
     DEFAULT_TOL,
@@ -228,18 +229,19 @@ def certify_monte_carlo(
     Trial t's weights are ``sample_weights`` on ``rng.derive(t)``. The
     trials' lumped pairs are assembled and their controllable subspaces
     measured by block Arnoldi as one stack, split only where the stack's
-    state matrices would pass ``_TRIAL_STACK_BYTES``. The states outside a pair's subspace are its
-    trial's ``deficient_count``.
+    state matrices would pass ``_TRIAL_STACK_BYTES``. The states outside
+    a pair's subspace are its trial's ``deficient_count``.
 
-    ``a_shift`` (added to every assembled state matrix) accommodates
-    grounding-style modifications. With it, each trial is still drawn and
-    assembled once: a stack of k trials holds their k plain state matrices,
-    assembled straight into its first half, and after them the k shifted
-    ones, added in place; the shifted results form the
-    report's ``grounded`` part. A numeric failure of the stacked rank test
-    reruns its members one at a time, so it is recorded on its own trial
-    (and half) and never aborts the run. Both parts are compared with
-    ``analysis``, computed by ``analyze`` when not given.
+    ``a_shift``, an (n, n) array for nodes of order n, is added to vertex
+    1's diagonal block of every state matrix (``ground_first_vertex``; a
+    chain's wall is ``grounding_shift``). Each trial is still drawn and
+    assembled once: a stack of k trials holds the k plain state matrices,
+    the blocks of ``assemble_blocks`` scattered, and after them the k
+    shifted ones, the shifted blocks scattered; the shifted results form
+    the report's ``grounded`` part. A numeric failure of the stacked rank
+    test reruns its members one at a time, so it is recorded on its own
+    trial (and half) and never aborts the run. Both parts are compared
+    with ``analysis``, computed by ``analyze`` when not given.
     """
     if trials < 1:
         raise ValueError(f"certification needs at least one trial, got {trials}")
@@ -250,10 +252,10 @@ def certify_monte_carlo(
     halves = 1
     if a_shift is not None:
         a_shift = np.asarray(a_shift, dtype=float)
-        if a_shift.shape != (n_states, n_states):
+        block = (model.order, model.order)
+        if a_shift.shape != block:
             raise ValueError(
-                f"state-matrix shift has shape {a_shift.shape}, "
-                f"expected {(n_states, n_states)}"
+                f"state-matrix shift has shape {a_shift.shape}, expected {block}"
             )
         halves = 2
     size = max(1, _TRIAL_STACK_BYTES // (8 * halves * n_states * n_states))
@@ -262,12 +264,14 @@ def certify_monte_carlo(
     for at in range(0, trials, size):
         chunk = sources[at : at + size]
         blocks = np.stack([sample_weights(graph, shape, src) for src in chunk])
-        # the chunk's plain state matrices, then (shifted) the same plus S
+        # the chunk's plain state matrices, then (shifted) the same grounded
         k = len(chunk)
         a_sys = np.empty((halves * k, n_states, n_states))
-        b_sys = assemble_lumped(model, graph, blocks, out=a_sys[:k]).b_sys
+        state, inputs = assemble_blocks(model, graph, blocks)
+        state.dense(out=a_sys[:k])
         if a_shift is not None:
-            np.add(a_sys[:k], a_shift, out=a_sys[k:])
+            ground_first_vertex(state, a_shift).dense(out=a_sys[k:])
+        b_sys = inputs.dense()
         try:
             dims = list(controllable_dimension(a_sys, b_sys, tol))
         except NumericError:

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from diffnet.assembly import assemble_lumped
+from diffnet.assembly import assemble_blocks
 from diffnet.cli import main
 from diffnet.errors import NumericError, ProblemFileError
 from diffnet.numerics import (
@@ -265,8 +265,27 @@ def factorized_state_matrix(
     )
 
 
+def dense_pair(model: SubsystemModel, graph: NetworkGraph, weights):
+    """The lumped pair (A_sys, B_sys) as dense arrays: the blocks of
+    ``assemble_blocks`` scattered by ``BlockMatrix.dense``. A (T, M, p, r)
+    stack of weights gives a (T, nN, nN) state matrix and one B_sys."""
+    a_sys, b_sys = assemble_blocks(model, graph, weights)
+    return a_sys.dense(), b_sys.dense()
+
+
+def dense_wall_shift(
+    num_nodes: int, stiffness_over_mass: float, damping_over_mass: float
+) -> np.ndarray:
+    """Reference wall shift as a whole (2N, 2N) state-matrix term: -k_1/m
+    and -mu_1/m in the first node's acceleration row, 0.0 elsewhere."""
+    shift = np.zeros((2 * num_nodes, 2 * num_nodes))
+    shift[1, 0] = -stiffness_over_mass
+    shift[1, 1] = -damping_over_mass
+    return shift
+
+
 def assembled_laplacian(graph: NetworkGraph, weights: np.ndarray) -> np.ndarray:
-    """The block Laplacian L_m, read off ``assemble_lumped``.
+    """The block Laplacian L_m, read off ``assemble_blocks``.
 
     Nodes of order n = max(p, r) with A = 0, B = [I_p; 0] and C = [I_r, 0]
     make each n x n block of A_sys = -(I kron B) L_m (I kron C) its p x r
@@ -276,7 +295,7 @@ def assembled_laplacian(graph: NetworkGraph, weights: np.ndarray) -> np.ndarray:
     p, r = weights.shape[1:]
     n, nv = max(p, r), graph.num_vertices
     node = SubsystemModel(np.zeros((n, n)), np.eye(n, p), np.eye(r, n))
-    a_sys = assemble_lumped(node, graph, weights).a_sys
+    a_sys, _ = dense_pair(node, graph, weights)
     blocks = 0.0 - a_sys.reshape(nv, n, nv, n)[:, :p, :, :r]
     return blocks.reshape(nv * p, nv * r)
 
@@ -567,11 +586,12 @@ def reference_dimension(a, b, tol: ToleranceConfig = DEFAULT_TOL):
             f"got shape {bm.shape}"
         )
     lead = np.broadcast_shapes(am.shape[:-2], bm.shape[:-2])
+    count = math.prod(lead)
     if am.ndim > 2:
-        am = np.broadcast_to(am, lead + am.shape[-2:]).reshape(-1, n, n)
+        am = np.broadcast_to(am, lead + am.shape[-2:]).reshape(count, n, n)
     if bm.ndim > 2:
-        bm = np.broadcast_to(bm, lead + bm.shape[-2:]).reshape(-1, n, bm.shape[-1])
-    done = np.zeros(math.prod(lead), dtype=np.intp)
+        bm = np.broadcast_to(bm, lead + bm.shape[-2:]).reshape(count, n, bm.shape[-1])
+    done = np.zeros(count, dtype=np.intp)
     for matrix, what in ((bm, "input"), (am, "state")):
         if not np.isfinite(matrix).all():
             raise NumericError(f"staircase met a non-finite {what} matrix ({n} states)")
@@ -579,7 +599,7 @@ def reference_dimension(a, b, tol: ToleranceConfig = DEFAULT_TOL):
     cut = tol.rank_rel_tol * np.broadcast_to(scale, done.shape)[:, None]
     try:
         basis = np.zeros(((done.size,) if lead else ()) + (n, n))
-        members = basis.reshape(-1, n, n)
+        members = basis.reshape(count, n, n)
         aligned = True
         block = bm
         while True:

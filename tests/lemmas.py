@@ -21,8 +21,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import driven_selector
-from diffnet.assembly import assemble_lumped, sample_weights
+from conftest import dense_pair, driven_selector
+from diffnet.assembly import sample_weights
 from diffnet.numerics import (
     DEFAULT_TOL,
     RandomSource,
@@ -82,9 +82,9 @@ def generic_ranks(model, graph, rng, trials=3, tol=DEFAULT_TOL) -> list[int]:
     best = [0] * len(distinct)
     for t in range(trials):
         weights = sample_weights(graph, shape, rng.derive(t))
-        lumped = assemble_lumped(model, graph, weights)
+        a_sys, b_sys = dense_pair(model, graph, weights)
         for i, lam in enumerate(distinct):
-            pencil = np.hstack([lam * eye - lumped.a_sys, lumped.b_sys])
+            pencil = np.hstack([lam * eye - a_sys, b_sys])
             best[i] = max(best[i], numerical_rank(pencil, tol))
     return best
 
@@ -216,11 +216,10 @@ def node_ranks(model: SubsystemModel) -> tuple[int, int]:
 def network_reachable_dimension(model, graph, gen: np.random.Generator) -> int:
     """Exact reachable dimension of the lumped pair at one draw of integer
     edge weights with magnitudes in [1, WEIGHT_BOUND) and random signs,
-    assembled by ``assemble_lumped``. A full rank proves the network
+    assembled by ``assemble_blocks``. A full rank proves the network
     controllable; a deficit is evidence, wrong with probability at most
     deg / (2 WEIGHT_BOUND) for the degree deg of the Krylov determinant in
     the weights."""
     shape = (graph.num_edges, model.num_inputs, model.num_outputs)
     weights = gen.integers(1, WEIGHT_BOUND, size=shape) * gen.choice([-1, 1], size=shape)
-    lumped = assemble_lumped(model, graph, weights.astype(float))
-    return reachable_dimension(lumped.a_sys, lumped.b_sys)
+    return reachable_dimension(*dense_pair(model, graph, weights.astype(float)))

@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     assembled_laplacian,
     commutation_matrix,
+    dense_pair,
     ensure_incoming_influence,
     factorized_state_matrix,
     random_connected_graph,
@@ -16,7 +17,7 @@ from conftest import (
     random_graph,
     random_model,
 )
-from diffnet.assembly import assemble_lumped, mass_spring_chain, sample_weights
+from diffnet.assembly import mass_spring_chain, sample_weights
 from diffnet.numerics import RandomSource
 from diffnet.subsystem import SubsystemModel, fixed_modes
 from diffnet.topology import Edge, NetworkGraph, spanning_forest
@@ -141,7 +142,7 @@ def test_criterion_04_factorized_assembly_matches_direct(acceptance):
             p = int(gen.integers(2, 4))
             model = random_model(gen, int(gen.integers(1, 4)), r, num_inputs=p)
             weights = sample_weights(graph, (p, r), RandomSource(40_000 + i))
-        a_sys = assemble_lumped(model, graph, weights).a_sys
+        a_sys, _ = dense_pair(model, graph, weights)
         reference = factorized_state_matrix(model, graph, weights)
         residual = np.max(np.abs(a_sys - reference)) / max(1.0, np.max(np.abs(a_sys)))
         worst_residual = max(worst_residual, float(residual))

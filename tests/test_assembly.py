@@ -17,6 +17,8 @@ from conftest import (
     count_calls,
     dense_direct_state_matrix,
     dense_edgewise_state_matrix,
+    dense_pair,
+    dense_wall_shift,
     driven_selector,
     edge_key,
     factorized_state_matrix,
@@ -29,7 +31,8 @@ from conftest import (
 )
 from diffnet.assembly import (
     _laplacian_blocks,
-    assemble_lumped,
+    assemble_blocks,
+    ground_first_vertex,
     grounding_shift,
     mass_spring_chain,
     sample_weights,
@@ -77,7 +80,7 @@ class TestWeightContainers:
     def test_vector_weights_length_enforced(self):
         g = chain_graph(2)
         with pytest.raises(ValueError, match=r"shape \(1, 1, 2\)"):
-            assemble_lumped(double_integrator(), g, rows(g, [[1.0, 2.0, 3.0]]))
+            assemble_blocks(double_integrator(), g, rows(g, [[1.0, 2.0, 3.0]]))
         with pytest.raises(ValueError):
             sample_weights(g, (1, 0), RandomSource(0))
 
@@ -98,28 +101,28 @@ class TestWeightContainers:
             parse_problem(json.dumps(doc)).weights,
         ):
             assert weights.shape == (0, 1, 2) and weights.dtype == np.float64
-            lumped = assemble_lumped(model, g, weights)
-            assert np.array_equal(lumped.a_sys, model.a)
+            a_sys, _ = dense_pair(model, g, weights)
+            assert np.array_equal(a_sys, model.a)
         with pytest.raises(ValueError, match=r"shape \(0, 1, 2\)"):
-            assemble_lumped(model, g, np.array([]))
+            assemble_blocks(model, g, np.array([]))
 
     def test_matrix_weights_shape_enforced(self):
         model = SubsystemModel(np.zeros((2, 2)), np.eye(2), np.eye(2))
         g = chain_graph(2)
         with pytest.raises(ValueError, match=r"shape \(1, 2, 2\)"):
-            assemble_lumped(model, g, np.ones((1, 1, 2)))
+            assemble_blocks(model, g, np.ones((1, 1, 2)))
         with pytest.raises(ValueError, match=r"shape \(1, 2, 2\)"):
-            assemble_lumped(model, g, np.ones((1, 2, 3)))
+            assemble_blocks(model, g, np.ones((1, 2, 3)))
         with pytest.raises(ValueError):
             sample_weights(g, (0, 1), RandomSource(0))
 
     def test_weight_array_must_cover_every_edge_exactly(self):
         g = chain_graph(3)
         model = SubsystemModel([[0.0]], [[1.0]], [[1.0]])
-        assemble_lumped(model, g, rows(g, [[1.0], [2.0]]))
+        assemble_blocks(model, g, rows(g, [[1.0], [2.0]]))
         for count in (1, 3):
             with pytest.raises(ValueError, match=r"shape \(2, 1, 1\)"):
-                assemble_lumped(model, g, np.ones((count, 1, 1)))
+                assemble_blocks(model, g, np.ones((count, 1, 1)))
 
 
 class TestLaplacians:
@@ -179,21 +182,21 @@ class TestSingleInputAssembly:
         model = double_integrator()
         g = NetworkGraph(1, driven=(1,))
         w = rows(g, [], channels=2)
-        sys = assemble_lumped(model, g, w)
-        assert np.array_equal(sys.a_sys, model.a)
-        assert np.array_equal(sys.b_sys, model.b)
+        a_sys, b_sys = dense_pair(model, g, w)
+        assert np.array_equal(a_sys, model.a)
+        assert np.array_equal(b_sys, model.b)
 
     def test_zero_weights_and_nobody_driven(self):
         model = double_integrator()
         g = chain_graph(2)
         w = rows(g, [[0.0, 0.0]])
-        sys = assemble_lumped(model, g, w)
-        assert np.array_equal(sys.a_sys, np.kron(np.eye(2), model.a))
-        assert not sys.b_sys.any()
+        a_sys, b_sys = dense_pair(model, g, w)
+        assert np.array_equal(a_sys, np.kron(np.eye(2), model.a))
+        assert not b_sys.any()
 
     def test_two_mass_hand_matrix(self):
         k, d = 3.0, 0.5
-        sys = assemble_lumped(
+        a_sys, b_sys = dense_pair(
             double_integrator(),
             chain_graph(2, driven=(1,)),
             rows(chain_graph(2), [[k, d]]),
@@ -206,39 +209,39 @@ class TestSingleInputAssembly:
                 [k, d, -k, -d],
             ]
         )
-        assert np.allclose(sys.a_sys, expected)
+        assert np.allclose(a_sys, expected)
         # one column per vertex; undriven columns stay zero
         expected_b = np.zeros((4, 2))
         expected_b[1, 0] = 1.0
-        assert np.array_equal(sys.b_sys, expected_b)
+        assert np.array_equal(b_sys, expected_b)
 
     def test_input_blocks_follow_driven_set(self):
         model = double_integrator()
         g = chain_graph(3, driven=(2, 3))
         w = rows(g, [[1.0, 1.0], [1.0, 1.0]])
-        sys = assemble_lumped(model, g, w)
-        assert not sys.b_sys[0:2].any()
-        assert not sys.b_sys[:, 0].any()
-        assert np.array_equal(sys.b_sys[2:4, 1], [0.0, 1.0])
-        assert np.array_equal(sys.b_sys[4:6, 2], [0.0, 1.0])
+        a_sys, b_sys = dense_pair(model, g, w)
+        assert not b_sys[0:2].any()
+        assert not b_sys[:, 0].any()
+        assert np.array_equal(b_sys[2:4, 1], [0.0, 1.0])
+        assert np.array_equal(b_sys[4:6, 2], [0.0, 1.0])
 
     def test_rejects_multi_input_model(self):
         model = SubsystemModel(np.eye(2), np.eye(2), np.eye(2))
         g = chain_graph(2)
         w = rows(g, [[1.0, 1.0]])
         with pytest.raises(ValueError, match="shape"):
-            assemble_lumped(model, g, w)
+            assemble_blocks(model, g, w)
 
     def test_rejects_wrong_container_and_channel_count(self):
         model = double_integrator()
         g = chain_graph(2)
         with pytest.raises(ValueError, match="shape"):
-            assemble_lumped(model, g, rows(g, [[1.0]]))
+            assemble_blocks(model, g, rows(g, [[1.0]]))
 
     def test_rejects_invalid_model(self):
         g = chain_graph(2)
         with pytest.raises(ModelValidationError):  # refused when built
-            assemble_lumped(
+            assemble_blocks(
                 SubsystemModel(np.eye(2), np.ones(2), [[0.0, 0.0]]),
                 g,
                 rows(g, [[1.0]]),
@@ -250,9 +253,9 @@ class TestMatrixWeightAssembly:
         model = SubsystemModel(np.zeros((2, 2)), np.eye(2), np.eye(2))
         g = chain_graph(2, driven=(1, 2))
         block = np.array([[1.0, 2.0], [3.0, 4.0]])
-        sys = assemble_lumped(model, g, np.array([block]))
-        assert np.allclose(sys.a_sys, -np.block([[block, -block], [-block, block]]))
-        assert np.array_equal(sys.b_sys, np.eye(4))
+        a_sys, b_sys = dense_pair(model, g, np.array([block]))
+        assert np.allclose(a_sys, -np.block([[block, -block], [-block, block]]))
+        assert np.array_equal(b_sys, np.eye(4))
 
     def test_matches_single_input_assembly_when_shapes_allow(self):
         gen = np.random.default_rng(9)
@@ -263,20 +266,20 @@ class TestMatrixWeightAssembly:
             model = random_model(gen, int(gen.integers(1, 4)), r)
             vec = sample_weights(g, (1, r), RandomSource(int(gen.integers(1 << 30))))
             g = replace(g, driven=random_driven(gen, n))
-            lumped = assemble_lumped(model, g, vec)
+            a_sys, b_sys = dense_pair(model, g, vec)
             # single-input form: I kron A minus the channel sum of L_k kron (b c_k)
             channel_sum = np.kron(np.eye(n), model.a)
             for k, lap in enumerate(channel_laplacians(g, vec)):
                 channel_sum = channel_sum - np.kron(lap, model.b @ model.c[k : k + 1])
-            assert np.allclose(lumped.a_sys, channel_sum, rtol=1e-10, atol=1e-10)
+            assert np.allclose(a_sys, channel_sum, rtol=1e-10, atol=1e-10)
             delta = driven_selector(g)
-            assert np.array_equal(lumped.b_sys, np.kron(delta, model.b))
+            assert np.array_equal(b_sys, np.kron(delta, model.b))
 
     def test_rejects_shape_mismatch_with_model(self):
         model = SubsystemModel(np.eye(2), np.eye(2), np.eye(2))
         g = chain_graph(2)
         with pytest.raises(ValueError, match="shape"):
-            assemble_lumped(model, g, np.ones((1, 1, 2)))
+            assemble_blocks(model, g, np.ones((1, 1, 2)))
 
     def test_rejects_overflowing_weights(self, monkeypatch):
         judged = count_calls(monkeypatch, edgewise, "_require_close")
@@ -291,7 +294,7 @@ class TestMatrixWeightAssembly:
             expected[hub - 1, 2 * hub - 2 : 2 * hub] = False
             assert np.array_equal(finite, expected)
             with pytest.raises(ValueError, match="overflows the float range"):
-                assemble_lumped(double_integrator(), g, huge)
+                assemble_blocks(double_integrator(), g, huge)
             with pytest.raises(ValueError, match="overflows the float range"):
                 cross_check(double_integrator(), g, huge)
         assert judged == []  # refused before the routes are compared
@@ -323,10 +326,9 @@ def max_degree(graph: NetworkGraph) -> int:
 
 
 class TestDirectRoute:
-    def check_pair(self, lumped, model, graph):
+    def check_pair(self, a_sys, b_sys, model, graph):
         """Structural zeros are 0.0: no -0.0 outside the diagonal blocks of
         A_sys or anywhere in B_sys, which is Delta kron B."""
-        a_sys, b_sys = lumped.a_sys, lumped.b_sys
         n, nv = model.order, graph.num_vertices
         off_diagonal = ~np.kron(np.eye(nv, dtype=bool), np.ones((n, n), dtype=bool))
         assert not np.any(np.signbit(a_sys) & (a_sys == 0) & off_diagonal)
@@ -349,11 +351,11 @@ class TestDirectRoute:
             model = SubsystemModel(quarters(gen, (n, n)), quarters(gen, (n, p)), c)
             weights = quarters(gen, (g.num_edges, p, r))
             g = replace(g, driven=random_driven(gen, g.num_vertices))
-            lumped = assemble_lumped(model, g, weights)
+            a_sys, b_sys = dense_pair(model, g, weights)
             reference = dense_direct_state_matrix(model, g, weights)
             # equal floats that are nonzero have equal bits
-            assert np.array_equal(lumped.a_sys, reference)
-            self.check_pair(lumped, model, g)
+            assert np.array_equal(a_sys, reference)
+            self.check_pair(a_sys, b_sys, model, g)
         assert kinds == {UNDIRECTED, DIRECTED} and antiparallel > 0 and degree >= 5
 
     def test_matches_dense_reference_within_rounding(self):
@@ -367,7 +369,7 @@ class TestDirectRoute:
             model = random_model(gen, int(gen.integers(1, 4)), r, num_inputs=p)
             weights = sample_weights(g, (p, r), RandomSource(int(gen.integers(1 << 30))))
             g = replace(g, driven=random_driven(gen, g.num_vertices))
-            lumped = assemble_lumped(model, g, weights)
+            a_sys, b_sys = dense_pair(model, g, weights)
             reference = dense_direct_state_matrix(model, g, weights)
             eye = np.eye(g.num_vertices)
             lap = np.abs(loop_matrix_laplacian(g, weights))
@@ -375,8 +377,8 @@ class TestDirectRoute:
                 np.kron(eye, np.abs(model.b)) @ lap @ np.kron(eye, np.abs(model.c))
             )
             bound = 2 * (p + r + 1) * np.finfo(float).eps * magnitude
-            assert np.all(np.abs(lumped.a_sys - reference) <= bound)
-            self.check_pair(lumped, model, g)
+            assert np.all(np.abs(a_sys - reference) <= bound)
+            self.check_pair(a_sys, b_sys, model, g)
 
     def test_laplacian_matches_edge_loop_bit_for_bit(self):
         gen = np.random.default_rng(78)
@@ -445,7 +447,7 @@ def check_routes_agree(examples: int) -> set:
         if not graph.num_edges:
             met.add("edgeless")
         cross_check(model, graph, weights)
-        a_sys = assemble_lumped(model, graph, weights).a_sys
+        a_sys, _ = dense_pair(model, graph, weights)
         if weights.ndim == 3:
             weights, a_sys = weights[None], a_sys[None]
         for member, a_member in zip(weights, a_sys):
@@ -527,14 +529,14 @@ class TestStackedAssembly:
             model = SubsystemModel(quarters(gen, (n, n)), quarters(gen, (n, p)), c)
             blocks = quarters(gen, (3, g.num_edges, p, r))
             g = replace(g, driven=random_driven(gen, g.num_vertices))
-            stack = assemble_lumped(model, g, blocks)
-            assert stack.a_sys.shape == (3, g.num_vertices * n, g.num_vertices * n)
-            for member, a_sys in zip(blocks, stack.a_sys):
-                alone = assemble_lumped(model, g, member)
-                assert alone.a_sys.shape == a_sys.shape
-                bits = alone.a_sys.view(np.uint64)
+            stack_a, stack_b = dense_pair(model, g, blocks)
+            assert stack_a.shape == (3, g.num_vertices * n, g.num_vertices * n)
+            for member, a_sys in zip(blocks, stack_a):
+                alone_a, alone_b = dense_pair(model, g, member)
+                assert alone_a.shape == a_sys.shape
+                bits = alone_a.view(np.uint64)
                 assert np.array_equal(a_sys.view(np.uint64), bits)
-                assert np.array_equal(stack.b_sys, alone.b_sys)
+                assert np.array_equal(stack_b, alone_b)
 
     def test_deviation_in_one_member_fails_the_cross_check(self, monkeypatch):
         judged = []
@@ -567,7 +569,7 @@ class TestStackedAssembly:
         stack[1] = 1e308  # member 1's block at vertex 2 leaves the float range
         judged = count_calls(monkeypatch, edgewise, "_require_close")
         with pytest.raises(ValueError, match="overflows the float range"):
-            assemble_lumped(double_integrator(), g, stack)
+            assemble_blocks(double_integrator(), g, stack)
         with pytest.raises(ValueError, match="overflows the float range"):
             cross_check(double_integrator(), g, stack)
         assert judged == []
@@ -576,27 +578,22 @@ class TestStackedAssembly:
         g, model = chain_graph(3), double_integrator()
         gen = np.random.default_rng(5)
         blocks = quarters(gen, (2, g.num_edges, 1, 2))
-        fresh = assemble_lumped(model, g, blocks)
+        fresh, _ = dense_pair(model, g, blocks)
         buffer = np.full((4, 6, 6), np.nan)
-        stack = assemble_lumped(model, g, blocks, out=buffer[:2])
-        assert np.shares_memory(stack.a_sys, buffer)
-        assert np.array_equal(buffer[:2].view(np.uint64), fresh.a_sys.view(np.uint64))
+        stack = assemble_blocks(model, g, blocks)[0].dense(out=buffer[:2])
+        assert np.shares_memory(stack, buffer)
+        assert np.array_equal(buffer[:2].view(np.uint64), fresh.view(np.uint64))
         assert np.isnan(buffer[2:]).all()
-        for bad in (np.empty((3, 6, 6)), np.empty((2, 6, 6), np.float32), buffer[:, :, :2].T):
-            with pytest.raises(ValueError, match="C-contiguous float64"):
-                assemble_lumped(model, g, blocks, out=bad)
         # one draw: out has the single state matrix's shape
-        single = assemble_lumped(model, g, blocks[1], out=buffer[3])
-        assert np.shares_memory(single.a_sys, buffer) and single.a_sys.shape == (6, 6)
-        assert np.array_equal(buffer[3], fresh.a_sys[1])
-        with pytest.raises(ValueError, match=r"shape \(6, 6\)"):
-            assemble_lumped(model, g, blocks[1], out=buffer[2:3])
+        single = assemble_blocks(model, g, blocks[1])[0].dense(out=buffer[3])
+        assert np.shares_memory(single, buffer) and single.shape == (6, 6)
+        assert np.array_equal(buffer[3], fresh[1])
 
     def test_rejects_a_stack_of_the_wrong_shape(self):
         g = chain_graph(3)
         for shape in ((2, 3, 1, 2), (2, 2, 2, 2), (2, 2, 1, 3), (1, 2, 2, 1, 2), (2, 2)):
             with pytest.raises(ValueError, match="stack of weight blocks"):
-                assemble_lumped(
+                assemble_blocks(
                     double_integrator(), g, np.ones(shape)
                 )
 
@@ -616,7 +613,7 @@ class TestFactorizedForm:
                 p, r = int(gen.integers(2, 4)), int(gen.integers(1, 3))
                 model = random_model(gen, int(gen.integers(1, 4)), r, num_inputs=p)
                 weights = sample_weights(g, (p, r), RandomSource(i))
-            a_sys = assemble_lumped(model, g, weights).a_sys
+            a_sys, _ = dense_pair(model, g, weights)
             reference = factorized_state_matrix(model, g, weights)
             scale = max(1.0, np.max(np.abs(a_sys)))
             assert np.max(np.abs(a_sys - reference)) < 1e-10 * scale
@@ -672,16 +669,15 @@ class TestMassSpringChain:
 
     def test_single_mass_chain_assembles(self):
         chain = mass_spring_chain(1, 1.0, springs=(2.0,), dampers=(0.5,))
-        sys = assemble_lumped(chain.model, chain.graph, chain.weights)
-        assert np.array_equal(sys.a_sys, chain.model.a)
+        a_sys, _ = dense_pair(chain.model, chain.graph, chain.weights)
+        assert np.array_equal(a_sys, chain.model.a)
 
     def test_grounded_two_mass_physics(self):
         m, k1, k2, mu1, mu2 = 2.0, 1.0, 3.0, 0.25, 0.5
         chain = mass_spring_chain(2, m, springs=(k1, k2), dampers=(mu1, mu2))
-        sys = assemble_lumped(chain.model, chain.graph, chain.weights)
-        grounded = sys.a_sys + grounding_shift(
-            2, chain.wall_stiffness_over_mass, chain.wall_damping_over_mass
-        )
+        a_sys, _ = assemble_blocks(chain.model, chain.graph, chain.weights)
+        wall = grounding_shift(chain.wall_stiffness_over_mass, chain.wall_damping_over_mass)
+        grounded = ground_first_vertex(a_sys, wall).dense()
         expected = np.array(
             [
                 [0.0, 1.0, 0.0, 0.0],
@@ -705,13 +701,16 @@ class TestMassSpringChain:
             mass_spring_chain(2, 1.0, springs=(1.0, float("nan")), dampers=(1.0, 1.0))
 
     def test_grounding_shift_values(self):
-        shift = grounding_shift(2, 3.0, 0.5)
+        shift = grounding_shift(3.0, 0.5)
+        assert np.array_equal(shift, [[0.0, 0.0], [-3.0, -0.5]])
+        # placed at vertex 1's diagonal block of a 2-node state matrix
+        zero, _ = assemble_blocks(double_integrator(), chain_graph(2), np.zeros((1, 1, 2)))
+        zero = replace(zero, blocks=np.zeros_like(zero.blocks))
         expected = np.zeros((4, 4))
         expected[1, 0] = -3.0
         expected[1, 1] = -0.5
-        assert np.array_equal(shift, expected)
-        with pytest.raises(ValueError):
-            grounding_shift(0, 1.0, 1.0)
+        assert np.array_equal(ground_first_vertex(zero, shift).dense(), expected)
+        assert np.array_equal(expected, dense_wall_shift(2, 3.0, 0.5))
 
 
 class TestCrossCheck:
@@ -756,7 +755,7 @@ class TestCrossCheck:
                 routes.clear()
                 if a_sys is None:
                     cross_check(model, g, weights)
-                    a_sys = assemble_lumped(model, g, weights).a_sys
+                    a_sys, _ = dense_pair(model, g, weights)
                 else:
                     with pytest.raises(ConsistencyError, match="disagree"):
                         cross_check(model, g, weights)

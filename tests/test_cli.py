@@ -26,6 +26,7 @@ from conftest import (
     reference_weights_json,
     traced_peak,
 )
+import diffnet.assembly
 import diffnet.topology
 import diffnet.verdict
 import edgewise
@@ -102,6 +103,12 @@ def problem_file(tmp_path):
         return str(path)
 
     return write
+
+
+def one_block(matrix: np.ndarray) -> BlockMatrix:
+    """A dense 2-D array as a ``BlockMatrix`` of one block at the origin."""
+    origin = np.zeros(1, dtype=np.intp)
+    return BlockMatrix(matrix.shape, origin, origin, matrix[None])
 
 
 def run(capsys, argv):
@@ -712,18 +719,18 @@ class TestGroundedCertification:
         path = problem_file(chain_problem(n=4, options=options))
         draws, stacks = [], []
         sample = diffnet.verdict.sample_weights
-        assemble = diffnet.verdict.assemble_lumped
+        assemble = diffnet.verdict.assemble_blocks
 
         def drawing(*args, **kwargs):
             draws.append(args)
             return sample(*args, **kwargs)
 
-        def assembling(model, graph, blocks, **kwargs):
+        def assembling(model, graph, blocks):
             stacks.append(len(blocks))
-            return assemble(model, graph, blocks, **kwargs)
+            return assemble(model, graph, blocks)
 
         monkeypatch.setattr(diffnet.verdict, "sample_weights", drawing)
-        monkeypatch.setattr(diffnet.verdict, "assemble_lumped", assembling)
+        monkeypatch.setattr(diffnet.verdict, "assemble_blocks", assembling)
         code, out, _ = run(
             capsys, ["certify", path, "--trials", "3", "--ground-first-mass"]
         )
@@ -734,13 +741,41 @@ class TestGroundedCertification:
         grounded = doc["grounded_certification"]["per_trial"]
         assert [t["stream_id"] for t in grounded] == [t["stream_id"] for t in plain]
 
+    def test_lump_and_certify_ground_through_one_function(
+        self, problem_file, capsys, monkeypatch
+    ):
+        """``lump --ground-first-mass`` and a grounded ``certify`` both add
+        the wall through ``assembly.ground_first_vertex``: one call each,
+        on the one state matrix or on the stack of trials."""
+        shared = diffnet.assembly.ground_first_vertex
+        assert cli.ground_first_vertex is shared
+        assert diffnet.verdict.ground_first_vertex is shared
+        calls = []
+
+        def grounding(state, shift):
+            calls.append(state.blocks.shape[:-3])
+            return shared(state, shift)
+
+        monkeypatch.setattr(cli, "ground_first_vertex", grounding)
+        monkeypatch.setattr(diffnet.verdict, "ground_first_vertex", grounding)
+        options = {"wall": {"stiffness_over_mass": 1.0, "damping_over_mass": 0.5}}
+        path = problem_file(chain_problem(n=4, options=options))
+        for argv in (["lump", path], ["certify", path, "--trials", "3"]):
+            assert run(capsys, argv)[0] == 0
+        assert calls == []
+        assert run(capsys, ["lump", path, "--ground-first-mass"])[0] == 0
+        assert calls == [()]
+        argv = ["certify", path, "--trials", "3", "--ground-first-mass"]
+        assert run(capsys, argv)[0] == 0
+        assert calls == [(), (3,)]
+
     def test_missing_wall_is_refused_before_any_draw(
         self, problem_file, capsys, monkeypatch
     ):
         def refuse(*args, **kwargs):
             raise AssertionError("assembled before the wall was checked")
 
-        monkeypatch.setattr(diffnet.verdict, "assemble_lumped", refuse)
+        monkeypatch.setattr(diffnet.verdict, "assemble_blocks", refuse)
         path = problem_file(chain_problem())
         code, out, err = run(capsys, ["certify", path, "--ground-first-mass"])
         assert code == 64
@@ -1743,7 +1778,6 @@ class TestPackaging:
             "DEFAULT_TOL",
             "DiffnetError",
             "Edge",
-            "LumpedSystem",
             "MassSpringChain",
             "ModelValidationError",
             "NetworkGraph",
@@ -1756,9 +1790,9 @@ class TestPackaging:
             "Verdict",
             "analyze",
             "assemble_blocks",
-            "assemble_lumped",
             "certify_monte_carlo",
             "fixed_modes",
+            "ground_first_vertex",
             "grounding_shift",
             "load_problem",
             "mass_spring_chain",
@@ -1803,6 +1837,8 @@ class TestPackaging:
                 "_require_close",
                 "_edgewise_state_blocks",
                 "_direct_state_matrices",
+                "LumpedSystem",
+                "assemble_lumped",
             ),
             diffnet.subsystem: (
                 "FixedModeReport",
@@ -1820,7 +1856,7 @@ class TestPackaging:
                 "spectra_match",
             ),
             diffnet.errors: ("PremiseError", "ConsistencyError"),
-            diffnet.problem_io: ("analysis_from_json", "weights_to_json"),
+            diffnet.problem_io: ("analysis_from_json", "weights_to_json", "_ORIGIN"),
         }
         for module, names in deleted.items():
             for name in names:
@@ -1838,7 +1874,6 @@ class TestPackaging:
             diffnet.analyze,
             diffnet.certify_monte_carlo,
             diffnet.assemble_blocks,
-            diffnet.assemble_lumped,
             diffnet.spanning_forest,
         ):
             assert "driven" not in inspect.signature(fn).parameters, fn
@@ -1854,13 +1889,19 @@ class TestPackaging:
             assert "weight_scale" not in params and "scale" not in params, fn
         fields = {f.name for f in dataclasses.fields(edgewise.IncidenceRealization)}
         assert "oriented" not in fields
-        assert [f.name for f in dataclasses.fields(diffnet.LumpedSystem)] == [
-            "a_sys",
-            "b_sys",
+        assert list(inspect.signature(diffnet.grounding_shift).parameters) == [
+            "stiffness_over_mass",
+            "damping_over_mass",
+        ]
+        assert list(inspect.signature(diffnet.ground_first_vertex).parameters) == [
+            "state",
+            "shift",
         ]
         assert "mass" not in {f.name for f in dataclasses.fields(diffnet.MassSpringChain)}
 
     def test_dump_json_encodes_arrays_as_their_lists(self):
+        """Each array held as a ``BlockMatrix`` of one block at the origin,
+        whatever the layout of its values."""
         gen = np.random.default_rng(6)
         special = np.array(
             [
@@ -1913,7 +1954,7 @@ class TestPackaging:
             expected = json.dumps(
                 document(arr.tolist()), sort_keys=True, separators=(",", ":")
             )
-            assert dump_json(document(arr)) == expected + "\n", arr
+            assert dump_json(document(one_block(arr))) == expected + "\n", arr
 
     def test_dump_json_encodes_block_matrices_as_their_dense_lists(self):
         """Blocks of any shape, adjacent or apart, holding 0.0, -0.0 and
@@ -1948,4 +1989,4 @@ class TestPackaging:
         with pytest.raises(ValueError):
             dump_json({"a": [1.0, bad]})
         with pytest.raises(ValueError):
-            dump_json({"a": None, "m": np.array([[1.0, 0.0], [-0.0, bad]])})
+            dump_json({"a": None, "m": one_block(np.array([[1.0, 0.0], [-0.0, bad]]))})

@@ -1,0 +1,45 @@
+"""Every name a ``diffnet`` module imports is used in it.
+
+A name is used when it is read anywhere in the module, annotations
+included, or listed in the module's ``__all__``. Found with ``ast``, so
+no linter is needed."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "diffnet"
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names ``source`` imports and never uses, sorted."""
+    tree = ast.parse(source)
+    imported = set()
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(imported - used - exported)
+
+
+def test_the_guard_finds_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import dataclasses\nimport os.path\nfrom math import inf, pi as half\n"
+        "__all__ = ['inf']\n"
+        "def f(x: os.PathLike) -> None:\n    return half\n"
+    )
+    assert unused_imports(source) == ["dataclasses"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -349,6 +349,26 @@ class TestControllableDimension:
                 reference_dimension, *args
             )
 
+    @pytest.mark.parametrize(
+        "a_shape, b_shape, want",
+        [
+            ((3, 3), (3, 0), 0),
+            ((2, 3, 3), (2, 3, 0), [0, 0]),
+            ((2, 3, 3), (3, 0), [0, 0]),
+            ((0, 0), (0, 1), 0),
+            ((0, 0), (0, 0), 0),
+            ((2, 0, 0), (2, 0, 1), [0, 0]),
+            ((2, 0, 0), (0, 1), [0, 0]),
+        ],
+    )
+    def test_empty_operands_have_dimension_zero(self, a_shape, b_shape, want):
+        """No input column or no state: every member's dimension is 0, as
+        the reference loop gives it, with no reshape error on the way."""
+        a, b = np.ones(a_shape), np.zeros(b_shape)
+        got = dimension_or_error(controllable_dimension, a, b)
+        assert got == dimension_or_error(reference_dimension, a, b)
+        assert got[0] == "ok" and got[-1] == want
+
     def test_leading_axes_are_kept(self):
         gen = RandomSource(8).generator()
         pairs = [planted_kalman_form(gen, 6, nc) for nc in range(6)]

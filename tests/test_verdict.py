@@ -8,6 +8,8 @@ import pytest
 import diffnet.verdict
 
 from conftest import (
+    dense_pair,
+    dense_wall_shift,
     ensure_incoming_influence,
     random_driven,
     random_graph,
@@ -15,7 +17,6 @@ from conftest import (
     verdict_bool,
 )
 from diffnet.assembly import (
-    assemble_lumped,
     grounding_shift,
     mass_spring_chain,
     sample_weights,
@@ -230,7 +231,7 @@ class TestCertification:
             trials=3,
             rng=RandomSource(5),
             a_shift=grounding_shift(
-                3, chain.wall_stiffness_over_mass, chain.wall_damping_over_mass
+                chain.wall_stiffness_over_mass, chain.wall_damping_over_mass
             ),
         )
         grounded = cert.grounded
@@ -249,22 +250,24 @@ class TestCertification:
         assert cert.grounded is None
 
     def test_state_shift_shape_is_checked(self, monkeypatch):
-        """A shift of the wrong shape is refused before anything is drawn
-        or assembled."""
+        """A shift that is not one (n, n) block, the whole (nN, nN) state
+        matrix's among them, is refused before anything is drawn or
+        assembled."""
         calls = []
 
         def count(*args, **kwargs):
             calls.append(args)
             raise AssertionError("assembled before the shift was checked")
 
-        monkeypatch.setattr(diffnet.verdict, "assemble_lumped", count)
-        with pytest.raises(ValueError, match="shift"):
-            certify_monte_carlo(
-                double_integrator(),
-                chain_graph(2),
-                trials=1,
-                a_shift=np.zeros((2, 2)),
-            )
+        monkeypatch.setattr(diffnet.verdict, "assemble_blocks", count)
+        for shape in ((4, 4), (2,), (1, 2, 2)):
+            with pytest.raises(ValueError, match="shift"):
+                certify_monte_carlo(
+                    double_integrator(),
+                    chain_graph(2),
+                    trials=1,
+                    a_shift=np.zeros(shape),
+                )
         assert calls == []
 
     def test_report_attachment(self):
@@ -287,11 +290,20 @@ def mixed_instance(seed: int):
     return model, dataclasses.replace(graph, driven=driven)
 
 
-def dense_shift(model: SubsystemModel, graph: NetworkGraph, seed: int):
-    """A random state-matrix shift coupling every pair of states, so that
-    shifted pairs are controllable where cut-off plain ones are not."""
-    n = graph.num_vertices * model.order
+def random_shift(model: SubsystemModel, seed: int):
+    """A random shift of vertex 1's diagonal block, coupling every pair of
+    its states."""
+    n = model.order
     return np.random.default_rng(seed).standard_normal((n, n))
+
+
+def placed(shift: np.ndarray, graph: NetworkGraph) -> np.ndarray:
+    """An (n, n) shift as a whole state-matrix term: at vertex 1's
+    diagonal block, 0.0 elsewhere."""
+    n_states = graph.num_vertices * shift.shape[0]
+    whole = np.zeros((n_states, n_states))
+    whole[: shift.shape[0], : shift.shape[0]] = shift
+    return whole
 
 
 def chain_with_wall(num_masses: int):
@@ -301,9 +313,7 @@ def chain_with_wall(num_masses: int):
         springs=tuple(1.0 + i for i in range(num_masses)),
         dampers=tuple(0.1 * (1 + i) for i in range(num_masses)),
     )
-    shift = grounding_shift(
-        num_masses, chain.wall_stiffness_over_mass, chain.wall_damping_over_mass
-    )
+    shift = grounding_shift(chain.wall_stiffness_over_mass, chain.wall_damping_over_mass)
     return chain.model, chain.graph, shift
 
 
@@ -313,13 +323,13 @@ class TestStackedTrials:
         rng.derive(t); all trials are assembled in one stack, and each
         result is the one its own assembled pair gives."""
         stacks = []
-        real = diffnet.verdict.assemble_lumped
+        real = diffnet.verdict.assemble_blocks
 
-        def capture(model, graph, blocks, **kwargs):
+        def capture(model, graph, blocks):
             stacks.append(blocks)
-            return real(model, graph, blocks, **kwargs)
+            return real(model, graph, blocks)
 
-        monkeypatch.setattr(diffnet.verdict, "assemble_lumped", capture)
+        monkeypatch.setattr(diffnet.verdict, "assemble_blocks", capture)
         for seed in range(12):
             model, graph = mixed_instance(seed)
             rng = RandomSource(seed)
@@ -330,9 +340,9 @@ class TestStackedTrials:
             for t, trial in enumerate(cert.per_trial):
                 weights = sample_weights(graph, shape, rng.derive(t))
                 assert np.array_equal(blocks[t], weights)
-                lumped = assemble_lumped(model, graph, weights)
-                dim = controllable_dimension(lumped.a_sys, lumped.b_sys)
-                n_states = lumped.a_sys.shape[0]
+                a_sys, b_sys = dense_pair(model, graph, weights)
+                dim = controllable_dimension(a_sys, b_sys)
+                n_states = a_sys.shape[0]
                 assert trial.stream_id == rng.derive(t).stream_id
                 assert trial.deficient_count == n_states - dim
                 assert trial.controllable is (dim == n_states)
@@ -342,20 +352,20 @@ class TestStackedTrials:
         cross-check, fails the stacked rank test; the rerun marks trial 2,
         in the grounded half too, which is built from the poisoned one."""
         model, graph = double_integrator(), chain_graph(4)
-        shifts = (None, grounding_shift(4, 1.0, 0.5))
+        shifts = (None, grounding_shift(1.0, 0.5))
         rng = RandomSource(21)
         cleans = [
             certify_monte_carlo(model, graph, trials=4, rng=rng, a_shift=shift)
             for shift in shifts
         ]
-        real = diffnet.verdict.assemble_lumped
+        real = diffnet.verdict.assemble_blocks
 
-        def poison_member_2(model, graph, blocks, **kwargs):
-            lumped = real(model, graph, blocks, **kwargs)
-            lumped.a_sys[2, 0, 0] = np.nan
-            return lumped
+        def poison_member_2(model, graph, blocks):
+            state, inputs = real(model, graph, blocks)
+            state.blocks[2, 0, 0, 0] = np.nan  # entry (0, 0) of member 2
+            return state, inputs
 
-        monkeypatch.setattr(diffnet.verdict, "assemble_lumped", poison_member_2)
+        monkeypatch.setattr(diffnet.verdict, "assemble_blocks", poison_member_2)
         for shift, clean in zip(shifts, cleans):
             cert = certify_monte_carlo(
                 model, graph, trials=4, rng=rng, a_shift=shift
@@ -377,7 +387,7 @@ class TestStackedTrials:
 
     def test_trials_split_into_stacks_of_bounded_size(self, monkeypatch):
         model, graph = double_integrator(), chain_graph(3)
-        shifts = (None, grounding_shift(3, 1.0, 0.5))
+        shifts = (None, grounding_shift(1.0, 0.5))
         wholes = [
             certify_monte_carlo(
                 model, graph, trials=5, rng=RandomSource(4), a_shift=shift
@@ -385,13 +395,13 @@ class TestStackedTrials:
             for shift in shifts
         ]
         sizes = []
-        real = diffnet.verdict.assemble_lumped
+        real = diffnet.verdict.assemble_blocks
 
-        def count(model, graph, blocks, **kwargs):
+        def count(model, graph, blocks):
             sizes.append(len(blocks))
-            return real(model, graph, blocks, **kwargs)
+            return real(model, graph, blocks)
 
-        monkeypatch.setattr(diffnet.verdict, "assemble_lumped", count)
+        monkeypatch.setattr(diffnet.verdict, "assemble_blocks", count)
         for halves, shift, whole in zip((1, 2), shifts, wholes):
             # room for the state matrices of two 6-state trials per stack,
             # each tested plain and, with a shift, shifted too
@@ -409,21 +419,22 @@ class TestStackedTrials:
     def test_shifted_call_draws_and_assembles_each_trial_once(self, case, monkeypatch):
         """With a state-matrix shift all trials are still drawn and assembled
         in one stack; each plain trial is the one its pair (A_t, B) gives and
-        each grounded trial the one (A_t + S, B) gives."""
+        each grounded trial the one (A_t + S, B) gives, S the shift placed
+        at vertex 1's diagonal block."""
         stacks = []
-        real = diffnet.verdict.assemble_lumped
+        real = diffnet.verdict.assemble_blocks
 
-        def capture(model, graph, blocks, **kwargs):
+        def capture(model, graph, blocks):
             stacks.append(blocks)
-            return real(model, graph, blocks, **kwargs)
+            return real(model, graph, blocks)
 
-        monkeypatch.setattr(diffnet.verdict, "assemble_lumped", capture)
+        monkeypatch.setattr(diffnet.verdict, "assemble_blocks", capture)
         if case == "chain":
             model, graph, shift = chain_with_wall(6)
             seed = 31
         else:
             model, graph = mixed_instance(case)
-            shift = dense_shift(model, graph, case)
+            shift = random_shift(model, case)
             seed = case
         rng = RandomSource(seed)
         cert = certify_monte_carlo(
@@ -435,14 +446,44 @@ class TestStackedTrials:
         halves = zip(cert.per_trial, cert.grounded.per_trial)
         for t, (plain, grounded) in enumerate(halves):
             weights = sample_weights(graph, shape, rng.derive(t))
-            lumped = assemble_lumped(model, graph, weights)
-            n_states = lumped.a_sys.shape[0]
-            for trial, a_sys in ((plain, lumped.a_sys), (grounded, lumped.a_sys + shift)):
-                dim = controllable_dimension(a_sys, lumped.b_sys)
+            a_sys, b_sys = dense_pair(model, graph, weights)
+            n_states = a_sys.shape[0]
+            for trial, a_t in ((plain, a_sys), (grounded, a_sys + placed(shift, graph))):
+                dim = controllable_dimension(a_t, b_sys)
                 assert trial.stream_id == rng.derive(t).stream_id
                 assert trial.deficient_count == n_states - dim
                 assert trial.controllable is (dim == n_states)
                 assert trial.error is None
+
+    @pytest.mark.parametrize("num_masses", [2, 5, 17, 50])
+    def test_grounded_half_is_the_dense_sum_with_the_wall_bit_for_bit(
+        self, num_masses, monkeypatch
+    ):
+        """The grounded half of a certificate's stack of 5 draws is, bit
+        for bit, its plain half plus the whole (2N, 2N) wall shift, on a
+        node whose -0.0 entries of A that sum turns into 0.0."""
+        stacks = []
+        real = diffnet.verdict.controllable_dimension
+
+        def capture(a_sys, b_sys, tol):
+            stacks.append(a_sys.copy())
+            return real(a_sys, b_sys, tol)
+
+        monkeypatch.setattr(diffnet.verdict, "controllable_dimension", capture)
+        model = SubsystemModel([[-0.0, 1.0], [0.0, -0.0]], [[0.0], [1.0]], np.eye(2))
+        k, mu = 1.5, 0.25
+        certify_monte_carlo(
+            model,
+            chain_graph(num_masses),
+            trials=5,
+            rng=RandomSource(num_masses),
+            a_shift=grounding_shift(k, mu),
+        )
+        (a_sys,) = stacks
+        plain, grounded = a_sys[:5], a_sys[5:]
+        assert np.any((plain == 0.0) & np.signbit(plain))
+        want = plain + dense_wall_shift(num_masses, k, mu)
+        assert np.array_equal(grounded.view(np.uint64), want.view(np.uint64))
 
     def test_shift_changes_only_the_grounded_half(self):
         model, graph, shift = chain_with_wall(5)
@@ -540,9 +581,9 @@ class TestScalarConstraint:
         full = np.array([[[s, s]] for s in scalars])
         reduced = summed_row_model(model)
         collapsed = np.array([[[s]] for s in scalars])
-        lhs = assemble_lumped(model, g, full)
-        rhs = assemble_lumped(reduced, g, collapsed)
-        assert np.allclose(lhs.a_sys, rhs.a_sys)
+        lhs, _ = dense_pair(model, g, full)
+        rhs, _ = dense_pair(reduced, g, collapsed)
+        assert np.allclose(lhs, rhs)
 
     def test_scalar_controllable_implies_vector_controllable(self):
         gen = np.random.default_rng(321)

@@ -9,16 +9,14 @@ all draws of one certificate assembled and rank-tested as one stack.
 
 from .assembly import (
     BlockMatrix,
-    MassSpringChain,
     assemble_blocks,
     ground_first_vertex,
     grounding_shift,
-    mass_spring_chain,
     sample_weights,
 )
 from .errors import DiffnetError, ModelValidationError, NumericError, ProblemFileError
 from .numerics import DEFAULT_TOL, RandomSource, ToleranceConfig
-from .problem_io import Problem, load_problem, parse_problem
+from .problem_io import Problem, load_problem, mass_spring_chain, parse_problem
 from .subsystem import SubsystemModel, fixed_modes
 from .topology import Edge, NetworkGraph, spanning_forest
 from .verdict import (
@@ -38,7 +36,6 @@ __all__ = [
     "DEFAULT_TOL",
     "DiffnetError",
     "Edge",
-    "MassSpringChain",
     "ModelValidationError",
     "NetworkGraph",
     "NumericError",

@@ -21,20 +21,21 @@ depends on the graph alone, once, and the products over all draws'
 blocks side by side. ``BlockMatrix.dense`` scatters the blocks into the
 dense matrices, as the certificate does; a ``lump`` report is written
 from the blocks themselves. ``ground_first_vertex`` grounds a state
-matrix at a wall: it adds the (n, n) shift, ``grounding_shift`` for a
-mass-spring chain, to vertex 1's diagonal block.
+matrix at a wall: it adds the (n, n) shift to vertex 1's diagonal block.
+For the mass-spring chain that ``problem_io.mass_spring_chain`` builds,
+the shift is ``grounding_shift`` of its wall constants per unit mass: it
+enters the state matrix directly, not through B.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .numerics import RandomSource, sample_away_from_zero
 from .subsystem import SubsystemModel
-from .topology import UNDIRECTED, Edge, NetworkGraph
+from .topology import NetworkGraph
 
 
 def _laplacian_terms(graph: NetworkGraph):
@@ -187,68 +188,6 @@ def sample_weights(
     if p < 1 or r < 1:
         raise ValueError(f"weight shape must be positive, got {shape}")
     return sample_away_from_zero(rng.generator(), (p, r), count=graph.num_edges)
-
-
-@dataclass(frozen=True)
-class MassSpringChain:
-    """Chain of identical masses coupled by springs and dampers.
-
-    Each mass contributes states (position, velocity) with double-integrator
-    node dynamics; edge {i, i+1} carries the 1 x 2 weight row
-    [k_{i+1}/mass, mu_{i+1}/mass], so ``weights`` has shape (N - 1, 1, 2).
-    The first spring/damper pair couples mass 1 to the wall and is exposed
-    as the grounding coefficients rather than as an edge. The graph drives
-    mass 1. External force enters each driven mass scaled by
-    ``input_gain`` = 1/mass, a positive column scaling that cannot change
-    any rank verdict.
-    """
-
-    model: SubsystemModel
-    graph: NetworkGraph
-    weights: np.ndarray
-    input_gain: float
-    wall_stiffness_over_mass: float
-    wall_damping_over_mass: float
-
-
-def mass_spring_chain(
-    num_masses: int,
-    mass: float,
-    springs,
-    dampers,
-) -> MassSpringChain:
-    """Physical chain instance: N masses, springs k_1..k_N, dampers mu_1..mu_N."""
-    if not isinstance(num_masses, int) or num_masses < 1:
-        raise ValueError(f"need at least one mass, got {num_masses}")
-    if not 0.0 < mass < math.inf:
-        raise ValueError(f"mass must be positive and finite, got {mass}")
-    springs = [float(k) for k in springs]
-    dampers = [float(mu) for mu in dampers]
-    if not all(map(math.isfinite, springs + dampers)):
-        raise ValueError(
-            f"spring and damper constants must be finite, got {springs} and {dampers}"
-        )
-    if len(springs) != num_masses or len(dampers) != num_masses:
-        raise ValueError(
-            f"need {num_masses} spring and damper constants, got "
-            f"{len(springs)} and {len(dampers)}"
-        )
-
-    model = SubsystemModel([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], np.eye(2))
-    graph = NetworkGraph(
-        num_masses,
-        tuple(Edge(i, i + 1, UNDIRECTED) for i in range(1, num_masses)),
-        driven=(1,),
-    )
-    weights = np.stack([springs[1:], dampers[1:]], axis=-1)[:, None, :] / mass
-    return MassSpringChain(
-        model=model,
-        graph=graph,
-        weights=weights,
-        input_gain=1.0 / mass,
-        wall_stiffness_over_mass=springs[0] / mass,
-        wall_damping_over_mass=dampers[0] / mass,
-    )
 
 
 def grounding_shift(stiffness_over_mass: float, damping_over_mass: float) -> np.ndarray:

@@ -37,7 +37,6 @@ from .assembly import (
     assemble_blocks,
     ground_first_vertex,
     grounding_shift,
-    mass_spring_chain,
     sample_weights,
 )
 from .errors import DiffnetError, ModelValidationError, ProblemFileError
@@ -55,6 +54,7 @@ from .problem_io import (
     graph_members,
     json_parts,
     load_problem,
+    mass_spring_chain,
     report_document,
     weights_member,
     write_report,
@@ -360,7 +360,6 @@ def cmd_example(args) -> int:
         )
     seed = _resolve_seed(args.seed, {})
     num = args.num_masses
-    mass = args.mass
     gen = RandomSource(seed).generator()
     springs = args.springs or [float(x) for x in gen.uniform(0.5, 2.0, size=num)]
     dampers = args.dampers or [float(x) for x in gen.uniform(0.5, 2.0, size=num)]
@@ -368,17 +367,13 @@ def cmd_example(args) -> int:
         raise ProblemFileError(
             f"--springs and --dampers each need {num} values (wall first)"
         )
-    chain = mass_spring_chain(num, mass, springs, dampers)
-    graph = chain.graph
+    chain = mass_spring_chain(num, args.mass, springs, dampers)
+    model, graph = chain.model, chain.graph
     ends = list(zip(graph.u.tolist(), graph.v.tolist()))
     kinds = [DIRECTED if d else UNDIRECTED for d in graph.directed.tolist()]
     doc = {
         "$schema": PROBLEM_SCHEMA,
-        "subsystem": {
-            "A": chain.model.a.tolist(),
-            "B": (chain.model.b * chain.input_gain).tolist(),
-            "C": chain.model.c.tolist(),
-        },
+        "subsystem": {"A": model.a.tolist(), "B": model.b.tolist(), "C": model.c.tolist()},
         "graph": {
             "N": graph.num_vertices,
             "edges": [{"u": u, "v": v, "kind": k} for (u, v), k in zip(ends, kinds)],
@@ -390,13 +385,7 @@ def cmd_example(args) -> int:
                 {"u": u, "v": v, "W": w} for (u, v), w in zip(ends, chain.weights.tolist())
             ]
         },
-        "options": {
-            "seed": seed,
-            "wall": {
-                "stiffness_over_mass": chain.wall_stiffness_over_mass,
-                "damping_over_mass": chain.wall_damping_over_mass,
-            },
-        },
+        "options": {"seed": seed, **chain.options},
     }
     write_report(args.out, json_parts(doc))
     return 0

@@ -1,4 +1,4 @@
-"""Problem-file loading, report serialization and the report write.
+"""Problems, problem-file loading, report serialization and the report write.
 
 A problem file is one JSON document:
 
@@ -19,6 +19,10 @@ once. A bad driven id is reported as ``invalid driven set:`` and any
 other value fault of the graph as ``invalid graph:``, each followed by
 the graph's own text. The report members that list edges are written
 from the graph's int64 columns.
+``mass_spring_chain`` builds the paper's example as the ``Problem`` that
+``diffnet example`` writes to a file and ``parse_problem`` reads back:
+force input B = [0; 1/m], edge weights [k, mu] and the wall constants
+per unit mass in its "wall" option.
 Reports serialize to canonical JSON with complex numbers as
 {"re": ..., "im": ...} objects.
 """
@@ -51,15 +55,53 @@ _OPTION_KEYS = {"seed", "trials", "rank_rel_tol", "eig_match_tol", "wall"}
 
 @dataclass(frozen=True)
 class Problem:
-    """A parsed problem file, ready for the analysis entry points.
+    """A problem ready for the analysis entry points: a parsed problem
+    file, or the chain ``mass_spring_chain`` builds.
 
-    ``graph`` holds the file's driven vertices. ``weights``, when the file gives them, is the (M, p, r) array of the
-    edges' weight blocks in edge order."""
+    ``graph`` holds the driven vertices. ``weights``, when given, is the
+    (M, p, r) array of the edges' weight blocks in edge order. ``options``
+    holds the members of the file's "options"."""
 
     model: SubsystemModel
     graph: NetworkGraph
     weights: np.ndarray | None
     options: dict
+
+
+def mass_spring_chain(num_masses: int, mass: float, springs, dampers) -> Problem:
+    """The paper's example: N equal masses in a line, springs k_1..k_N and
+    dampers mu_1..mu_N, k_1 and mu_1 tying mass 1 to a wall.
+
+    Each mass is a double integrator with states (position, velocity).
+    Force enters it through B = [0; 1/mass], the external force on mass 1,
+    the graph's one driven vertex, and the coupling forces alike. So edge
+    {i, i+1} carries the physical 1 x 2 weight [k_{i+1}, mu_{i+1}], and
+    ``weights`` has shape (N - 1, 1, 2). The wall is not an edge:
+    ``options["wall"]`` holds k_1/mass and mu_1/mass, per unit mass
+    because ``grounding_shift`` adds them to the state matrix directly.
+    """
+    if not isinstance(num_masses, int) or num_masses < 1:
+        raise ValueError(f"need at least one mass, got {num_masses}")
+    if not 0.0 < mass < math.inf:
+        raise ValueError(f"mass must be positive and finite, got {mass}")
+    springs = [float(k) for k in springs]
+    dampers = [float(mu) for mu in dampers]
+    if not all(map(math.isfinite, springs + dampers)):
+        raise ValueError(
+            f"spring and damper constants must be finite, got {springs} and {dampers}"
+        )
+    if len(springs) != num_masses or len(dampers) != num_masses:
+        raise ValueError(
+            f"need {num_masses} spring and damper constants, got "
+            f"{len(springs)} and {len(dampers)}"
+        )
+    model = SubsystemModel([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0 / mass]], np.eye(2))
+    graph = NetworkGraph(
+        num_masses, tuple((i, i + 1) for i in range(1, num_masses)), driven=(1,)
+    )
+    weights = np.stack([springs[1:], dampers[1:]], axis=-1)[:, None, :]
+    wall = {"stiffness_over_mass": springs[0] / mass, "damping_over_mass": dampers[0] / mass}
+    return Problem(model, graph, weights, {"wall": wall})
 
 
 def _fail(msg: str) -> ProblemFileError:
@@ -509,7 +551,7 @@ class PreEncoded:
 
 def json_parts(doc: dict) -> list[str]:
     """Canonical serialization of ``doc`` as a flat list of parts whose
-    join is ``dump_json(doc)``: key-sorted, compact, newline-terminated.
+    join is its JSON text: key-sorted, compact, newline-terminated.
 
     Byte-identical output for equal documents, so fixed-seed runs are
     reproducible at the file level. NaN and infinities raise ValueError:
@@ -539,12 +581,6 @@ def json_parts(doc: dict) -> list[str]:
             parts.append(_ENCODER.encode(value))
     parts.append("}\n" if parts else "{}\n")
     return parts
-
-
-def dump_json(doc: dict) -> str:
-    """Canonical serialization of ``doc`` as one string: the join of
-    ``json_parts(doc)``."""
-    return "".join(json_parts(doc))
 
 
 #: key-sorted JSON of one "edges" entry and one "orientation" entry,

@@ -22,7 +22,7 @@ from diffnet.numerics import (
     pbh_controllable,
     pbh_observable,
 )
-from diffnet.problem_io import _int_field, _matrix, _require_mapping
+from diffnet.problem_io import _int_field, _matrix, _require_mapping, json_parts
 from diffnet.subsystem import SubsystemModel
 from diffnet.topology import DIRECTED, UNDIRECTED, Edge, NetworkGraph
 from diffnet.verdict import Verdict
@@ -282,6 +282,34 @@ def dense_wall_shift(
     shift[1, 0] = -stiffness_over_mass
     shift[1, 1] = -damping_over_mass
     return shift
+
+
+def physical_chain(mass: float, springs, dampers, grounded: bool) -> tuple:
+    """State and input matrices of a chain of masses written from its
+    equations of motion, states (x_i, v_i) per mass:
+    m v_i' = sum over neighbours j of k (x_j - x_i) + mu (v_j - v_i), with
+    spring k_{i+1} and damper mu_{i+1} between masses i and i + 1, k_1 and
+    mu_1 to the wall when ``grounded``, and the external force on mass 1.
+    The input matrix has one column per mass, as the lumped B_sys does;
+    only mass 1's is driven."""
+    n = len(springs)
+    a = np.zeros((2 * n, 2 * n))
+    a[range(0, 2 * n, 2), range(1, 2 * n, 2)] = 1.0
+    for i in range(n - 1):
+        k, mu = springs[i + 1] / mass, dampers[i + 1] / mass
+        for me, other in ((i, i + 1), (i + 1, i)):
+            a[2 * me + 1, 2 * me : 2 * me + 2] -= (k, mu)
+            a[2 * me + 1, 2 * other : 2 * other + 2] += (k, mu)
+    if grounded:
+        a[1, :2] -= (springs[0] / mass, dampers[0] / mass)
+    b = np.zeros((2 * n, n))
+    b[1, 0] = 1.0 / mass
+    return a, b
+
+
+def dump_json(doc: dict) -> str:
+    """The canonical JSON of ``doc`` as one string."""
+    return "".join(json_parts(doc))
 
 
 def assembled_laplacian(graph: NetworkGraph, weights: np.ndarray) -> np.ndarray:

@@ -17,8 +17,9 @@ from conftest import (
     random_graph,
     random_model,
 )
-from diffnet.assembly import mass_spring_chain, sample_weights
+from diffnet.assembly import sample_weights
 from diffnet.numerics import RandomSource
+from diffnet.problem_io import mass_spring_chain
 from diffnet.subsystem import SubsystemModel, fixed_modes
 from diffnet.topology import Edge, NetworkGraph, spanning_forest
 from diffnet.verdict import Verdict, analyze, certify_monte_carlo

@@ -1,6 +1,8 @@
 """Weighted Laplacians, the lumped assembly route checked against the
 test-side edgewise and factorized forms, and the physical chain builder."""
 
+import contextlib
+import io
 import itertools
 import json
 from dataclasses import replace
@@ -24,6 +26,7 @@ from conftest import (
     factorized_state_matrix,
     loop_matrix_laplacian,
     loop_sample_weights,
+    physical_chain,
     random_connected_graph,
     random_driven,
     random_graph,
@@ -34,12 +37,12 @@ from diffnet.assembly import (
     assemble_blocks,
     ground_first_vertex,
     grounding_shift,
-    mass_spring_chain,
     sample_weights,
 )
+from diffnet.cli import main
 from diffnet.errors import ModelValidationError
 from diffnet.numerics import RandomSource
-from diffnet.problem_io import parse_problem
+from diffnet.problem_io import Problem, mass_spring_chain, parse_problem
 from diffnet.subsystem import SubsystemModel
 from diffnet.topology import DIRECTED, UNDIRECTED, Edge, NetworkGraph
 from edgewise import (
@@ -652,19 +655,32 @@ class TestSampledWeights:
                 assert drawn.view(np.uint64).tolist() == block.view(np.uint64).tolist()
 
 
+def written_chain(num_masses: int, mass: float, springs, dampers) -> Problem:
+    """The problem file ``diffnet example`` writes for these constants, parsed."""
+    argv = ["example", "--N", str(num_masses), "--mass", repr(mass), "--seed", "0"]
+    argv += ["--springs", *map(repr, springs), "--dampers", *map(repr, dampers)]
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(argv) == 0
+    return parse_problem(text.getvalue())
+
+
 class TestMassSpringChain:
     def test_coefficients_and_layout(self):
         chain = mass_spring_chain(3, 2.0, springs=(1.0, 2.0, 3.0), dampers=(4.0, 5.0, 6.0))
+        assert isinstance(chain, Problem)
         assert chain.graph.num_vertices == 3
         assert [edge_key(e) for e in chain.graph.edges] == [
             edge_key(Edge(1, 2)),
             edge_key(Edge(2, 3)),
         ]
-        # edge {i, i+1} carries [k_{i+1}/m, mu_{i+1}/m]; k_1, mu_1 belong to the wall
-        assert np.array_equal(chain.weights, [[[1.0, 2.5]], [[1.5, 3.0]]])
-        assert chain.wall_stiffness_over_mass == 0.5
-        assert chain.wall_damping_over_mass == 2.0
-        assert chain.input_gain == 0.5
+        # edge {i, i+1} carries [k_{i+1}, mu_{i+1}]; k_1, mu_1 belong to the wall
+        assert np.array_equal(chain.weights, [[[2.0, 5.0]], [[3.0, 6.0]]])
+        assert chain.options == {
+            "wall": {"stiffness_over_mass": 0.5, "damping_over_mass": 2.0}
+        }
+        # force, external or coupling, enters through B = [0; 1/m]
+        assert np.array_equal(chain.model.b, [[0.0], [0.5]])
         assert chain.graph.driven == (1,)
 
     def test_single_mass_chain_assembles(self):
@@ -674,10 +690,6 @@ class TestMassSpringChain:
 
     def test_grounded_two_mass_physics(self):
         m, k1, k2, mu1, mu2 = 2.0, 1.0, 3.0, 0.25, 0.5
-        chain = mass_spring_chain(2, m, springs=(k1, k2), dampers=(mu1, mu2))
-        a_sys, _ = assemble_blocks(chain.model, chain.graph, chain.weights)
-        wall = grounding_shift(chain.wall_stiffness_over_mass, chain.wall_damping_over_mass)
-        grounded = ground_first_vertex(a_sys, wall).dense()
         expected = np.array(
             [
                 [0.0, 1.0, 0.0, 0.0],
@@ -686,7 +698,44 @@ class TestMassSpringChain:
                 [k2 / m, mu2 / m, -k2 / m, -mu2 / m],
             ]
         )
-        assert np.allclose(grounded, expected)
+        args = (2, m, (k1, k2), (mu1, mu2))
+        for chain in (mass_spring_chain(*args), written_chain(*args)):
+            a_sys, _ = assemble_blocks(chain.model, chain.graph, chain.weights)
+            wall = grounding_shift(**chain.options["wall"])
+            grounded = ground_first_vertex(a_sys, wall).dense()
+            assert np.allclose(grounded, expected)
+
+    @seed(26)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.sampled_from([0.25, 1.0, 2.0, 3.0, 0.7]),
+                *(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n),) * 2,
+            )
+        )
+    )
+    def test_written_file_is_the_chain_and_both_are_physical(self, case):
+        """``example`` writes the problem ``mass_spring_chain`` returns,
+        and both lump to the chain's equations of motion, plain and
+        grounded, with the force input B = [0; 1/m]."""
+        num, mass, springs, dampers = case
+        chain = mass_spring_chain(num, mass, springs, dampers)
+        written = written_chain(num, mass, springs, dampers)
+        for name in ("a", "b", "c"):
+            assert np.array_equal(getattr(written.model, name), getattr(chain.model, name))
+        for name in ("num_vertices", "u", "v", "directed", "driven"):
+            assert np.array_equal(getattr(written.graph, name), getattr(chain.graph, name))
+        assert written.weights.view(np.uint64).tolist() == chain.weights.view(np.uint64).tolist()
+        assert written.options == {"seed": 0, **chain.options}
+        for problem in (chain, written):
+            a_sys, b_sys = assemble_blocks(problem.model, problem.graph, problem.weights)
+            wall = grounding_shift(**problem.options["wall"])
+            for state, grounded in ((a_sys, False), (ground_first_vertex(a_sys, wall), True)):
+                a, b = physical_chain(mass, springs, dampers, grounded)
+                np.testing.assert_allclose(state.dense(), a, rtol=1e-12, atol=0.0)
+                assert np.array_equal(b_sys.dense(), b)
 
     def test_validation(self):
         with pytest.raises(ValueError):

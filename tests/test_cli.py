@@ -14,9 +14,11 @@ import pytest
 
 from conftest import (
     count_calls,
+    dump_json,
     edges_with_defects,
     oriented,
     outcome,
+    physical_chain,
     random_graph,
     random_model,
     reference_graph_check,
@@ -34,11 +36,7 @@ from diffnet import cli, problem_io
 from diffnet.assembly import BlockMatrix
 from diffnet.cli import main
 from diffnet.errors import NumericError, ProblemFileError
-from diffnet.problem_io import (
-    PROBLEM_SCHEMA,
-    REPORT_SCHEMA,
-    dump_json,
-)
+from diffnet.problem_io import PROBLEM_SCHEMA, REPORT_SCHEMA
 from diffnet.topology import (
     DIRECTED,
     UNDIRECTED,
@@ -894,13 +892,33 @@ class TestExampleCommand:
             ],
         )
         doc = json.loads(target.read_text())
-        assert doc["weights"]["edges"][0]["W"] == [[1.5, 0.5]]
+        # the edge carries the physical [k_2, mu_2]; the wall is per unit mass
+        assert doc["weights"]["edges"][0]["W"] == [[3.0, 1.0]]
         assert doc["options"]["wall"] == {
             "stiffness_over_mass": 0.5,
             "damping_over_mass": 0.25,
         }
         # force enters through B scaled by 1/mass
         assert doc["subsystem"]["B"] == [[0.0], [0.5]]
+
+    def test_lump_of_a_heavy_chain_is_the_physical_chain(self, capsys, tmp_path):
+        """Coupling enters through the force input B = [0; 1/m], so the
+        edge weights are the physical [k, mu]: mass 2 pulls mass 1 at
+        k_2/m = 3.0 and mu_2/m = 0.5, plain and grounded."""
+        target = tmp_path / "chain.json"
+        springs, dampers = [4.0, 6.0, 8.0], [1.0, 1.0, 1.0]
+        argv = ["example", "--N", "3", "--mass", "2"]
+        argv += ["--springs", *map(str, springs), "--dampers", *map(str, dampers)]
+        assert run(capsys, [*argv, "--out", str(target)])[0] == 0
+        for grounded in (False, True):
+            flags = ["--ground-first-mass"] if grounded else []
+            code, out, _ = run(capsys, ["lump", str(target), *flags])
+            assert code == 0
+            doc = json.loads(out)
+            a, b = physical_chain(2.0, springs, dampers, grounded)
+            assert doc["a_sys"][1][2:4] == [3.0, 0.5]
+            assert np.array_equal(doc["a_sys"], a)
+            assert np.array_equal(doc["b_sys"], b)
 
     def test_wrong_constant_count_rejected(self, capsys, tmp_path):
         code, _, err = run(
@@ -1778,7 +1796,6 @@ class TestPackaging:
             "DEFAULT_TOL",
             "DiffnetError",
             "Edge",
-            "MassSpringChain",
             "ModelValidationError",
             "NetworkGraph",
             "NumericError",
@@ -1839,6 +1856,7 @@ class TestPackaging:
                 "_direct_state_matrices",
                 "LumpedSystem",
                 "assemble_lumped",
+                "MassSpringChain",
             ),
             diffnet.subsystem: (
                 "FixedModeReport",
@@ -1856,7 +1874,12 @@ class TestPackaging:
                 "spectra_match",
             ),
             diffnet.errors: ("PremiseError", "ConsistencyError"),
-            diffnet.problem_io: ("analysis_from_json", "weights_to_json", "_ORIGIN"),
+            diffnet.problem_io: (
+                "analysis_from_json",
+                "weights_to_json",
+                "_ORIGIN",
+                "dump_json",
+            ),
         }
         for module, names in deleted.items():
             for name in names:
@@ -1866,9 +1889,6 @@ class TestPackaging:
         assert not hasattr(diffnet.NetworkGraph, "validate_for")
         assert not hasattr(diffnet.NetworkGraph, "influence_neighbors")
         assert not hasattr(diffnet.Edge, "key") and not hasattr(diffnet.Edge, "oriented")
-        assert "driven_template" not in {
-            f.name for f in dataclasses.fields(diffnet.MassSpringChain)
-        }
         assert "driven" not in {f.name for f in dataclasses.fields(diffnet.Problem)}
         for fn in (
             diffnet.analyze,
@@ -1897,7 +1917,15 @@ class TestPackaging:
             "state",
             "shift",
         ]
-        assert "mass" not in {f.name for f in dataclasses.fields(diffnet.MassSpringChain)}
+        assert not hasattr(diffnet.assembly, "mass_spring_chain")
+        assert list(inspect.signature(diffnet.mass_spring_chain).parameters) == [
+            "num_masses",
+            "mass",
+            "springs",
+            "dampers",
+        ]
+        assert isinstance(diffnet.mass_spring_chain(1, 1.0, [1.0], [1.0]), diffnet.Problem)
+        assert diffnet.mass_spring_chain is cli.mass_spring_chain
 
     def test_dump_json_encodes_arrays_as_their_lists(self):
         """Each array held as a ``BlockMatrix`` of one block at the origin,

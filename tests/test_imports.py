@@ -1,8 +1,9 @@
-"""Every name a ``diffnet`` module imports is used in it.
+"""Every name a ``diffnet`` module imports is used in it, and every
+function and class the package defines is used or exported by it.
 
 A name is used when it is read anywhere in the module, annotations
-included, or listed in the module's ``__all__``. Found with ``ast``, so
-no linter is needed."""
+included, or listed in the module's ``__all__``. Code that only tests
+call belongs in ``tests/``. Found with ``ast``, so no linter is needed."""
 
 import ast
 from pathlib import Path
@@ -43,3 +44,43 @@ def test_the_guard_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_definitions(sources: list[str]) -> list[str]:
+    """The top-level functions and classes of ``sources``, the modules of
+    one package, that no module reads by name (as a name or an attribute)
+    and no ``__all__`` lists, sorted. A ``cmd_*`` function is read by
+    name: ``cli.main`` looks the command up in the module's globals."""
+    trees = [ast.parse(source) for source in sources]
+    defined, used = set(), set()
+    for tree in trees:
+        defined.update(
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
+    return sorted(name for name in defined - used if not name.startswith("cmd_"))
+
+
+def test_the_guard_finds_an_unreferenced_definition():
+    sources = [
+        "__all__ = ['public']\ndef public(): pass\ndef cmd_run(): pass\n"
+        "def helper(): pass\nclass Kept: pass\nclass Dropped:\n    def used(self): pass\n",
+        "import other\nother.helper()\nx: Kept = other.used\n",
+    ]
+    assert unreferenced_definitions(sources) == ["Dropped"]
+    assert unreferenced_definitions(sources[:1]) == ["Dropped", "Kept", "helper"]
+
+
+def test_every_definition_is_used_or_exported():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    assert unreferenced_definitions(sources) == []

@@ -14,7 +14,6 @@ from conftest import (
 )
 from lemmas import matched_eigenvalues, spectra_match
 from diffnet import numerics, verdict
-from diffnet.assembly import mass_spring_chain
 from diffnet.errors import NumericError
 from diffnet.numerics import (
     DEFAULT_TOL,
@@ -30,6 +29,7 @@ from diffnet.numerics import (
     pbh_observable,
     sample_away_from_zero,
 )
+from diffnet.problem_io import mass_spring_chain
 from diffnet.verdict import certify_monte_carlo
 
 

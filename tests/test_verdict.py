@@ -16,12 +16,9 @@ from conftest import (
     random_model,
     verdict_bool,
 )
-from diffnet.assembly import (
-    grounding_shift,
-    mass_spring_chain,
-    sample_weights,
-)
+from diffnet.assembly import grounding_shift, sample_weights
 from diffnet.numerics import RandomSource, controllable_dimension
+from diffnet.problem_io import mass_spring_chain
 from diffnet.subsystem import SubsystemModel
 from diffnet.topology import DIRECTED, Edge, NetworkGraph, spanning_forest
 from diffnet.verdict import AnalysisReport, Verdict, analyze, certify_monte_carlo
@@ -230,9 +227,7 @@ class TestCertification:
             chain.graph,
             trials=3,
             rng=RandomSource(5),
-            a_shift=grounding_shift(
-                chain.wall_stiffness_over_mass, chain.wall_damping_over_mass
-            ),
+            a_shift=grounding_shift(**chain.options["wall"]),
         )
         grounded = cert.grounded
         assert grounded is not None and grounded.grounded is None
@@ -313,7 +308,7 @@ def chain_with_wall(num_masses: int):
         springs=tuple(1.0 + i for i in range(num_masses)),
         dampers=tuple(0.1 * (1 + i) for i in range(num_masses)),
     )
-    shift = grounding_shift(chain.wall_stiffness_over_mass, chain.wall_damping_over_mass)
+    shift = grounding_shift(**chain.options["wall"])
     return chain.model, chain.graph, shift
 
 

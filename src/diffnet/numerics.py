@@ -1,13 +1,15 @@
 """Dense matrix utilities shared by every engine in the package.
 
-Tolerance-based numerical rank, eigenvalues and their deduplication,
-the controllable dimension by block Arnoldi (the controllability
-staircase's Krylov form) for one pair or a stack of pairs, each cut once
-at rank_rel_tol times the larger Frobenius norm of its state and input
-matrices, with steps that call LAPACK's SVD kernel directly under one
-errstate, PBH controllability/observability tests, and the seeded random
-streams behind every sampled draw. Everything operates on plain numpy
-arrays and treats them as immutable values.
+Eigenvalues and their deduplication; the one rank engine, block Arnoldi
+on the controllable subspace (the controllability staircase's Krylov
+form), with steps that call LAPACK's SVD kernel directly under one
+errstate: ``controllable_dimension`` for one pair or a stack of pairs,
+each cut once at rank_rel_tol times the larger Frobenius norm of its
+state and input matrices, and ``uncontrolled_part``, which decides a
+node pair on its matrices normalised one by one and returns the
+controllable basis with the spectrum left outside it; and the seeded
+random streams behind every sampled draw. Everything operates on plain
+numpy arrays and treats them as immutable values.
 """
 
 from __future__ import annotations
@@ -40,12 +42,13 @@ _STREAM_FINALIZE = 0xBF58476D1CE4E5B9
 class ToleranceConfig:
     """Numeric thresholds for rank and eigenvalue decisions.
 
-    ``rank_rel_tol`` cuts singular values relative to a scale of the
-    matrix, so rank verdicts are invariant under uniform scaling: for a
-    PBH pencil the scale is its largest singular value, and for the
-    certificate's staircase it is the larger of ||A||_F and ||B||_F of
-    the pair. ``eig_match_tol`` is the absolute radius used when matching
-    or deduplicating eigenvalues.
+    ``rank_rel_tol`` cuts the staircase's singular values relative to a
+    scale of the pair, so rank verdicts are invariant under uniform
+    scaling: for a node pair, A and B (or A^T and C^T) are each normalised
+    by their own Frobenius norm, so the scale is 1; for the certificate's
+    lumped pairs it is the larger of ||A||_F and ||B||_F of the pair.
+    ``eig_match_tol`` is the absolute radius used when deduplicating
+    eigenvalues.
     """
 
     rank_rel_tol: float = DEFAULT_RANK_REL_TOL
@@ -107,26 +110,6 @@ def sample_away_from_zero(
     return np.where(flip < 0.5, -magnitude, magnitude)
 
 
-def numerical_rank(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Singular values above rank_rel_tol * (largest singular value).
-
-    The zero matrix has rank 0 under the strict cutoff without any special
-    casing.
-    """
-    m = np.asarray(matrix)
-    if m.ndim != 2 or m.size == 0:
-        raise ValueError(f"rank needs a nonempty 2-D matrix, got shape {m.shape}")
-    try:
-        sv = np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            f"SVD failed on a {m.shape[0]}x{m.shape[1]} matrix: {exc}"
-        ) from exc
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > tol.rank_rel_tol * sv[0]))
-
-
 def eigenvalues(matrix) -> np.ndarray:
     """Spectrum with multiplicity, as a complex vector."""
     m = np.asarray(matrix)
@@ -148,42 +131,6 @@ def dedupe_eigenvalues(values, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray
         if not reps or abs(lam - reps[-1]) > tol.eig_match_tol:
             reps.append(complex(lam))
     return np.array(reps, dtype=complex)
-
-
-@dataclass(frozen=True)
-class PbhCheck:
-    """One PBH rank evaluation at a single eigenvalue (multiplicity kept)."""
-
-    eigenvalue: complex
-    rank: int
-    full: bool
-
-
-def pbh_eigen_checks(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> list[PbhCheck]:
-    """Rank of [lambda*I - A, B] at every eigenvalue of A.
-
-    Complex arithmetic throughout; one check per eigenvalue as returned by
-    the spectrum routine, so repeated eigenvalues yield repeated checks.
-    """
-    am = np.asarray(a, dtype=complex)
-    bm = np.asarray(b, dtype=complex)
-    if bm.ndim == 1:
-        bm = bm[:, None]
-    if am.ndim != 2 or am.shape[0] != am.shape[1]:
-        raise ValueError(f"PBH needs a square state matrix, got shape {am.shape}")
-    n = am.shape[0]
-    if bm.ndim != 2 or bm.shape[0] != n:
-        raise ValueError(
-            f"input matrix must have {n} rows to match the state matrix, "
-            f"got shape {bm.shape}"
-        )
-    eye = np.eye(n, dtype=complex)
-    checks = []
-    for lam in eigenvalues(am):
-        pencil = np.hstack([lam * eye - am, bm])
-        r = numerical_rank(pencil, tol)
-        checks.append(PbhCheck(complex(lam), r, r == n))
-    return checks
 
 
 def controllable_dimension(a, b, tol: ToleranceConfig = DEFAULT_TOL):
@@ -210,18 +157,55 @@ def controllable_dimension(a, b, tol: ToleranceConfig = DEFAULT_TOL):
     pairs, broadcast against each other; every member gets its own cut,
     all step together, and a member whose rank falls below the step's
     width carries zero columns. One pair gives an int, a stack an int
-    array of the leading shape.
-
-    Most steps keep every member's whole block. One comparison finds such
-    a step: every member's smallest singular value exceeds its cut, and
-    the block fits in the states left. It then takes no count, and while
-    every member has kept as many columns as the rest, the number kept is
-    one int. Each step's SVD is the LAPACK kernel behind ``np.linalg.svd``
-    (``_block_svd``), with the same bits; one errstate around the whole
-    iteration turns the kernel's non-convergence flag into the same
-    ``NumericError`` that ``np.linalg.svd``'s error gave. The new block's
-    Gram-Schmidt passes subtract in place.
+    array of the leading shape. The iteration is ``_staircase``, which
+    ``uncontrolled_part`` runs too.
     """
+    am, bm = _operands(a, b)
+    n = am.shape[-1]
+    lead = np.broadcast_shapes(am.shape[:-2], bm.shape[:-2])
+    count = math.prod(lead)
+    # a stack runs flat: operands (T, n, .) and bookkeeping (T,); explicit
+    # sizes, since numpy cannot resolve a -1 against an empty array
+    if am.ndim > 2:
+        am = np.broadcast_to(am, lead + am.shape[-2:]).reshape(count, n, n)
+    if bm.ndim > 2:
+        bm = np.broadcast_to(bm, lead + bm.shape[-2:]).reshape(count, n, bm.shape[-1])
+    scale = np.maximum(_frobenius(am, "state"), _frobenius(bm, "input"))
+    done, _ = _staircase(am, bm, scale, tol)
+    if np.ndim(done):
+        return done.reshape(lead)
+    # one pair always keeps a single count, so it gives an int
+    return np.full(lead, done, dtype=np.intp) if lead else done
+
+
+def uncontrolled_part(a, b, tol: ToleranceConfig = DEFAULT_TOL):
+    """(Q, spectrum) of one pair (A, B): an orthonormal basis Q (n, k) of
+    its controllable subspace, and the eigenvalues of its uncontrolled
+    part Q_perp^T A Q_perp, where Q_perp completes Q to an orthonormal
+    basis, with multiplicity. The spectrum is empty exactly when the pair
+    is controllable, and names the modes the input cannot move.
+
+    Q is the basis that ``_staircase`` fills for (A / ||A||_F, B / ||B||_F),
+    each matrix scaled by its own Frobenius norm and a zero matrix left as
+    it is: the scaling leaves the Krylov span unchanged, so the cut is
+    rank_rel_tol against each matrix normalised alone, however far apart
+    the scales of A and B lie. No eigenvalue of A enters the decision.
+    """
+    am, bm = _operands(a, b)
+    norms = _frobenius(am, "state")[0], _frobenius(bm, "input")[0]
+    unit = [m / norm if norm else m for m, norm in zip((am, bm), norms)]
+    # the larger norm of the pair is 1 (a zero B keeps nothing at any cut)
+    done, basis = _staircase(*unit, np.ones(1), tol)
+    q = basis[:, :done]
+    if done == am.shape[0]:
+        return q, np.empty(0, dtype=complex)
+    rest = np.linalg.qr(q, mode="complete").Q[:, done:]
+    return q, eigenvalues(rest.T @ am @ rest)
+
+
+def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) as float arrays, a 1-D B as a column, checked to be square
+    (..., n, n) and (..., n, m)."""
     am = np.asarray(a, dtype=float)
     bm = np.asarray(b, dtype=float)
     if bm.ndim == 1:
@@ -234,24 +218,40 @@ def controllable_dimension(a, b, tol: ToleranceConfig = DEFAULT_TOL):
             f"input matrix must have {n} rows to match the state matrix, "
             f"got shape {bm.shape}"
         )
+    return am, bm
+
+
+def _staircase(am: np.ndarray, bm: np.ndarray, scale: np.ndarray, tol: ToleranceConfig):
+    """Block Arnoldi on one pair (n, n), (n, m), or on a flat stack of T
+    pairs (T, n, n), (T, n, m) with either operand possibly 2-D and
+    shared: (kept count, basis), as ``controllable_dimension`` describes
+    the iteration, with member t cut at rank_rel_tol * scale[t].
+
+    The basis is (n, n) for one pair and (T, n, n) for a stack, each
+    member's kept columns first and zeros after. The count is one int
+    while every member has kept as many columns as the rest, and each
+    member's count, (T,), from the first step that splits them.
+
+    Most steps keep every member's whole block. One comparison finds such
+    a step: every member's smallest singular value exceeds its cut, and
+    the block fits in the states left. It then takes no count, and the
+    number kept stays one int. Each step's SVD is the LAPACK kernel behind
+    ``np.linalg.svd`` (``_block_svd``), with the same bits; one errstate
+    around the whole iteration turns the kernel's non-convergence flag
+    into the same ``NumericError`` that ``np.linalg.svd``'s error gave.
+    The new block's Gram-Schmidt passes subtract in place.
+    """
+    n = am.shape[-1]
     lead = np.broadcast_shapes(am.shape[:-2], bm.shape[:-2])
-    count = math.prod(lead)
-    # a stack runs flat: operands (T, n, .) and bookkeeping (T,); explicit
-    # sizes, since numpy cannot resolve a -1 against an empty array
-    if am.ndim > 2:
-        am = np.broadcast_to(am, lead + am.shape[-2:]).reshape(count, n, n)
-    if bm.ndim > 2:
-        bm = np.broadcast_to(bm, lead + bm.shape[-2:]).reshape(count, n, bm.shape[-1])
+    count = scale.shape[0]
     # each member's one cut, as a column against its singular values
-    norm_b = _frobenius(bm, "input")
-    scale = np.maximum(_frobenius(am, "state"), norm_b)
-    cut = tol.rank_rel_tol * np.broadcast_to(scale, (count,))[:, None]
+    cut = tol.rank_rel_tol * scale[:, None]
     # while every member has kept as many columns as the rest, that count;
     # from the first step that splits them, each member's count
     done = 0
     aligned = True
     try:
-        basis = np.zeros(((count,) if lead else ()) + (n, n))
+        basis = np.zeros(lead + (n, n))
         members = basis.reshape(count, n, n)
         # an input matrix shared by the stack is decomposed once
         block = bm
@@ -295,10 +295,7 @@ def controllable_dimension(a, b, tol: ToleranceConfig = DEFAULT_TOL):
         raise NumericError(
             f"staircase SVD failed on a {n}-state pair: {exc}"
         ) from exc
-    if aligned:
-        # one pair is always aligned, so it gives an int
-        return np.full(lead, done, dtype=np.intp) if lead else done
-    return done.reshape(lead)
+    return done, basis
 
 
 def _frobenius(m: np.ndarray, what: str) -> np.ndarray:
@@ -343,21 +340,3 @@ def _block_svd(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     raises on non-convergence into an error (``_svd_failed``).
     """
     return _umath_linalg.svd_s(block, signature="d->ddd")
-
-
-def pbh_controllable(a, b, tol: ToleranceConfig = DEFAULT_TOL):
-    """(controllable, deficient eigenvalues deduplicated within tolerance)."""
-    checks = pbh_eigen_checks(a, b, tol)
-    deficient = [c.eigenvalue for c in checks if not c.full]
-    if not deficient:
-        return True, ()
-    return False, tuple(dedupe_eigenvalues(deficient, tol))
-
-
-def pbh_observable(a, c, tol: ToleranceConfig = DEFAULT_TOL):
-    """Dual PBH test: rank of [lambda*I - A; C] via transposes."""
-    am = np.asarray(a)
-    cm = np.asarray(c)
-    if cm.ndim == 1:
-        cm = cm[None, :]
-    return pbh_controllable(am.T, cm.T, tol)

@@ -1,9 +1,10 @@
 """Node-level dynamics: the checked node model and its fixed modes.
 
 A ``SubsystemModel`` is checked once, when it is built, and holds read-only
-float64 copies of its matrices, so every model in hand is valid. The
-pairs' PBH tests are ``numerics.pbh_controllable`` and ``pbh_observable``
-on the model's matrices; the fixed modes are decided by PBH ranks alone.
+float64 copies of its matrices, so every model in hand is valid. Its
+fixed modes are the Kalman split of two staircase calls
+(``numerics.uncontrolled_part``): the uncontrolled part of (A, B), then
+the unobserved part of its controllable part.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelValidationError
-from .numerics import DEFAULT_TOL, ToleranceConfig, eigenvalues, numerical_rank
+from .numerics import DEFAULT_TOL, ToleranceConfig, uncontrolled_part
 
 
 def _read_only(value, fallback_orientation: str | None = None) -> np.ndarray:
@@ -92,17 +93,12 @@ def fixed_modes(
     """Fixed modes of (A, B, C) under unconstrained static output feedback.
 
     With a full feedback matrix the fixed modes are exactly the modes that
-    are uncontrollable or unobservable: the eigenvalues of A at which the
-    pair (A, B) or (A, C) loses PBH rank, multiplicity preserved. Empty
+    are uncontrollable or unobservable (the Kalman split): the spectrum of
+    the uncontrolled part of (A, B), then that of the unobserved part of
+    the controllable part (Q^T A Q, C Q), Q its basis, multiplicity kept,
+    so a mode both uncontrollable and unobservable is counted once. Empty
     exactly when (A, B) is controllable and (A, C) observable.
     """
-    a, b, c = model.a, model.b, model.c
-    n = model.order
-    eye = np.eye(n, dtype=complex)
-    modes: list[complex] = []
-    for lam in eigenvalues(a):
-        ctrb_rank = numerical_rank(np.hstack([lam * eye - a, b.astype(complex)]), tol)
-        obsv_rank = numerical_rank(np.vstack([lam * eye - a, c.astype(complex)]), tol)
-        if ctrb_rank < n or obsv_rank < n:
-            modes.append(complex(lam))
-    return tuple(modes)
+    q, uncontrolled = uncontrolled_part(model.a, model.b, tol)
+    _, unobserved = uncontrolled_part(q.T @ model.a.T @ q, (model.c @ q).T, tol)
+    return tuple(complex(z) for z in (*uncontrolled, *unobserved))

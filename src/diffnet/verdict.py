@@ -4,15 +4,19 @@
 one copy of the node dynamics, whether some (equivalently, almost every)
 choice of edge weights makes the assembled network controllable. It is
 the one analyzer for single-input (vector-weight) and multi-input
-(matrix-weight) nodes. Every verdict can be cross-examined by
-``certify_monte_carlo``, a Monte Carlo oracle on sampled weights: trial
-t's weight blocks are ``sample_weights`` on ``rng.derive(t)``, and all
-trials are assembled (``assemble_blocks`` on the stack of draws, its
-blocks scattered into dense matrices) and rank-tested as one stack, by
-block Arnoldi on the controllable subspace. A shift of vertex 1's
-diagonal block (a wall-grounded chain) is tested on the same draws:
-each trial is drawn and assembled once, and its plain and shifted pairs
-share the stack.
+(matrix-weight) nodes. Its node conditions and fixed modes come from the
+same block Arnoldi as the certificate (``numerics.uncontrolled_part``),
+run on the node's matrices each normalised by its own Frobenius norm; a
+failed node condition is witnessed by the spectrum outside the
+controllable (or observable) subspace. Every verdict can be
+cross-examined by ``certify_monte_carlo``, a Monte Carlo oracle on
+sampled weights: trial t's weight blocks are ``sample_weights`` on
+``rng.derive(t)``, and all trials are assembled (``assemble_blocks`` on
+the stack of draws, its blocks scattered into dense matrices) and
+rank-tested as one stack, by block Arnoldi on the controllable subspace.
+A shift of vertex 1's diagonal block (a wall-grounded chain) is tested on
+the same draws: each trial is drawn and assembled once, and its plain and
+shifted pairs share the stack.
 """
 
 from __future__ import annotations
@@ -31,8 +35,7 @@ from .numerics import (
     ToleranceConfig,
     controllable_dimension,
     dedupe_eigenvalues,
-    pbh_controllable,
-    pbh_observable,
+    uncontrolled_part,
 )
 from .subsystem import SubsystemModel, fixed_modes
 from .topology import NetworkGraph, spanning_forest
@@ -121,14 +124,15 @@ class AnalysisReport:
         raise KeyError(name)
 
 
-def _pbh_record(name: str, result: tuple[bool, tuple]) -> ConditionRecord:
-    """Node-level PBH condition from a ``(holds, deficient eigenvalues)``
-    result, witnessed by those eigenvalues."""
-    ok, deficient = result
-    if ok:
-        return ConditionRecord(name, ok)
-    witness = {"deficient_eigenvalues": tuple(complex(z) for z in deficient)}
-    return ConditionRecord(name, ok, witness)
+def _node_record(name: str, a, b, tol: ToleranceConfig) -> ConditionRecord:
+    """Node-level condition that (A, B) is controllable, decided by the
+    staircase and witnessed by the spectrum of its uncontrolled part,
+    deduplicated; the dual pair (A^T, C^T) gives observability."""
+    deficient = uncontrolled_part(a, b, tol)[1]
+    if not deficient.size:
+        return ConditionRecord(name, True)
+    witness = tuple(complex(z) for z in dedupe_eigenvalues(deficient, tol))
+    return ConditionRecord(name, False, {"deficient_eigenvalues": witness})
 
 
 def analyze(
@@ -159,7 +163,7 @@ def analyze(
             "model directed influences with single-input nodes instead"
         )
     if len(graph.driven) == graph.num_vertices:
-        record = _pbh_record("subsystem_controllable", pbh_controllable(model.a, model.b, tol))
+        record = _node_record("subsystem_controllable", model.a, model.b, tol)
         return AnalysisReport(
             verdict=Verdict.CONTROLLABLE if record.holds else Verdict.NOT_CONTROLLABLE,
             theorem_used="trivial-case",
@@ -179,8 +183,8 @@ def analyze(
             theorem = "2"
             notes = ("directed influences present: semi-symmetric criteria applied",)
         conditions = (
-            _pbh_record("subsystem_controllable", pbh_controllable(model.a, model.b, tol)),
-            _pbh_record("subsystem_observable", pbh_observable(model.a, model.c, tol)),
+            _node_record("subsystem_controllable", model.a, model.b, tol),
+            _node_record("subsystem_observable", model.a.T, model.c.T, tol),
             reach,
         )
         verdict = (

@@ -19,8 +19,7 @@ from diffnet.numerics import (
     DEFAULT_TOL,
     RandomSource,
     ToleranceConfig,
-    pbh_controllable,
-    pbh_observable,
+    uncontrolled_part,
 )
 from diffnet.problem_io import _int_field, _matrix, _require_mapping, json_parts
 from diffnet.subsystem import SubsystemModel
@@ -180,9 +179,9 @@ def random_model(
             gen.normal(size=(order, num_inputs)),
             gen.normal(size=(num_outputs, order)),
         )
-        if require_ctrb and not pbh_controllable(model.a, model.b)[0]:
+        if require_ctrb and uncontrolled_part(model.a, model.b)[1].size:
             continue
-        if require_obsv and not pbh_observable(model.a, model.c)[0]:
+        if require_obsv and uncontrolled_part(model.a.T, model.c.T)[1].size:
             continue
         return model
     raise AssertionError("could not draw a model with the requested properties")
@@ -215,6 +214,36 @@ def unobservable_model(
     b = gen.normal(size=(order, 1))
     c = np.zeros((num_outputs, order))
     c[:, : order - 1] = gen.normal(size=(num_outputs, order - 1))
+    return SubsystemModel(a, b, c)
+
+
+def integer_node(gen: np.random.Generator, planted: bool) -> SubsystemModel:
+    """Random integer node with n = 2-5 states, p = 1-2 inputs and 1-2
+    outputs, entries small enough for the exact oracle of ``lemmas``.
+
+    ``planted``: A is upper triangular with its last diagonal entry
+    repeated higher up, so that eigenvalue is repeated and, unless the
+    entries above it vanish, defective. Half the time B misses the left
+    eigenvector e_n, and half the time C the right eigenvector e_1. All of
+    it is hidden by a unimodular integer similarity."""
+    n, p, r = (int(k) for k in gen.integers((2, 1, 1), (6, 3, 3)))
+    b = gen.integers(-2, 3, size=(n, p))
+    c = gen.integers(-2, 3, size=(r, n))
+    if not planted:
+        a = gen.integers(-3, 4, size=(n, n))
+    else:
+        diagonal = gen.integers(-2, 3, size=n)
+        diagonal[-1] = diagonal[gen.integers(0, n - 1)]
+        a = np.diag(diagonal) + np.triu(gen.integers(-1, 2, size=(n, n)), 1)
+        if gen.random() < 0.5:
+            b[-1] = 0
+        if gen.random() < 0.5:
+            c[:, 0] = 0
+    c[~c.any(axis=1), -1] = 1  # no zero output row
+    if planted:
+        u = np.eye(n, dtype=int) + np.triu(gen.integers(-1, 2, size=(n, n)), 1)
+        u_inv = np.round(np.linalg.inv(u)).astype(int)
+        a, b, c = u @ a @ u_inv, u @ b, c @ u_inv
     return SubsystemModel(a, b, c)
 
 

@@ -6,8 +6,11 @@ scalar-weight constraint. The library needs none of them to decide or
 certify a verdict, so each is written here once, from what the pipeline
 computes: incidence matrices, sampled weights, the lumped assembly, the
 certificate and ``analyze``. Criterion 04's references live in conftest.
-Criterion 09 also checks the library's fixed modes, decided by PBH ranks,
-against a second method written here: randomized output feedback.
+Criterion 06's generic rank is the one SVD rank test left, here as
+``numerical_rank``: the library decides every rank by the staircase.
+Criterion 09 also checks the library's fixed modes, the staircase's
+Kalman split, against a second method written here: randomized output
+feedback.
 
 The exact oracle at the end decides controllability of integer pairs by
 the rank of the block Krylov matrix over GF(2^61 - 1), with Python ints:
@@ -23,12 +26,13 @@ import numpy as np
 
 from conftest import dense_pair, driven_selector
 from diffnet.assembly import sample_weights
+from diffnet.errors import NumericError
 from diffnet.numerics import (
     DEFAULT_TOL,
     RandomSource,
+    ToleranceConfig,
     dedupe_eigenvalues,
     eigenvalues,
-    numerical_rank,
 )
 from diffnet.subsystem import SubsystemModel
 from diffnet.topology import NetworkGraph
@@ -69,6 +73,26 @@ def pattern_pairs(graph: NetworkGraph, channels: int):
         ),
         (np.kron(square, -real.injection @ real.incidence), np.kron(column, delta)),
     )
+
+
+def numerical_rank(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> int:
+    """Singular values above rank_rel_tol * (largest singular value).
+
+    The zero matrix has rank 0 under the strict cutoff without any special
+    casing.
+    """
+    m = np.asarray(matrix)
+    if m.ndim != 2 or m.size == 0:
+        raise ValueError(f"rank needs a nonempty 2-D matrix, got shape {m.shape}")
+    try:
+        sv = np.linalg.svd(m, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(
+            f"SVD failed on a {m.shape[0]}x{m.shape[1]} matrix: {exc}"
+        ) from exc
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(sv > tol.rank_rel_tol * sv[0]))
 
 
 def generic_ranks(model, graph, rng, trials=3, tol=DEFAULT_TOL) -> list[int]:
@@ -153,7 +177,7 @@ def spectra_match(left, right, tol=DEFAULT_TOL) -> bool:
 def randomized_fixed_modes(
     model: SubsystemModel, rng: RandomSource, tol=DEFAULT_TOL, draws: int = 4
 ) -> list[complex]:
-    """Fixed modes under static output feedback found without PBH ranks:
+    """Fixed modes under static output feedback found without a rank test:
     the eigenvalues of A, sorted, that persist in the spectrum of
     A + B F C for each of ``draws`` feedback matrices F with entries
     uniform on [-1, 1], drawn from ``rng``. Generic, not exact: a draw can

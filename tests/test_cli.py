@@ -1002,11 +1002,12 @@ class TestIsolatedVertexCertification:
         assert code == 1
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 class TestDefectiveNodePair:
     """A has the double eigenvalue -1 in one Jordan block and (A, b) has
-    Kalman rank 1 of 2, so no network of these nodes is controllable. PBH
-    at the computed eigenvalues -1 +- ~1e-8 finds full rank."""
+    Kalman rank 1 of 2, so no network of these nodes is controllable. The
+    computed eigenvalues are -1 +- ~1e-8, where a rank test of the pencil
+    would pass; the staircase needs no eigenvalue, and the uncontrolled
+    part it leaves is the mode -1 itself."""
 
     DOC = {
         "$schema": "diffnet-problem/v1",
@@ -1025,6 +1026,41 @@ class TestDefectiveNodePair:
         holds = {c["name"]: c["holds"] for c in conditions}
         assert holds["subsystem_controllable"] is False
         assert code == 1
+        (witness,) = [c["witness"] for c in conditions if not c["holds"]]
+        (mode,) = witness["deficient_eigenvalues"]
+        assert abs(complex(mode["re"], mode["im"]) + 1.0) < 1e-9
+
+
+class TestToleranceCorner:
+    """A = [[0, 1], [0, 0]] and b = (1, eps): the pair is controllable for
+    every eps != 0, but it lies within about eps^2 of an uncontrollable
+    pair, which is what the staircase's coupling block measures. With
+    rank_rel_tol = 1e-9 the node check cannot tell eps = 1e-12 from 0."""
+
+    @staticmethod
+    def doc(eps):
+        return {
+            "$schema": "diffnet-problem/v1",
+            "driven": [1],
+            "graph": {"N": 2, "edges": [{"kind": "undirected", "u": 1, "v": 2}]},
+            "subsystem": {
+                "A": [[0.0, 1.0], [0.0, 0.0]],
+                "B": [[1.0], [eps]],
+                "C": [[1.0, 0.0]],
+            },
+        }
+
+    def test_eps_below_the_cut_is_uncontrollable(self, problem_file, capsys):
+        code, out, _ = run(capsys, ["analyze", problem_file(self.doc(1e-12))])
+        assert json.loads(out)["analysis"]["verdict"] == "NOT_STRUCTURALLY_CONTROLLABLE"
+        assert code == 1
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_eps_as_written_is_controllable(self, problem_file, capsys):
+        # the coupling block is eps^2 = 1e-12, under the cut
+        code, out, _ = run(capsys, ["analyze", problem_file(self.doc(1e-6))])
+        assert json.loads(out)["analysis"]["verdict"] == "STRUCTURALLY_CONTROLLABLE"
+        assert code == 0
 
 
 class TestDecimalNearMiss:

@@ -1,4 +1,4 @@
-"""Dense linear-algebra utilities: commutation, rank, PBH."""
+"""Dense linear-algebra utilities: commutation, rank, the staircase."""
 
 import numpy as np
 import pytest
@@ -12,24 +12,22 @@ from conftest import (
     outcome,
     reference_dimension,
 )
-from lemmas import matched_eigenvalues, spectra_match
+from lemmas import matched_eigenvalues, numerical_rank, reachable_dimension, spectra_match
 from diffnet import numerics, verdict
 from diffnet.errors import NumericError
 from diffnet.numerics import (
     DEFAULT_TOL,
-    PbhCheck,
     RandomSource,
     ToleranceConfig,
     controllable_dimension,
     dedupe_eigenvalues,
     eigenvalues,
-    numerical_rank,
-    pbh_controllable,
-    pbh_eigen_checks,
-    pbh_observable,
     sample_away_from_zero,
+    uncontrolled_part,
 )
 from diffnet.problem_io import mass_spring_chain
+from diffnet.subsystem import SubsystemModel
+from diffnet.topology import Edge, NetworkGraph
 from diffnet.verdict import certify_monte_carlo
 
 
@@ -125,71 +123,82 @@ class TestEigenvalues:
         assert matched_eigenvalues(np.array([1.0]), np.array([])) == []
 
 
-def kalman_controllable(a, b, tol=DEFAULT_TOL):
-    n = a.shape[0]
-    blocks = [b]
-    for _ in range(n - 1):
-        blocks.append(a @ blocks[-1])
-    return numerical_rank(np.hstack(blocks), tol) == n
-
-
 class TestPbh:
+    """The cases of the PBH rank test, which decided node pairs at each
+    computed eigenvalue, kept on the staircase that replaced it: the
+    spectrum ``uncontrolled_part`` returns is the PBH test's deficient
+    eigenvalues, with multiplicity, and empty exactly when the pair is
+    controllable."""
+
     def test_double_integrator_controllable(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         b = np.array([[0.0], [1.0]])
-        ok, deficient = pbh_controllable(a, b)
-        assert ok and deficient == ()
+        q, deficient = uncontrolled_part(a, b)
+        assert deficient.size == 0
+        assert np.allclose(q.T @ q, np.eye(2))
 
     def test_decoupled_repeated_mode(self):
-        ok, deficient = pbh_controllable(np.eye(2), np.array([[1.0], [0.0]]))
-        assert not ok
+        _, deficient = uncontrolled_part(np.eye(2), np.array([[1.0], [0.0]]))
         assert len(deficient) == 1
         assert abs(deficient[0] - 1.0) < 1e-9
 
     def test_distinct_diagonal_with_ones_vector(self):
-        ok, deficient = pbh_controllable(np.diag([1.0, 2.0]), np.ones((2, 1)))
-        assert ok and deficient == ()
+        assert uncontrolled_part(np.diag([1.0, 2.0]), np.ones((2, 1)))[1].size == 0
 
     def test_observable_examples(self):
+        # (A, C) is observable exactly when the dual pair (A^T, C^T) is controllable
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        assert pbh_observable(a, np.eye(2))[0]
-        ok, deficient = pbh_observable(a, np.array([[0.0, 1.0]]))
-        assert not ok
+        assert uncontrolled_part(a.T, np.eye(2))[1].size == 0
+        deficient = uncontrolled_part(a.T, np.array([[0.0], [1.0]]))[1]
+        assert len(deficient) == 1
         assert abs(deficient[0]) < 1e-9
         gen = RandomSource(1).generator()
         any_a = gen.normal(size=(3, 3))
-        assert pbh_observable(any_a, np.eye(3))[0]
+        assert uncontrolled_part(any_a.T, np.eye(3))[1].size == 0
 
     def test_checks_keep_multiplicity(self):
-        checks = pbh_eigen_checks(np.eye(2), np.array([[1.0], [0.0]]))
-        assert len(checks) == 2
-        assert all(isinstance(c, PbhCheck) and not c.full for c in checks)
+        q, deficient = uncontrolled_part(np.eye(3), np.array([[1.0], [0.0], [0.0]]))
+        assert q.shape == (3, 1)
+        assert len(deficient) == 2
+        assert np.allclose(deficient, 1.0)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            pbh_controllable(np.eye(2), np.ones((3, 1)))
+            uncontrolled_part(np.eye(2), np.ones((3, 1)))
 
     def test_agrees_with_controllability_matrix(self):
+        # integer pairs, against the exact Kalman rank of lemmas
         gen = RandomSource(33).generator()
         for trial in range(40):
             n = int(gen.integers(1, 7))
-            a = gen.normal(size=(n, n))
-            b = gen.normal(size=(n, 1))
+            a = gen.integers(-3, 4, size=(n, n)).astype(float)
+            b = gen.integers(-3, 4, size=(n, 1)).astype(float)
             if trial % 3 == 0 and n >= 2:
                 # force an uncontrollable decoupled mode
-                a = np.zeros((n, n))
-                a[: n - 1, : n - 1] = gen.normal(size=(n - 1, n - 1))
-                a[n - 1, n - 1] = gen.normal()
+                a[n - 1, : n - 1] = 0.0
+                a[: n - 1, n - 1] = 0.0
                 b[n - 1, 0] = 0.0
-            assert pbh_controllable(a, b)[0] == kalman_controllable(a, b)
+            q, deficient = uncontrolled_part(a, b)
+            exact = reachable_dimension(a, b)
+            assert q.shape == (n, exact), f"trial {trial}"
+            assert len(deficient) == n - exact, f"trial {trial}"
 
     def test_duality(self):
+        # analyze reads observability of (A, C) from the same split as
+        # controllability of (A^T, C^T)
         gen = RandomSource(13).generator()
+        graph = NetworkGraph(2, (Edge(1, 2),), (1,))
         for _ in range(20):
             n = int(gen.integers(1, 6))
             a = gen.normal(size=(n, n))
             b = gen.normal(size=(n, 1))
-            assert pbh_controllable(a, b)[0] == pbh_observable(a.T, b.T)[0]
+            if n >= 2 and gen.random() < 0.5:
+                a[0, 1:], b[0] = 0.0, 0.0  # the input misses e_1^T, a left eigenvector
+            ctrb = verdict.analyze(SubsystemModel(a, b, np.ones(n)), graph)
+            obsv = verdict.analyze(SubsystemModel(a.T, np.ones(n), b.T), graph)
+            left = ctrb.condition("subsystem_controllable")
+            right = obsv.condition("subsystem_observable")
+            assert (left.holds, left.witness) == (right.holds, right.witness)
 
 
 def planted_kalman_form(gen, n, nc, inputs=2):
@@ -261,18 +270,22 @@ class TestControllableDimension:
         assert controllable_dimension(factor * a, b) == 25
         assert controllable_dimension(a, factor * b) == 25
 
-    def test_agrees_with_pbh_on_small_pairs(self):
+    def test_agrees_with_the_exact_rank_on_small_pairs(self):
         gen = RandomSource(77).generator()
         seen = {True: 0, False: 0}
         for trial in range(60):
             n = int(gen.integers(1, 7))
+            a = gen.integers(-3, 4, size=(n, n)).astype(float)
+            b = gen.integers(-3, 4, size=(n, 1)).astype(float)
             if trial % 2 and n >= 2:
-                a, b = planted_kalman_form(gen, n, int(gen.integers(0, n)), inputs=1)
-            else:
-                a, b = gen.normal(size=(n, n)), gen.normal(size=(n, 1))
-            full = controllable_dimension(a, b) == n
-            assert full == pbh_controllable(a, b)[0], f"trial {trial}"
-            seen[full] += 1
+                # integer Kalman form, its controllable block of size nc
+                nc = int(gen.integers(0, n))
+                a[nc:, :nc], b[nc:] = 0.0, 0.0
+                order = gen.permutation(n)
+                a, b = a[order][:, order], b[order]
+            dim = controllable_dimension(a, b)
+            assert dim == reachable_dimension(a, b), f"trial {trial}"
+            seen[dim == n] += 1
         assert seen[True] and seen[False]
 
     def test_dimension_mismatch_rejected(self):

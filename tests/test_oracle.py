@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, integer_node
 from diffnet.subsystem import SubsystemModel
 from diffnet.topology import DIRECTED, UNDIRECTED, Edge, NetworkGraph
 from diffnet.verdict import Verdict, analyze
@@ -173,9 +173,33 @@ def test_planted_node_is_exact_deficient(case):
     assert min(node_ranks(model)) < model.order
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 @pytest.mark.parametrize("case", PLANTED, ids=[case[0] for case in PLANTED])
 def test_planted_defective_node(case):
     model, graph = planted(case)
     gen = np.random.default_rng(1)
     check_against_oracle(model, graph, gen, Counter(), strict=True)
+
+
+#: powers of two by which A is scaled up and B and C down (or the reverse);
+#: exact in floats, they leave every Krylov span, so every node rank, as it is
+SCALES = [5, -5, 20, -20, 100, -100]
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_nodes_scaled_apart_keep_their_exact_node_ranks(k):
+    """Random integer nodes, half with planted repeated or defective
+    eigenvalues, with A times 2^k and B and C times 2^-k: ``analyze``'s
+    node records on the scaled node must match the exact ranks of the
+    integer one. A rank test of the pencil [lambda I - A, B] cut against
+    its largest singular value misses deficient pairs here."""
+    gen = np.random.default_rng(2027)
+    graph = NetworkGraph(2, (Edge(1, 2),), {1})
+    checked = Counter()
+    for i in range(250):
+        model = integer_node(gen, planted=i % 2 == 1)
+        up, down = 2.0**k, 2.0**-k
+        scaled = SubsystemModel(up * model.a, down * model.b, down * model.c)
+        report = analyze(scaled, graph)
+        assert not node_disagreements(report, model), f"node {i}: {model}"
+        checked[min(node_ranks(model)) == model.order] += 1
+    assert checked[True] and checked[False]

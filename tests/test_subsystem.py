@@ -8,9 +8,19 @@ import pytest
 from conftest import random_model, uncontrollable_model, unobservable_model
 from diffnet.cli import main
 from diffnet.errors import ModelValidationError
-from diffnet.numerics import RandomSource, pbh_controllable, pbh_observable
+from diffnet.numerics import RandomSource, uncontrolled_part
 from diffnet.subsystem import SubsystemModel, fixed_modes
 from lemmas import randomized_fixed_modes, spectra_match
+
+
+def uncontrolled(m: SubsystemModel):
+    """The spectrum of the uncontrolled part of (A, B)."""
+    return uncontrolled_part(m.a, m.b)[1]
+
+
+def unobserved(m: SubsystemModel):
+    """The spectrum of the unobserved part of (A, C), from the dual pair."""
+    return uncontrolled_part(m.a.T, m.c.T)[1]
 
 
 def double_integrator() -> SubsystemModel:
@@ -145,27 +155,25 @@ class TestValidation:
 class TestClassicalChecks:
     def test_double_integrator_controllable_observable(self):
         m = double_integrator()
-        assert pbh_controllable(m.a, m.b) == (True, ())
-        assert pbh_observable(m.a, m.c) == (True, ())
+        assert uncontrolled(m).size == 0
+        assert unobserved(m).size == 0
 
     def test_decoupled_mode_breaks_controllability(self):
         gen = np.random.default_rng(5)
         for order in (2, 3, 4):
             m = uncontrollable_model(gen, order, 1)
-            ok, deficient = pbh_controllable(m.a, m.b)
-            assert not ok and len(deficient) >= 1
+            assert len(uncontrolled(m)) >= 1
 
     def test_decoupled_mode_breaks_observability(self):
         gen = np.random.default_rng(6)
         for order in (2, 3, 4):
             m = unobservable_model(gen, order, 2)
-            ok, deficient = pbh_observable(m.a, m.c)
-            assert not ok and len(deficient) >= 1
+            assert len(unobserved(m)) >= 1
 
 
 class TestFixedModes:
-    """The PBH fixed modes, each checked against randomized output
-    feedback (``lemmas.randomized_fixed_modes``)."""
+    """The fixed modes of the staircase's Kalman split, each checked
+    against randomized output feedback (``lemmas.randomized_fixed_modes``)."""
 
     def test_controllable_observable_model_has_none(self):
         model = double_integrator()
@@ -173,10 +181,19 @@ class TestFixedModes:
         assert randomized_fixed_modes(model, RandomSource(0)) == []
 
     def test_uncontrollable_mode_is_fixed(self):
+        # mode 2 is both uncontrollable and unobservable: counted once
         m = SubsystemModel(np.diag([1.0, 2.0]), [1.0, 0.0], [[1.0, 0.0]])
         modes = fixed_modes(m)
         assert len(modes) == 1
         assert abs(modes[0] - 2.0) < 1e-9
+        assert spectra_match(modes, randomized_fixed_modes(m, RandomSource(0)))
+
+    def test_repeated_mode_is_fixed_once(self):
+        # A + b f C = diag(1 + f, 1): one copy of 1 moves and one is fixed
+        m = SubsystemModel(np.eye(2), [1.0, 0.0], [[1.0, 0.0]])
+        modes = fixed_modes(m)
+        assert len(modes) == 1
+        assert abs(modes[0] - 1.0) < 1e-9
         assert spectra_match(modes, randomized_fixed_modes(m, RandomSource(0)))
 
     def test_zero_input_fixes_whole_spectrum(self):
@@ -199,7 +216,7 @@ class TestFixedModes:
             else:
                 m = unobservable_model(gen, order, int(gen.integers(1, 3)))
             modes = fixed_modes(m)
-            both = pbh_controllable(m.a, m.b)[0] and pbh_observable(m.a, m.c)[0]
+            both = not uncontrolled(m).size and not unobserved(m).size
             assert (not modes) == both
             agreements += spectra_match(modes, randomized_fixed_modes(m, rng.derive(i)))
         # the randomized cross-check is generic, not exact; expect near-total agreement

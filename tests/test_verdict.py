@@ -19,7 +19,7 @@ from conftest import (
 from diffnet.assembly import grounding_shift, sample_weights
 from diffnet.numerics import RandomSource, controllable_dimension
 from diffnet.problem_io import mass_spring_chain
-from diffnet.subsystem import SubsystemModel
+from diffnet.subsystem import SubsystemModel, fixed_modes
 from diffnet.topology import DIRECTED, Edge, NetworkGraph, spanning_forest
 from diffnet.verdict import AnalysisReport, Verdict, analyze, certify_monte_carlo
 from lemmas import (
@@ -27,7 +27,9 @@ from lemmas import (
     generic_ranks,
     leader_controls_consensus,
     pattern_pairs,
+    randomized_fixed_modes,
     scalar_weight_analysis,
+    spectra_match,
     summed_row,
     summed_row_model,
 )
@@ -147,6 +149,36 @@ class TestMatrixWeightAnalysis:
         mimo_model = SubsystemModel([[0.0, 1.0], [-1.0, 0.0]], np.eye(2), np.eye(2))
         mimo = analyze(mimo_model, chain_graph(2))
         assert mimo.theorem_used == "3"
+
+
+#: nodes with a zero state or input matrix, single- and multi-input
+ZERO_NODES = {
+    "A = 0": SubsystemModel(np.zeros((2, 2)), [1.0, 0.0], [[1.0, 1.0]]),
+    "B = 0": SubsystemModel([[0.0, 1.0], [-2.0, -3.0]], np.zeros(2), [[1.0, 0.0]]),
+    "A = 0, B = 0, p = 2": SubsystemModel(np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2)),
+    "B = 0, p = 2": SubsystemModel([[0.0, 1.0], [-2.0, -3.0]], np.zeros((2, 2)), np.eye(2)),
+}
+
+
+class TestZeroNodeMatrices:
+    """The node check normalises each matrix by its Frobenius norm, and a
+    zero matrix is left as it is rather than divided by its norm."""
+
+    @pytest.mark.parametrize("driven", [(1,), (1, 2)], ids=["one driven", "all driven"])
+    @pytest.mark.parametrize("name", ZERO_NODES)
+    def test_witnesses_are_finite_without_a_warning(self, name, driven):
+        model = ZERO_NODES[name]
+        with np.errstate(all="raise"):
+            report = analyze(model, chain_graph(2, driven))
+            modes = fixed_modes(model)
+        assert report.verdict is not Verdict.CONTROLLABLE
+        witnesses = [rec.witness for rec in report.conditions if not rec.holds]
+        assert witnesses
+        for witness in witnesses:
+            (values,) = witness.values()
+            assert values and np.isfinite(values).all()
+        assert modes
+        assert spectra_match(modes, randomized_fixed_modes(model, RandomSource(0)))
 
 
 class TestCertification:

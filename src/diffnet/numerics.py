@@ -2,8 +2,10 @@
 
 Eigenvalues and their deduplication; the one rank engine, block Arnoldi
 on the controllable subspace (the controllability staircase's Krylov
-form), with steps that call LAPACK's SVD kernel directly under one
-errstate: ``controllable_dimension`` for one pair or a stack of pairs,
+form), whose one-column steps take the column's norm (while every
+pair's scale and cut lie inside 2^+-400) and whose other steps call
+LAPACK's SVD kernel directly, all under one errstate:
+``controllable_dimension`` for one pair or a stack of pairs,
 each cut once at rank_rel_tol times the larger Frobenius norm of its
 state and input matrices, and ``uncontrolled_part``, which decides a
 node pair on its matrices normalised one by one and returns the
@@ -32,6 +34,14 @@ SAMPLE_GAP_FRACTION = 0.1
 #: Sums of n^2 squares at least this large have lost under n^2 2^-175 of
 #: their value to squares that underflowed (each loses at most 2^-1075).
 _SQUARES_MIN = 2.0**-900
+
+#: A staircase whose cuts are all at least 1 / _NORM_RANGE and whose
+#: scales are all at most _NORM_RANGE takes a one-column step's singular
+#: value as a plain norm: no block it meets has a square above 2^800, and
+#: a column that decides against the cut has a sum of squares of at least
+#: 2^-800, of which squares that underflowed lost under n 2^-274.
+_NORM_RANGE = 2.0**400
+_SMALLEST_NORMAL = 2.0**-1022
 
 _UINT64_MASK = 0xFFFFFFFFFFFFFFFF
 _STREAM_MIX = 0x9E3779B97F4A7C15
@@ -127,8 +137,10 @@ def dedupe_eigenvalues(values, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray
     """One representative per cluster of eigenvalues within eig_match_tol."""
     vals = np.atleast_1d(np.asarray(values, dtype=complex))
     reps: list[complex] = []
+    # a value joins any representative within the radius, not only the
+    # last: its conjugate can sort between two members of one cluster
     for lam in sorted(vals, key=lambda z: (z.real, z.imag)):
-        if not reps or abs(lam - reps[-1]) > tol.eig_match_tol:
+        if all(abs(lam - rep) > tol.eig_match_tol for rep in reps):
             reps.append(complex(lam))
     return np.array(reps, dtype=complex)
 
@@ -140,7 +152,10 @@ def controllable_dimension(a, b, tol: ToleranceConfig = DEFAULT_TOL):
     block per step: the next block is A times the last one, orthogonalized
     against the whole basis by two passes of classical Gram-Schmidt, and
     its SVD keeps the left singular vectors whose singular values exceed
-    the pair's one cut, rank_rel_tol * max(||A||_F, ||B||_F). It stops
+    the pair's one cut, rank_rel_tol * max(||A||_F, ||B||_F). A block of
+    one column, as every step of a single-input pair has, is its own SVD:
+    its norm against the cut (``_block_svd``), unless some member's scale
+    or cut lies outside 2^+-400, where every step takes LAPACK. It stops
     when no singular value passes, or as soon as every member covers every
     state: a further step could only keep nothing. This is the
     controllability staircase (Paige 1981; Van Dooren) in exact
@@ -171,7 +186,10 @@ def controllable_dimension(a, b, tol: ToleranceConfig = DEFAULT_TOL):
     if bm.ndim > 2:
         bm = np.broadcast_to(bm, lead + bm.shape[-2:]).reshape(count, n, bm.shape[-1])
     scale = np.maximum(_frobenius(am, "state"), _frobenius(bm, "input"))
-    done, _ = _staircase(am, bm, scale, tol)
+    by_norm = _norms_in_range(
+        tol.rank_rel_tol * scale.min(initial=math.inf), scale.max(initial=0.0)
+    )
+    done, _ = _staircase(am, bm, scale, tol, by_norm)
     if np.ndim(done):
         return done.reshape(lead)
     # one pair always keeps a single count, so it gives an int
@@ -195,7 +213,8 @@ def uncontrolled_part(a, b, tol: ToleranceConfig = DEFAULT_TOL):
     norms = _frobenius(am, "state")[0], _frobenius(bm, "input")[0]
     unit = [m / norm if norm else m for m, norm in zip((am, bm), norms)]
     # the larger norm of the pair is 1 (a zero B keeps nothing at any cut)
-    done, basis = _staircase(*unit, np.ones(1), tol)
+    by_norm = _norms_in_range(tol.rank_rel_tol, 1.0)
+    done, basis = _staircase(*unit, np.ones(1), tol, by_norm)
     q = basis[:, :done]
     if done == am.shape[0]:
         return q, np.empty(0, dtype=complex)
@@ -221,25 +240,32 @@ def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
     return am, bm
 
 
-def _staircase(am: np.ndarray, bm: np.ndarray, scale: np.ndarray, tol: ToleranceConfig):
+def _staircase(
+    am: np.ndarray, bm: np.ndarray, scale: np.ndarray, tol: ToleranceConfig, by_norm: bool
+):
     """Block Arnoldi on one pair (n, n), (n, m), or on a flat stack of T
     pairs (T, n, n), (T, n, m) with either operand possibly 2-D and
     shared: (kept count, basis), as ``controllable_dimension`` describes
     the iteration, with member t cut at rank_rel_tol * scale[t].
+    ``by_norm``, decided once by the caller from the cuts and scales
+    (``_norms_in_range``), lets a one-column step take its norm.
 
     The basis is (n, n) for one pair and (T, n, n) for a stack, each
-    member's kept columns first and zeros after. The count is one int
-    while every member has kept as many columns as the rest, and each
-    member's count, (T,), from the first step that splits them.
+    member's kept columns first and zeros after. It is stored row-major,
+    row j of a member its j-th vector, so each Gram-Schmidt pass reads one
+    contiguous k x n block per member; the transposed view is returned.
+    The count is one int while every member has kept as many columns as
+    the rest, and each member's count, (T,), from the first step that
+    splits them.
 
     Most steps keep every member's whole block. One comparison finds such
     a step: every member's smallest singular value exceeds its cut, and
     the block fits in the states left. It then takes no count, and the
-    number kept stays one int. Each step's SVD is the LAPACK kernel behind
-    ``np.linalg.svd`` (``_block_svd``), with the same bits; one errstate
-    around the whole iteration turns the kernel's non-convergence flag
-    into the same ``NumericError`` that ``np.linalg.svd``'s error gave.
-    The new block's Gram-Schmidt passes subtract in place.
+    number kept stays one int. Each step's SVD is ``_block_svd``; one
+    errstate around the whole iteration turns the LAPACK kernel's
+    non-convergence flag into the same ``NumericError`` that
+    ``np.linalg.svd``'s error gave. The new block's Gram-Schmidt passes
+    subtract in place.
     """
     n = am.shape[-1]
     lead = np.broadcast_shapes(am.shape[:-2], bm.shape[:-2])
@@ -251,15 +277,15 @@ def _staircase(am: np.ndarray, bm: np.ndarray, scale: np.ndarray, tol: Tolerance
     done = 0
     aligned = True
     try:
-        basis = np.zeros(lead + (n, n))
-        members = basis.reshape(count, n, n)
+        rows = np.zeros(lead + (n, n))
+        members = rows.reshape(count, n, n)
         # an input matrix shared by the stack is decomposed once
         block = bm
         with np.errstate(
             call=_svd_failed, invalid="call", over="ignore", divide="ignore", under="ignore"
         ):
             while True:
-                u, sv, _ = _block_svd(block)
+                u, sv = _block_svd(block, by_norm)
                 width = sv.shape[-1]
                 # a step where every member keeps its whole block needs no count
                 if not (
@@ -273,29 +299,36 @@ def _staircase(am: np.ndarray, bm: np.ndarray, scale: np.ndarray, tol: Tolerance
                         done, aligned = np.full(count, done, dtype=np.intp), False
                 if aligned:
                     fresh = u[..., :width]
-                    basis[..., done : done + width] = fresh
+                    rows[..., done : done + width, :] = np.swapaxes(fresh, -1, -2)
                     done += width
                     if done == n:
                         break
-                    q = basis[..., :done]
+                    q = rows[..., :done, :]
                 else:
                     kept = np.arange(width) < rho[:, None]
                     fresh = u[..., :width] * kept[..., None, :]
                     member, column = np.nonzero(kept)
-                    members[member, :, done[member] + column] = fresh[member, :, column]
+                    members[member, done[member] + column] = fresh[member, :, column]
                     done = done + rho
                     if int(done.min()) == n:
                         break
-                    q = basis[..., : int(done.max())]
+                    q = rows[..., : int(done.max()), :]
                 qt = np.swapaxes(q, -1, -2)
                 block = am @ fresh
                 for _ in range(2):
-                    block -= q @ (qt @ block)
+                    block -= qt @ (q @ block)
     except np.linalg.LinAlgError as exc:
         raise NumericError(
             f"staircase SVD failed on a {n}-state pair: {exc}"
         ) from exc
-    return done, basis
+    return done, np.swapaxes(rows, -1, -2)
+
+
+def _norms_in_range(least_cut: float, largest_scale: float) -> bool:
+    """Whether a staircase whose cuts are at least ``least_cut`` and whose
+    scales are at most ``largest_scale`` may take a one-column step's
+    singular value as the column's plain norm (``_NORM_RANGE``)."""
+    return least_cut >= 1.0 / _NORM_RANGE and largest_scale <= _NORM_RANGE
 
 
 def _frobenius(m: np.ndarray, what: str) -> np.ndarray:
@@ -331,12 +364,24 @@ def _svd_failed(err: str, flag: int) -> None:
     raise np.linalg.LinAlgError("SVD did not converge")
 
 
-def _block_svd(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD (u, singular values, vh) of each matrix of a float64 stack.
+def _block_svd(block: np.ndarray, by_norm: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Thin SVD (u, singular values) of each matrix of a float64 stack.
 
-    The LAPACK kernel that ``np.linalg.svd(block, full_matrices=False)``
-    calls, with the same bits, without that wrapper's type checks, copies
-    and errstate: the caller's errstate must turn the invalid flag it
-    raises on non-convergence into an error (``_svd_failed``).
+    With ``by_norm``, a block of one column is its own SVD: its singular
+    value is its norm, the square root of one sum of squares, and u is the
+    column divided by it; a zero column stays zero, with no 0/0. The
+    caller sets ``by_norm`` only where no sum of squares can overflow or
+    lose a square that matters against the cut (``_norms_in_range``).
+
+    Every other block takes the LAPACK kernel that
+    ``np.linalg.svd(block, full_matrices=False)`` calls, with the same
+    bits, without that wrapper's type checks, copies and errstate: the
+    caller's errstate must turn the invalid flag it raises on
+    non-convergence into an error (``_svd_failed``).
     """
-    return _umath_linalg.svd_s(block, signature="d->ddd")
+    if by_norm and block.shape[-1] == 1:
+        sv = np.sqrt(np.vecdot(block, block, axis=-2))
+        # the smallest normal float divides a zero column into zeros
+        return block / np.maximum(sv, _SMALLEST_NORMAL)[..., None, :], sv
+    u, sv, _ = _umath_linalg.svd_s(block, signature="d->ddd")
+    return u, sv

@@ -13,7 +13,10 @@ cross-examined by ``certify_monte_carlo``, a Monte Carlo oracle on
 sampled weights: trial t's weight blocks are ``sample_weights`` on
 ``rng.derive(t)``, and all trials are assembled (``assemble_blocks`` on
 the stack of draws, its blocks scattered into dense matrices) and
-rank-tested as one stack, by block Arnoldi on the controllable subspace.
+rank-tested as one stack, by block Arnoldi on the controllable subspace,
+against one input matrix: Delta kron B at the driven vertices' |D| p
+columns only, built once per call. A single-input network's steps are
+then single columns, each taken by its norm.
 A shift of vertex 1's diagonal block (a wall-grounded chain) is tested on
 the same draws: each trial is drawn and assembled once, and its plain and
 shifted pairs share the stack.
@@ -233,8 +236,10 @@ def certify_monte_carlo(
     Trial t's weights are ``sample_weights`` on ``rng.derive(t)``. The
     trials' lumped pairs are assembled and their controllable subspaces
     measured by block Arnoldi as one stack, split only where the stack's
-    state matrices would pass ``_TRIAL_STACK_BYTES``. The states outside
-    a pair's subspace are its trial's ``deficient_count``.
+    state matrices would pass ``_TRIAL_STACK_BYTES``. Every pair shares
+    one input matrix, built once: the driven vertices' |D| p columns of
+    Delta kron B, which span what all its N p columns span. The states
+    outside a pair's subspace are its trial's ``deficient_count``.
 
     ``a_shift``, an (n, n) array for nodes of order n, is added to vertex
     1's diagonal block of every state matrix (``ground_first_vertex``; a
@@ -265,6 +270,7 @@ def certify_monte_carlo(
     size = max(1, _TRIAL_STACK_BYTES // (8 * halves * n_states * n_states))
     sources = [rng.derive(t) for t in range(trials)]
     per: list[list[TrialResult]] = [[] for _ in range(halves)]
+    b_sys = None
     for at in range(0, trials, size):
         chunk = sources[at : at + size]
         blocks = np.stack([sample_weights(graph, shape, src) for src in chunk])
@@ -275,7 +281,13 @@ def certify_monte_carlo(
         state.dense(out=a_sys[:k])
         if a_shift is not None:
             ground_first_vertex(state, a_shift).dense(out=a_sys[k:])
-        b_sys = inputs.dense()
+        if b_sys is None:
+            # Delta kron B at the driven vertices' |D| p columns only: its
+            # other columns are zero and add nothing to any pair's span
+            driven = inputs.rows.size
+            b_sys = dataclasses.replace(
+                inputs, shape=(n_states, driven * model.num_inputs), cols=np.arange(driven)
+            ).dense()
         try:
             dims = list(controllable_dimension(a_sys, b_sys, tol))
         except NumericError:

@@ -1,5 +1,6 @@
-"""Every name a ``diffnet`` module imports is used in it, and every
-function and class the package defines is used or exported by it.
+"""Every name a ``diffnet`` module imports is used in it, every
+function and class the package defines is used or exported by it, and
+only ``numerics`` imports numpy's private linear-algebra kernels.
 
 A name is used when it is read anywhere in the module, annotations
 included, or listed in the module's ``__all__``. Code that only tests
@@ -84,3 +85,48 @@ def test_the_guard_finds_an_unreferenced_definition():
 def test_every_definition_is_used_or_exported():
     sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
     assert unreferenced_definitions(sources) == []
+
+
+PRIVATE_KERNELS = "numpy.linalg._umath_linalg"
+
+
+def private_kernel_imports(source: str) -> list[str]:
+    """The import statements of ``source`` that reach numpy's private
+    linear-algebra kernels, ``numpy.linalg._umath_linalg``, in any form,
+    as their source lines, in order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            modules = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any((m + ".").startswith(PRIVATE_KERNELS + ".") for m in modules):
+            found.append(ast.get_source_segment(source, node))
+    return found
+
+
+def test_the_guard_finds_a_private_kernel_import():
+    source = (
+        "import numpy as np\nfrom numpy.linalg import _umath_linalg\n"
+        "import numpy.linalg._umath_linalg as k\nfrom numpy.linalg import norm\n"
+        "from numpy.linalg._umath_linalg import svd_s\nimport numpy.linalg\n"
+    )
+    assert private_kernel_imports(source) == [
+        "from numpy.linalg import _umath_linalg",
+        "import numpy.linalg._umath_linalg as k",
+        "from numpy.linalg._umath_linalg import svd_s",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [path for path in sorted(SRC.glob("*.py")) if path.name != "numerics.py"],
+    ids=lambda p: p.name,
+)
+def test_only_numerics_imports_the_private_kernels(path):
+    """The staircase's step calls LAPACK's SVD kernel through numpy's
+    private module; every other module goes through numpy's public API,
+    so a change of that private module touches one file."""
+    assert private_kernel_imports(path.read_text(encoding="utf-8")) == []

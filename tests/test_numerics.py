@@ -2,18 +2,23 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     commutation_matrix,
     commutation_permutation,
+    dense_pair,
     loop_sample_away_from_zero,
     outcome,
+    random_graph,
+    random_model,
     reference_dimension,
 )
 from lemmas import matched_eigenvalues, numerical_rank, reachable_dimension, spectra_match
 from diffnet import numerics, verdict
+from diffnet.assembly import sample_weights
+from diffnet.cli import main
 from diffnet.errors import NumericError
 from diffnet.numerics import (
     DEFAULT_TOL,
@@ -109,6 +114,23 @@ class TestEigenvalues:
         vals = np.array([1.0, 1.0 + 1e-9, 2.0, 2.0 + 1e-3])
         deduped = dedupe_eigenvalues(vals, ToleranceConfig(eig_match_tol=1e-7))
         assert len(deduped) == 3
+
+    def test_dedupe_keeps_a_cluster_split_by_its_conjugate(self):
+        """The conjugate sorts between two members of one cluster, which
+        still give one representative."""
+        vals = np.array([0.5 + 0.5j, 0.50000002 - 0.5j, 0.50000003 + 0.5j])
+        deduped = dedupe_eigenvalues(vals, ToleranceConfig(eig_match_tol=1e-7))
+        assert deduped.tolist() == [0.5 + 0.5j, 0.50000002 - 0.5j]
+
+    def test_dedupe_merges_a_perturbed_double_complex_pair(self):
+        """A double pair a +- bi, each copy moved by under the radius: the
+        four values interleave when sorted and give two representatives."""
+        vals = np.array(
+            [-0.3 + 2j, -0.3 + 1e-8 - 2j, -0.3 + 3e-8 + 2.00000003j, -0.3 + 4e-8 - 1.99999996j]
+        )
+        deduped = dedupe_eigenvalues(vals, ToleranceConfig(eig_match_tol=1e-7))
+        assert len(deduped) == 2
+        assert sorted(np.sign(deduped.imag).tolist()) == [-1.0, 1.0]
 
     def test_spectra_match_detects_mismatch(self):
         assert spectra_match(np.array([1.0, 2.0]), np.array([2.0, 1.0]))
@@ -225,9 +247,9 @@ def svd_shapes(monkeypatch):
         shapes.append((np.shape(m), kwargs.get("compute_uv", True)))
         return svd(m, *args, **kwargs)
 
-    def recording_block(m):
+    def recording_block(m, by_norm):
         shapes.append((np.shape(m), True))
-        return block_svd(m)
+        return block_svd(m, by_norm)
 
     monkeypatch.setattr(np.linalg, "svd", recording)
     monkeypatch.setattr(numerics, "_block_svd", recording_block)
@@ -242,10 +264,11 @@ def dimension_or_error(fn, *args):
     return kind, type(got), np.asarray(got).dtype, np.asarray(got).tolist()
 
 
-def non_converging(block):
+def non_converging(block, by_norm):
     """The staircase's step SVD as it fails: LAPACK's kernel on a block of
     NaN sets the invalid flag, which is how it reports non-convergence."""
-    return numerics._umath_linalg.svd_s(np.full_like(block, np.nan), signature="d->ddd")
+    u, sv, _ = numerics._umath_linalg.svd_s(np.full_like(block, np.nan), signature="d->ddd")
+    return u, sv
 
 
 class TestControllableDimension:
@@ -411,6 +434,20 @@ class TestControllableDimension:
         assert shapes and all(len(shape) == 2 for shape, _ in shapes)
 
 
+def svd_s_calls(monkeypatch):
+    """Shapes of the blocks later passed to LAPACK's SVD kernel
+    ``numerics._umath_linalg.svd_s``, by the staircase or by
+    ``np.linalg.svd``."""
+    kernel, shapes = numerics._umath_linalg.svd_s, []
+
+    def recording(block, *args, **kwargs):
+        shapes.append(np.shape(block))
+        return kernel(block, *args, **kwargs)
+
+    monkeypatch.setattr(numerics._umath_linalg, "svd_s", recording)
+    return shapes
+
+
 class TestBlockSvd:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -420,11 +457,17 @@ class TestBlockSvd:
         width=st.integers(1, 4),
         exp=st.integers(-150, 150),
         zero=st.sampled_from(["none", "one", "all"]),
+        by_norm=st.booleans(),
     )
-    def test_equals_np_linalg_svd_bit_for_bit(self, seed, members, n, width, exp, zero):
-        """The staircase's step SVD is np.linalg.svd's kernel: the same u
-        and singular values, bit for bit, on one block (members = 0) or a
-        stack, with zero blocks and scales 2^+-150."""
+    def test_equals_np_linalg_svd_bit_for_bit(
+        self, seed, members, n, width, exp, zero, by_norm
+    ):
+        """Every block the staircase does not take by its norm, those of
+        two or more columns and a single column where the pair's range
+        rules the norm out, is decomposed by np.linalg.svd's kernel: the
+        same u and singular values, bit for bit, on one block (members =
+        0) or a stack, with zero blocks and scales 2^+-150."""
+        assume(width > 1 or not by_norm)
         gen = np.random.default_rng(seed)
         block = gen.normal(size=((members,) if members else ()) + (n, width)) * 2.0**exp
         if zero == "all":
@@ -433,11 +476,71 @@ class TestBlockSvd:
             block[..., int(gen.integers(0, width))] = 0.0
             if members:
                 block[int(gen.integers(0, members))] = 0.0
-        u, sv, _ = numerics._block_svd(block)
+        u, sv = numerics._block_svd(block, by_norm)
         want_u, want_sv, _ = np.linalg.svd(block, full_matrices=False)
         for got, want in ((u, want_u), (sv, want_sv)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        members=st.integers(0, 6),
+        n=st.integers(1, 40),
+        exp=st.integers(-300, 300),
+        zero=st.sampled_from(["none", "one", "all"]),
+    )
+    def test_one_column_is_its_norm(self, seed, members, n, exp, zero):
+        """A one-column block taken by its norm: the singular value within
+        2 ulp of np.linalg.svd's and u its u up to sign, with no LAPACK
+        call; a zero column, alone or as one member of a stack, keeps a
+        zero u and raises no floating-point flag."""
+        gen = np.random.default_rng(seed)
+        block = gen.normal(size=((members,) if members else ()) + (n, 1)) * 2.0**exp
+        if zero == "all":
+            block[...] = 0.0
+        elif zero == "one" and members:
+            block[int(gen.integers(0, members))] = 0.0
+        want_u, want_sv, _ = np.linalg.svd(block, full_matrices=False)
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="raise"):
+            calls = svd_s_calls(mp)
+            u, sv = numerics._block_svd(block, True)
+        assert calls == []
+        assert u.shape == want_u.shape and sv.shape == want_sv.shape
+        assert (np.abs(sv - want_sv) <= 2 * np.spacing(want_sv)).all()
+        zero_column = (block == 0.0).all(axis=-2, keepdims=True)
+        assert (u[np.broadcast_to(zero_column, u.shape)] == 0.0).all()
+        sign = np.where(zero_column, 0.0, np.sign(np.vecdot(u, want_u, axis=-2))[..., None])
+        assert np.abs(u - sign * want_u).max(initial=0.0) <= 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize(
+        "exp, lapack", [(-450, True), (-300, False), (0, False), (300, False), (450, True)]
+    )
+    def test_pairs_outside_the_norm_range_take_lapack(self, exp, lapack, monkeypatch):
+        """Single-input pairs scaled by 2^exp: inside 2^+-400 every step
+        is a norm and no LAPACK call is made; outside it every step takes
+        the kernel, and the dimensions are still the reference loop's."""
+        gen = RandomSource(41).generator()
+        pairs = [planted_kalman_form(gen, 8, nc, inputs=1) for nc in (3, 6, 8)]
+        a = np.stack([pair[0] for pair in pairs]) * 2.0**exp
+        b = np.stack([pair[1] for pair in pairs]) * 2.0**exp
+        want = [reference_dimension(a, b).tolist(), reference_dimension(a[0], b[0])]
+        calls = svd_s_calls(monkeypatch)
+        got = [controllable_dimension(a, b).tolist(), controllable_dimension(a[0], b[0])]
+        assert got == want == [[3, 6, 8], 3]
+        assert bool(calls) is lapack
+        assert all(shape[-1] == 1 for shape in calls)
+
+    def test_a_cut_below_the_norm_range_takes_lapack(self, monkeypatch):
+        """A node pair's cut is rank_rel_tol itself: below 2^-400 its
+        one-column steps take the kernel, with the same basis span."""
+        a = np.diag(np.ones(3), 1) + 0.5 * np.eye(4)
+        b = np.eye(4)[:, -1:]
+        calls = svd_s_calls(monkeypatch)
+        q, spectrum = uncontrolled_part(a, b)
+        assert calls == [] and q.shape == (4, 4) and spectrum.size == 0
+        q, spectrum = uncontrolled_part(a, b, ToleranceConfig(rank_rel_tol=2.0**-420))
+        assert len(calls) == 4 and q.shape == (4, 4) and spectrum.size == 0
 
     def test_non_convergence_is_a_numeric_error(self, monkeypatch, capfd):
         monkeypatch.setattr(numerics, "_block_svd", non_converging)
@@ -611,6 +714,79 @@ class TestNormBracket:
         )
         assert all(trial.controllable for trial in cert.per_trial)
         assert shapes and all(shape[-2:] != (100, 100) for shape, _ in shapes)
+
+
+def random_network(
+    gen, num_vertices: int, num_inputs: int, driven
+) -> tuple[SubsystemModel, NetworkGraph]:
+    """A random node on a random graph with the given driven vertices:
+    undirected for several inputs, mixed for one, and not always
+    connected."""
+    graph = random_graph(gen, num_vertices, edge_prob=0.4, allow_directed=num_inputs == 1)
+    model = random_model(gen, int(gen.integers(2, 4)), 2, num_inputs)
+    return model, NetworkGraph(num_vertices, graph.edges, driven)
+
+
+class TestDrivenColumns:
+    """The certificate's input matrix holds the driven vertices' |D| p
+    columns of Delta kron B only, and a one-column step costs a norm."""
+
+    @pytest.mark.parametrize("flags", [[], ["--ground-first-mass"]])
+    def test_chain_certificate_makes_no_lapack_call(self, flags, tmp_path, monkeypatch):
+        """The 50-mass chain is single-input: every step of its certificate
+        is one column. The one LAPACK call left is analyze's observability
+        check of the node, whose (A^T, C^T) has two output columns."""
+        problem, report = tmp_path / "chain.json", tmp_path / "report.json"
+        assert main(["example", "--N", "50", "--out", str(problem)]) == 0
+        calls = svd_s_calls(monkeypatch)
+        assert main(["certify", str(problem), *flags, "--out", str(report)]) == 0
+        assert calls == [(2, 2)]
+
+    def test_multi_input_certificate_still_calls_lapack(self, monkeypatch):
+        gen = RandomSource(24).generator()
+        model, graph = random_network(gen, 24, 2, (3, 24))
+        calls = svd_s_calls(monkeypatch)
+        cert = certify_monte_carlo(model, graph, trials=3, rng=RandomSource(2))
+        assert len(cert.per_trial) == 3
+        assert any(shape[-2] == 24 * model.order for shape in calls)
+
+    @pytest.mark.parametrize("inputs, driven", [(1, (4,)), (2, (2, 5)), (2, (1, 3, 6))])
+    def test_staircase_takes_the_driven_columns(self, inputs, driven, monkeypatch):
+        gen = RandomSource(len(driven)).generator()
+        model, graph = random_network(gen, max(driven), inputs, driven)
+        n_states = graph.num_vertices * model.order
+        widths = []
+        staircase = numerics._staircase
+
+        def recording(am, bm, *args):
+            if am.shape[-1] == n_states:
+                widths.append(bm.shape)
+            return staircase(am, bm, *args)
+
+        monkeypatch.setattr(numerics, "_staircase", recording)
+        certify_monte_carlo(model, graph, trials=4, rng=RandomSource(3))
+        assert widths == [(n_states, len(driven) * inputs)]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_counts_equal_the_dense_input_reference(self, seed):
+        """Per-trial deficient counts equal the reference loop's on the
+        same draws with the dense (nN, Np) input matrix: random networks
+        with 1-3 driven vertices, vertex N driven in every other one, and
+        single-input mixed graphs."""
+        gen = RandomSource(100 + seed).generator()
+        inputs = 1 if seed % 4 == 3 else 2
+        num_vertices = int(gen.integers(3, 8))
+        driven = gen.choice(num_vertices - 1, size=int(gen.integers(1, 3)), replace=False) + 1
+        driven = (*driven.tolist(), num_vertices) if seed % 2 else (*driven.tolist(),)
+        model, graph = random_network(gen, num_vertices, inputs, driven)
+        rng, trials = RandomSource(seed), 5
+        cert = certify_monte_carlo(model, graph, trials=trials, rng=rng)
+        shape = (model.num_inputs, model.num_outputs)
+        draws = np.stack([sample_weights(graph, shape, rng.derive(t)) for t in range(trials)])
+        a_sys, b_sys = dense_pair(model, graph, draws)
+        assert b_sys.shape[-1] == num_vertices * inputs
+        want = graph.num_vertices * model.order - reference_dimension(a_sys, b_sys)
+        assert [trial.deficient_count for trial in cert.per_trial] == want.tolist()
 
 
 class TestRandomSource:

@@ -369,9 +369,12 @@ def _block_svd(block: np.ndarray, by_norm: bool) -> tuple[np.ndarray, np.ndarray
 
     With ``by_norm``, a block of one column is its own SVD: its singular
     value is its norm, the square root of one sum of squares, and u is the
-    column divided by it; a zero column stays zero, with no 0/0. The
-    caller sets ``by_norm`` only where no sum of squares can overflow or
-    lose a square that matters against the cut (``_norms_in_range``).
+    column divided by it; a zero column stays zero, with no 0/0. The sum
+    is taken in np.longdouble, so that where that type is wider than
+    float64 the norm is rounded once, within 2 ulp of gesdd's, where a
+    float64 sum drifts 3 ulp from it by 21 rows. The caller sets
+    ``by_norm`` only where no sum of squares can overflow or lose a square
+    that matters against the cut (``_norms_in_range``).
 
     Every other block takes the LAPACK kernel that
     ``np.linalg.svd(block, full_matrices=False)`` calls, with the same
@@ -380,7 +383,8 @@ def _block_svd(block: np.ndarray, by_norm: bool) -> tuple[np.ndarray, np.ndarray
     non-convergence into an error (``_svd_failed``).
     """
     if by_norm and block.shape[-1] == 1:
-        sv = np.sqrt(np.vecdot(block, block, axis=-2))
+        wide = block.astype(np.longdouble)
+        sv = np.sqrt(np.vecdot(wide, wide, axis=-2)).astype(np.float64)
         # the smallest normal float divides a zero column into zeros
         return block / np.maximum(sv, _SMALLEST_NORMAL)[..., None, :], sv
     u, sv, _ = _umath_linalg.svd_s(block, signature="d->ddd")

@@ -372,7 +372,11 @@ def _block_svd(block: np.ndarray, by_norm: bool) -> tuple[np.ndarray, np.ndarray
     column divided by it; a zero column stays zero, with no 0/0. The sum
     is taken in np.longdouble, so that where that type is wider than
     float64 the norm is rounded once, within 2 ulp of gesdd's, where a
-    float64 sum drifts 3 ulp from it by 21 rows. The caller sets
+    float64 sum drifts 3 ulp from it by 21 rows. Both that bound and the
+    step's speed were measured only with the 80-bit x87 long double of
+    x86-64 Linux; where the type is float64 the 3-ulp drift returns, and
+    where it is a software quad (aarch64 Linux) the cost is unmeasured.
+    The caller sets
     ``by_norm`` only where no sum of squares can overflow or lose a square
     that matters against the cut (``_norms_in_range``).
 

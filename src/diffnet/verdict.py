@@ -270,24 +270,17 @@ def certify_monte_carlo(
     size = max(1, _TRIAL_STACK_BYTES // (8 * halves * n_states * n_states))
     sources = [rng.derive(t) for t in range(trials)]
     per: list[list[TrialResult]] = [[] for _ in range(halves)]
-    b_sys = None
+    b_sys = _driven_input(model, graph)
     for at in range(0, trials, size):
         chunk = sources[at : at + size]
         blocks = np.stack([sample_weights(graph, shape, src) for src in chunk])
         # the chunk's plain state matrices, then (shifted) the same grounded
         k = len(chunk)
         a_sys = np.empty((halves * k, n_states, n_states))
-        state, inputs = assemble_blocks(model, graph, blocks)
+        state, _ = assemble_blocks(model, graph, blocks)
         state.dense(out=a_sys[:k])
         if a_shift is not None:
             ground_first_vertex(state, a_shift).dense(out=a_sys[k:])
-        if b_sys is None:
-            # Delta kron B at the driven vertices' |D| p columns only: its
-            # other columns are zero and add nothing to any pair's span
-            driven = inputs.rows.size
-            b_sys = dataclasses.replace(
-                inputs, shape=(n_states, driven * model.num_inputs), cols=np.arange(driven)
-            ).dense()
         try:
             dims = list(controllable_dimension(a_sys, b_sys, tol))
         except NumericError:
@@ -305,6 +298,18 @@ def certify_monte_carlo(
     if a_shift is None:
         return plain
     return dataclasses.replace(plain, grounded=_compared(per[1], analysis.verdict))
+
+
+def _driven_input(model: SubsystemModel, graph: NetworkGraph) -> np.ndarray:
+    """Delta kron B at the driven vertices' |D| p columns only, (N n, |D| p):
+    B at block row v - 1 and block column k for the k-th driven vertex v.
+    The other columns of Delta kron B are zero and add nothing to any
+    pair's span."""
+    n, p = model.b.shape
+    driven = np.array(graph.driven, dtype=np.intp) - 1
+    full = np.zeros((graph.num_vertices, n, driven.size, p))
+    full[driven, :, np.arange(driven.size), :] = model.b
+    return full.reshape(graph.num_vertices * n, driven.size * p)
 
 
 def _trial(src: RandomSource, dim, n_states: int) -> TrialResult:

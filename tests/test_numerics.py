@@ -507,11 +507,14 @@ class TestBlockSvd:
             u, sv = numerics._block_svd(block, True)
         assert calls == []
         assert u.shape == want_u.shape and sv.shape == want_sv.shape
-        assert (np.abs(sv - want_sv) <= 2 * np.spacing(want_sv)).all()
         zero_column = (block == 0.0).all(axis=-2, keepdims=True)
         assert (u[np.broadcast_to(zero_column, u.shape)] == 0.0).all()
         sign = np.where(zero_column, 0.0, np.sign(np.vecdot(u, want_u, axis=-2))[..., None])
         assert np.abs(u - sign * want_u).max(initial=0.0) <= 4 * np.finfo(float).eps
+        # the 2-ulp bound holds for a sum of squares taken wider than float64
+        if np.finfo(np.longdouble).nmant <= np.finfo(float).nmant:
+            pytest.skip("np.longdouble is float64 here: the norm may drift 3 ulp")
+        assert (np.abs(sv - want_sv) <= 2 * np.spacing(want_sv)).all()
 
     @pytest.mark.parametrize(
         "exp, lapack", [(-450, True), (-300, False), (0, False), (300, False), (450, True)]
@@ -752,20 +755,27 @@ class TestDrivenColumns:
 
     @pytest.mark.parametrize("inputs, driven", [(1, (4,)), (2, (2, 5)), (2, (1, 3, 6))])
     def test_staircase_takes_the_driven_columns(self, inputs, driven, monkeypatch):
+        """The staircase receives the driven vertices' columns of the
+        dense Delta kron B, bit for bit, in the driven set's order."""
         gen = RandomSource(len(driven)).generator()
         model, graph = random_network(gen, max(driven), inputs, driven)
         n_states = graph.num_vertices * model.order
-        widths = []
+        received = []
         staircase = numerics._staircase
 
         def recording(am, bm, *args):
             if am.shape[-1] == n_states:
-                widths.append(bm.shape)
+                received.append(bm)
             return staircase(am, bm, *args)
 
         monkeypatch.setattr(numerics, "_staircase", recording)
         certify_monte_carlo(model, graph, trials=4, rng=RandomSource(3))
-        assert widths == [(n_states, len(driven) * inputs)]
+        shape = (model.num_inputs, model.num_outputs)
+        _, dense_b = dense_pair(model, graph, sample_weights(graph, shape, RandomSource(3)))
+        columns = [(v - 1) * inputs + j for v in driven for j in range(inputs)]
+        want = dense_b[:, columns]
+        assert [bm.shape for bm in received] == [(n_states, len(driven) * inputs)]
+        assert received[0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", range(12))
     def test_counts_equal_the_dense_input_reference(self, seed):

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -114,6 +115,18 @@ def _require_mapping(value, where: str) -> dict:
     return value
 
 
+#: The types ``json.loads`` gives a JSON number; a bool, though an int in
+#: Python, is not one, and neither is a string that numpy would convert
+_NUMBER_TYPES = {int, float}
+
+
+def _flat(nested: list, depth: int):
+    """The entries of lists nested ``depth`` deep, as one iterable."""
+    for _ in range(depth - 1):
+        nested = itertools.chain.from_iterable(nested)
+    return nested
+
+
 def _matrix(value, where: str) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
@@ -121,6 +134,13 @@ def _matrix(value, where: str) -> np.ndarray:
         raise _fail(f"{where} is not a numeric array: {exc}") from None
     if arr.ndim not in (1, 2) or arr.size == 0:
         raise _fail(f"{where} must be a non-empty 1-D or 2-D numeric array")
+    entries = list(_flat(value, arr.ndim))
+    if not set(map(type, entries)) <= _NUMBER_TYPES:
+        bad = next(x for x in entries if type(x) not in _NUMBER_TYPES)
+        raise _fail(
+            f"{where} has the non-numeric entry {json.dumps(bad)}: "
+            "every entry must be a JSON number"
+        )
     if not np.all(np.isfinite(arr)):
         raise _fail(f"{where} contains non-finite entries")
     return arr
@@ -228,7 +248,7 @@ def _edge_positions(graph: NetworkGraph) -> dict[tuple[int, int], int]:
 def _weight_columns(entries: list, positions: dict, shape: tuple[int, int]):
     """Edge positions and stacked blocks of the "weights" entries, or None
     unless every entry is well formed, names a distinct edge and has a
-    finite block of the given shape."""
+    finite block of the given shape, all of JSON numbers."""
     try:
         us = [e["u"] for e in entries]
         vs = [e["v"] for e in entries]
@@ -247,9 +267,14 @@ def _weight_columns(entries: list, positions: dict, shape: tuple[int, int]):
         blocks = np.array(ws, dtype=float)
     except (TypeError, ValueError, OverflowError):
         return None
-    if shape[0] == 1 and blocks.ndim == 2:  # one 1-D row per weight
+    depth = blocks.ndim
+    if shape[0] == 1 and depth == 2:  # one 1-D row per weight
         blocks = blocks[:, None, :]
-    if blocks.shape[1:] != shape or not np.all(np.isfinite(blocks)):
+    if (
+        blocks.shape[1:] != shape
+        or not np.all(np.isfinite(blocks))
+        or not set(map(type, _flat(ws, depth))) <= _NUMBER_TYPES
+    ):
         return None
     return found, blocks
 

@@ -19,7 +19,11 @@ columns only, built once per call. A single-input network's steps are
 then single columns, each taken by its norm.
 A shift of vertex 1's diagonal block (a wall-grounded chain) is tested on
 the same draws: each trial is drawn and assembled once, and its plain and
-shifted pairs share the stack.
+shifted pairs share the stack. A shift that acts only through a driven
+vertex 1's input row, as the chain's wall acts on mass 1 beside its
+external force, is state feedback, which leaves every pair's controllable
+subspace as it is: its grounded trials are then the plain ones, and the
+stack holds the plain pairs only.
 """
 
 from __future__ import annotations
@@ -247,10 +251,16 @@ def certify_monte_carlo(
     assembled once: a stack of k trials holds the k plain state matrices,
     the blocks of ``assemble_blocks`` scattered, and after them the k
     shifted ones, the shifted blocks scattered; the shifted results form
-    the report's ``grounded`` part. A numeric failure of the stacked rank
-    test reruns its members one at a time, so it is recorded on its own
-    trial (and half) and never aborts the run. Both parts are compared
-    with ``analysis``, computed by ``analyze`` when not given.
+    the report's ``grounded`` part. When the shift is state feedback
+    through vertex 1's input (``_is_input_feedback``: vertex 1 driven, B
+    and the shift zero outside one row, B not zero in it), the shifted
+    pair (A + B_sys G, B_sys) has the plain pair's controllable subspace,
+    so no shifted matrix is built: the stack holds the k plain ones, and
+    ``grounded`` repeats the plain trials, counts, flags and errors. A
+    numeric failure of the stacked rank test reruns its members one at a
+    time, so it is recorded on its own trial (and half) and never aborts
+    the run. Both parts are compared with ``analysis``, computed by
+    ``analyze`` when not given.
     """
     if trials < 1:
         raise ValueError(f"certification needs at least one trial, got {trials}")
@@ -266,7 +276,8 @@ def certify_monte_carlo(
             raise ValueError(
                 f"state-matrix shift has shape {a_shift.shape}, expected {block}"
             )
-        halves = 2
+        if not _is_input_feedback(model, graph, a_shift):
+            halves = 2
     size = max(1, _TRIAL_STACK_BYTES // (8 * halves * n_states * n_states))
     sources = [rng.derive(t) for t in range(trials)]
     per: list[list[TrialResult]] = [[] for _ in range(halves)]
@@ -274,12 +285,13 @@ def certify_monte_carlo(
     for at in range(0, trials, size):
         chunk = sources[at : at + size]
         blocks = np.stack([sample_weights(graph, shape, src) for src in chunk])
-        # the chunk's plain state matrices, then (shifted) the same grounded
+        # the chunk's plain state matrices, then (a shift that is not input
+        # feedback) the same grounded
         k = len(chunk)
         a_sys = np.empty((halves * k, n_states, n_states))
         state, _ = assemble_blocks(model, graph, blocks)
         state.dense(out=a_sys[:k])
-        if a_shift is not None:
+        if halves == 2:
             ground_first_vertex(state, a_shift).dense(out=a_sys[k:])
         try:
             dims = list(controllable_dimension(a_sys, b_sys, tol))
@@ -297,7 +309,24 @@ def certify_monte_carlo(
     plain = _compared(per[0], analysis.verdict)
     if a_shift is None:
         return plain
-    return dataclasses.replace(plain, grounded=_compared(per[1], analysis.verdict))
+    # with one half, an input-feedback shift's, the grounded trials are plain
+    return dataclasses.replace(plain, grounded=_compared(per[-1], analysis.verdict))
+
+
+def _is_input_feedback(
+    model: SubsystemModel, graph: NetworkGraph, shift: np.ndarray
+) -> bool:
+    """Whether adding ``shift`` to vertex 1's diagonal block is state
+    feedback through vertex 1's input: vertex 1 is driven, B is zero
+    outside one row r and nonzero in it, and the finite shift is zero
+    outside row r. Then shift = B F, F the shift's row r over one nonzero
+    entry B[r, j] placed in row j, so the shifted pair is the plain pair
+    under the feedback u = F x_1 plus the new input, and both have one
+    controllable subspace (Wonham 1985)."""
+    if 1 not in graph.driven or not np.all(np.isfinite(shift)):
+        return False
+    rows = np.flatnonzero(np.any(model.b != 0.0, axis=1))
+    return rows.size == 1 and not np.any(np.delete(shift, rows[0], axis=0))
 
 
 def _driven_input(model: SubsystemModel, graph: NetworkGraph) -> np.ndarray:

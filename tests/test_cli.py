@@ -744,7 +744,9 @@ class TestGroundedCertification:
     ):
         """``lump --ground-first-mass`` and a grounded ``certify`` both add
         the wall through ``assembly.ground_first_vertex``: one call each,
-        on the one state matrix or on the stack of trials."""
+        on the one state matrix or on the stack of trials. The chain is
+        driven at its far end, so the wall at mass 1 is no feedback through
+        a driven input and the certificate builds the grounded half."""
         shared = diffnet.assembly.ground_first_vertex
         assert cli.ground_first_vertex is shared
         assert diffnet.verdict.ground_first_vertex is shared
@@ -757,7 +759,7 @@ class TestGroundedCertification:
         monkeypatch.setattr(cli, "ground_first_vertex", grounding)
         monkeypatch.setattr(diffnet.verdict, "ground_first_vertex", grounding)
         options = {"wall": {"stiffness_over_mass": 1.0, "damping_over_mass": 0.5}}
-        path = problem_file(chain_problem(n=4, options=options))
+        path = problem_file(chain_problem(n=4, driven=(4,), options=options))
         for argv in (["lump", path], ["certify", path, "--trials", "3"]):
             assert run(capsys, argv)[0] == 0
         assert calls == []
@@ -766,6 +768,66 @@ class TestGroundedCertification:
         argv = ["certify", path, "--trials", "3", "--ground-first-mass"]
         assert run(capsys, argv)[0] == 0
         assert calls == [(), (3,)]
+
+    def test_wall_on_the_example_chain_reuses_the_plain_trials(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The ``example`` chain's wall acts on mass 1 through its driven
+        input row: state feedback, which keeps every controllable subspace.
+        One stack of the T plain pairs is tested, nothing is grounded, and
+        the grounded report repeats the plain one field by field, a trial
+        whose rank test fails included."""
+        target = tmp_path / "chain.json"
+        argv = ["example", "--N", "5", "--seed", "3", "--out", str(target)]
+        assert run(capsys, argv)[0] == 0
+        shapes = []
+        rank = diffnet.verdict.controllable_dimension
+        assemble = diffnet.verdict.assemble_blocks
+
+        def measuring(a_sys, b_sys, tol):
+            shapes.append(a_sys.shape)
+            return rank(a_sys, b_sys, tol)
+
+        def poison_member_1(model, graph, blocks):
+            state, inputs = assemble(model, graph, blocks)
+            state.blocks[1, 0, 0, 0] = np.nan
+            return state, inputs
+
+        def refuse(state, shift):
+            raise AssertionError("a feedback wall was grounded")
+
+        monkeypatch.setattr(diffnet.verdict, "controllable_dimension", measuring)
+        monkeypatch.setattr(diffnet.verdict, "assemble_blocks", poison_member_1)
+        monkeypatch.setattr(diffnet.verdict, "ground_first_vertex", refuse)
+        argv = ["certify", str(target), "--trials", "4", "--ground-first-mass"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        # the stack, then its members one at a time after the NaN fails it
+        assert shapes == [(4, 10, 10)] + [(10, 10)] * 4
+        doc = json.loads(out)
+        plain = doc["analysis"]["certification"]
+        assert doc["grounded_certification"] == plain
+        errors = [t["error"] for t in plain["per_trial"]]
+        assert errors[1] and not any(errors[:1] + errors[2:])
+
+    def test_wall_far_from_the_driven_mass_is_tested_on_its_own_half(
+        self, problem_file, capsys, monkeypatch
+    ):
+        """Driven at its far end, the chain's wall is no feedback through a
+        driven input: the stack holds 2T state matrices."""
+        shapes = []
+        rank = diffnet.verdict.controllable_dimension
+
+        def measuring(a_sys, b_sys, tol):
+            shapes.append(a_sys.shape)
+            return rank(a_sys, b_sys, tol)
+
+        monkeypatch.setattr(diffnet.verdict, "controllable_dimension", measuring)
+        options = {"wall": {"stiffness_over_mass": 1.0, "damping_over_mass": 0.5}}
+        path = problem_file(chain_problem(n=4, driven=(4,), options=options))
+        argv = ["certify", path, "--trials", "3", "--ground-first-mass"]
+        assert run(capsys, argv)[0] == 0
+        assert shapes == [(6, 8, 8)]
 
     def test_missing_wall_is_refused_before_any_draw(
         self, problem_file, capsys, monkeypatch
@@ -1661,6 +1723,32 @@ class TestProblemParsing:
             "stiffness_over_mass": 1.0,
             "damping_over_mass": 2.0,
         }
+
+    @pytest.mark.parametrize(
+        "member, entry",
+        [("A", "0"), ("B", True), ("C", None), ("W", "1e0"), ("W", False), ("W row", "2")],
+    )
+    def test_entry_that_is_no_json_number_exits_sixtyfour(
+        self, problem_file, capsys, member, entry
+    ):
+        """A string, a bool or null among the node matrices' or the
+        weights' entries is refused by name, though numpy reads "0", "1e0"
+        and true as numbers."""
+        rows = member == "W row"
+        blocks = [[1.0, 0.5], [2.0, 0.25]] if rows else [[[1.0, 0.5]], [[2.0, 0.25]]]
+        edges = [{"u": u, "v": u + 1, "W": w} for u, w in enumerate(blocks, 1)]
+        doc = chain_problem(weights={"edges": edges})
+        if member.startswith("W"):
+            where = 'weight #1 "W"'
+            (edges[1]["W"] if rows else edges[1]["W"][0])[1] = entry
+        else:
+            where = f'subsystem "{member}"'
+            doc["subsystem"][member][1][0] = entry
+        path = problem_file(doc)
+        for command in ("analyze", "lump"):
+            code, out, err = run(capsys, [command, path])
+            assert code == 64 and out == ""
+            assert f"{where} has the non-numeric entry {json.dumps(entry)}" in err
 
     def test_non_finite_matrix_rejected(self):
         doc = chain_problem()

@@ -1,6 +1,7 @@
 """Verdict engines, Monte Carlo certification, and the restated lemmas."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from conftest import (
     dense_pair,
     dense_wall_shift,
     ensure_incoming_influence,
+    integer_node,
     random_driven,
     random_graph,
     random_model,
@@ -28,6 +30,7 @@ from lemmas import (
     leader_controls_consensus,
     pattern_pairs,
     randomized_fixed_modes,
+    reachable_dimension,
     scalar_weight_analysis,
     spectra_match,
     summed_row,
@@ -413,7 +416,8 @@ class TestStackedTrials:
                         assert got == want
 
     def test_trials_split_into_stacks_of_bounded_size(self, monkeypatch):
-        model, graph = double_integrator(), chain_graph(3)
+        # driven at the far end: the wall is no input feedback, both halves run
+        model, graph = double_integrator(), chain_graph(3, driven=(3,))
         shifts = (None, grounding_shift(1.0, 0.5))
         wholes = [
             certify_monte_carlo(
@@ -488,7 +492,9 @@ class TestStackedTrials:
     ):
         """The grounded half of a certificate's stack of 5 draws is, bit
         for bit, its plain half plus the whole (2N, 2N) wall shift, on a
-        node whose -0.0 entries of A that sum turns into 0.0."""
+        node whose -0.0 entries of A that sum turns into 0.0. The chain is
+        driven at its far end, so the wall is no input feedback and the
+        grounded half is built."""
         stacks = []
         real = diffnet.verdict.controllable_dimension
 
@@ -501,7 +507,7 @@ class TestStackedTrials:
         k, mu = 1.5, 0.25
         certify_monte_carlo(
             model,
-            chain_graph(num_masses),
+            chain_graph(num_masses, driven=(num_masses,)),
             trials=5,
             rng=RandomSource(num_masses),
             a_shift=grounding_shift(k, mu),
@@ -521,6 +527,84 @@ class TestStackedTrials:
             model, graph, trials=3, rng=RandomSource(8), a_shift=shift
         )
         assert dataclasses.replace(both, grounded=None) == plain
+
+
+class TestInputFeedbackShift:
+    def test_shift_in_the_driven_input_row_keeps_the_exact_dimension(self):
+        """Feedback invariance on exact integers: a node whose B has one
+        nonzero row r, an integer shift in row r of vertex 1's block, and a
+        random graph with vertex 1 driven. The shift is B F, so the lumped
+        pair keeps its reachable dimension over GF(PRIME), and the
+        certificate's predicate says so."""
+        gen = np.random.default_rng(2029)
+        full = Counter()
+        for i in range(60):
+            node = integer_node(gen, planted=i % 2 == 1)
+            n, p = node.b.shape
+            r = int(gen.integers(0, n))
+            b = np.zeros((n, p))
+            b[r] = gen.integers(1, 3, size=p) * gen.choice([-1, 1], size=p)
+            model = SubsystemModel(node.a, b, node.c)
+            n_vertices = int(gen.integers(2, 6))
+            graph = random_graph(gen, n_vertices, edge_prob=0.6)
+            driven = {1, *random_driven(gen, n_vertices)}
+            graph = dataclasses.replace(graph, driven=tuple(driven))
+            shift = np.zeros((n, n))
+            shift[r] = gen.integers(-4, 5, size=n)
+            assert diffnet.verdict._is_input_feedback(model, graph, shift)
+            shape = (graph.num_edges, p, model.num_outputs)
+            weights = gen.integers(1, 4, size=shape) * gen.choice([-1, 1], size=shape)
+            a_sys, b_sys = dense_pair(model, graph, weights.astype(float))
+            dim = reachable_dimension(a_sys, b_sys)
+            assert reachable_dimension(a_sys + placed(shift, graph), b_sys) == dim
+            full[dim == a_sys.shape[0]] += 1
+        assert full[True] and full[False]
+
+    def test_shift_outside_the_input_row_is_tested_on_its_own_half(self, monkeypatch):
+        """Negative control: for the double integrator on one edge, driven
+        at vertex 1, a shift in the position row (B's zero row) is no
+        feedback. The stack holds both halves, and the wall-free pair is
+        controllable while the shifted one loses a state."""
+        stacks = []
+        real = diffnet.verdict.controllable_dimension
+
+        def capture(a_sys, b_sys, tol):
+            stacks.append(a_sys.shape)
+            return real(a_sys, b_sys, tol)
+
+        monkeypatch.setattr(diffnet.verdict, "controllable_dimension", capture)
+        graph = NetworkGraph(2, (Edge(1, 2),), driven=(1,))
+        shift = np.array([[0.0, -1.0], [0.0, 0.0]])
+        model = double_integrator()
+        assert not diffnet.verdict._is_input_feedback(model, graph, shift)
+        cert = certify_monte_carlo(
+            model, graph, trials=3, rng=RandomSource(5), a_shift=shift
+        )
+        assert stacks == [(6, 4, 4)]
+        assert [t.deficient_count for t in cert.per_trial] == [0, 0, 0]
+        assert [t.deficient_count for t in cert.grounded.per_trial] == [1, 1, 1]
+
+    @pytest.mark.parametrize(
+        "case",
+        ["vertex 1 undriven", "B in two rows", "B zero", "shift off B's row", "NaN shift"],
+    )
+    def test_predicate_refuses_what_is_not_input_feedback(self, case):
+        """The chain's wall at a driven mass 1 is input feedback; each
+        change below breaks one part of the rule."""
+        model, graph = double_integrator(), chain_graph(3)
+        shift = grounding_shift(1.0, 0.5)
+        assert diffnet.verdict._is_input_feedback(model, graph, shift)
+        if case == "vertex 1 undriven":
+            graph = chain_graph(3, driven=(2, 3))
+        elif case == "B in two rows":
+            model = SubsystemModel(model.a, [1.0, 1.0], model.c)
+        elif case == "B zero":
+            model = SubsystemModel(model.a, [0.0, 0.0], model.c)
+        elif case == "shift off B's row":
+            shift[0, 1] = 1.0
+        else:
+            shift[1, 0] = np.nan
+        assert not diffnet.verdict._is_input_feedback(model, graph, shift)
 
 
 class TestVerdictAgainstOracle:

@@ -134,11 +134,10 @@ def _matrix(value, where: str) -> np.ndarray:
         raise _fail(f"{where} is not a numeric array: {exc}") from None
     if arr.ndim not in (1, 2) or arr.size == 0:
         raise _fail(f"{where} must be a non-empty 1-D or 2-D numeric array")
-    entries = list(_flat(value, arr.ndim))
-    if not set(map(type, entries)) <= _NUMBER_TYPES:
-        bad = next(x for x in entries if type(x) not in _NUMBER_TYPES)
+    bad = [x for x in _flat(value, arr.ndim) if type(x) not in _NUMBER_TYPES]
+    if bad:
         raise _fail(
-            f"{where} has the non-numeric entry {json.dumps(bad)}: "
+            f"{where} has the non-numeric entry {json.dumps(bad[0])}: "
             "every entry must be a JSON number"
         )
     if not np.all(np.isfinite(arr)):

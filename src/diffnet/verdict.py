@@ -102,7 +102,10 @@ class CertificationReport:
 
     ``grounded`` holds, for a call with a state-matrix shift, the same
     draws tested with the shift, compared with the same analysis; it is
-    None otherwise. ``per_trial`` always holds the unshifted trials.
+    None otherwise. For a shift that is state feedback through a driven
+    input it repeats the unshifted trials, which have the same
+    controllable subspaces. ``per_trial`` always holds the unshifted
+    trials.
     """
 
     trials: int
@@ -285,8 +288,8 @@ def certify_monte_carlo(
     for at in range(0, trials, size):
         chunk = sources[at : at + size]
         blocks = np.stack([sample_weights(graph, shape, src) for src in chunk])
-        # the chunk's plain state matrices, then (a shift that is not input
-        # feedback) the same grounded
+        # the chunk's plain state matrices, then, unless the shift is input
+        # feedback, the same grounded
         k = len(chunk)
         a_sys = np.empty((halves * k, n_states, n_states))
         state, _ = assemble_blocks(model, graph, blocks)
@@ -309,7 +312,7 @@ def certify_monte_carlo(
     plain = _compared(per[0], analysis.verdict)
     if a_shift is None:
         return plain
-    # with one half, an input-feedback shift's, the grounded trials are plain
+    # an input-feedback shift ran no second half: its trials are the plain ones
     return dataclasses.replace(plain, grounded=_compared(per[-1], analysis.verdict))
 
 
@@ -319,10 +322,10 @@ def _is_input_feedback(
     """Whether adding ``shift`` to vertex 1's diagonal block is state
     feedback through vertex 1's input: vertex 1 is driven, B is zero
     outside one row r and nonzero in it, and the finite shift is zero
-    outside row r. Then shift = B F, F the shift's row r over one nonzero
-    entry B[r, j] placed in row j, so the shifted pair is the plain pair
-    under the feedback u = F x_1 plus the new input, and both have one
-    controllable subspace (Wonham 1985)."""
+    outside row r. Then shift = B F, for F zero but in row j, which holds
+    the shift's row r over B[r, j] for any j with B[r, j] != 0. So the
+    shifted pair is the plain pair under the feedback u_1 = F x_1 + v, and
+    both have one controllable subspace (Wonham 1985)."""
     if 1 not in graph.driven or not np.all(np.isfinite(shift)):
         return False
     rows = np.flatnonzero(np.any(model.b != 0.0, axis=1))

@@ -7,7 +7,9 @@ pair's scale and cut lie inside 2^+-400) and whose other steps call
 LAPACK's SVD kernel directly, all under one errstate:
 ``controllable_dimension`` for one pair or a stack of pairs,
 each cut once at rank_rel_tol times the larger Frobenius norm of its
-state and input matrices, and ``uncontrolled_part``, which decides a
+state and input matrices, a stack stepping in lockstep until its
+members keep different numbers of columns and then running them one by
+one, and ``uncontrolled_part``, which decides a
 node pair on its matrices normalised one by one and returns the
 controllable basis with the spectrum left outside it; and the seeded
 random streams behind every sampled draw. Everything operates on plain
@@ -170,17 +172,18 @@ def controllable_dimension(a, b, tol: ToleranceConfig = DEFAULT_TOL):
 
     Leading axes of ``a`` (..., n, n) and ``b`` (..., n, m) are a stack of
     pairs, broadcast against each other; every member gets its own cut,
-    all step together, and a member whose rank falls below the step's
-    width carries zero columns. One pair gives an int, a stack an int
-    array of the leading shape. The iteration is ``_staircase``, which
+    and all step together while each step keeps as many columns in every
+    member. At a step where the counts differ, each member runs again
+    alone, as a single pair. One pair gives an int, a stack an int array
+    of the leading shape. The iteration is ``_staircase``, which
     ``uncontrolled_part`` runs too.
     """
     am, bm = _operands(a, b)
     n = am.shape[-1]
     lead = np.broadcast_shapes(am.shape[:-2], bm.shape[:-2])
     count = math.prod(lead)
-    # a stack runs flat: operands (T, n, .) and bookkeeping (T,); explicit
-    # sizes, since numpy cannot resolve a -1 against an empty array
+    # a stack runs flat, (T, n, .); explicit sizes, since numpy cannot
+    # resolve a -1 against an empty array
     if am.ndim > 2:
         am = np.broadcast_to(am, lead + am.shape[-2:]).reshape(count, n, n)
     if bm.ndim > 2:
@@ -190,9 +193,15 @@ def controllable_dimension(a, b, tol: ToleranceConfig = DEFAULT_TOL):
         tol.rank_rel_tol * scale.min(initial=math.inf), scale.max(initial=0.0)
     )
     done, _ = _staircase(am, bm, scale, tol, by_norm)
-    if np.ndim(done):
-        return done.reshape(lead)
-    # one pair always keeps a single count, so it gives an int
+    if done is None:
+        # a step split the stack: each member runs alone
+        members = zip(
+            np.broadcast_to(am, (count, n, n)),
+            np.broadcast_to(bm, (count,) + bm.shape[-2:]),
+        )
+        return np.array(
+            [controllable_dimension(*pair, tol) for pair in members], dtype=np.intp
+        ).reshape(lead)
     return np.full(lead, done, dtype=np.intp) if lead else done
 
 
@@ -250,35 +259,30 @@ def _staircase(
     ``by_norm``, decided once by the caller from the cuts and scales
     (``_norms_in_range``), lets a one-column step take its norm.
 
-    The basis is (n, n) for one pair and (T, n, n) for a stack, each
-    member's kept columns first and zeros after. It is stored row-major,
-    row j of a member its j-th vector, so each Gram-Schmidt pass reads one
-    contiguous k x n block per member; the transposed view is returned.
-    The count is one int while every member has kept as many columns as
-    the rest, and each member's count, (T,), from the first step that
-    splits them.
+    The count is one int for the whole stack: every step keeps as many
+    columns in each member. At a step that would keep different numbers,
+    the stack has no one count, and (None, None) is returned; one pair
+    never splits. The basis is (n, n) for one pair and (T, n, n) for a
+    stack, the kept columns first and zeros after. It is stored
+    row-major, row j of a member its j-th vector, so each Gram-Schmidt
+    pass reads one contiguous k x n block per member; the transposed view
+    is returned.
 
     Most steps keep every member's whole block. One comparison finds such
     a step: every member's smallest singular value exceeds its cut, and
-    the block fits in the states left. It then takes no count, and the
-    number kept stays one int. Each step's SVD is ``_block_svd``; one
-    errstate around the whole iteration turns the LAPACK kernel's
-    non-convergence flag into the same ``NumericError`` that
-    ``np.linalg.svd``'s error gave. The new block's Gram-Schmidt passes
-    subtract in place.
+    the block fits in the states left; such a step takes no count. Each
+    step's SVD is ``_block_svd``; one errstate around the whole iteration
+    turns the LAPACK kernel's non-convergence flag into the same
+    ``NumericError`` that ``np.linalg.svd``'s error gave. The new block's
+    Gram-Schmidt passes subtract in place.
     """
     n = am.shape[-1]
     lead = np.broadcast_shapes(am.shape[:-2], bm.shape[:-2])
-    count = scale.shape[0]
     # each member's one cut, as a column against its singular values
     cut = tol.rank_rel_tol * scale[:, None]
-    # while every member has kept as many columns as the rest, that count;
-    # from the first step that splits them, each member's count
     done = 0
-    aligned = True
     try:
         rows = np.zeros(lead + (n, n))
-        members = rows.reshape(count, n, n)
         # an input matrix shared by the stack is decomposed once
         block = bm
         with np.errstate(
@@ -288,31 +292,19 @@ def _staircase(
                 u, sv = _block_svd(block, by_norm)
                 width = sv.shape[-1]
                 # a step where every member keeps its whole block needs no count
-                if not (
-                    aligned and 0 < width <= n - done and (sv[..., -1:] > cut).all()
-                ):
+                if not (0 < width <= n - done and (sv[..., -1:] > cut).all()):
                     rho = np.minimum((sv > cut).sum(axis=-1), n - done)
                     width = int(rho.max(initial=0))
                     if width == 0:
                         break
-                    if aligned and int(rho.min()) < width:
-                        done, aligned = np.full(count, done, dtype=np.intp), False
-                if aligned:
-                    fresh = u[..., :width]
-                    rows[..., done : done + width, :] = np.swapaxes(fresh, -1, -2)
-                    done += width
-                    if done == n:
-                        break
-                    q = rows[..., :done, :]
-                else:
-                    kept = np.arange(width) < rho[:, None]
-                    fresh = u[..., :width] * kept[..., None, :]
-                    member, column = np.nonzero(kept)
-                    members[member, done[member] + column] = fresh[member, :, column]
-                    done = done + rho
-                    if int(done.min()) == n:
-                        break
-                    q = rows[..., : int(done.max()), :]
+                    if int(rho.min()) < width:
+                        return None, None
+                fresh = u[..., :width]
+                rows[..., done : done + width, :] = np.swapaxes(fresh, -1, -2)
+                done += width
+                if done == n:
+                    break
+                q = rows[..., :done, :]
                 qt = np.swapaxes(q, -1, -2)
                 block = am @ fresh
                 for _ in range(2):

@@ -409,10 +409,6 @@ def _jsonable(value):
     """Recursively convert report payloads to JSON-safe structures."""
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):

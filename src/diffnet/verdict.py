@@ -15,8 +15,8 @@ sampled weights: trial t's weight blocks are ``sample_weights`` on
 the stack of draws, its blocks scattered into dense matrices) and
 rank-tested as one stack, by block Arnoldi on the controllable subspace,
 against one input matrix: Delta kron B at the driven vertices' |D| p
-columns only, built once per call. A single-input network's steps are
-then single columns, each taken by its norm.
+columns only, a ``BlockMatrix`` scattered once per call. A single-input
+network's steps are then single columns, each taken by its norm.
 A shift of vertex 1's diagonal block (a wall-grounded chain) is tested on
 the same draws: each trial is drawn and assembled once, and its plain and
 shifted pairs share the stack. A shift that acts only through a driven
@@ -34,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .assembly import assemble_blocks, ground_first_vertex, sample_weights
+from .assembly import BlockMatrix, assemble_blocks, ground_first_vertex, sample_weights
 from .errors import NumericError
 from .numerics import (
     DEFAULT_TOL,
@@ -244,9 +244,11 @@ def certify_monte_carlo(
     trials' lumped pairs are assembled and their controllable subspaces
     measured by block Arnoldi as one stack, split only where the stack's
     state matrices would pass ``_TRIAL_STACK_BYTES``. Every pair shares
-    one input matrix, built once: the driven vertices' |D| p columns of
-    Delta kron B, which span what all its N p columns span. The states
-    outside a pair's subspace are its trial's ``deficient_count``.
+    one input matrix, scattered once from its blocks: the driven vertices'
+    |D| p columns of Delta kron B, B at block row v - 1 and block column k
+    for the k-th driven vertex v, which span what all its N p columns
+    span. The states outside a pair's subspace are its trial's
+    ``deficient_count``.
 
     ``a_shift``, an (n, n) array for nodes of order n, is added to vertex
     1's diagonal block of every state matrix (``ground_first_vertex``; a
@@ -284,7 +286,13 @@ def certify_monte_carlo(
     size = max(1, _TRIAL_STACK_BYTES // (8 * halves * n_states * n_states))
     sources = [rng.derive(t) for t in range(trials)]
     per: list[list[TrialResult]] = [[] for _ in range(halves)]
-    b_sys = _driven_input(model, graph)
+    driven = np.array(graph.driven, dtype=np.intp) - 1
+    b_sys = BlockMatrix(
+        (n_states, driven.size * model.num_inputs),
+        driven,
+        np.arange(driven.size),
+        np.broadcast_to(model.b, (driven.size,) + model.b.shape),
+    ).dense()
     for at in range(0, trials, size):
         chunk = sources[at : at + size]
         blocks = np.stack([sample_weights(graph, shape, src) for src in chunk])
@@ -330,18 +338,6 @@ def _is_input_feedback(
         return False
     rows = np.flatnonzero(np.any(model.b != 0.0, axis=1))
     return rows.size == 1 and not np.any(np.delete(shift, rows[0], axis=0))
-
-
-def _driven_input(model: SubsystemModel, graph: NetworkGraph) -> np.ndarray:
-    """Delta kron B at the driven vertices' |D| p columns only, (N n, |D| p):
-    B at block row v - 1 and block column k for the k-th driven vertex v.
-    The other columns of Delta kron B are zero and add nothing to any
-    pair's span."""
-    n, p = model.b.shape
-    driven = np.array(graph.driven, dtype=np.intp) - 1
-    full = np.zeros((graph.num_vertices, n, driven.size, p))
-    full[driven, :, np.arange(driven.size), :] = model.b
-    return full.reshape(graph.num_vertices * n, driven.size * p)
 
 
 def _trial(src: RandomSource, dim, n_states: int) -> TrialResult:

@@ -17,7 +17,7 @@ from conftest import (
 )
 from lemmas import matched_eigenvalues, numerical_rank, reachable_dimension, spectra_match
 from diffnet import numerics, verdict
-from diffnet.assembly import sample_weights
+from diffnet.assembly import grounding_shift, sample_weights
 from diffnet.cli import main
 from diffnet.errors import NumericError
 from diffnet.numerics import (
@@ -717,6 +717,57 @@ class TestNormBracket:
         )
         assert all(trial.controllable for trial in cert.per_trial)
         assert shapes and all(shape[-2:] != (100, 100) for shape, _ in shapes)
+
+
+def staircase_calls(monkeypatch) -> list[int]:
+    """The stack size of every later ``numerics._staircase`` call: its
+    state matrices' count, 1 for a single pair."""
+    staircase, calls = numerics._staircase, []
+
+    def counting(am, bm, scale, *args):
+        calls.append(scale.shape[0])
+        return staircase(am, bm, scale, *args)
+
+    monkeypatch.setattr(numerics, "_staircase", counting)
+    return calls
+
+
+class TestLockstep:
+    """A stack steps in lockstep while every step keeps as many columns
+    in each member; a step where the counts differ runs each member alone,
+    so a member's dimension is always its own as a single pair."""
+
+    @pytest.mark.parametrize("shift", [None, grounding_shift(1.0, 0.1)])
+    def test_chain_certificate_enters_the_staircase_once(self, shift, monkeypatch):
+        """The 50-mass chain's 5 trials keep one column per step each, plain
+        and, driven at the far end, grounded: one stack, one call."""
+        chain = mass_spring_chain(
+            50, 1.0, springs=np.linspace(1.0, 2.0, 50), dampers=np.linspace(0.1, 0.5, 50)
+        )
+        graph = NetworkGraph(50, chain.graph.edges, driven=(50,))
+        analysis = verdict.analyze(chain.model, graph)
+        calls = staircase_calls(monkeypatch)
+        cert = certify_monte_carlo(
+            chain.model, graph, trials=5, rng=RandomSource(1), a_shift=shift,
+            analysis=analysis,
+        )
+        assert calls == [5 if shift is None else 10]
+        assert all(trial.controllable for trial in cert.per_trial)
+
+    def test_split_stack_runs_each_member_alone(self, monkeypatch):
+        """With A zero the first step keeps 2, 1 and 0 columns of the three
+        members: the stack is entered once, then each member alone."""
+        gen = RandomSource(33).generator()
+        b = gen.normal(size=(3, 5, 2))
+        b[1, :, 1] = 0.0
+        b[2] = 0.0
+        zero = np.zeros((5, 5))
+        alone = [controllable_dimension(zero, member) for member in b]
+        calls = staircase_calls(monkeypatch)
+        dims = controllable_dimension(zero, b)
+        assert calls == [3, 1, 1, 1]
+        assert dims.tolist() == alone == [2, 1, 0]
+        assert dims.dtype == np.intp
 
 
 def random_network(

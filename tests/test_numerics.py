@@ -720,8 +720,8 @@ class TestNormBracket:
 
 
 def staircase_calls(monkeypatch) -> list[int]:
-    """The stack size of every later ``numerics._staircase`` call: its
-    state matrices' count, 1 for a single pair."""
+    """The member count of every later ``numerics._staircase`` call, 1 for
+    a single pair."""
     staircase, calls = numerics._staircase, []
 
     def counting(am, bm, scale, *args):
@@ -735,7 +735,7 @@ def staircase_calls(monkeypatch) -> list[int]:
 class TestLockstep:
     """A stack steps in lockstep while every step keeps as many columns
     in each member; a step where the counts differ runs each member alone,
-    so a member's dimension is always its own as a single pair."""
+    so a split stack's members get their single-pair dimensions."""
 
     @pytest.mark.parametrize("shift", [None, grounding_shift(1.0, 0.1)])
     def test_chain_certificate_enters_the_staircase_once(self, shift, monkeypatch):
@@ -748,7 +748,11 @@ class TestLockstep:
         analysis = verdict.analyze(chain.model, graph)
         calls = staircase_calls(monkeypatch)
         cert = certify_monte_carlo(
-            chain.model, graph, trials=5, rng=RandomSource(1), a_shift=shift,
+            chain.model,
+            graph,
+            trials=5,
+            rng=RandomSource(1),
+            a_shift=shift,
             analysis=analysis,
         )
         assert calls == [5 if shift is None else 10]

@@ -493,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--trials",
         type=_positive_int,
-        help="Monte Carlo trial count (default: problem options, then 5)",
+        help="at most this many trials; a CONTROLLABLE verdict stops at its first "
+        "draw when that draw is controllable (default: problem options, then 5)",
     )
     p.add_argument(
         "--ground-first-mass",

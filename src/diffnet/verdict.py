@@ -11,7 +11,10 @@ failed node condition is witnessed by the spectrum outside the
 controllable (or observable) subspace. Every verdict can be
 cross-examined by ``certify_monte_carlo``, a Monte Carlo oracle on
 sampled weights: trial t's weight blocks are ``sample_weights`` on
-``rng.derive(t)``, and all trials are assembled (``assemble_blocks`` on
+``rng.derive(t)``. The property is generic, so one controllable draw
+shows that controllable weights exist: against a CONTROLLABLE verdict
+trial 0 runs alone first, and the oracle stops there when it is
+controllable. Otherwise the trials are assembled (``assemble_blocks`` on
 the stack of draws, its blocks scattered into dense matrices) and
 rank-tested as one stack, by block Arnoldi on the controllable subspace,
 against one input matrix: Delta kron B at the driven vertices' |D| p
@@ -94,9 +97,11 @@ class CertificationReport:
     """Monte Carlo evidence beside the verdict it examines.
 
     ``any_controllable`` uses existence semantics: one controllable draw
-    certifies that controllable weights exist. Agreement means the evidence
-    is consistent with the compared verdict (an inconclusive verdict cannot
-    be contradicted). All trials uncontrollable against a controllable
+    certifies that controllable weights exist, so against a CONTROLLABLE
+    verdict ``trials`` and ``per_trial`` may hold trial 0 alone: they
+    hold the trials that ran. Agreement means the evidence is consistent
+    with the compared verdict (an inconclusive verdict cannot be
+    contradicted). All trials uncontrollable against a controllable
     verdict is reported as disagreement, a numerical red flag left for the
     caller to adjudicate.
 
@@ -240,15 +245,19 @@ def certify_monte_carlo(
 ) -> CertificationReport:
     """Monte Carlo controllability oracle over sampled weights.
 
-    Trial t's weights are ``sample_weights`` on ``rng.derive(t)``. The
-    trials' lumped pairs are assembled and their controllable subspaces
-    measured by block Arnoldi as one stack, split only where the stack's
-    state matrices would pass ``_TRIAL_STACK_BYTES``. Every pair shares
-    one input matrix, scattered once from its blocks: the driven vertices'
-    |D| p columns of Delta kron B, B at block row v - 1 and block column k
-    for the k-th driven vertex v, which span what all its N p columns
-    span. The states outside a pair's subspace are its trial's
-    ``deficient_count``.
+    Trial t's weights are ``sample_weights`` on ``rng.derive(t)``, derived
+    when its stack runs. Against a CONTROLLABLE ``analysis`` trial 0 runs
+    first, alone, and the report holds it alone when it is controllable in
+    every half: one controllable draw decides ``any_controllable`` and
+    agreement. Otherwise the trials' lumped pairs are assembled and their
+    controllable subspaces measured by block Arnoldi as one stack, split
+    only where the stack's state matrices would pass
+    ``_TRIAL_STACK_BYTES``; a trial's result does not depend on its stack.
+    Every pair shares one input matrix, scattered once from its blocks:
+    the driven vertices' |D| p columns of Delta kron B, B at block row
+    v - 1 and block column k for the k-th driven vertex v, which span what
+    all its N p columns span. The states outside a pair's subspace are its
+    trial's ``deficient_count``.
 
     ``a_shift``, an (n, n) array for nodes of order n, is added to vertex
     1's diagonal block of every state matrix (``ground_first_vertex``; a
@@ -284,7 +293,7 @@ def certify_monte_carlo(
         if not _is_input_feedback(model, graph, a_shift):
             halves = 2
     size = max(1, _TRIAL_STACK_BYTES // (8 * halves * n_states * n_states))
-    sources = [rng.derive(t) for t in range(trials)]
+    controllable_verdict = analysis.verdict is Verdict.CONTROLLABLE
     per: list[list[TrialResult]] = [[] for _ in range(halves)]
     driven = np.array(graph.driven, dtype=np.intp) - 1
     b_sys = BlockMatrix(
@@ -293,8 +302,12 @@ def certify_monte_carlo(
         np.arange(driven.size),
         np.broadcast_to(model.b, (driven.size,) + model.b.shape),
     ).dense()
-    for at in range(0, trials, size):
-        chunk = sources[at : at + size]
+    at = 0
+    while at < trials:
+        # a CONTROLLABLE verdict needs one controllable draw per half, so
+        # trial 0 runs alone first and ends the run when it is one
+        stop = min(trials, at + (1 if controllable_verdict and not at else size))
+        chunk = [rng.derive(t) for t in range(at, stop)]
         blocks = np.stack([sample_weights(graph, shape, src) for src in chunk])
         # the chunk's plain state matrices, then, unless the shift is input
         # feedback, the same grounded
@@ -317,6 +330,9 @@ def certify_monte_carlo(
             results.extend(
                 _trial(src, dim, n_states) for src, dim in zip(chunk, dims[half * k :])
             )
+        at = stop
+        if controllable_verdict and all(results[0].controllable for results in per):
+            break
     plain = _compared(per[0], analysis.verdict)
     if a_shift is None:
         return plain

@@ -24,10 +24,15 @@ from diffnet.numerics import (
 from diffnet.problem_io import _int_field, _matrix, _require_mapping, json_parts
 from diffnet.subsystem import SubsystemModel
 from diffnet.topology import DIRECTED, UNDIRECTED, Edge, NetworkGraph
-from diffnet.verdict import Verdict
+from diffnet.verdict import AnalysisReport, Verdict
 from edgewise import incidence_matrices
 
 ACCEPTANCE_LINES: list[str] = []
+
+#: An analysis to hand ``certify_monte_carlo`` so that it runs every trial
+#: in its stacks: a CONTROLLABLE verdict would stop at a controllable
+#: trial 0, and an INCONCLUSIVE one is never contradicted.
+EVERY_TRIAL = AnalysisReport(Verdict.INCONCLUSIVE, "3", ())
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -339,12 +339,18 @@ class TestReportDocuments:
         assert json.loads(target.read_text())["$schema"] == REPORT_SCHEMA
 
     def test_certify_respects_options_then_flag(self, problem_file, capsys):
-        doc = chain_problem(options={"trials": 2, "seed": 9})
-        path = problem_file(doc)
-        _, out, _ = run(capsys, ["certify", path])
-        assert json.loads(out)["analysis"]["certification"]["trials"] == 2
-        _, out, _ = run(capsys, ["certify", path, "--trials", "4"])
-        assert json.loads(out)["analysis"]["certification"]["trials"] == 4
+        """The unobservable chain is NOT_CONTROLLABLE, so every trial asked
+        for runs; the CONTROLLABLE chain stops at its controllable trial 0.
+        ``options.trials`` records the count asked for either way."""
+        for c, ran in (([[0.0, 1.0]], (2, 4)), (None, (1, 1))):
+            doc = chain_problem(c=c, options={"trials": 2, "seed": 9})
+            path = problem_file(doc)
+            _, out, _ = run(capsys, ["certify", path])
+            assert json.loads(out)["options"]["trials"] == 2
+            assert json.loads(out)["analysis"]["certification"]["trials"] == ran[0]
+            _, out, _ = run(capsys, ["certify", path, "--trials", "4"])
+            assert json.loads(out)["options"]["trials"] == 4
+            assert json.loads(out)["analysis"]["certification"]["trials"] == ran[1]
 
 
 class TestTextFormat:
@@ -359,11 +365,12 @@ class TestTextFormat:
         assert "[FAIL] subsystem_observable" in out
 
     def test_certify_text_reports_trials(self, problem_file, capsys):
+        """The CONTROLLABLE chain's certificate runs trial 0 only."""
         _, out, _ = run(
             capsys,
             ["certify", problem_file(chain_problem()), "--trials", "2", "--format", "text"],
         )
-        assert "certification: 2/2 trials controllable" in out
+        assert "certification: 1/1 trials controllable" in out
         assert "agrees with verdict: yes" in out
 
 
@@ -703,16 +710,20 @@ class TestGroundedCertification:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["analysis"]["certification"]["trials"] == 2
+        # trial 0 is controllable in both halves, so it is the one trial run
+        assert doc["options"]["trials"] == 2
+        assert doc["analysis"]["certification"]["trials"] == 1
         grounded = doc["grounded_certification"]
-        assert grounded["trials"] == 2
+        assert grounded["trials"] == 1
         assert all(t["controllable"] for t in grounded["per_trial"])
         assert doc["options"]["ground_first_mass"] is True
 
     def test_each_trial_is_drawn_and_assembled_once(
         self, problem_file, capsys, monkeypatch
     ):
-        """The grounded trials reuse the plain trials' draws and assembly."""
+        """The grounded trials reuse the plain trials' draws and assembly:
+        one draw and one assembly of trial 0, whose plain and grounded pairs
+        are both controllable, so it is the one trial run."""
         options = {"wall": {"stiffness_over_mass": 1.0, "damping_over_mass": 0.5}}
         path = problem_file(chain_problem(n=4, options=options))
         draws, stacks = [], []
@@ -733,7 +744,7 @@ class TestGroundedCertification:
             capsys, ["certify", path, "--trials", "3", "--ground-first-mass"]
         )
         assert code == 0
-        assert len(draws) == 3 and stacks == [3]
+        assert len(draws) == 1 and stacks == [1]
         doc = json.loads(out)
         plain = doc["analysis"]["certification"]["per_trial"]
         grounded = doc["grounded_certification"]["per_trial"]
@@ -746,7 +757,8 @@ class TestGroundedCertification:
         the wall through ``assembly.ground_first_vertex``: one call each,
         on the one state matrix or on the stack of trials. The chain is
         driven at its far end, so the wall at mass 1 is no feedback through
-        a driven input and the certificate builds the grounded half."""
+        a driven input and the certificate builds the grounded half, here
+        of trial 0 alone, which is controllable in both halves."""
         shared = diffnet.assembly.ground_first_vertex
         assert cli.ground_first_vertex is shared
         assert diffnet.verdict.ground_first_vertex is shared
@@ -767,16 +779,17 @@ class TestGroundedCertification:
         assert calls == [()]
         argv = ["certify", path, "--trials", "3", "--ground-first-mass"]
         assert run(capsys, argv)[0] == 0
-        assert calls == [(), (3,)]
+        assert calls == [(), (1,)]
 
     def test_wall_on_the_example_chain_reuses_the_plain_trials(
         self, tmp_path, capsys, monkeypatch
     ):
         """The ``example`` chain's wall acts on mass 1 through its driven
         input row: state feedback, which keeps every controllable subspace.
-        One stack of the T plain pairs is tested, nothing is grounded, and
-        the grounded report repeats the plain one field by field, a trial
-        whose rank test fails included."""
+        Only plain pairs are tested, nothing is grounded, and the grounded
+        report repeats the plain one field by field, a trial whose rank
+        test fails included. A NaN planted in trial 0 fails its rank test,
+        so trial 0 proves nothing and trials 1 to T - 1 run as one stack."""
         target = tmp_path / "chain.json"
         argv = ["example", "--N", "5", "--seed", "3", "--out", str(target)]
         assert run(capsys, argv)[0] == 0
@@ -788,33 +801,37 @@ class TestGroundedCertification:
             shapes.append(a_sys.shape)
             return rank(a_sys, b_sys, tol)
 
-        def poison_member_1(model, graph, blocks):
+        def poison_trial_0(model, graph, blocks):
             state, inputs = assemble(model, graph, blocks)
-            state.blocks[1, 0, 0, 0] = np.nan
+            if not shapes:  # trial 0's stack, assembled before any rank test
+                state.blocks[0, 0, 0, 0] = np.nan
             return state, inputs
 
         def refuse(state, shift):
             raise AssertionError("a feedback wall was grounded")
 
         monkeypatch.setattr(diffnet.verdict, "controllable_dimension", measuring)
-        monkeypatch.setattr(diffnet.verdict, "assemble_blocks", poison_member_1)
+        monkeypatch.setattr(diffnet.verdict, "assemble_blocks", poison_trial_0)
         monkeypatch.setattr(diffnet.verdict, "ground_first_vertex", refuse)
         argv = ["certify", str(target), "--trials", "4", "--ground-first-mass"]
         code, out, _ = run(capsys, argv)
         assert code == 0
-        # the stack, then its members one at a time after the NaN fails it
-        assert shapes == [(4, 10, 10)] + [(10, 10)] * 4
+        # trial 0's stack, then trial 0 alone after the NaN fails it, then
+        # the stack of the other three
+        assert shapes == [(1, 10, 10), (10, 10), (3, 10, 10)]
         doc = json.loads(out)
         plain = doc["analysis"]["certification"]
         assert doc["grounded_certification"] == plain
+        assert plain["trials"] == 4
         errors = [t["error"] for t in plain["per_trial"]]
-        assert errors[1] and not any(errors[:1] + errors[2:])
+        assert errors[0] and not any(errors[1:])
 
     def test_wall_far_from_the_driven_mass_is_tested_on_its_own_half(
         self, problem_file, capsys, monkeypatch
     ):
         """Driven at its far end, the chain's wall is no feedback through a
-        driven input: the stack holds 2T state matrices."""
+        driven input: trial 0's stack holds its plain and grounded state
+        matrices, and both are controllable, so no other trial runs."""
         shapes = []
         rank = diffnet.verdict.controllable_dimension
 
@@ -827,7 +844,7 @@ class TestGroundedCertification:
         path = problem_file(chain_problem(n=4, driven=(4,), options=options))
         argv = ["certify", path, "--trials", "3", "--ground-first-mass"]
         assert run(capsys, argv)[0] == 0
-        assert shapes == [(6, 8, 8)]
+        assert shapes == [(2, 8, 8)]
 
     def test_missing_wall_is_refused_before_any_draw(
         self, problem_file, capsys, monkeypatch
@@ -857,8 +874,8 @@ class TestGroundedCertification:
                 "text",
             ],
         )
-        assert "certification: 2/2" in out
-        assert "grounded certification: 2/2" in out
+        assert "certification: 1/1" in out
+        assert "grounded certification: 1/1" in out
 
 
 class TestNonFiniteInputs:

@@ -14,6 +14,10 @@ product per entry), so these bytes do not depend on the BLAS in use.
 are the two tolerances, and their bytes depend on the problem file alone.
 The seed in ``example.json`` reaches the ``certify`` and ``lump`` reports.
 
+The example chain is CONTROLLABLE and its trial 0 is controllable, so
+both ``certify`` reports hold that one trial; ``options.trials`` still
+records the 3 asked for.
+
 Two hand-written problems pin the other analyzer paths:
 
     diffnet analyze fixed_mode.json        (p = r = 2, a fixed mode at 2)
@@ -24,6 +28,12 @@ and pin the text rendering of the last two:
 
     diffnet analyze directed_cutoff.json --format text
     diffnet graph directed_cutoff.json --format text
+
+Their certificates are pinned too. Neither verdict is CONTROLLABLE, so
+every trial asked for runs:
+
+    diffnet certify fixed_mode.json --trials 3        (exit 2)
+    diffnet certify directed_cutoff.json --trials 3   (exit 1)
 
 The fixed-mode node has an upper-triangular A with integer diagonal, so the
 eigenvalue in its witness is exact whatever LAPACK computes it.
@@ -106,6 +116,20 @@ def test_analyzer_path_is_byte_identical(
     tmp_path, monkeypatch, problem, golden, command, code
 ):
     check_golden(tmp_path, monkeypatch, [command, str(GOLDEN / problem)], golden, code)
+
+
+@pytest.mark.parametrize(
+    "problem, golden, code",
+    [
+        ("fixed_mode.json", "certify_fixed_mode.json", 2),
+        ("directed_cutoff.json", "certify_cutoff.json", 1),
+    ],
+)
+def test_certificate_of_every_trial_is_byte_identical(
+    tmp_path, monkeypatch, problem, golden, code
+):
+    argv = ["certify", str(GOLDEN / problem), "--trials", "3"]
+    check_golden(tmp_path, monkeypatch, argv, golden, code)
 
 
 @pytest.mark.parametrize("command, code", [("analyze", 1), ("graph", 0)])

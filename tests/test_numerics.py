@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    EVERY_TRIAL,
     commutation_matrix,
     commutation_permutation,
     dense_pair,
@@ -568,7 +569,9 @@ class TestBlockSvd:
                 return controllable_dimension(a, b, tol)
 
         monkeypatch.setattr(verdict, "controllable_dimension", third_fails)
-        cert = certify_monte_carlo(chain.model, chain.graph, trials=5, rng=RandomSource(1))
+        cert = certify_monte_carlo(
+            chain.model, chain.graph, trials=5, rng=RandomSource(1), analysis=EVERY_TRIAL
+        )
         assert calls == [3, 2, 2, 2, 2, 2]
         errors = [trial.error for trial in cert.per_trial]
         assert errors[2] == "staircase SVD failed on a 12-state pair: SVD did not converge"
@@ -745,7 +748,6 @@ class TestLockstep:
             50, 1.0, springs=np.linspace(1.0, 2.0, 50), dampers=np.linspace(0.1, 0.5, 50)
         )
         graph = NetworkGraph(50, chain.graph.edges, driven=(50,))
-        analysis = verdict.analyze(chain.model, graph)
         calls = staircase_calls(monkeypatch)
         cert = certify_monte_carlo(
             chain.model,
@@ -753,7 +755,7 @@ class TestLockstep:
             trials=5,
             rng=RandomSource(1),
             a_shift=shift,
-            analysis=analysis,
+            analysis=EVERY_TRIAL,
         )
         assert calls == [5 if shift is None else 10]
         assert all(trial.controllable for trial in cert.per_trial)
@@ -804,7 +806,9 @@ class TestDrivenColumns:
         gen = RandomSource(24).generator()
         model, graph = random_network(gen, 24, 2, (3, 24))
         calls = svd_s_calls(monkeypatch)
-        cert = certify_monte_carlo(model, graph, trials=3, rng=RandomSource(2))
+        cert = certify_monte_carlo(
+            model, graph, trials=3, rng=RandomSource(2), analysis=EVERY_TRIAL
+        )
         assert len(cert.per_trial) == 3
         assert any(shape[-2] == 24 * model.order for shape in calls)
 
@@ -845,7 +849,9 @@ class TestDrivenColumns:
         driven = (*driven.tolist(), num_vertices) if seed % 2 else (*driven.tolist(),)
         model, graph = random_network(gen, num_vertices, inputs, driven)
         rng, trials = RandomSource(seed), 5
-        cert = certify_monte_carlo(model, graph, trials=trials, rng=rng)
+        cert = certify_monte_carlo(
+            model, graph, trials=trials, rng=rng, analysis=EVERY_TRIAL
+        )
         shape = (model.num_inputs, model.num_outputs)
         draws = np.stack([sample_weights(graph, shape, rng.derive(t)) for t in range(trials)])
         a_sys, b_sys = dense_pair(model, graph, draws)

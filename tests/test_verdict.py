@@ -1,7 +1,9 @@
 """Verdict engines, Monte Carlo certification, and the restated lemmas."""
 
 import dataclasses
+import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ import pytest
 import diffnet.verdict
 
 from conftest import (
+    EVERY_TRIAL,
+    count_calls,
     dense_pair,
     dense_wall_shift,
     ensure_incoming_influence,
@@ -19,11 +23,18 @@ from conftest import (
     verdict_bool,
 )
 from diffnet.assembly import grounding_shift, sample_weights
+from diffnet.cli import main
 from diffnet.numerics import RandomSource, controllable_dimension
-from diffnet.problem_io import mass_spring_chain
+from diffnet.problem_io import load_problem, mass_spring_chain
 from diffnet.subsystem import SubsystemModel, fixed_modes
 from diffnet.topology import DIRECTED, Edge, NetworkGraph, spanning_forest
-from diffnet.verdict import AnalysisReport, Verdict, analyze, certify_monte_carlo
+from diffnet.verdict import (
+    AnalysisReport,
+    TrialResult,
+    Verdict,
+    analyze,
+    certify_monte_carlo,
+)
 from lemmas import (
     cycles_input_reachable,
     generic_ranks,
@@ -186,15 +197,22 @@ class TestZeroNodeMatrices:
 
 class TestCertification:
     def test_controllable_chain_every_trial_passes(self):
+        """Against its CONTROLLABLE verdict the chain's certificate stops
+        at trial 0, which is controllable; run in full, all 5 are."""
         model, g = double_integrator(), chain_graph(3)
         analysis = analyze(model, g)
         cert = certify_monte_carlo(model, g, trials=5, rng=RandomSource(42))
-        assert cert.trials == 5 and len(cert.per_trial) == 5
-        assert all(t.controllable for t in cert.per_trial)
-        assert all(t.deficient_count == 0 for t in cert.per_trial)
+        assert cert.trials == 1 and len(cert.per_trial) == 1
         assert cert.any_controllable
         assert cert.compared_verdict == analysis.verdict.value
         assert cert.agree_with_verdict
+        full = certify_monte_carlo(
+            model, g, trials=5, rng=RandomSource(42), analysis=EVERY_TRIAL
+        )
+        assert full.trials == 5 and len(full.per_trial) == 5
+        assert full.per_trial[:1] == cert.per_trial
+        assert all(t.controllable for t in full.per_trial)
+        assert all(t.deficient_count == 0 for t in full.per_trial)
 
     def test_not_verdict_agrees_when_no_trial_is_controllable(self):
         model = double_integrator(c=[[0.0, 1.0]])
@@ -263,6 +281,7 @@ class TestCertification:
             trials=3,
             rng=RandomSource(5),
             a_shift=grounding_shift(**chain.options["wall"]),
+            analysis=EVERY_TRIAL,
         )
         grounded = cert.grounded
         assert grounded is not None and grounded.grounded is None
@@ -348,6 +367,9 @@ def chain_with_wall(num_masses: int):
 
 
 class TestStackedTrials:
+    """Each certificate here is handed ``EVERY_TRIAL``, so all its trials
+    run, in stacks, whatever the verdict."""
+
     def test_trials_match_one_draw_and_assembly_per_trial(self, monkeypatch):
         """Each trial's blocks are the bits ``sample_weights`` draws from
         rng.derive(t); all trials are assembled in one stack, and each
@@ -364,7 +386,9 @@ class TestStackedTrials:
             model, graph = mixed_instance(seed)
             rng = RandomSource(seed)
             stacks.clear()
-            cert = certify_monte_carlo(model, graph, trials=4, rng=rng)
+            cert = certify_monte_carlo(
+                model, graph, trials=4, rng=rng, analysis=EVERY_TRIAL
+            )
             (blocks,) = stacks
             shape = (model.num_inputs, model.num_outputs)
             for t, trial in enumerate(cert.per_trial):
@@ -385,7 +409,9 @@ class TestStackedTrials:
         shifts = (None, grounding_shift(1.0, 0.5))
         rng = RandomSource(21)
         cleans = [
-            certify_monte_carlo(model, graph, trials=4, rng=rng, a_shift=shift)
+            certify_monte_carlo(
+                model, graph, trials=4, rng=rng, a_shift=shift, analysis=EVERY_TRIAL
+            )
             for shift in shifts
         ]
         real = diffnet.verdict.assemble_blocks
@@ -398,7 +424,7 @@ class TestStackedTrials:
         monkeypatch.setattr(diffnet.verdict, "assemble_blocks", poison_member_2)
         for shift, clean in zip(shifts, cleans):
             cert = certify_monte_carlo(
-                model, graph, trials=4, rng=rng, a_shift=shift
+                model, graph, trials=4, rng=rng, a_shift=shift, analysis=EVERY_TRIAL
             )
             reports = [(cert, clean)]
             if shift is None:
@@ -421,7 +447,8 @@ class TestStackedTrials:
         shifts = (None, grounding_shift(1.0, 0.5))
         wholes = [
             certify_monte_carlo(
-                model, graph, trials=5, rng=RandomSource(4), a_shift=shift
+                model, graph, trials=5, rng=RandomSource(4), a_shift=shift,
+                analysis=EVERY_TRIAL,
             )
             for shift in shifts
         ]
@@ -440,7 +467,8 @@ class TestStackedTrials:
             monkeypatch.setattr(diffnet.verdict, "_TRIAL_STACK_BYTES", budget)
             sizes.clear()
             split = certify_monte_carlo(
-                model, graph, trials=5, rng=RandomSource(4), a_shift=shift
+                model, graph, trials=5, rng=RandomSource(4), a_shift=shift,
+                analysis=EVERY_TRIAL,
             )
             assert sizes == [2, 2, 1]
             assert split == whole
@@ -469,7 +497,7 @@ class TestStackedTrials:
             seed = case
         rng = RandomSource(seed)
         cert = certify_monte_carlo(
-            model, graph, trials=4, rng=rng, a_shift=shift
+            model, graph, trials=4, rng=rng, a_shift=shift, analysis=EVERY_TRIAL
         )
         (blocks,) = stacks
         assert len(blocks) == 4
@@ -511,6 +539,7 @@ class TestStackedTrials:
             trials=5,
             rng=RandomSource(num_masses),
             a_shift=grounding_shift(k, mu),
+            analysis=EVERY_TRIAL,
         )
         (a_sys,) = stacks
         plain, grounded = a_sys[:5], a_sys[5:]
@@ -578,7 +607,8 @@ class TestInputFeedbackShift:
         model = double_integrator()
         assert not diffnet.verdict._is_input_feedback(model, graph, shift)
         cert = certify_monte_carlo(
-            model, graph, trials=3, rng=RandomSource(5), a_shift=shift
+            model, graph, trials=3, rng=RandomSource(5), a_shift=shift,
+            analysis=EVERY_TRIAL,
         )
         assert stacks == [(6, 4, 4)]
         assert [t.deficient_count for t in cert.per_trial] == [0, 0, 0]
@@ -605,6 +635,197 @@ class TestInputFeedbackShift:
         else:
             shift[1, 0] = np.nan
         assert not diffnet.verdict._is_input_feedback(model, graph, shift)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+#: the exit code of ``certify`` for each verdict its certificate agrees with
+VERDICT_EXIT = {Verdict.CONTROLLABLE: 0, Verdict.NOT_CONTROLLABLE: 1, Verdict.INCONCLUSIVE: 2}
+
+
+def chain_case(num_masses: int, driven: int, grounded: bool):
+    chain = mass_spring_chain(
+        num_masses,
+        1.0,
+        springs=np.linspace(1.0, 2.0, num_masses),
+        dampers=np.linspace(0.1, 0.5, num_masses),
+    )
+    graph = NetworkGraph(num_masses, chain.graph.edges, driven=(driven,))
+    wall = chain.options["wall"] if grounded else None
+    return chain.model, graph, wall
+
+
+def multi_input_case(seed: int):
+    """A node with two inputs on a random undirected graph, not always
+    connected."""
+    gen = np.random.default_rng(seed)
+    graph = random_graph(gen, 6, edge_prob=0.4, allow_directed=False)
+    model = random_model(gen, 3, 2, num_inputs=2)
+    return model, dataclasses.replace(graph, driven=random_driven(gen, 6, allow_full=False))
+
+
+def certificate_cases():
+    """(name, model, graph, wall) for every problem of the sweep; a wall
+    is run with ``--ground-first-mass``."""
+    for seed in range(10):
+        yield (f"mixed {seed}", *mixed_instance(seed), None)
+    for seed in range(8):
+        yield (f"multi-input {seed}", *multi_input_case(seed), None)
+    for num_masses in (5, 12):
+        for driven in (1, num_masses):
+            for grounded in (False, True):
+                name = f"chain {num_masses} at {driven}" + " grounded" * grounded
+                yield (name, *chain_case(num_masses, driven, grounded))
+    # velocity-only output: unobservable, so NOT_CONTROLLABLE in both halves
+    model, graph, wall = chain_case(5, 5, True)
+    velocity = SubsystemModel(model.a, model.b, [[0.0, 1.0]])
+    yield ("chain 5 at 5 grounded, velocity output", velocity, graph, wall)
+    for name in ("directed_cutoff", "fixed_mode"):
+        problem, _ = load_problem(GOLDEN / f"{name}.json")
+        yield (name, problem.model, problem.graph, None)
+
+
+def problem_document(model: SubsystemModel, graph: NetworkGraph, seed: int, wall) -> dict:
+    options = {"seed": seed} if wall is None else {"seed": seed, "wall": wall}
+    return {
+        "subsystem": {"A": model.a.tolist(), "B": model.b.tolist(), "C": model.c.tolist()},
+        "graph": {
+            "N": graph.num_vertices,
+            "edges": [{"kind": e.kind, "u": e.u, "v": e.v} for e in graph.edges],
+        },
+        "driven": list(graph.driven),
+        "options": options,
+    }
+
+
+def reference_trials(model, graph, trials: int, rng: RandomSource, shift=None):
+    """Every trial, one pair at a time: the plain trials and, for a shift,
+    the shifted ones."""
+    shape = (model.num_inputs, model.num_outputs)
+    halves = ([], []) if shift is not None else ([],)
+    for t in range(trials):
+        weights = sample_weights(graph, shape, rng.derive(t))
+        a_sys, b_sys = dense_pair(model, graph, weights)
+        n_states = a_sys.shape[0]
+        pairs = (a_sys, a_sys + placed(shift, graph)) if shift is not None else (a_sys,)
+        for half, a_t in zip(halves, pairs):
+            dim = controllable_dimension(a_t, b_sys)
+            stream = rng.derive(t).stream_id
+            half.append(TrialResult(stream, bool(dim == n_states), int(n_states - dim)))
+    return halves
+
+
+def reference_agree(verdict: Verdict, trials) -> bool:
+    any_ok = any(t.controllable for t in trials)
+    return {Verdict.CONTROLLABLE: any_ok, Verdict.NOT_CONTROLLABLE: not any_ok}.get(
+        verdict, True
+    )
+
+
+class TestFirstControllableDraw:
+    """A CONTROLLABLE verdict's certificate runs trial 0 alone, plain and
+    grounded, and stops there when trial 0 is controllable in every half;
+    every other certificate runs all its trials. Either way its summary is
+    the one of all T trials run one by one."""
+
+    TRIALS = 4
+
+    def check(self, model, graph, seed, shift=None, analysis=None):
+        """Compare the certificate with the full reference; return the
+        verdict, the number of trials run and the reference's halves."""
+        rng = RandomSource(seed)
+        analysis = analysis or analyze(model, graph)
+        cert = certify_monte_carlo(
+            model, graph, trials=self.TRIALS, rng=rng, a_shift=shift, analysis=analysis
+        )
+        halves = reference_trials(model, graph, self.TRIALS, rng, shift)
+        stops = analysis.verdict is Verdict.CONTROLLABLE and all(
+            half[0].controllable for half in halves
+        )
+        ran = 1 if stops else self.TRIALS
+        reports = (cert,) if shift is None else (cert, cert.grounded)
+        assert len(reports) == len(halves)
+        for report, want in zip(reports, halves):
+            assert report.trials == ran
+            assert report.per_trial == tuple(want[:ran])
+            assert report.any_controllable == any(t.controllable for t in want)
+            assert report.agree_with_verdict == reference_agree(analysis.verdict, want)
+            assert report.compared_verdict == analysis.verdict.value
+        return analysis.verdict, ran, halves
+
+    def test_sweep_matches_every_trial_one_by_one(self, tmp_path):
+        """The library call and ``diffnet certify`` on the problem written
+        to a file: trials run, summary and exit code against the reference
+        of all T trials."""
+        seen = Counter()
+        for seed, (name, model, graph, wall) in enumerate(certificate_cases()):
+            shift = None if wall is None else grounding_shift(**wall)
+            verdict, ran, halves = self.check(model, graph, seed, shift)
+            seen[verdict, ran] += 1
+            path, out = tmp_path / f"{seed}.json", tmp_path / f"{seed}-report.json"
+            path.write_text(json.dumps(problem_document(model, graph, seed, wall)))
+            flags = ["--ground-first-mass"] if wall else []
+            argv = ["certify", str(path), "--trials", str(self.TRIALS), *flags]
+            argv += ["--out", str(out)]
+            want = VERDICT_EXIT[verdict] if reference_agree(verdict, halves[0]) else 3
+            assert main(argv) == want, name
+            doc = json.loads(out.read_text())
+            assert doc["options"]["trials"] == self.TRIALS, name
+            blocks = [doc["analysis"]["certification"]]
+            blocks += [doc["grounded_certification"]] if wall else []
+            for block, want_trials in zip(blocks, halves, strict=True):
+                want_json = [dataclasses.asdict(t) for t in want_trials[:ran]]
+                assert block["per_trial"] == want_json, name
+        assert seen[Verdict.CONTROLLABLE, 1] >= 20
+        assert seen[Verdict.NOT_CONTROLLABLE, self.TRIALS] >= 5
+        assert seen[Verdict.INCONCLUSIVE, self.TRIALS] >= 1
+        assert set(seen) == {
+            (Verdict.CONTROLLABLE, 1),
+            (Verdict.NOT_CONTROLLABLE, self.TRIALS),
+            (Verdict.INCONCLUSIVE, self.TRIALS),
+        }
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_shift_matches_every_trial_one_by_one(self, seed):
+        model, graph = mixed_instance(seed)
+        self.check(model, graph, seed, random_shift(model, seed))
+
+    def test_uncontrollable_trial_0_runs_every_trial(self):
+        """Under a CONTROLLABLE verdict a trial 0 that is not controllable
+        in some half proves nothing, and all T trials run: the grounded
+        half of a shift in the position row, and a doctored verdict."""
+        graph = NetworkGraph(2, (Edge(1, 2),), driven=(1,))
+        shift = np.array([[0.0, -1.0], [0.0, 0.0]])
+        verdict, ran, _ = self.check(double_integrator(), graph, 5, shift)
+        assert (verdict, ran) == (Verdict.CONTROLLABLE, self.TRIALS)
+        fake = AnalysisReport(Verdict.CONTROLLABLE, "1", ())
+        model = double_integrator(c=[[0.0, 1.0]])
+        verdict, ran, _ = self.check(model, chain_graph(3), 5, analysis=fake)
+        assert (verdict, ran) == (Verdict.CONTROLLABLE, self.TRIALS)
+
+    def test_controllable_chain_draws_and_ranks_once(self, monkeypatch):
+        draws = count_calls(monkeypatch, diffnet.verdict, "sample_weights")
+        ranks = count_calls(monkeypatch, diffnet.verdict, "controllable_dimension")
+        cert = certify_monte_carlo(*chain_case(12, 12, False)[:2], trials=5)
+        assert cert.trials == 1 and cert.agree_with_verdict
+        assert len(draws) == 1 and len(ranks) == 1
+
+    def test_streams_are_derived_per_stack(self, monkeypatch):
+        """A billion trials asked for a CONTROLLABLE chain derive one
+        stream. The spy stops a run that derives them up front."""
+        derived = []
+        derive = RandomSource.derive
+
+        def spy(self, index):
+            derived.append(index)
+            if len(derived) > 1000:
+                raise AssertionError("streams derived ahead of their stack")
+            return derive(self, index)
+
+        monkeypatch.setattr(RandomSource, "derive", spy)
+        cert = certify_monte_carlo(double_integrator(), chain_graph(3), trials=10**9)
+        assert cert.trials == 1 and cert.any_controllable
+        assert derived == [0]
 
 
 class TestVerdictAgainstOracle:

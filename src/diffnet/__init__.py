@@ -4,7 +4,7 @@ Decides, from topology plus one copy of the node dynamics, whether some
 (equivalently, almost every) assignment of vector or matrix edge weights
 makes the assembled network controllable, and certifies each verdict by
 measuring the controllable subspace of the network on sampled weights,
-all draws of one certificate assembled and rank-tested as one stack.
+each draw assembled and rank-tested on its own.
 """
 
 from .assembly import (

@@ -16,12 +16,11 @@ diagonal and 0.0 minus it off it, in two BLAS products over all blocks
 side by side, at O((N + M) n r (n + p)) cost for nodes of order n; every
 other block is exactly 0.0. The input matrix, Delta kron B, is B at the
 diagonal blocks of the graph's driven vertices, ``NetworkGraph.driven``.
-A (T, M, p, r) stack of T weight draws runs the index work, which
-depends on the graph alone, once, and the products over all draws'
-blocks side by side. ``BlockMatrix.dense`` scatters the blocks into the
-dense matrices, as the certificate does; a ``lump`` report is written
-from the blocks themselves. ``ground_first_vertex`` grounds a state
-matrix at a wall: it adds the (n, n) shift to vertex 1's diagonal block.
+One call assembles one draw of weights. ``BlockMatrix.dense`` scatters
+the blocks into the dense matrix, as the certificate does; a ``lump``
+report is written from the blocks themselves. ``ground_first_vertex``
+grounds a state matrix at a wall: it adds the (n, n) shift to vertex 1's
+diagonal block.
 For the mass-spring chain that ``problem_io.mass_spring_chain`` builds,
 the shift is ``grounding_shift`` of its wall constants per unit mass: it
 enters the state matrix directly, not through B.
@@ -56,11 +55,11 @@ def _laplacian_terms(graph: NetworkGraph):
 def _laplacian_blocks(
     graph: NetworkGraph, blocks: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The block Laplacian of each member of a (T, M, p, r) stack of edge
-    blocks at its possibly nonzero blocks only: every diagonal block, then
-    the off-diagonal blocks the edges name, each -W. Returns the 0-based
-    block rows, the block columns and the (T, blocks, p, r) values; the
-    terms are added in edge order, one indexed scatter for all members.
+    """The block Laplacian of the (M, p, r) edge blocks at its possibly
+    nonzero blocks only: every diagonal block, then the off-diagonal blocks
+    the edges name, each -W. Returns the 0-based block rows, the block
+    columns and the (blocks, p, r) values; the terms are added in edge
+    order, by one indexed scatter.
     """
     row, col, sign, edge = _laplacian_terms(graph)
     n_vertices = graph.num_vertices
@@ -68,36 +67,28 @@ def _laplacian_blocks(
     slot = np.where(off, n_vertices + np.cumsum(off) - 1, row)
     diag = np.arange(n_vertices)
     count = n_vertices + np.count_nonzero(off)
-    values = np.zeros((blocks.shape[0], count) + blocks.shape[2:])
-    np.add.at(values, (slice(None), slot), sign[:, None, None] * blocks[:, edge])
+    values = np.zeros((count,) + blocks.shape[1:])
+    np.add.at(values, slot, sign[:, None, None] * blocks[edge])
     return np.concatenate([diag, row[off]]), np.concatenate([diag, col[off]]), values
 
 
 @dataclass(frozen=True)
 class BlockMatrix:
     """A matrix of ``shape`` held as its possibly nonzero h x w blocks:
-    ``blocks[..., k, :, :]`` at block row ``rows[k]`` and block column
-    ``cols[k]``, no position twice, and 0.0 everywhere else. Leading axes
-    of ``blocks`` stack matrices with the same positions."""
+    ``blocks[k]`` at block row ``rows[k]`` and block column ``cols[k]``,
+    no position twice, and 0.0 everywhere else."""
 
     shape: tuple[int, int]
     rows: np.ndarray
     cols: np.ndarray
     blocks: np.ndarray
 
-    def dense(self, out: np.ndarray | None = None) -> np.ndarray:
-        """The matrix, or the stack of them, as a dense array, written into
-        ``out`` when given: a C-contiguous float64 array of that shape."""
-        lead = self.blocks.shape[:-3]
-        h, w = self.blocks.shape[-2:]
-        grid = (*lead, self.shape[0] // h, h, self.shape[1] // w, w)
-        if out is None:
-            full = np.zeros(grid)
-        else:
-            full = out.reshape(grid)  # a view of the checked layout
-            full.fill(0.0)
-        full[..., self.rows, :, self.cols, :] = np.moveaxis(self.blocks, -3, 0)
-        return full.reshape(*lead, *self.shape)
+    def dense(self) -> np.ndarray:
+        """The matrix as a dense float64 array."""
+        h, w = self.blocks.shape[1:]
+        full = np.zeros((self.shape[0] // h, h, self.shape[1] // w, w))
+        full[self.rows, :, self.cols, :] = self.blocks
+        return full.reshape(self.shape)
 
 
 def _gemm(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -120,48 +111,43 @@ def assemble_blocks(
     (A, B, C) coupled by the weights.
 
     ``weights`` is the (M, p, r) array of the edges' weight blocks in edge
-    order, or a (T, M, p, r) stack of T such draws, whose state matrices
-    then share one set of block positions. The state matrix
-    I kron A - (I kron B) L_m (I kron C) is held at the N diagonal blocks,
-    A - (B L_ii) C, and then at the off-diagonal blocks the edges name,
-    0.0 - (B L_ij) C, the products associated as in the dense form. Its
-    blocks are as the dense Kronecker form writes them, except that a
-    structural zero is 0.0 where the dense form writes -0.0 (a zero of a
-    Kronecker factor met by a negative entry of A or B). The input matrix
-    Delta kron B, the same for every draw, is B at the diagonal blocks of
-    ``graph.driven``. A state matrix that leaves the float range, which
-    finite weights can do, is refused with a ValueError.
+    order. The state matrix I kron A - (I kron B) L_m (I kron C) is held
+    at the N diagonal blocks, A - (B L_ii) C, and then at the off-diagonal
+    blocks the edges name, 0.0 - (B L_ij) C, the products associated as in
+    the dense form. Its blocks are as the dense Kronecker form writes them,
+    except that a structural zero is 0.0 where the dense form writes -0.0
+    (a zero of a Kronecker factor met by a negative entry of A or B). The
+    input matrix Delta kron B, which no weight enters, is B at the
+    diagonal blocks of ``graph.driven``. A state matrix that leaves the
+    float range, which finite weights can do, is refused with a
+    ValueError.
     """
     weights = np.asarray(weights, dtype=float)
     want = (graph.num_edges, model.num_inputs, model.num_outputs)
-    if weights.ndim not in (3, 4) or weights.shape[-3:] != want:
+    if weights.shape != want:
         raise ValueError(
             f"edge weights must have shape {want}, one block per edge in edge "
-            f"order, or be a (draws, *{want}) stack of weight blocks; "
-            f"got shape {weights.shape}"
+            f"order; got shape {weights.shape}"
         )
-    stack = weights if weights.ndim == 4 else weights[None]
     _, p, r = want
     n_vertices, n = graph.num_vertices, model.order
     # finite weights can still overflow; the blocks are checked just below
     with np.errstate(over="ignore", invalid="ignore"):
-        rows, cols, lap = _laplacian_blocks(graph, stack)
-        # (B L_ij) C for every nonzero block L_ij of every member: two
-        # products over all blocks side by side
-        coupled = _gemm(model.b, lap.transpose(2, 0, 1, 3).reshape(p, -1))
+        rows, cols, lap = _laplacian_blocks(graph, weights)
+        # (B L_ij) C for every nonzero block L_ij: two products over all
+        # blocks side by side
+        coupled = _gemm(model.b, lap.transpose(1, 0, 2).reshape(p, -1))
         stacked = coupled.reshape(n, -1, r).transpose(1, 0, 2).reshape(-1, r)
-        values = _gemm(stacked, model.c).reshape(lap.shape[:2] + (n, n))
+        values = _gemm(stacked, model.c).reshape(lap.shape[0], n, n)
         # then A - (B L_ii) C on the diagonal blocks, 0.0 - (B L_ij) C off it
-        np.subtract(model.a, values[:, :n_vertices], out=values[:, :n_vertices])
-        np.subtract(0.0, values[:, n_vertices:], out=values[:, n_vertices:])
+        np.subtract(model.a, values[:n_vertices], out=values[:n_vertices])
+        np.subtract(0.0, values[n_vertices:], out=values[n_vertices:])
     if not np.all(np.isfinite(values)):
         raise ValueError(
             "lumped state matrix overflows the float range: "
             "the edge weights or subsystem entries are too large"
         )
     n_states = n_vertices * n
-    if weights.ndim == 3:
-        values = values[0]
     driven = np.array(graph.driven, dtype=np.intp) - 1
     return (
         BlockMatrix((n_states, n_states), rows, cols, values),
@@ -202,10 +188,10 @@ def grounding_shift(stiffness_over_mass: float, damping_over_mass: float) -> np.
 
 def ground_first_vertex(state: BlockMatrix, shift) -> BlockMatrix:
     """``state`` with the (n, n) ``shift`` added to vertex 1's diagonal
-    block, block 0 of each matrix of the stack, and 0.0 to every other
-    block entry. Its dense matrix is bit for bit the dense ``state`` plus
-    the shift placed at vertex 1's block and 0.0 elsewhere: both turn each
-    -0.0 entry into 0.0 and leave every structural zero 0.0."""
-    add = np.zeros(state.blocks.shape[-3:])
+    block, block 0, and 0.0 to every other block entry. Its dense matrix
+    is bit for bit the dense ``state`` plus the shift placed at vertex 1's
+    block and 0.0 elsewhere: both turn each -0.0 entry into 0.0 and leave
+    every structural zero 0.0."""
+    add = np.zeros(state.blocks.shape)
     add[0] = shift
     return replace(state, blocks=state.blocks + add)

@@ -10,23 +10,23 @@ run on the node's matrices each normalised by its own Frobenius norm; a
 failed node condition is witnessed by the spectrum outside the
 controllable (or observable) subspace. Every verdict can be
 cross-examined by ``certify_monte_carlo``, a Monte Carlo oracle on
-sampled weights: trial t's weight blocks are ``sample_weights`` on
-``rng.derive(t)``. The property is generic, so one controllable draw
-shows that controllable weights exist: against a CONTROLLABLE verdict
-trial 0 runs alone first, and the oracle stops there when it is
-controllable. Otherwise the trials are assembled (``assemble_blocks`` on
-the stack of draws, its blocks scattered into dense matrices) and
-rank-tested as one stack, by block Arnoldi on the controllable subspace,
-against one input matrix: Delta kron B at the driven vertices' |D| p
-columns only, a ``BlockMatrix`` scattered once per call. A single-input
-network's steps are then single columns, each taken by its norm.
-A shift of vertex 1's diagonal block (a wall-grounded chain) is tested on
-the same draws: each trial is drawn and assembled once, and its plain and
-shifted pairs share the stack. A shift that acts only through a driven
-vertex 1's input row, as the chain's wall acts on mass 1 beside its
-external force, is state feedback, which leaves every pair's controllable
-subspace as it is: its grounded trials are then the plain ones, and the
-stack holds the plain pairs only.
+sampled weights. Trial t draws its weight blocks with ``sample_weights``
+on ``rng.derive(t)``, assembles them (``assemble_blocks``, its state
+blocks scattered into one dense matrix) and measures the pair's
+controllable subspace by block Arnoldi, against one input matrix: Delta
+kron B at the driven vertices' |D| p columns only, a ``BlockMatrix``
+scattered once per call. A single-input network's steps are then single
+columns, each taken by its norm. The property is generic, so one
+controllable draw shows that controllable weights exist: against a
+CONTROLLABLE verdict the oracle stops at its first trial that is
+controllable. A shift of vertex 1's diagonal block (a wall-grounded
+chain) is tested on the same draw: each trial is drawn and assembled
+once, and its plain and shifted pairs are tested one after the other. A
+shift that acts only through a driven vertex 1's input row, as the
+chain's wall acts on mass 1 beside its external force, is state
+feedback, which leaves every pair's controllable subspace as it is: its
+grounded trials are then the plain ones, and only the plain pair is
+tested.
 """
 
 from __future__ import annotations
@@ -52,12 +52,6 @@ from .topology import NetworkGraph, spanning_forest
 
 DEFAULT_CERTIFY_TRIALS = 5
 
-#: The certificate's trials run as one stack while their state matrices
-#: take at most this many bytes together, plain and shifted halves both
-#: counted, and in consecutive stacks beyond it, so that memory stays
-#: bounded whatever the trial count.
-_TRIAL_STACK_BYTES = 1 << 24
-
 
 class Verdict(str, Enum):
     CONTROLLABLE = "STRUCTURALLY_CONTROLLABLE"
@@ -80,10 +74,10 @@ class TrialResult:
 
     ``deficient_count`` is the number of states outside the controllable
     subspace of the assembled pair (0 exactly when the draw is controllable),
-    as ``numerics.controllable_dimension`` measures it. The pairs of one
-    call, plain and shifted, are tested as a stack; a numeric failure is
-    retried pair by pair, so ``error`` is set on the failing pair's trial
-    only, with ``controllable`` and ``deficient_count`` None.
+    as ``numerics.controllable_dimension`` measures it. Each pair, plain
+    or shifted, is tested on its own, so a numeric failure sets ``error``
+    on its own trial and half only, with ``controllable`` and
+    ``deficient_count`` None.
     """
 
     stream_id: int
@@ -98,12 +92,12 @@ class CertificationReport:
 
     ``any_controllable`` uses existence semantics: one controllable draw
     certifies that controllable weights exist, so against a CONTROLLABLE
-    verdict ``trials`` and ``per_trial`` may hold trial 0 alone: they
-    hold the trials that ran. Agreement means the evidence is consistent
-    with the compared verdict (an inconclusive verdict cannot be
-    contradicted). All trials uncontrollable against a controllable
-    verdict is reported as disagreement, a numerical red flag left for the
-    caller to adjudicate.
+    verdict ``trials`` and ``per_trial`` may stop short of the count
+    asked for: they hold the trials that ran. Agreement means the
+    evidence is consistent with the compared verdict (an inconclusive
+    verdict cannot be contradicted). All trials uncontrollable against a
+    controllable verdict is reported as disagreement, a numerical red flag
+    left for the caller to adjudicate.
 
     ``grounded`` holds, for a call with a state-matrix shift, the same
     draws tested with the shift, compared with the same analysis; it is
@@ -246,42 +240,35 @@ def certify_monte_carlo(
     """Monte Carlo controllability oracle over sampled weights.
 
     Trial t's weights are ``sample_weights`` on ``rng.derive(t)``, derived
-    when its stack runs. Against a CONTROLLABLE ``analysis`` trial 0 runs
-    first, alone, and the report holds it alone when it is controllable in
-    every half: one controllable draw decides ``any_controllable`` and
-    agreement. Otherwise the trials' lumped pairs are assembled and their
-    controllable subspaces measured by block Arnoldi as one stack, split
-    only where the stack's state matrices would pass
-    ``_TRIAL_STACK_BYTES``; a trial's result does not depend on its stack.
-    Every pair shares one input matrix, scattered once from its blocks:
-    the driven vertices' |D| p columns of Delta kron B, B at block row
-    v - 1 and block column k for the k-th driven vertex v, which span what
-    all its N p columns span. The states outside a pair's subspace are its
-    trial's ``deficient_count``.
+    when the trial runs. Each trial's lumped pair is assembled and its
+    controllable subspace measured by block Arnoldi, one pair at a time;
+    the states outside it are the trial's ``deficient_count``. Every pair
+    shares one input matrix, scattered once from its blocks: the driven
+    vertices' |D| p columns of Delta kron B, B at block row v - 1 and
+    block column k for the k-th driven vertex v, which span what all its
+    N p columns span. Against a CONTROLLABLE ``analysis`` the run stops
+    after the first trial that is controllable in every half: one
+    controllable draw decides ``any_controllable`` and agreement, and the
+    report holds the trials that ran.
 
     ``a_shift``, an (n, n) array for nodes of order n, is added to vertex
     1's diagonal block of every state matrix (``ground_first_vertex``; a
     chain's wall is ``grounding_shift``). Each trial is still drawn and
-    assembled once: a stack of k trials holds the k plain state matrices,
-    the blocks of ``assemble_blocks`` scattered, and after them the k
-    shifted ones, the shifted blocks scattered; the shifted results form
-    the report's ``grounded`` part. When the shift is state feedback
-    through vertex 1's input (``_is_input_feedback``: vertex 1 driven, B
-    and the shift zero outside one row, B not zero in it), the shifted
-    pair (A + B_sys G, B_sys) has the plain pair's controllable subspace,
-    so no shifted matrix is built: the stack holds the k plain ones, and
-    ``grounded`` repeats the plain trials, counts, flags and errors. A
-    numeric failure of the stacked rank test reruns its members one at a
-    time, so it is recorded on its own trial (and half) and never aborts
-    the run. Both parts are compared with ``analysis``, computed by
-    ``analyze`` when not given.
+    assembled once, and its shifted pair is tested after its plain one;
+    the shifted results form the report's ``grounded`` part. When the
+    shift is state feedback through vertex 1's input
+    (``_is_input_feedback``: vertex 1 driven, B and the shift zero outside
+    one row, B not zero in it), the shifted pair (A + B_sys G, B_sys) has
+    the plain pair's controllable subspace, so no shifted matrix is built,
+    and ``grounded`` repeats the plain trials, counts, flags and errors. A
+    numeric failure of a rank test is recorded on its own trial (and half)
+    and never aborts the run. Both parts are compared with ``analysis``,
+    computed by ``analyze`` when not given.
     """
     if trials < 1:
         raise ValueError(f"certification needs at least one trial, got {trials}")
     if analysis is None:
         analysis = analyze(model, graph, tol)
-    shape = (model.num_inputs, model.num_outputs)
-    n_states = graph.num_vertices * model.order
     halves = 1
     if a_shift is not None:
         a_shift = np.asarray(a_shift, dtype=float)
@@ -292,46 +279,25 @@ def certify_monte_carlo(
             )
         if not _is_input_feedback(model, graph, a_shift):
             halves = 2
-    size = max(1, _TRIAL_STACK_BYTES // (8 * halves * n_states * n_states))
-    controllable_verdict = analysis.verdict is Verdict.CONTROLLABLE
-    per: list[list[TrialResult]] = [[] for _ in range(halves)]
+    shape = (model.num_inputs, model.num_outputs)
     driven = np.array(graph.driven, dtype=np.intp) - 1
     b_sys = BlockMatrix(
-        (n_states, driven.size * model.num_inputs),
+        (graph.num_vertices * model.order, driven.size * model.num_inputs),
         driven,
         np.arange(driven.size),
         np.broadcast_to(model.b, (driven.size,) + model.b.shape),
     ).dense()
-    at = 0
-    while at < trials:
-        # a CONTROLLABLE verdict needs one controllable draw per half, so
-        # trial 0 runs alone first and ends the run when it is one
-        stop = min(trials, at + (1 if controllable_verdict and not at else size))
-        chunk = [rng.derive(t) for t in range(at, stop)]
-        blocks = np.stack([sample_weights(graph, shape, src) for src in chunk])
-        # the chunk's plain state matrices, then, unless the shift is input
-        # feedback, the same grounded
-        k = len(chunk)
-        a_sys = np.empty((halves * k, n_states, n_states))
-        state, _ = assemble_blocks(model, graph, blocks)
-        state.dense(out=a_sys[:k])
-        if halves == 2:
-            ground_first_vertex(state, a_shift).dense(out=a_sys[k:])
-        try:
-            dims = list(controllable_dimension(a_sys, b_sys, tol))
-        except NumericError:
-            dims = []
-            for member in a_sys:
-                try:
-                    dims.append(controllable_dimension(member, b_sys, tol))
-                except NumericError as exc:
-                    dims.append(exc)
-        for half, results in enumerate(per):
-            results.extend(
-                _trial(src, dim, n_states) for src, dim in zip(chunk, dims[half * k :])
-            )
-        at = stop
-        if controllable_verdict and all(results[0].controllable for results in per):
+    per: list[list[TrialResult]] = [[] for _ in range(halves)]
+    for t in range(trials):
+        src = rng.derive(t)
+        state, _ = assemble_blocks(model, graph, sample_weights(graph, shape, src))
+        # the plain pair, then, unless the shift is input feedback, the grounded
+        states = [state] if halves == 1 else [state, ground_first_vertex(state, a_shift)]
+        for results, a_sys in zip(per, states):
+            results.append(_trial(src, a_sys.dense(), b_sys, tol))
+        if analysis.verdict is Verdict.CONTROLLABLE and all(
+            results[-1].controllable for results in per
+        ):
             break
     plain = _compared(per[0], analysis.verdict)
     if a_shift is None:
@@ -356,11 +322,16 @@ def _is_input_feedback(
     return rows.size == 1 and not np.any(np.delete(shift, rows[0], axis=0))
 
 
-def _trial(src: RandomSource, dim, n_states: int) -> TrialResult:
+def _trial(
+    src: RandomSource, a_sys: np.ndarray, b_sys: np.ndarray, tol: ToleranceConfig
+) -> TrialResult:
     """One trial from its pair's controllable dimension or numeric failure."""
-    if isinstance(dim, NumericError):
-        return TrialResult(src.stream_id, None, None, str(dim))
-    return TrialResult(src.stream_id, bool(dim == n_states), int(n_states - dim))
+    try:
+        dim = controllable_dimension(a_sys, b_sys, tol)
+    except NumericError as exc:
+        return TrialResult(src.stream_id, None, None, str(exc))
+    n_states = a_sys.shape[0]
+    return TrialResult(src.stream_id, dim == n_states, n_states - dim)
 
 
 def _compared(per: list[TrialResult], verdict: Verdict) -> CertificationReport:

@@ -6,7 +6,6 @@ seed; nothing here draws from global state.
 
 from __future__ import annotations
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -301,8 +300,7 @@ def factorized_state_matrix(
 
 def dense_pair(model: SubsystemModel, graph: NetworkGraph, weights):
     """The lumped pair (A_sys, B_sys) as dense arrays: the blocks of
-    ``assemble_blocks`` scattered by ``BlockMatrix.dense``. A (T, M, p, r)
-    stack of weights gives a (T, nN, nN) state matrix and one B_sys."""
+    ``assemble_blocks`` scattered by ``BlockMatrix.dense``."""
     a_sys, b_sys = assemble_blocks(model, graph, weights)
     return a_sys.dense(), b_sys.dense()
 
@@ -626,80 +624,56 @@ def loop_sample_away_from_zero(gen: np.random.Generator, shape) -> np.ndarray:
     return magnitude * sign
 
 
-def reference_dimension(a, b, tol: ToleranceConfig = DEFAULT_TOL):
+def reference_dimension(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """``numerics.controllable_dimension`` as one general step: every step
-    counts each member's singular values, through ``np.linalg.svd``,
-    against its one cut rank_rel_tol * max(||A||_F, ||B||_F), with a
-    per-member column count throughout and Gram-Schmidt on new arrays.
-    Each norm is taken from its matrix scaled by its largest entry. The
-    library skips the count on a step where every member keeps its whole
+    counts the singular values, through ``np.linalg.svd``, against the
+    pair's one cut rank_rel_tol * max(||A||_F, ||B||_F), with Gram-Schmidt
+    on new arrays. Each norm is taken from its matrix scaled by its largest
+    entry. The library skips the count on a step that keeps its whole
     block, and scales only a sum of squares that left the float range; its
-    dimensions, and its errors' text, must be this function's."""
+    dimension, and its errors' text, must be this function's."""
     am = np.asarray(a, dtype=float)
     bm = np.asarray(b, dtype=float)
     if bm.ndim == 1:
         bm = bm[:, None]
-    if am.ndim < 2 or am.shape[-1] != am.shape[-2]:
-        raise ValueError(f"staircase needs a square state matrix, got shape {am.shape}")
-    n = am.shape[-1]
-    if bm.ndim < 2 or bm.shape[-2] != n:
+    if am.ndim != 2 or am.shape[0] != am.shape[1]:
+        raise ValueError(f"staircase needs one square state matrix, got shape {am.shape}")
+    n = am.shape[0]
+    if bm.ndim != 2 or bm.shape[0] != n:
         raise ValueError(
-            f"input matrix must have {n} rows to match the state matrix, "
-            f"got shape {bm.shape}"
+            f"input matrix must be one matrix with {n} rows to match the state "
+            f"matrix, got shape {bm.shape}"
         )
-    lead = np.broadcast_shapes(am.shape[:-2], bm.shape[:-2])
-    count = math.prod(lead)
-    if am.ndim > 2:
-        am = np.broadcast_to(am, lead + am.shape[-2:]).reshape(count, n, n)
-    if bm.ndim > 2:
-        bm = np.broadcast_to(bm, lead + bm.shape[-2:]).reshape(count, n, bm.shape[-1])
-    done = np.zeros(count, dtype=np.intp)
     for matrix, what in ((bm, "input"), (am, "state")):
         if not np.isfinite(matrix).all():
             raise NumericError(f"staircase met a non-finite {what} matrix ({n} states)")
-    scale = np.maximum(scaled_frobenius(am), scaled_frobenius(bm))
-    cut = tol.rank_rel_tol * np.broadcast_to(scale, done.shape)[:, None]
+    cut = tol.rank_rel_tol * max(scaled_frobenius(am), scaled_frobenius(bm))
+    basis = np.zeros((n, 0))
+    block = bm
     try:
-        basis = np.zeros(((done.size,) if lead else ()) + (n, n))
-        members = basis.reshape(count, n, n)
-        aligned = True
-        block = bm
         while True:
             u, sv, _ = np.linalg.svd(block, full_matrices=False)
-            rho = np.minimum((sv > cut).sum(axis=-1), n - done)
-            width = int(rho.max(initial=0))
+            width = min(int((sv > cut).sum()), n - basis.shape[1])
             if width == 0:
                 break
-            aligned = aligned and int(rho.min()) == width
-            if aligned:
-                at = int(done[0])
-                fresh = u[..., :width]
-                basis[..., at : at + width] = fresh
-            else:
-                kept = np.arange(width) < rho[:, None]
-                fresh = u[..., :width] * kept[..., None, :]
-                member, column = np.nonzero(kept)
-                members[member, :, done[member] + column] = fresh[member, :, column]
-            done = done + rho
-            if int(done.min()) == n:
+            fresh = u[:, :width]
+            basis = np.hstack([basis, fresh])
+            if basis.shape[1] == n:
                 break
-            q = basis[..., : int(done.max())]
-            qt = np.swapaxes(q, -1, -2)
             block = am @ fresh
             for _ in range(2):
-                block = block - q @ (qt @ block)
+                block = block - basis @ (basis.T @ block)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"staircase SVD failed on a {n}-state pair: {exc}") from exc
-    return int(done[0]) if not lead else done.reshape(lead)
+    return basis.shape[1]
 
 
-def scaled_frobenius(m: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack, from the matrix scaled by
-    its largest entry, so no square overflows or underflows to zero; 0 for
-    a zero matrix."""
-    top = np.abs(m).max(axis=(-2, -1), initial=0.0)
-    top = np.where(top > 0.0, top, 1.0)
-    return top * np.linalg.norm(m / top[..., None, None], axis=(-2, -1))
+def scaled_frobenius(m: np.ndarray) -> float:
+    """Frobenius norm of one matrix, from the matrix scaled by its largest
+    entry, so no square overflows or underflows to zero; 0 for a zero
+    matrix."""
+    top = float(np.abs(m).max(initial=0.0)) or 1.0
+    return top * float(np.linalg.norm(m / top))
 
 
 def loop_sample_weights(

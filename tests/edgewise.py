@@ -6,9 +6,9 @@ I kron A + sum_e (K[:, e] K_I[e, :]) kron (B W_e C), with K and K_I the
 injection and incidence matrices, places one n x n block per edge at the
 at most four block positions its incidence entries select, at O(M n^3)
 cost. For undirected graphs K = -K_I^T, recovering the familiar
-incidence-quadratic form. ``cross_check`` compares it, draw by draw, with
-``assemble_blocks`` at the blocks either route writes: both are exactly
-0.0 everywhere else.
+incidence-quadratic form. ``cross_check`` compares it, for one draw of
+weights, with ``assemble_blocks`` at the blocks either route writes: both
+are exactly 0.0 everywhere else.
 """
 
 from __future__ import annotations
@@ -76,10 +76,10 @@ def _edgewise_state_blocks(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """I kron A + sum_e (K[:, e] K_I[e, :]) kron (B W_e C), K and K_I the
     injection and incidence matrices of the graph's incidence realization,
-    for each member of a (T, M, p, r) stack of edge blocks W, as n x n
-    block terms: the 0-based block rows, the block columns and the
-    (T, terms, n, n) blocks. A member's matrix is the sum of its terms, each
-    at its block, and 0.0 at every block no term names.
+    for the (M, p, r) edge blocks W, as n x n block terms: the 0-based
+    block rows, the block columns and the (terms, n, n) blocks. The matrix
+    is the sum of its terms, each at its block, and 0.0 at every block no
+    term names.
 
     A lands at every diagonal block, then each edge's block B W_e C at
     block (i, j) scaled by K[i, e] K_I[e, j], for every nonzero K[i, e]
@@ -88,7 +88,7 @@ def _edgewise_state_blocks(
     real = incidence_matrices(graph)
     n_vertices = graph.num_vertices
     diag = np.arange(n_vertices)
-    on_diag = np.broadcast_to(model.a, (blocks.shape[0], n_vertices, *model.a.shape))
+    on_diag = np.broadcast_to(model.a, (n_vertices, *model.a.shape))
     if not graph.num_edges:
         return diag, diag, on_diag
     coupling = model.b @ blocks @ model.c
@@ -107,33 +107,30 @@ def _edgewise_state_blocks(
     return (
         np.concatenate([diag, i]),
         np.concatenate([diag, j]),
-        np.concatenate([on_diag, coef[:, None, None] * coupling[:, edge]], axis=1),
+        np.concatenate([on_diag, coef[:, None, None] * coupling[edge]]),
     )
 
 
 def cross_check(model: SubsystemModel, graph: NetworkGraph, weights) -> None:
-    """Compare ``assemble_blocks``'s state matrix with the edgewise route,
-    draw by draw, for the (M, p, r) weights of one network or a
-    (T, M, p, r) stack of draws; raises ConsistencyError where a draw's
-    routes differ by more than ASSEMBLY_CROSS_CHECK_RTOL relative to its
-    largest entry. Both routes are summed, and compared, at the blocks
-    either one writes only, O((N + M) n^2) per draw. A state matrix that
-    overflows is refused by ``assemble_blocks`` before any comparison.
+    """Compare ``assemble_blocks``'s state matrix with the edgewise route
+    for the (M, p, r) weights of one network; raises ConsistencyError where
+    the routes differ by more than ASSEMBLY_CROSS_CHECK_RTOL relative to
+    the largest entry. Both routes are summed, and compared, at the blocks
+    either one writes only, O((N + M) n^2). A state matrix that overflows
+    is refused by ``assemble_blocks`` before any comparison.
     """
     a_sys, _ = assemble_blocks(model, graph, weights)
-    stack = np.asarray(weights, dtype=float)
-    stack = stack if stack.ndim == 4 else stack[None]
-    direct = a_sys.blocks.reshape(stack.shape[0], *a_sys.blocks.shape[-3:])
-    edge_rows, edge_cols, terms = _edgewise_state_blocks(model, graph, stack)
+    edge_rows, edge_cols, terms = _edgewise_state_blocks(
+        model, graph, np.asarray(weights, dtype=float)
+    )
     n_vertices, n, count = graph.num_vertices, model.order, a_sys.rows.size
     at, slot = np.unique(
         np.concatenate([a_sys.rows, edge_rows]) * n_vertices
         + np.concatenate([a_sys.cols, edge_cols]),
         return_inverse=True,
     )
-    a_direct = np.zeros((stack.shape[0], at.size, n, n))
-    a_direct[:, slot[:count]] = direct
+    a_direct = np.zeros((at.size, n, n))
+    a_direct[slot[:count]] = a_sys.blocks
     a_edge = np.zeros_like(a_direct)
-    np.add.at(a_edge, (slice(None), slot[count:]), terms)
-    for member, edgewise in zip(a_direct, a_edge):
-        _require_close("lumped state matrix", member, edgewise, ASSEMBLY_CROSS_CHECK_RTOL)
+    np.add.at(a_edge, slot[count:], terms)
+    _require_close("lumped state matrix", a_direct, a_edge, ASSEMBLY_CROSS_CHECK_RTOL)

@@ -399,7 +399,7 @@ class TestDirectRoute:
     def test_flipped_laplacian_block_is_caught(self, monkeypatch):
         def flipped(graph, blocks):
             rows, cols, values = _laplacian_blocks(graph, blocks)
-            values[:, (rows == 1) & (cols == 0)] *= -1.0  # block (2, 1): edge 1 -> 2
+            values[(rows == 1) & (cols == 0)] *= -1.0  # block (2, 1): edge 1 -> 2
             return rows, cols, values
 
         monkeypatch.setattr(diffnet.assembly, "_laplacian_blocks", flipped)
@@ -409,9 +409,9 @@ class TestDirectRoute:
 
 @st.composite
 def lumped_cases(draw):
-    """A model, a graph with its driven vertices, and the weights of one
-    network or a stack of draws: every vertex pair unlinked, undirected,
-    directed either way or antiparallel, so edgeless graphs come first."""
+    """A model, a graph with its driven vertices, and one draw of its
+    weights: every vertex pair unlinked, undirected, directed either way or
+    antiparallel, so edgeless graphs come first."""
     p, r, n = (draw(st.integers(1, 3)) for _ in range(3))
     n_vertices = draw(st.integers(1, 6))
     pairs = [(u, v) for u in range(1, n_vertices + 1) for v in range(u + 1, n_vertices + 1)]
@@ -426,18 +426,16 @@ def lumped_cases(draw):
         if kind == "antiparallel":
             edges.append(Edge(u, v, DIRECTED))
     driven = draw(st.sets(st.integers(1, n_vertices)))
-    draws = draw(st.sampled_from([None, 1, 3]))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     graph = NetworkGraph(n_vertices, tuple(edges), driven)
     model = random_model(gen, n, r, num_inputs=p)
-    shape = (len(edges), p, r) if draws is None else (draws, len(edges), p, r)
-    return model, graph, gen.uniform(-1.0, 1.0, size=shape)
+    return model, graph, gen.uniform(-1.0, 1.0, size=(len(edges), p, r))
 
 
 def check_routes_agree(examples: int) -> set:
     """The one assembly route against the test-side edgewise route (to
-    ASSEMBLY_CROSS_CHECK_RTOL, draw by draw) and against the dense
-    factorized form, on ``lumped_cases``. Returns the kinds of case met."""
+    ASSEMBLY_CROSS_CHECK_RTOL) and against the dense factorized form, on
+    ``lumped_cases``. Returns the kinds of case met."""
     met = set()
 
     @seed(21)
@@ -445,18 +443,14 @@ def check_routes_agree(examples: int) -> set:
     @given(lumped_cases())
     def case(network):
         model, graph, weights = network
-        met.add("stacked" if weights.ndim == 4 else "single")
         met.update(e.kind for e in graph.edges)
         if not graph.num_edges:
             met.add("edgeless")
         cross_check(model, graph, weights)
         a_sys, _ = dense_pair(model, graph, weights)
-        if weights.ndim == 3:
-            weights, a_sys = weights[None], a_sys[None]
-        for member, a_member in zip(weights, a_sys):
-            reference = factorized_state_matrix(model, graph, member)
-            scale = max(1.0, float(np.max(np.abs(reference))))
-            assert np.max(np.abs(a_member - reference)) <= 1e-10 * scale
+        reference = factorized_state_matrix(model, graph, weights)
+        scale = max(1.0, float(np.max(np.abs(reference))))
+        assert np.max(np.abs(a_sys - reference)) <= 1e-10 * scale
 
     case()
     return met
@@ -464,7 +458,7 @@ def check_routes_agree(examples: int) -> set:
 
 def test_one_route_matches_the_edgewise_and_factorized_forms():
     met = check_routes_agree(examples=150)
-    assert met == {"single", "stacked", "edgeless", UNDIRECTED, DIRECTED}
+    assert met == {"edgeless", UNDIRECTED, DIRECTED}
 
 
 def edgewise_matrix(model, graph, blocks) -> np.ndarray:
@@ -495,8 +489,7 @@ class TestEdgewiseRoute:
             antiparallel += sum((v, u) in directed for u, v in directed)
             model = random_model(gen, int(gen.integers(1, 4)), r, num_inputs=p)
             weights = sample_weights(g, (p, r), RandomSource(int(gen.integers(1 << 30))))
-            rows, cols, terms = _edgewise_state_blocks(model, g, weights[None])
-            edge_route = edgewise_matrix(model, g, (rows, cols, terms[0]))
+            edge_route = edgewise_matrix(model, g, _edgewise_state_blocks(model, g, weights))
             reference = dense_edgewise_state_matrix(model, g, weights)
             scale = max(1.0, float(np.max(np.abs(reference))))
             assert np.max(np.abs(edge_route - reference)) <= 1e-12 * scale
@@ -521,33 +514,18 @@ class TestEdgewiseRoute:
 
 
 class TestStackedAssembly:
-    def test_stack_equals_one_assembly_per_member_bit_for_bit(self):
-        gen = np.random.default_rng(31)
-        for (p, r), g in itertools.product(
-            itertools.product((1, 2, 3), repeat=2), list(mixed_graphs(gen))
-        ):
-            n = int(gen.integers(1, 4))
-            c = quarters(gen, (r, n))
-            c[~c.any(axis=1), 0] = 1.0  # no zero output row
-            model = SubsystemModel(quarters(gen, (n, n)), quarters(gen, (n, p)), c)
-            blocks = quarters(gen, (3, g.num_edges, p, r))
-            g = replace(g, driven=random_driven(gen, g.num_vertices))
-            stack_a, stack_b = dense_pair(model, g, blocks)
-            assert stack_a.shape == (3, g.num_vertices * n, g.num_vertices * n)
-            for member, a_sys in zip(blocks, stack_a):
-                alone_a, alone_b = dense_pair(model, g, member)
-                assert alone_a.shape == a_sys.shape
-                bits = alone_a.view(np.uint64)
-                assert np.array_equal(a_sys.view(np.uint64), bits)
-                assert np.array_equal(stack_b, alone_b)
+    """Several draws of one network are assembled, cross-checked and
+    refused one draw at a time; ``assemble_blocks`` takes no stack."""
 
     def test_deviation_in_one_member_fails_the_cross_check(self, monkeypatch):
-        judged = []
+        judged, calls = [], []
 
         def planted(model, graph, blocks):
             rows, cols, terms = _edgewise_state_blocks(model, graph, blocks)
-            terms = terms.copy()
-            terms[1, -1] += 1e-3
+            calls.append(None)
+            if len(calls) == 2:  # the second draw's edgewise route
+                terms = terms.copy()
+                terms[-1] += 1e-3
             return rows, cols, terms
 
         def capture(name, first, second, rtol):
@@ -556,49 +534,42 @@ class TestStackedAssembly:
 
         g = NetworkGraph(3, (Edge(1, 2, DIRECTED), Edge(2, 3)))
         blocks = rows(g, [[1.0, 0.5], [2.0, 0.3]])
-        stack = np.stack([blocks, 2.0 * blocks, 3.0 * blocks])
+        draws = [blocks, 2.0 * blocks, 3.0 * blocks]
         monkeypatch.setattr(edgewise, "_require_close", capture)
-        cross_check(double_integrator(), g, stack)
-        assert len(judged) == 3  # one judgement per member
+        for draw in draws:
+            cross_check(double_integrator(), g, draw)
+        assert len(judged) == 3  # one judgement per draw
         monkeypatch.setattr(edgewise, "_edgewise_state_blocks", planted)
         judged.clear()
+        cross_check(double_integrator(), g, draws[0])
         with pytest.raises(ConsistencyError, match="disagree"):
-            cross_check(double_integrator(), g, stack)
-        assert len(judged) == 2  # member 0 passes, member 1 fails
+            cross_check(double_integrator(), g, draws[1])
+        assert len(judged) == 2  # draw 0 passes, draw 1 fails
 
     def test_one_overflowing_member_refuses_the_stack(self, monkeypatch):
+        """Of three draws, the one whose block at vertex 2 leaves the float
+        range is refused, by both routes, before any comparison; the
+        others assemble."""
         g = chain_graph(3)
-        stack = np.full((3, g.num_edges, 1, 2), 0.5)
-        stack[1] = 1e308  # member 1's block at vertex 2 leaves the float range
+        draws = np.full((3, g.num_edges, 1, 2), 0.5)
+        draws[1] = 1e308
         judged = count_calls(monkeypatch, edgewise, "_require_close")
         with pytest.raises(ValueError, match="overflows the float range"):
-            assemble_blocks(double_integrator(), g, stack)
+            assemble_blocks(double_integrator(), g, draws[1])
         with pytest.raises(ValueError, match="overflows the float range"):
-            cross_check(double_integrator(), g, stack)
+            cross_check(double_integrator(), g, draws[1])
         assert judged == []
-
-    def test_out_receives_the_state_matrices_in_part_of_a_larger_stack(self):
-        g, model = chain_graph(3), double_integrator()
-        gen = np.random.default_rng(5)
-        blocks = quarters(gen, (2, g.num_edges, 1, 2))
-        fresh, _ = dense_pair(model, g, blocks)
-        buffer = np.full((4, 6, 6), np.nan)
-        stack = assemble_blocks(model, g, blocks)[0].dense(out=buffer[:2])
-        assert np.shares_memory(stack, buffer)
-        assert np.array_equal(buffer[:2].view(np.uint64), fresh.view(np.uint64))
-        assert np.isnan(buffer[2:]).all()
-        # one draw: out has the single state matrix's shape
-        single = assemble_blocks(model, g, blocks[1])[0].dense(out=buffer[3])
-        assert np.shares_memory(single, buffer) and single.shape == (6, 6)
-        assert np.array_equal(buffer[3], fresh[1])
+        for draw in draws[::2]:
+            cross_check(double_integrator(), g, draw)
+        assert len(judged) == 2
 
     def test_rejects_a_stack_of_the_wrong_shape(self):
+        """Weights are one (M, p, r) draw: a stack of draws is refused, even
+        one whose members have the right shape."""
         g = chain_graph(3)
-        for shape in ((2, 3, 1, 2), (2, 2, 2, 2), (2, 2, 1, 3), (1, 2, 2, 1, 2), (2, 2)):
-            with pytest.raises(ValueError, match="stack of weight blocks"):
-                assemble_blocks(
-                    double_integrator(), g, np.ones(shape)
-                )
+        for shape in ((2, 2, 1, 2), (1, 2, 1, 2), (2, 3, 1, 2), (2, 2)):
+            with pytest.raises(ValueError, match="one block per edge"):
+                assemble_blocks(double_integrator(), g, np.ones(shape))
 
 
 class TestFactorizedForm:
@@ -776,8 +747,8 @@ class TestCrossCheck:
             rows, cols, terms = _edgewise_state_blocks(model, graph, blocks)
             terms = terms + gen.normal(scale=noise[0], size=terms.shape)
             if noise[1]:
-                terms[:, -1, -1, -1] = np.nan
-            routes.append((rows, cols, terms[0]))
+                terms[-1, -1, -1] = np.nan
+            routes.append((rows, cols, terms))
             return rows, cols, terms
 
         def capture(name, first, second, rtol):

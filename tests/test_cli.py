@@ -540,7 +540,7 @@ class TestLump:
         the lumped pair; ``--format text`` makes both, by the scatter."""
         made = []
         dense = BlockMatrix.dense
-        monkeypatch.setattr(BlockMatrix, "dense", lambda m, out=None: made.append(m) or dense(m, out))
+        monkeypatch.setattr(BlockMatrix, "dense", lambda m: made.append(m) or dense(m))
         options = {"wall": {"stiffness_over_mass": 2.0, "damping_over_mass": 0.5}}
         path = problem_file(chain_problem(n=4, options=options))
         for flags in ([], ["--ground-first-mass"]):
@@ -726,7 +726,7 @@ class TestGroundedCertification:
         are both controllable, so it is the one trial run."""
         options = {"wall": {"stiffness_over_mass": 1.0, "damping_over_mass": 0.5}}
         path = problem_file(chain_problem(n=4, options=options))
-        draws, stacks = [], []
+        draws, assembled = [], []
         sample = diffnet.verdict.sample_weights
         assemble = diffnet.verdict.assemble_blocks
 
@@ -735,7 +735,7 @@ class TestGroundedCertification:
             return sample(*args, **kwargs)
 
         def assembling(model, graph, blocks):
-            stacks.append(len(blocks))
+            assembled.append(blocks.shape)
             return assemble(model, graph, blocks)
 
         monkeypatch.setattr(diffnet.verdict, "sample_weights", drawing)
@@ -744,7 +744,7 @@ class TestGroundedCertification:
             capsys, ["certify", path, "--trials", "3", "--ground-first-mass"]
         )
         assert code == 0
-        assert len(draws) == 1 and stacks == [1]
+        assert len(draws) == 1 and assembled == [(3, 1, 2)]
         doc = json.loads(out)
         plain = doc["analysis"]["certification"]["per_trial"]
         grounded = doc["grounded_certification"]["per_trial"]
@@ -755,17 +755,17 @@ class TestGroundedCertification:
     ):
         """``lump --ground-first-mass`` and a grounded ``certify`` both add
         the wall through ``assembly.ground_first_vertex``: one call each,
-        on the one state matrix or on the stack of trials. The chain is
-        driven at its far end, so the wall at mass 1 is no feedback through
-        a driven input and the certificate builds the grounded half, here
-        of trial 0 alone, which is controllable in both halves."""
+        on the one state matrix or on trial 0's. The chain is driven at its
+        far end, so the wall at mass 1 is no feedback through a driven input
+        and the certificate builds the grounded half, here of trial 0 alone,
+        which is controllable in both halves."""
         shared = diffnet.assembly.ground_first_vertex
         assert cli.ground_first_vertex is shared
         assert diffnet.verdict.ground_first_vertex is shared
         calls = []
 
         def grounding(state, shift):
-            calls.append(state.blocks.shape[:-3])
+            calls.append(state.blocks.shape)
             return shared(state, shift)
 
         monkeypatch.setattr(cli, "ground_first_vertex", grounding)
@@ -776,10 +776,10 @@ class TestGroundedCertification:
             assert run(capsys, argv)[0] == 0
         assert calls == []
         assert run(capsys, ["lump", path, "--ground-first-mass"])[0] == 0
-        assert calls == [()]
+        assert calls == [(10, 2, 2)]
         argv = ["certify", path, "--trials", "3", "--ground-first-mass"]
         assert run(capsys, argv)[0] == 0
-        assert calls == [(), (1,)]
+        assert calls == [(10, 2, 2)] * 2
 
     def test_wall_on_the_example_chain_reuses_the_plain_trials(
         self, tmp_path, capsys, monkeypatch
@@ -789,7 +789,7 @@ class TestGroundedCertification:
         Only plain pairs are tested, nothing is grounded, and the grounded
         report repeats the plain one field by field, a trial whose rank
         test fails included. A NaN planted in trial 0 fails its rank test,
-        so trial 0 proves nothing and trials 1 to T - 1 run as one stack."""
+        so trial 0 proves nothing; trial 1 is controllable and ends the run."""
         target = tmp_path / "chain.json"
         argv = ["example", "--N", "5", "--seed", "3", "--out", str(target)]
         assert run(capsys, argv)[0] == 0
@@ -803,8 +803,8 @@ class TestGroundedCertification:
 
         def poison_trial_0(model, graph, blocks):
             state, inputs = assemble(model, graph, blocks)
-            if not shapes:  # trial 0's stack, assembled before any rank test
-                state.blocks[0, 0, 0, 0] = np.nan
+            if not shapes:  # trial 0, assembled before any rank test
+                state.blocks[0, 0, 0] = np.nan
             return state, inputs
 
         def refuse(state, shift):
@@ -816,13 +816,12 @@ class TestGroundedCertification:
         argv = ["certify", str(target), "--trials", "4", "--ground-first-mass"]
         code, out, _ = run(capsys, argv)
         assert code == 0
-        # trial 0's stack, then trial 0 alone after the NaN fails it, then
-        # the stack of the other three
-        assert shapes == [(1, 10, 10), (10, 10), (3, 10, 10)]
+        # trial 0, which the NaN fails, then trial 1, which passes
+        assert shapes == [(10, 10)] * 2
         doc = json.loads(out)
         plain = doc["analysis"]["certification"]
         assert doc["grounded_certification"] == plain
-        assert plain["trials"] == 4
+        assert doc["options"]["trials"] == 4 and plain["trials"] == 2
         errors = [t["error"] for t in plain["per_trial"]]
         assert errors[0] and not any(errors[1:])
 
@@ -830,8 +829,8 @@ class TestGroundedCertification:
         self, problem_file, capsys, monkeypatch
     ):
         """Driven at its far end, the chain's wall is no feedback through a
-        driven input: trial 0's stack holds its plain and grounded state
-        matrices, and both are controllable, so no other trial runs."""
+        driven input: trial 0's plain and grounded state matrices are both
+        tested, and both are controllable, so no other trial runs."""
         shapes = []
         rank = diffnet.verdict.controllable_dimension
 
@@ -844,7 +843,7 @@ class TestGroundedCertification:
         path = problem_file(chain_problem(n=4, driven=(4,), options=options))
         argv = ["certify", path, "--trials", "3", "--ground-first-mass"]
         assert run(capsys, argv)[0] == 0
-        assert shapes == [(2, 8, 8)]
+        assert shapes == [(8, 8)] * 2
 
     def test_missing_wall_is_refused_before_any_draw(
         self, problem_file, capsys, monkeypatch

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -367,33 +368,34 @@ def chain_with_wall(num_masses: int):
 
 
 class TestStackedTrials:
-    """Each certificate here is handed ``EVERY_TRIAL``, so all its trials
-    run, in stacks, whatever the verdict."""
+    """The trials of one certificate: each is drawn, assembled and
+    rank-tested on its own. Each certificate here is handed
+    ``EVERY_TRIAL``, so all its trials run, whatever the verdict."""
 
     def test_trials_match_one_draw_and_assembly_per_trial(self, monkeypatch):
         """Each trial's blocks are the bits ``sample_weights`` draws from
-        rng.derive(t); all trials are assembled in one stack, and each
-        result is the one its own assembled pair gives."""
-        stacks = []
+        rng.derive(t); each trial is assembled alone, and each result is
+        the one its own assembled pair gives."""
+        draws = []
         real = diffnet.verdict.assemble_blocks
 
         def capture(model, graph, blocks):
-            stacks.append(blocks)
+            draws.append(blocks)
             return real(model, graph, blocks)
 
         monkeypatch.setattr(diffnet.verdict, "assemble_blocks", capture)
         for seed in range(12):
             model, graph = mixed_instance(seed)
             rng = RandomSource(seed)
-            stacks.clear()
+            draws.clear()
             cert = certify_monte_carlo(
                 model, graph, trials=4, rng=rng, analysis=EVERY_TRIAL
             )
-            (blocks,) = stacks
+            assert len(draws) == 4
             shape = (model.num_inputs, model.num_outputs)
             for t, trial in enumerate(cert.per_trial):
                 weights = sample_weights(graph, shape, rng.derive(t))
-                assert np.array_equal(blocks[t], weights)
+                assert np.array_equal(draws[t], weights)
                 a_sys, b_sys = dense_pair(model, graph, weights)
                 dim = controllable_dimension(a_sys, b_sys)
                 n_states = a_sys.shape[0]
@@ -402,9 +404,9 @@ class TestStackedTrials:
                 assert trial.controllable is (dim == n_states)
 
     def test_linalg_error_on_one_member_marks_only_its_trial(self, monkeypatch):
-        """A NaN planted in member 2's assembled state matrix, after the
-        cross-check, fails the stacked rank test; the rerun marks trial 2,
-        in the grounded half too, which is built from the poisoned one."""
+        """A NaN planted in trial 2's assembled state matrix fails its rank
+        test, which marks trial 2, in the grounded half too, which is built
+        from the poisoned one; every other trial is as without the NaN."""
         model, graph = double_integrator(), chain_graph(4)
         shifts = (None, grounding_shift(1.0, 0.5))
         rng = RandomSource(21)
@@ -415,14 +417,18 @@ class TestStackedTrials:
             for shift in shifts
         ]
         real = diffnet.verdict.assemble_blocks
+        assembled = []
 
-        def poison_member_2(model, graph, blocks):
+        def poison_trial_2(model, graph, blocks):
             state, inputs = real(model, graph, blocks)
-            state.blocks[2, 0, 0, 0] = np.nan  # entry (0, 0) of member 2
+            assembled.append(blocks)
+            if len(assembled) == 3:
+                state.blocks[0, 0, 0] = np.nan  # entry (0, 0) of trial 2
             return state, inputs
 
-        monkeypatch.setattr(diffnet.verdict, "assemble_blocks", poison_member_2)
+        monkeypatch.setattr(diffnet.verdict, "assemble_blocks", poison_trial_2)
         for shift, clean in zip(shifts, cleans):
+            assembled.clear()
             cert = certify_monte_carlo(
                 model, graph, trials=4, rng=rng, a_shift=shift, analysis=EVERY_TRIAL
             )
@@ -441,50 +447,17 @@ class TestStackedTrials:
                     else:
                         assert got == want
 
-    def test_trials_split_into_stacks_of_bounded_size(self, monkeypatch):
-        # driven at the far end: the wall is no input feedback, both halves run
-        model, graph = double_integrator(), chain_graph(3, driven=(3,))
-        shifts = (None, grounding_shift(1.0, 0.5))
-        wholes = [
-            certify_monte_carlo(
-                model, graph, trials=5, rng=RandomSource(4), a_shift=shift,
-                analysis=EVERY_TRIAL,
-            )
-            for shift in shifts
-        ]
-        sizes = []
-        real = diffnet.verdict.assemble_blocks
-
-        def count(model, graph, blocks):
-            sizes.append(len(blocks))
-            return real(model, graph, blocks)
-
-        monkeypatch.setattr(diffnet.verdict, "assemble_blocks", count)
-        for halves, shift, whole in zip((1, 2), shifts, wholes):
-            # room for the state matrices of two 6-state trials per stack,
-            # each tested plain and, with a shift, shifted too
-            budget = halves * 2 * 8 * 6 * 6
-            monkeypatch.setattr(diffnet.verdict, "_TRIAL_STACK_BYTES", budget)
-            sizes.clear()
-            split = certify_monte_carlo(
-                model, graph, trials=5, rng=RandomSource(4), a_shift=shift,
-                analysis=EVERY_TRIAL,
-            )
-            assert sizes == [2, 2, 1]
-            assert split == whole
-            assert (split.grounded is None) is (shift is None)
-
     @pytest.mark.parametrize("case", [*range(12), "chain"])
     def test_shifted_call_draws_and_assembles_each_trial_once(self, case, monkeypatch):
-        """With a state-matrix shift all trials are still drawn and assembled
-        in one stack; each plain trial is the one its pair (A_t, B) gives and
-        each grounded trial the one (A_t + S, B) gives, S the shift placed
-        at vertex 1's diagonal block."""
-        stacks = []
+        """With a state-matrix shift each trial is still drawn and
+        assembled once; each plain trial is the one its pair (A_t, B) gives
+        and each grounded trial the one (A_t + S, B) gives, S the shift
+        placed at vertex 1's diagonal block."""
+        draws = []
         real = diffnet.verdict.assemble_blocks
 
         def capture(model, graph, blocks):
-            stacks.append(blocks)
+            draws.append(blocks)
             return real(model, graph, blocks)
 
         monkeypatch.setattr(diffnet.verdict, "assemble_blocks", capture)
@@ -499,12 +472,12 @@ class TestStackedTrials:
         cert = certify_monte_carlo(
             model, graph, trials=4, rng=rng, a_shift=shift, analysis=EVERY_TRIAL
         )
-        (blocks,) = stacks
-        assert len(blocks) == 4
+        assert len(draws) == 4
         shape = (model.num_inputs, model.num_outputs)
         halves = zip(cert.per_trial, cert.grounded.per_trial)
         for t, (plain, grounded) in enumerate(halves):
             weights = sample_weights(graph, shape, rng.derive(t))
+            assert np.array_equal(draws[t], weights)
             a_sys, b_sys = dense_pair(model, graph, weights)
             n_states = a_sys.shape[0]
             for trial, a_t in ((plain, a_sys), (grounded, a_sys + placed(shift, graph))):
@@ -518,16 +491,16 @@ class TestStackedTrials:
     def test_grounded_half_is_the_dense_sum_with_the_wall_bit_for_bit(
         self, num_masses, monkeypatch
     ):
-        """The grounded half of a certificate's stack of 5 draws is, bit
-        for bit, its plain half plus the whole (2N, 2N) wall shift, on a
-        node whose -0.0 entries of A that sum turns into 0.0. The chain is
-        driven at its far end, so the wall is no input feedback and the
-        grounded half is built."""
-        stacks = []
+        """Each of a certificate's 5 grounded state matrices, tested right
+        after its plain one, is, bit for bit, the plain one plus the whole
+        (2N, 2N) wall shift, on a node whose -0.0 entries of A that sum
+        turns into 0.0. The chain is driven at its far end, so the wall is
+        no input feedback and the grounded half is built."""
+        tested = []
         real = diffnet.verdict.controllable_dimension
 
         def capture(a_sys, b_sys, tol):
-            stacks.append(a_sys.copy())
+            tested.append(a_sys.copy())
             return real(a_sys, b_sys, tol)
 
         monkeypatch.setattr(diffnet.verdict, "controllable_dimension", capture)
@@ -541,11 +514,37 @@ class TestStackedTrials:
             a_shift=grounding_shift(k, mu),
             analysis=EVERY_TRIAL,
         )
-        (a_sys,) = stacks
-        plain, grounded = a_sys[:5], a_sys[5:]
+        assert len(tested) == 10
+        plain, grounded = np.array(tested[0::2]), np.array(tested[1::2])
         assert np.any((plain == 0.0) & np.signbit(plain))
         want = plain + dense_wall_shift(num_masses, k, mu)
         assert np.array_equal(grounded.view(np.uint64), want.view(np.uint64))
+
+    def test_memory_is_one_pair_whatever_the_trial_count(self):
+        """The 50-mass chain cut between masses 40 and 41, driven at mass 1,
+        is NOT_CONTROLLABLE, so all 40 trials run; the traced peak of the
+        call stays below four dense 100-state matrices."""
+        chain = mass_spring_chain(
+            50, 1.0, springs=np.linspace(1.0, 2.0, 50), dampers=np.linspace(0.1, 0.5, 50)
+        )
+        edges = tuple(e for e in chain.graph.edges if {e.u, e.v} != {40, 41})
+        graph = NetworkGraph(50, edges, driven=(1,))
+
+        def certify():
+            return certify_monte_carlo(chain.model, graph, trials=40, rng=RandomSource(2))
+
+        assert certify().trials == 40  # untraced: imports and caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cert = certify()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert cert.compared_verdict == Verdict.NOT_CONTROLLABLE.value
+        assert cert.trials == 40 and cert.agree_with_verdict
+        assert all(t.deficient_count == 20 for t in cert.per_trial)
+        assert peak < 4 * 8 * 100**2
 
     def test_shift_changes_only_the_grounded_half(self):
         model, graph, shift = chain_with_wall(5)
@@ -592,13 +591,13 @@ class TestInputFeedbackShift:
     def test_shift_outside_the_input_row_is_tested_on_its_own_half(self, monkeypatch):
         """Negative control: for the double integrator on one edge, driven
         at vertex 1, a shift in the position row (B's zero row) is no
-        feedback. The stack holds both halves, and the wall-free pair is
+        feedback. Both halves are tested, and the wall-free pair is
         controllable while the shifted one loses a state."""
-        stacks = []
+        tested = []
         real = diffnet.verdict.controllable_dimension
 
         def capture(a_sys, b_sys, tol):
-            stacks.append(a_sys.shape)
+            tested.append(a_sys.shape)
             return real(a_sys, b_sys, tol)
 
         monkeypatch.setattr(diffnet.verdict, "controllable_dimension", capture)
@@ -610,7 +609,7 @@ class TestInputFeedbackShift:
             model, graph, trials=3, rng=RandomSource(5), a_shift=shift,
             analysis=EVERY_TRIAL,
         )
-        assert stacks == [(6, 4, 4)]
+        assert tested == [(4, 4)] * 6
         assert [t.deficient_count for t in cert.per_trial] == [0, 0, 0]
         assert [t.deficient_count for t in cert.grounded.per_trial] == [1, 1, 1]
 
@@ -723,10 +722,10 @@ def reference_agree(verdict: Verdict, trials) -> bool:
 
 
 class TestFirstControllableDraw:
-    """A CONTROLLABLE verdict's certificate runs trial 0 alone, plain and
-    grounded, and stops there when trial 0 is controllable in every half;
-    every other certificate runs all its trials. Either way its summary is
-    the one of all T trials run one by one."""
+    """A CONTROLLABLE verdict's certificate stops after its first trial
+    that is controllable in every half, plain and grounded; every other
+    certificate runs all its trials. Either way its summary is the one of
+    all T trials run one by one."""
 
     TRIALS = 4
 
@@ -739,10 +738,9 @@ class TestFirstControllableDraw:
             model, graph, trials=self.TRIALS, rng=rng, a_shift=shift, analysis=analysis
         )
         halves = reference_trials(model, graph, self.TRIALS, rng, shift)
-        stops = analysis.verdict is Verdict.CONTROLLABLE and all(
-            half[0].controllable for half in halves
-        )
-        ran = 1 if stops else self.TRIALS
+        full = [t for t in range(self.TRIALS) if all(h[t].controllable for h in halves)]
+        stops = analysis.verdict is Verdict.CONTROLLABLE and full
+        ran = full[0] + 1 if stops else self.TRIALS
         reports = (cert,) if shift is None else (cert, cert.grounded)
         assert len(reports) == len(halves)
         for report, want in zip(reports, halves):
@@ -792,8 +790,9 @@ class TestFirstControllableDraw:
 
     def test_uncontrollable_trial_0_runs_every_trial(self):
         """Under a CONTROLLABLE verdict a trial 0 that is not controllable
-        in some half proves nothing, and all T trials run: the grounded
-        half of a shift in the position row, and a doctored verdict."""
+        in some half proves nothing and does not end the run; here no trial
+        is controllable in every half, so all T run: the grounded half of a
+        shift in the position row, and a doctored verdict."""
         graph = NetworkGraph(2, (Edge(1, 2),), driven=(1,))
         shift = np.array([[0.0, -1.0], [0.0, 0.0]])
         verdict, ran, _ = self.check(double_integrator(), graph, 5, shift)
@@ -802,6 +801,30 @@ class TestFirstControllableDraw:
         model = double_integrator(c=[[0.0, 1.0]])
         verdict, ran, _ = self.check(model, chain_graph(3), 5, analysis=fake)
         assert (verdict, ran) == (Verdict.CONTROLLABLE, self.TRIALS)
+
+    @pytest.mark.parametrize("driven", [1, 12])
+    def test_stops_at_the_first_trial_controllable_in_every_half(self, driven, monkeypatch):
+        """Trial 0's draw has one chain edge zeroed, so the chain is cut and
+        trial 0 is uncontrollable; trial 1 is controllable in both halves
+        and ends the run, which reports 2 of the 5 trials asked for."""
+        rng = RandomSource(7)
+        draw = diffnet.verdict.sample_weights
+
+        def cut_trial_0(graph, shape, src):
+            weights = draw(graph, shape, src)
+            if src == rng.derive(0):
+                weights[5] = 0.0  # the spring and damper between masses 6 and 7
+            return weights
+
+        monkeypatch.setattr(diffnet.verdict, "sample_weights", cut_trial_0)
+        model, graph, wall = chain_case(12, driven, True)
+        cert = certify_monte_carlo(
+            model, graph, trials=5, rng=rng, a_shift=grounding_shift(**wall)
+        )
+        for report in (cert, cert.grounded):
+            assert report.trials == 2
+            assert [t.controllable for t in report.per_trial] == [False, True]
+            assert report.any_controllable and report.agree_with_verdict
 
     def test_controllable_chain_draws_and_ranks_once(self, monkeypatch):
         draws = count_calls(monkeypatch, diffnet.verdict, "sample_weights")
@@ -812,14 +835,15 @@ class TestFirstControllableDraw:
 
     def test_streams_are_derived_per_stack(self, monkeypatch):
         """A billion trials asked for a CONTROLLABLE chain derive one
-        stream. The spy stops a run that derives them up front."""
+        stream: each trial derives its own when it runs. The spy stops a
+        run that derives them up front."""
         derived = []
         derive = RandomSource.derive
 
         def spy(self, index):
             derived.append(index)
             if len(derived) > 1000:
-                raise AssertionError("streams derived ahead of their stack")
+                raise AssertionError("streams derived ahead of their trials")
             return derive(self, index)
 
         monkeypatch.setattr(RandomSource, "derive", spy)
